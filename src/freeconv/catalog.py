@@ -5,8 +5,10 @@ piecewise-linear density grid (plus optional atoms), a named law from the
 catalog (with an affine pushforward x -> scale*x + offset attached), a
 truncated moment sequence, or a truncated free cumulant sequence.
 
-Catalog moments are closed form wherever a closed form exists; the adaptive
-quadrature path is kept alongside and the two are compared in the tests.
+Catalog moments come as whole tables: one NC recursion per table for the
+laws given by free cumulants (semicircle, Marchenko-Pastur, commutator_ww)
+and closed forms for the rest; the adaptive quadrature path is kept
+alongside and the two are compared in the tests.
 Rational parameters give exact rational moments for the laws whose moments
 are rational (semicircle, Marchenko-Pastur, Bernoulli, symmetric beta,
 power beta, chi-squared, the semicircle commutator).
@@ -22,17 +24,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import ncpart
-from .ncpart import SeqN
+from .ncpart import SeqN, _is_exact
 
 MOMENT_CAP_CLOSED = 64
 MOMENT_CAP_QUAD = 32
-
-_EXACT = (int, Fraction)
-
-
-def _is_exact(*xs) -> bool:
-    return all(isinstance(x, _EXACT) for x in xs)
-
 
 def _exact_or_float(x):
     return Fraction(x) if isinstance(x, int) else x
@@ -73,10 +68,10 @@ def _sc_support(params):
     return (mean - half, mean + half)
 
 
-def _sc_moment(params, n):
+def _sc_moments(params, order):
     mean, var = (_exact_or_float(p) for p in params)
-    kappa = [mean, var] + [0] * max(0, n - 2)
-    return ncpart._moments_from_free(tuple(kappa[:n]))[n - 1]
+    kappa = [mean, var] + [0] * max(0, order - 2)
+    return ncpart._moments_from_free(tuple(kappa[:order]))
 
 
 def _sc_cauchy(params, z):
@@ -120,9 +115,9 @@ def _mp_support(params):
     return ((1 - math.sqrt(rate)) ** 2, (1 + math.sqrt(rate)) ** 2)
 
 
-def _mp_moment(params, n):
+def _mp_moments(params, order):
     rate = _exact_or_float(params[0])
-    return ncpart._moments_from_free((rate,) * n)[n - 1]
+    return ncpart._moments_from_free((rate,) * order)
 
 
 def _mp_cauchy(params, z):
@@ -235,15 +230,18 @@ def _comm_density(params, x):
     return math.sqrt(3) / (2 * math.pi * t) * (hp - hm)
 
 
-def _comm_moment(params, n):
-    if n % 2:
-        return Fraction(0)
-    kappa = tuple(Fraction(0) if k % 2 else Fraction(2) for k in range(1, n + 1))
-    return ncpart._moments_from_free(kappa)[n - 1]
+def _comm_moments(params, order):
+    kappa = tuple(Fraction(0) if k % 2 else Fraction(2) for k in range(1, order + 1))
+    return ncpart._moments_from_free(kappa)
 
 
 def _no_atoms(params):
     return ()
+
+
+def _each_order(moment):
+    """The whole-table hook of a law whose closed form gives one order."""
+    return lambda params, order: [moment(params, n) for n in range(1, order + 1)]
 
 
 @dataclass(frozen=True)
@@ -251,7 +249,7 @@ class _Law:
     name: str
     validate: callable
     density: callable | None
-    moment: callable
+    moments: callable        # (params, order) -> [m_1, ..., m_order]
     support: callable | None
     atoms: callable = _no_atoms
     cauchy: callable | None = None
@@ -264,7 +262,7 @@ LAWS = {
             "semicircle",
             _sc_validate,
             _sc_density,
-            _sc_moment,
+            _sc_moments,
             _sc_support,
             cauchy=_sc_cauchy,
         ),
@@ -272,7 +270,7 @@ LAWS = {
             "marchenko_pastur",
             _mp_validate,
             _mp_density,
-            _mp_moment,
+            _mp_moments,
             _mp_support,
             atoms=_mp_atoms,
             cauchy=_mp_cauchy,
@@ -281,7 +279,7 @@ LAWS = {
             "symmetric_bernoulli",
             lambda p: tuple(p) if not p else _err("symmetric_bernoulli takes no parameters"),
             None,
-            _bern_moment,
+            _each_order(_bern_moment),
             None,
             atoms=lambda p: ((-1, Fraction(1, 2)), (1, Fraction(1, 2))),
         ),
@@ -289,25 +287,25 @@ LAWS = {
             "symmetric_beta",
             lambda p: tuple(p) if not p else _err("symmetric_beta takes no parameters"),
             _sbeta_density,
-            _sbeta_moment,
+            _each_order(_sbeta_moment),
             lambda p: (-4.0, 4.0),
         ),
-        _Law("quarter_circle", _qc_validate, _qc_density, _qc_moment,
+        _Law("quarter_circle", _qc_validate, _qc_density, _each_order(_qc_moment),
              lambda p: (0.0, 2 * float(p[0]))),
-        _Law("beta_1a", _beta_validate, _beta_density, _beta_moment,
+        _Law("beta_1a", _beta_validate, _beta_density, _each_order(_beta_moment),
              lambda p: (0.0, 1.0)),
         _Law(
             "chi_squared_1",
             lambda p: tuple(p) if not p else _err("chi_squared_1 takes no parameters"),
             _chi_density,
-            _chi_moment,
+            _each_order(_chi_moment),
             lambda p: (0.0, math.inf),
         ),
         _Law(
             "commutator_ww",
             lambda p: tuple(p) if not p else _err("commutator_ww takes no parameters"),
             _comm_density,
-            _comm_moment,
+            _comm_moments,
             lambda p: (-_COMM_EDGE, _COMM_EDGE),
         ),
     )
@@ -422,7 +420,7 @@ class MeasureSpec:
         if self.kind == "law":
             return sum(
                 w
-                for loc, w in law_atoms(self.law, self.params)
+                for loc, w in catalog_atoms(self.law, self.params)
                 if self.scale * loc + self.offset == 0
             )
         return None
@@ -476,18 +474,14 @@ def catalog_atoms(law: str, params):
     return tuple(LAWS[law].atoms(params))
 
 
-def law_atoms(law, params):
-    return tuple(LAWS[law].atoms(params))
-
-
 def catalog_moments(law: str, params, order: int) -> SeqN:
-    """Closed-form moments of a catalog law to the requested order."""
+    """Moments of a catalog law to the requested order, as one table."""
     if law not in LAWS:
         raise ValueError(f"unknown law {law!r}")
     if order > MOMENT_CAP_CLOSED:
         raise ValueError(f"catalog_moments capped at order {MOMENT_CAP_CLOSED}")
     params = LAWS[law].validate(tuple(params))
-    return SeqN("moment", [LAWS[law].moment(params, n) for n in range(1, order + 1)])
+    return SeqN("moment", LAWS[law].moments(params, order))
 
 
 _SYMMETRIC_LAWS = {"symmetric_bernoulli", "symmetric_beta", "commutator_ww"}
@@ -698,9 +692,7 @@ def _law_square(mu: MeasureSpec):
         )
     if mu.law == "symmetric_bernoulli":
         return MeasureSpec.atomic([(s2, 1)])
-    if mu.law == "symmetric_beta":
-        # (b_s)^2 = w^4 has no catalog name; fall through to moments
-        return None
+    # symmetric_beta: (b_s)^2 = w^4 has no catalog name; go through moments
     return None
 
 

@@ -149,8 +149,8 @@ def parse_measure_spec_obj(obj) -> MeasureSpec:
         raise SpecError(str(exc)) from exc
 
 
-def parse_measure_spec(source: str) -> MeasureSpec:
-    """Load a measure spec from a JSON file path or an inline JSON string."""
+def _load_json(source: str):
+    """Parse a JSON file path, or an inline JSON string starting with '{'."""
     text = source
     if not source.lstrip().startswith("{"):
         try:
@@ -159,10 +159,14 @@ def parse_measure_spec(source: str) -> MeasureSpec:
         except OSError as exc:
             raise SpecError(f"cannot read {source}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON in {source}: {exc}") from exc
-    return parse_measure_spec_obj(obj)
+
+
+def parse_measure_spec(source: str) -> MeasureSpec:
+    """Load a measure spec from a JSON file path or an inline JSON string."""
+    return parse_measure_spec_obj(_load_json(source))
 
 
 # ---------------------------------------------------------------------------
@@ -183,17 +187,7 @@ def serialize_triplet(t: idclass.FreeTriplet) -> dict:
 
 
 def parse_triplet(source: str) -> idclass.FreeTriplet:
-    text = source
-    if not source.lstrip().startswith("{"):
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise SpecError(f"cannot read {source}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"invalid JSON in {source}: {exc}") from exc
+    obj = _load_json(source)
     if not isinstance(obj, dict):
         raise SpecError("triplet must be a JSON object")
     if "eta" not in obj or "a" not in obj:
@@ -705,10 +699,6 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def entrypoint():
-    sys.exit(main())
 
 
 if __name__ == "__main__":

@@ -21,20 +21,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from . import catalog, ncpart
 from .catalog import MeasureSpec
 from .conv import IdentityReport
-from .ncpart import SeqN
+from .ncpart import SeqN, _is_exact
 
 
 # ---------------------------------------------------------------------------
 # Levy measures
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
 
 
 @dataclass(frozen=True)
@@ -128,6 +123,8 @@ def _quad_weighted(fn, weight, lo, hi):
     panel to quad, whose error estimate can be fooled by nonintegrable
     endpoint singularities; anything divergent comes back as inf.
     """
+    from scipy.integrate import IntegrationWarning, quad
+
     cuts = sorted({float(lo), float(hi)} | {p for p in (-1.0, 0.0, 1.0)
                                             if lo < p < hi})
 
@@ -720,7 +717,9 @@ def thm110_check(
                     total += float(wgt) / float(loc)
             return total
         if mu.kind == "law":
-            for loc, wgt in catalog.law_atoms(mu.law, mu.params):
+            from scipy.integrate import quad
+
+            for loc, wgt in catalog.catalog_atoms(mu.law, mu.params):
                 mapped = mu.scale * loc + mu.offset
                 if lo < mapped <= hi:
                     total += float(wgt) / float(mapped)

@@ -1,16 +1,18 @@
 """Non-crossing set partitions and moment/cumulant conversions.
 
-All conversions here are purely algebraic.  Arithmetic is generic over the
-number type of the inputs: ``int``/``Fraction`` inputs stay exact and float
-inputs fall back to double precision.  Orders are 1-indexed throughout, a
-sequence of order N holds the entries for n = 1..N.
+All conversions here are purely algebraic, and orders are 1-indexed: a
+sequence of order N holds the entries for n = 1..N.  Moments and free
+cumulants are linked by one cubic recursion, _nc_kernel.  ``int``/``Fraction``
+inputs run it, and the product DP, exactly in Python ints graded by D^n (D
+the lcm of the denominators); float inputs run it in double precision.  The
+enumeration oracles stay independent of both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 ENUMERATION_CAP = 14      # Catalan(14) = 2\,674\,440 partitions, see enumerate_nc
 CONVERSION_CAP = 20       # moment <-> cumulant conversions
@@ -88,12 +90,6 @@ class SetPartition:
 
     def block_sizes(self) -> tuple:
         return tuple(len(b) for b in self.blocks)
-
-    def block_of(self, element: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if element in b:
-                return i
-        raise ValueError(f"element {element} not in partition of size {self.n}")
 
     def is_noncrossing(self) -> bool:
         """True iff no a < b < c < d has a,c in one block and b,d in another.
@@ -192,16 +188,6 @@ def kreweras(p: SetPartition) -> SetPartition:
     return SetPartition(n, tuple(tuple(g) for g in groups.values()))
 
 
-@dataclass(frozen=True)
-class NCWeight:
-    """Multiplicative partition weight pi |-> prod over blocks of base_|V|."""
-
-    base: SeqN
-
-    def weight(self, p: SetPartition):
-        return partition_weight(self.base.values, p)
-
-
 def partition_weight(values, p: SetPartition):
     """prod over blocks V of values[|V| - 1]; exact for exact inputs."""
     out = 1
@@ -214,50 +200,69 @@ def partition_weight(values, p: SetPartition):
     return out
 
 
-def _truncated_conv(a: list, b: list, order: int) -> list:
-    """Coefficients of the product of two series through z^order."""
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if i > order or ai == 0:
-            continue
-        top = min(order - i, len(b) - 1)
-        for j in range(top + 1):
-            bj = b[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
+def _is_exact(*xs) -> bool:
+    return all(isinstance(x, (int, Fraction)) for x in xs)
+
+
+def _nc_kernel(seq, inverse: bool) -> list:
+    """The non-crossing moment-cumulant recursion, either way, in O(N^3).
+
+    With P[k][j] = [z^j] M(z)^k, M = 1 + sum_n kappa_n z^n M^n (Nica and
+    Speicher, Lect. 11 and 16) reads m_n = sum_{k<=n} kappa_k P[k][n-k], and
+    P[k][j] = sum_i P[k-1][i] m_{j-i} needs moments below order n only.
+    Order n appends the antidiagonal k + j = n to P, then solves for m_n
+    (inverse False) or for kappa_n.  Zero factors are skipped and sums start
+    from int 0, which fixes float rounding and signed zeros.
+    """
+    m = [1] + list(seq) if inverse else [1]
+    kappa = [] if inverse else list(seq)
+    P = [[1] + [0] * len(seq)]
+    for n in range(1, len(seq) + 1):
+        P.append([])
+        for k in range(1, n + 1):
+            prev, j, acc = P[k - 1], n - k, 0
+            for i in range(j + 1):
+                a = prev[i]
+                if a != 0:
+                    b = m[j - i]
+                    if b != 0:
+                        acc += a * b
+            P[k].append(acc)
+        if inverse:
+            val = m[n]
+            for k in range(1, n):
+                val -= kappa[k - 1] * P[k][n - k]
+            kappa.append(val)
+        else:
+            val = 0
+            for k in range(1, n + 1):
+                val += kappa[k - 1] * P[k][n - k]
+            m.append(val)
+    return kappa if inverse else m[1:]
+
+
+def _grade(xs) -> tuple:
+    """Exact x_n scaled to the int x_n D^n, D the lcm of the denominators."""
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d**n // x.denominator) for n, x in enumerate(xs, 1)], d
+
+
+def _nc_convert(seq: tuple, inverse: bool) -> list:
+    """_nc_kernel on the values, or on graded ints for exact input: output n
+    is then v / D^n, a Fraction from the first Fraction input on and an int
+    before it, the types that Fraction arithmetic gives."""
+    if not _is_exact(*seq):
+        return _nc_kernel(seq, inverse)
+    graded, d = _grade(seq)
+    first = next((n for n, x in enumerate(seq, 1) if isinstance(x, Fraction)),
+                 len(seq) + 1)
+    return [Fraction(v, d**n) if n >= first else v // d**n
+            for n, v in enumerate(_nc_kernel(graded, inverse), 1)]
 
 
 def _moments_from_free(kappa: tuple) -> list:
     """m_n = sum_{k=1}^{n} kappa_k [z^{n-k}] M(z)^k with M = 1 + sum m_j z^j."""
-    n_max = len(kappa)
-    m = [1]
-    for n in range(1, n_max + 1):
-        mom = 0
-        power = [1]                      # M(z)^0
-        base = m + [0]                   # moments known so far, m_0..m_{n-1}
-        for k in range(1, n + 1):
-            power = _truncated_conv(power, base, n - k)
-            if n - k < len(power):
-                mom += kappa[k - 1] * power[n - k]
-        m.append(mom)
-    return m[1:]
-
-
-def _free_from_moments(m: tuple) -> list:
-    """Triangular inversion of the non-crossing moment-cumulant relation."""
-    n_max = len(m)
-    kappa = []
-    mm = [1] + list(m)
-    for n in range(1, n_max + 1):
-        val = mm[n]
-        power = [1]
-        for k in range(1, n):
-            power = _truncated_conv(power, mm, n - k)
-            if n - k < len(power):
-                val -= kappa[k - 1] * power[n - k]
-        kappa.append(val)
-    return kappa
+    return _nc_convert(kappa, inverse=False)
 
 
 def _moments_from_boolean(r: tuple) -> list:
@@ -292,7 +297,7 @@ def free_cumulants_from_moments(m) -> SeqN:
     """Exact inverse of moments_from_free_cumulants."""
     vals = _values(m, "moment", "free_cumulants_from_moments")
     _check_cap(len(vals), CONVERSION_CAP, "free_cumulants_from_moments")
-    return SeqN("free_cumulant", _free_from_moments(vals))
+    return SeqN("free_cumulant", _nc_convert(vals, inverse=True))
 
 
 def moments_from_boolean_cumulants(r) -> SeqN:
@@ -325,7 +330,7 @@ def moments_from_free_cumulants_reference(kappa, n: int):
     return sum(partition_weight(vals, p) for p in enumerate_nc(n))
 
 
-def _alternating_product_moments(ka: tuple, kb: tuple, order: int) -> list:
+def _alternating_product_moments(ka, kb, order: int) -> tuple:
     """Moments of a free product ab via an interval DP on the word (ab)^N.
 
     Sums monochromatic non-crossing partitions of the alternating word,
@@ -333,7 +338,8 @@ def _alternating_product_moments(ka: tuple, kb: tuple, order: int) -> list:
     of the infinite alternating word are translation invariant, so states
     are (starting color, length).  Equivalent to the Kreweras-complement sum
     sum_{pi in NC(n)} kappa_pi(a) m_{K(pi)}(b); the enumeration form is kept
-    as a test oracle.
+    as a test oracle.  Cumulants graded by D_a, D_b give moments graded by
+    D_a D_b.  Returns m_1..m_order and whether any term was summed into each.
     """
     L = 2 * order
     kappa = {0: ka, 1: kb}
@@ -341,6 +347,7 @@ def _alternating_product_moments(ka: tuple, kb: tuple, order: int) -> list:
     # with color c.  blk[c][l][k]: first block has k elements, the last one
     # at position l (so l is odd), with enclosed gaps already summed.
     mom = {0: [1] + [0] * L, 1: [1] + [0] * L}
+    hit = {}
     blk = {c: [[0] * (order + 1) for _ in range(L + 1)] for c in (0, 1)}
     for c in (0, 1):
         if L >= 1:
@@ -357,7 +364,7 @@ def _alternating_product_moments(ka: tuple, kb: tuple, order: int) -> list:
                     for k in range(2, (ell + 1) // 2 + 1):
                         if prev[k - 1] != 0:
                             row[k] += prev[k - 1] * gap
-            total = 0
+            total, summed = 0, False
             for j in range(1, ell + 1, 2):
                 tail = mom[1 - c][ell - j]
                 if tail == 0:
@@ -366,8 +373,10 @@ def _alternating_product_moments(ka: tuple, kb: tuple, order: int) -> list:
                 for k in range(1, (j + 1) // 2 + 1):
                     if row[k] != 0 and k <= len(kappa[c]):
                         total += row[k] * kappa[c][k - 1] * tail
-            mom[c][ell] = total
-    return [mom[0][2 * n] for n in range(1, order + 1)]
+                        summed = True
+            mom[c][ell], hit[c, ell] = total, summed
+    evens = range(2, L + 1, 2)
+    return [mom[0][e] for e in evens], [hit[0, e] for e in evens]
 
 
 def free_mult_moments(mu_moments, nu_moments, order: int | None = None) -> SeqN:
@@ -391,18 +400,33 @@ def free_mult_moments(mu_moments, nu_moments, order: int | None = None) -> SeqN:
         )
     if all(v == 0 for v in mv) and all(v == 0 for v in nv):
         raise ValueError("free_mult_moments of two zero (point-mass-at-0) inputs")
-    ka = _free_from_moments(mv[:order])
-    kb = _free_from_moments(nv[:order])
-    return SeqN("moment", _alternating_product_moments(tuple(ka), tuple(kb), order))
+    mv, nv = mv[:order], nv[:order]
+    # A Fraction m_1 reaches every term of the DP's top sum, so an output is
+    # a Fraction iff a term was summed; with Fractions only later, which
+    # outputs stay ints depends on skipped terms, so those inputs run unscaled.
+    frac = any(isinstance(x, Fraction) for x in mv + nv)
+    lead = any(isinstance(x, Fraction) for x in mv[:1] + nv[:1])
+    if not _is_exact(*mv, *nv) or (frac and not lead):
+        ka, kb = _nc_convert(mv, inverse=True), _nc_convert(nv, inverse=True)
+        return SeqN("moment", _alternating_product_moments(ka, kb, order)[0])
+    (ga, da), (gb, db) = _grade(mv), _grade(nv)
+    ka, kb = _nc_kernel(ga, inverse=True), _nc_kernel(gb, inverse=True)
+    vals, hits = _alternating_product_moments(ka, kb, order)
+    scale = da * db
+    return SeqN("moment", [
+        Fraction(v, scale**n) if frac and hit else v // scale**n
+        for n, (v, hit) in enumerate(zip(vals, hits), start=1)
+    ])
 
 
 def free_mult_moments_reference(mu_moments, nu_moments, order: int) -> SeqN:
     """Kreweras-sum enumeration of the same product moments.  Test oracle."""
     mv = _values(mu_moments, "moment", "free_mult_moments_reference")
     nv = _values(nu_moments, "moment", "free_mult_moments_reference")
-    kappa = _free_from_moments(mv[:order])
-    out = []
+    kappa, out = [], []
     for n in range(1, order + 1):
+        others = (p for p in enumerate_nc(n) if len(p) > 1)   # all but 1_n
+        kappa.append(mv[n - 1] - sum(partition_weight(kappa, p) for p in others))
         total = 0
         for p in enumerate_nc(n):
             total += partition_weight(kappa, p) * partition_weight(
@@ -411,13 +435,3 @@ def free_mult_moments_reference(mu_moments, nu_moments, order: int) -> SeqN:
         out.append(total)
     return SeqN("moment", out)
 
-
-def as_exact(values):
-    """Map ints to Fractions elementwise; floats pass through unchanged."""
-    out = []
-    for v in values:
-        if isinstance(v, int):
-            out.append(Fraction(v))
-        else:
-            out.append(v)
-    return tuple(out)

@@ -571,3 +571,13 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "14"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported where quadrature runs, not at CLI start-up
+    code = "import sys, freeconv.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

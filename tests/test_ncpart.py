@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from freeconv import ncpart
 from freeconv.ncpart import (
-    NCWeight,
     SeqN,
     SetPartition,
     boolean_cumulants_from_moments,
@@ -168,6 +167,9 @@ def test_conversion_against_enumeration():
     for n in range(1, 9):
         direct = ncpart.moments_from_free_cumulants_reference(kappa, n)
         assert mom.values[n - 1] == direct
+    base = (2, 3, 5, 7)
+    assert partition_weight(base, SetPartition(4, ((1, 4), (2, 3)))) == 9
+    assert partition_weight(base, SetPartition(4, ((1, 2, 3, 4),))) == 7
 
 
 def test_boolean_examples():
@@ -230,14 +232,6 @@ def test_free_round_trip_float(vals):
     assert all(
         abs(a - b) <= 1e-10 * max(1.0, abs(a)) for a, b in zip(m.values, back.values)
     )
-
-
-def test_ncweight_multiplicative():
-    base = SeqN("free_cumulant", [2, 3, 5, 7])
-    w = NCWeight(base)
-    p = SetPartition(4, ((1, 4), (2, 3)))
-    assert w.weight(p) == 9
-    assert partition_weight(base.values, SetPartition(4, ((1, 2, 3, 4),))) == 7
 
 
 def test_square_cumulants_semicircle():
@@ -319,3 +313,115 @@ def test_free_mult_dp_equals_oracle(a, b):
     got = free_mult_moments(SeqN("moment", a), SeqN("moment", b), n)
     ref = free_mult_moments_reference(SeqN("moment", a), SeqN("moment", b), n)
     assert got.values == ref.values
+
+
+# ints and Fractions with unrelated denominators, so the lcm grading mixes
+mixed_exact = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+)
+
+
+def _exact_denominators(dens):
+    return st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                     st.sampled_from(dens))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(mixed_exact, min_size=1, max_size=10))
+def test_graded_kernel_equals_enumeration(kappa):
+    n = len(kappa)
+    got = moments_from_free_cumulants(SeqN("free_cumulant", kappa)).values[-1]
+    ref = ncpart.moments_from_free_cumulants_reference(kappa, n)
+    assert got == ref
+    assert type(got) is type(ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(_exact_denominators([1, 2, 4, 8]), min_size=1, max_size=7),
+    st.lists(_exact_denominators([1, 3, 5, 9]), min_size=1, max_size=7),
+)
+def test_graded_product_equals_kreweras_oracle(a, b):
+    assume(any(v != 0 for v in a) or any(v != 0 for v in b))
+    n = min(len(a), len(b))
+    got = free_mult_moments(SeqN("moment", a), SeqN("moment", b), n)
+    ref = free_mult_moments_reference(SeqN("moment", a), SeqN("moment", b), n)
+    assert got.values == ref.values
+
+
+def _types(values):
+    return [type(v).__name__ for v in values]
+
+
+def test_exact_output_types():
+    # int in, int out; entries turn Fraction from the first Fraction input
+    # on; a product entry to which the DP summed no term stays int 0
+    to_m = lambda k: moments_from_free_cumulants(SeqN("free_cumulant", k)).values
+    to_k = lambda m: free_cumulants_from_moments(SeqN("moment", m)).values
+    assert to_m((1, 0, 2)) == (1, 1, 3)
+    assert _types(to_m((1, 0, 2))) == ["int"] * 3
+    assert to_m((1, Fraction(1, 2), 2)) == (1, Fraction(3, 2), Fraction(9, 2))
+    assert _types(to_m((1, Fraction(1, 2), 2))) == ["int", "Fraction", "Fraction"]
+    assert _types(to_m((Fraction(1), 0, 2))) == ["Fraction"] * 3
+    assert to_k((2, Fraction(9, 2), 3)) == (2, Fraction(1, 2), -8)
+    assert _types(to_k((2, Fraction(9, 2), 3))) == ["int", "Fraction", "Fraction"]
+    F = Fraction
+    cases = [
+        ((1, 2, 5), (F(1, 2),) * 3, ["Fraction"] * 3),
+        ((1, F(3, 2), 4), (2, 5, 14), ["int", "Fraction", "Fraction"]),
+        ((F(0), F(1), F(0), F(2)), (1, 2, 5, 14), ["Fraction"] * 4),
+        ((1, 2, 5, 14), (F(0), F(1), F(0), F(2)), ["int", "Fraction", "int", "Fraction"]),
+        ((1, 2, 5, 14), (0, 1, 0, 2), ["int"] * 4),
+    ]
+    for a, b, types in cases:
+        got = free_mult_moments(SeqN("moment", a), SeqN("moment", b)).values
+        ref = free_mult_moments_reference(SeqN("moment", a), SeqN("moment", b), len(a))
+        assert got == ref.values
+        assert _types(got) == types
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def test_float_outputs_pinned():
+    # bit patterns of the float path, recorded before the cubic kernel
+    # replaced the quartic recursions; the order of the sums fixes them
+    kappa = SeqN("free_cumulant", (0.5, -1.25, 0.1, 3.0, -0.7, 0.3))
+    assert _hex(moments_from_free_cumulants(kappa).values) == [
+        "0x1.0000000000000p-1", "-0x1.0000000000000p+0", "-0x1.a666666666666p+0",
+        "0x1.20ccccccccccdp+2", "0x1.969999999999ap+3", "-0x1.bb23d70a3d70ap+3"]
+    m = SeqN("moment", (0.3, 1.1, -0.4, 2.7, 0.9, 5.2))
+    assert _hex(free_cumulants_from_moments(m).values) == [
+        "0x1.3333333333333p-2", "0x1.028f5c28f5c29p+0", "-0x1.5604189374bc6p+0",
+        "0x1.b5a1cac083127p+0", "0x1.7989df1172ef0p+1", "-0x1.a96ea85447800p+3"]
+    # signed zeros: sums start from int 0, and zero factors are skipped
+    m = SeqN("moment", (0.0, -0.0, 1.0, -0.0))
+    assert _hex(free_cumulants_from_moments(m).values) == [
+        "0x0.0p+0", "-0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0"]
+    kappa = SeqN("free_cumulant", (-0.0, -0.0, -1.5, -0.0))
+    assert _hex(moments_from_free_cumulants(kappa).values) == [
+        "0x0.0p+0", "0x0.0p+0", "-0x1.8000000000000p+0", "0x0.0p+0"]
+    prod = free_mult_moments(SeqN("moment", (0.3, 0.7, 1.9, 5.3)),
+                             SeqN("moment", (1.1, 2.5, 6.9, 21.7)))
+    assert _hex(prod.values) == [
+        "0x1.51eb851eb851fp-2", "0x1.ed1b71758e21ap-1", "0x1.baa960b6f9fccp+1",
+        "0x1.adf36247f3b49p+3"]
+
+
+def test_quarter_circle_float_cumulants_pinned():
+    # mixed Fraction/float moments take the float path; order 20 carries the
+    # known cancellation error, pinned here so that it can only change on
+    # purpose
+    from freeconv.catalog import MeasureSpec, free_cumulants_of
+
+    kappa = free_cumulants_of(MeasureSpec.from_law("quarter_circle", (1,)), 20)
+    assert _hex(kappa.values) == [
+        "0x1.b2995e7b7b604p-1", "0x1.1e339fc33f354p-2", "0x1.1d2ee39714d88p-5",
+        "-0x1.de0a8b3e94440p-10", "-0x1.127fccb44f858p-11", "0x1.afec02a663880p-14",
+        "0x1.2841864070a80p-17", "-0x1.5df7d8d2fd728p-18", "0x1.809d804a07200p-23",
+        "0x1.ea209852482b0p-23", "-0x1.2e603af10d5c0p-25", "-0x1.07088db6413e0p-27",
+        "0x1.7c8b996ca0d60p-29", "0x1.77f2e580e1a00p-34", "-0x1.61b469f88fe98p-33",
+        "0x1.54010e7ca1c00p-38", "0x1.4dd24d3269fc0p-35", "-0x1.72af966938290p-34",
+        "0x1.d4ac44d23d5d8p-33", "-0x1.23bc73fb0d5d8p-31"]
