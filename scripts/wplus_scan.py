@@ -20,14 +20,11 @@ from freeconv import idclass
 class Config:
     ts: tuple = field(default=(0.25, 0.5, 0.75, 1.0, 1.5, 2.0))
     grid_points: int = 601
-    jobs: int = 1
 
 
 def run(cfg: Config) -> int:
     model = idclass.RModel.semicircle(2, 1)
-    scan = idclass.positivity_scan(
-        model, list(cfg.ts), grid_points=cfg.grid_points, jobs=cfg.jobs
-    )
+    scan = idclass.positivity_scan(model, list(cfg.ts), grid_points=cfg.grid_points)
     print("t      edge        closed form  error")
     worst = 0.0
     for point in scan.points:
@@ -47,10 +44,9 @@ def main() -> int:
         help="comma-separated exponents",
     )
     parser.add_argument("--grid-points", type=int, default=601)
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
     ts = tuple(float(v) for v in args.t.split(",") if v)
-    return run(Config(ts, args.grid_points, args.jobs))
+    return run(Config(ts, args.grid_points))
 
 
 if __name__ == "__main__":

@@ -22,6 +22,8 @@ from .ncpart import SeqN
 
 GRID_ENV = "FREECONV_GRID_DEFAULT"
 
+SIZE_CAP = 100_000  # grid n, --grid-points, --t count; checked before allocating
+
 _FRACTION_RE = re.compile(r"^-?\d+/\d+$")
 
 
@@ -263,8 +265,8 @@ def _parse_grid(text: str):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise SpecError(f"grid must be lo:hi:n, got {text!r}") from exc
-    if not lo < hi or n < 2:
-        raise SpecError(f"grid needs lo < hi and n >= 2, got {text!r}")
+    if not lo < hi or not 2 <= n <= SIZE_CAP:
+        raise SpecError(f"grid needs lo < hi and 2 <= n <= {SIZE_CAP}, got {text!r}")
     return np.linspace(lo, hi, n)
 
 
@@ -288,13 +290,34 @@ def _parse_times(text: str):
             raise SpecError(f"time range must be lo:hi:step, got {text!r}") from exc
         if step <= 0 or not lo <= hi:
             raise SpecError(f"time range needs lo <= hi and step > 0, got {text!r}")
-        n = int(round((hi - lo) / step))
-        ts = [lo + k * step for k in range(n + 1)]
+        span = (hi - lo) / step  # round(span) + 1 values
+        if not math.isfinite(span) or round(span) >= SIZE_CAP:
+            raise SpecError(f"time range gives over {SIZE_CAP} values, got {text!r}")
+        ts = [lo + k * step for k in range(round(span) + 1)]
         return [t for t in ts if t <= hi + 1e-12]
     try:
-        return [float(p) for p in text.split(",") if p]
+        ts = [float(p) for p in text.split(",") if p]
     except ValueError as exc:
         raise SpecError(f"times must be numbers, got {text!r}") from exc
+    if not 1 <= len(ts) <= SIZE_CAP:
+        raise SpecError(f"scan needs 1 to {SIZE_CAP} times, got {len(ts)}")
+    return ts
+
+
+def _int_arg(lo: int, hi: float = math.inf):
+    """argparse type for an integer size in [lo, hi]; others exit 2."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            bound = f"at least {lo}" if hi == math.inf else f"between {lo} and {hi}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return integer
+
+
+_order = _int_arg(1)
 
 
 def _parse_number(text: str, where: str):
@@ -585,13 +608,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="moment sequence of a measure")
     spec_arg(p)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_order, default=8)
     out_arg(p)
     p.set_defaults(handler=_cmd_moments)
 
     p = sub.add_parser("cumulants", help="free or boolean cumulants")
     spec_arg(p)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_order, default=8)
     p.add_argument("--kind", choices=("free", "boolean"), default="free")
     out_arg(p)
     p.set_defaults(handler=_cmd_cumulants)
@@ -600,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=("add", "mult", "boolean"), required=True)
     p.add_argument("--a", required=True, help="first measure-spec file")
     p.add_argument("--b", required=True, help="second measure-spec file")
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_order, default=8)
     p.add_argument("--method", choices=("both", "dp", "series"), default="both",
                    help="route for --op mult")
     p.add_argument("--density", action="store_true",
@@ -612,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power", help="convolution power of a spec")
     spec_arg(p)
     p.add_argument("--t", required=True, help="exponent (number or p/q)")
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_order, default=8)
     p.add_argument("--conv", choices=("free", "boolean"), default="free")
     p.add_argument("--fid", action="store_true",
                    help="allow 0 < t < 1 (infinitely divisible input)")
@@ -627,13 +650,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("commutator", help="free cumulants of the commutator")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_order, default=8)
     out_arg(p, default="json")
     p.set_defaults(handler=_cmd_commutator)
 
     p = sub.add_parser("square", help="pushforward of a spec by x -> x^2")
     spec_arg(p)
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_order, default=8)
     p.set_defaults(handler=_cmd_square)
 
     p = sub.add_parser(
@@ -641,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="factor sigma of a symmetric spec: kappa_n(sigma) = kappa_2n(mu)",
     )
     spec_arg(p)
-    p.add_argument("--order", type=int, default=16)
+    p.add_argument("--order", type=_order, default=16)
     out_arg(p, default="json")
     p.set_defaults(handler=_cmd_factor_main3)
 
@@ -651,24 +674,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="triplet JSON file; exit 0 iff free regular")
     group.add_argument("--kurtosis", metavar="SPEC",
                        help="measure spec; exit 0 unless the statistic is negative")
-    p.add_argument("--order", type=int, default=4)
+    p.add_argument("--order", type=_order, default=4)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("scan", help="left support edges of convolution powers")
     spec_arg(p)
     p.add_argument("--t", required=True, help="lo:hi:step or comma list")
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_order, default=8)
     p.add_argument("--threshold", type=float, default=1e-6)
     p.add_argument("--edge-tol", type=float, default=1e-3)
-    p.add_argument("--grid-points", type=int, default=601)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--grid-points", type=_int_arg(2, SIZE_CAP), default=601)
+    p.add_argument("--jobs", type=int, default=1, help="ignored; runs serially")
     out_arg(p, choices=("table", "json"))
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("verify", help="run the built-in identity checks")
     p.add_argument("--suite", choices=verify.SUITES, default="all")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="ignored; runs serially")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("nc", help="non-crossing partition counts")

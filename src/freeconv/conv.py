@@ -147,17 +147,6 @@ def free_mult(
     return MeasureSpec.from_moments(report.dp)
 
 
-def free_mult_mass_at_zero(mu: MeasureSpec, nu: MeasureSpec):
-    """Mass of {0} for a product of measures on [0, oo): the larger input mass.
-
-    Returns None when either input cannot report its own mass at zero.
-    """
-    a, b = mu.mass_at_zero, nu.mass_at_zero
-    if a is None or b is None:
-        return None
-    return max(a, b)
-
-
 # ---------------------------------------------------------------------------
 # subordination and densities
 
@@ -291,12 +280,8 @@ def free_add_density(
 def density_at_points(mu: MeasureSpec, nu: MeasureSpec, xs, eps: float = 1e-2):
     """Pointwise extrapolated density of mu plus nu, no renormalization."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    levels = [eps, eps / 2, eps / 4]
-    vals = []
-    for e in levels:
-        g, _ = free_add_cauchy(mu, nu, xs + 1j * e)
-        vals.append(-np.imag(g) / math.pi)
-    return (8 * vals[2] - 6 * vals[1] + vals[0]) / 3
+    gs = [free_add_cauchy(mu, nu, xs + 1j * e)[0] for e in (eps, eps / 2, eps / 4)]
+    return transforms._richardson([-np.imag(g) / math.pi for g in gs])
 
 
 def support_edge(
@@ -324,14 +309,7 @@ def support_edge(
             f"bracket does not straddle the edge: d(inner)-t={fi:.2e}, "
             f"d(outer)-t={fo:.2e}"
         )
-    lo, hi = inner, outer
-    while abs(hi - lo) > xtol:
-        mid = (lo + hi) / 2
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    return transforms._bisect_edge(lambda x: f(x) > 0, inner, outer, xtol)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +24,7 @@ from . import catalog, ncpart
 from .catalog import MeasureSpec
 from .conv import IdentityReport
 from .ncpart import SeqN, _is_exact
+from .transforms import _bisect_edge, _richardson
 
 
 # ---------------------------------------------------------------------------
@@ -573,8 +572,7 @@ def _extrapolated_density(model: RModel, t, xs, eps: float = 4e-9):
     w1, conv = _continued_solve(model, t, xs, imag=eps)
     w2, c2 = solve_g(model, t, xs + 1j * eps / 2, w0=w1)
     w3, c3 = solve_g(model, t, xs + 1j * eps / 4, w0=w2)
-    f1, f2, f3 = (-w.imag / math.pi for w in (w1, w2, w3))
-    return (8 * f3 - 6 * f2 + f1) / 3, conv & c2 & c3
+    return _richardson([-w.imag / math.pi for w in (w1, w2, w3)]), conv & c2 & c3
 
 
 @dataclass(frozen=True)
@@ -627,19 +625,11 @@ def _scan_one(model: RModel, t, threshold, grid_points):
         if i == 0:
             edge = float(xs[0])
         else:
-            a, b = float(xs[i - 1]), float(xs[i])
+            def inside(x):
+                dens_x, _ = _extrapolated_density(model, t, np.array([x]))
+                return dens_x[0] > threshold
 
-            def d_at(x):
-                vals, _ = _extrapolated_density(model, t, np.array([x]))
-                return float(vals[0])
-
-            while b - a > 2e-5:
-                mid = (a + b) / 2
-                if d_at(mid) > threshold:
-                    b = mid
-                else:
-                    a = mid
-            edge = (a + b) / 2
+            edge = _bisect_edge(inside, float(xs[i]), float(xs[i - 1]), 2e-5)
     if atoms:
         edge = min(atoms) if edge is None else min(edge, min(atoms))
     return ScanPoint(float(t), edge, tuple(atoms), bool(np.all(conv)))
@@ -658,20 +648,15 @@ def positivity_scan(
     The edge is the smallest point where the extrapolated density exceeds
     the threshold, or a detected atom location if further left. Evidence
     only: atoms of mass below roughly 0.15 are invisible, and polynomial
-    models are trusted only inside their convergence region.
+    models are trusted only inside their convergence region. The t values
+    run serially; jobs is accepted and ignored.
     """
     if isinstance(model, SeqN):
         model = RModel.from_cumulants(model)
     ts = [float(t) for t in ts]
     if any(t <= 0 for t in ts):
         raise ValueError("scan times must be positive")
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(
-                pool.map(lambda t: _scan_one(model, t, threshold, grid_points), ts)
-            )
-    else:
-        points = [_scan_one(model, t, threshold, grid_points) for t in ts]
+    points = [_scan_one(model, t, threshold, grid_points) for t in ts]
     return ScanResult(tuple(points), threshold, edge_tol)
 
 

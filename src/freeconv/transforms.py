@@ -608,6 +608,19 @@ def s_numeric(mu: MeasureSpec, z, order: int = 16):
 # Stieltjes inversion
 
 
+def _richardson(f):
+    """Extrapolate values f at heights eps, eps/2, eps/4 to height 0."""
+    return (8 * f[2] - 6 * f[1] + f[0]) / 3
+
+
+def _bisect_edge(above, inside, outside, xtol):
+    """Bisect to width xtol between a point where above() holds and one where not."""
+    while abs(outside - inside) > xtol:
+        mid = (inside + outside) / 2
+        inside, outside = (mid, outside) if above(mid) else (inside, mid)
+    return (inside + outside) / 2
+
+
 @dataclass(frozen=True)
 class InversionResult:
     xs: np.ndarray
@@ -635,17 +648,16 @@ def stieltjes_invert(
     """Recover a density on xs from a Cauchy transform g.
 
     Evaluates -Im g(x + i eps)/pi at eps, eps/2, eps/4 and removes the
-    O(eps) and O(eps^2) errors by quadratic extrapolation to eps -> 0,
-    (8 f_{eps/4} - 6 f_{eps/2} + f_eps)/3. Grid points where the mass
-    proxy -eps Im g fails to shrink with eps are flagged as atoms: a
-    continuous density shrinks it by 4 per halving pair, an atom keeps it
-    constant.
+    O(eps) and O(eps^2) errors by quadratic extrapolation to eps -> 0
+    (_richardson). Grid points where the mass proxy -eps Im g fails to
+    shrink with eps are flagged as atoms: a continuous density shrinks it
+    by 4 per halving pair, an atom keeps it constant.
     """
     xs = np.asarray(xs, dtype=float)
     warnings = []
     levels = [eps, eps / 2, eps / 4]
     d = [np.asarray(-np.imag(g(xs + 1j * e)) / math.pi) for e in levels]
-    density = (8 * d[2] - 6 * d[1] + d[0]) / 3
+    density = _richardson(d)
 
     mass = [math.pi * e * dk for e, dk in zip(levels, d)]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -658,7 +670,7 @@ def stieltjes_invert(
         groups = np.split(idx, np.where(np.diff(idx) > 1)[0] + 1)
         for grp in groups:
             j = grp[int(np.argmax(mass[2][grp]))]
-            w = (8 * mass[2][j] - 6 * mass[1][j] + mass[0][j]) / 3
+            w = _richardson([m[j] for m in mass])
             atoms.append((float(xs[j]), float(max(w, 0.0))))
         warnings.append(
             f"detected {len(atoms)} atom(s); re-extracting density with "
@@ -673,7 +685,7 @@ def stieltjes_invert(
             return out
 
         d = [np.asarray(-np.imag(g_ac(xs + 1j * e)) / math.pi) for e in levels]
-        density = (8 * d[2] - 6 * d[1] + d[0]) / 3
+        density = _richardson(d)
         for grp in groups:
             density[grp] = 0.0
 

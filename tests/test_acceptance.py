@@ -15,23 +15,17 @@ import numpy as np
 from freeconv import catalog, conv, idclass, ncpart, transforms
 from freeconv.catalog import MeasureSpec
 from freeconv.ncpart import SeqN
-
-W = MeasureSpec.from_law("semicircle", (0, 1))
-M = MeasureSpec.from_law("marchenko_pastur", (1,))
-B = MeasureSpec.from_law("symmetric_bernoulli")
-
-LAW_CASES = [
-    ("semicircle", (0, 1)),
-    ("semicircle", (Fraction(1, 2), Fraction(3, 2))),
-    ("marchenko_pastur", (1,)),
-    ("marchenko_pastur", (Fraction(7, 4),)),
-    ("symmetric_bernoulli", ()),
-    ("symmetric_beta", ()),
-    ("quarter_circle", (1,)),
-    ("beta_1a", (Fraction(7, 10),)),
-    ("chi_squared_1", ()),
-    ("commutator_ww", ()),
-]
+from freeconv.verify import (
+    LAW_CASES,
+    B,
+    M,
+    W,
+    _even_cumulants,
+    _fraction,
+    _positive_atomic,
+    _seq_dev,
+    _symmetric_atomic,
+)
 
 
 def _report(num, name, dev, tol, elapsed, budget):
@@ -42,44 +36,6 @@ def _report(num, name, dev, tol, elapsed, budget):
     )
     assert dev <= tol, f"{name}: deviation {dev} exceeds {tol}"
     assert elapsed < budget, f"{name}: took {elapsed:.2f}s, budget {budget}s"
-
-
-def _fraction(rng, lo, hi, den=12):
-    return Fraction(rng.randint(lo * den, hi * den), den)
-
-
-def _positive_atomic(rng, max_atoms=3):
-    n = rng.randint(1, max_atoms)
-    locs = sorted({_fraction(rng, 1, 36) / 12 for _ in range(n)})
-    weights = [rng.randint(1, 6) for _ in locs]
-    total = sum(weights)
-    return MeasureSpec.atomic(
-        [(loc, Fraction(w, total)) for loc, w in zip(locs, weights)]
-    )
-
-
-def _symmetric_atomic(rng, max_atoms=3):
-    n = rng.randint(1, max_atoms)
-    locs = sorted({_fraction(rng, 1, 30) / 10 for _ in range(n)})
-    weights = [rng.randint(1, 6) for _ in locs]
-    total = 2 * sum(weights)
-    atoms = []
-    for loc, w in zip(locs, weights):
-        atoms.append((loc, Fraction(w, total)))
-        atoms.append((-loc, Fraction(w, total)))
-    return MeasureSpec.atomic(atoms)
-
-
-def _even_cumulants(rng, order=16):
-    vals = [
-        _fraction(rng, -2, 2) if n % 2 == 0 else Fraction(0)
-        for n in range(1, order + 1)
-    ]
-    return SeqN("free_cumulant", vals)
-
-
-def _seq_dev(a, b):
-    return max(abs(float(x - y)) for x, y in zip(a.values, b.values))
 
 
 def test_01_quarter_circle_kurtosis():

@@ -482,6 +482,87 @@ class TestScan:
         assert code == 2
 
 
+class TestSizeLimits:
+    ORDER_CASES = {
+        "moments": ["moments", SEMI],
+        "cumulants": ["cumulants", SEMI],
+        "convolve": ["convolve", "--op", "add", "--a", SEMI, "--b", SEMI],
+        "power": ["power", SEMI, "--t", "2"],
+        "commutator": ["commutator", "--a", SEMI, "--b", SEMI],
+        "square": ["square", SEMI],
+        "factor-main3": ["factor-main3", SEMI],
+        "check": ["check", "--kurtosis", SEMI],
+        "scan": ["scan", WPLUS, "--t", "0.5"],
+    }
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scan ran on a rejected size")
+
+        monkeypatch.setattr(cli.idclass, "positivity_scan", refuse)
+
+    @pytest.mark.parametrize("sub", sorted(ORDER_CASES))
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_order_below_one_is_usage_error(self, capsys, sub, order):
+        code, out, err = run_cli(capsys, *self.ORDER_CASES[sub], "--order", order)
+        assert code == 2
+        assert out == ""
+        assert "--order: must be at least 1" in err
+
+    def test_order_one_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "moments", SEMI, "--order", "1", "--out", "csv")
+        assert code == 0
+        assert out.splitlines()[1:] == ["1,0"]
+
+    @pytest.mark.parametrize("points", ["1", "0", str(cli.SIZE_CAP + 1)])
+    def test_grid_points_out_of_range(self, capsys, no_scan, points):
+        code, out, err = run_cli(
+            capsys, "scan", WPLUS, "--t", "0.5", "--grid-points", points
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--grid-points: must be between 2 and {cli.SIZE_CAP}" in err
+
+    def test_grid_n_above_cap(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated before the size check")
+
+        monkeypatch.setattr(cli.np, "linspace", refuse)
+        code, out, err = run_cli(
+            capsys, "density", SEMI, f"--grid=-2:2:{cli.SIZE_CAP + 1}"
+        )
+        assert code == 2
+        assert out == ""
+        assert "grid needs lo < hi and 2 <= n <=" in err
+
+    def test_time_range_above_cap(self, capsys, no_scan):
+        # 0:N:1 has N + 1 values; the cap is checked before any is built
+        code, out, err = run_cli(
+            capsys, "scan", WPLUS, "--t", f"0.5:{cli.SIZE_CAP + 0.5}:1"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"time range gives over {cli.SIZE_CAP} values" in err
+
+    @pytest.mark.parametrize("count", [0, cli.SIZE_CAP + 1])
+    def test_time_list_size(self, capsys, no_scan, count):
+        # an empty list would report vacuous regularity evidence
+        times = ",".join(["1"] * count) or ","
+        code, out, err = run_cli(capsys, "scan", WPLUS, "--t", times)
+        assert code == 2
+        assert out == ""
+        assert f"scan needs 1 to {cli.SIZE_CAP} times, got {count}" in err
+
+    def test_time_count_at_cap_accepted(self):
+        assert len(cli._parse_times(f"1:{cli.SIZE_CAP}:1")) == cli.SIZE_CAP
+
+    def test_unbounded_time_range(self, capsys, no_scan):
+        code, _, err = run_cli(capsys, "scan", WPLUS, "--t", "1:inf:1")
+        assert code == 2
+        assert "time range gives over" in err
+
+
 class TestVerify:
     def test_identities_byte_identical(self, capsys):
         code1, out1, _ = run_cli(capsys, "verify", "--suite", "identities")

@@ -146,14 +146,6 @@ def test_free_mult_commutes():
     assert ab.values == ba.values
 
 
-def test_mass_at_zero_rule():
-    mp_half = MeasureSpec.from_law("marchenko_pastur", (F(1, 2),))
-    withzero = MeasureSpec.atomic([(0, F(3, 10)), (1, F(7, 10))])
-    assert conv.free_mult_mass_at_zero(mp_half, withzero) == F(1, 2)
-    assert conv.free_mult_mass_at_zero(withzero, withzero) == F(3, 10)
-    assert conv.free_mult_mass_at_zero(M, MeasureSpec.from_moments([1, 2])) is None
-
-
 def test_square_of_product_identity():
     # (mu x nu)^2 = mu x mu x nu^2 for positive mu and symmetric nu
     rng = np.random.default_rng(3)
@@ -240,6 +232,29 @@ def test_support_edge_semicircle_sum():
 def test_support_edge_rejects_bad_bracket():
     with pytest.raises(ValueError, match="bracket"):
         conv.support_edge(W, W, inner=4.0, outer=5.0)
+
+
+def test_support_edges_pinned():
+    # bit patterns of the bisected edges; any drift in the extrapolation
+    # or the bisection arithmetic changes them
+    assert conv.support_edge(W, W, 2.0, 3.2).hex() == "0x1.6a8d333333333p+1"
+    assert conv.support_edge(W, W, -2.0, -3.2).hex() == "-0x1.6a8d333333333p+1"
+    edge = conv.support_edge(M, catalog.reflect(M), 3.0, 3.8)
+    assert edge.hex() == "0x1.aab1999999998p+1"
+
+
+def test_semicircle_sum_density_pinned():
+    xs = np.linspace(-3.2, 3.2, 321)
+    density = conv.free_add_density(W, W, xs).density
+    pinned = {
+        20: "0x1.04b4fe45534fbp-5",
+        80: "0x1.7c169ad415a86p-3",
+        160: "0x1.ccecbd88b2cf6p-3",
+        210: "0x1.af27d8033573bp-3",
+        285: "0x1.af27d7cc4ce78p-4",
+        310: "0x0.0p+0",
+    }
+    assert {i: float(density[i]).hex() for i in pinned} == pinned
 
 
 # ---------------------------------------------------------------------------

@@ -443,6 +443,25 @@ class TestPositivityScan:
         threaded = idclass.positivity_scan(model, [0.5, 2], jobs=2)
         assert serial.edges() == threaded.edges()
 
+    def test_left_edges_pinned(self):
+        # bit patterns of the scanned edges: all bisected, except free
+        # Poisson at t = 0.5, whose edge is the detected atom at 0
+        scans = {
+            "semicircle": idclass.positivity_scan(RModel.semicircle(2, 1), [0.5, 2]),
+            "free_poisson": idclass.positivity_scan(RModel.free_poisson(1), [0.5, 2]),
+        }
+        edges = {
+            name: [p.left_edge.hex() for p in scan.points]
+            for name, scan in scans.items()
+        }
+        assert edges == {
+            "semicircle": ["-0x1.a828e9546139cp-2", "0x1.2bebffe3a790ep+0"],
+            "free_poisson": ["0x1.81d70683d4000p-11", "0x1.5f6417879b834p-3"],
+        }
+        assert scans["free_poisson"].points[0].atoms == (
+            float.fromhex("0x1.81d70683d4000p-11"),
+        )
+
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError, match="positive"):
             idclass.positivity_scan(RModel.free_poisson(1), [0.5, -1])

@@ -451,6 +451,17 @@ def test_invert_marchenko_pastur_atom_at_zero():
     assert w == pytest.approx(0.75, abs=5e-3)
 
 
+def test_invert_marchenko_pastur_atom_pinned():
+    # bit patterns of the detected atom and the renorm factor at rate 0.4
+    mu = MeasureSpec.from_law("marchenko_pastur", (0.4,))
+    xs = np.linspace(-0.5, 3.5, 801)
+    res = stieltjes_invert(lambda z: cauchy(mu, z), xs)
+    assert [(loc.hex(), w.hex()) for loc, w in res.atoms] == [
+        ("0x0.0p+0", "0x1.333330bc146f1p-1")
+    ]
+    assert res.renorm.hex() == "0x1.ffffb37e6a92ep-1"
+
+
 def test_invert_warns_on_bad_transform():
     # pole in the upper half plane: anti-Herglotz, negative density
     def g(z):
