@@ -223,11 +223,20 @@ def _fmt(v) -> str:
     return f"{float(v):.12g}"
 
 
+def _check_finite(values, what: str):
+    """Refuse output with a NaN or an infinity; exact values are always finite."""
+    for v in values:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{what} has a non-finite value ({v}); nothing printed")
+
+
 def _print_json(obj):
-    print(json.dumps(obj, indent=2))
+    # a NaN or an infinity raises ValueError before anything is printed
+    print(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _emit_seq(seq: SeqN, out: str):
+    _check_finite(seq.values, seq.kind)
     if out == "json":
         _print_json({"kind": seq.kind, "values": [_num_to_json(v) for v in seq.values]})
     elif out == "csv":
@@ -241,6 +250,7 @@ def _emit_seq(seq: SeqN, out: str):
 
 
 def _emit_density(xs, density, atoms, out: str):
+    _check_finite([*xs, *density, *(v for atom in atoms for v in atom)], "density output")
     if out == "json":
         _print_json(
             {

@@ -297,19 +297,22 @@ def support_edge(
 
     inner must be a point where the density exceeds the threshold and outer
     one where it falls below; the returned edge is where the extrapolated
-    density crosses the threshold, accurate to xtol in position.
+    density crosses the threshold, accurate to xtol in position. Both
+    bracket ends are checked in one solve, and the bisection evaluates its
+    midpoints in batches (transforms._bisect_edge) with the same edge as
+    one-point bisection.
     """
 
-    def f(x):
-        return float(density_at_points(mu, nu, [x], eps=eps)[0]) - threshold
+    def f(xs):
+        return density_at_points(mu, nu, xs, eps=eps) - threshold
 
-    fi, fo = f(inner), f(outer)
+    fi, fo = f([inner, outer])
     if fi <= 0 or fo >= 0:
         raise ValueError(
             f"bracket does not straddle the edge: d(inner)-t={fi:.2e}, "
             f"d(outer)-t={fo:.2e}"
         )
-    return transforms._bisect_edge(lambda x: f(x) > 0, inner, outer, xtol)
+    return transforms._bisect_edge(lambda xs: f(xs) > 0, inner, outer, xtol)
 
 
 # ---------------------------------------------------------------------------

@@ -625,9 +625,8 @@ def _scan_one(model: RModel, t, threshold, grid_points):
         if i == 0:
             edge = float(xs[0])
         else:
-            def inside(x):
-                dens_x, _ = _extrapolated_density(model, t, np.array([x]))
-                return dens_x[0] > threshold
+            def inside(mids):
+                return _extrapolated_density(model, t, mids)[0] > threshold
 
             edge = _bisect_edge(inside, float(xs[i]), float(xs[i - 1]), 2e-5)
     if atoms:
@@ -646,14 +645,19 @@ def positivity_scan(
     """Estimate the left support edge of mu^{boxplus t} for each t.
 
     The edge is the smallest point where the extrapolated density exceeds
-    the threshold, or a detected atom location if further left. Evidence
-    only: atoms of mass below roughly 0.15 are invisible, and polynomial
-    models are trusted only inside their convergence region. The t values
-    run serially; jobs is accepted and ignored.
+    the threshold, or a detected atom location if further left. It is
+    bisected from the grid with the midpoints evaluated in batches
+    (transforms._bisect_edge), which gives the one-point bisection edge.
+    Evidence only: atoms of mass below roughly 0.15 are invisible, and
+    polynomial models are trusted only inside their convergence region.
+    The t values run serially; jobs is accepted and ignored. ts must not
+    be empty: no scanned point is no evidence.
     """
     if isinstance(model, SeqN):
         model = RModel.from_cumulants(model)
     ts = [float(t) for t in ts]
+    if not ts:
+        raise ValueError("scan needs at least one time")
     if any(t <= 0 for t in ts):
         raise ValueError("scan times must be positive")
     points = [_scan_one(model, t, threshold, grid_points) for t in ts]

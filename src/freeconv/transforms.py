@@ -613,11 +613,34 @@ def _richardson(f):
     return (8 * f[2] - 6 * f[1] + f[0]) / 3
 
 
+_EDGE_DEPTH = 6  # bisection steps resolved per call of the predicate
+
+
 def _bisect_edge(above, inside, outside, xtol):
-    """Bisect to width xtol between a point where above() holds and one where not."""
+    """Bisect to width xtol between a point where above holds and one where not.
+
+    above maps an array of points to a boolean array. Each round evaluates,
+    in one call, every midpoint that the next _EDGE_DEPTH steps of one-point
+    bisection could visit, then follows the path those steps take. The edge
+    is therefore that of one-point bisection, bit for bit, as long as above
+    judges each point independently of the others in its batch.
+    """
     while abs(outside - inside) > xtol:
-        mid = (inside + outside) / 2
-        inside, outside = (mid, outside) if above(mid) else (inside, mid)
+        # brackets in heap order: bracket k splits at its midpoint into
+        # 2k + 1 (midpoint above) and 2k + 2 (midpoint not above)
+        brackets, mids = [(inside, outside)], {}
+        for k in range(2**_EDGE_DEPTH - 1):
+            if brackets[k] is None or abs(brackets[k][1] - brackets[k][0]) <= xtol:
+                brackets += [None, None]
+                continue
+            ins, out = brackets[k]
+            mids[k] = mid = (ins + out) / 2
+            brackets += [(mid, out), (ins, mid)]
+        flags = dict(zip(mids, above(np.array(list(mids.values())))))
+        k = 0
+        while k in flags:
+            k = 2 * k + (1 if flags[k] else 2)
+        inside, outside = brackets[k]
     return (inside + outside) / 2
 
 

@@ -165,6 +165,35 @@ class TestExitCodes:
         assert "density" in err
 
 
+class TestNonFiniteOutput:
+    # moments this large overflow the cumulant recursion to -inf and nan
+    HUGE = json.dumps({"type": "moments", "values": [1e200, 1e200, 1e200]})
+
+    @pytest.mark.parametrize("out", ["table", "csv", "json"])
+    def test_overflowed_cumulants_are_an_error(self, capsys, out):
+        code, stdout, err = run_cli(
+            capsys, "cumulants", self.HUGE, "--order", "3", "--out", out
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:") and "inf" in err
+
+    def test_overflowed_convolution_json_is_an_error(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "convolve", "--op", "add", "--a", self.HUGE, "--b", self.HUGE,
+            "--order", "3",
+        )
+        assert code == 1
+        assert stdout == ""
+        assert "not JSON compliant" in err
+
+    @pytest.mark.parametrize("out", ["csv", "json"])
+    def test_non_finite_density_is_refused(self, capsys, out):
+        with pytest.raises(ValueError, match="non-finite"):
+            cli._emit_density([0.0, 1.0], [0.5, math.nan], [], out)
+        assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 

@@ -234,6 +234,18 @@ def test_support_edge_rejects_bad_bracket():
         conv.support_edge(W, W, inner=4.0, outer=5.0)
 
 
+@pytest.mark.parametrize(
+    "mu, nu, lo, hi",
+    [(W, W, 2.0, 3.2), (W, W, -3.2, -2.0), (M, catalog.reflect(M), 3.0, 3.8)],
+)
+def test_density_at_points_is_batch_independent(mu, nu, lo, hi):
+    # the batched edge bisection is exact only if a point's density does
+    # not depend on the other points solved with it
+    xs = np.linspace(lo, hi, 9)
+    alone = np.concatenate([conv.density_at_points(mu, nu, [x]) for x in xs])
+    assert conv.density_at_points(mu, nu, xs).tobytes() == alone.tobytes()
+
+
 def test_support_edges_pinned():
     # bit patterns of the bisected edges; any drift in the extrapolation
     # or the bisection arithmetic changes them

@@ -462,6 +462,28 @@ class TestPositivityScan:
             float.fromhex("0x1.81d70683d4000p-11"),
         )
 
+    def test_rejects_empty_times(self):
+        # no scanned point is no evidence, not vacuous evidence of regularity
+        with pytest.raises(ValueError, match="at least one"):
+            idclass.positivity_scan(RModel.free_poisson(1), [])
+
+    @pytest.mark.parametrize(
+        "model, t, lo, hi",
+        [
+            (RModel.semicircle(2, 1), 0.5, -0.6, -0.2),
+            (RModel.free_poisson(1), 2.0, 0.05, 0.3),
+            (RModel.cfp_atomic(2.0, [(1, 0.5), (-0.5, 0.5)], 0.3), 0.5, -1.3, -0.9),
+        ],
+    )
+    def test_density_is_batch_independent(self, model, t, lo, hi):
+        # the batched edge bisection is exact only if a point's density
+        # does not depend on the other points solved with it
+        xs = np.linspace(lo, hi, 9)
+        dens, conv_mask = idclass._extrapolated_density(model, t, xs)
+        alone = [idclass._extrapolated_density(model, t, xs[i:i + 1]) for i in range(9)]
+        assert dens.tobytes() == np.concatenate([d for d, _ in alone]).tobytes()
+        assert conv_mask.tolist() == [bool(c[0]) for _, c in alone]
+
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError, match="positive"):
             idclass.positivity_scan(RModel.free_poisson(1), [0.5, -1])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeconv import ncpart
+from freeconv import ncpart, transforms
 from freeconv.catalog import MeasureSpec, catalog_density, catalog_moments
 from freeconv.ncpart import SeqN, catalan
 from freeconv.transforms import (
@@ -471,3 +471,51 @@ def test_invert_warns_on_bad_transform():
     res = stieltjes_invert(g, xs, renormalize=False)
     assert any("negative density" in msg for msg in res.warnings)
     assert np.all(res.density >= 0)
+
+
+# ---------------------------------------------------------------------------
+# edge bisection
+
+
+def _bisect_one_point(above, inside, outside, xtol):
+    """One-point bisection, the reference the batched _bisect_edge must equal."""
+    steps = 0
+    while abs(outside - inside) > xtol:
+        mid = (inside + outside) / 2
+        inside, outside = (mid, outside) if above(mid) else (inside, mid)
+        steps += 1
+    return (inside + outside) / 2, steps
+
+
+@st.composite
+def _predicates(draw):
+    """A half-line (monotone) or a union of 1-4 intervals (not monotone)."""
+    ends = st.floats(-12, 12)
+    if draw(st.booleans()):
+        c, right = draw(ends), draw(st.booleans())
+        return lambda x: (x > c) if right else (x < c)
+    spans = [sorted(draw(st.tuples(ends, ends))) for _ in range(draw(st.integers(1, 4)))]
+    return lambda x: any(a <= x <= b for a, b in spans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    inside=st.floats(-10, 10),
+    width=st.floats(1e-3, 10),
+    side=st.sampled_from([-1, 1]),
+    halvings=st.floats(-1, 30),
+    pred=_predicates(),
+)
+def test_bisect_edge_equals_one_point_bisection(inside, width, side, halvings, pred):
+    outside = inside + side * width
+    xtol = width * 2.0**-halvings
+    calls = []
+
+    def batched(xs):
+        calls.append(len(xs))
+        return np.array([pred(float(x)) for x in xs])
+
+    want, steps = _bisect_one_point(pred, inside, outside, xtol)
+    got = transforms._bisect_edge(batched, inside, outside, xtol)
+    assert got == want
+    assert len(calls) <= 1 + math.ceil(steps / transforms._EDGE_DEPTH)
