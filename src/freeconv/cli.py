@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 computation error or negative verdict,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -309,6 +310,8 @@ def _parse_times(text: str):
         ts = [float(p) for p in text.split(",") if p]
     except ValueError as exc:
         raise SpecError(f"times must be numbers, got {text!r}") from exc
+    if not all(math.isfinite(t) for t in ts):
+        raise SpecError(f"times must be finite, got {text!r}")
     if not 1 <= len(ts) <= SIZE_CAP:
         raise SpecError(f"scan needs 1 to {SIZE_CAP} times, got {len(ts)}")
     return ts
@@ -550,6 +553,10 @@ def _cmd_scan(args) -> int:
             }
         )
         return 0
+    _check_finite(
+        [v for p in result.points for v in (p.left_edge, *p.atoms) if v is not None],
+        "scan output",
+    )
     print("t,left_edge,atoms,converged")
     for p in result.points:
         edge = "" if p.left_edge is None else _fmt(p.left_edge)
@@ -583,10 +590,13 @@ def _cmd_transform(args) -> int:
         z = complex(float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise SpecError(f"--at must be re,im, got {args.at!r}") from exc
+    if not cmath.isfinite(z):
+        raise SpecError(f"--at must be finite, got {args.at!r}")
     which = {"G": "cauchy", "F": "f", "K": "boolean_k", "S": "s"}[args.which]
     if which != "s" and z.imag == 0:
         raise SpecError(f"transform {args.which} needs a point off the real axis")
     value = complex(transforms.transform_map(mu, which)(z))
+    _check_finite([value.real, value.imag], f"transform {args.which}")
     print(f"{value.real:.12g},{value.imag:.12g}")
     return 0
 

@@ -24,6 +24,13 @@ from .ncpart import SeqN
 
 MULT_AGREEMENT_TOL = 1e-9
 
+# subordination iteration: step damping, the heavier damping of the one
+# restart, the residual that counts as settled, and the iteration cap per run
+_SUB_DAMPING = 0.5
+_SUB_RESTART_DAMPING = 0.25
+_SUB_TOL = 1e-10
+_SUB_MAX_ITER = 500
+
 
 def _number(t, name="t"):
     if isinstance(t, (int, Fraction, float)):
@@ -163,21 +170,13 @@ class SubordinationResult:
         return bool(np.all(self.converged))
 
 
-def subordination(
-    mu: MeasureSpec,
-    nu: MeasureSpec,
-    z,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    restart_damping: float = 0.25,
-) -> SubordinationResult:
+def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
     """Solve omega(z) = z + h_nu(z + h_mu(omega)) on the upper half plane.
 
     h denotes F - id with F the reciprocal Cauchy transform; the resulting
     omega subordinates the sum: G_{mu plus nu}(z) = G_mu(omega(z)). The
     damped iteration contracts on the upper half plane; points that fail to
-    settle inside max_iter are restarted once with heavier damping.
+    settle inside _SUB_MAX_ITER steps are restarted once with heavier damping.
     """
 
     def h_mu(w):
@@ -195,13 +194,13 @@ def subordination(
         active = np.ones(points.shape, dtype=bool)
         residual = np.full(points.shape, np.inf)
         its = 0
-        for its in range(1, max_iter + 1):
+        for its in range(1, _SUB_MAX_ITER + 1):
             w = omega[active]
             target = points[active] + h_nu(points[active] + h_mu(w))
             step = target - w
             residual[active] = np.abs(step)
             omega[active] = w + d * step
-            settled = residual[active] < tol
+            settled = residual[active] < _SUB_TOL
             if np.any(settled):
                 idx = np.flatnonzero(active)
                 active[idx[settled]] = False
@@ -209,10 +208,10 @@ def subordination(
                 break
         return omega, residual, ~active, its
 
-    omega, residual, conv, its = run(zarr, damping)
+    omega, residual, conv, its = run(zarr, _SUB_DAMPING)
     if not np.all(conv):
         bad = ~conv
-        omega2, residual2, conv2, its2 = run(zarr[bad], restart_damping)
+        omega2, residual2, conv2, its2 = run(zarr[bad], _SUB_RESTART_DAMPING)
         omega[bad] = omega2
         residual[bad] = residual2
         conv = conv.copy()
@@ -221,9 +220,9 @@ def subordination(
     return SubordinationResult(omega, its, float(residual.max()), conv)
 
 
-def free_add_cauchy(mu: MeasureSpec, nu: MeasureSpec, z, **kwargs):
+def free_add_cauchy(mu: MeasureSpec, nu: MeasureSpec, z):
     """Cauchy transform of the additive convolution via subordination."""
-    sub = subordination(mu, nu, z, **kwargs)
+    sub = subordination(mu, nu, z)
     g = transforms.cauchy(mu, sub.omega)
     return (g[0] if np.isscalar(z) else g), sub
 
@@ -252,14 +251,7 @@ class AddDensityResult:
         return self.inversion.warnings
 
 
-def free_add_density(
-    mu: MeasureSpec,
-    nu: MeasureSpec,
-    xs,
-    eps: float = 1e-2,
-    renormalize: bool = True,
-    **invert_kwargs,
-) -> AddDensityResult:
+def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
     """Density of the additive free convolution on the grid xs."""
     diagnostics = []
 
@@ -268,9 +260,7 @@ def free_add_density(
         diagnostics.append(sub)
         return transforms.cauchy(mu, sub.omega)
 
-    inv = transforms.stieltjes_invert(
-        g, xs, eps=eps, renormalize=renormalize, **invert_kwargs
-    )
+    inv = transforms.stieltjes_invert(g, xs)
     iters = max(s.iterations for s in diagnostics)
     resid = max(s.max_residual for s in diagnostics)
     conv = min(float(np.mean(s.converged)) for s in diagnostics)

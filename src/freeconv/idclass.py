@@ -94,9 +94,6 @@ class LevyMeasure:
         """int_(0,oo) min(1,t) dnu(t); finiteness gates the regular form."""
         return self.integral(lambda t: min(1, t) if t > 0 else 0)
 
-    def min1_t2_integral(self):
-        return self.integral(lambda t: min(1, t * t))
-
     def total_mass(self):
         return self.integral(lambda t: 1)
 
@@ -471,8 +468,13 @@ class RModel:
         return float(self.dr(0.0))
 
 
-def solve_g(model: RModel, t, z, w0=None, tol: float = 1e-14,
-            max_iter: int = 100):
+# Newton for G stops at residual _SOLVE_TOL or after _SOLVE_MAX_ITER steps;
+# a point counts as converged at residual sqrt(_SOLVE_TOL)
+_SOLVE_TOL = 1e-14
+_SOLVE_MAX_ITER = 100
+
+
+def solve_g(model: RModel, t, z, w0=None):
     """Solve z = 1/w + t R(w) for w = G(z) by damped Newton.
 
     Returns (w, converged mask). The seed defaults to 1/z; pass the
@@ -502,9 +504,9 @@ def solve_g(model: RModel, t, z, w0=None, tol: float = 1e-14,
     if w.shape != z.shape:
         raise ValueError("seed shape does not match z")
     resid = residual(w, z)
-    for _ in range(max_iter):
+    for _ in range(_SOLVE_MAX_ITER):
         with np.errstate(all="ignore"):
-            active = ~(np.abs(resid) <= tol)
+            active = ~(np.abs(resid) <= _SOLVE_TOL)
         if not active.any():
             break
         wa, za = w[active], z[active]
@@ -544,7 +546,7 @@ def solve_g(model: RModel, t, z, w0=None, tol: float = 1e-14,
         w[active] = new_w
         resid[active] = new_f
     with np.errstate(all="ignore"):
-        return w, np.abs(resid) <= math.sqrt(tol)
+        return w, np.abs(resid) <= math.sqrt(_SOLVE_TOL)
 
 
 _IMAG_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
@@ -814,10 +816,6 @@ class VoiculescuPair:
     def __post_init__(self):
         if any(m < 0 for _, m in self.tau_atoms):
             raise ValueError("tau must be nonnegative")
-
-    @property
-    def tau_mass(self):
-        return sum(m for _, m in self.tau_atoms)
 
     def phi(self, z):
         total = self.gamma + 0 * z

@@ -88,9 +88,6 @@ class SetPartition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def block_sizes(self) -> tuple:
-        return tuple(len(b) for b in self.blocks)
-
     def is_noncrossing(self) -> bool:
         """True iff no a < b < c < d has a,c in one block and b,d in another.
 

@@ -3,9 +3,11 @@
 Two layers live here. The formal layer (FormalSeries) manipulates truncated
 power series with exact truncation bookkeeping, and carries the series route
 from moments to free cumulants (functional inversion of u -> u * (1 + sum
-m_n u^n)) that cross-checks the lattice recursion in ncpart. The numeric
-layer evaluates Cauchy transforms of concrete measures on the upper half
-plane and recovers densities by Stieltjes inversion with Richardson
+m_n u^n)) that cross-checks the lattice recursion in ncpart. Reversion is
+Lagrange inversion in O(n^3) coefficient operations, built from the series
+product and quotient only, so the route shares no code with ncpart. The
+numeric layer evaluates Cauchy transforms of concrete measures on the upper
+half plane and recovers densities by Stieltjes inversion with Richardson
 extrapolation in the regularization parameter.
 """
 
@@ -224,18 +226,21 @@ class FormalSeries:
         return acc.truncated(min(acc.top, top)) if acc.top > top else acc
 
     def reverted(self) -> "FormalSeries":
-        """Compositional inverse; needs valuation exactly 1."""
+        """Compositional inverse by Lagrange inversion; needs valuation exactly 1.
+
+        With self = z u(z), [z^k] self^{-1} = [w^{k-1}] u(w)^{-k} / k
+        (Flajolet-Sedgewick, Analytic Combinatorics, Thm A.2): one series
+        division and a running power of 1/u, O(n^3) coefficient operations.
+        """
         if self.is_zero or self.lo != 1:
             raise ValueError("reversion needs a series of valuation exactly 1")
-        g1 = self.coeffs[0]
-        n = self.top
-        d = [0] * (n + 1)  # d[k] is the z^k coefficient of the inverse
-        d[1] = _divide(1, g1)
-        for m in range(2, n + 1):
-            h = FormalSeries(1, d[1:m], m)
-            val = _compose_coeff(self, h, m)
-            d[m] = _divide(-val, g1)
-        return FormalSeries(1, d[1:], n)
+        v = 1 / self.shifted(-1)
+        power = FormalSeries.poly([1], v.top)
+        d = []
+        for k in range(1, self.top + 1):
+            power = power * v
+            d.append(_divide(power.coeff(k - 1), k))
+        return FormalSeries(1, d, self.top)
 
     def evaluate(self, z):
         """Numeric evaluation of the known part (Horner)."""
@@ -264,23 +269,6 @@ def _series_power(g: FormalSeries, k: int, top: int) -> FormalSeries:
         if out.top > top:
             out = out.truncated(top)
     return out
-
-
-def _compose_coeff(g: FormalSeries, h: FormalSeries, m: int):
-    """Coefficient of z^m in g(h(z)) for h of valuation 1 known to z^{m}."""
-    total = 0
-    power = FormalSeries.poly([1], m)
-    for k in range(1, m + 1):
-        power = power * h
-        if power.top > m:
-            power = power.truncated(m)
-        if k >= g.lo and k <= g.top:
-            c = g.coeff(k)
-            if c != 0 and power.lo <= m <= power.top:
-                total = total + c * power.coeff(m)
-        if power.lo > m:
-            break
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -659,14 +647,15 @@ class InversionResult:
         )
 
 
+# Stieltjes inversion: the most negative density accepted without a warning,
+# and the mass proxy and its eps/4-to-eps ratio above which a point is an atom
+_NEGATIVE_TOL = 1e-6
+_ATOM_MASS_TOL = 1e-3
+_ATOM_RATIO = 0.6
+
+
 def stieltjes_invert(
-    g,
-    xs,
-    eps: float = 1e-2,
-    negative_tol: float = 1e-6,
-    atom_mass_tol: float = 1e-3,
-    atom_ratio: float = 0.6,
-    renormalize: bool = True,
+    g, xs, eps: float = 1e-2, renormalize: bool = True
 ) -> InversionResult:
     """Recover a density on xs from a Cauchy transform g.
 
@@ -685,7 +674,7 @@ def stieltjes_invert(
     mass = [math.pi * e * dk for e, dk in zip(levels, d)]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(mass[0] > 0, mass[2] / np.where(mass[0] > 0, mass[0], 1), 0.0)
-    flagged = (mass[2] > atom_mass_tol) & (ratio > atom_ratio)
+    flagged = (mass[2] > _ATOM_MASS_TOL) & (ratio > _ATOM_RATIO)
 
     atoms = []
     if np.any(flagged):
@@ -713,9 +702,9 @@ def stieltjes_invert(
             density[grp] = 0.0
 
     worst = float(density.min(initial=0.0))
-    if worst < -negative_tol:
+    if worst < -_NEGATIVE_TOL:
         warnings.append(
-            f"negative density {worst:.3e} exceeded tolerance {negative_tol:.1e}"
+            f"negative density {worst:.3e} exceeded tolerance {_NEGATIVE_TOL:.1e}"
         )
     density = np.clip(density, 0.0, None)
 

@@ -193,6 +193,57 @@ class TestNonFiniteOutput:
             cli._emit_density([0.0, 1.0], [0.5, math.nan], [], out)
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("at", ["inf,1", "nan,1", "0,-inf", "0,nan"])
+    def test_non_finite_transform_point_is_a_usage_error(self, capsys, at):
+        code, stdout, err = run_cli(capsys, "transform", SEMI, "--which", "F", "--at", at)
+        assert code == 2
+        assert stdout == ""
+        assert "--at must be finite" in err
+
+    def test_non_finite_transform_value_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli.transforms, "transform_map", lambda mu, w: lambda z: complex(math.nan, 1.0)
+        )
+        code, stdout, err = run_cli(capsys, "transform", SEMI, "--which", "F", "--at", "0.5,1")
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:") and "non-finite" in err
+
+    @pytest.mark.parametrize("times", ["nan", "0.5,inf", "0.5,-inf"])
+    def test_non_finite_scan_time_is_a_usage_error(self, capsys, monkeypatch, times):
+        monkeypatch.setattr(cli.idclass, "positivity_scan", None)
+        code, stdout, err = run_cli(capsys, "scan", WPLUS, "--t", times)
+        assert code == 2
+        assert stdout == ""
+        assert "times must be finite" in err
+
+    def scan_returning(self, monkeypatch, *points):
+        result = cli.idclass.ScanResult(points, 1e-6, 1e-3)
+        monkeypatch.setattr(cli.idclass, "positivity_scan", lambda *a, **k: result)
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            cli.idclass.ScanPoint(0.5, math.nan, (), True),
+            cli.idclass.ScanPoint(0.5, -math.inf, (), True),
+            cli.idclass.ScanPoint(0.5, 0.25, (0.0, math.inf), True),
+            cli.idclass.ScanPoint(0.5, None, (math.nan,), False),
+        ],
+    )
+    @pytest.mark.parametrize("out", ["table", "json"])
+    def test_non_finite_scan_output_is_refused(self, capsys, monkeypatch, point, out):
+        self.scan_returning(monkeypatch, cli.idclass.ScanPoint(0.25, 0.1, (), True), point)
+        code, stdout, err = run_cli(capsys, "scan", WPLUS, "--t", "0.25,0.5", "--out", out)
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error:")
+
+    def test_missing_scan_edge_prints_empty(self, capsys, monkeypatch):
+        self.scan_returning(monkeypatch, cli.idclass.ScanPoint(0.5, None, (), False))
+        code, stdout, _ = run_cli(capsys, "scan", WPLUS, "--t", "0.5")
+        assert code == 0
+        assert stdout.splitlines()[1] == "0.5,,,False"
+
 
 # ---------------------------------------------------------------------------
 # subcommands

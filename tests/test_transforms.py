@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeconv import ncpart, transforms
+from freeconv import conv, ncpart, transforms
 from freeconv.catalog import MeasureSpec, catalog_density, catalog_moments
 from freeconv.ncpart import SeqN, catalan
 from freeconv.transforms import (
@@ -159,6 +159,23 @@ def test_reversion_is_involutive(coeffs):
     assert all(back.coeff(k) == f.coeff(k) for k in range(1, back.top + 1))
 
 
+exact_st = st.one_of(st.integers(-4, 4), coeff_st)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    exact_st.filter(lambda c: c not in (0, 1)),
+    st.lists(exact_st, max_size=9),
+)
+def test_reversion_round_trip_exact(lead, rest):
+    # compose (Horner evaluation) is the oracle for the Lagrange inversion
+    f = FormalSeries(1, [lead, *rest])
+    inv = f.reverted()
+    assert inv.lo == 1 and inv.top == f.top
+    assert all(type(c) is Fraction for c in inv.coeffs)
+    assert f.compose(inv) == FormalSeries.identity(f.top)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(coeff_st, min_size=1, max_size=6),
@@ -268,6 +285,48 @@ def test_s_series_roundtrip_random():
         s = s_series(m, 8)
         back = moments_from_s_series(s, 8)
         assert back.values == m.values
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([(0.5, 0.25), (1.5, 0.75)], [(0.25, 0.5), (2.0, 0.5)]),
+        ([(0.2, 0.3), (1.1, 0.7)], [(0.7, 0.6), (1.3, 0.4)]),
+        ([(0.1, 0.125), (0.9, 0.375), (1.7, 0.5)], [(0.3, 0.25), (1.2, 0.75)]),
+    ],
+)
+def test_float_s_route_product_matches_exact(a, b):
+    def exact(atoms):
+        return MeasureSpec.atomic([(Fraction(x), Fraction(w)) for x, w in atoms])
+
+    order = 16
+    got = conv.free_mult_report(MeasureSpec.atomic(a), MeasureSpec.atomic(b), order)
+    want = conv.free_mult_report(exact(a), exact(b), order).dp.values
+    scale = max(abs(v) for v in want)
+    err = max(abs(x - y) for x, y in zip(got.series.values, want)) / scale
+    assert err <= 1e-9
+
+
+def test_series_routes_never_call_ncpart(monkeypatch):
+    m = SeqN("moment", [Fraction(1, 2), Fraction(3, 4), Fraction(-1, 3), 2, Fraction(5, 7)])
+    kappa = ncpart.free_cumulants_from_moments(m)
+    product = ncpart.free_mult_moments(m, m)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the series route reached the ncpart kernel")
+
+    monkeypatch.setattr(ncpart, "_nc_kernel", boom)
+    monkeypatch.setattr(ncpart, "_alternating_product_moments", boom)
+    with pytest.raises(AssertionError):
+        ncpart.free_cumulants_from_moments(m)
+    with pytest.raises(AssertionError):
+        ncpart.free_mult_moments(m, m)
+
+    via_inv = free_cumulant_series_via_inversion(m, m.order)
+    assert via_inv.coeffs == kappa.values
+    s = s_series(m, m.order)
+    assert moments_from_s_series(s, m.order).values == m.values
+    assert moments_from_s_series(s * s, m.order).values == product.values
 
 
 def test_moments_from_s_series_validates():
