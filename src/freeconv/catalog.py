@@ -29,6 +29,9 @@ from .ncpart import SeqN, _is_exact
 MOMENT_CAP_CLOSED = 64
 MOMENT_CAP_QUAD = 32
 
+# scipy quad settings of every catalog-law integral, moments and transforms
+_QUAD_SETTINGS = {"epsrel": 1e-10, "epsabs": 1e-13, "limit": 400}
+
 def _exact_or_float(x):
     return Fraction(x) if isinstance(x, int) else x
 
@@ -383,9 +386,7 @@ class MeasureSpec:
 
     @staticmethod
     def from_law(name: str, params=(), scale=1, offset=0) -> "MeasureSpec":
-        if name not in LAWS:
-            raise ValueError(f"unknown law {name!r}; known: {sorted(LAWS)}")
-        params = LAWS[name].validate(tuple(params))
+        _, params = _law_entry(name, params)
         if scale == 0:
             raise ValueError("law scale must be nonzero")
         return MeasureSpec(
@@ -412,18 +413,12 @@ class MeasureSpec:
     def mass_at_zero(self):
         """Mass of {0} where the representation carries it, else None.
 
-        The absolutely continuous part of a catalog law never charges a
-        point, so for laws only the explicit atoms matter.
+        Densities never charge a point, so only the atoms matter; every
+        atom at 0 counts (grid atoms are not merged).
         """
-        if self.kind in ("atomic", "grid"):
-            return next((w for loc, w in self.atoms if loc == 0), 0)
-        if self.kind == "law":
-            return sum(
-                w
-                for loc, w in catalog_atoms(self.law, self.params)
-                if self.scale * loc + self.offset == 0
-            )
-        return None
+        if self.kind in ("moments", "free_cumulants"):
+            return None
+        return sum(w for loc, w in atoms_of(self) if loc == 0)
 
     def describe(self) -> str:
         if self.kind == "law":
@@ -448,16 +443,21 @@ def _trapezoid(xs, ys) -> float:
 # densities, atoms, moments
 
 
+def _law_entry(law: str, params):
+    """The registry entry of a law and its validated parameters."""
+    if law not in LAWS:
+        raise ValueError(f"unknown law {law!r}; known: {sorted(LAWS)}")
+    return LAWS[law], LAWS[law].validate(tuple(params))
+
+
 def catalog_density(law: str, params, x):
     """Density of a catalog law at x (0 outside the support).
 
     Accepts a scalar or anything array-like; array-like input returns a
     numpy array of the same shape.
     """
-    if law not in LAWS:
-        raise ValueError(f"unknown law {law!r}")
-    params = LAWS[law].validate(tuple(params))
-    fn = LAWS[law].density
+    spec, params = _law_entry(law, params)
+    fn = spec.density
     if np.isscalar(x):
         return fn(params, float(x)) if fn else 0.0
     arr = np.asarray(x, dtype=float)
@@ -468,26 +468,49 @@ def catalog_density(law: str, params, x):
 
 
 def catalog_atoms(law: str, params):
-    if law not in LAWS:
-        raise ValueError(f"unknown law {law!r}")
-    params = LAWS[law].validate(tuple(params))
-    return tuple(LAWS[law].atoms(params))
+    spec, params = _law_entry(law, params)
+    return tuple(spec.atoms(params))
+
+
+def atoms_of(mu: MeasureSpec) -> tuple:
+    """Atoms (location, weight) of an atomic, grid or law spec; a law's are
+    moved by its pushforward x -> scale*x + offset, exactly for exact data."""
+    if mu.kind in ("atomic", "grid"):
+        return mu.atoms
+    if mu.kind == "law":
+        return tuple(
+            (mu.scale * loc + mu.offset, w)
+            for loc, w in catalog_atoms(mu.law, mu.params)
+        )
+    raise ValueError(f"a {mu.kind!r} spec carries no atoms")
+
+
+def density_of(mu: MeasureSpec, x):
+    """Density at x (scalar or array-like) of a law spec, through its
+    pushforward, or of a grid spec, linear between its abscissas and 0
+    outside; other forms carry no density."""
+    if mu.kind == "law":
+        s = float(mu.scale)
+        x = x if np.isscalar(x) else np.asarray(x, dtype=float)
+        return catalog_density(mu.law, mu.params, (x - float(mu.offset)) / s) / abs(s)
+    if mu.kind == "grid":
+        return np.interp(x, np.asarray(mu.xs, dtype=float),
+                         np.asarray(mu.densities, dtype=float), left=0.0, right=0.0)
+    raise ValueError(f"a {mu.kind!r} spec carries no density; use a law or grid spec")
 
 
 def catalog_moments(law: str, params, order: int) -> SeqN:
     """Moments of a catalog law to the requested order, as one table."""
-    if law not in LAWS:
-        raise ValueError(f"unknown law {law!r}")
+    spec, params = _law_entry(law, params)
     if order > MOMENT_CAP_CLOSED:
         raise ValueError(f"catalog_moments capped at order {MOMENT_CAP_CLOSED}")
-    params = LAWS[law].validate(tuple(params))
-    return SeqN("moment", LAWS[law].moments(params, order))
+    return SeqN("moment", spec.moments(params, order))
 
 
 _SYMMETRIC_LAWS = {"symmetric_bernoulli", "symmetric_beta", "commutator_ww"}
 
 
-def law_moments_quadrature(law: str, params, order: int, rel_tol: float = 1e-10) -> SeqN:
+def law_moments_quadrature(law: str, params, order: int) -> SeqN:
     """Adaptive-quadrature moments; the validation path for the closed forms.
 
     chi_squared_1 integrates under x = u^2 and beta_1a under x = u^{1/(1-a)}
@@ -499,10 +522,7 @@ def law_moments_quadrature(law: str, params, order: int, rel_tol: float = 1e-10)
 
     if order > MOMENT_CAP_QUAD:
         raise ValueError(f"quadrature moments capped at order {MOMENT_CAP_QUAD}")
-    if law not in LAWS:
-        raise ValueError(f"unknown law {law!r}")
-    params = LAWS[law].validate(tuple(params))
-    spec = LAWS[law]
+    spec, params = _law_entry(law, params)
     out = []
     for n in range(1, order + 1):
         total = sum(w * loc**n for loc, w in spec.atoms(params))
@@ -510,21 +530,21 @@ def law_moments_quadrature(law: str, params, order: int, rel_tol: float = 1e-10)
             fn = lambda x: x**n * spec.density(params, x)
             if law == "chi_squared_1":
                 gn = lambda u: 2 * u * u ** (2 * n) * spec.density(params, u * u)
-                val, _ = quad(gn, 0, math.inf, epsrel=rel_tol, epsabs=1e-13, limit=400)
+                val, _ = quad(gn, 0, math.inf, **_QUAD_SETTINGS)
             elif law == "beta_1a":
                 p = 1 / (1 - float(params[0]))
                 gn = lambda u: p * u ** (p * (n + 1) - 1) * spec.density(params, u**p)
-                val, _ = quad(gn, 0, 1, epsrel=rel_tol, epsabs=1e-13, limit=400)
+                val, _ = quad(gn, 0, 1, **_QUAD_SETTINGS)
             elif law in _SYMMETRIC_LAWS or (law == "semicircle" and params[0] == 0):
                 if n % 2:
                     val = 0.0
                 else:
                     _, hi = spec.support(params)
-                    half, _ = quad(fn, 0, hi, epsrel=rel_tol, epsabs=1e-13, limit=400)
+                    half, _ = quad(fn, 0, hi, **_QUAD_SETTINGS)
                     val = 2 * half
             else:
                 lo, hi = spec.support(params)
-                val, _ = quad(fn, lo, hi, epsrel=rel_tol, epsabs=1e-13, limit=400)
+                val, _ = quad(fn, lo, hi, **_QUAD_SETTINGS)
             total = float(total) + val
         out.append(total)
     return SeqN("moment", out)
@@ -555,11 +575,7 @@ def moments_of(mu: MeasureSpec, order: int) -> SeqN:
             )
         return mu.seq.truncated(order)
     if mu.kind == "free_cumulants":
-        if order > mu.seq.order:
-            raise ValueError(
-                f"cumulant representation holds order {mu.seq.order}, need {order}"
-            )
-        return ncpart.moments_from_free_cumulants(mu.seq.truncated(order))
+        return ncpart.moments_from_free_cumulants(free_cumulants_of(mu, order))
     raise ValueError(f"unknown representation {mu.kind!r}")
 
 

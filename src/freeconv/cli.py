@@ -442,37 +442,21 @@ def _cmd_power(args) -> int:
 def _cmd_density(args) -> int:
     mu = parse_measure_spec(args.spec)
     xs = _default_grid(args.grid)
-    if mu.kind == "law":
-        if xs is None:
-            law = LAWS[mu.law]
-            sup = law.support(mu.params) if law.support else None
-            if sup is None or not all(math.isfinite(float(v)) for v in sup):
-                raise SpecError(
-                    f"{mu.law} has no bounded default window; pass --grid "
-                    f"lo:hi:n or set {GRID_ENV}"
-                )
-            s, c = float(mu.scale), float(mu.offset)
-            lo, hi = sorted((s * float(sup[0]) + c, s * float(sup[1]) + c))
-            xs = np.linspace(lo, hi, 401)
-        s = float(mu.scale)
-        dens = catalog.catalog_density(mu.law, mu.params,
-                                       (xs - float(mu.offset)) / s) / abs(s)
-        atoms = [
-            (float(mu.scale * l + mu.offset), float(w))
-            for l, w in catalog.catalog_atoms(mu.law, mu.params)
-        ]
-        _emit_density(xs, dens, atoms, args.out)
-        return 0
-    if mu.kind == "grid":
-        if xs is None:
-            xs = np.asarray(mu.xs, dtype=float)
-        dens = np.interp(xs, np.asarray(mu.xs, float), np.asarray(mu.densities, float),
-                         left=0.0, right=0.0)
-        _emit_density(xs, dens, mu.atoms, args.out)
-        return 0
-    raise ValueError(
-        f"a {mu.kind!r} spec carries no density; use a law or grid spec"
-    )
+    if xs is None and mu.kind == "law":
+        law = LAWS[mu.law]
+        sup = law.support(mu.params) if law.support else None
+        if sup is None or not all(math.isfinite(float(v)) for v in sup):
+            raise SpecError(
+                f"{mu.law} has no bounded default window; pass --grid "
+                f"lo:hi:n or set {GRID_ENV}"
+            )
+        s, c = float(mu.scale), float(mu.offset)
+        lo, hi = sorted((s * float(sup[0]) + c, s * float(sup[1]) + c))
+        xs = np.linspace(lo, hi, 401)
+    elif xs is None and mu.kind == "grid":
+        xs = np.asarray(mu.xs, dtype=float)
+    _emit_density(xs, catalog.density_of(mu, xs), catalog.atoms_of(mu), args.out)
+    return 0
 
 
 def _cmd_commutator(args) -> int:

@@ -12,7 +12,6 @@ to run both and compare.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +29,13 @@ _SUB_DAMPING = 0.5
 _SUB_RESTART_DAMPING = 0.25
 _SUB_TOL = 1e-10
 _SUB_MAX_ITER = 500
+
+# support_edge's density level at the edge and its bracket width; the
+# tolerances of check_1418 and boolean_free_power_identity_check
+_EDGE_THRESHOLD = 1e-4
+_EDGE_XTOL = 1e-4
+_1418_TOL = 1e-9
+_BOOLEAN_FREE_POWER_TOL = 1e-10
 
 
 def _number(t, name="t"):
@@ -256,9 +262,9 @@ def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
     diagnostics = []
 
     def g(z):
-        sub = subordination(mu, nu, z)
+        value, sub = free_add_cauchy(mu, nu, z)
         diagnostics.append(sub)
-        return transforms.cauchy(mu, sub.omega)
+        return value
 
     inv = transforms.stieltjes_invert(g, xs)
     iters = max(s.iterations for s in diagnostics)
@@ -267,34 +273,26 @@ def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
     return AddDensityResult(inv, iters, resid, conv)
 
 
-def density_at_points(mu: MeasureSpec, nu: MeasureSpec, xs, eps: float = 1e-2):
+def density_at_points(mu: MeasureSpec, nu: MeasureSpec, xs):
     """Pointwise extrapolated density of mu plus nu, no renormalization."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    gs = [free_add_cauchy(mu, nu, xs + 1j * e)[0] for e in (eps, eps / 2, eps / 4)]
-    return transforms._richardson([-np.imag(g) / math.pi for g in gs])
+    d = transforms._boundary_densities(lambda z: free_add_cauchy(mu, nu, z)[0], xs)
+    return transforms._richardson(d)
 
 
-def support_edge(
-    mu: MeasureSpec,
-    nu: MeasureSpec,
-    inner: float,
-    outer: float,
-    threshold: float = 1e-4,
-    xtol: float = 1e-4,
-    eps: float = 1e-2,
-) -> float:
+def support_edge(mu: MeasureSpec, nu: MeasureSpec, inner: float, outer: float) -> float:
     """Locate the support edge of mu plus nu by bisecting the density.
 
-    inner must be a point where the density exceeds the threshold and outer
-    one where it falls below; the returned edge is where the extrapolated
-    density crosses the threshold, accurate to xtol in position. Both
-    bracket ends are checked in one solve, and the bisection evaluates its
-    midpoints in batches (transforms._bisect_edge) with the same edge as
-    one-point bisection.
+    inner must be a point where the density exceeds _EDGE_THRESHOLD and
+    outer one where it falls below; the returned edge is where the
+    extrapolated density crosses that level, accurate to _EDGE_XTOL in
+    position. Both bracket ends are checked in one solve, and the bisection
+    evaluates its midpoints in batches (transforms._bisect_edge) with the
+    same edge as one-point bisection.
     """
 
     def f(xs):
-        return density_at_points(mu, nu, xs, eps=eps) - threshold
+        return density_at_points(mu, nu, xs) - _EDGE_THRESHOLD
 
     fi, fo = f([inner, outer])
     if fi <= 0 or fo >= 0:
@@ -302,7 +300,7 @@ def support_edge(
             f"bracket does not straddle the edge: d(inner)-t={fi:.2e}, "
             f"d(outer)-t={fo:.2e}"
         )
-    return transforms._bisect_edge(lambda xs: f(xs) > 0, inner, outer, xtol)
+    return transforms._bisect_edge(lambda xs: f(xs) > 0, inner, outer, _EDGE_XTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +331,7 @@ def _compare(lhs: SeqN, rhs: SeqN, tol: float) -> IdentityReport:
     return IdentityReport(lhs, rhs, dev, tol)
 
 
-def check_1418(
-    mu: MeasureSpec, s: int, t, order: int, tol: float = 1e-9
-) -> IdentityReport:
+def check_1418(mu: MeasureSpec, s: int, t, order: int) -> IdentityReport:
     """Power-dilation identity for mixed convolution powers.
 
     Compares the moments of the dilation by t^(s-1) of (mu^{x s})^{+ t}
@@ -362,12 +358,10 @@ def check_1418(
         SeqN("free_cumulant", [t * k for k in kappa_mu.values])
     )
     rhs = _iterated_mult(mu_t, s, order)
-    return _compare(lhs, rhs, tol)
+    return _compare(lhs, rhs, _1418_TOL)
 
 
-def boolean_free_power_identity_check(
-    mu: MeasureSpec, t, order: int, tol: float = 1e-10
-) -> IdentityReport:
+def boolean_free_power_identity_check(mu: MeasureSpec, t, order: int) -> IdentityReport:
     """Power identity linking boolean and free convolution for 0 < t < 1.
 
     The boolean-to-free lift of (mu^{+ (1-t)})^{u t/(1-t)} has the law of
@@ -383,7 +377,7 @@ def boolean_free_power_identity_check(
         SeqN("free_cumulant", r_tau.values)
     )
     rhs = catalog.moments_of(boolean_power(mu, t, order), order)
-    return _compare(lifted, rhs, tol)
+    return _compare(lifted, rhs, _BOOLEAN_FREE_POWER_TOL)
 
 
 # ---------------------------------------------------------------------------

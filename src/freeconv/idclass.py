@@ -22,9 +22,17 @@ import numpy as np
 
 from . import catalog, ncpart
 from .catalog import MeasureSpec
-from .conv import IdentityReport
+from .conv import IdentityReport, _compare
 from .ncpart import SeqN, _is_exact
 from .transforms import _bisect_edge, _richardson
+
+# main3_factor's largest odd cumulant taken for zero, main3_verification's
+# tolerance, the relative tolerance of a geometric cumulant pattern in
+# RModel.from_cumulants, and the dyadic shells k that thm110_check probes
+_SYMMETRY_TOL = 1e-12
+_MAIN3_TOL = 1e-10
+_GEOMETRIC_TOL = 1e-12
+_SHELL_K_MIN, _SHELL_K_MAX = 2, 14
 
 
 # ---------------------------------------------------------------------------
@@ -291,17 +299,18 @@ def cfp_regular_form(lam, rho: MeasureSpec) -> RegularForm:
 # symmetric factorization
 
 
-def main3_factor(kappa: SeqN, tol: float = 1e-12) -> SeqN:
+def main3_factor(kappa: SeqN) -> SeqN:
     """Halve a symmetric free cumulant sequence: kappa_n(sigma) = kappa_2n(mu).
 
     The output determines the factor sigma in the square decomposition of a
     symmetric freely infinitely divisible mu: the moments of mu^2 coincide
-    with those of m (x) sigma, m the standard free Poisson.
+    with those of m (x) sigma, m the standard free Poisson. Odd cumulants
+    above _SYMMETRY_TOL in absolute value raise ValueError.
     """
     if kappa.kind != "free_cumulant":
         raise ValueError(f"expected free cumulants, got {kappa.kind!r}")
     for n in range(1, kappa.order + 1, 2):
-        if abs(float(kappa.at(n))) > tol:
+        if abs(float(kappa.at(n))) > _SYMMETRY_TOL:
             raise ValueError(
                 f"input is not symmetric: cumulant {n} is {kappa.at(n)}"
             )
@@ -309,7 +318,7 @@ def main3_factor(kappa: SeqN, tol: float = 1e-12) -> SeqN:
     return SeqN("free_cumulant", [kappa.at(2 * n) for n in range(1, half + 1)])
 
 
-def main3_verification(kappa: SeqN, tol: float = 1e-10) -> IdentityReport:
+def main3_verification(kappa: SeqN) -> IdentityReport:
     """Check moments(mu^2) = moments(m (x) sigma) for the halved factor."""
     sigma = main3_factor(kappa)
     half = sigma.order
@@ -320,8 +329,7 @@ def main3_verification(kappa: SeqN, tol: float = 1e-10) -> IdentityReport:
     )
     sigma_moments = ncpart.moments_from_free_cumulants(sigma)
     rhs = ncpart.free_mult_moments(m_poisson, sigma_moments, half)
-    dev = max(abs(float(a - b)) for a, b in zip(lhs.values, rhs.values))
-    return IdentityReport(lhs, rhs, dev, tol)
+    return _compare(lhs, rhs, _MAIN3_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +412,10 @@ class RModel:
         return RModel("poly", tuple(float(v) for v in kappa_values))
 
     @staticmethod
-    def from_cumulants(kappa: SeqN, rel_tol: float = 1e-12) -> "RModel":
+    def from_cumulants(kappa: SeqN) -> "RModel":
         """Recognize exact semicircular or geometric (single-jump compound
-        Poisson) cumulant patterns; fall back to the truncated polynomial."""
+        Poisson, to _GEOMETRIC_TOL relative to the largest cumulant)
+        cumulant patterns; fall back to the truncated polynomial."""
         if kappa.kind != "free_cumulant":
             raise ValueError(f"expected free cumulants, got {kappa.kind!r}")
         vals = [float(v) for v in kappa.values]
@@ -416,9 +425,9 @@ class RModel:
             return RModel.semicircle(vals[0], vals[1])
         if len(vals) >= 4 and vals[1] != 0 and vals[2] != 0:
             a = vals[2] / vals[1]
-            scale = max(abs(v) for v in vals)
+            bound = _GEOMETRIC_TOL * max(abs(v) for v in vals) * max(1, abs(a))
             if all(
-                abs(vals[j + 1] - a * vals[j]) <= rel_tol * scale * max(1, abs(a))
+                abs(vals[j + 1] - a * vals[j]) <= bound
                 for j in range(1, len(vals) - 1)
             ):
                 lam = vals[1] / (a * a)
@@ -678,75 +687,56 @@ class Thm110Result:
     ratios: tuple
 
 
-def thm110_check(
-    mu: MeasureSpec, k_min: int = 2, k_max: int = 14
-) -> Thm110Result:
+def thm110_check(mu: MeasureSpec) -> Thm110Result:
     """Classify a positive FID measure by its behavior at 0.
 
     Mass at 0 or a divergent int_0^1 dmu(x)/x certifies free regularity;
     the divergence is probed through dyadic shells s_k = int over
-    [2^-(k+1), 2^-k] of dmu/x. Growing or flat shell sums (tail ratio
-    >= 0.95) indicate divergence; decisively shrinking ones (<= 0.8)
-    convergence; anything between is reported as inconclusive rather than
-    guessed. The criterion is one-directional: a convergent integral
-    implies nothing, so those verdicts carry regular = None.
+    [2^-(k+1), 2^-k] of dmu/x, for k from _SHELL_K_MIN to _SHELL_K_MAX.
+    Growing or flat shell sums (tail ratio >= 0.95) indicate divergence;
+    decisively shrinking ones (<= 0.8) convergence; anything between is
+    reported as inconclusive rather than guessed. The criterion is
+    one-directional: a convergent integral implies nothing, so those
+    verdicts carry regular = None.
     """
     mass0 = mu.mass_at_zero
     if mass0 is None:
         raise ValueError("cannot resolve mass at 0 for this measure form")
     if mass0 > 0:
         return Thm110Result("atom_at_zero", True, (), ())
+    atoms = catalog.atoms_of(mu)
+    if (mu.kind == "atomic" and any(loc < 0 for loc, _ in atoms)) or (
+        mu.kind == "grid" and mu.xs[0] < -1e-12
+    ):
+        raise ValueError("measure must live on [0, oo)")
+
+    def density_part(lo, hi):
+        # int over [lo, hi] of the density over x
+        if mu.kind == "law":
+            from scipy.integrate import quad
+
+            return quad(lambda x: catalog.density_of(mu, x) / x, lo, hi, limit=100)[0]
+        if mu.kind == "grid":
+            pts = np.linspace(lo, hi, 65)
+            return float(np.trapezoid(catalog.density_of(mu, pts) / pts, pts))
+        return 0.0
 
     def shell(k):
         lo, hi = 2.0 ** -(k + 1), 2.0**-k
         total = 0.0
-        if mu.kind == "atomic":
-            for loc, wgt in mu.atoms:
-                if loc < 0:
-                    raise ValueError("measure must live on [0, oo)")
-                if lo < loc <= hi:
-                    total += float(wgt) / float(loc)
-            return total
-        if mu.kind == "law":
-            from scipy.integrate import quad
+        for loc, wgt in atoms:
+            if lo < loc <= hi:
+                total += float(wgt) / float(loc)
+        return total + density_part(lo, hi)
 
-            for loc, wgt in catalog.catalog_atoms(mu.law, mu.params):
-                mapped = mu.scale * loc + mu.offset
-                if lo < mapped <= hi:
-                    total += float(wgt) / float(mapped)
-            val, _ = quad(
-                lambda x: catalog.catalog_density(
-                    mu.law, mu.params, (x - mu.offset) / mu.scale
-                )
-                / abs(mu.scale)
-                / x,
-                lo,
-                hi,
-                limit=100,
-            )
-            return total + val
-        if mu.kind == "grid":
-            xs = np.asarray(mu.xs, dtype=float)
-            if xs[0] < -1e-12:
-                raise ValueError("measure must live on [0, oo)")
-            for loc, wgt in mu.atoms:
-                if lo < loc <= hi:
-                    total += float(wgt) / float(loc)
-            pts = np.linspace(lo, hi, 65)
-            dens = np.interp(pts, xs, np.asarray(mu.densities, dtype=float),
-                             left=0.0, right=0.0)
-            return total + float(np.trapezoid(dens / pts, pts))
-        raise ValueError(f"no pointwise density for kind {mu.kind!r}")
-
+    k_max = _SHELL_K_MAX
     if mu.kind == "grid":
         # shells narrower than the grid spacing carry no information
-        spacing = min(
-            b - a for a, b in zip(mu.xs, mu.xs[1:])
-        )
-        while k_max > k_min and 2.0 ** -(k_max + 1) < 4 * spacing:
+        spacing = min(b - a for a, b in zip(mu.xs, mu.xs[1:]))
+        while k_max > _SHELL_K_MIN and 2.0 ** -(k_max + 1) < 4 * spacing:
             k_max -= 1
 
-    shells = [shell(k) for k in range(k_min, k_max + 1)]
+    shells = [shell(k) for k in range(_SHELL_K_MIN, k_max + 1)]
     floor = 1e-300
     if all(s <= floor for s in shells[-4:]):
         return Thm110Result(

@@ -377,7 +377,13 @@ class SSquareReport:
         return self.max_dev <= self.tol
 
 
-def s_square_relation_check(mu, order: int, tol: float = 1e-10) -> SSquareReport:
+_S_SQUARE_TOL = 1e-10
+
+
+def s_square_relation_check(mu, order: int) -> SSquareReport:
+    """SSquareReport of mu; the square root doubles the order, so order is
+    capped at half of ncpart.CONVERSION_CAP."""
+    ncpart._check_cap(order, ncpart.CONVERSION_CAP // 2, "s_square_relation_check")
     m = _moments_arg(mu, order)
     if m.at(1) == 0:
         raise ValueError("square relation check needs a nonzero first moment")
@@ -404,7 +410,7 @@ def s_square_relation_check(mu, order: int, tol: float = 1e-10) -> SSquareReport
     for n in range(1, order + 1):
         d3 = max(d3, abs(float(kappa_root.at(2 * n) - kappa_sigma.at(n))))
         d3 = max(d3, abs(float(kappa_root.at(2 * n - 1))))
-    return SSquareReport(d1, d2, d3, tol)
+    return SSquareReport(d1, d2, d3, _S_SQUARE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +504,8 @@ def _law_cauchy_quad(law: str, params, pts):
         pieces = [(lo, split), (split, hi)] if split is not None else [(lo, hi)]
         total = 0j
         for a, b in pieces:
-            re, _ = quad(lambda x: fn(x).real, a, b, epsrel=1e-10, epsabs=1e-13, limit=400)
-            im, _ = quad(lambda x: fn(x).imag, a, b, epsrel=1e-10, epsabs=1e-13, limit=400)
+            re, _ = quad(lambda x: fn(x).real, a, b, **catalog._QUAD_SETTINGS)
+            im, _ = quad(lambda x: fn(x).imag, a, b, **catalog._QUAD_SETTINGS)
             total += re + 1j * im
         vals.ravel()[i] = total
     return vals
@@ -549,17 +555,20 @@ def transform_map(mu: MeasureSpec, which: str) -> NumericMap:
     return NumericMap(which, lambda z: fn(mu, z), label=f"{which} of {mu.describe()}")
 
 
-def s_numeric(mu: MeasureSpec, z, order: int = 16):
+_S_SEED_ORDER = 16
+
+
+def s_numeric(mu: MeasureSpec, z):
     """S-transform at a point: S(z) = (1+z)/z * u where Psi(u) = z.
 
-    The inversion is seeded from the truncated series and polished by
-    Newton on Psi(u) = G(1/u)/u - 1, so it is only as good as the point
-    is reachable from the series domain; nonconvergence raises.
+    The inversion is seeded from the series to order _S_SEED_ORDER and
+    polished by Newton on Psi(u) = G(1/u)/u - 1, so it is only as good as
+    the point is reachable from the series domain; nonconvergence raises.
     """
     m1 = catalog.moments_of(mu, 1).at(1)
     if m1 == 0:
         raise ValueError("S-transform needs a nonzero first moment")
-    series = s_series(mu, order)
+    series = s_series(mu, _S_SEED_ORDER)
     z = complex(z)
     if z == 0:
         return complex(series.coeff(0))
@@ -599,6 +608,15 @@ def s_numeric(mu: MeasureSpec, z, order: int = 16):
 def _richardson(f):
     """Extrapolate values f at heights eps, eps/2, eps/4 to height 0."""
     return (8 * f[2] - 6 * f[1] + f[0]) / 3
+
+
+# heights eps, eps/2, eps/4 (eps = 1e-2) of every extrapolated boundary density
+_HEIGHTS = (1e-2, 1e-2 / 2, 1e-2 / 4)
+
+
+def _boundary_densities(g, xs):
+    """-Im g(x + i h) / pi on xs at each height h of _HEIGHTS, in order."""
+    return [np.asarray(-np.imag(g(xs + 1j * h)) / math.pi) for h in _HEIGHTS]
 
 
 _EDGE_DEPTH = 6  # bisection steps resolved per call of the predicate
@@ -654,24 +672,21 @@ _ATOM_MASS_TOL = 1e-3
 _ATOM_RATIO = 0.6
 
 
-def stieltjes_invert(
-    g, xs, eps: float = 1e-2, renormalize: bool = True
-) -> InversionResult:
+def stieltjes_invert(g, xs, renormalize: bool = True) -> InversionResult:
     """Recover a density on xs from a Cauchy transform g.
 
-    Evaluates -Im g(x + i eps)/pi at eps, eps/2, eps/4 and removes the
-    O(eps) and O(eps^2) errors by quadratic extrapolation to eps -> 0
-    (_richardson). Grid points where the mass proxy -eps Im g fails to
-    shrink with eps are flagged as atoms: a continuous density shrinks it
-    by 4 per halving pair, an atom keeps it constant.
+    Evaluates -Im g(x + i h)/pi at the _HEIGHTS h = eps, eps/2, eps/4 and
+    removes the O(eps) and O(eps^2) errors by quadratic extrapolation to
+    h -> 0 (_richardson). Grid points where the mass proxy -h Im g fails to
+    shrink with h are flagged as atoms: a continuous density shrinks it by
+    4 per halving pair, an atom keeps it constant.
     """
     xs = np.asarray(xs, dtype=float)
     warnings = []
-    levels = [eps, eps / 2, eps / 4]
-    d = [np.asarray(-np.imag(g(xs + 1j * e)) / math.pi) for e in levels]
+    d = _boundary_densities(g, xs)
     density = _richardson(d)
 
-    mass = [math.pi * e * dk for e, dk in zip(levels, d)]
+    mass = [math.pi * h * dk for h, dk in zip(_HEIGHTS, d)]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(mass[0] > 0, mass[2] / np.where(mass[0] > 0, mass[0], 1), 0.0)
     flagged = (mass[2] > _ATOM_MASS_TOL) & (ratio > _ATOM_RATIO)
@@ -696,8 +711,7 @@ def stieltjes_invert(
                 out -= w / (z - loc)
             return out
 
-        d = [np.asarray(-np.imag(g_ac(xs + 1j * e)) / math.pi) for e in levels]
-        density = _richardson(d)
+        density = _richardson(_boundary_densities(g_ac, xs))
         for grp in groups:
             density[grp] = 0.0
 

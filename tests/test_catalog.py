@@ -8,6 +8,7 @@ pinned to independently known integer sequences.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,10 +17,12 @@ from freeconv import ncpart
 from freeconv.catalog import (
     LAWS,
     MeasureSpec,
+    atoms_of,
     boolean_cumulants_of,
     catalog_atoms,
     catalog_density,
     catalog_moments,
+    density_of,
     dilate,
     free_cumulants_of,
     law_moments_quadrature,
@@ -311,6 +314,89 @@ def test_mass_at_zero_for_laws():
     shifted = shift(MeasureSpec.from_law("marchenko_pastur", (Fraction(1, 2),)), 1)
     assert shifted.mass_at_zero == 0
     assert MeasureSpec.from_law("semicircle", (0, 1)).mass_at_zero == 0
+
+
+def test_mass_at_zero_sums_every_atom_at_zero():
+    # grid atoms are not merged, so two atoms may share the origin
+    mu = MeasureSpec.grid([1, 2], [0.4, 0.4], atoms=[(0, 0.3), (0, 0.3)])
+    assert mu.mass_at_zero == 0.3 + 0.3
+    reflected = MeasureSpec.from_law("marchenko_pastur", (Fraction(1, 2),), scale=-2)
+    assert reflected.mass_at_zero == Fraction(1, 2)
+
+
+# law specs under a pushforward, with exact and float scale and offset
+PUSHED_LAWS = [
+    MeasureSpec.from_law("semicircle", (Fraction(1, 2), Fraction(3, 2)),
+                         scale=Fraction(-2, 3), offset=Fraction(-5, 7)),
+    MeasureSpec.from_law("marchenko_pastur", (Fraction(1, 2),), scale=-2, offset=3),
+    MeasureSpec.from_law("marchenko_pastur", (Fraction(1, 2),),
+                         scale=Fraction(3, 2), offset=Fraction(-1, 4)),
+    MeasureSpec.from_law("marchenko_pastur", (0.4,), scale=1.5, offset=-0.25),
+    MeasureSpec.from_law("symmetric_bernoulli", (), scale=2, offset=Fraction(1, 3)),
+    MeasureSpec.from_law("beta_1a", (Fraction(7, 10),), scale=Fraction(-1, 3)),
+]
+
+
+@pytest.mark.parametrize("mu", PUSHED_LAWS, ids=lambda mu: mu.describe())
+def test_atoms_of_law_moves_atoms_through_pushforward(mu):
+    want = tuple(
+        (mu.scale * loc + mu.offset, w) for loc, w in catalog_atoms(mu.law, mu.params)
+    )
+    got = atoms_of(mu)
+    assert got == want
+    assert [type(v) for atom in got for v in atom] == [
+        type(v) for atom in want for v in atom
+    ]
+
+
+def test_atoms_of_marchenko_pastur_atom_moves():
+    mu = MeasureSpec.from_law("marchenko_pastur", (Fraction(1, 2),), scale=-2, offset=3)
+    assert atoms_of(mu) == ((3, Fraction(1, 2)),)
+    mu = MeasureSpec.from_law("marchenko_pastur", (Fraction(1, 2),),
+                              scale=Fraction(3, 2), offset=Fraction(-1, 4))
+    assert atoms_of(mu) == ((Fraction(-1, 4), Fraction(1, 2)),)
+    assert mu.mass_at_zero == 0
+
+
+@pytest.mark.parametrize("mu", PUSHED_LAWS, ids=lambda mu: mu.describe())
+def test_density_of_law_is_the_pushed_density(mu):
+    s, c = float(mu.scale), float(mu.offset)
+    xs = np.linspace(-4.0, 4.0, 97)
+    want = catalog_density(mu.law, mu.params, (xs - c) / s) / abs(s)
+    assert density_of(mu, xs).tobytes() == want.tobytes()
+    assert density_of(mu, list(xs)).tobytes() == want.tobytes()
+    for x in (-1.3, 0.05, 0.7, 2.2):
+        # scalar points, with the exact scale and offset of the spec
+        want = catalog_density(mu.law, mu.params, (x - mu.offset) / mu.scale) / abs(mu.scale)
+        assert density_of(mu, x) == want
+
+
+def test_density_of_pushforward_keeps_mass():
+    mu = MeasureSpec.from_law("semicircle", (0, 1), scale=Fraction(-1, 2), offset=3)
+    xs = np.linspace(1.5, 4.5, 6001)
+    assert np.trapezoid(density_of(mu, xs), xs) == pytest.approx(1, abs=1e-4)
+
+
+def test_atoms_and_density_of_grid_with_atoms():
+    mu = MeasureSpec.grid([0, 1, 2], [0.5, 0.5, 0.0], atoms=[(3, 0.25), (-1, 0.0)])
+    assert atoms_of(mu) == mu.atoms == ((-1, 0.0), (3, 0.25))
+    xs = np.array([-1.0, 0.0, 0.5, 1.5, 2.0, 3.0])
+    want = np.interp(xs, np.asarray(mu.xs, float), np.asarray(mu.densities, float),
+                     left=0.0, right=0.0)
+    assert density_of(mu, xs).tobytes() == want.tobytes()
+    assert density_of(mu, 1.5) == 0.25
+
+
+def test_atoms_and_density_of_refuse_other_forms():
+    mu = MeasureSpec.atomic([(0, Fraction(1, 3)), (1, Fraction(2, 3))])
+    assert atoms_of(mu) == mu.atoms
+    with pytest.raises(ValueError, match="no density"):
+        density_of(mu, 0.5)
+    for mu in (MeasureSpec.from_moments([0, 1]), MeasureSpec.from_free_cumulants([0, 1])):
+        with pytest.raises(ValueError, match="no atoms"):
+            atoms_of(mu)
+        with pytest.raises(ValueError, match="no density"):
+            density_of(mu, 0.5)
 
 
 def test_describe_mentions_pushforward():

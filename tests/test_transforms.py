@@ -355,6 +355,14 @@ def test_square_relation_marchenko_pastur():
     assert rep.passed
 
 
+def test_square_relation_order_capped_at_entry():
+    # the square root doubles the order, so the cap is half the conversion cap
+    mu = MeasureSpec.from_law("marchenko_pastur", (1,))
+    assert ncpart.CONVERSION_CAP // 2 == 10
+    with pytest.raises(ValueError, match=r"s_square_relation_check capped at order 10, got 11"):
+        s_square_relation_check(mu, 11)
+
+
 def test_square_relation_rejects_centered():
     with pytest.raises(ValueError, match="first moment"):
         s_square_relation_check(MeasureSpec.from_law("semicircle", (0, 1)), 6)
