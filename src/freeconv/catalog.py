@@ -485,6 +485,14 @@ def atoms_of(mu: MeasureSpec) -> tuple:
     raise ValueError(f"a {mu.kind!r} spec carries no atoms")
 
 
+def support_low(mu: MeasureSpec) -> float:
+    """Lowest atom or density point of a spec, after a law's pushforward."""
+    law = LAWS.get(mu.law)
+    ends = law.support(mu.params) if law and law.support else ()
+    lows = [float(mu.scale) * e + float(mu.offset) for e in ends]
+    return min([loc for loc, _ in atoms_of(mu)] + list(mu.xs[:1]) + lows)
+
+
 def density_of(mu: MeasureSpec, x):
     """Density at x (scalar or array-like) of a law spec, through its
     pushforward, or of a grid spec, linear between its abscissas and 0

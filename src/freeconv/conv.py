@@ -2,7 +2,8 @@
 
 Sequence-level operations work on truncated cumulant/moment data and stay
 exact for exact inputs. The density route for additive convolution solves
-the subordination fixed point on a complex grid and feeds the subordinated
+the subordination fixed point on a complex grid by Newton's method, with a
+damped Picard step wherever Newton misbehaves, and feeds the subordinated
 transform to Stieltjes inversion.
 
 The multiplicative product keeps two independent routes, the alternating
@@ -12,7 +13,7 @@ to run both and compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,10 +24,10 @@ from .ncpart import SeqN
 
 MULT_AGREEMENT_TOL = 1e-9
 
-# subordination iteration: step damping, the heavier damping of the one
-# restart, the residual that counts as settled, and the iteration cap per run
+# subordination solve: damping of a Picard step, the Picard warm-up steps
+# before Newton, the residual that counts as settled, and the iteration cap
 _SUB_DAMPING = 0.5
-_SUB_RESTART_DAMPING = 0.25
+_SUB_WARMUP = 3
 _SUB_TOL = 1e-10
 _SUB_MAX_ITER = 500
 
@@ -180,50 +181,40 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
     """Solve omega(z) = z + h_nu(z + h_mu(omega)) on the upper half plane.
 
     h denotes F - id with F the reciprocal Cauchy transform; the resulting
-    omega subordinates the sum: G_{mu plus nu}(z) = G_mu(omega(z)). The
-    damped iteration contracts on the upper half plane; points that fail to
-    settle inside _SUB_MAX_ITER steps are restarted once with heavier damping.
+    omega subordinates the sum: G_{mu plus nu}(z) = G_mu(omega(z)). After
+    _SUB_WARMUP damped Picard steps, each point takes Newton steps on
+    Phi(omega) - omega = 0 (Phi the right side, Phi' = h_nu'(u) h_mu'(omega),
+    h' = -G'/G^2 - 1), or a damped Picard step where the Newton step is not
+    finite, leaves {Im omega >= Im z}, or follows a step that did not lower
+    the residual |Phi(omega) - omega|. A point settles once its residual is
+    below _SUB_TOL, with that last step taken.
     """
-
-    def h_mu(w):
-        return 1 / transforms.cauchy(mu, w) - w
-
-    def h_nu(w):
-        return 1 / transforms.cauchy(nu, w) - w
-
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(zarr.imag <= 0):
         raise ValueError("subordination points must lie in the upper half plane")
 
-    def run(points, d):
-        omega = points.copy()
-        active = np.ones(points.shape, dtype=bool)
-        residual = np.full(points.shape, np.inf)
-        its = 0
-        for its in range(1, _SUB_MAX_ITER + 1):
-            w = omega[active]
-            target = points[active] + h_nu(points[active] + h_mu(w))
-            step = target - w
-            residual[active] = np.abs(step)
-            omega[active] = w + d * step
-            settled = residual[active] < _SUB_TOL
-            if np.any(settled):
-                idx = np.flatnonzero(active)
-                active[idx[settled]] = False
-            if not active.any():
-                break
-        return omega, residual, ~active, its
+    def h(spec, w, slope):
+        g, dg = transforms._cauchy_pair(spec, w) if slope else (transforms.cauchy(spec, w), 0)
+        return 1 / g - w, -dg / g**2 - 1
 
-    omega, residual, conv, its = run(zarr, _SUB_DAMPING)
-    if not np.all(conv):
-        bad = ~conv
-        omega2, residual2, conv2, its2 = run(zarr[bad], _SUB_RESTART_DAMPING)
-        omega[bad] = omega2
-        residual[bad] = residual2
-        conv = conv.copy()
-        conv[bad] = conv2
-        its += its2
-    return SubordinationResult(omega, its, float(residual.max()), conv)
+    omega, idx = zarr.copy(), np.arange(zarr.size)
+    residual, converged = np.full(zarr.shape, np.inf), np.zeros(zarr.shape, bool)
+    for its in range(1, _SUB_MAX_ITER + 1):
+        w, zs, slope = omega[idx], zarr[idx], its > _SUB_WARMUP
+        h_w, dh_w = h(mu, w, slope)
+        h_u, dh_u = h(nu, zs + h_w, slope)
+        step = zs + h_u - w
+        with np.errstate(all="ignore"):
+            trial = w - step / (dh_u * dh_w - 1)
+        ok = slope & np.isfinite(trial) & (trial.imag >= zs.imag)
+        ok &= np.abs(step) < residual[idx]
+        residual[idx] = np.abs(step)
+        omega[idx] = np.where(ok, trial, w + _SUB_DAMPING * step)
+        converged[idx] = residual[idx] < _SUB_TOL
+        idx = idx[~converged[idx]]
+        if not idx.size:
+            break
+    return SubordinationResult(omega, its, float(residual.max()), converged)
 
 
 def free_add_cauchy(mu: MeasureSpec, nu: MeasureSpec, z):
@@ -258,7 +249,8 @@ class AddDensityResult:
 
 
 def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
-    """Density of the additive free convolution on the grid xs."""
+    """Density of the additive free convolution on the grid xs; a warning
+    counts the grid points where a subordination solve did not settle."""
     diagnostics = []
 
     def g(z):
@@ -270,6 +262,11 @@ def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
     iters = max(s.iterations for s in diagnostics)
     resid = max(s.max_residual for s in diagnostics)
     conv = min(float(np.mean(s.converged)) for s in diagnostics)
+    if conv < 1:
+        bad = np.logical_or.reduce([~s.converged for s in diagnostics])
+        inv = replace(inv, warnings=inv.warnings + (
+            f"subordination left {int(bad.sum())} of {bad.size} points "
+            f"unconverged (worst residual {resid:.2e})",))
     return AddDensityResult(inv, iters, resid, conv)
 
 

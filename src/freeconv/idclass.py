@@ -560,30 +560,39 @@ def solve_g(model: RModel, t, z, w0=None):
 
 _IMAG_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
                 1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
+_EPS = 4e-9  # boundary densities extrapolate over heights _EPS, _EPS/2, _EPS/4
 
 
-def _continued_solve(model: RModel, t, xs, imag: float = 1e-9):
+def _continued_solve(model: RModel, t, xs, imag: float):
     """Solve down the imaginary ladder, reusing each level as the seed."""
     xs = np.asarray(xs, dtype=float)
     levels = [d for d in _IMAG_LADDER if d > imag] + [imag]
-    w = None
-    conv = None
+    w = conv = None
     for d in levels:
         w, conv = solve_g(model, t, xs + 1j * d, w0=w)
     return w, conv
 
 
-def _extrapolated_density(model: RModel, t, xs, eps: float = 4e-9):
-    """Boundary density by Richardson extrapolation over eps, eps/2, eps/4.
+def _extrapolated_density(model: RModel, t, xs, seed=None):
+    """Boundary density by Richardson extrapolation over the three heights.
 
     Cancels the terms linear in the height, so Lorentzian shoulders of
-    nearby atoms drop out instead of polluting edge detection.
+    nearby atoms drop out instead of polluting edge detection. The solve at
+    _EPS starts from seed (else the imaginary ladder) and seeds the next
+    height; points a seed leaves unconverged are solved from the ladder.
+    Returns the density, where it converged, and w at height _EPS.
     """
-    xs = np.asarray(xs, dtype=float)
-    w1, conv = _continued_solve(model, t, xs, imag=eps)
-    w2, c2 = solve_g(model, t, xs + 1j * eps / 2, w0=w1)
-    w3, c3 = solve_g(model, t, xs + 1j * eps / 4, w0=w2)
-    return _richardson([-w.imag / math.pi for w in (w1, w2, w3)]), conv & c2 & c3
+    w, conv = (_continued_solve(model, t, xs, imag=_EPS) if seed is None
+               else solve_g(model, t, xs + 1j * _EPS, w0=seed))
+    ws = [w]
+    for k in (2, 4):
+        w, c = solve_g(model, t, xs + 1j * _EPS / k, w0=w)
+        ws, conv = ws + [w], conv & c
+    dens = _richardson([-w.imag / math.pi for w in ws])
+    if seed is not None and not conv.all():
+        redo = ~conv
+        dens[redo], conv[redo], ws[0][redo] = _extrapolated_density(model, t, xs[redo])
+    return dens, conv, ws[0]
 
 
 @dataclass(frozen=True)
@@ -628,7 +637,7 @@ def _scan_one(model: RModel, t, threshold, grid_points):
         if cluster.size:
             atoms.append(float(xs[cluster[np.argmax(dens_atom[cluster])]]))
 
-    dens, conv = _extrapolated_density(model, t, xs)
+    dens, conv, w_eps = _extrapolated_density(model, t, xs)
     above = np.flatnonzero(dens > threshold)
     edge = None
     if above.size:
@@ -637,7 +646,8 @@ def _scan_one(model: RModel, t, threshold, grid_points):
             edge = float(xs[0])
         else:
             def inside(mids):
-                return _extrapolated_density(model, t, mids)[0] > threshold
+                seed = np.interp(mids, xs[i - 1 : i + 1], w_eps[i - 1 : i + 1])
+                return _extrapolated_density(model, t, mids, seed)[0] > threshold
 
             edge = _bisect_edge(inside, float(xs[i]), float(xs[i - 1]), 2e-5)
     if atoms:
@@ -659,6 +669,8 @@ def positivity_scan(
     the threshold, or a detected atom location if further left. It is
     bisected from the grid with the midpoints evaluated in batches
     (transforms._bisect_edge), which gives the one-point bisection edge.
+    Each batch is seeded by interpolating w at height _EPS between the
+    grid bracket's ends, not from the imaginary ladder.
     Evidence only: atoms of mass below roughly 0.15 are invisible, and
     polynomial models are trusted only inside their convergence region.
     The t values run serially; jobs is accepted and ignored. ts must not
@@ -702,13 +714,11 @@ def thm110_check(mu: MeasureSpec) -> Thm110Result:
     mass0 = mu.mass_at_zero
     if mass0 is None:
         raise ValueError("cannot resolve mass at 0 for this measure form")
+    if catalog.support_low(mu) < (0 if mu.kind == "atomic" else -1e-12):
+        raise ValueError("measure must live on [0, oo)")
     if mass0 > 0:
         return Thm110Result("atom_at_zero", True, (), ())
     atoms = catalog.atoms_of(mu)
-    if (mu.kind == "atomic" and any(loc < 0 for loc, _ in atoms)) or (
-        mu.kind == "grid" and mu.xs[0] < -1e-12
-    ):
-        raise ValueError("measure must live on [0, oo)")
 
     def density_part(lo, hi):
         # int over [lo, hi] of the density over x

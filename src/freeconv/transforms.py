@@ -429,14 +429,15 @@ class NumericMap:
         return self.fn(z)
 
 
-def _atomic_cauchy(atoms, z):
-    out = np.zeros_like(z)
-    for loc, w in atoms:
-        out += float(w) / (z - float(loc))
-    return out
+def _atomic_cauchy(atoms, z, derivative=False):
+    """(G, G') of the atoms at z, with G' = 0 without derivative."""
+    gaps = [(float(w), z - float(loc)) for loc, w in atoms]
+    dg = sum((-w / d**2 for w, d in gaps), np.zeros_like(z)) if derivative else 0 * z
+    return sum((w / d for w, d in gaps), np.zeros_like(z)), dg
 
 
-def _grid_cauchy(mu: MeasureSpec, z):
+def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
+    """(G, G') at z, with G' = 0 without derivative."""
     xs = np.asarray(mu.xs)
     step = float(np.max(np.diff(xs)))
     near = (np.abs(z.imag) < step / 10) & (
@@ -453,11 +454,14 @@ def _grid_cauchy(mu: MeasureSpec, z):
     weights[1:] += np.diff(xs) / 2
     wd = weights * dens
     flat = z.ravel()
-    out = np.empty_like(flat)
+    out = np.zeros((2, flat.size), dtype=complex)
     for start in range(0, flat.size, 512):
-        block = flat[start : start + 512]
-        out[start : start + 512] = (wd / (block[:, None] - xs)).sum(axis=-1)
-    return out.reshape(z.shape) + _atomic_cauchy(mu.atoms, z)
+        gaps = flat[start : start + 512, None] - xs
+        terms = wd / gaps
+        out[0, start : start + 512] = terms.sum(axis=-1)
+        if derivative:
+            out[1, start : start + 512] = -np.divide(terms, gaps, out=terms).sum(axis=-1)
+    return out.reshape(2, *z.shape) + _atomic_cauchy(mu.atoms, z, derivative)
 
 
 def _law_cauchy_base(law: str, params, w):
@@ -479,7 +483,7 @@ def _law_cauchy_base(law: str, params, w):
         else:
             vals = _law_cauchy_quad(law, params, pts) + _atomic_cauchy(
                 spec.atoms(params), pts
-            )
+            )[0]
         out[mask] = np.conj(vals) if conj else vals
     return out
 
@@ -521,9 +525,9 @@ def cauchy(mu: MeasureSpec, z):
     scalar = zarr.ndim == 0
     zarr = np.atleast_1d(zarr)
     if mu.kind == "atomic":
-        out = _atomic_cauchy(mu.atoms, zarr)
+        out = _atomic_cauchy(mu.atoms, zarr)[0]
     elif mu.kind == "grid":
-        out = _grid_cauchy(mu, zarr)
+        out = _grid_cauchy(mu, zarr)[0]
     elif mu.kind == "law":
         s, c = float(mu.scale), float(mu.offset)
         out = _law_cauchy_base(mu.law, mu.params, (zarr - c) / s) / s
@@ -533,6 +537,17 @@ def cauchy(mu: MeasureSpec, z):
             "convert to atomic, grid, or law form"
         )
     return complex(out[0]) if scalar else out
+
+
+def _cauchy_pair(mu: MeasureSpec, z):
+    """G and G' on the 1-d array z; a law's G' is a central difference."""
+    if mu.kind == "law":
+        step = 1e-5 * z.imag
+        g = cauchy(mu, np.concatenate([z, z + step, z - step])).reshape(3, -1)
+        return g[0], (g[1] - g[2]) / (2 * step)
+    if mu.kind == "grid":
+        return _grid_cauchy(mu, z, derivative=True)
+    return _atomic_cauchy(mu.atoms, z, derivative=True)
 
 
 def f_transform(mu: MeasureSpec, z):

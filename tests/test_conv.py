@@ -172,6 +172,12 @@ def test_square_of_product_identity():
 # subordination
 
 
+def _grid_semicircle():
+    xs = np.linspace(-2, 2, 601)
+    dens = catalog.catalog_density("semicircle", (0, 1), xs)
+    return MeasureSpec.grid(xs, dens / np.trapezoid(dens, xs))
+
+
 def test_subordination_semicircle_sum():
     z = np.array([0.3 + 0.01j, -1.5 + 0.1j, 2.0 + 1.0j, 5 + 2j])
     g, sub = conv.free_add_cauchy(W, W, z)
@@ -236,7 +242,13 @@ def test_support_edge_rejects_bad_bracket():
 
 @pytest.mark.parametrize(
     "mu, nu, lo, hi",
-    [(W, W, 2.0, 3.2), (W, W, -3.2, -2.0), (M, catalog.reflect(M), 3.0, 3.8)],
+    [
+        (W, W, 2.0, 3.2),
+        (W, W, -3.2, -2.0),
+        (M, catalog.reflect(M), 3.0, 3.8),
+        (atomic_from([F(-1), F(1, 2), F(3)]), W, -3.5, -2.0),
+        (W, _grid_semicircle(), 2.0, 3.2),
+    ],
 )
 def test_density_at_points_is_batch_independent(mu, nu, lo, hi):
     # the batched edge bisection is exact only if a point's density does
@@ -259,14 +271,57 @@ def test_semicircle_sum_density_pinned():
     xs = np.linspace(-3.2, 3.2, 321)
     density = conv.free_add_density(W, W, xs).density
     pinned = {
-        20: "0x1.04b4fe45534fbp-5",
-        80: "0x1.7c169ad415a86p-3",
-        160: "0x1.ccecbd88b2cf6p-3",
-        210: "0x1.af27d8033573bp-3",
-        285: "0x1.af27d7cc4ce78p-4",
+        20: "0x1.04b4fe49cbdf3p-5",
+        80: "0x1.7c169ad3f131cp-3",
+        160: "0x1.ccecbd888b7fep-3",
+        210: "0x1.af27d8033ef05p-3",
+        285: "0x1.af27d7cbafcaap-4",
         310: "0x0.0p+0",
     }
     assert {i: float(density[i]).hex() for i in pinned} == pinned
+    # the same inversion applied to the closed-form G of W(0, 2)
+    exact = transforms.stieltjes_invert(
+        lambda z: transforms.cauchy(MeasureSpec.from_law("semicircle", (0, 2)), z), xs
+    ).density
+    for i in pinned:
+        assert abs(density[i] - exact[i]) < 1e-12
+
+
+@pytest.mark.parametrize("h", transforms._HEIGHTS)
+def test_subordinated_semicircle_sum_matches_closed_form(h):
+    z = np.linspace(-3.2, 3.2, 321) + 1j * h
+    g, sub = conv.free_add_cauchy(W, W, z)
+    ref = transforms.cauchy(MeasureSpec.from_law("semicircle", (0, 2)), z)
+    assert sub.all_converged
+    assert np.max(np.abs(g - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("nu", [W, _grid_semicircle()], ids=["law", "grid"])
+def test_semicircle_sum_takes_few_iterations(nu):
+    res = conv.free_add_density(W, nu, np.linspace(-3.2, 3.2, 321))
+    assert res.converged_fraction == 1
+    assert res.iterations <= 20
+
+
+def test_atomic_plus_semicircle_converges_everywhere():
+    # an input on which damped Picard iteration left two points unconverged
+    atoms = [(F(-7, 12), F(3, 13)), (F(7, 3), F(6, 13)), (F(3), F(4, 13))]
+    mu = MeasureSpec.atomic([(float(x), float(w)) for x, w in atoms])
+    nu = MeasureSpec.from_law("semicircle", (0.573, 2.095))
+    span = 3 + 2 * math.sqrt(2.095) + 0.6
+    res = conv.free_add_density(mu, nu, np.linspace(0.573 - span, 0.573 + span, 401))
+    assert res.converged_fraction == 1
+    assert res.iterations <= 30
+    assert not any("unconverged" in w for w in res.warnings)
+
+
+def test_unconverged_points_are_reported(monkeypatch):
+    monkeypatch.setattr(conv, "_SUB_MAX_ITER", 1)
+    res = conv.free_add_density(W, W, np.linspace(-3.2, 3.2, 321))
+    assert res.converged_fraction < 1
+    (msg,) = [w for w in res.warnings if "unconverged" in w]
+    assert msg.startswith("subordination left 321 of 321 points unconverged")
+    assert f"worst residual {res.max_residual:.2e}" in msg
 
 
 # ---------------------------------------------------------------------------

@@ -462,6 +462,26 @@ class TestPositivityScan:
             float.fromhex("0x1.81d70683d4000p-11"),
         )
 
+    def test_bisection_reuses_the_grid_solves(self, monkeypatch):
+        # each bisection round is seeded from the grid's solves at the
+        # bracket ends instead of climbing the imaginary ladder again
+        calls = []
+        solve = idclass.solve_g
+        monkeypatch.setattr(
+            idclass, "solve_g", lambda *a, **k: calls.append(1) or solve(*a, **k)
+        )
+        scan = idclass.positivity_scan(RModel.free_poisson(1), [0.5, 1.0, 1.5, 2.0])
+        assert all(p.converged for p in scan.points)
+        assert len(calls) <= 110
+
+    def test_unconverged_seed_falls_back_to_the_ladder(self):
+        model, xs = RModel.free_poisson(1), np.linspace(0.05, 0.3, 9)
+        dens, conv_mask, _ = idclass._extrapolated_density(model, 2.0, xs)
+        bad_seed = np.full(xs.shape, complex("nan"))
+        seeded, seeded_mask, _ = idclass._extrapolated_density(model, 2.0, xs, bad_seed)
+        assert seeded.tobytes() == dens.tobytes()
+        assert seeded_mask.tolist() == conv_mask.tolist()
+
     def test_rejects_empty_times(self):
         # no scanned point is no evidence, not vacuous evidence of regularity
         with pytest.raises(ValueError, match="at least one"):
@@ -479,10 +499,10 @@ class TestPositivityScan:
         # the batched edge bisection is exact only if a point's density
         # does not depend on the other points solved with it
         xs = np.linspace(lo, hi, 9)
-        dens, conv_mask = idclass._extrapolated_density(model, t, xs)
+        dens, conv_mask, _ = idclass._extrapolated_density(model, t, xs)
         alone = [idclass._extrapolated_density(model, t, xs[i:i + 1]) for i in range(9)]
-        assert dens.tobytes() == np.concatenate([d for d, _ in alone]).tobytes()
-        assert conv_mask.tolist() == [bool(c[0]) for _, c in alone]
+        assert dens.tobytes() == np.concatenate([d for d, _, _ in alone]).tobytes()
+        assert conv_mask.tolist() == [bool(c[0]) for _, c, _ in alone]
 
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError, match="positive"):
@@ -522,6 +542,18 @@ class TestThm110:
     def test_rejects_negative_support(self):
         with pytest.raises(ValueError, match=r"\[0, oo\)"):
             idclass.thm110_check(MeasureSpec.atomic([(-1, F(1, 2)), (1, F(1, 2))]))
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            MeasureSpec.from_law("semicircle", (0, 1)),
+            MeasureSpec.from_law("symmetric_bernoulli", scale=-1),
+            MeasureSpec.from_law("marchenko_pastur", (2,), scale=-1),
+        ],
+    )
+    def test_rejects_law_charging_negative_axis(self, mu):
+        with pytest.raises(ValueError, match=r"\[0, oo\)"):
+            idclass.thm110_check(mu)
 
     def test_grid_form(self):
         xs = np.linspace(0, 4, 2001)
