@@ -250,7 +250,7 @@ def _each_order(moment):
 @dataclass(frozen=True)
 class _Law:
     name: str
-    validate: callable
+    validate: callable | None  # params -> validated params; None: takes none
     density: callable | None
     moments: callable        # (params, order) -> [m_1, ..., m_order]
     support: callable | None
@@ -278,45 +278,20 @@ LAWS = {
             atoms=_mp_atoms,
             cauchy=_mp_cauchy,
         ),
-        _Law(
-            "symmetric_bernoulli",
-            lambda p: tuple(p) if not p else _err("symmetric_bernoulli takes no parameters"),
-            None,
-            _each_order(_bern_moment),
-            None,
-            atoms=lambda p: ((-1, Fraction(1, 2)), (1, Fraction(1, 2))),
-        ),
-        _Law(
-            "symmetric_beta",
-            lambda p: tuple(p) if not p else _err("symmetric_beta takes no parameters"),
-            _sbeta_density,
-            _each_order(_sbeta_moment),
-            lambda p: (-4.0, 4.0),
-        ),
+        _Law("symmetric_bernoulli", None, None, _each_order(_bern_moment), None,
+             atoms=lambda p: ((-1, Fraction(1, 2)), (1, Fraction(1, 2)))),
+        _Law("symmetric_beta", None, _sbeta_density, _each_order(_sbeta_moment),
+             lambda p: (-4.0, 4.0)),
         _Law("quarter_circle", _qc_validate, _qc_density, _each_order(_qc_moment),
              lambda p: (0.0, 2 * float(p[0]))),
         _Law("beta_1a", _beta_validate, _beta_density, _each_order(_beta_moment),
              lambda p: (0.0, 1.0)),
-        _Law(
-            "chi_squared_1",
-            lambda p: tuple(p) if not p else _err("chi_squared_1 takes no parameters"),
-            _chi_density,
-            _each_order(_chi_moment),
-            lambda p: (0.0, math.inf),
-        ),
-        _Law(
-            "commutator_ww",
-            lambda p: tuple(p) if not p else _err("commutator_ww takes no parameters"),
-            _comm_density,
-            _comm_moments,
-            lambda p: (-_COMM_EDGE, _COMM_EDGE),
-        ),
+        _Law("chi_squared_1", None, _chi_density, _each_order(_chi_moment),
+             lambda p: (0.0, math.inf)),
+        _Law("commutator_ww", None, _comm_density, _comm_moments,
+             lambda p: (-_COMM_EDGE, _COMM_EDGE)),
     )
 }
-
-
-def _err(msg):
-    raise ValueError(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +422,12 @@ def _law_entry(law: str, params):
     """The registry entry of a law and its validated parameters."""
     if law not in LAWS:
         raise ValueError(f"unknown law {law!r}; known: {sorted(LAWS)}")
-    return LAWS[law], LAWS[law].validate(tuple(params))
+    spec, params = LAWS[law], tuple(params)
+    if spec.validate is not None:
+        return spec, spec.validate(params)
+    if params:
+        raise ValueError(f"{law} takes no parameters")
+    return spec, params
 
 
 def catalog_density(law: str, params, x):

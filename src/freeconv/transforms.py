@@ -5,7 +5,8 @@ power series with exact truncation bookkeeping, and carries the series route
 from moments to free cumulants (functional inversion of u -> u * (1 + sum
 m_n u^n)) that cross-checks the lattice recursion in ncpart. Reversion is
 Lagrange inversion in O(n^3) coefficient operations, built from the series
-product and quotient only, so the route shares no code with ncpart. The
+product and quotient only, so the route shares no code with ncpart; on
+exact coefficients these run on int numerators over one denominator. The
 numeric layer evaluates Cauchy transforms of concrete measures on the upper
 half plane and recovers densities by Stieltjes inversion with Richardson
 extrapolation in the regularization parameter.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +38,10 @@ class FormalSeries:
     trustworthy: e.g. a product is exact only up to min(a.top + v(b),
     b.top + v(a)) because the unknown tail of one factor multiplies the
     lowest term of the other. Coefficients may be Fraction, int, float or
-    complex; exact inputs stay exact.
+    complex; exact inputs stay exact. On exact operands products and
+    quotients sum int numerators over one denominator; a product coefficient
+    is a Fraction exactly when a Fraction enters one of its terms, and every
+    quotient coefficient is one. Float or complex operands take per-term loops.
     """
 
     __slots__ = ("lo", "coeffs", "top")
@@ -85,10 +90,6 @@ class FormalSeries:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def valuation(self) -> int:
-        """Lowest known exponent with nonzero coefficient (top+1 if none)."""
-        return self.lo
 
     def coeff(self, k: int):
         if k > self.top:
@@ -161,6 +162,9 @@ class FormalSeries:
         if self.is_zero or other.is_zero:
             return FormalSeries.zero(top)
         lo = self.lo + other.lo
+        if _exact(self.coeffs) and _exact(other.coeffs):
+            vals = _exact_product(self.coeffs, other.coeffs, top - lo + 1)
+            return FormalSeries(lo, vals, top)
         vals = [0] * (top - lo + 1)
         for i, a in enumerate(self.coeffs):
             ka = self.lo + i
@@ -191,6 +195,8 @@ class FormalSeries:
         n = top - lo + 1
         b = [other.coeff(vb + i) for i in range(top - lo + 1)]
         a = [self.coeff(va + i) if va + i <= self.top else 0 for i in range(n)]
+        if _exact(a) and _exact(b):
+            return FormalSeries(lo, _exact_quotient(a, b), top)
         q = [0] * n
         for i in range(n):
             acc = a[i]
@@ -202,28 +208,7 @@ class FormalSeries:
     def __rtruediv__(self, other):
         return FormalSeries.poly([other], self.top + 2 * self.lo) / self
 
-    # -- composition and reversion ----------------------------------------
-
-    def compose(self, inner: "FormalSeries") -> "FormalSeries":
-        """self(inner(z)); inner must have valuation >= 1."""
-        if not inner.is_zero and inner.lo < 1:
-            raise ValueError(
-                f"composition needs inner valuation >= 1, got {inner.lo}"
-            )
-        if self.lo < 0:
-            raise ValueError("cannot compose a series with negative exponents")
-        vg = inner.lo if not inner.is_zero else inner.top + 1
-        top = min(inner.top, (self.top + 1) * vg - 1)
-        acc = FormalSeries.zero(top)
-        for k in range(self.top, self.lo - 1, -1):
-            acc = acc * inner.truncated(min(inner.top, top)) if not acc.is_zero else acc
-            acc = acc + self.coeff(k)
-        # Horner leaves the valuation-zero constant term scaled correctly
-        # only for lo == 0; shift by z^lo at the end otherwise
-        if self.lo > 0:
-            power = _series_power(inner, self.lo, top)
-            acc = acc * power if not acc.is_zero else acc
-        return acc.truncated(min(acc.top, top)) if acc.top > top else acc
+    # -- reversion -------------------------------------------------------
 
     def reverted(self) -> "FormalSeries":
         """Compositional inverse by Lagrange inversion; needs valuation exactly 1.
@@ -231,10 +216,20 @@ class FormalSeries:
         With self = z u(z), [z^k] self^{-1} = [w^{k-1}] u(w)^{-k} / k
         (Flajolet-Sedgewick, Analytic Combinatorics, Thm A.2): one series
         division and a running power of 1/u, O(n^3) coefficient operations.
+        On exact coefficients 1/u = V/D with int V, and the k-th power stays
+        V^k over D^k, so the loop builds one Fraction per output coefficient.
         """
         if self.is_zero or self.lo != 1:
             raise ValueError("reversion needs a series of valuation exactly 1")
         v = 1 / self.shifted(-1)
+        if _exact(v.coeffs):
+            # v_0 != 0, so v has all the self.top coefficients that d needs
+            nums, den = _scaled(v.coeffs)
+            power, scale, d = nums, den, [Fraction(nums[0], den)]
+            for k in range(2, self.top + 1):
+                power, scale = _convolve(power, nums, len(nums)), scale * den
+                d.append(Fraction(power[k - 1], scale * k))
+            return FormalSeries(1, d, self.top)
         power = FormalSeries.poly([1], v.top)
         d = []
         for k in range(1, self.top + 1):
@@ -251,9 +246,6 @@ class FormalSeries:
             return 0 * z if isinstance(z, np.ndarray) else 0
         return acc * z**self.lo if self.lo != 0 else acc
 
-    def values(self) -> tuple:
-        return self.coeffs
-
 
 def _divide(a, b):
     if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
@@ -261,14 +253,50 @@ def _divide(a, b):
     return a / b
 
 
-def _series_power(g: FormalSeries, k: int, top: int) -> FormalSeries:
-    out = FormalSeries.poly([1], top)
-    base = g.truncated(min(g.top, top)) if g.top > top else g
-    for _ in range(k):
-        out = out * base
-        if out.top > top:
-            out = out.truncated(top)
-    return out
+_EXACT = frozenset((int, Fraction))
+
+
+def _exact(coeffs) -> bool:
+    """Whether every coefficient is an int or a Fraction (not a subclass)."""
+    return _EXACT.issuperset(map(type, coeffs))
+
+
+def _scaled(coeffs):
+    """Int numerators of exact coeffs over the lcm of their denominators; the lcm."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a, b, n):
+    """The first n coefficients of the product of int sequences a and b."""
+    rev = b[n - 1 :: -1]  # b_{n-1}, ..., b_0
+    return [sum(map(operator.mul, a[: k + 1], rev[n - 1 - k :])) for k in range(n)]
+
+
+def _exact_product(a, b, n):
+    """The first n product coefficients of exact a and b; output k sums a_i
+    b_{k-i} over all i <= k, so it is a Fraction from the first one in a or b on."""
+    (na, da), (nb, db) = _scaled(a), _scaled(b)
+    sums, den = _convolve(na, nb, n), da * db
+    cut = next((k for k in range(n) if Fraction in (type(a[k]), type(b[k]))), n)
+    return [c // den for c in sums[:cut]] + [Fraction(c, den) for c in sums[cut:]]
+
+
+def _exact_quotient(a, b):
+    """Fractions q_i = (a_i - sum_{j<i} q_j b_{i-j}) / b_0 for exact a and b,
+    summed on the numerators of q_0..q_{i-1} over their common denominator e."""
+    (na, da), (nb, db) = _scaled(a), _scaled(b)
+    q, nums, e = [], [], 1
+    for i, ai in enumerate(na):
+        acc = sum(map(operator.mul, nums, nb[i:0:-1]))
+        qi = Fraction(ai * e * db - da * acc, da * e * nb[0])
+        grow = qi.denominator // math.gcd(e, qi.denominator)
+        if grow != 1:
+            e *= grow
+            nums = [x * grow for x in nums]
+        nums.append(qi.numerator * (e // qi.denominator))
+        q.append(qi)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +426,7 @@ def s_square_relation_check(mu, order: int) -> SSquareReport:
         abs(float(lifted.coeff(k) - s_sigma.coeff(k))) for k in range(0, top + 1)
     )
 
-    zs = s_mu.shifted(1)
-    inv = zs.reverted()
+    inv = s_mu.shifted(1).reverted()
     c = free_cumulant_series(m, order)
     d2 = max(abs(float(inv.coeff(n) - c.coeff(n))) for n in range(1, order + 1))
 
@@ -671,6 +698,7 @@ class InversionResult:
     density: np.ndarray
     atoms: tuple
     renorm: float
+    min_density: float  # lowest extrapolated density (0 if none), before the clip
     warnings: tuple
 
     @property
@@ -733,7 +761,8 @@ def stieltjes_invert(g, xs, renormalize: bool = True) -> InversionResult:
     worst = float(density.min(initial=0.0))
     if worst < -_NEGATIVE_TOL:
         warnings.append(
-            f"negative density {worst:.3e} exceeded tolerance {_NEGATIVE_TOL:.1e}"
+            f"negative density {worst:.3e} exceeded tolerance {_NEGATIVE_TOL:.1e}; "
+            "negative values clipped to 0"
         )
     density = np.clip(density, 0.0, None)
 
@@ -754,4 +783,4 @@ def stieltjes_invert(g, xs, renormalize: bool = True) -> InversionResult:
                     f"grid mass {got:.4f} vs target {target:.4f}; "
                     "renormalization skipped, grid may not resolve the support"
                 )
-    return InversionResult(xs, density, tuple(atoms), renorm, tuple(warnings))
+    return InversionResult(xs, density, tuple(atoms), renorm, worst, tuple(warnings))

@@ -168,9 +168,9 @@ def _boolean_free_power(rng, jobs):
     return dev
 
 
-def _s_product_rule(rng, jobs):
+def _s_product_rule(rng, jobs, reps=10):
     dev = 0.0
-    for _ in range(10):
+    for _ in range(reps):
         mu = _positive_atomic(rng)
         nu = _positive_atomic(rng)
         prod = ncpart.free_mult_moments(
@@ -178,10 +178,7 @@ def _s_product_rule(rng, jobs):
         )
         lhs = transforms.s_series(prod, 8)
         rhs = (transforms.s_series(mu, 8) * transforms.s_series(nu, 8)).truncated(7)
-        dev = max(
-            dev,
-            max(abs(float(lhs.coeff(n) - rhs.coeff(n))) for n in range(8)),
-        )
+        dev = max(dev, max(abs(float(lhs.coeff(n) - rhs.coeff(n))) for n in range(8)))
     return dev
 
 
@@ -190,14 +187,8 @@ def _cumulant_inversion_routes(rng, jobs):
     for law, params in LAW_CASES:
         m = catalog.catalog_moments(law, params, 10)
         via_inv = transforms.free_cumulant_series_via_inversion(m, 10)
-        via_nc = ncpart.free_cumulants_from_moments(m)
-        dev = max(
-            dev,
-            max(
-                abs(float(via_inv.coeff(n) - via_nc.at(n)))
-                for n in range(1, 11)
-            ),
-        )
+        got = SeqN("free_cumulant", [via_inv.coeff(n) for n in range(1, 11)])
+        dev = max(dev, _seq_dev(got, ncpart.free_cumulants_from_moments(m)))
     return dev
 
 

@@ -12,6 +12,7 @@ from freeconv import conv, ncpart, transforms
 from freeconv.catalog import MeasureSpec, catalog_density, catalog_moments
 from freeconv.ncpart import SeqN, catalan
 from freeconv.transforms import (
+    _NEGATIVE_TOL,
     FormalSeries,
     boolean_k,
     cauchy,
@@ -107,13 +108,36 @@ def test_divide_by_zero_series():
         FormalSeries.poly([1], 3) / FormalSeries.zero(3)
 
 
+def _compose(f, g, top):
+    """[z^0..z^top] of f(g(z)) by Horner's rule in plain Fraction arithmetic.
+
+    f and g are coefficient lists from z^0 on; g must have g[0] == 0. This
+    is the oracle for reversion, and shares no code with FormalSeries.
+    """
+    if g and g[0] != 0:
+        raise ValueError("composition needs inner valuation >= 1")
+    acc = [Fraction(0)] * (top + 1)
+    for c in reversed(f):
+        prod = [Fraction(0)] * (top + 1)
+        for i, x in enumerate(acc):
+            for j, y in enumerate(g[: top + 1 - i]):
+                prod[i + j] += x * Fraction(y)
+        acc = prod
+        acc[0] += Fraction(c)
+    return acc
+
+
+def _coeff_list(f):
+    """Coefficients of z^0..z^top of a series with lo >= 0."""
+    return [f.coeff(k) for k in range(f.top + 1)]
+
+
 def test_compose():
-    f = FormalSeries(1, [1, 1, 1])  # z + z^2 + z^3
-    g = FormalSeries(1, [1, 1], top=3)  # z + z^2
-    h = f.compose(g)
-    assert [h.coeff(k) for k in range(1, 4)] == [1, 2, 3]
+    f = [0, 1, 1, 1]  # z + z^2 + z^3
+    g = [0, 1, 1, 0]  # z + z^2, known to z^3
+    assert _compose(f, g, 3)[1:] == [1, 2, 3]
     with pytest.raises(ValueError, match="valuation"):
-        f.compose(FormalSeries.poly([1, 1], 3))
+        _compose(f, [1, 1], 3)
 
 
 def test_reversion_catalan():
@@ -121,9 +145,7 @@ def test_reversion_catalan():
     inv = f.reverted()
     assert inv.coeffs == (1, 1, 2, 5, 14)
     # f(inv(z)) = z
-    comp = f.compose(inv)
-    assert comp.coeff(1) == 1
-    assert all(comp.coeff(k) == 0 for k in range(2, comp.top + 1))
+    assert _compose(_coeff_list(f), _coeff_list(inv), 5) == [0, 1, 0, 0, 0, 0]
 
 
 def test_reversion_requires_valuation_one():
@@ -168,12 +190,13 @@ exact_st = st.one_of(st.integers(-4, 4), coeff_st)
     st.lists(exact_st, max_size=9),
 )
 def test_reversion_round_trip_exact(lead, rest):
-    # compose (Horner evaluation) is the oracle for the Lagrange inversion
+    # Horner composition is the oracle for the Lagrange inversion
     f = FormalSeries(1, [lead, *rest])
     inv = f.reverted()
     assert inv.lo == 1 and inv.top == f.top
     assert all(type(c) is Fraction for c in inv.coeffs)
-    assert f.compose(inv) == FormalSeries.identity(f.top)
+    identity = [0, 1] + [0] * (f.top - 1)
+    assert _compose(_coeff_list(f), _coeff_list(inv), f.top) == identity
 
 
 @settings(max_examples=50, deadline=None)
@@ -198,6 +221,123 @@ def test_multiply_then_divide_roundtrip(b):
     fa = FormalSeries(0, [1, 2, 3, 4, 5, 6][: len(b)])
     q = (fa * fb) / fb
     assert all(q.coeff(k) == fa.coeff(k) for k in range(q.top + 1))
+
+
+# ---------------------------------------------------------------------------
+# the scaled-integer product, quotient and reversion against a per-term loop
+
+
+def _naive_divide(a, b):
+    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+        return Fraction(a) / Fraction(b)
+    return a / b
+
+
+def _naive_mul(x, y):
+    """x * y by one Python operation per term, in the order i, then j."""
+    top = min(x.top + y.lo, y.top + x.lo)
+    if x.is_zero or y.is_zero:
+        return FormalSeries.zero(top)
+    vals = [0] * (top - x.lo - y.lo + 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            if i + j < len(vals):
+                vals[i + j] = vals[i + j] + a * b
+    return FormalSeries(x.lo + y.lo, vals, top)
+
+
+def _naive_div(x, y):
+    """x / y by long division, one Python operation per term."""
+    vb = y.lo
+    va = x.lo if not x.is_zero else x.top + 1
+    top = min(x.top - vb, y.top + va - 2 * vb)
+    if x.is_zero:
+        return FormalSeries.zero(top)
+    n = top - (va - vb) + 1
+    b = [y.coeff(vb + i) for i in range(n)]
+    a = [x.coeff(va + i) if va + i <= x.top else 0 for i in range(n)]
+    q = []
+    for i in range(n):
+        acc = a[i]
+        for j in range(i):
+            acc = acc - q[j] * b[i - j]
+        q.append(_naive_divide(acc, b[0]))
+    return FormalSeries(va - vb, q, top)
+
+
+def _naive_reverted(f):
+    """Lagrange inversion with the per-term product and quotient."""
+    v = _naive_div(FormalSeries.poly([1], f.top - 1), f.shifted(-1))
+    power, d = FormalSeries.poly([1], v.top), []
+    for k in range(1, f.top + 1):
+        power = _naive_mul(power, v)
+        d.append(_naive_divide(power.coeff(k - 1), k))
+    return FormalSeries(1, d, f.top)
+
+
+def _bits(c):
+    if isinstance(c, complex):
+        return c.real.hex(), c.imag.hex()
+    return c.hex() if isinstance(c, float) else c
+
+
+def _assert_same(got, want):
+    assert (got.lo, got.top) == (want.lo, want.top)
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert [_bits(c) for c in got.coeffs] == [_bits(c) for c in want.coeffs]
+
+
+_ints = st.integers(-5, 5)
+_fracs = st.fractions(-3, 3, max_denominator=12)
+_KINDS = {
+    "int": _ints,
+    "fraction": _fracs,
+    "mixed": st.one_of(_ints, _fracs),
+    "float": st.one_of(_ints, _fracs, st.floats(-8, 8)),
+    "complex": st.one_of(_fracs, st.complex_numbers(max_magnitude=8)),
+}
+
+
+@st.composite
+def _series(draw, coeffs):
+    """A series with lo in [-3, 3], padded or all zero at times."""
+    lo = draw(st.integers(-3, 3))
+    vals = draw(st.lists(coeffs, max_size=8))
+    top = lo + len(vals) - 1 + draw(st.integers(0, 3))
+    if draw(st.integers(0, 9)) == 0:  # truncation zero
+        return FormalSeries.zero(top)
+    return FormalSeries(lo, vals, top)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_KINDS)).flatmap(
+    lambda kind: st.tuples(_series(_KINDS[kind]), _series(_KINDS[kind]), _KINDS[kind])
+))
+def test_product_and_quotient_match_per_term_loop(case):
+    x, y, c = case
+    _assert_same(x * y, _naive_mul(x, y))
+    _assert_same(c * x, FormalSeries(x.lo, [a * c for a in x.coeffs], x.top))
+    if y.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+        return
+    _assert_same(x / y, _naive_div(x, y))
+    _assert_same(c / y, _naive_div(FormalSeries.poly([c], y.top + 2 * y.lo), y))
+    if c != 0:
+        _assert_same(x / c, FormalSeries(
+            x.lo, [_naive_divide(a, c) for a in x.coeffs], x.top))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_KINDS)).flatmap(
+    lambda kind: st.tuples(
+        _KINDS[kind].filter(lambda c: c != 0), st.lists(_KINDS[kind], max_size=9)
+    )
+))
+def test_reversion_matches_per_term_loop(case):
+    lead, rest = case
+    f = FormalSeries(1, [lead, *rest])
+    _assert_same(f.reverted(), _naive_reverted(f))
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +669,24 @@ def test_invert_marchenko_pastur_atom_pinned():
     assert res.renorm.hex() == "0x1.ffffb37e6a92ep-1"
 
 
+def test_invert_reports_undershoot_before_clip():
+    # next to the peeled atom the extrapolated density dips below 0; the
+    # result keeps that minimum and the warning says the values were clipped
+    mu = MeasureSpec.from_law("marchenko_pastur", (0.4,))
+    xs = np.linspace(-0.5, 3.5, 801)
+    res = stieltjes_invert(lambda z: cauchy(mu, z), xs)
+    assert res.min_density == pytest.approx(-5.654e-4, rel=1e-3)
+    assert any(
+        "negative density -5.654e-04" in msg and "clipped to 0" in msg
+        for msg in res.warnings
+    )
+    assert np.all(res.density >= 0)
+    law = MeasureSpec.from_law("semicircle", (0, 1))
+    xs = np.linspace(-1, 1, 41)
+    clean = stieltjes_invert(lambda z: cauchy(law, z), xs, renormalize=False)
+    assert clean.min_density == 0.0 and clean.warnings == ()
+
+
 def test_invert_warns_on_bad_transform():
     # pole in the upper half plane: anti-Herglotz, negative density
     def g(z):
@@ -537,6 +695,7 @@ def test_invert_warns_on_bad_transform():
     xs = np.linspace(-1, 1, 201)
     res = stieltjes_invert(g, xs, renormalize=False)
     assert any("negative density" in msg for msg in res.warnings)
+    assert res.min_density < -_NEGATIVE_TOL
     assert np.all(res.density >= 0)
 
 
