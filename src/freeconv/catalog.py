@@ -12,6 +12,9 @@ alongside and the two are compared in the tests.
 Rational parameters give exact rational moments for the laws whose moments
 are rational (semicircle, Marchenko-Pastur, Bernoulli, symmetric beta,
 power beta, chi-squared, the semicircle commutator).
+
+numpy is imported only inside the functions that evaluate densities and
+Cauchy transforms, so moment tables never load it.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import bisect
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from . import ncpart
 from .ncpart import SeqN, _is_exact
@@ -78,6 +79,8 @@ def _sc_moments(params, order):
 
 
 def _sc_cauchy(params, z):
+    import numpy as np
+
     # branch with G ~ 1/z at infinity and Im G < 0 on the upper half plane:
     # take sqrt((z-a)(z-b)) as the product of principal square roots
     mean, var = float(params[0]), float(params[1])
@@ -124,6 +127,8 @@ def _mp_moments(params, order):
 
 
 def _mp_cauchy(params, z):
+    import numpy as np
+
     rate = float(params[0])
     a = (1 - math.sqrt(rate)) ** 2
     b = (1 + math.sqrt(rate)) ** 2
@@ -436,6 +441,8 @@ def catalog_density(law: str, params, x):
     Accepts a scalar or anything array-like; array-like input returns a
     numpy array of the same shape.
     """
+    import numpy as np
+
     spec, params = _law_entry(law, params)
     fn = spec.density
     if np.isscalar(x):
@@ -477,6 +484,8 @@ def density_of(mu: MeasureSpec, x):
     """Density at x (scalar or array-like) of a law spec, through its
     pushforward, or of a grid spec, linear between its abscissas and 0
     outside; other forms carry no density."""
+    import numpy as np
+
     if mu.kind == "law":
         s = float(mu.scale)
         x = x if np.isscalar(x) else np.asarray(x, dtype=float)
@@ -539,7 +548,13 @@ def law_moments_quadrature(law: str, params, order: int) -> SeqN:
 
 
 def moments_of(mu: MeasureSpec, order: int) -> SeqN:
-    """Moment sequence of any representation, exact where the data is exact."""
+    """Moment sequence of any representation, exact where the data is exact.
+
+    Computed moments are capped at MOMENT_CAP_CLOSED; a moment spec is only
+    truncated, so its own order bounds it.
+    """
+    if mu.kind != "moments" and order > MOMENT_CAP_CLOSED:
+        raise ValueError(f"moments_of capped at order {MOMENT_CAP_CLOSED}, got {order}")
     if mu.kind == "atomic":
         vals = []
         for n in range(1, order + 1):

@@ -15,15 +15,24 @@ import re
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import catalog, conv, idclass, ncpart, transforms, verify
+from . import DEFAULT_SEED, SUITES, catalog, ncpart
 from .catalog import LAWS, MeasureSpec
 from .ncpart import SeqN
+
+# Each handler imports what it needs beyond catalog and ncpart, so a
+# subcommand loads only the modules it uses, and those on moment sequences
+# never load numpy.
 
 GRID_ENV = "FREECONV_GRID_DEFAULT"
 
 SIZE_CAP = 100_000  # grid n, --grid-points, --t count; checked before allocating
+
+# --order above the largest kernel cap is a usage error before any spec is read
+ORDER_CAP = max(catalog.MOMENT_CAP_CLOSED, ncpart.CONVERSION_CAP, ncpart.PRODUCT_CAP)
+
+# Catalan(NC_COUNT_CAP) has 4209 digits, under Python's 4300-digit limit on
+# int-to-str conversion, so nc --count prints every value it accepts
+NC_COUNT_CAP = 7000
 
 _FRACTION_RE = re.compile(r"^-?\d+/\d+$")
 
@@ -176,7 +185,8 @@ def parse_measure_spec(source: str) -> MeasureSpec:
 # triplet files
 
 
-def serialize_triplet(t: idclass.FreeTriplet) -> dict:
+def serialize_triplet(t) -> dict:
+    """JSON object of an idclass.FreeTriplet."""
     levy = {
         "atoms": [[_num_to_json(l), _num_to_json(m)] for l, m in t.levy.atoms],
         "grid": None,
@@ -189,7 +199,10 @@ def serialize_triplet(t: idclass.FreeTriplet) -> dict:
     return {"eta": _num_to_json(t.eta), "a": _num_to_json(t.a), "levy": levy}
 
 
-def parse_triplet(source: str) -> idclass.FreeTriplet:
+def parse_triplet(source: str):
+    """An idclass.FreeTriplet from a JSON file path or inline JSON string."""
+    from . import idclass
+
     obj = _load_json(source)
     if not isinstance(obj, dict):
         raise SpecError("triplet must be a JSON object")
@@ -278,6 +291,8 @@ def _parse_grid(text: str):
         raise SpecError(f"grid must be lo:hi:n, got {text!r}") from exc
     if not lo < hi or not 2 <= n <= SIZE_CAP:
         raise SpecError(f"grid needs lo < hi and 2 <= n <= {SIZE_CAP}, got {text!r}")
+    import numpy as np
+
     return np.linspace(lo, hi, n)
 
 
@@ -317,20 +332,34 @@ def _parse_times(text: str):
     return ts
 
 
-def _int_arg(lo: int, hi: float = math.inf):
-    """argparse type for an integer size in [lo, hi]; others exit 2."""
+def _int_arg(lo: int, hi: float = math.inf, cap: float = math.inf):
+    """argparse type for an integer size in [lo, hi] and at most cap; others
+    exit 2. A value below lo names the range, one above cap names cap."""
 
     def integer(text: str) -> int:
         value = int(text)
         if not lo <= value <= hi:
             bound = f"at least {lo}" if hi == math.inf else f"between {lo} and {hi}"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        if value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most {cap}, got {value}")
         return value
 
     return integer
 
 
-_order = _int_arg(1)
+_order = _int_arg(1, cap=ORDER_CAP)
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a finite positive float; others exit 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _parse_number(text: str, where: str):
@@ -401,6 +430,8 @@ def _cmd_cumulants(args) -> int:
 
 
 def _cmd_convolve(args) -> int:
+    from . import conv
+
     mu = parse_measure_spec(args.a)
     nu = parse_measure_spec(args.b)
     if args.density:
@@ -427,6 +458,8 @@ def _cmd_convolve(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    from . import conv
+
     mu = parse_measure_spec(args.spec)
     t = _parse_number(args.t, "--t")
     if args.conv == "boolean":
@@ -440,6 +473,8 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    import numpy as np
+
     mu = parse_measure_spec(args.spec)
     xs = _default_grid(args.grid)
     if xs is None and mu.kind == "law":
@@ -460,6 +495,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_commutator(args) -> int:
+    from . import conv
+
     mu = parse_measure_spec(args.a)
     nu = parse_measure_spec(args.b)
     out = conv.commutator(mu, nu, args.order)
@@ -474,6 +511,8 @@ def _cmd_square(args) -> int:
 
 
 def _cmd_factor_main3(args) -> int:
+    from . import idclass
+
     mu = parse_measure_spec(args.spec)
     kappa = catalog.free_cumulants_of(mu, args.order)
     sigma = idclass.main3_factor(kappa)
@@ -482,6 +521,8 @@ def _cmd_factor_main3(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import idclass
+
     if args.regular:
         triplet = parse_triplet(args.regular)
         try:
@@ -510,6 +551,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    from . import idclass
+
     mu = parse_measure_spec(args.spec)
     ts = _parse_times(args.t)
     kappa = catalog.free_cumulants_of(mu, args.order)
@@ -551,6 +594,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_verify(args.suite, seed=args.seed, jobs=args.jobs)
     print(report.render())
     return 0 if report.ok else 1
@@ -558,6 +603,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_nc(args) -> int:
     if args.list:
+        if args.count > ncpart.ENUMERATION_CAP:
+            raise SpecError(
+                f"--list enumerates NC(N) for N <= {ncpart.ENUMERATION_CAP}, "
+                f"got {args.count}"
+            )
         for part in ncpart.enumerate_nc(args.count):
             print(part)
         return 0
@@ -566,6 +616,8 @@ def _cmd_nc(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import transforms
+
     mu = parse_measure_spec(args.spec)
     parts = args.at.split(",")
     if len(parts) != 2:
@@ -685,21 +737,21 @@ def build_parser() -> argparse.ArgumentParser:
     spec_arg(p)
     p.add_argument("--t", required=True, help="lo:hi:step or comma list")
     p.add_argument("--order", type=_order, default=8)
-    p.add_argument("--threshold", type=float, default=1e-6)
-    p.add_argument("--edge-tol", type=float, default=1e-3)
+    p.add_argument("--threshold", type=_positive_float, default=1e-6)
+    p.add_argument("--edge-tol", type=_positive_float, default=1e-3)
     p.add_argument("--grid-points", type=_int_arg(2, SIZE_CAP), default=601)
     p.add_argument("--jobs", type=int, default=1, help="ignored; runs serially")
     out_arg(p, choices=("table", "json"))
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("verify", help="run the built-in identity checks")
-    p.add_argument("--suite", choices=verify.SUITES, default="all")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--suite", choices=SUITES, default="all")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--jobs", type=int, default=1, help="ignored; runs serially")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("nc", help="non-crossing partition counts")
-    p.add_argument("--count", type=int, required=True, metavar="N")
+    p.add_argument("--count", type=_int_arg(0, NC_COUNT_CAP), required=True, metavar="N")
     p.add_argument("--list", action="store_true", help="enumerate NC(N)")
     p.set_defaults(handler=_cmd_nc)
 

@@ -8,15 +8,14 @@ transform to Stieltjes inversion.
 
 The multiplicative product keeps two independent routes, the alternating
 word recursion (ncpart) and the S-transform series route, and can be asked
-to run both and compare.
+to run both and compare. numpy is imported by the density functions only,
+so the sequence-level operations never load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from . import catalog, ncpart, transforms
 from .catalog import MeasureSpec
@@ -118,15 +117,20 @@ class MultReport:
         return self.series is not None
 
 
+def _series_product(ma: SeqN, mb: SeqN, order: int) -> SeqN:
+    """Product moments by the S-transform route: S_{mu x nu} = S_mu S_nu."""
+    sa = transforms.s_series(ma, order)
+    sb = transforms.s_series(mb, order)
+    return transforms.moments_from_s_series(sa * sb, order)
+
+
 def free_mult_report(mu: MeasureSpec, nu: MeasureSpec, order: int) -> MultReport:
     ma = catalog.moments_of(mu, order)
     mb = catalog.moments_of(nu, order)
     dp = ncpart.free_mult_moments(ma, mb, order)
     if ma.at(1) == 0 or mb.at(1) == 0:
         return MultReport(dp, None, 0.0)
-    sa = transforms.s_series(ma, order)
-    sb = transforms.s_series(mb, order)
-    series = transforms.moments_from_s_series(sa * sb, order)
+    series = _series_product(ma, mb, order)
     dev = max(abs(float(x - y)) for x, y in zip(dp.values, series.values))
     return MultReport(dp, series, dev)
 
@@ -136,29 +140,30 @@ def free_mult(
 ) -> MeasureSpec:
     """Multiplicative free convolution at moment level.
 
-    method 'dp' runs the alternating word recursion, 'series' multiplies
-    S-transforms (needs both first moments nonzero), 'both' runs whichever
-    are available and insists they agree to 1e-9.
+    method 'dp' runs the alternating word recursion (capped at
+    ncpart.PRODUCT_CAP), 'series' multiplies S-transforms alone (needs both
+    first moments nonzero; capped at ncpart.CONVERSION_CAP), 'both' runs
+    whichever are available and insists they agree to 1e-9.
     """
     if method not in ("dp", "series", "both"):
         raise ValueError(f"unknown method {method!r}; use dp, series, or both")
-    if method == "dp":
-        ma = catalog.moments_of(mu, order)
-        mb = catalog.moments_of(nu, order)
-        return MeasureSpec.from_moments(ncpart.free_mult_moments(ma, mb, order))
-    report = free_mult_report(mu, nu, order)
-    if method == "series":
-        if report.series is None:
-            raise ValueError(
-                "S-transform route needs nonzero first moments; use method='dp'"
+    if method == "both":
+        report = free_mult_report(mu, nu, order)
+        if report.compared and report.max_dev > MULT_AGREEMENT_TOL:
+            raise ArithmeticError(
+                f"product routes disagree by {report.max_dev:.3e} "
+                f"(tolerance {MULT_AGREEMENT_TOL:.0e})"
             )
-        return MeasureSpec.from_moments(report.series)
-    if report.compared and report.max_dev > MULT_AGREEMENT_TOL:
-        raise ArithmeticError(
-            f"product routes disagree by {report.max_dev:.3e} "
-            f"(tolerance {MULT_AGREEMENT_TOL:.0e})"
-        )
-    return MeasureSpec.from_moments(report.dp)
+        return MeasureSpec.from_moments(report.dp)
+    if method == "series":
+        ncpart._check_cap(order, ncpart.CONVERSION_CAP, "free_mult(method='series')")
+    ma = catalog.moments_of(mu, order)
+    mb = catalog.moments_of(nu, order)
+    if method == "dp":
+        return MeasureSpec.from_moments(ncpart.free_mult_moments(ma, mb, order))
+    if ma.at(1) == 0 or mb.at(1) == 0:
+        raise ValueError("S-transform route needs nonzero first moments; use method='dp'")
+    return MeasureSpec.from_moments(_series_product(ma, mb, order))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +179,7 @@ class SubordinationResult:
 
     @property
     def all_converged(self) -> bool:
-        return bool(np.all(self.converged))
+        return bool(self.converged.all())
 
 
 def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
@@ -189,6 +194,8 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
     the residual |Phi(omega) - omega|. A point settles once its residual is
     below _SUB_TOL, with that last step taken.
     """
+    import numpy as np
+
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(zarr.imag <= 0):
         raise ValueError("subordination points must lie in the upper half plane")
@@ -219,6 +226,8 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
 
 def free_add_cauchy(mu: MeasureSpec, nu: MeasureSpec, z):
     """Cauchy transform of the additive convolution via subordination."""
+    import numpy as np
+
     sub = subordination(mu, nu, z)
     g = transforms.cauchy(mu, sub.omega)
     return (g[0] if np.isscalar(z) else g), sub
@@ -251,6 +260,8 @@ class AddDensityResult:
 def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
     """Density of the additive free convolution on the grid xs; a warning
     counts the grid points where a subordination solve did not settle."""
+    import numpy as np
+
     diagnostics = []
 
     def g(z):
@@ -272,6 +283,8 @@ def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
 
 def density_at_points(mu: MeasureSpec, nu: MeasureSpec, xs):
     """Pointwise extrapolated density of mu plus nu, no renormalization."""
+    import numpy as np
+
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     d = transforms._boundary_densities(lambda z: free_add_cauchy(mu, nu, z)[0], xs)
     return transforms._richardson(d)

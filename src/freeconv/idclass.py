@@ -10,6 +10,9 @@ continuation in the imaginary part, for a small family of analytic
 R-transform models. Scans and the kurtosis statistic are evidence or
 necessary conditions; regularity proper is decided at the representation
 level (triplet support and drift), never from finitely many moments.
+numpy is imported by the numeric functions only, so the sequence-level
+checks (main3_factor, kurtosis_check, regular forms of atomic triplets)
+never load it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import catalog, ncpart
 from .catalog import MeasureSpec
@@ -85,6 +86,8 @@ class LevyMeasure:
         """Integrate f against the measure; exact over exact atoms."""
         total = sum(m * f(loc) for loc, m in self.atoms)
         if self.xs:
+            import numpy as np
+
             xs = np.asarray(self.xs, dtype=float)
             ys = np.asarray(
                 [f(x) * d for x, d in zip(self.xs, self.densities)], dtype=float
@@ -489,6 +492,7 @@ def solve_g(model: RModel, t, z, w0=None):
     Returns (w, converged mask). The seed defaults to 1/z; pass the
     solution at a nearby z to continue along a path.
     """
+    import numpy as np
 
     def residual(w, zs):
         with np.errstate(all="ignore"):
@@ -565,6 +569,8 @@ _EPS = 4e-9  # boundary densities extrapolate over heights _EPS, _EPS/2, _EPS/4
 
 def _continued_solve(model: RModel, t, xs, imag: float):
     """Solve down the imaginary ladder, reusing each level as the seed."""
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     levels = [d for d in _IMAG_LADDER if d > imag] + [imag]
     w = conv = None
@@ -622,6 +628,8 @@ class ScanResult:
 
 
 def _scan_one(model: RModel, t, threshold, grid_points):
+    import numpy as np
+
     k1, k2 = model.kappa1, model.kappa2
     spread = 4 * math.sqrt(max(t * k2, 1e-6)) + 0.5
     lo, hi = t * k1 - spread, t * k1 + spread
@@ -674,8 +682,12 @@ def positivity_scan(
     Evidence only: atoms of mass below roughly 0.15 are invisible, and
     polynomial models are trusted only inside their convergence region.
     The t values run serially; jobs is accepted and ignored. ts must not
-    be empty: no scanned point is no evidence.
+    be empty: no scanned point is no evidence. threshold and edge_tol must
+    be finite and positive.
     """
+    for name, value in (("threshold", threshold), ("edge_tol", edge_tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"scan {name} must be finite and positive, got {value}")
     if isinstance(model, SeqN):
         model = RModel.from_cumulants(model)
     ts = [float(t) for t in ts]
@@ -711,6 +723,8 @@ def thm110_check(mu: MeasureSpec) -> Thm110Result:
     one-directional: a convergent integral implies nothing, so those
     verdicts carry regular = None.
     """
+    import numpy as np
+
     mass0 = mu.mass_at_zero
     if mass0 is None:
         raise ValueError("cannot resolve mass at 0 for this measure form")

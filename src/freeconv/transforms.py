@@ -9,7 +9,8 @@ product and quotient only, so the route shares no code with ncpart; on
 exact coefficients these run on int numerators over one denominator. The
 numeric layer evaluates Cauchy transforms of concrete measures on the upper
 half plane and recovers densities by Stieltjes inversion with Richardson
-extrapolation in the regularization parameter.
+extrapolation in the regularization parameter. Only the numeric layer
+imports numpy, inside its functions, so the formal layer never loads it.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import catalog, ncpart
 from .catalog import LAWS, MeasureSpec
@@ -243,7 +243,9 @@ class FormalSeries:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         if self.is_zero:
-            return 0 * z if isinstance(z, np.ndarray) else 0
+            # z is no ndarray unless numpy is loaded; do not load it to check
+            np = sys.modules.get("numpy")
+            return 0 * z if np and isinstance(z, np.ndarray) else 0
         return acc * z**self.lo if self.lo != 0 else acc
 
 
@@ -458,6 +460,8 @@ class NumericMap:
 
 def _atomic_cauchy(atoms, z, derivative=False):
     """(G, G') of the atoms at z, with G' = 0 without derivative."""
+    import numpy as np
+
     gaps = [(float(w), z - float(loc)) for loc, w in atoms]
     dg = sum((-w / d**2 for w, d in gaps), np.zeros_like(z)) if derivative else 0 * z
     return sum((w / d for w, d in gaps), np.zeros_like(z)), dg
@@ -465,6 +469,8 @@ def _atomic_cauchy(atoms, z, derivative=False):
 
 def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
     """(G, G') at z, with G' = 0 without derivative."""
+    import numpy as np
+
     xs = np.asarray(mu.xs)
     step = float(np.max(np.diff(xs)))
     near = (np.abs(z.imag) < step / 10) & (
@@ -498,6 +504,8 @@ def _law_cauchy_base(law: str, params, w):
     branch carries its atom at 0); the quadrature fallback integrates the
     density only, so the atoms are added there.
     """
+    import numpy as np
+
     spec = LAWS[law]
     out = np.empty_like(w)
     upper = w.imag >= 0
@@ -516,6 +524,7 @@ def _law_cauchy_base(law: str, params, w):
 
 
 def _law_cauchy_quad(law: str, params, pts):
+    import numpy as np
     from scipy.integrate import quad
 
     spec = LAWS[law]
@@ -548,6 +557,8 @@ def cauchy(mu: MeasureSpec, z):
     Defined off the real axis (both half planes). Moment-type
     representations carry no global transform and are rejected.
     """
+    import numpy as np
+
     zarr = np.asarray(z, dtype=complex)
     scalar = zarr.ndim == 0
     zarr = np.atleast_1d(zarr)
@@ -568,6 +579,8 @@ def cauchy(mu: MeasureSpec, z):
 
 def _cauchy_pair(mu: MeasureSpec, z):
     """G and G' on the 1-d array z; a law's G' is a central difference."""
+    import numpy as np
+
     if mu.kind == "law":
         step = 1e-5 * z.imag
         g = cauchy(mu, np.concatenate([z, z + step, z - step])).reshape(3, -1)
@@ -658,6 +671,8 @@ _HEIGHTS = (1e-2, 1e-2 / 2, 1e-2 / 4)
 
 def _boundary_densities(g, xs):
     """-Im g(x + i h) / pi on xs at each height h of _HEIGHTS, in order."""
+    import numpy as np
+
     return [np.asarray(-np.imag(g(xs + 1j * h)) / math.pi) for h in _HEIGHTS]
 
 
@@ -673,6 +688,8 @@ def _bisect_edge(above, inside, outside, xtol):
     is therefore that of one-point bisection, bit for bit, as long as above
     judges each point independently of the others in its batch.
     """
+    import numpy as np
+
     while abs(outside - inside) > xtol:
         # brackets in heap order: bracket k splits at its midpoint into
         # 2k + 1 (midpoint above) and 2k + 2 (midpoint not above)
@@ -703,6 +720,8 @@ class InversionResult:
 
     @property
     def total_mass(self) -> float:
+        import numpy as np
+
         return float(np.trapezoid(self.density, self.xs)) + sum(
             w for _, w in self.atoms
         )
@@ -724,6 +743,8 @@ def stieltjes_invert(g, xs, renormalize: bool = True) -> InversionResult:
     shrink with h are flagged as atoms: a continuous density shrinks it by
     4 per halving pair, an atom keeps it constant.
     """
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     warnings = []
     d = _boundary_densities(g, xs)

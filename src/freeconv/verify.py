@@ -15,13 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import catalog, conv, idclass, ncpart, transforms
+from . import DEFAULT_SEED, SUITES, catalog, conv, idclass, ncpart, transforms
 from .catalog import MeasureSpec
 from .ncpart import SeqN
-
-DEFAULT_SEED = 1418
-
-SUITES = ("all", "identities", "densities", "regularity")
 
 W = MeasureSpec.from_law("semicircle", (0, 1))
 M = MeasureSpec.from_law("marchenko_pastur", (1,))

@@ -213,6 +213,27 @@ def test_moment_caps():
     assert m.at(64) == catalan(32)
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [
+        MeasureSpec.atomic([(2, 1)]),
+        MeasureSpec.grid([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+        MeasureSpec.from_law("semicircle", (0, 1)),
+    ],
+    ids=["atomic", "grid", "law"],
+)
+def test_moments_of_capped_at_entry(mu):
+    with pytest.raises(ValueError, match="capped at order 64"):
+        moments_of(mu, 65)
+    assert moments_of(mu, 64).order == 64
+
+
+def test_moments_of_moment_spec_bounded_by_its_data():
+    # a stored moment sequence is only truncated; its order bounds it
+    mu = MeasureSpec.from_moments(list(range(1, 71)))
+    assert moments_of(mu, 70).values == tuple(range(1, 71))
+
+
 # ---------------------------------------------------------------------------
 # atoms
 

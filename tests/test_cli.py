@@ -1,18 +1,22 @@
 """End-to-end tests of the command-line interface.
 
-Most cases call cli.main in process and capture stdout; one subprocess
-case exercises the module entry point for real.
+Most cases call cli.main in process and capture stdout; subprocess cases
+exercise the module entry point for real and check which modules each
+subcommand loads.
 """
 
+import importlib
 import json
 import math
 import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from freeconv import cli
+import freeconv
+from freeconv import cli, idclass, ncpart, transforms
 
 SEMI = json.dumps({"type": "law", "name": "semicircle", "params": [0, 1]})
 WPLUS = json.dumps({"type": "law", "name": "semicircle", "params": [2, 1]})
@@ -202,7 +206,7 @@ class TestNonFiniteOutput:
 
     def test_non_finite_transform_value_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli.transforms, "transform_map", lambda mu, w: lambda z: complex(math.nan, 1.0)
+            transforms, "transform_map", lambda mu, w: lambda z: complex(math.nan, 1.0)
         )
         code, stdout, err = run_cli(capsys, "transform", SEMI, "--which", "F", "--at", "0.5,1")
         assert code == 1
@@ -211,35 +215,35 @@ class TestNonFiniteOutput:
 
     @pytest.mark.parametrize("times", ["nan", "0.5,inf", "0.5,-inf"])
     def test_non_finite_scan_time_is_a_usage_error(self, capsys, monkeypatch, times):
-        monkeypatch.setattr(cli.idclass, "positivity_scan", None)
+        monkeypatch.setattr(idclass, "positivity_scan", None)
         code, stdout, err = run_cli(capsys, "scan", WPLUS, "--t", times)
         assert code == 2
         assert stdout == ""
         assert "times must be finite" in err
 
     def scan_returning(self, monkeypatch, *points):
-        result = cli.idclass.ScanResult(points, 1e-6, 1e-3)
-        monkeypatch.setattr(cli.idclass, "positivity_scan", lambda *a, **k: result)
+        result = idclass.ScanResult(points, 1e-6, 1e-3)
+        monkeypatch.setattr(idclass, "positivity_scan", lambda *a, **k: result)
 
     @pytest.mark.parametrize(
         "point",
         [
-            cli.idclass.ScanPoint(0.5, math.nan, (), True),
-            cli.idclass.ScanPoint(0.5, -math.inf, (), True),
-            cli.idclass.ScanPoint(0.5, 0.25, (0.0, math.inf), True),
-            cli.idclass.ScanPoint(0.5, None, (math.nan,), False),
+            idclass.ScanPoint(0.5, math.nan, (), True),
+            idclass.ScanPoint(0.5, -math.inf, (), True),
+            idclass.ScanPoint(0.5, 0.25, (0.0, math.inf), True),
+            idclass.ScanPoint(0.5, None, (math.nan,), False),
         ],
     )
     @pytest.mark.parametrize("out", ["table", "json"])
     def test_non_finite_scan_output_is_refused(self, capsys, monkeypatch, point, out):
-        self.scan_returning(monkeypatch, cli.idclass.ScanPoint(0.25, 0.1, (), True), point)
+        self.scan_returning(monkeypatch, idclass.ScanPoint(0.25, 0.1, (), True), point)
         code, stdout, err = run_cli(capsys, "scan", WPLUS, "--t", "0.25,0.5", "--out", out)
         assert code == 1
         assert stdout == ""
         assert err.startswith("error:")
 
     def test_missing_scan_edge_prints_empty(self, capsys, monkeypatch):
-        self.scan_returning(monkeypatch, cli.idclass.ScanPoint(0.5, None, (), False))
+        self.scan_returning(monkeypatch, idclass.ScanPoint(0.5, None, (), False))
         code, stdout, _ = run_cli(capsys, "scan", WPLUS, "--t", "0.5")
         assert code == 0
         assert stdout.splitlines()[1] == "0.5,,,False"
@@ -580,7 +584,7 @@ class TestSizeLimits:
         def refuse(*args, **kwargs):
             raise AssertionError("scan ran on a rejected size")
 
-        monkeypatch.setattr(cli.idclass, "positivity_scan", refuse)
+        monkeypatch.setattr(idclass, "positivity_scan", refuse)
 
     @pytest.mark.parametrize("sub", sorted(ORDER_CASES))
     @pytest.mark.parametrize("order", ["0", "-3"])
@@ -589,6 +593,31 @@ class TestSizeLimits:
         assert code == 2
         assert out == ""
         assert "--order: must be at least 1" in err
+
+    @pytest.mark.parametrize("sub", sorted(ORDER_CASES))
+    def test_order_above_largest_kernel_cap_is_usage_error(self, capsys, monkeypatch, sub):
+        monkeypatch.setattr(cli, "parse_measure_spec", None)  # fails if a spec is read
+        order = str(cli.ORDER_CAP + 1)
+        code, out, err = run_cli(capsys, *self.ORDER_CASES[sub], "--order", order)
+        assert code == 2
+        assert out == ""
+        assert f"--order: must be at most {cli.ORDER_CAP}, got {order}" in err
+
+    def test_order_at_cap_accepted(self, capsys):
+        atom = json.dumps({"type": "atomic", "atoms": [[2, 1]]})
+        code, out, _ = run_cli(capsys, "moments", atom, "--order", str(cli.ORDER_CAP))
+        assert code == 0
+        assert len(out.splitlines()) == cli.ORDER_CAP == 64
+
+    @pytest.mark.parametrize("flag", ["--threshold", "--edge-tol"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1", "x"])
+    def test_scan_threshold_and_edge_tol_must_be_finite_positive(
+        self, capsys, no_scan, flag, value
+    ):
+        code, out, err = run_cli(capsys, "scan", WPLUS, "--t", "0.5", f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert f"{flag}: must be a finite positive number, got {value!r}" in err
 
     def test_order_one_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "moments", SEMI, "--order", "1", "--out", "csv")
@@ -608,7 +637,7 @@ class TestSizeLimits:
         def refuse(*args, **kwargs):
             raise AssertionError("grid allocated before the size check")
 
-        monkeypatch.setattr(cli.np, "linspace", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
         code, out, err = run_cli(
             capsys, "density", SEMI, f"--grid=-2:2:{cli.SIZE_CAP + 1}"
         )
@@ -683,6 +712,30 @@ class TestNc:
         assert code == 0
         assert len(out.splitlines()) == 14
 
+    @pytest.mark.parametrize("count", ["-3", str(cli.NC_COUNT_CAP + 1), "9000"])
+    def test_count_out_of_range_is_usage_error(self, capsys, monkeypatch, count):
+        monkeypatch.setattr(ncpart, "catalan", None)  # fails if computed
+        code, out, err = run_cli(capsys, "nc", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert f"--count: must be between 0 and {cli.NC_COUNT_CAP}" in err
+
+    def test_count_at_cap_prints(self, capsys):
+        code, out, _ = run_cli(capsys, "nc", "--count", str(cli.NC_COUNT_CAP))
+        assert code == 0
+        assert int(out) == ncpart.catalan(cli.NC_COUNT_CAP)
+
+    def test_count_zero(self, capsys):
+        assert run_cli(capsys, "nc", "--count", "0")[:2] == (0, "1\n")
+
+    def test_list_above_enumeration_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(ncpart, "enumerate_nc", None)  # fails if enumerated
+        count = str(ncpart.ENUMERATION_CAP + 1)
+        code, out, err = run_cli(capsys, "nc", "--count", count, "--list")
+        assert code == 2
+        assert out == ""
+        assert f"--list enumerates NC(N) for N <= {ncpart.ENUMERATION_CAP}" in err
+
 
 class TestTransform:
     def test_cauchy_matches_closed_form(self, capsys):
@@ -742,3 +795,84 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# lazy imports
+
+_ATOMS = json.dumps({"type": "atomic", "atoms": [[1, "1/3"], [2, "2/3"]]})
+_SEQUENCE_MODULES = ["catalog", "cli", "ncpart"]
+_CONV_MODULES = ["catalog", "cli", "conv", "ncpart", "transforms"]
+_IDCLASS_MODULES = ["catalog", "cli", "conv", "idclass", "ncpart", "transforms"]
+_TRIPLET = json.dumps({"eta": "1/2", "a": 0, "levy": {"atoms": [["1/2", "3/10"], [2, "7/10"]]}})
+
+_SEQUENCE_CASES = {
+    "nc": (["nc", "--count", "5"], _SEQUENCE_MODULES),
+    "law": (["law", "semicircle", "--params=0,1"], _SEQUENCE_MODULES),
+    "moments": (["moments", SEMI, "--order", "8"], _SEQUENCE_MODULES),
+    "cumulants-free": (["cumulants", _ATOMS, "--kind", "free"], _SEQUENCE_MODULES),
+    "cumulants-boolean": (["cumulants", _ATOMS, "--kind", "boolean"], _SEQUENCE_MODULES),
+    "convolve-add": (["convolve", "--op", "add", "--a", SEMI, "--b", SEMI], _CONV_MODULES),
+    "convolve-mult": (["convolve", "--op", "mult", "--a", _ATOMS, "--b", _ATOMS],
+                      _CONV_MODULES),
+    "convolve-boolean": (["convolve", "--op", "boolean", "--a", _ATOMS, "--b", SEMI],
+                         _CONV_MODULES),
+    "power-free": (["power", _ATOMS, "--t", "3/2"], _CONV_MODULES),
+    "power-boolean": (["power", _ATOMS, "--t", "3/2", "--conv", "boolean"], _CONV_MODULES),
+    "commutator": (["commutator", "--a", SEMI, "--b", SEMI], _CONV_MODULES),
+    "square": (["square", _ATOMS], _SEQUENCE_MODULES),
+    "factor-main3": (["factor-main3", SEMI, "--order", "8"], _IDCLASS_MODULES),
+    "check-kurtosis": (["check", "--kurtosis", SEMI], _IDCLASS_MODULES),
+    "check-regular": (["check", "--regular", _TRIPLET], _IDCLASS_MODULES),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEQUENCE_CASES))
+def test_sequence_subcommands_leave_numpy_unloaded(case):
+    # moment-sequence subcommands import only the modules they use
+    argv, modules = _SEQUENCE_CASES[case]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from freeconv import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "loaded = sorted(m[9:] for m in sys.modules if m.startswith('freeconv.'))\n"
+        "print(json.dumps([code, 'numpy' in sys.modules, loaded]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [0, False, modules]
+
+
+_PUBLIC = {
+    "catalog": ["LAWS", "MeasureSpec", "boolean_cumulants_of", "catalog_density",
+                "catalog_moments", "free_cumulants_of", "moments_of", "push_square",
+                "reflect"],
+    "conv": ["boolean_add", "boolean_power", "check_1418", "commutator", "free_add",
+             "free_add_density", "free_mult", "free_power", "free_power_fid",
+             "support_edge"],
+    "idclass": ["ClassicalTriplet", "FreeTriplet", "LevyMeasure", "RegularForm", "RModel",
+                "from_regular_form", "kurtosis_check", "main3_factor", "positivity_scan",
+                "to_regular_form"],
+    "ncpart": ["SeqN", "SetPartition", "catalan"],
+    "transforms": ["cauchy", "s_series", "stieltjes_invert"],
+    "verify": ["run_verify"],
+}
+
+
+def test_star_import_gives_the_public_names():
+    namespace = {}
+    exec("from freeconv import *", namespace)
+    del namespace["__builtins__"]
+    names = [name for names in _PUBLIC.values() for name in names]
+    assert len(names) == 36
+    assert sorted(namespace) == sorted(names + ["__version__"])
+    assert namespace["__version__"] == freeconv.__version__
+    for module, names in _PUBLIC.items():
+        mod = importlib.import_module(f"freeconv.{module}")
+        assert getattr(freeconv, module) is mod
+        for name in names:
+            assert namespace[name] is getattr(mod, name), name
+    assert set(names) <= set(dir(freeconv))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        freeconv.no_such_name

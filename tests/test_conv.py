@@ -133,6 +133,26 @@ def test_free_mult_series_needs_nonzero_mean():
     assert not report.compared
 
 
+def test_free_mult_series_route_runs_alone(monkeypatch):
+    # order 17 is past the DP's PRODUCT_CAP, inside the series route's cap
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series route ran the DP")
+
+    monkeypatch.setattr(ncpart, "free_mult_moments", refuse)
+    mu = MeasureSpec.atomic([(F(1, 2), F(1, 3)), (3, F(2, 3))])
+    prod = conv.free_mult(mu, mu, 17, method="series")
+    s = transforms.s_series(catalog.moments_of(mu, 17), 17)
+    assert prod.seq == transforms.moments_from_s_series(s * s, 17)
+    assert all(type(v) is F for v in prod.seq.values)
+
+
+def test_free_mult_series_capped_at_entry(monkeypatch):
+    monkeypatch.setattr(catalog, "moments_of", None)  # fails if reached
+    cap = ncpart.CONVERSION_CAP
+    with pytest.raises(ValueError, match=f"capped at order {cap}, got {cap + 1}"):
+        conv.free_mult(M, M, cap + 1, method="series")
+
+
 def test_free_mult_unknown_method():
     with pytest.raises(ValueError, match="unknown method"):
         conv.free_mult(M, M, 4, method="magic")

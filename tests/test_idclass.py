@@ -508,6 +508,13 @@ class TestPositivityScan:
         with pytest.raises(ValueError, match="positive"):
             idclass.positivity_scan(RModel.free_poisson(1), [0.5, -1])
 
+    @pytest.mark.parametrize("name", ["threshold", "edge_tol"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_bad_threshold_and_edge_tol(self, monkeypatch, name, value):
+        monkeypatch.setattr(idclass, "_scan_one", None)  # fails before any solve
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            idclass.positivity_scan(RModel.semicircle(2, 1), [0.5], **{name: value})
+
 
 # ---------------------------------------------------------------------------
 # divergence at the origin
