@@ -49,15 +49,6 @@ def _double_factorial_odd(n: int) -> int:
 # catalog laws
 
 
-def _sc_validate(params):
-    if len(params) != 2:
-        raise ValueError("semicircle takes (mean, variance)")
-    mean, var = params
-    if var <= 0:
-        raise ValueError(f"semicircle variance must be positive, got {var}")
-    return (mean, var)
-
-
 def _sc_density(params, x):
     mean, var = float(params[0]), float(params[1])
     r2 = 4 * var - (x - mean) ** 2
@@ -87,17 +78,6 @@ def _sc_cauchy(params, z):
     half = 2 * math.sqrt(var)
     root = np.sqrt(z - mean - half) * np.sqrt(z - mean + half)
     return (z - mean - root) / (2 * var)
-
-
-def _mp_validate(params):
-    if len(params) == 0:
-        return (1,)
-    if len(params) != 1:
-        raise ValueError("marchenko_pastur takes an optional (rate,)")
-    rate = params[0]
-    if rate <= 0:
-        raise ValueError(f"marchenko_pastur rate must be positive, got {rate}")
-    return (rate,)
 
 
 def _mp_density(params, x):
@@ -152,14 +132,6 @@ def _sbeta_moment(params, n):
     return Fraction(0) if n % 2 else Fraction(ncpart.catalan(n))
 
 
-def _qc_validate(params):
-    if len(params) != 1:
-        raise ValueError("quarter_circle takes (sigma,)")
-    if params[0] <= 0:
-        raise ValueError(f"quarter_circle sigma must be positive, got {params[0]}")
-    return tuple(params)
-
-
 def _qc_density(params, x):
     sigma = float(params[0])
     if x <= 0 or x >= 2 * sigma:
@@ -179,15 +151,6 @@ def _qc_moment(params, n):
         * math.factorial(k)
         / (math.pi * _double_factorial_odd(k + 2))
     )
-
-
-def _beta_validate(params):
-    if len(params) != 1:
-        raise ValueError("beta_1a takes (a,)")
-    a = params[0]
-    if not 0 < a < 1:
-        raise ValueError(f"beta_1a exponent must lie in (0,1), got {a}")
-    return (a,)
 
 
 def _beta_density(params, x):
@@ -247,6 +210,30 @@ def _no_atoms(params):
     return ()
 
 
+def _no_check(params):
+    return None
+
+
+def _positive(what, x):
+    return None if x > 0 else f"{what} must be positive, got {x}"
+
+
+def _beta_check(params):
+    a = params[0]
+    return None if 0 < a < 1 else f"exponent must lie in (0,1), got {a}"
+
+
+def _beta_substitution(params):
+    # x = u^p with p = 1/(1-a): the Jacobian p u^(p-1) cancels x^(-a) at 0
+    p = 1 / (1 - float(params[0]))
+    return lambda u: (u**p, p * u ** (p - 1)), 0.0, 1.0
+
+
+def _chi_substitution(params):
+    # x = u^2: the Jacobian 2u cancels x^(-1/2) at 0
+    return lambda u: (u * u, 2 * u), 0.0, math.inf
+
+
 def _each_order(moment):
     """The whole-table hook of a law whose closed form gives one order."""
     return lambda params, order: [moment(params, n) for n in range(1, order + 1)]
@@ -254,46 +241,43 @@ def _each_order(moment):
 
 @dataclass(frozen=True)
 class _Law:
+    """Everything freeconv knows of one catalog law; each hook takes the
+    law's parameters, and support is that of the density."""
+
     name: str
-    validate: callable | None  # params -> validated params; None: takes none
     density: callable | None
     moments: callable        # (params, order) -> [m_1, ..., m_order]
     support: callable | None
+    param_names: tuple = ()
+    check: callable = _no_check  # params -> what is wrong with them, or None
+    default: tuple = ()          # the parameters of a spec that gives none
     atoms: callable = _no_atoms
     cauchy: callable | None = None
+    # params -> (u -> (x, dx/du), lo, hi): quadrature runs in u over (lo, hi)
+    substitution: callable | None = None
 
 
 LAWS = {
     law.name: law
     for law in (
-        _Law(
-            "semicircle",
-            _sc_validate,
-            _sc_density,
-            _sc_moments,
-            _sc_support,
-            cauchy=_sc_cauchy,
-        ),
-        _Law(
-            "marchenko_pastur",
-            _mp_validate,
-            _mp_density,
-            _mp_moments,
-            _mp_support,
-            atoms=_mp_atoms,
-            cauchy=_mp_cauchy,
-        ),
-        _Law("symmetric_bernoulli", None, None, _each_order(_bern_moment), None,
+        _Law("semicircle", _sc_density, _sc_moments, _sc_support,
+             param_names=("mean", "variance"),
+             check=lambda p: _positive("variance", p[1]), cauchy=_sc_cauchy),
+        _Law("marchenko_pastur", _mp_density, _mp_moments, _mp_support,
+             param_names=("rate",), check=lambda p: _positive("rate", p[0]),
+             default=(1,), atoms=_mp_atoms, cauchy=_mp_cauchy),
+        _Law("symmetric_bernoulli", None, _each_order(_bern_moment), None,
              atoms=lambda p: ((-1, Fraction(1, 2)), (1, Fraction(1, 2)))),
-        _Law("symmetric_beta", None, _sbeta_density, _each_order(_sbeta_moment),
+        _Law("symmetric_beta", _sbeta_density, _each_order(_sbeta_moment),
              lambda p: (-4.0, 4.0)),
-        _Law("quarter_circle", _qc_validate, _qc_density, _each_order(_qc_moment),
-             lambda p: (0.0, 2 * float(p[0]))),
-        _Law("beta_1a", _beta_validate, _beta_density, _each_order(_beta_moment),
-             lambda p: (0.0, 1.0)),
-        _Law("chi_squared_1", None, _chi_density, _each_order(_chi_moment),
-             lambda p: (0.0, math.inf)),
-        _Law("commutator_ww", None, _comm_density, _comm_moments,
+        _Law("quarter_circle", _qc_density, _each_order(_qc_moment),
+             lambda p: (0.0, 2 * float(p[0])), param_names=("sigma",),
+             check=lambda p: _positive("sigma", p[0])),
+        _Law("beta_1a", _beta_density, _each_order(_beta_moment), lambda p: (0.0, 1.0),
+             param_names=("a",), check=_beta_check, substitution=_beta_substitution),
+        _Law("chi_squared_1", _chi_density, _each_order(_chi_moment),
+             lambda p: (0.0, math.inf), substitution=_chi_substitution),
+        _Law("commutator_ww", _comm_density, _comm_moments,
              lambda p: (-_COMM_EDGE, _COMM_EDGE)),
     )
 }
@@ -424,14 +408,17 @@ def _trapezoid(xs, ys) -> float:
 
 
 def _law_entry(law: str, params):
-    """The registry entry of a law and its validated parameters."""
+    """The registry entry of a law and its checked parameters."""
     if law not in LAWS:
         raise ValueError(f"unknown law {law!r}; known: {sorted(LAWS)}")
-    spec, params = LAWS[law], tuple(params)
-    if spec.validate is not None:
-        return spec, spec.validate(params)
-    if params:
-        raise ValueError(f"{law} takes no parameters")
+    spec = LAWS[law]
+    params = tuple(params) or spec.default
+    if len(params) != len(spec.param_names):
+        takes = f"({', '.join(spec.param_names)})" if spec.param_names else "no parameters"
+        raise ValueError(f"{law} takes {takes}")
+    problem = spec.check(params)
+    if problem is not None:
+        raise ValueError(f"{law} {problem}")
     return spec, params
 
 
@@ -472,12 +459,20 @@ def atoms_of(mu: MeasureSpec) -> tuple:
     raise ValueError(f"a {mu.kind!r} spec carries no atoms")
 
 
+def support_of(mu: MeasureSpec):
+    """(lo, hi) of a law spec's density support after its pushforward
+    x -> scale*x + offset; None for other specs and for a law without a density."""
+    law = LAWS.get(mu.law)
+    if law is None or law.support is None:
+        return None
+    s, c = float(mu.scale), float(mu.offset)
+    return tuple(sorted(s * float(e) + c for e in law.support(mu.params)))
+
+
 def support_low(mu: MeasureSpec) -> float:
     """Lowest atom or density point of a spec, after a law's pushforward."""
-    law = LAWS.get(mu.law)
-    ends = law.support(mu.params) if law and law.support else ()
-    lows = [float(mu.scale) * e + float(mu.offset) for e in ends]
-    return min([loc for loc, _ in atoms_of(mu)] + list(mu.xs[:1]) + lows)
+    ends = support_of(mu) or ()
+    return min([loc for loc, _ in atoms_of(mu)] + list(mu.xs[:1]) + list(ends))
 
 
 def density_of(mu: MeasureSpec, x):
@@ -504,46 +499,43 @@ def catalog_moments(law: str, params, order: int) -> SeqN:
     return SeqN("moment", spec.moments(params, order))
 
 
-_SYMMETRIC_LAWS = {"symmetric_bernoulli", "symmetric_beta", "commutator_ww"}
+def _law_quad(law: _Law, params, f) -> float:
+    """Integral of f(x, w) over the unshifted law's density, where w is the
+    density times the Jacobian of the law's substitution; 0 without a density.
 
-
-def law_moments_quadrature(law: str, params, order: int) -> SeqN:
-    """Adaptive-quadrature moments; the validation path for the closed forms.
-
-    chi_squared_1 integrates under x = u^2 and beta_1a under x = u^{1/(1-a)}
-    to tame the endpoint singularities; symmetric laws integrate one half
-    line and double, which keeps the origin (a kink or an inverse square
-    root) at an interval endpoint where the quadrature handles it.
+    A substitution (chi_squared_1 under x = u^2, beta_1a under x = u^{1/(1-a)})
+    tames an endpoint singularity. A support that straddles 0 is split there,
+    which keeps the origin (a kink or an inverse square root) at an interval
+    endpoint where the quadrature handles it.
     """
     from scipy.integrate import quad
 
+    if law.density is None:
+        return 0.0
+    if law.substitution is not None:
+        to_x, lo, hi = law.substitution(params)
+        cuts = (lo, hi)
+
+        def g(u):
+            x, jac = to_x(u)
+            return f(x, jac * law.density(params, x))
+    else:
+        lo, hi = law.support(params)
+        cuts = (lo, 0.0, hi) if lo < 0 < hi else (lo, hi)
+        g = lambda x: f(x, law.density(params, x))
+    return sum(quad(g, a, b, **_QUAD_SETTINGS)[0] for a, b in zip(cuts, cuts[1:]))
+
+
+def law_moments_quadrature(law: str, params, order: int) -> SeqN:
+    """Adaptive-quadrature moments, as floats; the validation path for the
+    closed forms, so it never calls them."""
     if order > MOMENT_CAP_QUAD:
         raise ValueError(f"quadrature moments capped at order {MOMENT_CAP_QUAD}")
     spec, params = _law_entry(law, params)
     out = []
     for n in range(1, order + 1):
-        total = sum(w * loc**n for loc, w in spec.atoms(params))
-        if spec.density is not None:
-            fn = lambda x: x**n * spec.density(params, x)
-            if law == "chi_squared_1":
-                gn = lambda u: 2 * u * u ** (2 * n) * spec.density(params, u * u)
-                val, _ = quad(gn, 0, math.inf, **_QUAD_SETTINGS)
-            elif law == "beta_1a":
-                p = 1 / (1 - float(params[0]))
-                gn = lambda u: p * u ** (p * (n + 1) - 1) * spec.density(params, u**p)
-                val, _ = quad(gn, 0, 1, **_QUAD_SETTINGS)
-            elif law in _SYMMETRIC_LAWS or (law == "semicircle" and params[0] == 0):
-                if n % 2:
-                    val = 0.0
-                else:
-                    _, hi = spec.support(params)
-                    half, _ = quad(fn, 0, hi, **_QUAD_SETTINGS)
-                    val = 2 * half
-            else:
-                lo, hi = spec.support(params)
-                val, _ = quad(fn, lo, hi, **_QUAD_SETTINGS)
-            total = float(total) + val
-        out.append(total)
+        atoms = sum(w * loc**n for loc, w in spec.atoms(params))
+        out.append(float(atoms) + _law_quad(spec, params, lambda x, w: x**n * w))
     return SeqN("moment", out)
 
 
@@ -618,6 +610,9 @@ def boolean_cumulants_of(mu: MeasureSpec, order: int) -> SeqN:
 
 def _half(w):
     return Fraction(w, 2) if isinstance(w, int) else w / 2
+
+
+_SYMMETRIC_LAWS = {"symmetric_bernoulli", "symmetric_beta", "commutator_ww"}
 
 
 def symmetrize(mu: MeasureSpec) -> MeasureSpec:

@@ -289,8 +289,10 @@ def _parse_grid(text: str):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise SpecError(f"grid must be lo:hi:n, got {text!r}") from exc
-    if not lo < hi or not 2 <= n <= SIZE_CAP:
-        raise SpecError(f"grid needs lo < hi and 2 <= n <= {SIZE_CAP}, got {text!r}")
+    if not (lo < hi and math.isfinite(hi - lo)) or not 2 <= n <= SIZE_CAP:
+        raise SpecError(
+            f"grid needs lo < hi and 2 <= n <= {SIZE_CAP}, with finite ends, got {text!r}"
+        )
     import numpy as np
 
     return np.linspace(lo, hi, n)
@@ -363,17 +365,18 @@ def _positive_float(text: str) -> float:
 
 
 def _parse_number(text: str, where: str):
+    """A typed int, 'p/q' fraction or float, under the rules of a JSON number
+    (_num_from_json): a non-finite value is a usage error."""
     text = text.strip()
     if _FRACTION_RE.match(text):
         return Fraction(text)
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise SpecError(f"{where}: expected a number, got {text!r}") from exc
+    for parse in (int, float):
+        try:
+            value = parse(text)
+        except ValueError:
+            continue
+        return _num_from_json(value, where)
+    raise SpecError(f"{where}: expected a number, got {text!r}")
 
 
 def _parse_params(text: str):
@@ -386,19 +389,10 @@ def _parse_params(text: str):
 # subcommand handlers
 
 
-_LAW_PARAMS = {
-    "semicircle": "mean,variance",
-    "marchenko_pastur": "rate",
-    "quarter_circle": "sigma",
-    "beta_1a": "a",
-}
-
-
 def _cmd_law(args) -> int:
     if args.name is None:
         for name in sorted(LAWS):
-            hint = _LAW_PARAMS.get(name, "(none)")
-            print(f"{name}  params: {hint}")
+            print(f"{name}  params: {','.join(LAWS[name].param_names) or '(none)'}")
         return 0
     try:
         mu = MeasureSpec.from_law(
@@ -478,16 +472,13 @@ def _cmd_density(args) -> int:
     mu = parse_measure_spec(args.spec)
     xs = _default_grid(args.grid)
     if xs is None and mu.kind == "law":
-        law = LAWS[mu.law]
-        sup = law.support(mu.params) if law.support else None
-        if sup is None or not all(math.isfinite(float(v)) for v in sup):
+        window = catalog.support_of(mu)
+        if window is None or not all(map(math.isfinite, window)):
             raise SpecError(
                 f"{mu.law} has no bounded default window; pass --grid "
                 f"lo:hi:n or set {GRID_ENV}"
             )
-        s, c = float(mu.scale), float(mu.offset)
-        lo, hi = sorted((s * float(sup[0]) + c, s * float(sup[1]) + c))
-        xs = np.linspace(lo, hi, 401)
+        xs = np.linspace(*window, 401)
     elif xs is None and mu.kind == "grid":
         xs = np.asarray(mu.xs, dtype=float)
     _emit_density(xs, catalog.density_of(mu, xs), catalog.atoms_of(mu), args.out)

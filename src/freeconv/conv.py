@@ -9,7 +9,8 @@ transform to Stieltjes inversion.
 The multiplicative product keeps two independent routes, the alternating
 word recursion (ncpart) and the S-transform series route, and can be asked
 to run both and compare. numpy is imported by the density functions only,
-so the sequence-level operations never load it.
+so the sequence-level operations never load it; transforms is imported
+by the same functions and by the series route of the product.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import catalog, ncpart, transforms
+from . import catalog, ncpart
 from .catalog import MeasureSpec
 from .ncpart import SeqN
 
@@ -119,6 +120,8 @@ class MultReport:
 
 def _series_product(ma: SeqN, mb: SeqN, order: int) -> SeqN:
     """Product moments by the S-transform route: S_{mu x nu} = S_mu S_nu."""
+    from . import transforms
+
     sa = transforms.s_series(ma, order)
     sb = transforms.s_series(mb, order)
     return transforms.moments_from_s_series(sa * sb, order)
@@ -196,6 +199,8 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
     """
     import numpy as np
 
+    from . import transforms
+
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(zarr.imag <= 0):
         raise ValueError("subordination points must lie in the upper half plane")
@@ -227,6 +232,8 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
 def free_add_cauchy(mu: MeasureSpec, nu: MeasureSpec, z):
     """Cauchy transform of the additive convolution via subordination."""
     import numpy as np
+
+    from . import transforms
 
     sub = subordination(mu, nu, z)
     g = transforms.cauchy(mu, sub.omega)
@@ -262,6 +269,8 @@ def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
     counts the grid points where a subordination solve did not settle."""
     import numpy as np
 
+    from . import transforms
+
     diagnostics = []
 
     def g(z):
@@ -285,6 +294,8 @@ def density_at_points(mu: MeasureSpec, nu: MeasureSpec, xs):
     """Pointwise extrapolated density of mu plus nu, no renormalization."""
     import numpy as np
 
+    from . import transforms
+
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     d = transforms._boundary_densities(lambda z: free_add_cauchy(mu, nu, z)[0], xs)
     return transforms._richardson(d)
@@ -300,6 +311,7 @@ def support_edge(mu: MeasureSpec, nu: MeasureSpec, inner: float, outer: float) -
     evaluates its midpoints in batches (transforms._bisect_edge) with the
     same edge as one-point bisection.
     """
+    from . import transforms
 
     def f(xs):
         return density_at_points(mu, nu, xs) - _EDGE_THRESHOLD

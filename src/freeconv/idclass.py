@@ -108,12 +108,11 @@ class LevyMeasure:
     def total_mass(self):
         return self.integral(lambda t: 1)
 
-    def charges_nonpositive(self, include_zero: bool = True) -> bool:
-        """Whether any mass sits on (-oo, 0] (or (-oo, 0) when asked)."""
-        cut = 0 if include_zero else -1e-300
-        if any(loc <= cut for loc, _ in self.atoms):
+    def charges_nonpositive(self) -> bool:
+        """Whether any mass sits on (-oo, 0]."""
+        if any(loc <= 0 for loc, _ in self.atoms):
             return True
-        if any(x <= cut and d > 0 for x, d in zip(self.xs, self.densities)):
+        if any(x <= 0 and d > 0 for x, d in zip(self.xs, self.densities)):
             return True
         if self.density_fn is not None and self.support[0] < 0:
             return True

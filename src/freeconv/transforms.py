@@ -500,9 +500,9 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
 def _law_cauchy_base(law: str, params, w):
     """Cauchy transform of an unshifted catalog law, either half plane.
 
-    Closed forms are transforms of the whole measure (the Marchenko-Pastur
-    branch carries its atom at 0); the quadrature fallback integrates the
-    density only, so the atoms are added there.
+    Closed forms are transforms of the whole measure, atoms included; the
+    quadrature fallback integrates the density only, so the atoms are added
+    there.
     """
     import numpy as np
 
@@ -516,38 +516,22 @@ def _law_cauchy_base(law: str, params, w):
         if spec.cauchy is not None:
             vals = spec.cauchy(params, pts)
         else:
-            vals = _law_cauchy_quad(law, params, pts) + _atomic_cauchy(
+            vals = _law_cauchy_quad(spec, params, pts) + _atomic_cauchy(
                 spec.atoms(params), pts
             )[0]
         out[mask] = np.conj(vals) if conj else vals
     return out
 
 
-def _law_cauchy_quad(law: str, params, pts):
+def _law_cauchy_quad(spec, params, pts):
+    """Quadrature of the density part of a law's Cauchy transform at pts."""
     import numpy as np
-    from scipy.integrate import quad
 
-    spec = LAWS[law]
     vals = np.empty_like(pts)
     for i, z in enumerate(pts.ravel()):
-        if law == "chi_squared_1":
-            fn = lambda u: 2 * u * spec.density(params, u * u) / (z - u * u)
-            lo, hi, split = 0.0, math.inf, None
-        elif law == "beta_1a":
-            p = 1 / (1 - float(params[0]))
-            fn = lambda u: p * u ** (p - 1) * spec.density(params, u**p) / (z - u**p)
-            lo, hi, split = 0.0, 1.0, None
-        else:
-            fn = lambda x: spec.density(params, x) / (z - x)
-            lo, hi = spec.support(params)
-            split = 0.0 if lo < 0 < hi else None
-        pieces = [(lo, split), (split, hi)] if split is not None else [(lo, hi)]
-        total = 0j
-        for a, b in pieces:
-            re, _ = quad(lambda x: fn(x).real, a, b, **catalog._QUAD_SETTINGS)
-            im, _ = quad(lambda x: fn(x).imag, a, b, **catalog._QUAD_SETTINGS)
-            total += re + 1j * im
-        vals.ravel()[i] = total
+        re = catalog._law_quad(spec, params, lambda x, w: (w / (z - x)).real)
+        im = catalog._law_quad(spec, params, lambda x, w: (w / (z - x)).imag)
+        vals.ravel()[i] = re + 1j * im
     return vals
 
 

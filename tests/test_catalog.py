@@ -31,6 +31,7 @@ from freeconv.catalog import (
     push_square,
     reflect,
     shift,
+    support_of,
     symmetric_sqrt_moments,
     symmetrize,
 )
@@ -82,6 +83,27 @@ def test_unknown_law_rejected():
         catalog_moments("gaussian", (), 4)
 
 
+@pytest.mark.parametrize(
+    "law,params,message",
+    [
+        ("semicircle", (0,), "semicircle takes (mean, variance)"),
+        ("marchenko_pastur", (1, 2), "marchenko_pastur takes (rate)"),
+        ("quarter_circle", (), "quarter_circle takes (sigma)"),
+        ("beta_1a", (), "beta_1a takes (a)"),
+        ("chi_squared_1", (1,), "chi_squared_1 takes no parameters"),
+        ("semicircle", (0, -1), "semicircle variance must be positive, got -1"),
+        ("semicircle", (0, math.nan), "semicircle variance must be positive, got nan"),
+        ("marchenko_pastur", (0,), "marchenko_pastur rate must be positive, got 0"),
+        ("quarter_circle", (-1,), "quarter_circle sigma must be positive, got -1"),
+        ("beta_1a", (1.5,), "beta_1a exponent must lie in (0,1), got 1.5"),
+    ],
+)
+def test_parameter_messages_name_the_parameters(law, params, message):
+    with pytest.raises(ValueError) as info:
+        MeasureSpec.from_law(law, params)
+    assert str(info.value) == message
+
+
 def test_marchenko_pastur_default_rate():
     mu = MeasureSpec.from_law("marchenko_pastur")
     assert mu.params == (1,)
@@ -114,6 +136,25 @@ def test_closed_moments_match_quadrature(law, params, order):
     for n in range(1, order + 1):
         c, q = float(closed.at(n)), quad.at(n)
         assert c == pytest.approx(q, rel=1e-8, abs=1e-10), f"moment {n}"
+
+
+def test_quadrature_of_law_without_density_is_its_atoms():
+    quad = law_moments_quadrature("symmetric_bernoulli", (), 6)
+    assert quad.values == (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "mu,window",
+    [
+        (MeasureSpec.from_law("quarter_circle", (1,), scale=-2, offset=1), (-3.0, 1.0)),
+        (MeasureSpec.from_law("semicircle", (1, 1), scale=Fraction(1, 2)), (-0.5, 1.5)),
+        (MeasureSpec.from_law("chi_squared_1", (), scale=-1), (-math.inf, 0.0)),
+        (MeasureSpec.from_law("symmetric_bernoulli"), None),
+        (MeasureSpec.atomic([(2, 1)]), None),
+    ],
+)
+def test_support_of_applies_the_pushforward(mu, window):
+    assert support_of(mu) == window
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +192,35 @@ class TestNonFiniteOutput:
         assert stdout == ""
         assert "not JSON compliant" in err
 
+    @pytest.mark.parametrize(
+        "argv,where",
+        [
+            (["power", SEMI, "--t", "nan"], "--t"),
+            (["power", SEMI, "--t", "1e400"], "--t"),
+            (["law", "semicircle", "--params", "nan,1"], "params"),
+            (["law", "semicircle", "--params", "0,1", "--scale", "inf"], "scale"),
+            (["law", "semicircle", "--params", "0,1", "--offset", "nan"], "offset"),
+            (["density", SEMI, "--grid=0:inf:5"], "grid needs"),
+            (["density", SEMI, "--grid=-1e308:1e308:5"], "grid needs"),
+        ],
+    )
+    def test_non_finite_typed_number_is_a_usage_error(self, capsys, argv, where):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {where}")
+        assert caught == []
+
+    def test_non_finite_default_grid_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.GRID_ENV, "0:inf:5")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, stdout, err = run_cli(capsys, "density", SEMI)
+        assert (code, stdout, caught) == (2, "", [])
+        assert "with finite ends" in err
+
     @pytest.mark.parametrize("out", ["csv", "json"])
     def test_non_finite_density_is_refused(self, capsys, out):
         with pytest.raises(ValueError, match="non-finite"):
@@ -268,6 +298,20 @@ class TestLaw:
             "commutator_ww",
         ):
             assert name in out
+
+    def test_listing_names_the_parameters(self, capsys):
+        code, out, _ = run_cli(capsys, "law")
+        assert code == 0
+        assert out.splitlines() == [
+            "beta_1a  params: a",
+            "chi_squared_1  params: (none)",
+            "commutator_ww  params: (none)",
+            "marchenko_pastur  params: rate",
+            "quarter_circle  params: sigma",
+            "semicircle  params: mean,variance",
+            "symmetric_bernoulli  params: (none)",
+            "symmetric_beta  params: (none)",
+        ]
 
     def test_emit_spec(self, capsys):
         code, out, _ = run_cli(
@@ -430,6 +474,25 @@ class TestDensity:
         assert code == 0
         xs = [float(l.split(",")[0]) for l in out.splitlines()[1:]]
         assert xs[0] == 0.0 and xs[-1] == 2.0
+
+    def test_default_window_of_a_reflected_law(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.GRID_ENV, raising=False)
+        spec = json.dumps({"type": "law", "name": "quarter_circle", "params": [1],
+                           "scale": -2, "offset": 1})
+        code, out, _ = run_cli(capsys, "density", spec)
+        assert code == 0
+        rows = [[float(v) for v in l.split(",")] for l in out.splitlines()[1:]]
+        assert len(rows) == 401
+        assert rows[0][0] == -3.0 and rows[-1][0] == 1.0
+        assert rows[200] == [-1.0, pytest.approx(math.sqrt(3) / (2 * math.pi))]
+
+    def test_unbounded_law_needs_a_grid(self, capsys, monkeypatch):
+        monkeypatch.delenv(cli.GRID_ENV, raising=False)
+        chi = json.dumps({"type": "law", "name": "chi_squared_1", "scale": -1})
+        code, out, err = run_cli(capsys, "density", chi)
+        assert code == 2
+        assert out == ""
+        assert "no bounded default window" in err
 
     def test_grid_spec_passthrough(self, capsys):
         spec = json.dumps(
@@ -767,6 +830,13 @@ class TestTransform:
         assert code == 2
         assert "real axis" in err
 
+    def test_law_without_density(self, capsys):
+        spec = json.dumps({"type": "law", "name": "symmetric_bernoulli"})
+        code, out, _ = run_cli(capsys, "transform", spec, "--which", "G", "--at", "0.3,1")
+        assert code == 0
+        g = 0.5 / (0.3 + 1j - 1) + 0.5 / (0.3 + 1j + 1)
+        assert out.strip() == f"{g.real:.12g},{g.imag:.12g}"
+
     def test_format_is_two_floats(self, capsys):
         _, out, _ = run_cli(capsys, "transform", SEMI, "--which", "G", "--at", "0,2")
         parts = out.strip().split(",")
@@ -802,7 +872,8 @@ def test_cli_import_leaves_scipy_unloaded():
 
 _ATOMS = json.dumps({"type": "atomic", "atoms": [[1, "1/3"], [2, "2/3"]]})
 _SEQUENCE_MODULES = ["catalog", "cli", "ncpart"]
-_CONV_MODULES = ["catalog", "cli", "conv", "ncpart", "transforms"]
+_CONV_MODULES = ["catalog", "cli", "conv", "ncpart"]
+_SERIES_MODULES = ["catalog", "cli", "conv", "ncpart", "transforms"]
 _IDCLASS_MODULES = ["catalog", "cli", "conv", "idclass", "ncpart", "transforms"]
 _TRIPLET = json.dumps({"eta": "1/2", "a": 0, "levy": {"atoms": [["1/2", "3/10"], [2, "7/10"]]}})
 
@@ -814,7 +885,7 @@ _SEQUENCE_CASES = {
     "cumulants-boolean": (["cumulants", _ATOMS, "--kind", "boolean"], _SEQUENCE_MODULES),
     "convolve-add": (["convolve", "--op", "add", "--a", SEMI, "--b", SEMI], _CONV_MODULES),
     "convolve-mult": (["convolve", "--op", "mult", "--a", _ATOMS, "--b", _ATOMS],
-                      _CONV_MODULES),
+                      _SERIES_MODULES),
     "convolve-boolean": (["convolve", "--op", "boolean", "--a", _ATOMS, "--b", SEMI],
                          _CONV_MODULES),
     "power-free": (["power", _ATOMS, "--t", "3/2"], _CONV_MODULES),

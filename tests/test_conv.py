@@ -250,6 +250,15 @@ def test_free_add_density_finds_atom():
     assert abs(weight - 1) < 1e-2
 
 
+def test_free_add_density_of_law_without_density():
+    # the symmetric Bernoulli law and its atomic spec give one density with W
+    xs = np.linspace(-3.2, 3.2, 81)
+    law = conv.free_add_density(W, B, xs)
+    atoms = conv.free_add_density(W, atomic_from([-1, 1]), xs)
+    assert np.max(np.abs(law.density - atoms.density)) <= 1e-12
+    assert law.atoms == atoms.atoms
+
+
 def test_support_edge_semicircle_sum():
     edge = conv.support_edge(W, W, inner=2.0, outer=3.2)
     assert abs(edge - 2 * math.sqrt(2)) < 2e-2

@@ -559,6 +559,51 @@ def test_quad_fallback_law_cauchy():
     assert cauchy(mu, z) == pytest.approx(re + 1j * im, rel=1e-8)
 
 
+_PIN_POINTS = [0.5 + 0.3j, -1.2 + 0.05j, 2.5 - 0.7j]
+_QUAD_CAUCHY_PINS = {
+    ("quarter_circle", (1,)): [
+        ("-0x1.7d463a883bf57p-2", "-0x1.6a3f962ce1aadp+0"),
+        ("-0x1.0b803c3a5e843p-1", "-0x1.df4224c65db59p-7"),
+        ("0x1.0bf2df0aedcefp-1", "0x1.194f71f2fdc4dp-2"),
+    ],
+    ("symmetric_beta", ()): [
+        ("0x1.f29ecbfd600f8p-2", "-0x1.7e777f6a7e63ap-1"),
+        ("-0x1.047efcb971cb4p-1", "-0x1.8f43dbd1d1249p-2"),
+        ("0x1.4dd4440bb8858p-2", "0x1.c29cec530f77dp-3"),
+    ],
+    ("commutator_ww", ()): [
+        ("0x1.c60f6f567d2e5p-3", "-0x1.682a769eda7d7p-1"),
+        ("-0x1.b070fa5c9d1dbp-2", "-0x1.15b0a766ef9dcp-1"),
+        ("0x1.66cef0f1c7770p-2", "0x1.029bceabc6d8ep-2"),
+    ],
+    ("chi_squared_1", ()): [
+        ("0x1.4a4f09e499f41p-2", "-0x1.3fb3b0cbd2959p+0"),
+        ("-0x1.23684539a2b09p-1", "-0x1.2e0d82d8c9159p-6"),
+        ("0x1.68e60b70272f7p-2", "0x1.24154ca6f5932p-2"),
+    ],
+    ("beta_1a", (0.3,)): [
+        ("0x1.3be3fb9a0e9efp-1", "-0x1.ee957a4d32efcp+0"),
+        ("-0x1.53f11ea48d18bp-1", "-0x1.73b7de3b3f2e5p-6"),
+        ("0x1.b2aff1e1b1f8ep-2", "0x1.24a6e6a924219p-3"),
+    ],
+}
+
+
+@pytest.mark.parametrize("law,params", sorted(_QUAD_CAUCHY_PINS))
+def test_quad_law_cauchy_bits_pinned(law, params):
+    # the quadrature-backed transforms, substitutions and split at 0
+    # included, to the bit in both half planes
+    g = cauchy(MeasureSpec.from_law(law, params), np.array(_PIN_POINTS))
+    assert [(v.real.hex(), v.imag.hex()) for v in g] == _QUAD_CAUCHY_PINS[law, params]
+
+
+def test_law_without_density_is_its_atoms():
+    law = MeasureSpec.from_law("symmetric_bernoulli")
+    atoms = MeasureSpec.atomic([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])
+    zs = np.array([0.3 + 0.7j, -2.0 - 0.1j, 1.0 + 1e-3j])
+    assert np.array_equal(cauchy(law, zs), cauchy(atoms, zs))
+
+
 def test_grid_cauchy_matches_law():
     xs = np.linspace(-2, 2, 3001)
     mu = MeasureSpec.grid(xs, catalog_density("semicircle", (0, 1), xs), norm_tol=1e-3)
