@@ -39,7 +39,6 @@ _EXPORTS = {
         "support_edge",
     ),
     "idclass": (
-        "ClassicalTriplet",
         "FreeTriplet",
         "LevyMeasure",
         "RegularForm",

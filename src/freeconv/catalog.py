@@ -315,9 +315,11 @@ class MeasureSpec:
     def atomic(atoms) -> "MeasureSpec":
         merged = {}
         for loc, w in atoms:
+            if not _finite(w):
+                raise ValueError(f"atom weight must be finite, got {w}")
             if w < 0:
                 raise ValueError(f"atom weight must be nonnegative, got {w}")
-            if not _is_exact(loc) and not math.isfinite(loc):
+            if not _finite(loc):
                 raise ValueError(f"atom location must be finite, got {loc}")
             merged[loc] = merged.get(loc, 0) + w
         total = sum(merged.values())
@@ -332,11 +334,15 @@ class MeasureSpec:
         densities = tuple(float(d) for d in densities)
         if len(xs) != len(densities) or len(xs) < 2:
             raise ValueError("grid needs matching xs/densities of length >= 2")
+        if not all(map(math.isfinite, xs + densities)):  # floats by now
+            raise ValueError("grid abscissas and densities must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ValueError("grid abscissas must be strictly increasing")
         if any(d < 0 for d in densities):
             raise ValueError("grid densities must be nonnegative")
         atoms = tuple(sorted((loc, w) for loc, w in atoms))
+        if not _finite(*(v for atom in atoms for v in atom)):
+            raise ValueError("grid atom locations and weights must be finite")
         if any(w < 0 for _, w in atoms):
             raise ValueError("atom weights must be nonnegative")
         total = _trapezoid(xs, densities) + sum(w for _, w in atoms)
@@ -351,6 +357,8 @@ class MeasureSpec:
     @staticmethod
     def from_law(name: str, params=(), scale=1, offset=0) -> "MeasureSpec":
         _, params = _law_entry(name, params)
+        if not _finite(scale, offset):
+            raise ValueError(f"law scale and offset must be finite, got {scale}, {offset}")
         if scale == 0:
             raise ValueError("law scale must be nonzero")
         return MeasureSpec(
@@ -395,6 +403,10 @@ class MeasureSpec:
         if self.kind == "grid":
             return f"grid on [{self.xs[0]}, {self.xs[-1]}] ({len(self.xs)} points)"
         return f"{self.kind} to order {self.seq.order}"
+
+
+def _finite(*xs) -> bool:
+    return all(_is_exact(x) or math.isfinite(x) for x in xs)
 
 
 def _trapezoid(xs, ys) -> float:
@@ -608,51 +620,6 @@ def boolean_cumulants_of(mu: MeasureSpec, order: int) -> SeqN:
 # pushforwards
 
 
-def _half(w):
-    return Fraction(w, 2) if isinstance(w, int) else w / 2
-
-
-_SYMMETRIC_LAWS = {"symmetric_bernoulli", "symmetric_beta", "commutator_ww"}
-
-
-def symmetrize(mu: MeasureSpec) -> MeasureSpec:
-    """Sym(mu) = (mu + reflect(mu)) / 2."""
-    if mu.kind == "atomic":
-        atoms = []
-        for loc, w in mu.atoms:
-            atoms.append((loc, _half(w)))
-            atoms.append((-loc, _half(w)))
-        return MeasureSpec.atomic(atoms)
-    if mu.kind == "grid":
-        xs = sorted({*mu.xs, *(-x for x in mu.xs)})
-        half = [0.5 * (_interp(mu, x) + _interp(mu, -x)) for x in xs]
-        merged = {}
-        for loc, w in mu.atoms:
-            for s in (loc, -loc):
-                merged[s] = merged.get(s, 0) + w / 2
-        return MeasureSpec.grid(xs, half, tuple(sorted(merged.items())),
-                                norm_tol=max(mu.norm_tol, 1e-6))
-    if mu.kind == "moments":
-        vals = [0 if n % 2 else v for n, v in enumerate(mu.seq.values, start=1)]
-        return MeasureSpec.from_moments(vals)
-    if mu.kind == "law":
-        if mu.law in _SYMMETRIC_LAWS and mu.offset == 0:
-            return replace(mu, scale=abs(mu.scale))
-        if mu.law == "semicircle" and mu.params[0] == 0 and mu.offset == 0:
-            return replace(mu, scale=abs(mu.scale))
-        if (
-            mu.law == "marchenko_pastur"
-            and mu.params[0] == 1
-            and mu.offset == 0
-            and mu.scale in (1, -1)
-        ):
-            return MeasureSpec.from_law("symmetric_beta")
-        raise ValueError(
-            f"no symmetrization rule for law {mu.law!r}; convert first"
-        )
-    raise ValueError(f"no symmetrization rule for {mu.kind!r} form; convert first")
-
-
 def _interp(mu: MeasureSpec, x: float) -> float:
     xs, ds = mu.xs, mu.densities
     if x <= xs[0] or x >= xs[-1]:
@@ -730,49 +697,6 @@ def _grid_square(mu: MeasureSpec) -> MeasureSpec:
             )
         dens = [d * ac_mass / mass for d in dens]
     return MeasureSpec.grid(ys, dens, tuple(sorted(atoms.items())), norm_tol=1e-2)
-
-
-def push_sqrt(mu: MeasureSpec) -> MeasureSpec:
-    """Pushforward by x -> sqrt(x) for measures supported on [0, inf)."""
-    if mu.kind == "atomic":
-        if any(loc < 0 for loc, _ in mu.atoms):
-            raise ValueError("push_sqrt needs support in [0, inf)")
-        return MeasureSpec.atomic([(_sqrt_exact(loc), w) for loc, w in mu.atoms])
-    if mu.kind == "grid":
-        if mu.xs[0] < 0 or any(loc < 0 for loc, _ in mu.atoms):
-            raise ValueError("push_sqrt needs support in [0, inf)")
-        ys = [math.sqrt(x) for x in mu.xs]
-        ys, dens = zip(*sorted(
-            (y, 2 * y * d) for y, d in zip(ys, mu.densities)
-        ))
-        atoms = [(math.sqrt(loc), w) for loc, w in mu.atoms]
-        return MeasureSpec.grid(ys, dens, atoms, norm_tol=max(mu.norm_tol, 1e-2))
-    if mu.kind == "law":
-        if (
-            mu.law == "marchenko_pastur"
-            and mu.params[0] == 1
-            and mu.offset == 0
-            and mu.scale > 0
-        ):
-            return MeasureSpec.from_law(
-                "quarter_circle", (_sqrt_exact(mu.scale),)
-            )
-        raise ValueError(
-            f"no square-root rule for law {mu.law!r}; convert to a grid first"
-        )
-    raise ValueError(
-        "push_sqrt is underdetermined on moment-type representations; "
-        "use symmetric_sqrt_moments for the symmetrized square root"
-    )
-
-
-def _sqrt_exact(x):
-    if _is_exact(x):
-        frac = Fraction(x)
-        rn, rd = math.isqrt(frac.numerator), math.isqrt(frac.denominator)
-        if rn * rn == frac.numerator and rd * rd == frac.denominator:
-            return Fraction(rn, rd)
-    return math.sqrt(x)
 
 
 def symmetric_sqrt_moments(m: SeqN) -> SeqN:

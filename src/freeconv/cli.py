@@ -322,15 +322,18 @@ def _parse_times(text: str):
         if not math.isfinite(span) or round(span) >= SIZE_CAP:
             raise SpecError(f"time range gives over {SIZE_CAP} values, got {text!r}")
         ts = [lo + k * step for k in range(round(span) + 1)]
-        return [t for t in ts if t <= hi + 1e-12]
-    try:
-        ts = [float(p) for p in text.split(",") if p]
-    except ValueError as exc:
-        raise SpecError(f"times must be numbers, got {text!r}") from exc
-    if not all(math.isfinite(t) for t in ts):
-        raise SpecError(f"times must be finite, got {text!r}")
-    if not 1 <= len(ts) <= SIZE_CAP:
-        raise SpecError(f"scan needs 1 to {SIZE_CAP} times, got {len(ts)}")
+        ts = [t for t in ts if t <= hi + 1e-12]
+    else:
+        try:
+            ts = [float(p) for p in text.split(",") if p]
+        except ValueError as exc:
+            raise SpecError(f"times must be numbers, got {text!r}") from exc
+        if not all(math.isfinite(t) for t in ts):
+            raise SpecError(f"times must be finite, got {text!r}")
+        if not 1 <= len(ts) <= SIZE_CAP:
+            raise SpecError(f"scan needs 1 to {SIZE_CAP} times, got {len(ts)}")
+    if not all(t > 0 for t in ts):
+        raise SpecError(f"scan times must be positive, got {text!r}")
     return ts
 
 

@@ -180,10 +180,6 @@ class SubordinationResult:
     max_residual: float
     converged: np.ndarray
 
-    @property
-    def all_converged(self) -> bool:
-        return bool(self.converged.all())
-
 
 def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
     """Solve omega(z) = z + h_nu(z + h_mu(omega)) on the upper half plane.

@@ -176,7 +176,9 @@ def _diverges_at_zero(g, direction, width) -> bool:
 
 
 @dataclass(frozen=True)
-class _Triplet:
+class FreeTriplet:
+    """Characteristic triplet of a freely infinitely divisible law."""
+
     eta: object
     a: object
     levy: LevyMeasure = field(default_factory=LevyMeasure)
@@ -184,27 +186,6 @@ class _Triplet:
     def __post_init__(self):
         if self.a < 0:
             raise ValueError(f"Gaussian/semicircular part must be >= 0, got {self.a}")
-
-
-class FreeTriplet(_Triplet):
-    """Characteristic triplet of a freely infinitely divisible law."""
-
-
-class ClassicalTriplet(_Triplet):
-    """Characteristic triplet of a classically infinitely divisible law."""
-
-
-def lambda_map(t: ClassicalTriplet) -> FreeTriplet:
-    """The classical-to-free bijection: the identity on triplet components."""
-    if not isinstance(t, ClassicalTriplet):
-        raise ValueError("lambda_map takes a ClassicalTriplet")
-    return FreeTriplet(t.eta, t.a, t.levy)
-
-
-def lambda_inv(t: FreeTriplet) -> ClassicalTriplet:
-    if not isinstance(t, FreeTriplet):
-        raise ValueError("lambda_inv takes a FreeTriplet")
-    return ClassicalTriplet(t.eta, t.a, t.levy)
 
 
 @dataclass(frozen=True)
@@ -262,17 +243,7 @@ def from_regular_form(r: RegularForm) -> FreeTriplet:
 
 
 # ---------------------------------------------------------------------------
-# boolean-to-free lift and compound Poisson
-
-
-def bp_boolean(mu: MeasureSpec, order: int) -> SeqN:
-    """Free cumulants of the boolean-to-free lift of mu.
-
-    The lift reads mu's boolean cumulant sequence as a free cumulant
-    sequence; both index the same coefficient data, so this is exact.
-    """
-    r = catalog.boolean_cumulants_of(mu, order)
-    return SeqN("free_cumulant", r.values)
+# compound Poisson
 
 
 def cfp(lam, rho: MeasureSpec, order: int) -> SeqN:
@@ -899,74 +870,3 @@ def prop345_check(pair: VoiculescuPair) -> Prop345Result:
         phi0 = pair.gamma - sum(m / x for x, m in pair.tau_atoms)
     passed = left >= 0 and phi0 >= 0
     return Prop345Result(left, phi0, passed)
-
-
-# ---------------------------------------------------------------------------
-# shifting a compactly supported FID law breaks regularity
-
-
-@dataclass(frozen=True)
-class WitnessSide:
-    name: str
-    model_kind: str
-    triplet_error: str | None
-    scan: ScanResult | None
-    fails: bool
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    sides: tuple
-
-    @property
-    def any_failure(self) -> bool:
-        return any(s.fails for s in self.sides)
-
-
-def shift_nonregular_witness(
-    kappa: SeqN, support, ts=(0.25, 0.5)
-) -> WitnessReport:
-    """Shift a compactly supported FID law to the positive axis both ways
-    and report which version fails regularity.
-
-    Side one shifts mu by -lo so its support starts at 0; side two does the
-    same with the reflection. Each side gets the triplet test when the
-    cumulant pattern pins an exact model, and a positivity scan always.
-    """
-    if kappa.kind != "free_cumulant":
-        raise ValueError(f"expected free cumulants, got {kappa.kind!r}")
-    lo, hi = support
-    if not lo < hi:
-        raise ValueError("support must be an interval (lo, hi)")
-    shifted = list(kappa.values)
-    shifted[0] = shifted[0] - lo
-    reflected = [(-1) ** n * v for n, v in enumerate(kappa.values, 1)]
-    reflected[0] = reflected[0] + hi
-
-    sides = []
-    for name, vals in (("shift_left_to_zero", shifted),
-                       ("reflect_shift_right_to_zero", reflected)):
-        seq = SeqN("free_cumulant", vals)
-        model = RModel.from_cumulants(seq)
-        triplet_error = None
-        if model.kind == "semicircle":
-            mean, var = model.params
-            try:
-                to_regular_form(FreeTriplet(mean, var))
-            except ValueError as exc:
-                triplet_error = str(exc)
-        elif model.kind == "cfp":
-            drift, lam, atoms = model.params
-            try:
-                levy = LevyMeasure(
-                    atoms=tuple((a, lam * p) for a, p in atoms if p > 0)
-                )
-                form = RegularForm(drift, levy)
-                if not form.is_free_regular:
-                    triplet_error = f"negative drift {drift}"
-            except ValueError as exc:
-                triplet_error = str(exc)
-        scan = positivity_scan(model, ts)
-        fails = triplet_error is not None or not scan.regular_evidence
-        sides.append(WitnessSide(name, model.kind, triplet_error, scan, fails))
-    return WitnessReport(tuple(sides))

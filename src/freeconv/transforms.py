@@ -446,18 +446,6 @@ def s_square_relation_check(mu, order: int) -> SSquareReport:
 # numeric maps on the upper half plane
 
 
-@dataclass(frozen=True)
-class NumericMap:
-    """A vectorized map on complex arguments with a descriptive tag."""
-
-    kind: str
-    fn: callable
-    label: str = ""
-
-    def __call__(self, z):
-        return self.fn(z)
-
-
 def _atomic_cauchy(atoms, z, derivative=False):
     """(G, G') of the atoms at z, with G' = 0 without derivative."""
     import numpy as np
@@ -585,13 +573,14 @@ def boolean_k(mu: MeasureSpec, z):
     return z - f_transform(mu, z)
 
 
-def transform_map(mu: MeasureSpec, which: str) -> NumericMap:
+def transform_map(mu: MeasureSpec, which: str):
+    """The named transform of mu, as a function of z."""
     fns = {"cauchy": cauchy, "f": f_transform, "boolean_k": boolean_k,
            "s": s_numeric}
     if which not in fns:
         raise ValueError(f"unknown transform {which!r}; choose from {sorted(fns)}")
     fn = fns[which]
-    return NumericMap(which, lambda z: fn(mu, z), label=f"{which} of {mu.describe()}")
+    return lambda z: fn(mu, z)
 
 
 _S_SEED_ORDER = 16

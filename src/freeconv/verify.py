@@ -3,7 +3,7 @@
 Every check computes a deviation and compares it against a fixed
 tolerance; randomized checks draw from a per-check generator seeded by
 (seed, check name), so a report depends only on the seed, never on
-execution order or thread count.
+execution order.
 """
 
 from __future__ import annotations

@@ -27,13 +27,11 @@ from freeconv.catalog import (
     free_cumulants_of,
     law_moments_quadrature,
     moments_of,
-    push_sqrt,
     push_square,
     reflect,
     shift,
     support_of,
     symmetric_sqrt_moments,
-    symmetrize,
 )
 from freeconv.ncpart import SeqN, catalan
 
@@ -359,6 +357,22 @@ def test_grid_validation():
     assert mu.atoms == ((2, 0.5),)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MeasureSpec.atomic([(0, math.nan), (1, 1)]),
+    lambda: MeasureSpec.atomic([(0, math.inf), (1, 1)]),
+    lambda: MeasureSpec.grid([0, 1], [math.nan, 1.0]),
+    lambda: MeasureSpec.grid([0, math.nan, 1], [1.0, 1.0, 1.0]),
+    lambda: MeasureSpec.grid([0, 1], [0.5, 0.5], atoms=[(math.nan, 0)]),
+    lambda: MeasureSpec.grid([0, 1], [0.5, 0.5], atoms=[(2, math.nan)], norm_tol=1.0),
+    lambda: MeasureSpec.from_law("semicircle", (0, 1), scale=math.nan),
+    lambda: MeasureSpec.from_law("semicircle", (0, 1), offset=math.inf),
+], ids=["atom-weight-nan", "atom-weight-inf", "grid-density-nan", "grid-x-nan",
+        "grid-atom-loc-nan", "grid-atom-weight-nan", "law-scale-nan", "law-offset-inf"])
+def test_constructors_refuse_non_finite_input(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_sequence_constructors_check_kind():
     with pytest.raises(ValueError, match="moment"):
         MeasureSpec.from_moments(SeqN("free_cumulant", [1, 1]))
@@ -522,37 +536,6 @@ def test_boolean_cumulants_of_bernoulli():
 
 
 # ---------------------------------------------------------------------------
-# symmetrize
-
-
-def test_symmetrize_atomic():
-    mu = MeasureSpec.atomic([(2, Fraction(1, 2)), (0, Fraction(1, 2))])
-    sym = symmetrize(mu)
-    assert sym.atoms == ((-2, Fraction(1, 4)), (0, Fraction(1, 2)), (2, Fraction(1, 4)))
-
-
-def test_symmetrize_moments():
-    mu = MeasureSpec.from_moments([1, 2, 4, 8])
-    assert symmetrize(mu).seq.values == (0, 2, 0, 8)
-
-
-def test_symmetrize_marchenko_pastur_is_symmetric_beta():
-    sym = symmetrize(MeasureSpec.from_law("marchenko_pastur", (1,)))
-    assert sym.law == "symmetric_beta"
-    m = moments_of(sym, 8)
-    base = moments_of(MeasureSpec.from_law("marchenko_pastur", (1,)), 8)
-    for n in (2, 4, 6, 8):
-        assert m.at(n) == base.at(n)
-
-
-def test_symmetrize_errors_for_asymmetric_law():
-    with pytest.raises(ValueError, match="symmetrization"):
-        symmetrize(MeasureSpec.from_law("chi_squared_1"))
-    with pytest.raises(ValueError, match="symmetrization"):
-        symmetrize(MeasureSpec.from_free_cumulants([1, 1]))
-
-
-# ---------------------------------------------------------------------------
 # squares and square roots
 
 
@@ -594,20 +577,6 @@ def test_push_square_grid_against_exact():
     assert m.at(1) == pytest.approx(1.0, rel=2e-2)
     assert m.at(2) == pytest.approx(2.0, rel=2e-2)
     assert m.at(3) == pytest.approx(5.0, rel=3e-2)
-
-
-def test_push_sqrt():
-    mp = MeasureSpec.from_law("marchenko_pastur", (1,), scale=Fraction(9, 4))
-    qc = push_sqrt(mp)
-    assert qc.law == "quarter_circle" and qc.params == (Fraction(3, 2),)
-    at = push_sqrt(MeasureSpec.atomic([(Fraction(4), Fraction(1, 2)), (0, Fraction(1, 2))]))
-    assert at.atoms == ((0, Fraction(1, 2)), (2, Fraction(1, 2)))
-    with pytest.raises(ValueError, match="support"):
-        push_sqrt(MeasureSpec.atomic([(-1, 1)]))
-    with pytest.raises(ValueError, match="symmetric_sqrt_moments"):
-        push_sqrt(MeasureSpec.from_moments([1, 2]))
-    with pytest.raises(ValueError, match="square-root rule"):
-        push_sqrt(MeasureSpec.from_law("marchenko_pastur", (2,)))
 
 
 def test_symmetric_sqrt_of_free_poisson_is_semicircle():

@@ -96,6 +96,15 @@ def test_boolean_add_matches_power():
     assert added.values == powered.values
 
 
+def test_boolean_convolution_adds_boolean_cumulants():
+    mu = MeasureSpec.atomic([(F(-1, 2), F(1, 4)), (1, F(3, 4))])
+    nu = MeasureSpec.atomic([(F(1, 3), F(2, 5)), (F(5, 2), F(3, 5))])
+    lhs = catalog.boolean_cumulants_of(conv.boolean_add(mu, nu, 8), 8)
+    a = catalog.boolean_cumulants_of(mu, 8)
+    b = catalog.boolean_cumulants_of(nu, 8)
+    assert lhs.values == tuple(x + y for x, y in zip(a.values, b.values))
+
+
 # ---------------------------------------------------------------------------
 # multiplicative convolution
 
@@ -202,7 +211,7 @@ def test_subordination_semicircle_sum():
     z = np.array([0.3 + 0.01j, -1.5 + 0.1j, 2.0 + 1.0j, 5 + 2j])
     g, sub = conv.free_add_cauchy(W, W, z)
     ref = transforms.cauchy(MeasureSpec.from_law("semicircle", (0, 2)), z)
-    assert sub.all_converged
+    assert sub.converged.all()
     assert np.max(np.abs(g - ref)) < 1e-9
     assert np.all(sub.omega.imag >= z.imag - 1e-12)
 
@@ -213,7 +222,7 @@ def test_subordination_point_mass_shift():
     g, sub = conv.free_add_cauchy(delta, W, z)
     ref = transforms.cauchy(W, z - 1.5)
     assert np.max(np.abs(g - ref)) < 1e-9
-    assert sub.all_converged
+    assert sub.converged.all()
 
 
 def test_subordination_rejects_lower_half_plane():
@@ -321,7 +330,7 @@ def test_subordinated_semicircle_sum_matches_closed_form(h):
     z = np.linspace(-3.2, 3.2, 321) + 1j * h
     g, sub = conv.free_add_cauchy(W, W, z)
     ref = transforms.cauchy(MeasureSpec.from_law("semicircle", (0, 2)), z)
-    assert sub.all_converged
+    assert sub.converged.all()
     assert np.max(np.abs(g - ref)) < 1e-13
 
 

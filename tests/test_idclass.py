@@ -11,14 +11,11 @@ from hypothesis import strategies as st
 from freeconv import catalog, conv, idclass, ncpart
 from freeconv.catalog import MeasureSpec
 from freeconv.idclass import (
-    ClassicalTriplet,
     FreeTriplet,
     LevyMeasure,
     RegularForm,
     RModel,
     from_regular_form,
-    lambda_inv,
-    lambda_map,
     to_regular_form,
 )
 from freeconv.ncpart import SeqN
@@ -84,25 +81,6 @@ class TestTriplets:
         with pytest.raises(ValueError, match=">= 0"):
             FreeTriplet(0, -1)
 
-    def test_lambda_map_type_checked(self):
-        ft = FreeTriplet(1, 2)
-        ct = ClassicalTriplet(1, 2)
-        with pytest.raises(ValueError):
-            lambda_map(ft)
-        with pytest.raises(ValueError):
-            lambda_inv(ct)
-
-    def test_lambda_is_componentwise_identity(self):
-        nu = LevyMeasure(atoms=((F(1, 2), 1),))
-        ct = ClassicalTriplet(F(1, 3), F(2, 5), nu)
-        ft = lambda_map(ct)
-        assert isinstance(ft, FreeTriplet)
-        assert (ft.eta, ft.a, ft.levy) == (ct.eta, ct.a, ct.levy)
-        assert lambda_inv(ft) == ct
-
-    def test_free_and_classical_triplets_are_distinct(self):
-        assert FreeTriplet(1, 0) != ClassicalTriplet(1, 0)
-
 
 class TestRegularForm:
     def test_rejects_semicircular_part(self):
@@ -162,26 +140,7 @@ class TestRegularForm:
 
 
 # ---------------------------------------------------------------------------
-# boolean-to-free lift and compound free Poisson
-
-
-class TestBpBoolean:
-    def test_point_mass_is_fixed(self):
-        k = idclass.bp_boolean(MeasureSpec.atomic([(F(3, 2), 1)]), 6)
-        assert k.values == (F(3, 2), 0, 0, 0, 0, 0)
-
-    def test_bernoulli_lifts_to_semicircle(self):
-        b = MeasureSpec.from_law("symmetric_bernoulli")
-        k = idclass.bp_boolean(b, 8)
-        assert k.values == (0, 1, 0, 0, 0, 0, 0, 0)
-
-    def test_boolean_convolution_becomes_free_cumulant_addition(self):
-        mu = MeasureSpec.atomic([(F(-1, 2), F(1, 4)), (1, F(3, 4))])
-        nu = MeasureSpec.atomic([(F(1, 3), F(2, 5)), (F(5, 2), F(3, 5))])
-        lhs = idclass.bp_boolean(conv.boolean_add(mu, nu, 8), 8)
-        a = idclass.bp_boolean(mu, 8)
-        b = idclass.bp_boolean(nu, 8)
-        assert lhs.values == tuple(x + y for x, y in zip(a.values, b.values))
+# compound free Poisson
 
 
 class TestCfp:
@@ -678,36 +637,3 @@ class TestVoiculescuPair:
             idclass.voiculescu_pair(MeasureSpec.from_law("beta_1a", (0.7,)))
         with pytest.raises(ValueError, match="catalog laws"):
             idclass.voiculescu_pair(MeasureSpec.atomic([(1, 1)]))
-
-
-# ---------------------------------------------------------------------------
-# shift witnesses
-
-
-class TestShiftWitness:
-    def test_semicircle_fails_on_both_sides(self):
-        report = idclass.shift_nonregular_witness(
-            catalog.free_cumulants_of(W, 6), (-2.0, 2.0), ts=(0.5,)
-        )
-        assert report.any_failure
-        for side in report.sides:
-            assert side.model_kind == "semicircle"
-            assert side.fails
-            assert "semicircular part" in side.triplet_error
-
-    def test_free_poisson_fails_only_reflected(self):
-        report = idclass.shift_nonregular_witness(
-            catalog.free_cumulants_of(M, 6), (0.0, 4.0), ts=(0.5,)
-        )
-        by_name = {s.name: s for s in report.sides}
-        assert not by_name["shift_left_to_zero"].fails
-        assert by_name["reflect_shift_right_to_zero"].fails
-        assert report.any_failure
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError, match="free cumulants"):
-            idclass.shift_nonregular_witness(SeqN("moment", [0, 1]), (0, 1))
-        with pytest.raises(ValueError, match="interval"):
-            idclass.shift_nonregular_witness(
-                catalog.free_cumulants_of(W, 4), (2, 2)
-            )
