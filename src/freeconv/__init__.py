@@ -29,7 +29,6 @@ _EXPORTS = {
     "conv": (
         "boolean_add",
         "boolean_power",
-        "check_1418",
         "commutator",
         "free_add",
         "free_add_density",

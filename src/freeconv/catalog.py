@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ncpart
@@ -710,7 +710,9 @@ def symmetric_sqrt_moments(m: SeqN) -> SeqN:
 
 
 def dilate(mu: MeasureSpec, a) -> MeasureSpec:
-    """Pushforward by x -> a*x (a nonzero)."""
+    """Pushforward by x -> a*x (a finite and nonzero)."""
+    if not _finite(a):
+        raise ValueError(f"dilation factor must be finite, got {a}")
     if a == 0:
         raise ValueError("dilation factor must be nonzero")
     if mu.kind == "atomic":
@@ -722,36 +724,12 @@ def dilate(mu: MeasureSpec, a) -> MeasureSpec:
         atoms = [(af * loc, w) for loc, w in mu.atoms]
         return MeasureSpec.grid(xs, dens, atoms, norm_tol=mu.norm_tol)
     if mu.kind == "law":
-        return replace(mu, scale=a * mu.scale, offset=a * mu.offset)
+        return MeasureSpec.from_law(mu.law, mu.params, a * mu.scale, a * mu.offset)
     if mu.kind == "moments":
         vals = [a**n * v for n, v in enumerate(mu.seq.values, start=1)]
         return MeasureSpec.from_moments(vals)
     if mu.kind == "free_cumulants":
         vals = [a**n * v for n, v in enumerate(mu.seq.values, start=1)]
-        return MeasureSpec.from_free_cumulants(vals)
-    raise ValueError(f"unknown representation {mu.kind!r}")
-
-
-def shift(mu: MeasureSpec, c) -> MeasureSpec:
-    """Pushforward by x -> x + c; at cumulant level only kappa_1 moves."""
-    if mu.kind == "atomic":
-        return MeasureSpec.atomic([(loc + c, w) for loc, w in mu.atoms])
-    if mu.kind == "grid":
-        cf = float(c)
-        return MeasureSpec.grid(
-            [x + cf for x in mu.xs],
-            mu.densities,
-            [(loc + cf, w) for loc, w in mu.atoms],
-            norm_tol=mu.norm_tol,
-        )
-    if mu.kind == "law":
-        return replace(mu, offset=mu.offset + c)
-    if mu.kind == "moments":
-        vals = _affine_moments(mu.seq.values, 1, c, mu.seq.order)
-        return MeasureSpec.from_moments(vals)
-    if mu.kind == "free_cumulants":
-        vals = list(mu.seq.values)
-        vals[0] = vals[0] + c
         return MeasureSpec.from_free_cumulants(vals)
     raise ValueError(f"unknown representation {mu.kind!r}")
 

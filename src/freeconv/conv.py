@@ -31,18 +31,17 @@ _SUB_WARMUP = 3
 _SUB_TOL = 1e-10
 _SUB_MAX_ITER = 500
 
-# support_edge's density level at the edge and its bracket width; the
-# tolerances of check_1418 and boolean_free_power_identity_check
+# support_edge's density level at the edge and its bracket width
 _EDGE_THRESHOLD = 1e-4
 _EDGE_XTOL = 1e-4
-_1418_TOL = 1e-9
-_BOOLEAN_FREE_POWER_TOL = 1e-10
 
 
-def _number(t, name="t"):
-    if isinstance(t, (int, Fraction, float)):
-        return t
-    raise ValueError(f"{name} must be a real number, got {type(t).__name__}")
+def _number(t):
+    if not isinstance(t, (int, Fraction, float)):
+        raise ValueError(f"t must be a real number, got {type(t).__name__}")
+    if not catalog._finite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -319,83 +318,6 @@ def support_edge(mu: MeasureSpec, nu: MeasureSpec, inner: float, outer: float) -
             f"d(outer)-t={fo:.2e}"
         )
     return transforms._bisect_edge(lambda xs: f(xs) > 0, inner, outer, _EDGE_XTOL)
-
-
-# ---------------------------------------------------------------------------
-# iterated identities
-
-
-def _iterated_mult(m: SeqN, copies: int, order: int) -> SeqN:
-    out = m
-    for _ in range(copies - 1):
-        out = ncpart.free_mult_moments(out, m, order)
-    return out
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    lhs: SeqN
-    rhs: SeqN
-    max_dev: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_dev <= self.tol
-
-
-def _compare(lhs: SeqN, rhs: SeqN, tol: float) -> IdentityReport:
-    dev = max(abs(float(a - b)) for a, b in zip(lhs.values, rhs.values))
-    return IdentityReport(lhs, rhs, dev, tol)
-
-
-def check_1418(mu: MeasureSpec, s: int, t, order: int) -> IdentityReport:
-    """Power-dilation identity for mixed convolution powers.
-
-    Compares the moments of the dilation by t^(s-1) of (mu^{x s})^{+ t}
-    with those of (mu^{+ t})^{x s}, where x is the multiplicative and + the
-    additive convolution power.
-    """
-    if not isinstance(s, int) or s < 1:
-        raise ValueError(f"s must be a positive integer, got {s}")
-    t = _number(t)
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    m = catalog.moments_of(mu, order)
-
-    prod = _iterated_mult(m, s, order)
-    kappa = ncpart.free_cumulants_from_moments(prod)
-    powered = ncpart.moments_from_free_cumulants(
-        SeqN("free_cumulant", [t * k for k in kappa.values])
-    )
-    factor = t ** (s - 1)
-    lhs = SeqN("moment", [factor**n * v for n, v in enumerate(powered.values, 1)])
-
-    kappa_mu = ncpart.free_cumulants_from_moments(m)
-    mu_t = ncpart.moments_from_free_cumulants(
-        SeqN("free_cumulant", [t * k for k in kappa_mu.values])
-    )
-    rhs = _iterated_mult(mu_t, s, order)
-    return _compare(lhs, rhs, _1418_TOL)
-
-
-def boolean_free_power_identity_check(mu: MeasureSpec, t, order: int) -> IdentityReport:
-    """Power identity linking boolean and free convolution for 0 < t < 1.
-
-    The boolean-to-free lift of (mu^{+ (1-t)})^{u t/(1-t)} has the law of
-    mu^{u t} (u the boolean power); checked at moment level.
-    """
-    t = _number(t)
-    if not 0 < t < 1:
-        raise ValueError(f"identity needs 0 < t < 1, got {t}")
-    sigma = free_power_fid(mu, 1 - t, order)
-    tau = boolean_power(sigma, t / (1 - t), order)
-    r_tau = catalog.boolean_cumulants_of(tau, order)
-    lifted = ncpart.moments_from_free_cumulants(
-        SeqN("free_cumulant", r_tau.values)
-    )
-    rhs = catalog.moments_of(boolean_power(mu, t, order), order)
-    return _compare(lifted, rhs, _BOOLEAN_FREE_POWER_TOL)
 
 
 # ---------------------------------------------------------------------------

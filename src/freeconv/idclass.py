@@ -21,17 +21,15 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from . import catalog, ncpart
+from . import catalog
 from .catalog import MeasureSpec
-from .conv import IdentityReport, _compare
 from .ncpart import SeqN, _is_exact
 from .transforms import _bisect_edge, _richardson
 
-# main3_factor's largest odd cumulant taken for zero, main3_verification's
-# tolerance, the relative tolerance of a geometric cumulant pattern in
-# RModel.from_cumulants, and the dyadic shells k that thm110_check probes
+# main3_factor's largest odd cumulant taken for zero, the relative tolerance
+# of a geometric cumulant pattern in RModel.from_cumulants, and the dyadic
+# shells k that thm110_check probes
 _SYMMETRY_TOL = 1e-12
-_MAIN3_TOL = 1e-10
 _GEOMETRIC_TOL = 1e-12
 _SHELL_K_MIN, _SHELL_K_MAX = 2, 14
 
@@ -289,20 +287,6 @@ def main3_factor(kappa: SeqN) -> SeqN:
             )
     half = kappa.order // 2
     return SeqN("free_cumulant", [kappa.at(2 * n) for n in range(1, half + 1)])
-
-
-def main3_verification(kappa: SeqN) -> IdentityReport:
-    """Check moments(mu^2) = moments(m (x) sigma) for the halved factor."""
-    sigma = main3_factor(kappa)
-    half = sigma.order
-    mu_moments = ncpart.moments_from_free_cumulants(kappa)
-    lhs = SeqN("moment", [mu_moments.at(2 * n) for n in range(1, half + 1)])
-    m_poisson = catalog.moments_of(
-        MeasureSpec.from_law("marchenko_pastur", (1,)), half
-    )
-    sigma_moments = ncpart.moments_from_free_cumulants(sigma)
-    rhs = ncpart.free_mult_moments(m_poisson, sigma_moments, half)
-    return _compare(lhs, rhs, _MAIN3_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import catalog, ncpart
+from . import catalog
 from .catalog import LAWS, MeasureSpec
 from .ncpart import SeqN
 
@@ -317,20 +317,6 @@ def _moments_arg(mu, order: int) -> SeqN:
     return SeqN("moment", list(mu)[:order])
 
 
-def psi_series(mu, order: int) -> FormalSeries:
-    """Moment generating series sum_{n>=1} m_n z^n."""
-    return FormalSeries.from_seq(_moments_arg(mu, order))
-
-
-def free_cumulant_series(mu, order: int) -> FormalSeries:
-    """Free cumulant series via the noncrossing-partition recursion."""
-    if isinstance(mu, MeasureSpec):
-        kappa = catalog.free_cumulants_of(mu, order)
-    else:
-        kappa = ncpart.free_cumulants_from_moments(_moments_arg(mu, order))
-    return FormalSeries.from_seq(kappa)
-
-
 def free_cumulant_series_via_inversion(mu, order: int) -> FormalSeries:
     """Free cumulant series by functional inversion.
 
@@ -345,12 +331,6 @@ def free_cumulant_series_via_inversion(mu, order: int) -> FormalSeries:
     quotient = FormalSeries.identity(order + 1) / inv
     c = quotient - 1
     return c.truncated(order)
-
-
-def eta_series(mu, order: int) -> FormalSeries:
-    """Boolean cumulant series 1 - 1/(1 + Psi) = Psi/(1 + Psi)."""
-    psi = psi_series(mu, order)
-    return psi / (1 + psi)
 
 
 def s_series(mu, order: int) -> FormalSeries:
@@ -375,71 +355,6 @@ def moments_from_s_series(s: FormalSeries, order: int) -> SeqN:
     chi = s.shifted(1) / FormalSeries.poly([1, 1], order + 1)
     psi = chi.truncated(order).reverted()
     return SeqN("moment", [psi.coeff(n) for n in range(1, order + 1)])
-
-
-# ---------------------------------------------------------------------------
-# S-transform square relation
-
-
-@dataclass(frozen=True)
-class SSquareReport:
-    """Deviations of the three series identities tying S_mu to sigma.
-
-    sigma is the sequence-level measure whose moments are the free
-    cumulants of mu. The identities:
-      quotient:  S_mu(z) = S_sigma(z) / (1+z)
-      inverse:   reversion of z S_mu(z) = free cumulant series of mu
-      sqrt:      kappa_{2n} of the symmetrized square root of mu
-                 = kappa_n(sigma)
-    """
-
-    quotient_dev: float
-    inverse_dev: float
-    sqrt_dev: float
-    tol: float
-
-    @property
-    def max_dev(self) -> float:
-        return max(self.quotient_dev, self.inverse_dev, self.sqrt_dev)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_dev <= self.tol
-
-
-_S_SQUARE_TOL = 1e-10
-
-
-def s_square_relation_check(mu, order: int) -> SSquareReport:
-    """SSquareReport of mu; the square root doubles the order, so order is
-    capped at half of ncpart.CONVERSION_CAP."""
-    ncpart._check_cap(order, ncpart.CONVERSION_CAP // 2, "s_square_relation_check")
-    m = _moments_arg(mu, order)
-    if m.at(1) == 0:
-        raise ValueError("square relation check needs a nonzero first moment")
-    kappa = ncpart.free_cumulants_from_moments(m)
-    sigma = SeqN("moment", kappa.values)
-
-    s_mu = s_series(m, order)
-    s_sigma = s_series(sigma, order)
-    lifted = s_mu * FormalSeries.poly([1, 1], order)
-    top = min(lifted.top, s_sigma.top)
-    d1 = max(
-        abs(float(lifted.coeff(k) - s_sigma.coeff(k))) for k in range(0, top + 1)
-    )
-
-    inv = s_mu.shifted(1).reverted()
-    c = free_cumulant_series(m, order)
-    d2 = max(abs(float(inv.coeff(n) - c.coeff(n))) for n in range(1, order + 1))
-
-    root_m = catalog.symmetric_sqrt_moments(m)
-    kappa_root = ncpart.free_cumulants_from_moments(root_m)
-    kappa_sigma = ncpart.free_cumulants_from_moments(sigma)
-    d3 = 0.0
-    for n in range(1, order + 1):
-        d3 = max(d3, abs(float(kappa_root.at(2 * n) - kappa_sigma.at(n))))
-        d3 = max(d3, abs(float(kappa_root.at(2 * n - 1))))
-    return SSquareReport(d1, d2, d3, _S_SQUARE_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -148,19 +148,52 @@ def _commutator_odd_invariance(rng, jobs):
     return dev
 
 
+def _dilation_mult_power_dev(mu, s, t, order):
+    """D_{t^{s-1}}((mu^{x s})^{+ t}) against (mu^{+ t})^{x s}, moment by
+    moment, with x the multiplicative and + the additive power."""
+
+    def mult_power(m):
+        out = m
+        for _ in range(s - 1):
+            out = ncpart.free_mult_moments(out, m, order)
+        return out
+
+    def add_power(m):
+        spec = conv.free_power_fid(MeasureSpec.from_moments(m), t, order)
+        return catalog.moments_of(spec, order)
+
+    m = catalog.moments_of(mu, order)
+    factor = t ** (s - 1)
+    powered = add_power(mult_power(m))
+    lhs = SeqN("moment", [factor**n * v for n, v in enumerate(powered.values, 1)])
+    return _seq_dev(lhs, mult_power(add_power(m)))
+
+
 def _eq_1418(rng, jobs):
     dev = 0.0
     for s in (2, 3):
         for t in (Fraction(1, 2), 2):
-            dev = max(dev, conv.check_1418(M, s, t, 8).max_dev)
+            dev = max(dev, _dilation_mult_power_dev(M, s, t, 8))
     return dev
+
+
+def _boolean_free_power_dev(mu, t, order):
+    """Moments of the boolean-to-free lift of (mu^{+(1-t)})^{u t/(1-t)}
+    against those of mu^{u t}, u the boolean power, for 0 < t < 1."""
+    sigma = conv.free_power_fid(mu, 1 - t, order)
+    tau = conv.boolean_power(sigma, t / (1 - t), order)
+    lifted = ncpart.moments_from_free_cumulants(
+        SeqN("free_cumulant", catalog.boolean_cumulants_of(tau, order).values)
+    )
+    rhs = catalog.moments_of(conv.boolean_power(mu, t, order), order)
+    return _seq_dev(lifted, rhs)
 
 
 def _boolean_free_power(rng, jobs):
     dev = 0.0
     for mu in (W, M):
         for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            dev = max(dev, conv.boolean_free_power_identity_check(mu, t, 8).max_dev)
+            dev = max(dev, _boolean_free_power_dev(mu, t, 8))
     return dev
 
 
@@ -220,6 +253,19 @@ def _triplet_round_trip(rng, jobs):
     return dev
 
 
+def _main3_dev(kappa):
+    """Even moments of the symmetric mu with free cumulants kappa, i.e. the
+    moments of mu^2, against the moments of m x sigma for the halved factor."""
+    sigma = idclass.main3_factor(kappa)
+    half = sigma.order
+    mu_moments = ncpart.moments_from_free_cumulants(kappa)
+    lhs = SeqN("moment", [mu_moments.at(2 * n) for n in range(1, half + 1)])
+    rhs = ncpart.free_mult_moments(
+        catalog.moments_of(M, half), ncpart.moments_from_free_cumulants(sigma), half
+    )
+    return _seq_dev(lhs, rhs)
+
+
 def _main3_factorization(rng, jobs):
     dev = 0.0
     for _ in range(10):
@@ -229,7 +275,7 @@ def _main3_factorization(rng, jobs):
         sigma = idclass.main3_factor(kappa)
         expected = idclass.cfp(lam, catalog.push_square(nu), 8)
         dev = max(dev, _seq_dev(sigma, expected))
-        dev = max(dev, idclass.main3_verification(kappa).max_dev)
+        dev = max(dev, _main3_dev(kappa))
     return dev
 
 

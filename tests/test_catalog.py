@@ -29,7 +29,6 @@ from freeconv.catalog import (
     moments_of,
     push_square,
     reflect,
-    shift,
     support_of,
     symmetric_sqrt_moments,
 )
@@ -366,8 +365,12 @@ def test_grid_validation():
     lambda: MeasureSpec.grid([0, 1], [0.5, 0.5], atoms=[(2, math.nan)], norm_tol=1.0),
     lambda: MeasureSpec.from_law("semicircle", (0, 1), scale=math.nan),
     lambda: MeasureSpec.from_law("semicircle", (0, 1), offset=math.inf),
+    lambda: dilate(MeasureSpec.from_law("semicircle", (0, 1)), math.nan),
+    lambda: dilate(MeasureSpec.from_law("semicircle", (0, 1)), math.inf),
+    lambda: dilate(MeasureSpec.from_moments([1, 2]), math.inf),
 ], ids=["atom-weight-nan", "atom-weight-inf", "grid-density-nan", "grid-x-nan",
-        "grid-atom-loc-nan", "grid-atom-weight-nan", "law-scale-nan", "law-offset-inf"])
+        "grid-atom-loc-nan", "grid-atom-weight-nan", "law-scale-nan", "law-offset-inf",
+        "dilate-law-nan", "dilate-law-inf", "dilate-moments-inf"])
 def test_constructors_refuse_non_finite_input(build):
     with pytest.raises(ValueError, match="finite"):
         build()
@@ -386,8 +389,8 @@ def test_sequence_constructors_check_kind():
 def test_mass_at_zero_for_laws():
     assert MeasureSpec.from_law("marchenko_pastur", (Fraction(1, 2),)).mass_at_zero == Fraction(1, 2)
     assert MeasureSpec.from_law("marchenko_pastur", (2,)).mass_at_zero == 0
-    # shifting moves the atom off the origin
-    shifted = shift(MeasureSpec.from_law("marchenko_pastur", (Fraction(1, 2),)), 1)
+    # an offset moves the atom off the origin
+    shifted = MeasureSpec.from_law("marchenko_pastur", (Fraction(1, 2),), offset=1)
     assert shifted.mass_at_zero == 0
     assert MeasureSpec.from_law("semicircle", (0, 1)).mass_at_zero == 0
 
@@ -594,18 +597,11 @@ def test_dilate_and_shift_moments():
     mu = MeasureSpec.from_moments([Fraction(1), Fraction(2), Fraction(5)])
     d = dilate(mu, Fraction(-2))
     assert d.seq.values == (Fraction(-2), Fraction(8), Fraction(-40))
-    s = shift(mu, Fraction(1))
-    assert s.seq.values == (
-        Fraction(2),
-        Fraction(2) + 2 + 1,
-        Fraction(5) + 3 * 2 + 3 * 1 + 1,
-    )
 
 
 def test_dilate_cumulants_and_reflect():
     mu = MeasureSpec.from_free_cumulants([1, 1, 1])
     assert reflect(mu).seq.values == (-1, 1, -1)
-    assert shift(mu, 5).seq.values == (6, 1, 1)
 
 
 def test_dilate_grid_preserves_mass():
@@ -638,7 +634,7 @@ def test_affine_atomic_matches_moment_transform(raw, a, c):
     total = sum(w for _, w in raw)
     atoms = [(loc, Fraction(w, total)) for loc, w in raw]
     mu = MeasureSpec.atomic(atoms)
-    moved = shift(dilate(mu, a), c)
+    moved = MeasureSpec.atomic([(a * loc + c, w) for loc, w in atoms])
     m_direct = moments_of(moved, 6)
     from freeconv.catalog import _affine_moments
 

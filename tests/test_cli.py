@@ -745,6 +745,24 @@ class TestSizeLimits:
         assert "time range gives over" in err
 
 
+# the 12 check lines of `verify --suite identities --seed 1418`: name,
+# anchor, deviation, tolerance and status of each identity
+_IDENTITIES_1418 = [
+    "w2_equals_m                push_square(w) = m                                 dev=0.000e+00  tol=1.0e-12  pass",
+    "square_product             (mu x nu)^2 = mu x mu x nu^2                       dev=0.000e+00  tol=1.0e-12  pass",
+    "commutator_mm_cfp          m [] m = cfp(2, m x b)                             dev=0.000e+00  tol=1.0e-12  pass",
+    "commutator_square_route    (mu^2 x b)^{+2} = mu [] mu                         dev=0.000e+00  tol=1.0e-12  pass",
+    "commutator_odd_invariance  commutator ignores odd cumulants                   dev=0.000e+00  tol=1.0e-12  pass",
+    "dilation_mult_power        D_{t^{s-1}}((mu^{xs})^{+t}) = (mu^{+t})^{xs}       dev=0.000e+00  tol=1.0e-09  pass",
+    "boolean_free_power         lift((mu^{+(1-t)})^{u t/(1-t)}) = mu^{u t}         dev=0.000e+00  tol=1.0e-10  pass",
+    "s_product_rule             S_{mu x nu} = S_mu S_nu                            dev=0.000e+00  tol=1.0e-09  pass",
+    "cumulant_inversion_routes  series inversion = NC recursion                    dev=3.775e-14  tol=1.0e-10  pass",
+    "conversion_round_trips     moments <-> cumulants round trips                  dev=0.000e+00  tol=1.0e-12  pass",
+    "triplet_round_trip         regular form <-> triplet drift                     dev=0.000e+00  tol=1.0e-12  pass",
+    "main3_factorization        kappa_n(sigma) = kappa_{2n}(mu), mu^2 = m x sigma  dev=0.000e+00  tol=1.0e-12  pass",
+]
+
+
 class TestVerify:
     def test_identities_byte_identical(self, capsys):
         code1, out1, _ = run_cli(capsys, "verify", "--suite", "identities")
@@ -753,6 +771,11 @@ class TestVerify:
         assert out1 == out2
         assert "w2_equals_m" in out1
         assert "seed=1418" in out1.splitlines()[0]
+
+    def test_identities_report_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--seed", "1418")
+        assert code == 0
+        assert out.splitlines()[1:-1] == _IDENTITIES_1418
 
     def test_regularity_with_jobs(self, capsys):
         code, out, _ = run_cli(
@@ -884,7 +907,7 @@ _ATOMS = json.dumps({"type": "atomic", "atoms": [[1, "1/3"], [2, "2/3"]]})
 _SEQUENCE_MODULES = ["catalog", "cli", "ncpart"]
 _CONV_MODULES = ["catalog", "cli", "conv", "ncpart"]
 _SERIES_MODULES = ["catalog", "cli", "conv", "ncpart", "transforms"]
-_IDCLASS_MODULES = ["catalog", "cli", "conv", "idclass", "ncpart", "transforms"]
+_IDCLASS_MODULES = ["catalog", "cli", "idclass", "ncpart", "transforms"]
 _TRIPLET = json.dumps({"eta": "1/2", "a": 0, "levy": {"atoms": [["1/2", "3/10"], [2, "7/10"]]}})
 
 _SEQUENCE_CASES = {
@@ -929,9 +952,8 @@ _PUBLIC = {
     "catalog": ["LAWS", "MeasureSpec", "boolean_cumulants_of", "catalog_density",
                 "catalog_moments", "free_cumulants_of", "moments_of", "push_square",
                 "reflect"],
-    "conv": ["boolean_add", "boolean_power", "check_1418", "commutator", "free_add",
-             "free_add_density", "free_mult", "free_power", "free_power_fid",
-             "support_edge"],
+    "conv": ["boolean_add", "boolean_power", "commutator", "free_add", "free_add_density",
+             "free_mult", "free_power", "free_power_fid", "support_edge"],
     "idclass": ["FreeTriplet", "LevyMeasure", "RegularForm", "RModel", "from_regular_form",
                 "kurtosis_check", "main3_factor", "positivity_scan", "to_regular_form"],
     "ncpart": ["SeqN", "SetPartition", "catalan"],
@@ -945,7 +967,7 @@ def test_star_import_gives_the_public_names():
     exec("from freeconv import *", namespace)
     del namespace["__builtins__"]
     names = [name for names in _PUBLIC.values() for name in names]
-    assert len(names) == 35
+    assert len(names) == 34
     assert sorted(namespace) == sorted(names + ["__version__"])
     assert namespace["__version__"] == freeconv.__version__
     for module, names in _PUBLIC.items():
@@ -965,15 +987,17 @@ _REFERENCE_ORACLES = {"free_mult_moments_reference", "moments_from_free_cumulant
 
 
 def _named(node):
-    # a name, an attribute, or a string: the benchmark's tracer refers to
-    # the functions it classifies by their names
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
+    # the attributes a top-level statement names, and the names it loads;
+    # inside a definition, not the names that it binds itself as a parameter,
+    # an assignment or a loop target
+    subs = list(ast.walk(node))
+    bound = set()
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        bound = {sub.arg for sub in subs if isinstance(sub, ast.arg)}
+        bound |= {sub.id for sub in subs
+                  if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load)}
+    return ({sub.attr for sub in subs if isinstance(sub, ast.Attribute)}
+            | {sub.id for sub in subs if isinstance(sub, ast.Name) and sub.id not in bound})
 
 
 def test_every_public_definition_has_a_caller():
@@ -988,6 +1012,6 @@ def test_every_public_definition_has_a_caller():
                     own = node.name
                     if folder == "src/freeconv" and not own.startswith("_"):
                         defined.add(own)
-                named.update({_named(sub) for sub in ast.walk(node)} - {own})
+                named.update(_named(node) - {own})
     exported = {name for names in freeconv._EXPORTS.values() for name in names}
     assert sorted(defined - named - exported - _REFERENCE_ORACLES) == []

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from freeconv import catalog, conv, ncpart, transforms
 from freeconv.catalog import MeasureSpec
 from freeconv.ncpart import SeqN
+from freeconv.verify import _boolean_free_power_dev, _dilation_mult_power_dev
 
 W = MeasureSpec.from_law("semicircle", (0, 1))
 M = MeasureSpec.from_law("marchenko_pastur", (1,))
@@ -87,6 +88,18 @@ def test_boolean_power_endpoints():
     assert catalog.moments_of(degenerate, 6).values == tuple([0] * 6)
     with pytest.raises(ValueError, match="t >= 0"):
         conv.boolean_power(M, -1, 4)
+
+
+@pytest.mark.parametrize("power,t", [
+    (conv.free_power_fid, math.nan),
+    (conv.free_power_fid, math.inf),
+    (conv.free_power, math.inf),
+    (conv.boolean_power, math.nan),
+    (conv.boolean_power, math.inf),
+], ids=["free-fid-nan", "free-fid-inf", "free-inf", "boolean-nan", "boolean-inf"])
+def test_powers_refuse_non_finite_t(power, t):
+    with pytest.raises(ValueError, match="t must be finite"):
+        power(W, t, 4)
 
 
 def test_boolean_add_matches_power():
@@ -369,32 +382,17 @@ def test_unconverged_points_are_reported(monkeypatch):
 def test_check_1418_exact_for_rational_t():
     for s in (2, 3):
         for t in (F(1, 2), 1, 2, F(7, 2)):
-            report = conv.check_1418(M, s, t, 8)
-            assert report.passed and report.max_dev == 0.0
+            assert _dilation_mult_power_dev(M, s, t, 8) == 0.0
 
 
 def test_check_1418_s_one_is_trivial():
-    report = conv.check_1418(M, 1, F(3, 2), 8)
-    assert report.max_dev == 0.0
-
-
-def test_check_1418_validation():
-    with pytest.raises(ValueError, match="positive integer"):
-        conv.check_1418(M, 0, 1, 4)
-    with pytest.raises(ValueError, match="positive"):
-        conv.check_1418(M, 2, -1, 4)
+    assert _dilation_mult_power_dev(M, 1, F(3, 2), 8) == 0.0
 
 
 def test_boolean_free_power_identity():
     for t in (F(1, 4), F(1, 2), F(3, 4)):
         for mu in (W, M):
-            report = conv.boolean_free_power_identity_check(mu, t, 8)
-            assert report.passed and report.max_dev == 0.0
-
-
-def test_boolean_free_power_identity_range():
-    with pytest.raises(ValueError, match="0 < t < 1"):
-        conv.boolean_free_power_identity_check(W, F(3, 2), 6)
+            assert _boolean_free_power_dev(mu, t, 8) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,20 +10,16 @@ from hypothesis import strategies as st
 
 from freeconv import conv, ncpart, transforms
 from freeconv.catalog import MeasureSpec, catalog_density, catalog_moments
-from freeconv.ncpart import SeqN, catalan
+from freeconv.ncpart import SeqN
 from freeconv.transforms import (
     _NEGATIVE_TOL,
     FormalSeries,
     boolean_k,
     cauchy,
-    eta_series,
     f_transform,
-    free_cumulant_series,
     free_cumulant_series_via_inversion,
     moments_from_s_series,
-    psi_series,
     s_series,
-    s_square_relation_check,
     stieltjes_invert,
     transform_map,
 )
@@ -360,7 +356,7 @@ LAW_CASES = [
 def test_inversion_route_matches_lattice_route(law, params):
     m = catalog_moments(law, params, 10)
     via_inv = free_cumulant_series_via_inversion(m, 10)
-    via_nc = free_cumulant_series(m, 10)
+    via_nc = FormalSeries.from_seq(ncpart.free_cumulants_from_moments(m))
     for n in range(1, 11):
         a, b = via_inv.coeff(n), via_nc.coeff(n)
         if isinstance(a, Fraction) and isinstance(b, Fraction):
@@ -378,15 +374,10 @@ def test_inversion_route_random_exact(ms):
     assert all(via_inv.coeff(n) == via_nc.at(n) for n in range(1, m.order + 1))
 
 
-def test_psi_series_from_measure():
-    mu = MeasureSpec.from_law("marchenko_pastur", (1,))
-    psi = psi_series(mu, 5)
-    assert psi.coeffs == tuple(Fraction(catalan(n)) for n in range(1, 6))
-
-
 def test_eta_series_matches_interval_recursion():
     m = catalog_moments("chi_squared_1", (), 8)
-    eta = eta_series(m, 8)
+    psi = FormalSeries.from_seq(m)
+    eta = psi / (1 + psi)
     r = ncpart.boolean_cumulants_from_moments(m)
     assert all(eta.coeff(n) == r.at(n) for n in range(1, 9))
 
@@ -475,37 +466,6 @@ def test_moments_from_s_series_validates():
         moments_from_s_series(s, 8)
     with pytest.raises(ValueError, match="constant term"):
         moments_from_s_series(FormalSeries(1, [1, 1]), 2)
-
-
-# ---------------------------------------------------------------------------
-# S-transform square relation
-
-
-def test_square_relation_exact_on_rational_input():
-    mu = MeasureSpec.atomic(
-        [(Fraction(1, 2), Fraction(1, 4)), (Fraction(2), Fraction(3, 4))]
-    )
-    rep = s_square_relation_check(mu, 8)
-    assert rep.quotient_dev == 0 and rep.inverse_dev == 0 and rep.sqrt_dev == 0
-    assert rep.passed and rep.max_dev == 0
-
-
-def test_square_relation_marchenko_pastur():
-    rep = s_square_relation_check(MeasureSpec.from_law("marchenko_pastur", (1,)), 10)
-    assert rep.passed
-
-
-def test_square_relation_order_capped_at_entry():
-    # the square root doubles the order, so the cap is half the conversion cap
-    mu = MeasureSpec.from_law("marchenko_pastur", (1,))
-    assert ncpart.CONVERSION_CAP // 2 == 10
-    with pytest.raises(ValueError, match=r"s_square_relation_check capped at order 10, got 11"):
-        s_square_relation_check(mu, 11)
-
-
-def test_square_relation_rejects_centered():
-    with pytest.raises(ValueError, match="first moment"):
-        s_square_relation_check(MeasureSpec.from_law("semicircle", (0, 1)), 6)
 
 
 # ---------------------------------------------------------------------------
