@@ -139,6 +139,41 @@ def _qc_density(params, x):
     return math.sqrt(4 * sigma**2 - x * x) / (math.pi * sigma**2)
 
 
+# beyond this |r|, _qc_cauchy sums the series of 4 - 2r arctan(2/r) in
+# u = (2/r)^2 <= 1/16, whose _QC_SERIES_TERMS terms reach u^14 < 1e-16
+_QC_SERIES_RADIUS = 8.0
+_QC_SERIES_TERMS = 14
+
+
+def _qc_cauchy(params, z):
+    import numpy as np
+
+    # the quarter circle is |W| for W the semicircle(0, sigma^2); at
+    # w = z/sigma, G_sigma(z) = (G_W(w) + G_odd(w))/sigma, where the
+    # transform of sign(x) rho_W(x) is G_odd = (4 - 2r arctan(2/r))/(2 pi) and
+    # r = sqrt(w - 2) sqrt(w + 2) is _sc_cauchy's root; G_W = 2/(w + r) is
+    # (w - r)/2 without its cancellation at large |w|
+    sigma = float(params[0])
+    w = z / sigma
+    r = np.sqrt(w - 2) * np.sqrt(w + 2)
+    odd = np.empty_like(w)
+    far = np.abs(r) > _QC_SERIES_RADIUS
+    # far out, 4 - 2r arctan(2/r) = 4u (1/3 - u/5 + u^2/7 - ...), u = (2/r)^2
+    u = (2 / r[far]) ** 2
+    tail = np.zeros_like(u)
+    for k in reversed(range(_QC_SERIES_TERMS)):
+        tail = (-1) ** k / (2 * k + 3) + u * tail
+    odd[far] = 4 * u * tail
+    # nearer, arctan(2/r) = log(rho)/2i with rho = (r + 2i)/(r - 2i); since
+    # (r + 2i)(r - 2i) = w^2, squaring the larger factor over w keeps rho
+    # free of the cancellation that np.arctan meets near w = 0
+    rn, wn = r[~far], w[~far]
+    up, down = rn + 2j, rn - 2j
+    rho = np.where(np.abs(up) >= np.abs(down), (up / wn) ** 2, (wn / down) ** 2)
+    odd[~far] = 4 + 1j * rn * np.log(rho)
+    return (2 / (w + r) + odd / (2 * math.pi)) / sigma
+
+
 def _qc_moment(params, n):
     sigma = params[0]
     if n % 2 == 0:
@@ -173,6 +208,17 @@ def _chi_density(params, x):
     if x <= 0:
         return 0.0
     return math.exp(-x / 2) / math.sqrt(2 * math.pi * x)
+
+
+def _chi_cauchy(params, z):
+    import numpy as np
+    from scipy.special import wofz
+
+    # chi^2(1) is N^2, so G(z) = G_N(a)/a with a^2 = z and Im a >= 0 (the
+    # root i sqrt(-z)); the Gaussian's G_N(a) = -i sqrt(pi/2) w(a/sqrt(2)),
+    # with w the Faddeeva function
+    a = 1j * np.sqrt(-z)
+    return -1j * math.sqrt(math.pi / 2) * wofz(a / math.sqrt(2)) / a
 
 
 def _chi_moment(params, n):
@@ -272,11 +318,12 @@ LAWS = {
              lambda p: (-4.0, 4.0)),
         _Law("quarter_circle", _qc_density, _each_order(_qc_moment),
              lambda p: (0.0, 2 * float(p[0])), param_names=("sigma",),
-             check=lambda p: _positive("sigma", p[0])),
+             check=lambda p: _positive("sigma", p[0]), cauchy=_qc_cauchy),
         _Law("beta_1a", _beta_density, _each_order(_beta_moment), lambda p: (0.0, 1.0),
              param_names=("a",), check=_beta_check, substitution=_beta_substitution),
         _Law("chi_squared_1", _chi_density, _each_order(_chi_moment),
-             lambda p: (0.0, math.inf), substitution=_chi_substitution),
+             lambda p: (0.0, math.inf), cauchy=_chi_cauchy,
+             substitution=_chi_substitution),
         _Law("commutator_ww", _comm_density, _comm_moments,
              lambda p: (-_COMM_EDGE, _COMM_EDGE)),
     )
@@ -594,11 +641,18 @@ def _affine_moments(base, scale, offset, order):
         return list(base[:order])
     full = [1] + list(base[:order])
     out = []
-    for n in range(1, order + 1):
-        s = 0
-        for k in range(0, n + 1):
-            s += math.comb(n, k) * scale**k * offset ** (n - k) * full[k]
-        out.append(s)
+    try:
+        for n in range(1, order + 1):
+            s = 0
+            for k in range(0, n + 1):
+                s += math.comb(n, k) * scale**k * offset ** (n - k) * full[k]
+            out.append(s)
+    except OverflowError:
+        # a float power past the float range raises rather than giving inf
+        raise ValueError(
+            f"moments of the law spec's pushforward overflow a float at order {n} "
+            f"(scale {scale}, offset {offset})"
+        ) from None
     return out
 
 

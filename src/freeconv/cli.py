@@ -249,6 +249,16 @@ def _print_json(obj):
     print(json.dumps(obj, indent=2, allow_nan=False))
 
 
+def _print_spec(mu: MeasureSpec):
+    """Print a spec as JSON, or refuse it with freeconv's own message if a
+    value is not finite."""
+    atoms = [v for atom in mu.atoms for v in atom]
+    seq = mu.seq.values if mu.seq is not None else ()
+    values = [*mu.params, mu.scale, mu.offset, *mu.xs, *mu.densities, *atoms, *seq]
+    _check_finite(values, f"{mu.kind} spec")
+    _print_json(serialize_measure_spec(mu))
+
+
 def _emit_seq(seq: SeqN, out: str):
     _check_finite(seq.values, seq.kind)
     if out == "json":
@@ -406,7 +416,7 @@ def _cmd_law(args) -> int:
         )
     except ValueError as exc:
         raise SpecError(str(exc)) from exc
-    _print_json(serialize_measure_spec(mu))
+    _print_spec(mu)
     return 0
 
 
@@ -450,7 +460,7 @@ def _cmd_convolve(args) -> int:
         out = conv.boolean_add(mu, nu, args.order)
     else:
         out = conv.free_mult(mu, nu, args.order, method=args.method)
-    _print_json(serialize_measure_spec(out))
+    _print_spec(out)
     return 0
 
 
@@ -465,7 +475,7 @@ def _cmd_power(args) -> int:
         out = conv.free_power_fid(mu, t, args.order)
     else:
         out = conv.free_power(mu, t, args.order)
-    _print_json(serialize_measure_spec(out))
+    _print_spec(out)
     return 0
 
 
@@ -500,7 +510,7 @@ def _cmd_commutator(args) -> int:
 
 def _cmd_square(args) -> int:
     mu = parse_measure_spec(args.spec)
-    _print_json(serialize_measure_spec(catalog.push_square(mu, args.order)))
+    _print_spec(catalog.push_square(mu, args.order))
     return 0
 
 

@@ -6,6 +6,7 @@ pinned to independently known integer sequences.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -374,6 +375,20 @@ def test_grid_validation():
 def test_constructors_refuse_non_finite_input(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("scale,offset,names", [
+    (1e100, 0, "scale 1e+100"),
+    (1, -1e200, "offset -1e+200"),
+])
+def test_float_pushforward_overflow_is_a_value_error(scale, offset, names):
+    # a float power past the float range raises OverflowError; moments_of
+    # turns it into a ValueError that names the spec's scale or offset
+    mu = MeasureSpec.from_law("semicircle", (0, 1), scale=scale, offset=offset)
+    with pytest.raises(ValueError, match=f"overflow a float.*{re.escape(names)}"):
+        moments_of(mu, 4)
+    with pytest.raises(ValueError, match="overflow a float"):
+        moments_of(dilate(MeasureSpec.from_law("semicircle", (0, 1)), 1e200), 4)
 
 
 def test_sequence_constructors_check_kind():

@@ -192,7 +192,7 @@ class TestNonFiniteOutput:
         )
         assert code == 1
         assert stdout == ""
-        assert "not JSON compliant" in err
+        assert err.startswith("error: free_cumulants spec has a non-finite value")
 
     @pytest.mark.parametrize(
         "argv,where",
@@ -244,6 +244,21 @@ class TestNonFiniteOutput:
         assert code == 1
         assert stdout == ""
         assert err.startswith("error:") and "non-finite" in err
+
+    def test_moment_overflow_names_the_scale(self, capsys):
+        spec = json.dumps({"type": "law", "name": "semicircle", "params": [0, 1],
+                           "scale": 1e100})
+        code, stdout, err = run_cli(capsys, "moments", spec, "--order", "4")
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: moments of the law spec's pushforward overflow")
+        assert "scale 1e+100" in err
+
+    def test_overflowed_power_is_refused_before_json(self, capsys):
+        code, stdout, err = run_cli(
+            capsys, "power", SEMI, "--t", "1e308", "--conv", "boolean", "--order", "4"
+        )
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: moments spec has a non-finite value")
 
     @pytest.mark.parametrize("times", ["nan", "0.5,inf", "0.5,-inf"])
     def test_non_finite_scan_time_is_a_usage_error(self, capsys, monkeypatch, times):
@@ -869,6 +884,27 @@ class TestTransform:
         assert code == 0
         g = 0.5 / (0.3 + 1j - 1) + 0.5 / (0.3 + 1j + 1)
         assert out.strip() == f"{g.real:.12g},{g.imag:.12g}"
+
+    @pytest.mark.parametrize("spec,want", [
+        # mpmath at 0.5 + 1e-6i: the exact value sits 1.9e-6 from -pi rho(0.5),
+        # the O(y) gap of the Poisson smoothing at this height
+        (QC, complex(-0.38529226513858985, -1.9364897302762019)),
+        (json.dumps({"type": "law", "name": "chi_squared_1"}),
+         complex(0.84887069642132020, -1.3803887203493600)),
+    ])
+    def test_closed_form_near_the_axis(self, capsys, spec, want):
+        code, out, _ = run_cli(capsys, "transform", spec, "--which", "G", "--at", "0.5,1e-6")
+        assert code == 0
+        got = complex(*(float(v) for v in out.strip().split(",")))
+        assert abs(got - want) < 1e-9
+        if spec == QC:
+            assert abs(got.imag + math.sqrt(4 - 0.25)) < 1e-5   # -pi rho(0.5)
+
+    def test_quadrature_law_near_the_axis_is_refused(self, capsys):
+        spec = json.dumps({"type": "law", "name": "commutator_ww"})
+        code, out, err = run_cli(capsys, "transform", spec, "--which", "G", "--at", "1.5,1e-6")
+        assert (code, out) == (1, "")
+        assert "quadrature is not trusted" in err
 
     def test_format_is_two_floats(self, capsys):
         _, out, _ = run_cli(capsys, "transform", SEMI, "--which", "G", "--at", "0,2")

@@ -1,6 +1,7 @@
 """Formal series algebra, cumulant extraction routes, numeric transforms."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeconv import conv, ncpart, transforms
+from freeconv import catalog, conv, ncpart, transforms
 from freeconv.catalog import MeasureSpec, catalog_density, catalog_moments
 from freeconv.ncpart import SeqN
 from freeconv.transforms import (
@@ -504,19 +505,20 @@ def test_law_cauchy_includes_atom():
 
 
 def test_quad_fallback_law_cauchy():
-    mu = MeasureSpec.from_law("quarter_circle", (1,))
-    z = 0.5 + 0.8j
     from scipy.integrate import quad
 
-    re, _ = quad(
-        lambda x: (catalog_density("quarter_circle", (1,), x) * (z - x).real / abs(z - x) ** 2),
-        0, 2, limit=300,
-    )
-    im, _ = quad(
-        lambda x: (-catalog_density("quarter_circle", (1,), x) * z.imag / abs(z - x) ** 2),
-        0, 2, limit=300,
-    )
-    assert cauchy(mu, z) == pytest.approx(re + 1j * im, rel=1e-8)
+    for law, params, cuts, z in (
+        ("quarter_circle", (1,), (0, 2), 0.5 + 0.8j),        # closed form
+        ("symmetric_beta", (), (-4, 0, 4), 0.7 + 0.3j),      # quadrature
+    ):
+        rho = lambda x: catalog_density(law, params, x)
+        re, im = (
+            sum(quad(f, a, b, limit=300)[0] for a, b in zip(cuts, cuts[1:]))
+            for f in (lambda x: rho(x) * (z - x).real / abs(z - x) ** 2,
+                      lambda x: -rho(x) * z.imag / abs(z - x) ** 2)
+        )
+        mu = MeasureSpec.from_law(law, params)
+        assert cauchy(mu, z) == pytest.approx(re + 1j * im, rel=1e-8)
 
 
 _PIN_POINTS = [0.5 + 0.3j, -1.2 + 0.05j, 2.5 - 0.7j]
@@ -549,12 +551,111 @@ _QUAD_CAUCHY_PINS = {
 }
 
 
+_CLOSED_FORM_LAWS = ("chi_squared_1", "quarter_circle")
+
+
+def _quadrature_route(monkeypatch, law):
+    """Send a law with a closed-form G down the quadrature route."""
+    monkeypatch.setitem(catalog.LAWS, law, replace(catalog.LAWS[law], cauchy=None))
+
+
 @pytest.mark.parametrize("law,params", sorted(_QUAD_CAUCHY_PINS))
-def test_quad_law_cauchy_bits_pinned(law, params):
+def test_quad_law_cauchy_bits_pinned(law, params, monkeypatch):
     # the quadrature-backed transforms, substitutions and split at 0
     # included, to the bit in both half planes
+    if law in _CLOSED_FORM_LAWS:
+        _quadrature_route(monkeypatch, law)
     g = cauchy(MeasureSpec.from_law(law, params), np.array(_PIN_POINTS))
     assert [(v.real.hex(), v.imag.hex()) for v in g] == _QUAD_CAUCHY_PINS[law, params]
+
+
+@pytest.mark.parametrize("law,params", [("chi_squared_1", ()), ("quarter_circle", (1,))])
+def test_closed_form_cauchy_matches_quadrature_route(law, params, monkeypatch):
+    mu = MeasureSpec.from_law(law, params)
+    closed = cauchy(mu, np.array(_PIN_POINTS))
+    _quadrature_route(monkeypatch, law)
+    quad = cauchy(mu, np.array(_PIN_POINTS))
+    assert np.max(np.abs(closed - quad) / np.abs(quad)) < 1e-12
+
+
+# relative error of the closed-form transforms against mpmath, at heights
+# 1e-1 ... 1e-12 in both half planes, unshifted and under the pushforward
+# x -> -2x + 1
+_CLOSED_FORM_REL = 2e-14
+_HEIGHTS_TO_AXIS = (1e-1, 1e-3, 1e-6, 1e-9, 1e-12)
+
+
+def _mp_cuts(x, y, lo, hi):
+    # split the integral at x and at x -+ y 10^k, where the kernel turns
+    cuts = [x + s * y * 10.0**k for k in range(0, 13, 3) for s in (-1, 1)] + [x]
+    return [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
+
+
+def _mp_quarter_circle(w):
+    import mpmath as mp
+
+    z = mp.mpc(w)
+    cuts = _mp_cuts(w.real, w.imag, 0, 2)
+    return complex(mp.quad(lambda t: mp.sqrt(4 - t * t) / (mp.pi * (z - t)), cuts))
+
+
+def _mp_chi_squared_1(w):
+    import mpmath as mp
+
+    # x = u^2 on (0, 12^2); the tail beyond weighs e^-72
+    z = mp.mpc(w)
+    cuts = [0] + [mp.sqrt(c) for c in _mp_cuts(w.real, w.imag, 0, 144)[1:]]
+    return complex(mp.quad(
+        lambda u: 2 * mp.exp(-u * u / 2) / (mp.sqrt(2 * mp.pi) * (z - u * u)), cuts))
+
+
+@pytest.mark.parametrize(
+    "law,unit,sigma,reference,xs",
+    [
+        # the jump at 0, the square-root edge at 2 and the series past |r| = 8
+        ("quarter_circle", (1,), 2, _mp_quarter_circle, (-0.75, 0.0, 0.5, 2.0, 3.25, 20.0)),
+        ("chi_squared_1", (), 1, _mp_chi_squared_1, (-2.0, 0.0, 0.25, 1.5, 20.0)),
+    ],
+)
+def test_closed_form_cauchy_matches_mpmath(law, unit, sigma, reference, xs):
+    import mpmath as mp
+
+    # G of -2 X + 1, with X the law at scale sigma, is G_unit(w)/(-2 sigma) at
+    # z = -2 sigma w + 1; the dyadic points keep that map exact, so the error
+    # is the transform's own, not the input's rounding
+    plain = MeasureSpec.from_law(law, unit)
+    moved = MeasureSpec.from_law(law, (sigma,) * len(unit), scale=-2, offset=1)
+    worst = 0.0
+    with mp.workdps(20):
+        for w in (complex(x, y) for x in xs for y in _HEIGHTS_TO_AXIS):
+            want = reference(w)
+            for side, ref in ((w, want), (w.conjugate(), want.conjugate())):
+                got = (cauchy(plain, side), -2 * sigma * cauchy(moved, -2 * sigma * side + 1))
+                worst = max(worst, *(abs(g - ref) / abs(ref) for g in got))
+    assert worst < _CLOSED_FORM_REL
+
+
+@pytest.mark.parametrize(
+    "law,params,near,far",
+    [
+        # near: inside the support low down, then just past an edge
+        ("symmetric_beta", (), (0.0 + 2e-4j, 4.0005 + 1e-12j), 0.0 + 2.5e-3j),
+        ("beta_1a", (0.3,), (1.0 + 1e-5j, -5e-4 + 1e-8j), 1.0 + 2.5e-3j),
+        ("commutator_ww", (), (1.5 + 3e-5j, 0.5 - 1e-6j), 1.5 - 2.5e-3j),
+    ],
+)
+def test_quadrature_laws_refuse_points_near_the_support(law, params, near, far):
+    mu = MeasureSpec.from_law(law, params)
+    for z in near:
+        with pytest.raises(ValueError, match="not trusted within 0.001"):
+            cauchy(mu, np.array([far, z]))
+    # the distance is taken after the pushforward, in units of |scale|
+    with pytest.raises(ValueError, match="not trusted"):
+        cauchy(MeasureSpec.from_law(law, params, scale=-10, offset=3), 3 - 10 * far.real + 5e-3j)
+    shrunk = MeasureSpec.from_law(law, params, scale=0.1)
+    assert cauchy(shrunk, 0.1 * far) == pytest.approx(10 * cauchy(mu, far), rel=1e-12)
+    # Stieltjes inversion's lowest height passes
+    assert cauchy(mu, far).imag * np.sign(far.imag) < 0
 
 
 def test_law_without_density_is_its_atoms():
