@@ -317,7 +317,9 @@ def support_edge(mu: MeasureSpec, nu: MeasureSpec, inner: float, outer: float) -
             f"bracket does not straddle the edge: d(inner)-t={fi:.2e}, "
             f"d(outer)-t={fo:.2e}"
         )
-    return transforms._bisect_edge(lambda xs: f(xs) > 0, inner, outer, _EDGE_XTOL)
+    return transforms._bisect_edge(
+        lambda xs, _: f(xs) > 0, [(inner, outer)], _EDGE_XTOL
+    )[0]
 
 
 # ---------------------------------------------------------------------------

@@ -443,19 +443,22 @@ _SOLVE_MAX_ITER = 100
 def solve_g(model: RModel, t, z, w0=None):
     """Solve z = 1/w + t R(w) for w = G(z) by damped Newton.
 
+    t is a scalar or an array shaped like z (one time per point); each
+    point's solution does not depend on the others solved with it.
     Returns (w, converged mask). The seed defaults to 1/z; pass the
     solution at a nearby z to continue along a path.
     """
     import numpy as np
 
-    def residual(w, zs):
+    def residual(w, zs, ts):
         with np.errstate(all="ignore"):
-            f = 1 / w + t * model.r(w) - zs
+            f = 1 / w + ts * model.r(w) - zs
         # iterates that hit a pole count as maximally bad so the
         # backtracking line search rejects them
         return np.where(np.isfinite(f), f, complex(np.inf))
 
     z = np.atleast_1d(np.asarray(z, dtype=complex))
+    t = np.broadcast_to(np.asarray(t, dtype=float), z.shape)
     if w0 is None:
         # damped Picard warmup: w -> 1/(z - t R(w)) preserves the lower
         # half plane for these models and pulls the seed into Newton's
@@ -470,16 +473,16 @@ def solve_g(model: RModel, t, z, w0=None):
         w = np.asarray(w0, dtype=complex).copy()
     if w.shape != z.shape:
         raise ValueError("seed shape does not match z")
-    resid = residual(w, z)
+    resid = residual(w, z, t)
     for _ in range(_SOLVE_MAX_ITER):
         with np.errstate(all="ignore"):
             active = ~(np.abs(resid) <= _SOLVE_TOL)
         if not active.any():
             break
-        wa, za = w[active], z[active]
+        wa, za, ta = w[active], z[active], t[active]
         fa = resid[active]
         with np.errstate(all="ignore"):
-            deriv = -1 / wa**2 + t * model.dr(wa)
+            deriv = -1 / wa**2 + ta * model.dr(wa)
             deriv = np.where(
                 np.isfinite(deriv) & (np.abs(deriv) > 1e-300), deriv, 1e-300
             )
@@ -487,7 +490,7 @@ def solve_g(model: RModel, t, z, w0=None):
             step = np.where(np.isfinite(step), step, 0.1)
         # backtrack while the residual grows
         new_w = wa + step
-        new_f = residual(new_w, za)
+        new_f = residual(new_w, za, ta)
         for _ in range(30):
             with np.errstate(all="ignore"):
                 worse = ~(np.abs(new_f) <= np.abs(fa))
@@ -495,13 +498,13 @@ def solve_g(model: RModel, t, z, w0=None):
                 break
             step = np.where(worse, step / 2, step)
             new_w = wa + step
-            new_f = residual(new_w, za)
+            new_f = residual(new_w, za, ta)
         # a Cauchy transform of the upper half plane lies in the closed
         # lower one; reflect iterates that stray to the wrong sheet
         wrong = new_w.imag > 0
         if wrong.any():
             new_w = np.where(wrong, np.conj(new_w), new_w)
-            new_f = residual(new_w, za)
+            new_f = residual(new_w, za, ta)
         # |G(z)| <= 1/Im z, so iterates past a few times that bound are
         # runaway; project them back onto the admissible disk
         with np.errstate(all="ignore"):
@@ -509,41 +512,47 @@ def solve_g(model: RModel, t, z, w0=None):
             big = ~(np.abs(new_w) <= bound)
         if big.any():
             new_w = np.where(big, new_w * (bound / np.abs(new_w)), new_w)
-            new_f = residual(new_w, za)
+            new_f = residual(new_w, za, ta)
         w[active] = new_w
         resid[active] = new_f
     with np.errstate(all="ignore"):
         return w, np.abs(resid) <= math.sqrt(_SOLVE_TOL)
 
 
-_IMAG_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
-                1e-5, 1e-6, 1e-7, 1e-8, 1e-9)
 _EPS = 4e-9  # boundary densities extrapolate over heights _EPS, _EPS/2, _EPS/4
+_IMAG_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
+                1e-5, 1e-6, 1e-7, 1e-8, _EPS)
+_SCAN_POINTS = 8192  # most grid points one scan solve holds (at least one t)
 
 
-def _continued_solve(model: RModel, t, xs, imag: float):
-    """Solve down the imaginary ladder, reusing each level as the seed."""
-    import numpy as np
-
-    xs = np.asarray(xs, dtype=float)
-    levels = [d for d in _IMAG_LADDER if d > imag] + [imag]
-    w = conv = None
-    for d in levels:
-        w, conv = solve_g(model, t, xs + 1j * d, w0=w)
-    return w, conv
-
-
-def _extrapolated_density(model: RModel, t, xs, seed=None):
+def _extrapolated_density(model: RModel, t, xs, seed=None, h=None):
     """Boundary density by Richardson extrapolation over the three heights.
 
     Cancels the terms linear in the height, so Lorentzian shoulders of
-    nearby atoms drop out instead of polluting edge detection. The solve at
-    _EPS starts from seed (else the imaginary ladder) and seeds the next
-    height; points a seed leaves unconverged are solved from the ladder.
-    Returns the density, where it converged, and w at height _EPS.
+    nearby atoms drop out instead of polluting edge detection. t is a
+    scalar or one time per point. The solve at _EPS starts from seed (else
+    the imaginary ladder) and seeds the next height; points a seed leaves
+    unconverged are solved from the ladder. With heights h (shaped like
+    xs), the ladder also solves each point at its height, from the last
+    level above it (the level above _EPS at least): the solve that would
+    stop the ladder there. Returns the density, where it converged, w at
+    height _EPS, and w at h (None without h).
     """
-    w, conv = (_continued_solve(model, t, xs, imag=_EPS) if seed is None
-               else solve_g(model, t, xs + 1j * _EPS, w0=seed))
+    import numpy as np
+
+    t = np.broadcast_to(np.asarray(t, dtype=float), np.shape(xs))
+    w = w_h = None
+    if seed is not None:
+        w, conv = solve_g(model, t, xs + 1j * _EPS, w0=seed)
+    else:
+        first = -1 if h is None else np.minimum(
+            np.searchsorted(-np.asarray(_IMAG_LADDER), -h), len(_IMAG_LADDER) - 1)
+        w_h = None if h is None else np.empty(np.shape(xs), dtype=complex)
+        for j, d in enumerate(_IMAG_LADDER):
+            if np.any(at := first == j):
+                w_h[at] = solve_g(model, t[at], xs[at] + 1j * h[at],
+                                  w0=None if w is None else w[at])[0]
+            w, conv = solve_g(model, t, xs + 1j * d, w0=w)
     ws = [w]
     for k in (2, 4):
         w, c = solve_g(model, t, xs + 1j * _EPS / k, w0=w)
@@ -551,8 +560,9 @@ def _extrapolated_density(model: RModel, t, xs, seed=None):
     dens = _richardson([-w.imag / math.pi for w in ws])
     if seed is not None and not conv.all():
         redo = ~conv
-        dens[redo], conv[redo], ws[0][redo] = _extrapolated_density(model, t, xs[redo])
-    return dens, conv, ws[0]
+        dens[redo], conv[redo], ws[0][redo], _ = _extrapolated_density(
+            model, t[redo], xs[redo])
+    return dens, conv, ws[0], w_h
 
 
 @dataclass(frozen=True)
@@ -581,40 +591,53 @@ class ScanResult:
         return [(p.t, p.left_edge) for p in self.points]
 
 
-def _scan_one(model: RModel, t, threshold, grid_points):
+def _scan_group(model: RModel, ts, threshold, grid_points):
+    """Scan points of the times ts, their grids solved as one batch."""
     import numpy as np
 
     k1, k2 = model.kappa1, model.kappa2
-    spread = 4 * math.sqrt(max(t * k2, 1e-6)) + 0.5
-    lo, hi = t * k1 - spread, t * k1 + spread
-    xs = np.linspace(lo, hi, grid_points)
-    h = xs[1] - xs[0]
-
+    spreads = [4 * math.sqrt(max(t * k2, 1e-6)) + 0.5 for t in ts]
+    grids = [np.linspace(t * k1 - s, t * k1 + s, grid_points)
+             for t, s in zip(ts, spreads)]
+    steps = [xs[1] - xs[0] for xs in grids]
+    t_all = np.repeat(ts, grid_points)
     # atom pass: a point mass shows up as ~mass/(pi d) at height d ~ grid step
-    w_atom, _ = _continued_solve(model, t, xs, imag=h)
-    dens_atom = -w_atom.imag / math.pi
-    atom_idx = np.flatnonzero(dens_atom > 0.05 / h)
-    atoms = []
-    for cluster in np.split(atom_idx, np.flatnonzero(np.diff(atom_idx) > 1) + 1):
-        if cluster.size:
-            atoms.append(float(xs[cluster[np.argmax(dens_atom[cluster])]]))
+    solved = _extrapolated_density(model, t_all, np.concatenate(grids),
+                                   h=np.repeat(steps, grid_points))
+    found, edges, brackets, ends = [], {}, [], []
+    for j, (xs, h, dens, conv, w_eps, w_atom) in enumerate(
+            zip(grids, steps, *(np.split(a, len(ts)) for a in solved))):
+        dens_atom = -w_atom.imag / math.pi
+        idx = np.flatnonzero(dens_atom > 0.05 / h)
+        runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
+        clusters = [c for c in runs if c.size]
+        found.append((tuple(float(xs[c[np.argmax(dens_atom[c])]]) for c in clusters),
+                      bool(np.all(conv))))
+        above = np.flatnonzero(dens > threshold)
+        if above.size and above[0] == 0:
+            edges[j] = float(xs[0])
+        elif above.size:
+            i = above[0]
+            brackets.append((float(xs[i]), float(xs[i - 1])))
+            ends.append((j, xs[i - 1 : i + 1], w_eps[i - 1 : i + 1]))
 
-    dens, conv, w_eps = _extrapolated_density(model, t, xs)
-    above = np.flatnonzero(dens > threshold)
-    edge = None
-    if above.size:
-        i = above[0]
-        if i == 0:
-            edge = float(xs[0])
-        else:
-            def inside(mids):
-                seed = np.interp(mids, xs[i - 1 : i + 1], w_eps[i - 1 : i + 1])
-                return _extrapolated_density(model, t, mids, seed)[0] > threshold
+    def inside(mids, owner):
+        # each bracket's midpoints are seeded by interpolating w at height
+        # _EPS between its grid ends, not from the imaginary ladder
+        seed = np.empty(mids.shape, dtype=complex)
+        for b in np.unique(owner):
+            seed[owner == b] = np.interp(mids[owner == b], *ends[b][1:])
+        t_mid = np.array([ts[ends[b][0]] for b in owner])
+        return _extrapolated_density(model, t_mid, mids, seed)[0] > threshold
 
-            edge = _bisect_edge(inside, float(xs[i]), float(xs[i - 1]), 2e-5)
-    if atoms:
-        edge = min(atoms) if edge is None else min(edge, min(atoms))
-    return ScanPoint(float(t), edge, tuple(atoms), bool(np.all(conv)))
+    edges.update(zip([j for j, _, _ in ends], _bisect_edge(inside, brackets, 2e-5)))
+    points = []
+    for j, (t, (atoms, converged)) in enumerate(zip(ts, found)):
+        edge = edges.get(j)
+        if atoms:
+            edge = min(atoms) if edge is None else min(edge, min(atoms))
+        points.append(ScanPoint(t, edge, atoms, converged))
+    return points
 
 
 def positivity_scan(
@@ -633,11 +656,14 @@ def positivity_scan(
     (transforms._bisect_edge), which gives the one-point bisection edge.
     Each batch is seeded by interpolating w at height _EPS between the
     grid bracket's ends, not from the imaginary ladder.
+    The t values are solved together, t x grid points in one batch, in
+    groups of at most _SCAN_POINTS points (at least one t each); every
+    point is solved independently, so a scan equals the scans of its t
+    values one by one. jobs is accepted and ignored.
     Evidence only: atoms of mass below roughly 0.15 are invisible, and
     polynomial models are trusted only inside their convergence region.
-    The t values run serially; jobs is accepted and ignored. ts must not
-    be empty: no scanned point is no evidence. threshold and edge_tol must
-    be finite and positive.
+    ts must not be empty: no scanned point is no evidence. threshold and
+    edge_tol must be finite and positive, and grid_points at least 2.
     """
     for name, value in (("threshold", threshold), ("edge_tol", edge_tol)):
         if not (math.isfinite(value) and value > 0):
@@ -649,7 +675,12 @@ def positivity_scan(
         raise ValueError("scan needs at least one time")
     if any(t <= 0 for t in ts):
         raise ValueError("scan times must be positive")
-    points = [_scan_one(model, t, threshold, grid_points) for t in ts]
+    if grid_points < 2:
+        raise ValueError(f"scan needs at least 2 grid points, got {grid_points}")
+    size = max(1, _SCAN_POINTS // grid_points)
+    points = []
+    for k in range(0, len(ts), size):
+        points += _scan_group(model, ts[k : k + size], threshold, grid_points)
     return ScanResult(tuple(points), threshold, edge_tol)
 
 

@@ -585,34 +585,41 @@ def _boundary_densities(g, xs):
 _EDGE_DEPTH = 6  # bisection steps resolved per call of the predicate
 
 
-def _bisect_edge(above, inside, outside, xtol):
-    """Bisect to width xtol between a point where above holds and one where not.
+def _bisect_edge(above, brackets, xtol):
+    """Bisect each bracket (inside, outside), above holding at inside and not
+    at outside, to width xtol; returns the edges in bracket order.
 
-    above maps an array of points to a boolean array. Each round evaluates,
-    in one call, every midpoint that the next _EDGE_DEPTH steps of one-point
-    bisection could visit, then follows the path those steps take. The edge
-    is therefore that of one-point bisection, bit for bit, as long as above
-    judges each point independently of the others in its batch.
+    above maps an array of points, and the indices of their brackets, to a
+    boolean array. Each round evaluates, in one call, every midpoint that
+    the next _EDGE_DEPTH steps of one-point bisection could visit in every
+    bracket wider than xtol, then follows the path those steps take. Each
+    edge is therefore that of one-point bisection, bit for bit, as long as
+    above judges each point independently of the others in its batch.
     """
     import numpy as np
 
-    while abs(outside - inside) > xtol:
-        # brackets in heap order: bracket k splits at its midpoint into
-        # 2k + 1 (midpoint above) and 2k + 2 (midpoint not above)
-        brackets, mids = [(inside, outside)], {}
-        for k in range(2**_EDGE_DEPTH - 1):
-            if brackets[k] is None or abs(brackets[k][1] - brackets[k][0]) <= xtol:
-                brackets += [None, None]
-                continue
-            ins, out = brackets[k]
-            mids[k] = mid = (ins + out) / 2
-            brackets += [(mid, out), (ins, mid)]
-        flags = dict(zip(mids, above(np.array(list(mids.values())))))
-        k = 0
-        while k in flags:
-            k = 2 * k + (1 if flags[k] else 2)
-        inside, outside = brackets[k]
-    return (inside + outside) / 2
+    brackets = list(brackets)
+    while trees := {b: [(ins, out)] for b, (ins, out) in enumerate(brackets)
+                    if abs(out - ins) > xtol}:
+        # each tree holds a bracket's sub-brackets in heap order: k splits
+        # at its midpoint into 2k + 1 (midpoint above) and 2k + 2 (not above)
+        mids = {}
+        for b, tree in trees.items():
+            for k in range(2**_EDGE_DEPTH - 1):
+                if tree[k] is None or abs(tree[k][1] - tree[k][0]) <= xtol:
+                    tree += [None, None]
+                    continue
+                ins, out = tree[k]
+                mids[b, k] = mid = (ins + out) / 2
+                tree += [(mid, out), (ins, mid)]
+        owner = np.array([b for b, _ in mids])
+        flags = dict(zip(mids, above(np.array(list(mids.values())), owner)))
+        for b, tree in trees.items():
+            k = 0
+            while (b, k) in flags:
+                k = 2 * k + (1 if flags[b, k] else 2)
+            brackets[b] = tree[k]
+    return [(ins + out) / 2 for ins, out in brackets]
 
 
 @dataclass(frozen=True)

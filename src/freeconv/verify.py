@@ -338,6 +338,8 @@ def _wplus_scan_edges(rng, jobs):
     scan = idclass.positivity_scan(model, [0.5, 2], jobs=jobs)
     dev = 0.0
     for point in scan.points:
+        if point.left_edge is None:  # no edge found: as far off as can be
+            return math.inf
         exact = 2 * point.t - 2 * math.sqrt(point.t)
         dev = max(dev, abs(point.left_edge - exact))
     return dev
@@ -439,7 +441,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return self.deviation <= self.tolerance
+        return math.isfinite(self.deviation) and self.deviation <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -458,9 +460,10 @@ class VerifyReport:
         anchor_w = max(len(r.anchor) for r in self.results)
         for r in self.results:
             status = "pass" if r.passed else "FAIL"
+            dev = f"{r.deviation:.3e}" if math.isfinite(r.deviation) else "non-finite"
             lines.append(
                 f"{r.name:<{name_w}}  {r.anchor:<{anchor_w}}  "
-                f"dev={r.deviation:.3e}  tol={r.tolerance:.1e}  {status}"
+                f"dev={dev}  tol={r.tolerance:.1e}  {status}"
             )
         passed = sum(r.passed for r in self.results)
         lines.append(f"summary: {passed}/{len(self.results)} checks passed")

@@ -778,6 +778,12 @@ _IDENTITIES_1418 = [
 ]
 
 
+def _finite_devs(out):
+    """Every dev= field of a verify report is a finite number or the token."""
+    devs = [f[4:] for line in out.splitlines()[1:-1] for f in line.split() if f.startswith("dev=")]
+    return all(d == "non-finite" or math.isfinite(float(d)) for d in devs) and devs
+
+
 class TestVerify:
     def test_identities_byte_identical(self, capsys):
         code1, out1, _ = run_cli(capsys, "verify", "--suite", "identities")
@@ -810,6 +816,40 @@ class TestVerify:
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2
+
+    def test_scan_without_an_edge_fails_the_check(self, capsys, monkeypatch):
+        # a scan point with no left edge is an infinite deviation, not a crash
+        from freeconv import verify
+
+        point = idclass.ScanPoint(0.5, None, (), True)
+        monkeypatch.setattr(
+            idclass, "positivity_scan",
+            lambda *a, **k: idclass.ScanResult((point,), 1e-6, 1e-3),
+        )
+        assert verify._wplus_scan_edges(None, 1) == math.inf
+        code, out, _ = run_cli(capsys, "verify", "--suite", "regularity")
+        assert code == 1
+        line = next(l for l in out.splitlines() if l.startswith("wplus_scan_edges"))
+        assert "dev=non-finite" in line and line.endswith("FAIL")
+        assert _finite_devs(out)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_deviation_prints_a_token(self, capsys, monkeypatch, value):
+        import dataclasses
+
+        from freeconv import verify
+
+        monkeypatch.setattr(verify, "CHECKS", tuple(
+            dataclasses.replace(c, fn=lambda rng, jobs: value)
+            if c.name == "quarter_circle_kurtosis" else c
+            for c in verify.CHECKS
+        ))
+        code, out, _ = run_cli(capsys, "verify", "--suite", "regularity")
+        assert code == 1
+        line = next(l for l in out.splitlines() if l.startswith("quarter_circle_kurtosis"))
+        assert "dev=non-finite" in line and line.endswith("FAIL")
+        assert _finite_devs(out)
+        assert out.rstrip().endswith("6/7 checks passed")
 
 
 class TestNc:

@@ -429,13 +429,13 @@ class TestPositivityScan:
         )
         scan = idclass.positivity_scan(RModel.free_poisson(1), [0.5, 1.0, 1.5, 2.0])
         assert all(p.converged for p in scan.points)
-        assert len(calls) <= 110
+        assert len(calls) <= 25
 
     def test_unconverged_seed_falls_back_to_the_ladder(self):
         model, xs = RModel.free_poisson(1), np.linspace(0.05, 0.3, 9)
-        dens, conv_mask, _ = idclass._extrapolated_density(model, 2.0, xs)
+        dens, conv_mask, _, _ = idclass._extrapolated_density(model, 2.0, xs)
         bad_seed = np.full(xs.shape, complex("nan"))
-        seeded, seeded_mask, _ = idclass._extrapolated_density(model, 2.0, xs, bad_seed)
+        seeded, seeded_mask, _, _ = idclass._extrapolated_density(model, 2.0, xs, bad_seed)
         assert seeded.tobytes() == dens.tobytes()
         assert seeded_mask.tolist() == conv_mask.tolist()
 
@@ -456,19 +456,43 @@ class TestPositivityScan:
         # the batched edge bisection is exact only if a point's density
         # does not depend on the other points solved with it
         xs = np.linspace(lo, hi, 9)
-        dens, conv_mask, _ = idclass._extrapolated_density(model, t, xs)
+        dens, conv_mask, _, _ = idclass._extrapolated_density(model, t, xs)
         alone = [idclass._extrapolated_density(model, t, xs[i:i + 1]) for i in range(9)]
-        assert dens.tobytes() == np.concatenate([d for d, _, _ in alone]).tobytes()
-        assert conv_mask.tolist() == [bool(c[0]) for _, c, _ in alone]
+        assert dens.tobytes() == np.concatenate([d for d, _, _, _ in alone]).tobytes()
+        assert conv_mask.tolist() == [bool(c[0]) for _, c, _, _ in alone]
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            RModel.semicircle(2, 1),
+            RModel.free_poisson(1),
+            RModel.cfp_atomic(2.0, [(1, 0.5), (-0.5, 0.5)], 0.3),
+        ],
+    )
+    @pytest.mark.parametrize("group_points", [None, 2 * 601])
+    def test_scan_points_are_t_batch_independent(self, monkeypatch, model, group_points):
+        # the t values of a scan are solved as one batch, in groups of at
+        # most _SCAN_POINTS grid points; neither may change a scanned point
+        if group_points is not None:
+            monkeypatch.setattr(idclass, "_SCAN_POINTS", group_points)
+        ts = [0.3, 0.5, 1.0, 1.7, 3.0]
+        alone = tuple(p for t in ts for p in idclass.positivity_scan(model, [t]).points)
+        assert idclass.positivity_scan(model, ts).points == alone
 
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError, match="positive"):
             idclass.positivity_scan(RModel.free_poisson(1), [0.5, -1])
 
+    @pytest.mark.parametrize("points", [-5, 0, 1])
+    def test_rejects_fewer_than_two_grid_points(self, monkeypatch, points):
+        monkeypatch.setattr(idclass, "_scan_group", None)  # fails before any solve
+        with pytest.raises(ValueError, match="at least 2 grid points"):
+            idclass.positivity_scan(RModel.free_poisson(1), [0.5], grid_points=points)
+
     @pytest.mark.parametrize("name", ["threshold", "edge_tol"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_rejects_bad_threshold_and_edge_tol(self, monkeypatch, name, value):
-        monkeypatch.setattr(idclass, "_scan_one", None)  # fails before any solve
+        monkeypatch.setattr(idclass, "_scan_group", None)  # fails before any solve
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             idclass.positivity_scan(RModel.semicircle(2, 1), [0.5], **{name: value})
 

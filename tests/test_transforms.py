@@ -842,11 +842,46 @@ def test_bisect_edge_equals_one_point_bisection(inside, width, side, halvings, p
     xtol = width * 2.0**-halvings
     calls = []
 
-    def batched(xs):
+    def batched(xs, owner):
         calls.append(len(xs))
+        assert not owner.any()
         return np.array([pred(float(x)) for x in xs])
 
     want, steps = _bisect_one_point(pred, inside, outside, xtol)
-    got = transforms._bisect_edge(batched, inside, outside, xtol)
-    assert got == want
+    got = transforms._bisect_edge(batched, [(inside, outside)], xtol)
+    assert got == [want]
     assert len(calls) <= 1 + math.ceil(steps / transforms._EDGE_DEPTH)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    brackets=st.lists(
+        st.tuples(st.floats(-10, 10), st.floats(-10, 10)).filter(lambda b: b[0] != b[1]),
+        min_size=1,
+        max_size=5,
+    ),
+    xtol=st.floats(1e-6, 1.0),
+    pred=_predicates(),
+)
+def test_bisect_edge_brackets_equal_one_call_each(brackets, xtol, pred):
+    # one predicate call per round covers every bracket still open, so the
+    # rounds are those of the slowest bracket; a bracket already narrower
+    # than xtol never reaches the predicate and returns its midpoint
+    narrow = (0.25, 0.25 + xtol / 2)
+    brackets = brackets + [narrow]
+
+    def run(brackets):
+        owners = []
+
+        def batched(xs, owner):
+            owners.append(set(owner.tolist()))
+            return np.array([pred(float(x)) for x in xs])
+
+        return transforms._bisect_edge(batched, brackets, xtol), owners
+
+    got, owners = run(brackets)
+    alone = [run([b]) for b in brackets]
+    assert got == [edges[0] for edges, _ in alone]
+    assert got[-1] == (narrow[0] + narrow[1]) / 2
+    assert len(owners) == max(len(rounds) for _, rounds in alone)
+    assert all(len(brackets) - 1 not in round_owners for round_owners in owners)
