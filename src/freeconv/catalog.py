@@ -7,8 +7,9 @@ truncated moment sequence, or a truncated free cumulant sequence.
 
 Catalog moments come as whole tables: one NC recursion per table for the
 laws given by free cumulants (semicircle, Marchenko-Pastur, commutator_ww)
-and closed forms for the rest; the adaptive quadrature path is kept
-alongside and the two are compared in the tests.
+and closed forms for the rest. Every law's Cauchy transform is a closed
+form too. The adaptive quadrature of both is kept alongside (_law_quad)
+as the tests' reference for them.
 Rational parameters give exact rational moments for the laws whose moments
 are rational (semicircle, Marchenko-Pastur, Bernoulli, symmetric beta,
 power beta, chi-squared, the semicircle commutator).
@@ -77,7 +78,7 @@ def _sc_cauchy(params, z):
     mean, var = float(params[0]), float(params[1])
     half = 2 * math.sqrt(var)
     root = np.sqrt(z - mean - half) * np.sqrt(z - mean + half)
-    return (z - mean - root) / (2 * var)
+    return 2 / (z - mean + root)  # (z - mean - root)/(2 var), without its cancellation
 
 
 def _mp_density(params, x):
@@ -113,7 +114,9 @@ def _mp_cauchy(params, z):
     a = (1 - math.sqrt(rate)) ** 2
     b = (1 + math.sqrt(rate)) ** 2
     root = np.sqrt(z - a) * np.sqrt(z - b)
-    return (z + 1 - rate - root) / (2 * z)
+    # the atom at 0 plus the density of mass min(rate, 1): (z + 1 - rate - root)/(2z)
+    # without that quotient's cancellation far out and, at rate > 1, at 0
+    return max(1 - rate, 0) / z + 2 * min(rate, 1) / (z - abs(1 - rate) + root)
 
 
 def _bern_moment(params, n):
@@ -128,6 +131,15 @@ def _sbeta_density(params, x):
     return math.sqrt((4 - ax) / ax) / (4 * math.pi)
 
 
+def _sbeta_cauchy(params, z):
+    import numpy as np
+
+    # the law is Sym(MP(1)), so G(z) = (G_1(z) - G_1(-z))/2, where
+    # G_1(w) = 2/(w + sqrt(w) sqrt(w - 4)) does not cancel at large |w|
+    g1 = lambda w: 2 / (w + np.sqrt(w) * np.sqrt(w - 4))
+    return (g1(z) - g1(-z)) / 2
+
+
 def _sbeta_moment(params, n):
     return Fraction(0) if n % 2 else Fraction(ncpart.catalan(n))
 
@@ -139,9 +151,10 @@ def _qc_density(params, x):
     return math.sqrt(4 * sigma**2 - x * x) / (math.pi * sigma**2)
 
 
-# beyond this |r|, _qc_cauchy sums the series of 4 - 2r arctan(2/r) in
+# the modulus past which a closed form switches to its far-field rule; beyond
+# this |r|, _qc_cauchy sums the series of 4 - 2r arctan(2/r) in
 # u = (2/r)^2 <= 1/16, whose _QC_SERIES_TERMS terms reach u^14 < 1e-16
-_QC_SERIES_RADIUS = 8.0
+_FAR = 8.0
 _QC_SERIES_TERMS = 14
 
 
@@ -157,7 +170,7 @@ def _qc_cauchy(params, z):
     w = z / sigma
     r = np.sqrt(w - 2) * np.sqrt(w + 2)
     odd = np.empty_like(w)
-    far = np.abs(r) > _QC_SERIES_RADIUS
+    far = np.abs(r) > _FAR
     # far out, 4 - 2r arctan(2/r) = 4u (1/3 - u/5 + u^2/7 - ...), u = (2/r)^2
     u = (2 / r[far]) ** 2
     tail = np.zeros_like(u)
@@ -193,6 +206,24 @@ def _beta_density(params, x):
     if x <= 0 or x >= 1:
         return 0.0
     return math.sin(math.pi * a) / (math.pi * a) * x ** (-a) * (1 - x) ** a
+
+
+def _beta_cauchy(params, z):
+    import numpy as np
+
+    # G(z) = (1 - (1 - 1/z)^a)/a = -expm1(a L)/a with L = log(1 - 1/z), taken
+    # as log(z - 1) - log(z) near the support and, far out where that
+    # difference cancels, as the series -(u + u^2/2 + u^3/3 + ...), u = 1/z,
+    # whose 18 terms at |u| < 1/_FAR leave out less than 1e-17 of the sum
+    a = float(params[0])
+    log = np.log(z - 1) - np.log(z)
+    far = np.abs(z) > _FAR
+    u = 1 / z[far]
+    tail = np.zeros_like(u)
+    for k in range(18, 0, -1):
+        tail = 1 / k + u * tail
+    log[far] = -u * tail
+    return -np.expm1(a * log) / a
 
 
 def _beta_moment(params, n):
@@ -247,6 +278,25 @@ def _comm_density(params, x):
     return math.sqrt(3) / (2 * math.pi * t) * (hp - hm)
 
 
+def _comm_cauchy(params, z):
+    import numpy as np
+
+    # R(w) = 2w/(1 - w^2), so G is a root of z G^3 + G^2 - z G + 1, found as
+    # an eigenvalue of its companion matrix and polished by one Newton step.
+    # For z in C+ it is the one root in C-; off the support's strip and far
+    # out, where all three imaginary parts can sink to rounding, it is the
+    # root of least modulus instead. At +-_COMM_EDGE two roots meet: the
+    # relative error is 1.8e-11 at _COMM_EDGE + 1e-12i, 6e-16 from 1e-2 away
+    comp = np.zeros(z.shape + (3, 3), dtype=complex)
+    comp[..., 0, :] = np.stack([-1 / z, np.ones_like(z), -1 / z], axis=-1)
+    comp[..., 1, 0] = comp[..., 2, 1] = 1
+    roots = np.linalg.eigvals(comp)
+    far = (np.abs(z) > _FAR) | (np.abs(z.real) > _COMM_EDGE)
+    pick = np.where(far, np.argmin(np.abs(roots), -1), np.argmin(roots.imag, -1))
+    g = np.take_along_axis(roots, pick[..., None], -1)[..., 0]
+    return g - (((z * g + 1) * g - z) * g + 1) / ((3 * z * g + 2) * g - z)
+
+
 def _comm_moments(params, order):
     kappa = tuple(Fraction(0) if k % 2 else Fraction(2) for k in range(1, order + 1))
     return ncpart._moments_from_free(kappa)
@@ -294,38 +344,47 @@ class _Law:
     density: callable | None
     moments: callable        # (params, order) -> [m_1, ..., m_order]
     support: callable | None
+    cauchy: callable         # (params, z) -> G(z), atoms included, for Im z >= 0
     param_names: tuple = ()
     check: callable = _no_check  # params -> what is wrong with them, or None
     default: tuple = ()          # the parameters of a spec that gives none
     atoms: callable = _no_atoms
-    cauchy: callable | None = None
     # params -> (u -> (x, dx/du), lo, hi): quadrature runs in u over (lo, hi)
     substitution: callable | None = None
+    # (params, scale^2) -> the catalog spec of (scale X)^2, or None
+    square: callable = lambda params, s2: None
 
 
 LAWS = {
     law.name: law
     for law in (
-        _Law("semicircle", _sc_density, _sc_moments, _sc_support,
+        _Law("semicircle", _sc_density, _sc_moments, _sc_support, _sc_cauchy,
              param_names=("mean", "variance"),
-             check=lambda p: _positive("variance", p[1]), cauchy=_sc_cauchy),
-        _Law("marchenko_pastur", _mp_density, _mp_moments, _mp_support,
+             check=lambda p: _positive("variance", p[1]),
+             square=lambda p, s2: MeasureSpec.from_law("marchenko_pastur", (), scale=s2 * p[1])
+             if p[0] == 0 else None),
+        _Law("marchenko_pastur", _mp_density, _mp_moments, _mp_support, _mp_cauchy,
              param_names=("rate",), check=lambda p: _positive("rate", p[0]),
-             default=(1,), atoms=_mp_atoms, cauchy=_mp_cauchy),
+             default=(1,), atoms=_mp_atoms),
         _Law("symmetric_bernoulli", None, _each_order(_bern_moment), None,
-             atoms=lambda p: ((-1, Fraction(1, 2)), (1, Fraction(1, 2)))),
+             lambda p, z: 0.5 / (z + 1) + 0.5 / (z - 1),
+             atoms=lambda p: ((-1, Fraction(1, 2)), (1, Fraction(1, 2))),
+             square=lambda p, s2: MeasureSpec.atomic([(s2, 1)])),
+        # the square of symmetric_beta, w^4 for a semicircle w, has no catalog name
         _Law("symmetric_beta", _sbeta_density, _each_order(_sbeta_moment),
-             lambda p: (-4.0, 4.0)),
+             lambda p: (-4.0, 4.0), _sbeta_cauchy),
         _Law("quarter_circle", _qc_density, _each_order(_qc_moment),
-             lambda p: (0.0, 2 * float(p[0])), param_names=("sigma",),
-             check=lambda p: _positive("sigma", p[0]), cauchy=_qc_cauchy),
+             lambda p: (0.0, 2 * float(p[0])), _qc_cauchy, param_names=("sigma",),
+             check=lambda p: _positive("sigma", p[0]),
+             square=lambda p, s2: MeasureSpec.from_law("marchenko_pastur", (),
+                                                       scale=s2 * p[0] ** 2)),
         _Law("beta_1a", _beta_density, _each_order(_beta_moment), lambda p: (0.0, 1.0),
-             param_names=("a",), check=_beta_check, substitution=_beta_substitution),
+             _beta_cauchy, param_names=("a",), check=_beta_check,
+             substitution=_beta_substitution),
         _Law("chi_squared_1", _chi_density, _each_order(_chi_moment),
-             lambda p: (0.0, math.inf), cauchy=_chi_cauchy,
-             substitution=_chi_substitution),
+             lambda p: (0.0, math.inf), _chi_cauchy, substitution=_chi_substitution),
         _Law("commutator_ww", _comm_density, _comm_moments,
-             lambda p: (-_COMM_EDGE, _COMM_EDGE)),
+             lambda p: (-_COMM_EDGE, _COMM_EDGE), _comm_cauchy),
     )
 }
 
@@ -705,30 +764,13 @@ def push_square(mu: MeasureSpec, order: int | None = None) -> MeasureSpec:
             MeasureSpec.from_moments(moments_of(mu, mu.seq.order)), order
         )
     if mu.kind == "law":
-        mapped = _law_square(mu)
+        # the law's own image under x -> x^2 where it has one; offsets get none
+        mapped = LAWS[mu.law].square(mu.params, mu.scale * mu.scale) if mu.offset == 0 else None
         if mapped is not None:
             return mapped
         n = 2 * (order or 16)
         return push_square(MeasureSpec.from_moments(moments_of(mu, n)))
     raise ValueError(f"unknown representation {mu.kind!r}")
-
-
-def _law_square(mu: MeasureSpec):
-    if mu.offset != 0:
-        return None
-    s2 = mu.scale * mu.scale
-    if mu.law == "semicircle" and mu.params[0] == 0:
-        return MeasureSpec.from_law(
-            "marchenko_pastur", (), scale=s2 * mu.params[1]
-        )
-    if mu.law == "quarter_circle":
-        return MeasureSpec.from_law(
-            "marchenko_pastur", (), scale=s2 * mu.params[0] ** 2
-        )
-    if mu.law == "symmetric_bernoulli":
-        return MeasureSpec.atomic([(s2, 1)])
-    # symmetric_beta: (b_s)^2 = w^4 has no catalog name; go through moments
-    return None
 
 
 def _grid_square(mu: MeasureSpec) -> MeasureSpec:

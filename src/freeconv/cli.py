@@ -566,7 +566,6 @@ def _cmd_scan(args) -> int:
         threshold=args.threshold,
         edge_tol=args.edge_tol,
         grid_points=args.grid_points,
-        jobs=args.jobs,
     )
     if args.out == "json":
         _print_json(
@@ -600,7 +599,7 @@ def _cmd_scan(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify
 
-    report = verify.run_verify(args.suite, seed=args.seed, jobs=args.jobs)
+    report = verify.run_verify(args.suite, seed=args.seed)
     print(report.render())
     return 0 if report.ok else 1
 

@@ -587,9 +587,6 @@ class ScanResult:
             for p in self.points
         )
 
-    def edges(self):
-        return [(p.t, p.left_edge) for p in self.points]
-
 
 def _scan_group(model: RModel, ts, threshold, grid_points):
     """Scan points of the times ts, their grids solved as one batch."""
@@ -659,7 +656,8 @@ def positivity_scan(
     The t values are solved together, t x grid points in one batch, in
     groups of at most _SCAN_POINTS points (at least one t each); every
     point is solved independently, so a scan equals the scans of its t
-    values one by one. jobs is accepted and ignored.
+    values one by one. jobs is ignored; it stays because perfbench's scans
+    pass it.
     Evidence only: atoms of mass below roughly 0.15 are invisible, and
     polynomial models are trusted only inside their convergence region.
     ts must not be empty: no scanned point is no evidence. threshold and
@@ -815,12 +813,6 @@ class VoiculescuPair:
     def __post_init__(self):
         if any(m < 0 for _, m in self.tau_atoms):
             raise ValueError("tau must be nonnegative")
-
-    def phi(self, z):
-        total = self.gamma + 0 * z
-        for x, m in self.tau_atoms:
-            total = total + m * (1 + x * z) / (z - x)
-        return total
 
 
 def voiculescu_pair(mu: MeasureSpec) -> VoiculescuPair:

@@ -7,10 +7,10 @@ m_n u^n)) that cross-checks the lattice recursion in ncpart. Reversion is
 Lagrange inversion in O(n^3) coefficient operations, built from the series
 product and quotient only, so the route shares no code with ncpart; on
 exact coefficients these run on int numerators over one denominator. The
-numeric layer evaluates Cauchy transforms of concrete measures on the upper
-half plane and recovers densities by Stieltjes inversion with Richardson
-extrapolation in the regularization parameter. Only the numeric layer
-imports numpy, inside its functions, so the formal layer never loads it.
+numeric layer evaluates Cauchy transforms of concrete measures, a law's by
+its closed form, and recovers densities by Stieltjes inversion with
+Richardson extrapolation in the regularization parameter. Only the numeric
+layer imports numpy, inside its functions, so the formal layer never loads it.
 """
 
 from __future__ import annotations
@@ -400,45 +400,18 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
     return out.reshape(2, *z.shape) + _atomic_cauchy(mu.atoms, z, derivative)
 
 
-# quadrature of a law's Cauchy transform is trusted only this far from the
-# unshifted law's support: against mpmath it errs by <= 6.3e-12 relative at
-# heights >= 1e-3 on symmetric_beta, beta_1a and commutator_ww, but by 3e-2
-# on symmetric_beta at 0 + 2e-4i
-_QUAD_MIN_DISTANCE = 1e-3
-
-
 def _law_cauchy_base(law: str, params, w):
-    """Cauchy transform of an unshifted catalog law, either half plane.
-
-    Closed forms are transforms of the whole measure, atoms included; the
-    quadrature fallback integrates the density only, so the atoms are added
-    there, and it refuses points within _QUAD_MIN_DISTANCE of the support.
-    """
+    """Cauchy transform of an unshifted catalog law, atoms included, in either
+    half plane: the law's closed form, reflected by G(conj w) = conj G(w)."""
     import numpy as np
 
-    spec = LAWS[law]
-    if spec.cauchy is None and spec.density is not None:
-        lo, hi = spec.support(params)
-        gap = np.hypot(np.maximum(np.maximum(lo - w.real, w.real - hi), 0), w.imag)
-        if np.any(gap < _QUAD_MIN_DISTANCE):
-            raise ValueError(
-                f"{law} has no closed-form Cauchy transform, and its quadrature is "
-                f"not trusted within {_QUAD_MIN_DISTANCE:g}*|scale| of the support; "
-                "evaluate farther from it"
-            )
     out = np.empty_like(w)
     upper = w.imag >= 0
     for mask, conj in ((upper, False), (~upper, True)):
-        if not np.any(mask):
-            continue
-        pts = np.conj(w[mask]) if conj else w[mask]
-        if spec.cauchy is not None:
-            vals = spec.cauchy(params, pts)
-        else:
-            vals = _law_cauchy_quad(spec, params, pts) + _atomic_cauchy(
-                spec.atoms(params), pts
-            )[0]
-        out[mask] = np.conj(vals) if conj else vals
+        if np.any(mask):
+            pts = np.conj(w[mask]) if conj else w[mask]
+            vals = LAWS[law].cauchy(params, pts)
+            out[mask] = np.conj(vals) if conj else vals
     return out
 
 
@@ -458,9 +431,7 @@ def cauchy(mu: MeasureSpec, z):
     """Cauchy transform G(z) = integral of 1/(z-x); scalar or array z.
 
     Defined off the real axis (both half planes). Moment-type
-    representations carry no global transform and are rejected, and a law
-    without a closed form refuses points within _QUAD_MIN_DISTANCE * |scale|
-    of its support.
+    representations carry no global transform and are rejected.
     """
     import numpy as np
 

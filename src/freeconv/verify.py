@@ -335,7 +335,7 @@ def _cfp_regular_form(rng, jobs):
 
 def _wplus_scan_edges(rng, jobs):
     model = idclass.RModel.semicircle(2, 1)
-    scan = idclass.positivity_scan(model, [0.5, 2], jobs=jobs)
+    scan = idclass.positivity_scan(model, [0.5, 2])
     dev = 0.0
     for point in scan.points:
         if point.left_edge is None:  # no edge found: as far off as can be
@@ -470,10 +470,9 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def run_verify(
-    suite: str = "all", seed: int = DEFAULT_SEED, jobs: int = 1
-) -> VerifyReport:
-    """Run the named check suite; deterministic for a fixed seed."""
+def run_verify(suite: str = "all", seed: int = DEFAULT_SEED) -> VerifyReport:
+    """Run the named check suite; deterministic for a fixed seed. Checks run
+    as fn(rng, 1): none uses jobs, which stays for perfbench's calls."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     results = []
@@ -481,7 +480,7 @@ def run_verify(
         if suite != "all" and check.suite != suite:
             continue
         rng = random.Random(f"{seed}:{check.name}")
-        deviation = check.fn(rng, jobs)
+        deviation = check.fn(rng, 1)
         results.append(
             CheckResult(check.name, check.anchor, float(deviation), check.tolerance)
         )

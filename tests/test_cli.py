@@ -931,6 +931,16 @@ class TestTransform:
         (QC, complex(-0.38529226513858985, -1.9364897302762019)),
         (json.dumps({"type": "law", "name": "chi_squared_1"}),
          complex(0.84887069642132020, -1.3803887203493600)),
+        (SEMI, complex(0.24999987090055512, -0.968245336551992)),
+        (MP1, complex(0.49999848814210796, -1.3228756555301355)),
+        (json.dumps({"type": "law", "name": "symmetric_bernoulli"}),
+         complex(-0.6666666666628148, -2.222222222214123e-06)),
+        (json.dumps({"type": "law", "name": "symmetric_beta"}),
+         complex(0.749999244070017, -0.6614384944317344)),
+        (json.dumps({"type": "law", "name": "beta_1a", "params": [0.3]}),
+         complex(1.3740459229585227, -2.696720963440207)),
+        (json.dumps({"type": "law", "name": "commutator_ww"}),
+         complex(0.3294830687401563, -0.8022542433159884)),
     ])
     def test_closed_form_near_the_axis(self, capsys, spec, want):
         code, out, _ = run_cli(capsys, "transform", spec, "--which", "G", "--at", "0.5,1e-6")
@@ -939,12 +949,6 @@ class TestTransform:
         assert abs(got - want) < 1e-9
         if spec == QC:
             assert abs(got.imag + math.sqrt(4 - 0.25)) < 1e-5   # -pi rho(0.5)
-
-    def test_quadrature_law_near_the_axis_is_refused(self, capsys):
-        spec = json.dumps({"type": "law", "name": "commutator_ww"})
-        code, out, err = run_cli(capsys, "transform", spec, "--which", "G", "--at", "1.5,1e-6")
-        assert (code, out) == (1, "")
-        assert "quadrature is not trusted" in err
 
     def test_format_is_two_floats(self, capsys):
         _, out, _ = run_cli(capsys, "transform", SEMI, "--which", "G", "--at", "0,2")

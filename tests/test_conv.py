@@ -322,11 +322,11 @@ def test_semicircle_sum_density_pinned():
     xs = np.linspace(-3.2, 3.2, 321)
     density = conv.free_add_density(W, W, xs).density
     pinned = {
-        20: "0x1.04b4fe49cbdf3p-5",
-        80: "0x1.7c169ad3f131cp-3",
-        160: "0x1.ccecbd888b7fep-3",
-        210: "0x1.af27d8033ef05p-3",
-        285: "0x1.af27d7cbafcaap-4",
+        20: "0x1.04b4fe49cbdb4p-5",
+        80: "0x1.7c169ad3f1313p-3",
+        160: "0x1.ccecbd888b807p-3",
+        210: "0x1.af27d8033ef0cp-3",
+        285: "0x1.af27d7cbafc9dp-4",
         310: "0x0.0p+0",
     }
     assert {i: float(density[i]).hex() for i in pinned} == pinned
