@@ -353,6 +353,10 @@ class _Law:
     substitution: callable | None = None
     # (params, scale^2) -> the catalog spec of (scale X)^2, or None
     square: callable = lambda params, s2: None
+    # params -> (drift, variance, jumps) of the free Levy-Khintchine form
+    # R(w) = drift + variance*w + sum of l*a/(1 - a*w) over the jumps (a, l)
+    # of a law with a closed-form R-transform, or None
+    r_transform: callable | None = None
 
 
 LAWS = {
@@ -362,10 +366,11 @@ LAWS = {
              param_names=("mean", "variance"),
              check=lambda p: _positive("variance", p[1]),
              square=lambda p, s2: MeasureSpec.from_law("marchenko_pastur", (), scale=s2 * p[1])
-             if p[0] == 0 else None),
+             if p[0] == 0 else None,
+             r_transform=lambda p: (p[0], p[1], ())),
         _Law("marchenko_pastur", _mp_density, _mp_moments, _mp_support, _mp_cauchy,
              param_names=("rate",), check=lambda p: _positive("rate", p[0]),
-             default=(1,), atoms=_mp_atoms),
+             default=(1,), atoms=_mp_atoms, r_transform=lambda p: (0, 0, ((1, p[0]),))),
         _Law("symmetric_bernoulli", None, _each_order(_bern_moment), None,
              lambda p, z: 0.5 / (z + 1) + 0.5 / (z - 1),
              atoms=lambda p: ((-1, Fraction(1, 2)), (1, Fraction(1, 2))),
@@ -384,7 +389,8 @@ LAWS = {
         _Law("chi_squared_1", _chi_density, _each_order(_chi_moment),
              lambda p: (0.0, math.inf), _chi_cauchy, substitution=_chi_substitution),
         _Law("commutator_ww", _comm_density, _comm_moments,
-             lambda p: (-_COMM_EDGE, _COMM_EDGE), _comm_cauchy),
+             lambda p: (-_COMM_EDGE, _COMM_EDGE), _comm_cauchy,
+             r_transform=lambda p: (0, 0, ((-1, 1), (1, 1)))),
     )
 }
 
@@ -497,18 +503,6 @@ class MeasureSpec:
         if self.kind in ("moments", "free_cumulants"):
             return None
         return sum(w for loc, w in atoms_of(self) if loc == 0)
-
-    def describe(self) -> str:
-        if self.kind == "law":
-            extra = ""
-            if self.scale != 1 or self.offset != 0:
-                extra = f" (pushforward x -> {self.scale}*x + {self.offset})"
-            return f"law {self.law}{tuple(self.params)}{extra}"
-        if self.kind == "atomic":
-            return f"atomic with {len(self.atoms)} atoms"
-        if self.kind == "grid":
-            return f"grid on [{self.xs[0]}, {self.xs[-1]}] ({len(self.xs)} points)"
-        return f"{self.kind} to order {self.seq.order}"
 
 
 def _finite(*xs) -> bool:

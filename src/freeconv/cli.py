@@ -559,9 +559,8 @@ def _cmd_scan(args) -> int:
 
     mu = parse_measure_spec(args.spec)
     ts = _parse_times(args.t)
-    kappa = catalog.free_cumulants_of(mu, args.order)
     result = idclass.positivity_scan(
-        kappa,
+        idclass.RModel.of_spec(mu, args.order),
         ts,
         threshold=args.threshold,
         edge_tol=args.edge_tol,
@@ -736,10 +735,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_order, default=4)
     p.set_defaults(handler=_cmd_check)
 
-    p = sub.add_parser("scan", help="left support edges of convolution powers")
+    p = sub.add_parser("scan", help="left support edges of convolution powers",
+                       description="Models a catalog law by its own R-transform, another "
+                       "spec only by an exact semicircular or single-jump cumulant match; "
+                       "any other spec exits 1.")
     spec_arg(p)
     p.add_argument("--t", required=True, help="lo:hi:step or comma list")
-    p.add_argument("--order", type=_order, default=8)
+    p.add_argument("--order", type=_order, default=8,
+                   help="free cumulants matched, for specs that are not catalog laws")
     p.add_argument("--threshold", type=_positive_float, default=1e-6)
     p.add_argument("--edge-tol", type=_positive_float, default=1e-3)
     p.add_argument("--grid-points", type=_int_arg(2, SIZE_CAP), default=601)

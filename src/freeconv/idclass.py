@@ -6,10 +6,14 @@ measures on the positive half line. Conversions between the two are
 explicit and exact for atomic Levy measures.
 
 Positivity scans solve z = 1/w + t R(w) by damped Newton with downward
-continuation in the imaginary part, for a small family of analytic
-R-transform models. Scans and the kurtosis statistic are evidence or
-necessary conditions; regularity proper is decided at the representation
-level (triplet support and drift), never from finitely many moments.
+continuation in the imaginary part, for R in free Levy-Khintchine form
+(RModel: drift, semicircular variance, finitely many jumps). A catalog
+law gives its own R-transform data (levy_khintchine), another spec only
+an exact semicircular or single-jump cumulant pattern; the atom of
+mu^{boxplus t} comes from the model by rule. Scans and the kurtosis
+statistic are evidence or necessary conditions; regularity proper is
+decided at the representation level (triplet support and drift), never
+from finitely many moments.
 numpy is imported by the numeric functions only, so the sequence-level
 checks (main3_factor, kurtosis_check, regular forms of atomic triplets)
 never load it.
@@ -333,23 +337,50 @@ def kurtosis_check(m, order: int = 4) -> KurtosisResult:
 # analytic R-transform models and positivity scans
 
 
+def levy_khintchine(mu: MeasureSpec):
+    """(drift, variance, jumps) of a catalog law spec's R-transform.
+
+    R(w) = drift + variance*w + sum of l*a/(1 - a*w) over the jumps (a, l)
+    (Bercovici-Voiculescu 1993), from the law's r_transform record and
+    pushed forward exactly: scale*X + offset has drift scale*drift +
+    offset, variance scale^2*variance and jumps (scale*a, l). Laws without
+    a closed-form R-transform, and other representations, are refused.
+    """
+    if mu.kind != "law":
+        raise ValueError("closed-form R-transforms exist only for catalog laws")
+    data = catalog.LAWS[mu.law].r_transform
+    if data is None:
+        raise ValueError(f"no closed-form R-transform for law {mu.law!r}")
+    drift, variance, jumps = data(mu.params)
+    s, c = mu.scale, mu.offset
+    return s * drift + c, s * s * variance, tuple((s * a, l) for a, l in jumps)
+
+
 @dataclass(frozen=True)
 class RModel:
-    """Analytic model of an R-transform R(w) = sum kappa_n w^(n-1).
+    """R(w) = drift + variance*w + sum of l*a/(1 - a*w) over jumps (a, l).
 
-    Kinds: 'semicircle' (mean, var), 'cfp' (drift, rate, atoms of the jump
-    law), 'poly' (truncated cumulant polynomial; evidence only, valid where
-    the series converges).
+    The free Levy-Khintchine form of a semicircular part plus a compound
+    free Poisson part with finitely many jump sizes a and masses l >= 0,
+    in floats.
     """
 
-    kind: str
-    params: tuple
+    drift: float
+    variance: float = 0.0
+    jumps: tuple = ()
+
+    def __post_init__(self):
+        if self.variance < 0:
+            raise ValueError("variance must be >= 0")
+        if any(l < 0 for _, l in self.jumps):
+            raise ValueError("jump masses must be nonnegative")
+        object.__setattr__(self, "drift", float(self.drift))
+        object.__setattr__(self, "variance", float(self.variance))
+        object.__setattr__(self, "jumps", tuple((float(a), float(l)) for a, l in self.jumps))
 
     @staticmethod
     def semicircle(mean, var) -> "RModel":
-        if var < 0:
-            raise ValueError("variance must be >= 0")
-        return RModel("semicircle", (float(mean), float(var)))
+        return RModel(mean, var)
 
     @staticmethod
     def free_poisson(rate) -> "RModel":
@@ -357,73 +388,63 @@ class RModel:
 
     @staticmethod
     def cfp_atomic(lam, jump_atoms, drift=0) -> "RModel":
+        """Rate lam and a jump law of atoms (a, p): jump masses l = lam*p."""
         if not lam > 0:
             raise ValueError(f"rate must be positive, got {lam}")
-        atoms = tuple((float(a), float(p)) for a, p in jump_atoms)
-        if any(p < 0 for _, p in atoms):
-            raise ValueError("jump weights must be nonnegative")
-        return RModel("cfp", (float(drift), float(lam), atoms))
-
-    @staticmethod
-    def poly(kappa_values) -> "RModel":
-        return RModel("poly", tuple(float(v) for v in kappa_values))
+        return RModel(drift, 0, tuple((a, float(lam) * float(p)) for a, p in jump_atoms))
 
     @staticmethod
     def from_cumulants(kappa: SeqN) -> "RModel":
         """Recognize exact semicircular or geometric (single-jump compound
         Poisson, to _GEOMETRIC_TOL relative to the largest cumulant)
-        cumulant patterns; fall back to the truncated polynomial."""
+        cumulant patterns; refuse any other."""
         if kappa.kind != "free_cumulant":
             raise ValueError(f"expected free cumulants, got {kappa.kind!r}")
         vals = [float(v) for v in kappa.values]
-        if len(vals) < 2:
-            return RModel.poly(vals)
-        if all(v == 0 for v in vals[2:]) and vals[1] >= 0:
+        if len(vals) >= 2 and all(v == 0 for v in vals[2:]) and vals[1] >= 0:
             return RModel.semicircle(vals[0], vals[1])
         if len(vals) >= 4 and vals[1] != 0 and vals[2] != 0:
             a = vals[2] / vals[1]
             bound = _GEOMETRIC_TOL * max(abs(v) for v in vals) * max(1, abs(a))
-            if all(
-                abs(vals[j + 1] - a * vals[j]) <= bound
-                for j in range(1, len(vals) - 1)
-            ):
+            if all(abs(vals[j + 1] - a * vals[j]) <= bound for j in range(1, len(vals) - 1)):
                 lam = vals[1] / (a * a)
                 drift = vals[0] - lam * a
                 return RModel.cfp_atomic(lam, [(a, 1)], drift)
-        return RModel.poly(vals)
+        raise ValueError(f"{len(vals)} free cumulants match neither a semicircle nor a "
+                         "single-jump compound free Poisson law")
 
-    # -- evaluation ------------------------------------------------------
+    @staticmethod
+    def of_spec(mu: MeasureSpec, order: int) -> "RModel":
+        """A catalog law's own R-transform, else from_cumulants of the
+        spec's first order free cumulants."""
+        if mu.kind == "law":
+            return RModel(*levy_khintchine(mu))
+        return RModel.from_cumulants(catalog.free_cumulants_of(mu, order))
 
     def r(self, w):
-        if self.kind == "semicircle":
-            mean, var = self.params
-            return mean + var * w
-        if self.kind == "cfp":
-            drift, lam, atoms = self.params
-            total = drift + 0 * w
-            for a, p in atoms:
-                total = total + lam * p * a / (1 - a * w)
-            return total
-        coeffs = self.params
-        total = 0 * w
-        for c in reversed(coeffs):
-            total = total * w + c
+        total = self.drift + self.variance * w
+        for a, l in self.jumps:
+            total = total + l * a / (1 - a * w)
         return total
 
     def dr(self, w):
-        if self.kind == "semicircle":
-            return self.params[1] + 0 * w
-        if self.kind == "cfp":
-            _, lam, atoms = self.params
-            total = 0 * w
-            for a, p in atoms:
-                total = total + lam * p * a * a / (1 - a * w) ** 2
-            return total
-        coeffs = self.params
-        total = 0 * w
-        for n in reversed(range(1, len(coeffs))):
-            total = total * w + n * coeffs[n]
+        total = self.variance + 0 * w
+        for a, l in self.jumps:
+            total = total + l * a * a / (1 - a * w) ** 2
         return total
+
+    def atom(self, t):
+        """(location, mass) of the atom of mu^{boxplus t}, or None.
+
+        As G -> oo, z = 1/G + t R(G) = t*drift + t*variance*G
+        + (1 - t*L)/G + O(1/G^2), L the jump mass off 0: mu^{boxplus t} has
+        an atom exactly when the variance is 0 and t*L < 1, at t*drift
+        with mass 1 - t*L.
+        """
+        mass = 1 - t * sum(l for a, l in self.jumps if a != 0)
+        if self.variance == 0 and mass > 0:
+            return t * self.drift, mass
+        return None
 
     @property
     def kappa1(self) -> float:
@@ -435,7 +456,7 @@ class RModel:
 
 
 # Newton for G stops at residual _SOLVE_TOL or after _SOLVE_MAX_ITER steps;
-# a point counts as converged at residual sqrt(_SOLVE_TOL)
+# a point counts as converged at residual sqrt(_SOLVE_TOL) and 1e-3 Im z
 _SOLVE_TOL = 1e-14
 _SOLVE_MAX_ITER = 100
 
@@ -445,8 +466,9 @@ def solve_g(model: RModel, t, z, w0=None):
 
     t is a scalar or an array shaped like z (one time per point); each
     point's solution does not depend on the others solved with it.
-    Returns (w, converged mask). The seed defaults to 1/z; pass the
-    solution at a nearby z to continue along a path.
+    Returns (w, converged mask); a residual near Im z solves another z,
+    so the mask also bounds it by 1e-3 Im z. The seed defaults to 1/z;
+    pass the solution at a nearby z to continue along a path.
     """
     import numpy as np
 
@@ -516,7 +538,8 @@ def solve_g(model: RModel, t, z, w0=None):
         w[active] = new_w
         resid[active] = new_f
     with np.errstate(all="ignore"):
-        return w, np.abs(resid) <= math.sqrt(_SOLVE_TOL)
+        size = np.abs(resid)
+        return w, (size <= math.sqrt(_SOLVE_TOL)) & (size <= 1e-3 * z.imag)
 
 
 _EPS = 4e-9  # boundary densities extrapolate over heights _EPS, _EPS/2, _EPS/4
@@ -525,33 +548,24 @@ _IMAG_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
 _SCAN_POINTS = 8192  # most grid points one scan solve holds (at least one t)
 
 
-def _extrapolated_density(model: RModel, t, xs, seed=None, h=None):
+def _extrapolated_density(model: RModel, t, xs, seed=None):
     """Boundary density by Richardson extrapolation over the three heights.
 
     Cancels the terms linear in the height, so Lorentzian shoulders of
     nearby atoms drop out instead of polluting edge detection. t is a
     scalar or one time per point. The solve at _EPS starts from seed (else
     the imaginary ladder) and seeds the next height; points a seed leaves
-    unconverged are solved from the ladder. With heights h (shaped like
-    xs), the ladder also solves each point at its height, from the last
-    level above it (the level above _EPS at least): the solve that would
-    stop the ladder there. Returns the density, where it converged, w at
-    height _EPS, and w at h (None without h).
+    unconverged are solved from the ladder. Returns the density, where it
+    converged, and w at height _EPS.
     """
     import numpy as np
 
     t = np.broadcast_to(np.asarray(t, dtype=float), np.shape(xs))
-    w = w_h = None
     if seed is not None:
         w, conv = solve_g(model, t, xs + 1j * _EPS, w0=seed)
     else:
-        first = -1 if h is None else np.minimum(
-            np.searchsorted(-np.asarray(_IMAG_LADDER), -h), len(_IMAG_LADDER) - 1)
-        w_h = None if h is None else np.empty(np.shape(xs), dtype=complex)
-        for j, d in enumerate(_IMAG_LADDER):
-            if np.any(at := first == j):
-                w_h[at] = solve_g(model, t[at], xs[at] + 1j * h[at],
-                                  w0=None if w is None else w[at])[0]
+        w = None
+        for d in _IMAG_LADDER:
             w, conv = solve_g(model, t, xs + 1j * d, w0=w)
     ws = [w]
     for k in (2, 4):
@@ -560,9 +574,9 @@ def _extrapolated_density(model: RModel, t, xs, seed=None, h=None):
     dens = _richardson([-w.imag / math.pi for w in ws])
     if seed is not None and not conv.all():
         redo = ~conv
-        dens[redo], conv[redo], ws[0][redo], _ = _extrapolated_density(
+        dens[redo], conv[redo], ws[0][redo] = _extrapolated_density(
             model, t[redo], xs[redo])
-    return dens, conv, ws[0], w_h
+    return dens, conv, ws[0]
 
 
 @dataclass(frozen=True)
@@ -596,20 +610,11 @@ def _scan_group(model: RModel, ts, threshold, grid_points):
     spreads = [4 * math.sqrt(max(t * k2, 1e-6)) + 0.5 for t in ts]
     grids = [np.linspace(t * k1 - s, t * k1 + s, grid_points)
              for t, s in zip(ts, spreads)]
-    steps = [xs[1] - xs[0] for xs in grids]
-    t_all = np.repeat(ts, grid_points)
-    # atom pass: a point mass shows up as ~mass/(pi d) at height d ~ grid step
-    solved = _extrapolated_density(model, t_all, np.concatenate(grids),
-                                   h=np.repeat(steps, grid_points))
-    found, edges, brackets, ends = [], {}, [], []
-    for j, (xs, h, dens, conv, w_eps, w_atom) in enumerate(
-            zip(grids, steps, *(np.split(a, len(ts)) for a in solved))):
-        dens_atom = -w_atom.imag / math.pi
-        idx = np.flatnonzero(dens_atom > 0.05 / h)
-        runs = np.split(idx, np.flatnonzero(np.diff(idx) > 1) + 1)
-        clusters = [c for c in runs if c.size]
-        found.append((tuple(float(xs[c[np.argmax(dens_atom[c])]]) for c in clusters),
-                      bool(np.all(conv))))
+    solved = _extrapolated_density(model, np.repeat(ts, grid_points),
+                                   np.concatenate(grids))
+    dens_t, conv_t, w_t = (np.split(a, len(ts)) for a in solved)
+    edges, brackets, ends = {}, [], []
+    for j, (xs, dens, w_eps) in enumerate(zip(grids, dens_t, w_t)):
         above = np.flatnonzero(dens > threshold)
         if above.size and above[0] == 0:
             edges[j] = float(xs[0])
@@ -629,16 +634,17 @@ def _scan_group(model: RModel, ts, threshold, grid_points):
 
     edges.update(zip([j for j, _, _ in ends], _bisect_edge(inside, brackets, 2e-5)))
     points = []
-    for j, (t, (atoms, converged)) in enumerate(zip(ts, found)):
-        edge = edges.get(j)
+    for j, (t, conv) in enumerate(zip(ts, conv_t)):
+        edge, atom = edges.get(j), model.atom(t)
+        atoms = () if atom is None else (atom[0],)
         if atoms:
-            edge = min(atoms) if edge is None else min(edge, min(atoms))
-        points.append(ScanPoint(t, edge, atoms, converged))
+            edge = atoms[0] if edge is None else min(edge, atoms[0])
+        points.append(ScanPoint(t, edge, atoms, bool(np.all(conv))))
     return points
 
 
 def positivity_scan(
-    model,
+    model: RModel,
     ts,
     threshold: float = 1e-6,
     edge_tol: float = 1e-3,
@@ -648,7 +654,7 @@ def positivity_scan(
     """Estimate the left support edge of mu^{boxplus t} for each t.
 
     The edge is the smallest point where the extrapolated density exceeds
-    the threshold, or a detected atom location if further left. It is
+    the threshold, or the atom location (RModel.atom) if further left. It is
     bisected from the grid with the midpoints evaluated in batches
     (transforms._bisect_edge), which gives the one-point bisection edge.
     Each batch is seeded by interpolating w at height _EPS between the
@@ -658,16 +664,12 @@ def positivity_scan(
     point is solved independently, so a scan equals the scans of its t
     values one by one. jobs is ignored; it stays because perfbench's scans
     pass it.
-    Evidence only: atoms of mass below roughly 0.15 are invisible, and
-    polynomial models are trusted only inside their convergence region.
     ts must not be empty: no scanned point is no evidence. threshold and
     edge_tol must be finite and positive, and grid_points at least 2.
     """
     for name, value in (("threshold", threshold), ("edge_tol", edge_tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"scan {name} must be finite and positive, got {value}")
-    if isinstance(model, SeqN):
-        model = RModel.from_cumulants(model)
     ts = [float(t) for t in ts]
     if not ts:
         raise ValueError("scan needs at least one time")
@@ -816,23 +818,18 @@ class VoiculescuPair:
 
 
 def voiculescu_pair(mu: MeasureSpec) -> VoiculescuPair:
-    """Closed-form generating pair for semicircle and Marchenko-Pastur specs.
+    """Generating pair of a catalog law with a closed-form R-transform.
 
-    The pair shifts with the offset (gamma += c) and otherwise follows the
-    compound Poisson formulas; laws without a closed-form pair are refused.
+    phi(z) = R(1/z): the law's levy_khintchine jumps (a, l) give the
+    compound Poisson pair at rate 1, shifted by the drift, and the
+    variance is an atom of tau at 0. Other laws and other representations
+    are refused.
     """
-    if mu.kind != "law":
-        raise ValueError("closed-form pairs exist only for catalog laws")
-    if mu.law == "semicircle":
-        mean, var = mu.params
-        g = mu.scale * mean + mu.offset
-        v = mu.scale * mu.scale * var
-        return VoiculescuPair(g, ((0, v),) if v != 0 else ())
-    if mu.law == "marchenko_pastur":
-        (rate,) = mu.params
-        jump = mu.scale
-        return voiculescu_pair_cfp(rate, [(jump, 1)], shift=mu.offset)
-    raise ValueError(f"no closed-form Voiculescu pair for law {mu.law!r}")
+    drift, variance, jumps = levy_khintchine(mu)
+    pair = voiculescu_pair_cfp(1, jumps, shift=drift)
+    if variance == 0:
+        return pair
+    return VoiculescuPair(pair.gamma, tuple(sorted(pair.tau_atoms + ((0, variance),))))
 
 
 def voiculescu_pair_cfp(lam, jump_atoms, shift=0) -> VoiculescuPair:

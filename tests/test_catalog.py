@@ -33,6 +33,7 @@ from freeconv.catalog import (
     support_of,
     symmetric_sqrt_moments,
 )
+from spec_ids import describe
 from freeconv.ncpart import SeqN, catalan
 
 
@@ -431,7 +432,7 @@ PUSHED_LAWS = [
 ]
 
 
-@pytest.mark.parametrize("mu", PUSHED_LAWS, ids=lambda mu: mu.describe())
+@pytest.mark.parametrize("mu", PUSHED_LAWS, ids=describe)
 def test_atoms_of_law_moves_atoms_through_pushforward(mu):
     want = tuple(
         (mu.scale * loc + mu.offset, w) for loc, w in catalog_atoms(mu.law, mu.params)
@@ -452,7 +453,7 @@ def test_atoms_of_marchenko_pastur_atom_moves():
     assert mu.mass_at_zero == 0
 
 
-@pytest.mark.parametrize("mu", PUSHED_LAWS, ids=lambda mu: mu.describe())
+@pytest.mark.parametrize("mu", PUSHED_LAWS, ids=describe)
 def test_density_of_law_is_the_pushed_density(mu):
     s, c = float(mu.scale), float(mu.offset)
     xs = np.linspace(-4.0, 4.0, 97)
@@ -495,7 +496,7 @@ def test_atoms_and_density_of_refuse_other_forms():
 
 def test_describe_mentions_pushforward():
     mu = MeasureSpec.from_law("semicircle", (0, 1), scale=2, offset=-1)
-    assert "pushforward" in mu.describe()
+    assert "pushforward" in describe(mu)
 
 
 # ---------------------------------------------------------------------------

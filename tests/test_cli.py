@@ -653,6 +653,69 @@ class TestScan:
         code, _, _ = run_cli(capsys, "scan", WPLUS, "--t", "1:0:0.5")
         assert code == 2
 
+    def scan_rows(self, capsys, spec, times, *flags):
+        code, out, _ = run_cli(capsys, "scan", json.dumps(spec), "--t", times, *flags)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:-1]]
+        return [(float(t), float(edge), atoms, conv == "True") for t, edge, atoms, conv in rows]
+
+    @pytest.mark.parametrize(
+        "spec, edge",
+        [
+            # MP(1.7)^{boxplus t} is MP(1.7 t): an atom at 0 below rate 1
+            ({"type": "law", "name": "marchenko_pastur", "params": [1.7]},
+             lambda t: (1 - math.sqrt(1.7 * t)) ** 2 if 1.7 * t >= 1 else 0.0),
+            ({"type": "law", "name": "semicircle", "params": [0.5, 1.3]},
+             lambda t: 0.5 * t - 2 * math.sqrt(1.3 * t)),
+        ],
+        ids=["marchenko_pastur", "semicircle"],
+    )
+    def test_law_edges_from_the_law_r_transform(self, capsys, spec, edge):
+        rows = self.scan_rows(capsys, spec, "0.5,1,2")
+        assert [t for t, *_ in rows] == [0.5, 1.0, 2.0]
+        for t, left, atoms, converged in rows:
+            assert converged
+            assert abs(left - edge(t)) < 1e-3
+            assert atoms == ("0" if spec["name"] == "marchenko_pastur" and t == 0.5 else "")
+
+    def test_commutator_edge(self, capsys):
+        ((_, left, atoms, _),) = self.scan_rows(capsys, {"type": "law", "name": "commutator_ww"}, "1")
+        assert abs(left + math.sqrt((11 + 5 * math.sqrt(5)) / 2)) < 1e-3
+        assert atoms == ""
+
+    @pytest.mark.parametrize(
+        "spec, times, flags, atoms",
+        [
+            # an atom of mass 0.1 at 0, and two narrow densities without one
+            ({"type": "law", "name": "marchenko_pastur", "params": [1]}, "0.9", (), "0"),
+            ({"type": "law", "name": "semicircle", "params": [0, "1/100000"]}, "1", (), ""),
+            ({"type": "law", "name": "semicircle", "params": [0, 1]}, "1",
+             ("--grid-points", "51"), ""),
+        ],
+        ids=["mp1_t09", "narrow_semicircle", "coarse_grid"],
+    )
+    def test_atoms_by_rule(self, capsys, spec, times, flags, atoms):
+        ((_, left, printed, _),) = self.scan_rows(capsys, spec, times, *flags)
+        assert printed == atoms
+        if atoms:
+            assert left == 0.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "atomic", "atoms": [[1, "1/2"], [3, "1/2"]]},
+            {"type": "law", "name": "chi_squared_1"},
+            {"type": "law", "name": "beta_1a", "params": ["7/10"]},
+            {"type": "grid", "xs": [0, 0.25, 0.5, 0.75, 1], "densities": [1, 1, 1, 1, 1],
+             "atoms": []},
+        ],
+        ids=["two_atoms", "chi_squared_1", "beta_1a", "grid"],
+    )
+    def test_refuses_specs_it_cannot_model(self, capsys, spec):
+        code, out, err = run_cli(capsys, "scan", json.dumps(spec), "--t", "1")
+        assert (code, out) == (1, "")
+        assert "R-transform" in err or "match neither" in err
+
 
 class TestSizeLimits:
     ORDER_CASES = {

@@ -20,6 +20,7 @@ from freeconv.idclass import (
 )
 from freeconv.ncpart import SeqN
 from freeconv.verify import _main3_dev
+from spec_ids import describe
 
 W = MeasureSpec.from_law("semicircle", (0, 1))
 M = MeasureSpec.from_law("marchenko_pastur", (1,))
@@ -292,21 +293,43 @@ class TestKurtosis:
 class TestRModel:
     def test_from_cumulants_recognizes_semicircle(self):
         model = RModel.from_cumulants(catalog.free_cumulants_of(W, 8))
-        assert model.kind == "semicircle"
-        assert model.params == (0.0, 1.0)
+        assert model == RModel(0.0, 1.0, ())
 
     def test_from_cumulants_recognizes_single_jump_cfp(self):
         k = idclass.cfp(F(3, 2), MeasureSpec.atomic([(F(2, 3), 1)]), 8)
         model = RModel.from_cumulants(k)
-        assert model.kind == "cfp"
-        drift, lam, atoms = model.params
-        assert drift == pytest.approx(0, abs=1e-12)
-        assert lam == pytest.approx(1.5)
-        assert atoms[0][0] == pytest.approx(2 / 3)
+        assert model.drift == pytest.approx(0, abs=1e-12)
+        assert model.variance == 0
+        ((a, mass),) = model.jumps
+        assert a == pytest.approx(2 / 3)
+        assert mass == pytest.approx(1.5)
 
-    def test_from_cumulants_falls_back_to_poly(self):
-        model = RModel.from_cumulants(SeqN("free_cumulant", [0, 1, 0, -1]))
-        assert model.kind == "poly"
+    @pytest.mark.parametrize(
+        "values", [[0, 1, 0, -1], [F(1, 2)], [1, 2, 3, 4, 5]], ids=["quartic", "short", "linear"]
+    )
+    def test_from_cumulants_refuses_other_patterns(self, values):
+        # no truncated R-series stands in for an unrecognized law
+        with pytest.raises(ValueError, match="match neither"):
+            RModel.from_cumulants(SeqN("free_cumulant", values))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [W, WPLUS, M, MeasureSpec.from_law("commutator_ww"),
+         MeasureSpec.from_law("marchenko_pastur", (F(7, 4),), scale=-2, offset=F(1, 3))],
+        ids=describe,
+    )
+    def test_of_spec_reads_a_law_without_its_cumulants(self, monkeypatch, spec):
+        monkeypatch.setattr(catalog, "free_cumulants_of", None)
+        drift, variance, jumps = idclass.levy_khintchine(spec)
+        assert RModel.of_spec(spec, 8) == RModel(drift, variance, jumps)
+
+    def test_of_spec_matches_the_cumulants_of_other_specs(self):
+        spec = MeasureSpec.atomic([(F(1, 2), 1)])
+        assert RModel.of_spec(spec, 6) == RModel.semicircle(0.5, 0)
+        with pytest.raises(ValueError, match="match neither"):
+            RModel.of_spec(MeasureSpec.atomic([(1, F(1, 2)), (3, F(1, 2))]), 8)
+        with pytest.raises(ValueError, match="closed-form R-transform"):
+            RModel.of_spec(MeasureSpec.from_law("chi_squared_1"), 8)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -322,7 +345,7 @@ class TestRModel:
             RModel.semicircle(0.5, 2),
             RModel.free_poisson(1.5),
             RModel.cfp_atomic(2, [(0.5, 0.3), (-1, 0.7)], drift=0.2),
-            RModel.poly([0.1, 1, -0.2, 0.05]),
+            RModel(0.1, 0.7, ((0.5, 0.3), (-1.0, 0.2), (0.0, 0.4))),
         ],
     )
     def test_derivative_matches_finite_difference(self, model):
@@ -335,6 +358,43 @@ class TestRModel:
         model = RModel.free_poisson(2)
         assert model.kappa1 == pytest.approx(2)
         assert model.kappa2 == pytest.approx(2)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("semicircle", (F(1, 2), F(13, 10))), ("marchenko_pastur", (F(17, 10),)),
+         ("commutator_ww", ())],
+    )
+    def test_law_r_transform_matches_its_cumulants(self, name, params):
+        # second route: the exact free cumulants of the pushed-forward law
+        spec = MeasureSpec.from_law(name, params, scale=F(-3, 2), offset=F(1, 3))
+        drift, variance, jumps = idclass.levy_khintchine(spec)
+        kappa = catalog.free_cumulants_of(spec, 12).values
+        assert kappa[0] == drift + sum(l * a for a, l in jumps)
+        assert kappa[1] == variance + sum(l * a**2 for a, l in jumps)
+        assert list(kappa[2:]) == [sum(l * a**n for a, l in jumps) for n in range(3, 13)]
+
+    @pytest.mark.parametrize(
+        "model",
+        [RModel.free_poisson(1), RModel.cfp_atomic(0.8, [(-1, 0.5), (1, 0.5)]),
+         RModel.cfp_atomic(1.3, [(0, 1)], drift=0.3)],
+        ids=["free_poisson", "plus_minus_one", "jump_at_zero"],
+    )
+    @pytest.mark.parametrize("t", [0.3, 0.6, 0.9])
+    def test_atom_rule_matches_the_solved_transform(self, model, t):
+        # second route: -y Im G(t drift + iy) at y = 1e-4, down the ladder
+        loc, mass = model.atom(t)
+        assert loc == t * model.drift
+        w = None
+        for d in idclass._IMAG_LADDER[: idclass._IMAG_LADDER.index(1e-4) + 1]:
+            w, conv_mask = idclass.solve_g(model, t, loc + 1j * d, w0=w)
+        assert conv_mask.all()
+        assert abs(-1e-4 * w[0].imag - mass) <= 1e-4
+
+    def test_no_atom_with_a_semicircular_part_or_enough_jump_mass(self):
+        assert RModel.semicircle(0.5, 1e-10).atom(0.1) is None
+        assert RModel.free_poisson(1).atom(1.0) is None
+        assert RModel.free_poisson(1).atom(0.5) == (0.0, 0.5)
+        assert RModel.semicircle(2, 0).atom(3) == (6.0, 1)
 
 
 def _semicircle_g(zs, var):
@@ -360,6 +420,19 @@ class TestSolveG:
         w, _ = idclass.solve_g(model, 3.0, z)
         assert abs(w[0] - _semicircle_g(z, 3)[0]) < 1e-10
 
+    def test_residual_near_the_height_is_not_converged(self):
+        # at an atom a residual of 2e-8 solves another z than 0.27 + 1e-8i;
+        # the imaginary ladder finds the atom's mass 1 - 0.9 instead
+        model = RModel.cfp_atomic(1, [(0.5, 0.2), (2, 0.5), (-1.5, 0.3)], drift=0.3)
+        z = np.array([0.27 + 1e-8j])
+        _, conv_mask = idclass.solve_g(model, 0.9, z)
+        assert not conv_mask.any()
+        w = None
+        for d in idclass._IMAG_LADDER[: idclass._IMAG_LADDER.index(1e-8) + 1]:
+            w, conv_mask = idclass.solve_g(model, 0.9, z.real + 1j * d, w0=w)
+        assert conv_mask.all()
+        assert -1e-8 * w[0].imag == pytest.approx(0.1, abs=1e-6)
+
     def test_seeded_continuation(self):
         model = RModel.free_poisson(1)
         zs = np.linspace(-0.5, 4.5, 21) + 1j
@@ -383,15 +456,16 @@ class TestPositivityScan:
         scan = idclass.positivity_scan(RModel.free_poisson(1), [0.5, 2])
         by_t = {p.t: p for p in scan.points}
         # t < 1: atom at 0 plus a gap; t > 1: edge at (1 - sqrt t)^2
-        assert by_t[0.5].atoms
-        assert abs(by_t[0.5].atoms[0]) < 5e-3
+        assert by_t[0.5].atoms == (0.0,)
+        assert by_t[2.0].atoms == ()
         assert by_t[2.0].left_edge == pytest.approx(
             (1 - math.sqrt(2)) ** 2, abs=1e-3
         )
         assert scan.regular_evidence
 
-    def test_accepts_cumulant_sequences(self):
-        scan = idclass.positivity_scan(catalog.free_cumulants_of(WPLUS, 6), [1.0])
+    def test_scans_a_cumulant_spec_by_its_exact_match(self):
+        spec = MeasureSpec.from_free_cumulants(catalog.free_cumulants_of(WPLUS, 6))
+        scan = idclass.positivity_scan(RModel.of_spec(spec, 6), [1.0])
         assert scan.points[0].left_edge == pytest.approx(0, abs=1e-3)
 
     def test_jobs_give_identical_results(self):
@@ -402,7 +476,7 @@ class TestPositivityScan:
 
     def test_left_edges_pinned(self):
         # bit patterns of the scanned edges: all bisected, except free
-        # Poisson at t = 0.5, whose edge is the detected atom at 0
+        # Poisson at t = 0.5, whose edge is its atom at 0
         scans = {
             "semicircle": idclass.positivity_scan(RModel.semicircle(2, 1), [0.5, 2]),
             "free_poisson": idclass.positivity_scan(RModel.free_poisson(1), [0.5, 2]),
@@ -413,11 +487,9 @@ class TestPositivityScan:
         }
         assert edges == {
             "semicircle": ["-0x1.a828e9546139cp-2", "0x1.2bebffe3a790ep+0"],
-            "free_poisson": ["0x1.81d70683d4000p-11", "0x1.5f6417879b834p-3"],
+            "free_poisson": ["0x0.0p+0", "0x1.5f6417879b834p-3"],
         }
-        assert scans["free_poisson"].points[0].atoms == (
-            float.fromhex("0x1.81d70683d4000p-11"),
-        )
+        assert scans["free_poisson"].points[0].atoms == (0.0,)
 
     def test_bisection_reuses_the_grid_solves(self, monkeypatch):
         # each bisection round is seeded from the grid's solves at the
@@ -433,9 +505,9 @@ class TestPositivityScan:
 
     def test_unconverged_seed_falls_back_to_the_ladder(self):
         model, xs = RModel.free_poisson(1), np.linspace(0.05, 0.3, 9)
-        dens, conv_mask, _, _ = idclass._extrapolated_density(model, 2.0, xs)
+        dens, conv_mask, _ = idclass._extrapolated_density(model, 2.0, xs)
         bad_seed = np.full(xs.shape, complex("nan"))
-        seeded, seeded_mask, _, _ = idclass._extrapolated_density(model, 2.0, xs, bad_seed)
+        seeded, seeded_mask, _ = idclass._extrapolated_density(model, 2.0, xs, bad_seed)
         assert seeded.tobytes() == dens.tobytes()
         assert seeded_mask.tolist() == conv_mask.tolist()
 
@@ -456,10 +528,10 @@ class TestPositivityScan:
         # the batched edge bisection is exact only if a point's density
         # does not depend on the other points solved with it
         xs = np.linspace(lo, hi, 9)
-        dens, conv_mask, _, _ = idclass._extrapolated_density(model, t, xs)
+        dens, conv_mask, _ = idclass._extrapolated_density(model, t, xs)
         alone = [idclass._extrapolated_density(model, t, xs[i:i + 1]) for i in range(9)]
-        assert dens.tobytes() == np.concatenate([d for d, _, _, _ in alone]).tobytes()
-        assert conv_mask.tolist() == [bool(c[0]) for _, c, _, _ in alone]
+        assert dens.tobytes() == np.concatenate([d for d, _, _ in alone]).tobytes()
+        assert conv_mask.tolist() == [bool(c[0]) for _, c, _ in alone]
 
     @pytest.mark.parametrize(
         "model",

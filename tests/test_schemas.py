@@ -8,6 +8,7 @@ import pytest
 
 from freeconv import cli, idclass
 from freeconv.catalog import LAWS, MeasureSpec
+from spec_ids import describe
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -40,7 +41,7 @@ SPECS = [
 ]
 
 
-@pytest.mark.parametrize("mu", SPECS, ids=lambda mu: mu.describe())
+@pytest.mark.parametrize("mu", SPECS, ids=describe)
 def test_serialized_specs_validate(mu):
     validator("measure_spec.schema.json").validate(cli.serialize_measure_spec(mu))
 
