@@ -742,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec_arg(p)
     p.add_argument("--t", required=True, help="lo:hi:step or comma list")
     p.add_argument("--order", type=_order, default=8,
-                   help="free cumulants matched, for specs that are not catalog laws")
+                   help="free cumulants matched; affects only specs that are not catalog laws")
     p.add_argument("--threshold", type=_positive_float, default=1e-6)
     p.add_argument("--edge-tol", type=_positive_float, default=1e-3)
     p.add_argument("--grid-points", type=_int_arg(2, SIZE_CAP), default=601)
