@@ -668,13 +668,10 @@ def moments_of(mu: MeasureSpec, order: int) -> SeqN:
         base = catalog_moments(mu.law, mu.params, order).values
         return SeqN("moment", _affine_moments(base, mu.scale, mu.offset, order))
     if mu.kind == "grid":
-        vals = []
-        for n in range(1, order + 1):
-            ys = [x**n * d for x, d in zip(mu.xs, mu.densities)]
-            vals.append(
-                _trapezoid(mu.xs, ys) + sum(w * loc**n for loc, w in mu.atoms)
-            )
-        return SeqN("moment", vals)
+        vals = _piecewise_linear_moments(mu.xs, mu.densities, order)
+        return SeqN("moment", [
+            m + sum(w * loc**n for loc, w in mu.atoms) for n, m in enumerate(vals, 1)
+        ])
     if mu.kind == "moments":
         if order > mu.seq.order:
             raise ValueError(
@@ -684,6 +681,23 @@ def moments_of(mu: MeasureSpec, order: int) -> SeqN:
     if mu.kind == "free_cumulants":
         return ncpart.moments_from_free_cumulants(free_cumulants_of(mu, order))
     raise ValueError(f"unknown representation {mu.kind!r}")
+
+
+def _piecewise_linear_moments(xs, ds, order):
+    """Moments 1..order of the density that is linear between the points
+    (xs, ds), exact on exact data. On [a, b] with end values p, q the n-th
+    moment is (b - a) (p A_n + q B_n) / ((n + 1)(n + 2)), where
+    A_n = sum_k (k + 1) a^k b^(n-k) = b A_(n-1) + (n + 1) a^n and B_n is
+    A_n with a and b swapped. Where a and b share a sign, the terms of each
+    sum do too, so nothing cancels within a segment."""
+    vals = [0] * order
+    for a, b, p, q in zip(xs, xs[1:], ds, ds[1:]):
+        an = bn = sa = sb = 1
+        for n in range(1, order + 1):
+            an, bn = an * a, bn * b
+            sa, sb = b * sa + (n + 1) * an, a * sb + (n + 1) * bn
+            vals[n - 1] += (b - a) * (p * sa + q * sb) / ((n + 1) * (n + 2))
+    return vals
 
 
 def _affine_moments(base, scale, offset, order):

@@ -178,14 +178,18 @@ class SubordinationResult:
     iterations: int
     max_residual: float
     converged: np.ndarray
+    z: np.ndarray
 
 
-def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
+def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> SubordinationResult:
     """Solve omega(z) = z + h_nu(z + h_mu(omega)) on the upper half plane.
 
     h denotes F - id with F the reciprocal Cauchy transform; the resulting
-    omega subordinates the sum: G_{mu plus nu}(z) = G_mu(omega(z)). After
-    _SUB_WARMUP damped Picard steps, each point takes Newton steps on
+    omega subordinates the sum: G_{mu plus nu}(z) = G_mu(omega(z)). A point
+    starts at omega = z with _SUB_WARMUP damped Picard steps. A seed, the
+    result of a solve at other points of z's shape, starts each point that
+    converged there at seed.omega + (z - seed.z) with no warm-up, which
+    keeps Im omega >= Im z. Then each point takes Newton steps on
     Phi(omega) - omega = 0 (Phi the right side, Phi' = h_nu'(u) h_mu'(omega),
     h' = -G'/G^2 - 1), or a damped Picard step where the Newton step is not
     finite, leaves {Im omega >= Im z}, or follows a step that did not lower
@@ -204,16 +208,20 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
         g, dg = transforms._cauchy_pair(spec, w) if slope else (transforms.cauchy(spec, w), 0)
         return 1 / g - w, -dg / g**2 - 1
 
-    omega, idx = zarr.copy(), np.arange(zarr.size)
+    omega, warmup = zarr.copy(), np.full(zarr.shape, _SUB_WARMUP)
+    if seed is not None:
+        omega = np.where(seed.converged, seed.omega + (zarr - seed.z), omega)
+        warmup[seed.converged] = 0
+    idx = np.arange(zarr.size)
     residual, converged = np.full(zarr.shape, np.inf), np.zeros(zarr.shape, bool)
     for its in range(1, _SUB_MAX_ITER + 1):
-        w, zs, slope = omega[idx], zarr[idx], its > _SUB_WARMUP
-        h_w, dh_w = h(mu, w, slope)
-        h_u, dh_u = h(nu, zs + h_w, slope)
+        w, zs, newton = omega[idx], zarr[idx], its > warmup[idx]
+        h_w, dh_w = h(mu, w, newton.any())
+        h_u, dh_u = h(nu, zs + h_w, newton.any())
         step = zs + h_u - w
         with np.errstate(all="ignore"):
             trial = w - step / (dh_u * dh_w - 1)
-        ok = slope & np.isfinite(trial) & (trial.imag >= zs.imag)
+        ok = newton & np.isfinite(trial) & (trial.imag >= zs.imag)
         ok &= np.abs(step) < residual[idx]
         residual[idx] = np.abs(step)
         omega[idx] = np.where(ok, trial, w + _SUB_DAMPING * step)
@@ -221,18 +229,34 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z) -> SubordinationResult:
         idx = idx[~converged[idx]]
         if not idx.size:
             break
-    return SubordinationResult(omega, its, float(residual.max()), converged)
+    return SubordinationResult(omega, its, float(residual.max()), converged, zarr)
 
 
-def free_add_cauchy(mu: MeasureSpec, nu: MeasureSpec, z):
+def free_add_cauchy(mu: MeasureSpec, nu: MeasureSpec, z, seed=None):
     """Cauchy transform of the additive convolution via subordination."""
     import numpy as np
 
     from . import transforms
 
-    sub = subordination(mu, nu, z)
+    sub = subordination(mu, nu, z, seed)
     g = transforms.cauchy(mu, sub.omega)
     return (g[0] if np.isscalar(z) else g), sub
+
+
+def _continued_cauchy(mu: MeasureSpec, nu: MeasureSpec, solves: list):
+    """G of mu plus nu on 1-d arrays z, for the boundary densities' heights;
+    each solve goes to solves. A call at the previous call's real parts and
+    below its heights is seeded by that solve; any other call solves cold."""
+
+    def g(z):
+        prev = solves[-1] if solves else None
+        lower = prev is not None and prev.z.shape == z.shape and (
+            (prev.z.real == z.real).all() and (z.imag < prev.z.imag).all())
+        value, sub = free_add_cauchy(mu, nu, z, prev if lower else None)
+        solves.append(sub)
+        return value
+
+    return g
 
 
 @dataclass(frozen=True)
@@ -260,20 +284,16 @@ class AddDensityResult:
 
 
 def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
-    """Density of the additive free convolution on the grid xs; a warning
-    counts the grid points where a subordination solve did not settle."""
+    """Density of the additive free convolution on the grid xs. At the
+    heights eps/2 and eps/4 each point starts from its omega one height up,
+    or cold if it did not converge there. A warning counts the grid points
+    where a subordination solve did not settle."""
     import numpy as np
 
     from . import transforms
 
     diagnostics = []
-
-    def g(z):
-        value, sub = free_add_cauchy(mu, nu, z)
-        diagnostics.append(sub)
-        return value
-
-    inv = transforms.stieltjes_invert(g, xs)
+    inv = transforms.stieltjes_invert(_continued_cauchy(mu, nu, diagnostics), xs)
     iters = max(s.iterations for s in diagnostics)
     resid = max(s.max_residual for s in diagnostics)
     conv = min(float(np.mean(s.converged)) for s in diagnostics)
@@ -292,7 +312,8 @@ def density_at_points(mu: MeasureSpec, nu: MeasureSpec, xs):
     from . import transforms
 
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    d = transforms._boundary_densities(lambda z: free_add_cauchy(mu, nu, z)[0], xs)
+    g = _continued_cauchy(mu, nu, [])
+    d = transforms._boundary_densities(transforms._boundary_values(g, xs))
     return transforms._richardson(d)
 
 

@@ -546,11 +546,16 @@ def _richardson(f):
 _HEIGHTS = (1e-2, 1e-2 / 2, 1e-2 / 4)
 
 
-def _boundary_densities(g, xs):
-    """-Im g(x + i h) / pi on xs at each height h of _HEIGHTS, in order."""
+def _boundary_values(g, xs):
+    """g(x + i h) on xs at each height h of _HEIGHTS, in order."""
     import numpy as np
 
-    return [np.asarray(-np.imag(g(xs + 1j * h)) / math.pi) for h in _HEIGHTS]
+    return [np.asarray(g(xs + 1j * h), dtype=complex) for h in _HEIGHTS]
+
+
+def _boundary_densities(values):
+    """-Im g / pi of each array of _boundary_values."""
+    return [-v.imag / math.pi for v in values]
 
 
 _EDGE_DEPTH = 6  # bisection steps resolved per call of the predicate
@@ -625,13 +630,15 @@ def stieltjes_invert(g, xs, renormalize: bool = True) -> InversionResult:
     removes the O(eps) and O(eps^2) errors by quadratic extrapolation to
     h -> 0 (_richardson). Grid points where the mass proxy -h Im g fails to
     shrink with h are flagged as atoms: a continuous density shrinks it by
-    4 per halving pair, an atom keeps it constant.
+    4 per halving pair, an atom keeps it constant. g is called once per
+    height, in that order; the atoms' poles are peeled off those values.
     """
     import numpy as np
 
     xs = np.asarray(xs, dtype=float)
     warnings = []
-    d = _boundary_densities(g, xs)
+    values = _boundary_values(g, xs)
+    d = _boundary_densities(values)
     density = _richardson(d)
 
     mass = [math.pi * h * dk for h, dk in zip(_HEIGHTS, d)]
@@ -651,15 +658,15 @@ def stieltjes_invert(g, xs, renormalize: bool = True) -> InversionResult:
             f"detected {len(atoms)} atom(s); re-extracting density with "
             "their poles subtracted"
         )
-        # second pass: peel the detected poles off the transform, otherwise
+        # second pass: peel the detected poles off the first pass's values;
         # their slowly decaying extrapolation residue pollutes the density
-        def g_ac(z):
-            out = np.asarray(g(z), dtype=complex).copy()
+        peeled = []
+        for h, value in zip(_HEIGHTS, values):
+            out = value.copy()
             for loc, w in atoms:
-                out -= w / (z - loc)
-            return out
-
-        density = _richardson(_boundary_densities(g_ac, xs))
+                out -= w / (xs + 1j * h - loc)
+            peeled.append(out)
+        density = _richardson(_boundary_densities(peeled))
         for grp in groups:
             density[grp] = 0.0
 

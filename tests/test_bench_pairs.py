@@ -1,0 +1,70 @@
+"""scripts/bench_pairs.py: the pair summary, and one smoke pair end to end."""
+
+import importlib.util
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+SCRIPT = REPO / "scripts" / "bench_pairs.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load()
+
+
+def _pair(parent, change):
+    return {"parent": {"metrics": parent}, "change": {"metrics": change}}
+
+
+def test_summary_of_synthetic_pairs():
+    walls = [(1, 0.5), (2, 2.5), (3, 2), (4, 3), (5, 4)]
+    passed = [(1, 1), (1, 1), (0.9, 0.95), (1, 1), (1, 0.9)]
+    pairs = [_pair({"wall_s": pw, "passed_frac": pp}, {"wall_s": cw, "passed_frac": cp})
+             for (pw, cw), (pp, cp) in zip(walls, passed)]
+    summary = bench_pairs.summarize(pairs, {"wall_s": "lower", "passed_frac": "higher"})
+    wall = summary["wall_s"]
+    assert wall["parent"] == {"median": 3, "q1": 2, "q3": 4}
+    assert wall["change"] == {"median": 2.5, "q1": 2, "q3": 3}
+    assert (wall["change_wins"], wall["ties"], wall["pairs"]) == (4, 0, 5)
+    assert wall["relative_change"] == pytest.approx(2.5 / 3 - 1)
+    frac = summary["passed_frac"]
+    assert (frac["change_wins"], frac["ties"], frac["better"]) == (1, 3, "higher")
+    assert frac["parent"] == {"median": 1, "q1": 1, "q3": 1}
+
+
+def test_one_pair_spread_and_seed_ranges():
+    assert bench_pairs.spread([0.25]) == {"median": 0.25, "q1": 0.25, "q3": 0.25}
+    assert bench_pairs._seeds("3-5,8") == [3, 4, 5, 8]
+
+
+@pytest.mark.skipif(shutil.which("git") is None or not (REPO / ".git").exists(),
+                    reason="needs git and the repository's history")
+def test_smoke_pair_on_exact_seq(tmp_path):
+    out = tmp_path / "BENCH_smoke.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPT), "--parent", "HEAD", "--workload", "exact_seq",
+         "--seeds", "1", "--passes", "1", "--setup-reps", "1", "--label", "smoke",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    names = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+    run = result["workloads"]["exact_seq"]
+    assert result["label"] == "smoke" and set(run["summary"]) == names
+    ((pair),) = run["pairs"]
+    for side in ("parent", "change"):
+        assert pair[side]["passes"] == 1 and pair[side]["correct"]
+        assert set(pair[side]["metrics"]) == names
+    assert pair["parent"]["inputs_sha256"] == pair["change"]["inputs_sha256"]
+    assert run["identical_failures"]

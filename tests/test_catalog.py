@@ -523,6 +523,42 @@ def test_grid_moments_approximate_law():
     assert m.at(6) == pytest.approx(5.0, abs=2e-2)
 
 
+def test_grid_moments_of_the_triangle_are_exact():
+    # the piecewise-linear density on [0, 2] peaking at 1 has moments
+    # 1, 7/6, 3/2, 31/15, not those of the point mass at 1
+    exact = MeasureSpec(kind="grid", xs=(Fraction(0), Fraction(1), Fraction(2)),
+                        densities=(Fraction(0), Fraction(1), Fraction(0)))
+    assert moments_of(exact, 4).values == (1, Fraction(7, 6), Fraction(3, 2), Fraction(31, 15))
+    floats = moments_of(MeasureSpec.grid([0, 1, 2], [0, 1, 0]), 4).values
+    assert floats == pytest.approx([1, 7 / 6, 3 / 2, 31 / 15], rel=1e-15)
+
+
+def _semicircle_grid(n=601):
+    xs = [(-2 + 4 * i / (n - 1)) for i in range(n)]
+    dens = catalog_density("semicircle", (0, 1), xs)
+    return MeasureSpec.grid(xs, dens / sum(dens * 4 / (n - 1)), norm_tol=1e-3)
+
+
+@pytest.mark.parametrize(
+    "mu, order",
+    [
+        (MeasureSpec.grid([0, 1, 2], [0, 1, 0]), 16),
+        (MeasureSpec.grid([0, 1, 2], [0.5, 0.25, 0.5], atoms=[(-1.5, 0.25)]), 16),
+        (_semicircle_grid(), 16),
+        (MeasureSpec.grid([0.2 + 0.01 * i for i in range(301)],
+                          [1 / 3] * 301, norm_tol=1e-12), 24),
+    ],
+    ids=["triangle", "with_atom", "semicircle", "uniform"],
+)
+def test_grid_moments_float_route_matches_fraction_route(mu, order):
+    # the same formula on the Fraction values of the grid's floats
+    exact = MeasureSpec(kind="grid", xs=tuple(map(Fraction, mu.xs)),
+                        densities=tuple(map(Fraction, mu.densities)),
+                        atoms=tuple((Fraction(x), Fraction(w)) for x, w in mu.atoms))
+    for got, want in zip(moments_of(mu, order).values, moments_of(exact, order).values):
+        assert abs(Fraction(got) - want) <= Fraction(1e-12) * max(1, abs(want))
+
+
 def test_affine_law_moments():
     base = MeasureSpec.from_law("semicircle", (0, 1))
     mu = MeasureSpec.from_law("semicircle", (0, 1), scale=Fraction(2), offset=Fraction(3))

@@ -716,6 +716,16 @@ class TestScan:
         assert (code, out) == (1, "")
         assert "R-transform" in err or "match neither" in err
 
+    def test_triangle_grid_is_not_read_as_a_point_mass(self, capsys):
+        # the trapezoid rule on the nodes gave the triangle the moments of
+        # the point mass at 1, and scan printed edges and atoms for it
+        spec = {"type": "grid", "xs": [0, 1, 2], "densities": [0, 1, 0]}
+        mu = cli.parse_measure_spec_obj(spec)
+        assert freeconv.moments_of(mu, 4).values == pytest.approx(
+            [1, 7 / 6, 3 / 2, 31 / 15], rel=1e-15)
+        code, out, _ = run_cli(capsys, "scan", json.dumps(spec), "--t", "0.5,2")
+        assert (code, out) == (1, "")
+
 
 class TestSizeLimits:
     ORDER_CASES = {

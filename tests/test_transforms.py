@@ -836,6 +836,21 @@ def test_invert_marchenko_pastur_atom_pinned():
     assert res.renorm.hex() == "0x1.ffffb37e6a929p-1"
 
 
+def test_invert_peels_atoms_off_the_first_values():
+    # the atom pass reuses the transform values of the first pass: one call
+    # of g per height, also when an atom is found
+    mu = MeasureSpec.from_law("marchenko_pastur", (0.4,))
+    heights = []
+
+    def g(z):
+        heights.append(float(z.imag[0]))
+        return cauchy(mu, z)
+
+    res = stieltjes_invert(g, np.linspace(-0.5, 3.5, 801))
+    assert len(res.atoms) == 1
+    assert heights == list(transforms._HEIGHTS)
+
+
 def test_invert_reports_undershoot_before_clip():
     # next to the peeled atom the extrapolated density dips below 0; the
     # result keeps that minimum and the warning says the values were clipped
