@@ -25,7 +25,7 @@ from .ncpart import SeqN
 
 GRID_ENV = "FREECONV_GRID_DEFAULT"
 
-SIZE_CAP = 100_000  # grid n, --grid-points, --t count; checked before allocating
+SIZE_CAP = 100_000  # grid n, --grid-points, --t count, spec lists; checked before allocating
 
 # --order above the largest kernel cap is a usage error before any spec is read
 ORDER_CAP = max(catalog.MOMENT_CAP_CLOSED, ncpart.CONVERSION_CAP, ncpart.PRODUCT_CAP)
@@ -73,15 +73,22 @@ def _num_from_json(v, where: str):
     raise SpecError(f"{where}: expected a number, got {type(v).__name__}")
 
 
+def _capped(obj, where: str):
+    if len(obj) > SIZE_CAP:
+        raise SpecError(f"{where}: at most {SIZE_CAP} entries, got {len(obj)}")
+
+
 def _num_list(obj, where: str):
     if not isinstance(obj, list):
         raise SpecError(f"{where}: expected a list")
+    _capped(obj, where)
     return [_num_from_json(v, f"{where}[{i}]") for i, v in enumerate(obj)]
 
 
 def _pair_list(obj, where: str):
     if not isinstance(obj, list):
         raise SpecError(f"{where}: expected a list of [location, weight] pairs")
+    _capped(obj, where)
     pairs = []
     for i, item in enumerate(obj):
         if not isinstance(item, list) or len(item) != 2:

@@ -470,6 +470,11 @@ def solve_g(model: RModel, t, z, w0=None):
     so the mask also bounds it by 1e-3 Im z. The seed defaults to 1/z;
     pass the solution at a nearby z to continue along a path.
     """
+    return _newton_g(model, t, z, w0, _SOLVE_TOL)
+
+
+def _newton_g(model: RModel, t, z, w0, tol):
+    """solve_g, with Newton stopping at residual tol instead of _SOLVE_TOL."""
     import numpy as np
 
     def residual(w, zs, ts):
@@ -498,7 +503,7 @@ def solve_g(model: RModel, t, z, w0=None):
     resid = residual(w, z, t)
     for _ in range(_SOLVE_MAX_ITER):
         with np.errstate(all="ignore"):
-            active = ~(np.abs(resid) <= _SOLVE_TOL)
+            active = ~(np.abs(resid) <= tol)
         if not active.any():
             break
         wa, za, ta = w[active], z[active], t[active]
@@ -545,6 +550,7 @@ def solve_g(model: RModel, t, z, w0=None):
 _EPS = 4e-9  # boundary densities extrapolate over heights _EPS, _EPS/2, _EPS/4
 _IMAG_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
                 1e-5, 1e-6, 1e-7, 1e-8, _EPS)
+_RUNG_RESIDUAL = 0.1  # a ladder rung above _EPS stops at residual this times its height
 _SCAN_POINTS = 8192  # most grid points one scan solve holds (at least one t)
 
 
@@ -555,8 +561,13 @@ def _extrapolated_density(model: RModel, t, xs, seed=None):
     nearby atoms drop out instead of polluting edge detection. t is a
     scalar or one time per point. The solve at _EPS starts from seed (else
     the imaginary ladder) and seeds the next height; points a seed leaves
-    unconverged are solved from the ladder. Returns the density, where it
-    converged, and w at height _EPS.
+    unconverged are solved from the ladder. A ladder rung above _EPS only
+    seeds the next one, so its Newton stops once the residual
+    f = 1/w + tR(w) - z is at most _RUNG_RESIDUAL times its height d: w
+    then solves the equation exactly at z + f, whose height is still at
+    least 0.9 d, so w stays on the sheet of G that the ladder follows down
+    from i. The heights _EPS, _EPS/2 and _EPS/4 are solved to _SOLVE_TOL.
+    Returns the density, where it converged, and w at height _EPS.
     """
     import numpy as np
 
@@ -565,8 +576,10 @@ def _extrapolated_density(model: RModel, t, xs, seed=None):
         w, conv = solve_g(model, t, xs + 1j * _EPS, w0=seed)
     else:
         w = None
-        for d in _IMAG_LADDER:
-            w, conv = solve_g(model, t, xs + 1j * d, w0=w)
+        for d in _IMAG_LADDER[:-1]:
+            tol = max(_SOLVE_TOL, _RUNG_RESIDUAL * d)
+            w = _newton_g(model, t, xs + 1j * d, w, tol)[0]
+        w, conv = solve_g(model, t, xs + 1j * _EPS, w0=w)
     ws = [w]
     for k in (2, 4):
         w, c = solve_g(model, t, xs + 1j * _EPS / k, w0=w)

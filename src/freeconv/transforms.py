@@ -370,8 +370,23 @@ def _atomic_cauchy(atoms, z, derivative=False):
     return sum((w / d for w, d in gaps), np.zeros_like(z)), dg
 
 
+_GRID_BLOCK = 1 << 14  # most points x knots one block of _grid_cauchy holds
+
+
 def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
-    """(G, G') at z, with G' = 0 without derivative."""
+    """(G, G') at z, with G' = 0 without derivative.
+
+    The trapezoid sum of w_k d_k/(z - x_k), in real arithmetic. With
+    a = Re z - x_k, y = Im z and u = 1/(a^2 + y^2), 1/(z - x_k) = (a - iy)u,
+    so G = sum wd a u - iy sum wd u and
+    G' = -sum wd (a - iy)^2 u^2 = 2y^2 sum wd u^2 - sum wd u + 2iy sum wd a u^2.
+    A point whose largest |a| or |y| lies outside 2^-200 .. 2^200 has a and y
+    scaled by a power of two that brings it near 1, which is exact and keeps
+    a^2 + y^2 and u^2 from overflowing or underflowing; G takes the scale
+    back once and G' twice. Points go in blocks of at most
+    _GRID_BLOCK elements (one row at least), and every row is summed on its
+    own, so a point's value does not depend on the others.
+    """
     import numpy as np
 
     xs = np.asarray(mu.xs)
@@ -390,13 +405,33 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
     weights[1:] += np.diff(xs) / 2
     wd = weights * dens
     flat = z.ravel()
+    re, y = flat.real, flat.imag
+    widest = np.maximum(np.maximum(np.abs(re - xs[0]), np.abs(re - xs[-1])), np.abs(y))
+    exp = np.frexp(widest)[1]
+    scale = np.where(np.abs(exp) > 200, np.ldexp(1.0, -exp), 1.0)
+    y = y * scale
     out = np.zeros((2, flat.size), dtype=complex)
-    for start in range(0, flat.size, 512):
-        gaps = flat[start : start + 512, None] - xs
-        terms = wd / gaps
-        out[0, start : start + 512] = terms.sum(axis=-1)
+    rows = max(1, _GRID_BLOCK // xs.size)
+    a_buf, u_buf, wu_buf = (np.empty((min(rows, flat.size), xs.size)) for _ in range(3))
+    for start in range(0, flat.size, rows):
+        part = slice(start, start + rows)
+        s, yp = scale[part], y[part]
+        a = np.subtract(re[part, None], xs, out=a_buf[: s.size])
+        if np.any(s != 1):
+            a *= s[:, None]
+        u = np.multiply(a, a, out=u_buf[: s.size])
+        u += (yp * yp)[:, None]
+        np.reciprocal(u, out=u)
+        wu = np.multiply(u, wd, out=wu_buf[: s.size])
+        awu = np.multiply(a, wu, out=a)
+        sum_wu = wu.sum(axis=-1)
+        out.real[0, part] = awu.sum(axis=-1) * s
+        out.imag[0, part] = -(yp * sum_wu) * s
         if derivative:
-            out[1, start : start + 512] = -np.divide(terms, gaps, out=terms).sum(axis=-1)
+            sum_wu2 = np.multiply(wu, u, out=wu).sum(axis=-1)
+            sum_awu2 = np.multiply(awu, u, out=awu).sum(axis=-1)
+            out.real[1, part] = (2 * yp * yp * sum_wu2 - sum_wu) * s * s
+            out.imag[1, part] = 2 * yp * sum_awu2 * s * s
     return out.reshape(2, *z.shape) + _atomic_cauchy(mu.atoms, z, derivative)
 
 

@@ -832,6 +832,26 @@ class TestSizeLimits:
         assert code == 2
         assert "time range gives over" in err
 
+    _LONG, _PAIRS = [0.5] * (cli.SIZE_CAP + 1), [[0, 0]] * (cli.SIZE_CAP + 1)
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"type": "grid", "xs": _LONG, "densities": [1, 1]}, "xs"),
+        ({"type": "grid", "xs": [0, 1], "densities": _LONG}, "densities"),
+        ({"type": "grid", "xs": [0, 1], "densities": [1, 1], "atoms": _PAIRS}, "atoms"),
+        ({"type": "atomic", "atoms": _PAIRS}, "atoms"),
+    ], ids=["xs", "densities", "grid_atoms", "atomic_atoms"])
+    def test_spec_list_above_cap(self, capsys, monkeypatch, spec, field):
+        # a spec list longer than SIZE_CAP is refused before the spec is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("spec built from a list above the cap")
+
+        monkeypatch.setattr(cli.MeasureSpec, "grid", refuse)
+        monkeypatch.setattr(cli.MeasureSpec, "atomic", refuse)
+        code, out, err = run_cli(capsys, "moments", json.dumps(spec), "--order", "2")
+        assert code == 2
+        assert out == ""
+        assert f"{field}: at most {cli.SIZE_CAP} entries, got {cli.SIZE_CAP + 1}" in err
+
 
 # the 12 check lines of `verify --suite identities --seed 1418`: name,
 # anchor, deviation, tolerance and status of each identity
@@ -1022,6 +1042,14 @@ class TestTransform:
         assert abs(got - want) < 1e-9
         if spec == QC:
             assert abs(got.imag + math.sqrt(4 - 0.25)) < 1e-5   # -pi rho(0.5)
+
+    def test_grid_cauchy_far_out(self, capsys):
+        # far from the grid, a^2 + y^2 would overflow without the kernel's
+        # power-of-two scale, and G would print as 0
+        grid = json.dumps({"type": "grid", "xs": [0, 1, 2], "densities": [0, 1, 0]})
+        code, out, _ = run_cli(capsys, "transform", grid, "--which", "G", "--at=1e200,1")
+        assert code == 0
+        assert out == "1e-200,0\n"
 
     def test_format_is_two_floats(self, capsys):
         _, out, _ = run_cli(capsys, "transform", SEMI, "--which", "G", "--at", "0,2")

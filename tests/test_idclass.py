@@ -503,6 +503,36 @@ class TestPositivityScan:
         assert all(p.converged for p in scan.points)
         assert len(calls) <= 25
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            RModel.semicircle(2, 1),
+            RModel.free_poisson(1),
+            RModel.cfp_atomic(2.0, [(1, 0.5), (-0.5, 0.5)], 0.3),
+            RModel.cfp_atomic(1.3, [(0, 0.4), (-1, 0.3), (-2.5, 0.1), (2, 0.2)], -0.4),
+            RModel.of_spec(MeasureSpec.from_law("commutator_ww"), 8),
+        ],
+        ids=["semicircle", "free_poisson", "cfp_drift", "jumps_at_zero_and_below", "commutator_ww"],
+    )
+    def test_seeding_rungs_give_the_polished_scan(self, monkeypatch, model):
+        # second route: every ladder rung solved to _SOLVE_TOL; the t < 1
+        # free Poisson points have atoms
+        ts = [0.3, 0.6, 1.0, 2.5]
+        scan = idclass.positivity_scan(model, ts)
+        monkeypatch.setattr(idclass, "_RUNG_RESIDUAL", 0)
+        assert scan.points == idclass.positivity_scan(model, ts).points
+
+    def test_seeding_rungs_bound_r_evaluations(self, monkeypatch):
+        # with every rung polished, this 4-t scan evaluated R at 163897
+        # points; rungs that stop at a tenth of their height take fewer
+        # Newton steps
+        points = []
+        r = RModel.r
+        monkeypatch.setattr(RModel, "r", lambda self, w: points.append(np.size(w)) or r(self, w))
+        scan = idclass.positivity_scan(RModel.semicircle(2, 1), [0.5, 1, 2, 4])
+        assert all(p.converged for p in scan.points)
+        assert sum(points) <= 125_000
+
     def test_unconverged_seed_falls_back_to_the_ladder(self):
         model, xs = RModel.free_poisson(1), np.linspace(0.05, 0.3, 9)
         dens, conv_mask, _ = idclass._extrapolated_density(model, 2.0, xs)

@@ -23,6 +23,7 @@ from freeconv.transforms import (
     stieltjes_invert,
     transform_map,
 )
+from oracles import grid_cauchy_reference
 
 # ---------------------------------------------------------------------------
 # FormalSeries algebra
@@ -742,6 +743,70 @@ def test_grid_cauchy_near_axis_guard():
         cauchy(mu, 0.5 + 1e-4j)
     # far from the support the guard does not bite
     cauchy(mu, 10.0 + 1e-6j)
+
+
+def _grid_with_atoms(lo, hi, n):
+    # 0.8 of a semicircle sampled on [lo, hi], with atoms on either side
+    xs = np.linspace(lo, hi, n)
+    dens = 0.8 * catalog_density("semicircle", ((lo + hi) / 2, ((hi - lo) / 4) ** 2), xs)
+    atoms = [(lo - 0.25, Fraction(1, 10)), (hi + 0.5, Fraction(1, 10))]
+    return MeasureSpec.grid(xs, dens, atoms, norm_tol=1e-2)
+
+
+@pytest.mark.parametrize("lo, hi, n", [(-2, 2, 601), (0.5, 2.5, 201)])
+@pytest.mark.filterwarnings("ignore:overflow encountered in square")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+def test_grid_cauchy_matches_complex_division_oracle(lo, hi, n):
+    # G and G' in real arithmetic against the sums by complex division, from
+    # |z| = 1e-3 to 1e300 in both half planes and just off the axis inside
+    # the support; past |z| ~ 1e154 the grid's G' underflows to 0 on both
+    mu = _grid_with_atoms(lo, hi, n)
+    angles = (np.arange(16) + 0.5) * np.pi / 8
+    sizes = [1e-3, 1e-2, 0.1, 0.5, 1, 1.5, 2, 3, 10, 1e3, 1e10, 1e100, 1e150, 1e200, 1e300]
+    z = np.array([r * np.exp(1j * a) for r in sizes for a in angles])
+    near = (np.abs(z.imag) < 0.01) & (z.real > lo - 0.3) & (z.real < hi + 0.6)
+    z = np.concatenate([z[~near], (lo + hi) / 2 + 0.3 + np.array([0.01j, -0.02j, 0.05j])])
+    # the atoms' own G' overflows in (z - a)^2 past |z| ~ 1e154 on both
+    # routes, so there the grid's part is compared without them
+    bare = MeasureSpec.grid(mu.xs, mu.densities, norm_tol=0.25)
+    everywhere, small = np.ones(z.shape, dtype=bool), np.abs(z) <= 1e150
+    for spec, keep in ((mu, (everywhere, small)), (bare, (everywhere, everywhere))):
+        got = transforms._grid_cauchy(spec, z, derivative=True)
+        want = grid_cauchy_reference(spec, z, derivative=True)
+        for g, w, k in zip(got, want, keep):
+            assert np.all(np.abs(g - w)[k] <= 1e-13 * np.abs(w)[k])
+        assert np.all(got[0] != 0)
+
+
+def test_grid_cauchy_is_block_independent():
+    # a point's (G, G') does not depend on the block it is summed in
+    mu = _grid_with_atoms(-2, 2, 601)
+    z = np.linspace(-3, 3, 100) + 1j * np.linspace(0.02, 2, 100)
+    assert 100 > transforms._GRID_BLOCK // 601
+    batch = transforms._grid_cauchy(mu, z, derivative=True)
+    alone = np.concatenate(
+        [transforms._grid_cauchy(mu, z[i : i + 1], derivative=True) for i in range(100)], axis=1
+    )
+    assert batch.tobytes() == alone.tobytes()
+
+
+def test_grid_cauchy_memory_is_bounded():
+    # the kernel's blocks hold at most _GRID_BLOCK elements (one row at
+    # least), so 256 points on 20,000 knots stay within a few MiB; the
+    # complex-division kernel's 512-row blocks peaked at 157 MiB here
+    import tracemalloc
+
+    xs = np.linspace(-2, 2, 20_000)
+    mu = MeasureSpec.grid(xs, catalog_density("semicircle", (0, 1), xs), norm_tol=1e-4)
+    z = np.linspace(-3, 3, 256) + 0.5j
+    tracemalloc.start()
+    try:
+        g, dg = transforms._cauchy_pair(mu, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(dg))
+    assert peak <= 4 * 2**20
 
 
 def test_moment_representation_has_no_cauchy():
