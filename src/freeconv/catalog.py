@@ -8,8 +8,8 @@ truncated moment sequence, or a truncated free cumulant sequence.
 Catalog moments come as whole tables: one NC recursion per table for the
 laws given by free cumulants (semicircle, Marchenko-Pastur, commutator_ww)
 and closed forms for the rest. Every law's Cauchy transform is a closed
-form too. The adaptive quadrature of both is kept alongside (_law_quad)
-as the tests' reference for them.
+form too. The tests check both against adaptive quadrature of the
+densities, a route this module does not carry.
 Rational parameters give exact rational moments for the laws whose moments
 are rational (semicircle, Marchenko-Pastur, Bernoulli, symmetric beta,
 power beta, chi-squared, the semicircle commutator).
@@ -29,10 +29,6 @@ from . import ncpart
 from .ncpart import SeqN, _is_exact
 
 MOMENT_CAP_CLOSED = 64
-MOMENT_CAP_QUAD = 32
-
-# scipy quad settings of every catalog-law integral, moments and transforms
-_QUAD_SETTINGS = {"epsrel": 1e-10, "epsabs": 1e-13, "limit": 400}
 
 def _exact_or_float(x):
     return Fraction(x) if isinstance(x, int) else x
@@ -319,17 +315,6 @@ def _beta_check(params):
     return None if 0 < a < 1 else f"exponent must lie in (0,1), got {a}"
 
 
-def _beta_substitution(params):
-    # x = u^p with p = 1/(1-a): the Jacobian p u^(p-1) cancels x^(-a) at 0
-    p = 1 / (1 - float(params[0]))
-    return lambda u: (u**p, p * u ** (p - 1)), 0.0, 1.0
-
-
-def _chi_substitution(params):
-    # x = u^2: the Jacobian 2u cancels x^(-1/2) at 0
-    return lambda u: (u * u, 2 * u), 0.0, math.inf
-
-
 def _each_order(moment):
     """The whole-table hook of a law whose closed form gives one order."""
     return lambda params, order: [moment(params, n) for n in range(1, order + 1)]
@@ -349,8 +334,6 @@ class _Law:
     check: callable = _no_check  # params -> what is wrong with them, or None
     default: tuple = ()          # the parameters of a spec that gives none
     atoms: callable = _no_atoms
-    # params -> (u -> (x, dx/du), lo, hi): quadrature runs in u over (lo, hi)
-    substitution: callable | None = None
     # (params, scale^2) -> the catalog spec of (scale X)^2, or None
     square: callable = lambda params, s2: None
     # params -> (drift, variance, jumps) of the free Levy-Khintchine form
@@ -384,10 +367,9 @@ LAWS = {
              square=lambda p, s2: MeasureSpec.from_law("marchenko_pastur", (),
                                                        scale=s2 * p[0] ** 2)),
         _Law("beta_1a", _beta_density, _each_order(_beta_moment), lambda p: (0.0, 1.0),
-             _beta_cauchy, param_names=("a",), check=_beta_check,
-             substitution=_beta_substitution),
+             _beta_cauchy, param_names=("a",), check=_beta_check),
         _Law("chi_squared_1", _chi_density, _each_order(_chi_moment),
-             lambda p: (0.0, math.inf), _chi_cauchy, substitution=_chi_substitution),
+             lambda p: (0.0, math.inf), _chi_cauchy),
         _Law("commutator_ww", _comm_density, _comm_moments,
              lambda p: (-_COMM_EDGE, _COMM_EDGE), _comm_cauchy,
              r_transform=lambda p: (0, 0, ((-1, 1), (1, 1)))),
@@ -609,46 +591,6 @@ def catalog_moments(law: str, params, order: int) -> SeqN:
     if order > MOMENT_CAP_CLOSED:
         raise ValueError(f"catalog_moments capped at order {MOMENT_CAP_CLOSED}")
     return SeqN("moment", spec.moments(params, order))
-
-
-def _law_quad(law: _Law, params, f) -> float:
-    """Integral of f(x, w) over the unshifted law's density, where w is the
-    density times the Jacobian of the law's substitution; 0 without a density.
-
-    A substitution (chi_squared_1 under x = u^2, beta_1a under x = u^{1/(1-a)})
-    tames an endpoint singularity. A support that straddles 0 is split there,
-    which keeps the origin (a kink or an inverse square root) at an interval
-    endpoint where the quadrature handles it.
-    """
-    from scipy.integrate import quad
-
-    if law.density is None:
-        return 0.0
-    if law.substitution is not None:
-        to_x, lo, hi = law.substitution(params)
-        cuts = (lo, hi)
-
-        def g(u):
-            x, jac = to_x(u)
-            return f(x, jac * law.density(params, x))
-    else:
-        lo, hi = law.support(params)
-        cuts = (lo, 0.0, hi) if lo < 0 < hi else (lo, hi)
-        g = lambda x: f(x, law.density(params, x))
-    return sum(quad(g, a, b, **_QUAD_SETTINGS)[0] for a, b in zip(cuts, cuts[1:]))
-
-
-def law_moments_quadrature(law: str, params, order: int) -> SeqN:
-    """Adaptive-quadrature moments, as floats; the validation path for the
-    closed forms, so it never calls them."""
-    if order > MOMENT_CAP_QUAD:
-        raise ValueError(f"quadrature moments capped at order {MOMENT_CAP_QUAD}")
-    spec, params = _law_entry(law, params)
-    out = []
-    for n in range(1, order + 1):
-        atoms = sum(w * loc**n for loc, w in spec.atoms(params))
-        out.append(float(atoms) + _law_quad(spec, params, lambda x, w: x**n * w))
-    return SeqN("moment", out)
 
 
 def moments_of(mu: MeasureSpec, order: int) -> SeqN:

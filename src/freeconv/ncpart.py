@@ -5,7 +5,7 @@ sequence of order N holds the entries for n = 1..N.  Moments and free
 cumulants are linked by one cubic recursion, _nc_kernel.  ``int``/``Fraction``
 inputs run it, and the product DP, exactly in Python ints graded by D^n (D
 the lcm of the denominators); float inputs run it in double precision.  The
-enumeration oracles stay independent of both.
+tests check both against sums over NC(n) enumerated with enumerate_nc.
 """
 
 from __future__ import annotations
@@ -147,56 +147,6 @@ def _nc_blocks(elems: tuple):
                 yield merged + pi
 
 
-def kreweras(p: SetPartition) -> SetPartition:
-    """Kreweras complement on the interleaving 1,1',2,2',...,n,n'.
-
-    i' and j' (i < j) share a block exactly when every block of p meeting
-    the window {i+1,...,j} is contained in it; the relation is transitive,
-    so its classes are the complement's blocks.  |p| + |K(p)| = n + 1.
-    """
-    if not p.is_noncrossing():
-        raise ValueError("Kreweras complement requires a non-crossing partition")
-    n = p.n
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    spans = [(b[0], b[-1]) for b in p.blocks]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lo, hi = i + 1, j
-            ok = True
-            for (bmin, bmax), block in zip(spans, p.blocks):
-                if bmax < lo or bmin > hi:
-                    continue
-                if bmin < lo or bmax > hi:
-                    if any(lo <= e <= hi for e in block):
-                        ok = False
-                        break
-            if ok:
-                parent[find(j)] = find(i)
-    groups = {}
-    for e in range(1, n + 1):
-        groups.setdefault(find(e), []).append(e)
-    return SetPartition(n, tuple(tuple(g) for g in groups.values()))
-
-
-def partition_weight(values, p: SetPartition):
-    """prod over blocks V of values[|V| - 1]; exact for exact inputs."""
-    out = 1
-    for b in p.blocks:
-        if len(b) > len(values):
-            raise ValueError(
-                f"block of size {len(b)} exceeds sequence order {len(values)}"
-            )
-        out = out * values[len(b) - 1]
-    return out
-
-
 def _is_exact(*xs) -> bool:
     return all(isinstance(x, (int, Fraction)) for x in xs)
 
@@ -321,12 +271,6 @@ def square_cumulants(alpha) -> SeqN:
     return SeqN("free_cumulant", _moments_from_free(vals))
 
 
-def moments_from_free_cumulants_reference(kappa, n: int):
-    """Enumeration oracle: sum over NC(n) of kappa_pi.  Test use only."""
-    vals = _values(kappa, "free_cumulant", "reference conversion")
-    return sum(partition_weight(vals, p) for p in enumerate_nc(n))
-
-
 def _alternating_product_moments(ka, kb, order: int) -> tuple:
     """Moments of a free product ab via an interval DP on the word (ab)^N.
 
@@ -334,9 +278,9 @@ def _alternating_product_moments(ka, kb, order: int) -> tuple:
     weighted multiplicatively by the free cumulants of each letter.  Windows
     of the infinite alternating word are translation invariant, so states
     are (starting color, length).  Equivalent to the Kreweras-complement sum
-    sum_{pi in NC(n)} kappa_pi(a) m_{K(pi)}(b); the enumeration form is kept
-    as a test oracle.  Cumulants graded by D_a, D_b give moments graded by
-    D_a D_b.  Returns m_1..m_order and whether any term was summed into each.
+    sum_{pi in NC(n)} kappa_pi(a) m_{K(pi)}(b), which the tests enumerate.
+    Cumulants graded by D_a, D_b give moments graded by D_a D_b.  Returns
+    m_1..m_order and whether any term was summed into each.
     """
     L = 2 * order
     kappa = {0: ka, 1: kb}
@@ -414,21 +358,3 @@ def free_mult_moments(mu_moments, nu_moments, order: int | None = None) -> SeqN:
         Fraction(v, scale**n) if frac and hit else v // scale**n
         for n, (v, hit) in enumerate(zip(vals, hits), start=1)
     ])
-
-
-def free_mult_moments_reference(mu_moments, nu_moments, order: int) -> SeqN:
-    """Kreweras-sum enumeration of the same product moments.  Test oracle."""
-    mv = _values(mu_moments, "moment", "free_mult_moments_reference")
-    nv = _values(nu_moments, "moment", "free_mult_moments_reference")
-    kappa, out = [], []
-    for n in range(1, order + 1):
-        others = (p for p in enumerate_nc(n) if len(p) > 1)   # all but 1_n
-        kappa.append(mv[n - 1] - sum(partition_weight(kappa, p) for p in others))
-        total = 0
-        for p in enumerate_nc(n):
-            total += partition_weight(kappa, p) * partition_weight(
-                nv, kreweras(p)
-            )
-        out.append(total)
-    return SeqN("moment", out)
-

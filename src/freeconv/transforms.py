@@ -365,9 +365,12 @@ def _atomic_cauchy(atoms, z, derivative=False):
     """(G, G') of the atoms at z, with G' = 0 without derivative."""
     import numpy as np
 
-    gaps = [(float(w), z - float(loc)) for loc, w in atoms]
-    dg = sum((-w / d**2 for w, d in gaps), np.zeros_like(z)) if derivative else 0 * z
-    return sum((w / d for w, d in gaps), np.zeros_like(z)), dg
+    # G' = -sum q/d with q = w/d, which never squares d: d^2 overflows
+    # past |z - a| ~ 1e154
+    gaps = [z - float(loc) for loc, _ in atoms]
+    qs = [float(w) / d for (_, w), d in zip(atoms, gaps)]
+    dg = sum((-q / d for q, d in zip(qs, gaps)), np.zeros_like(z)) if derivative else 0 * z
+    return sum(qs, np.zeros_like(z)), dg
 
 
 _GRID_BLOCK = 1 << 14  # most points x knots one block of _grid_cauchy holds
@@ -448,18 +451,6 @@ def _law_cauchy_base(law: str, params, w):
             vals = LAWS[law].cauchy(params, pts)
             out[mask] = np.conj(vals) if conj else vals
     return out
-
-
-def _law_cauchy_quad(spec, params, pts):
-    """Quadrature of the density part of a law's Cauchy transform at pts."""
-    import numpy as np
-
-    vals = np.empty_like(pts)
-    for i, z in enumerate(pts.ravel()):
-        re = catalog._law_quad(spec, params, lambda x, w: (w / (z - x)).real)
-        im = catalog._law_quad(spec, params, lambda x, w: (w / (z - x)).imag)
-        vals.ravel()[i] = re + 1j * im
-    return vals
 
 
 def cauchy(mu: MeasureSpec, z):

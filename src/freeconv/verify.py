@@ -89,61 +89,87 @@ def _w2_equals_m(rng, jobs):
     return _seq_dev(got, want)
 
 
+def _square_product_sides(mu, nu):
+    """Even moments of mu x nu and the moments of mu x mu x nu^2, orders 1..8."""
+    prod = ncpart.free_mult_moments(
+        catalog.moments_of(mu, 16), catalog.moments_of(nu, 16), 16
+    )
+    lhs = SeqN("moment", [prod.at(2 * n) for n in range(1, 9)])
+    rhs = ncpart.free_mult_moments(
+        ncpart.free_mult_moments(
+            catalog.moments_of(mu, 8), catalog.moments_of(mu, 8), 8
+        ),
+        catalog.moments_of(catalog.push_square(nu), 8),
+        8,
+    )
+    return lhs, rhs
+
+
 def _square_product(rng, jobs):
     dev = 0.0
     for _ in range(10):
         mu = _positive_atomic(rng)
         nu = _symmetric_atomic(rng)
-        prod = ncpart.free_mult_moments(
-            catalog.moments_of(mu, 16), catalog.moments_of(nu, 16), 16
-        )
-        lhs = SeqN("moment", [prod.at(2 * n) for n in range(1, 9)])
-        rhs = ncpart.free_mult_moments(
-            ncpart.free_mult_moments(
-                catalog.moments_of(mu, 8), catalog.moments_of(mu, 8), 8
-            ),
-            catalog.moments_of(catalog.push_square(nu), 8),
-            8,
-        )
-        dev = max(dev, _seq_dev(lhs, rhs))
+        dev = max(dev, _seq_dev(*_square_product_sides(mu, nu)))
     return dev
 
 
-def _commutator_mm_cfp(rng, jobs):
+def _commutator_mm_cfp_sides():
+    """Free cumulants of m [] m and of cfp(2, m x b), orders 1..10."""
     box = catalog.free_cumulants_of(conv.commutator(M, M, 20), 10)
     mb = ncpart.free_mult_moments(
         catalog.moments_of(M, 10), catalog.moments_of(B, 10), 10
     )
-    want = idclass.cfp(2, MeasureSpec.from_moments(mb), 10)
-    return _seq_dev(box, want)
+    return box, idclass.cfp(2, MeasureSpec.from_moments(mb), 10)
+
+
+def _commutator_mm_cfp(rng, jobs):
+    return _seq_dev(*_commutator_mm_cfp_sides())
+
+
+def _commutator_square_route_sides(kappa):
+    """Free cumulants of mu [] mu and of (mu^2 x b)^{+2}, orders 1..8, for
+    the mu with free cumulants kappa."""
+    mu = MeasureSpec.from_free_cumulants(kappa)
+    box = catalog.free_cumulants_of(conv.commutator(mu, mu, 16), 8)
+    mu2 = MeasureSpec.from_moments(
+        catalog.moments_of(catalog.push_square(mu, 16), 8)
+    )
+    routed = conv.free_power_fid(conv.free_mult(mu2, B, 8, method="dp"), 2, 8)
+    return box, catalog.free_cumulants_of(routed, 8)
 
 
 def _commutator_square_route(rng, jobs):
     dev = 0.0
     for _ in range(5):
-        kappa = _even_cumulants(rng)
-        mu = MeasureSpec.from_free_cumulants(kappa)
-        box = catalog.free_cumulants_of(conv.commutator(mu, mu, 16), 8)
-        mu2 = MeasureSpec.from_moments(
-            catalog.moments_of(catalog.push_square(mu, 16), 8)
-        )
-        routed = conv.free_power_fid(conv.free_mult(mu2, B, 8, method="dp"), 2, 8)
-        dev = max(dev, _seq_dev(box, catalog.free_cumulants_of(routed, 8)))
+        dev = max(dev, _seq_dev(*_commutator_square_route_sides(_even_cumulants(rng))))
     return dev
 
 
-def _commutator_odd_invariance(rng, jobs):
-    dev = 0.0
-    base = _even_cumulants(rng)
+def _odd_perturbation(rng, base):
+    """base with a random shift added to each odd-order cumulant."""
+    return SeqN("free_cumulant", [
+        v + (_fraction(rng, -2, 2) if n % 2 == 1 else 0)
+        for n, v in enumerate(base.values, 1)
+    ])
+
+
+def _commutator_odd_invariance_sides(base, perturbed):
+    """For each sequence in perturbed, the order-12 commutator of its measure
+    with the measure mu of base, paired with mu [] mu."""
     mu = MeasureSpec.from_free_cumulants(base)
     reference = conv.commutator(mu, mu, 12).seq
-    for _ in range(5):
-        noisy = [
-            v + (_fraction(rng, -2, 2) if n % 2 == 1 else 0)
-            for n, v in enumerate(base.values, 1)
-        ]
-        perturbed = MeasureSpec.from_free_cumulants(SeqN("free_cumulant", noisy))
-        got = conv.commutator(perturbed, mu, 12).seq
+    return [
+        (conv.commutator(MeasureSpec.from_free_cumulants(kappa), mu, 12).seq, reference)
+        for kappa in perturbed
+    ]
+
+
+def _commutator_odd_invariance(rng, jobs):
+    base = _even_cumulants(rng)
+    perturbed = [_odd_perturbation(rng, base) for _ in range(5)]
+    dev = 0.0
+    for got, reference in _commutator_odd_invariance_sides(base, perturbed):
         dev = max(dev, _seq_dev(got, reference))
     return dev
 

@@ -16,17 +16,21 @@ from freeconv import catalog, conv, idclass, ncpart
 from freeconv.catalog import MeasureSpec
 from freeconv.ncpart import SeqN
 from freeconv.verify import (
-    B,
     M,
     W,
     _boolean_free_power_dev,
+    _commutator_mm_cfp_sides,
+    _commutator_odd_invariance_sides,
+    _commutator_square_route_sides,
     _cumulant_inversion_routes,
     _dilation_mult_power_dev,
     _even_cumulants,
     _fraction,
+    _odd_perturbation,
     _positive_atomic,
     _s_product_rule,
     _seq_dev,
+    _square_product_sides,
     _symmetric_atomic,
 )
 
@@ -106,20 +110,8 @@ def test_05_square_of_product():
     rng = random.Random("acceptance:square-product")
     dev = 0.0
     for _ in range(100):
-        mu = _positive_atomic(rng)
-        nu = _symmetric_atomic(rng)
-        prod = ncpart.free_mult_moments(
-            catalog.moments_of(mu, 16), catalog.moments_of(nu, 16), 16
-        )
-        lhs = [prod.at(2 * n) for n in range(1, 9)]
-        rhs = ncpart.free_mult_moments(
-            ncpart.free_mult_moments(
-                catalog.moments_of(mu, 8), catalog.moments_of(mu, 8), 8
-            ),
-            catalog.moments_of(catalog.push_square(nu), 8),
-            8,
-        )
-        if lhs != list(rhs.values):
+        lhs, rhs = _square_product_sides(_positive_atomic(rng), _symmetric_atomic(rng))
+        if lhs.values != rhs.values:
             dev = 1.0
     _report(5, "square_of_product", dev, 0.0, time.perf_counter() - t0, 10)
 
@@ -138,37 +130,19 @@ def test_07_commutator_identities():
     t0 = time.perf_counter()
     dev = 0.0
 
-    box = catalog.free_cumulants_of(conv.commutator(M, M, 20), 10)
-    mb = ncpart.free_mult_moments(
-        catalog.moments_of(M, 10), catalog.moments_of(B, 10), 10
-    )
-    want = idclass.cfp(2, MeasureSpec.from_moments(mb), 10)
+    box, want = _commutator_mm_cfp_sides()
     if box.values != want.values:
         dev = max(dev, _seq_dev(box, want))
 
     rng = random.Random("acceptance:commutator")
     for _ in range(20):
-        kappa = _even_cumulants(rng)
-        mu = MeasureSpec.from_free_cumulants(kappa)
-        lhs = catalog.free_cumulants_of(conv.commutator(mu, mu, 16), 8)
-        mu2 = MeasureSpec.from_moments(
-            catalog.moments_of(catalog.push_square(mu, 16), 8)
-        )
-        routed = conv.free_power_fid(conv.free_mult(mu2, B, 8, method="dp"), 2, 8)
-        rhs = catalog.free_cumulants_of(routed, 8)
+        lhs, rhs = _commutator_square_route_sides(_even_cumulants(rng))
         if lhs.values != rhs.values:
             dev = max(dev, _seq_dev(lhs, rhs))
 
     base = _even_cumulants(rng)
-    mu = MeasureSpec.from_free_cumulants(base)
-    reference = conv.commutator(mu, mu, 12).seq
-    for _ in range(20):
-        noisy = [
-            v + (_fraction(rng, -2, 2) if n % 2 == 1 else 0)
-            for n, v in enumerate(base.values, 1)
-        ]
-        perturbed = MeasureSpec.from_free_cumulants(SeqN("free_cumulant", noisy))
-        got = conv.commutator(perturbed, mu, 12).seq
+    perturbed = [_odd_perturbation(rng, base) for _ in range(20)]
+    for got, reference in _commutator_odd_invariance_sides(base, perturbed):
         if got.values != reference.values:
             dev = max(dev, _seq_dev(got, reference))
 

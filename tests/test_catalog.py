@@ -26,13 +26,13 @@ from freeconv.catalog import (
     density_of,
     dilate,
     free_cumulants_of,
-    law_moments_quadrature,
     moments_of,
     push_square,
     reflect,
     support_of,
     symmetric_sqrt_moments,
 )
+from oracles import law_moments_quadrature
 from spec_ids import describe
 from freeconv.ncpart import SeqN, catalan
 

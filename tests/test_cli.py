@@ -1162,9 +1162,6 @@ def test_star_import_gives_the_public_names():
 
 
 _REPO = pathlib.Path(__file__).resolve().parent.parent
-# second derivations that the tests compare the fast routes against
-_REFERENCE_ORACLES = {"free_mult_moments_reference", "moments_from_free_cumulants_reference",
-                      "law_moments_quadrature"}
 
 
 def _named(node):
@@ -1195,4 +1192,4 @@ def test_every_public_definition_has_a_caller():
                         defined.add(own)
                 named.update(_named(node) - {own})
     exported = {name for names in freeconv._EXPORTS.values() for name in names}
-    assert sorted(defined - named - exported - _REFERENCE_ORACLES) == []
+    assert sorted(defined - named - exported) == []

@@ -1,5 +1,6 @@
 """Formal series algebra, cumulant extraction routes, numeric transforms."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from freeconv.transforms import (
     stieltjes_invert,
     transform_map,
 )
-from oracles import grid_cauchy_reference
+from oracles import grid_cauchy_reference, law_cauchy_quad, law_moments_quadrature
+from test_catalog import QUAD_CASES
 
 # ---------------------------------------------------------------------------
 # FormalSeries algebra
@@ -563,17 +565,31 @@ _DENSITY_LAWS = [
 def test_quad_law_cauchy_bits_pinned(law, params):
     # the quadrature reference, substitutions and split at 0 included, to
     # the bit in both half planes
-    g = transforms._law_cauchy_quad(catalog.LAWS[law], params, np.array(_PIN_POINTS))
+    g = law_cauchy_quad(law, params, np.array(_PIN_POINTS))
     assert [(v.real.hex(), v.imag.hex()) for v in g] == _QUAD_CAUCHY_PINS[law, params]
 
 
 @pytest.mark.parametrize("law,params", _DENSITY_LAWS)
 def test_closed_form_cauchy_matches_quadrature_route(law, params):
-    spec, z = catalog.LAWS[law], np.array(_PIN_POINTS)
-    quad = transforms._law_cauchy_quad(spec, params, z)
-    quad += transforms._atomic_cauchy(spec.atoms(params), z)[0]
+    z = np.array(_PIN_POINTS)
+    quad = law_cauchy_quad(law, params, z)
     closed = cauchy(MeasureSpec.from_law(law, params), z)
     assert np.max(np.abs(closed - quad) / np.abs(quad)) < 1e-12
+
+
+def test_quadrature_oracles_never_call_the_closed_forms(monkeypatch):
+    # with every law's moment table and Cauchy transform refusing, the
+    # quadrature routes still give their moments and their pinned bits
+    def refuse(*args):
+        raise AssertionError("a quadrature oracle called a closed form")
+
+    for name, law in catalog.LAWS.items():
+        monkeypatch.setitem(catalog.LAWS, name, dataclasses.replace(law, moments=refuse, cauchy=refuse))
+    for law, params, order in QUAD_CASES:
+        assert law_moments_quadrature(law, params, order).order == order
+    for law, params in sorted(_QUAD_CAUCHY_PINS):
+        g = law_cauchy_quad(law, params, np.array(_PIN_POINTS))
+        assert [(v.real.hex(), v.imag.hex()) for v in g] == _QUAD_CAUCHY_PINS[law, params]
 
 
 def test_law_cauchy_never_integrates(monkeypatch):
@@ -754,8 +770,7 @@ def _grid_with_atoms(lo, hi, n):
 
 
 @pytest.mark.parametrize("lo, hi, n", [(-2, 2, 601), (0.5, 2.5, 201)])
-@pytest.mark.filterwarnings("ignore:overflow encountered in square")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+@pytest.mark.filterwarnings("error")
 def test_grid_cauchy_matches_complex_division_oracle(lo, hi, n):
     # G and G' in real arithmetic against the sums by complex division, from
     # |z| = 1e-3 to 1e300 in both half planes and just off the axis inside
@@ -766,16 +781,11 @@ def test_grid_cauchy_matches_complex_division_oracle(lo, hi, n):
     z = np.array([r * np.exp(1j * a) for r in sizes for a in angles])
     near = (np.abs(z.imag) < 0.01) & (z.real > lo - 0.3) & (z.real < hi + 0.6)
     z = np.concatenate([z[~near], (lo + hi) / 2 + 0.3 + np.array([0.01j, -0.02j, 0.05j])])
-    # the atoms' own G' overflows in (z - a)^2 past |z| ~ 1e154 on both
-    # routes, so there the grid's part is compared without them
-    bare = MeasureSpec.grid(mu.xs, mu.densities, norm_tol=0.25)
-    everywhere, small = np.ones(z.shape, dtype=bool), np.abs(z) <= 1e150
-    for spec, keep in ((mu, (everywhere, small)), (bare, (everywhere, everywhere))):
-        got = transforms._grid_cauchy(spec, z, derivative=True)
-        want = grid_cauchy_reference(spec, z, derivative=True)
-        for g, w, k in zip(got, want, keep):
-            assert np.all(np.abs(g - w)[k] <= 1e-13 * np.abs(w)[k])
-        assert np.all(got[0] != 0)
+    got = transforms._grid_cauchy(mu, z, derivative=True)
+    want = grid_cauchy_reference(mu, z, derivative=True)
+    for g, w in zip(got, want):
+        assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w))
+    assert np.all(got[0] != 0)
 
 
 def test_grid_cauchy_is_block_independent():
