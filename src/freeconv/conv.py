@@ -4,7 +4,8 @@ Sequence-level operations work on truncated cumulant/moment data and stay
 exact for exact inputs. The density route for additive convolution solves
 the subordination fixed point on a complex grid by Newton's method, with a
 damped Picard step wherever Newton misbehaves, and feeds the subordinated
-transform to Stieltjes inversion.
+transform to Stieltjes inversion. It solves the inversion's three heights
+in turn, each seeded by the solve one height up.
 
 The multiplicative product keeps two independent routes, the alternating
 word recursion (ncpart) and the S-transform series route, and can be asked
@@ -15,6 +16,7 @@ by the same functions and by the series route of the product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -232,31 +234,16 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
     return SubordinationResult(omega, its, float(residual.max()), converged, zarr)
 
 
-def free_add_cauchy(mu: MeasureSpec, nu: MeasureSpec, z, seed=None):
-    """Cauchy transform of the additive convolution via subordination."""
-    import numpy as np
-
+def _boundary_cauchy(mu: MeasureSpec, nu: MeasureSpec, xs):
+    """G of mu plus nu at xs + i h for each height h of transforms._HEIGHTS,
+    in order, and the subordination solves behind it. Each height after the
+    first starts from the solve one height up."""
     from . import transforms
 
-    sub = subordination(mu, nu, z, seed)
-    g = transforms.cauchy(mu, sub.omega)
-    return (g[0] if np.isscalar(z) else g), sub
-
-
-def _continued_cauchy(mu: MeasureSpec, nu: MeasureSpec, solves: list):
-    """G of mu plus nu on 1-d arrays z, for the boundary densities' heights;
-    each solve goes to solves. A call at the previous call's real parts and
-    below its heights is seeded by that solve; any other call solves cold."""
-
-    def g(z):
-        prev = solves[-1] if solves else None
-        lower = prev is not None and prev.z.shape == z.shape and (
-            (prev.z.real == z.real).all() and (z.imag < prev.z.imag).all())
-        value, sub = free_add_cauchy(mu, nu, z, prev if lower else None)
-        solves.append(sub)
-        return value
-
-    return g
+    solves = []
+    for h in transforms._HEIGHTS:
+        solves.append(subordination(mu, nu, xs + 1j * h, solves[-1] if solves else None))
+    return [transforms.cauchy(mu, s.omega) for s in solves], solves
 
 
 @dataclass(frozen=True)
@@ -292,8 +279,9 @@ def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
 
     from . import transforms
 
-    diagnostics = []
-    inv = transforms.stieltjes_invert(_continued_cauchy(mu, nu, diagnostics), xs)
+    xs = np.asarray(xs, dtype=float)
+    values, diagnostics = _boundary_cauchy(mu, nu, xs)
+    inv = transforms._invert(values, xs)
     iters = max(s.iterations for s in diagnostics)
     resid = max(s.max_residual for s in diagnostics)
     conv = min(float(np.mean(s.converged)) for s in diagnostics)
@@ -312,9 +300,8 @@ def density_at_points(mu: MeasureSpec, nu: MeasureSpec, xs):
     from . import transforms
 
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    g = _continued_cauchy(mu, nu, [])
-    d = transforms._boundary_densities(transforms._boundary_values(g, xs))
-    return transforms._richardson(d)
+    values = _boundary_cauchy(mu, nu, xs)[0]
+    return transforms._richardson(transforms._boundary_densities(values))
 
 
 def support_edge(mu: MeasureSpec, nu: MeasureSpec, inner: float, outer: float) -> float:
@@ -323,17 +310,21 @@ def support_edge(mu: MeasureSpec, nu: MeasureSpec, inner: float, outer: float) -
     inner must be a point where the density exceeds _EDGE_THRESHOLD and
     outer one where it falls below; the returned edge is where the
     extrapolated density crosses that level, accurate to _EDGE_XTOL in
-    position. Both bracket ends are checked in one solve, and the bisection
-    evaluates its midpoints in batches (transforms._bisect_edge) with the
-    same edge as one-point bisection.
+    position. Both ends must be finite, and a NaN density at either end
+    straddles nothing. Both bracket ends are checked in one solve, and the
+    bisection evaluates its midpoints in batches (transforms._bisect_edge)
+    with the same edge as one-point bisection.
     """
     from . import transforms
+
+    if not (math.isfinite(inner) and math.isfinite(outer)):
+        raise ValueError(f"bracket ends must be finite, got {inner} and {outer}")
 
     def f(xs):
         return density_at_points(mu, nu, xs) - _EDGE_THRESHOLD
 
     fi, fo = f([inner, outer])
-    if fi <= 0 or fo >= 0:
+    if not (fi > 0 and fo < 0):
         raise ValueError(
             f"bracket does not straddle the edge: d(inner)-t={fi:.2e}, "
             f"d(outer)-t={fo:.2e}"

@@ -13,7 +13,9 @@ an exact semicircular or single-jump cumulant pattern; the atom of
 mu^{boxplus t} comes from the model by rule. Scans and the kurtosis
 statistic are evidence or necessary conditions; regularity proper is
 decided at the representation level (triplet support and drift), never
-from finitely many moments.
+from finitely many moments. The test at the origin (thm110_check) reads
+int dmu/x off the real part of the Cauchy transform on the negative axis,
+in one transforms.cauchy call, with no integrator.
 numpy is imported by the numeric functions only, so the sequence-level
 checks (main3_factor, kurtosis_check, regular forms of atomic triplets)
 never load it.
@@ -677,8 +679,9 @@ def positivity_scan(
     point is solved independently, so a scan equals the scans of its t
     values one by one. jobs is ignored; it stays because perfbench's scans
     pass it.
-    ts must not be empty: no scanned point is no evidence. threshold and
-    edge_tol must be finite and positive, and grid_points at least 2.
+    ts must not be empty: no scanned point is no evidence. The times,
+    threshold and edge_tol must be finite and positive, and grid_points at
+    least 2.
     """
     for name, value in (("threshold", threshold), ("edge_tol", edge_tol)):
         if not (math.isfinite(value) and value > 0):
@@ -686,8 +689,8 @@ def positivity_scan(
     ts = [float(t) for t in ts]
     if not ts:
         raise ValueError("scan needs at least one time")
-    if any(t <= 0 for t in ts):
-        raise ValueError("scan times must be positive")
+    if not all(math.isfinite(t) and t > 0 for t in ts):
+        raise ValueError(f"scan times must be finite and positive, got {ts}")
     if grid_points < 2:
         raise ValueError(f"scan needs at least 2 grid points, got {grid_points}")
     size = max(1, _SCAN_POINTS // grid_points)
@@ -712,16 +715,22 @@ class Thm110Result:
 def thm110_check(mu: MeasureSpec) -> Thm110Result:
     """Classify a positive FID measure by its behavior at 0.
 
-    Mass at 0 or a divergent int_0^1 dmu(x)/x certifies free regularity;
-    the divergence is probed through dyadic shells s_k = int over
-    [2^-(k+1), 2^-k] of dmu/x, for k from _SHELL_K_MIN to _SHELL_K_MAX.
-    Growing or flat shell sums (tail ratio >= 0.95) indicate divergence;
-    decisively shrinking ones (<= 0.8) convergence; anything between is
-    reported as inconclusive rather than guessed. The criterion is
-    one-directional: a convergent integral implies nothing, so those
-    verdicts carry regular = None.
+    Mass at 0 or a divergent int_0^1 dmu(x)/x certifies free regularity.
+    For y > 0, -G(-y) = int dmu(x)/(x + y) grows to int dmu/x as y -> 0.
+    One transforms.cauchy call takes it at y = 2^-k, k from _SHELL_K_MIN to
+    _SHELL_K_MAX + 1; the atoms off 0, which add a finite amount, are
+    removed exactly. The shells are the increments of what is left from
+    2^-k to 2^-(k+1): they weigh dmu(x) by (y/2)/((x + y/2)(x + y)), which
+    peaks at x ~ y, so their ratios follow the density's power law at 0.
+    Growing or flat shells (tail ratio >= 0.95) indicate divergence;
+    decisively shrinking ones (<= 0.8) convergence; anything between, or
+    fewer than two shells, is reported as inconclusive rather than
+    guessed. The criterion is one-directional: a convergent integral
+    implies nothing, so those verdicts carry regular = None.
     """
     import numpy as np
+
+    from . import transforms
 
     mass0 = mu.mass_at_zero
     if mass0 is None:
@@ -730,45 +739,34 @@ def thm110_check(mu: MeasureSpec) -> Thm110Result:
         raise ValueError("measure must live on [0, oo)")
     if mass0 > 0:
         return Thm110Result("atom_at_zero", True, (), ())
-    atoms = catalog.atoms_of(mu)
-
-    def density_part(lo, hi):
-        # int over [lo, hi] of the density over x
-        if mu.kind == "law":
-            from scipy.integrate import quad
-
-            return quad(lambda x: catalog.density_of(mu, x) / x, lo, hi, limit=100)[0]
-        if mu.kind == "grid":
-            pts = np.linspace(lo, hi, 65)
-            return float(np.trapezoid(catalog.density_of(mu, pts) / pts, pts))
-        return 0.0
-
-    def shell(k):
-        lo, hi = 2.0 ** -(k + 1), 2.0**-k
-        total = 0.0
-        for loc, wgt in atoms:
-            if lo < loc <= hi:
-                total += float(wgt) / float(loc)
-        return total + density_part(lo, hi)
 
     k_max = _SHELL_K_MAX
     if mu.kind == "grid":
-        # shells narrower than the grid spacing carry no information
-        spacing = min(b - a for a, b in zip(mu.xs, mu.xs[1:]))
-        while k_max > _SHELL_K_MIN and 2.0 ** -(k_max + 1) < 4 * spacing:
+        # shells narrower than the grid spacing carry no information; the
+        # largest spacing is also the step of the grid kernel's refusal near
+        # its real axis, so every y probed stays clear of it
+        spacing = float(np.max(np.diff(mu.xs)))
+        while k_max >= _SHELL_K_MIN and 2.0 ** -(k_max + 1) < 4 * spacing:
             k_max -= 1
-
-    shells = [shell(k) for k in range(_SHELL_K_MIN, k_max + 1)]
+    if k_max <= _SHELL_K_MIN:  # one shell at most: no ratio to judge
+        return Thm110Result("inconclusive", None, (), ())
+    z = -(2.0 ** -np.arange(_SHELL_K_MIN, k_max + 2)) + 0j
+    # only Re G is read: cauchy is defined off the real axis, and on it the
+    # quarter circle's closed form gives a wrong Im G. An atomic spec's G is
+    # the atoms' own sum, so its shells are exact zeros
+    atoms = transforms._atomic_cauchy(catalog.atoms_of(mu), z)[0]
+    s = (atoms - transforms.cauchy(mu, z)).real
+    shells = (s[1:] - s[:-1]).tolist()
     floor = 1e-300
-    if all(s <= floor for s in shells[-4:]):
-        return Thm110Result(
-            "integral_convergent", None, tuple(shells), ()
-        )
+    if all(v <= floor for v in shells[-4:]):
+        return Thm110Result("integral_convergent", None, tuple(shells), ())
     ratios = [
         b / a for a, b in zip(shells, shells[1:]) if a > floor and b > floor
     ]
     tail = ratios[-4:]
-    score = float(np.median(tail)) if tail else 0.0
+    if not tail:
+        return Thm110Result("inconclusive", None, tuple(shells), ())
+    score = float(np.median(tail))
     if score >= 0.95:
         return Thm110Result("integral_divergent", True, tuple(shells), tuple(ratios))
     if score <= 0.8:

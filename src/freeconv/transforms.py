@@ -649,7 +649,7 @@ _ATOM_MASS_TOL = 1e-3
 _ATOM_RATIO = 0.6
 
 
-def stieltjes_invert(g, xs, renormalize: bool = True) -> InversionResult:
+def stieltjes_invert(g, xs) -> InversionResult:
     """Recover a density on xs from a Cauchy transform g.
 
     Evaluates -Im g(x + i h)/pi at the _HEIGHTS h = eps, eps/2, eps/4 and
@@ -662,8 +662,15 @@ def stieltjes_invert(g, xs, renormalize: bool = True) -> InversionResult:
     import numpy as np
 
     xs = np.asarray(xs, dtype=float)
+    return _invert(_boundary_values(g, xs), xs)
+
+
+def _invert(values, xs) -> InversionResult:
+    """stieltjes_invert from the values of g at xs + i h, one array per
+    height h of _HEIGHTS, in order, on the float array xs."""
+    import numpy as np
+
     warnings = []
-    values = _boundary_values(g, xs)
     d = _boundary_densities(values)
     density = _richardson(d)
 
@@ -705,20 +712,19 @@ def stieltjes_invert(g, xs, renormalize: bool = True) -> InversionResult:
     density = np.clip(density, 0.0, None)
 
     renorm = 1.0
-    if renormalize:
-        target = 1.0 - sum(w for _, w in atoms)
-        got = float(np.trapezoid(density, xs))
-        if got > 0 and target > 0:
-            factor = target / got
-            # a small factor corrects quadrature drift; a large one means
-            # the grid missed mass (uncovered support, unresolved edge
-            # spike) and scaling would corrupt the resolved interior
-            if abs(factor - 1) <= 5e-3:
-                renorm = factor
-                density = density * renorm
-            else:
-                warnings.append(
-                    f"grid mass {got:.4f} vs target {target:.4f}; "
-                    "renormalization skipped, grid may not resolve the support"
-                )
+    target = 1.0 - sum(w for _, w in atoms)
+    got = float(np.trapezoid(density, xs))
+    if got > 0 and target > 0:
+        factor = target / got
+        # a small factor corrects quadrature drift; a large one means
+        # the grid missed mass (uncovered support, unresolved edge
+        # spike) and scaling would corrupt the resolved interior
+        if abs(factor - 1) <= 5e-3:
+            renorm = factor
+            density = density * renorm
+        else:
+            warnings.append(
+                f"grid mass {got:.4f} vs target {target:.4f}; "
+                "renormalization skipped, grid may not resolve the support"
+            )
     return InversionResult(xs, density, tuple(atoms), renorm, worst, tuple(warnings))

@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from freeconv import catalog, conv, idclass, ncpart
 from freeconv.catalog import MeasureSpec
 from freeconv.ncpart import SeqN
@@ -19,19 +17,23 @@ from freeconv.verify import (
     M,
     W,
     _boolean_free_power_dev,
+    _cfp_regular_form,
     _commutator_mm_cfp_sides,
     _commutator_odd_invariance_sides,
     _commutator_square_route_sides,
+    _commutator_ww_density,
     _cumulant_inversion_routes,
     _dilation_mult_power_dev,
     _even_cumulants,
     _fraction,
     _odd_perturbation,
     _positive_atomic,
+    _quarter_circle_kurtosis,
     _s_product_rule,
     _seq_dev,
     _square_product_sides,
     _symmetric_atomic,
+    _wplus_regular_form,
 )
 
 
@@ -47,23 +49,13 @@ def _report(num, name, dev, tol, elapsed, budget):
 
 def test_01_quarter_circle_kurtosis():
     t0 = time.perf_counter()
-    dev = 0.0
-    for sigma in (0.5, 1, 2):
-        res = idclass.kurtosis_check(
-            MeasureSpec.from_law("quarter_circle", (sigma,))
-        )
-        dev = max(dev, abs(float(res.value) - (-0.0233443)))
+    dev = _quarter_circle_kurtosis(None, 1)
     _report(1, "quarter_circle_kurtosis", dev, 1e-6, time.perf_counter() - t0, 1)
 
 
 def test_02_free_difference_density_and_edge():
     t0 = time.perf_counter()
-    xs = np.linspace(-3.6, 3.6, 361)
-    result = conv.free_add_density(M, catalog.reflect(M), xs)
-    want = catalog.catalog_density("commutator_ww", (), xs)
-    window = np.abs(xs) <= 2.2
-    dev = float(np.max(np.abs(result.density - want)[window]))
-
+    dev = _commutator_ww_density(None, 1)
     edge = conv.support_edge(M, catalog.reflect(M), 3.0, 3.8)
     target = math.sqrt((11 + 5 * math.sqrt(5)) / 2)
     assert abs(edge - target) <= 5e-2, f"edge {edge} vs {target}"
@@ -151,18 +143,7 @@ def test_07_commutator_identities():
 
 def test_08_regular_form_and_scan_edges():
     t0 = time.perf_counter()
-    dev = 1.0
-    try:
-        idclass.to_regular_form(idclass.FreeTriplet(2, 1))
-    except ValueError as exc:
-        if "semicircular part" in str(exc):
-            dev = 0.0
-
-    rho = MeasureSpec.atomic([(Fraction(1, 2), Fraction(2, 5)), (3, Fraction(3, 5))])
-    form = idclass.cfp_regular_form(Fraction(3, 2), rho)
-    if not (form.drift == 0 and form.is_free_regular):
-        dev = max(dev, 1.0)
-
+    dev = max(_wplus_regular_form(None, 1), _cfp_regular_form(None, 1))
     scan = idclass.positivity_scan(
         idclass.RModel.semicircle(2, 1), [0.25, 0.5, 1, 2]
     )

@@ -222,7 +222,8 @@ def _grid_semicircle():
 
 def test_subordination_semicircle_sum():
     z = np.array([0.3 + 0.01j, -1.5 + 0.1j, 2.0 + 1.0j, 5 + 2j])
-    g, sub = conv.free_add_cauchy(W, W, z)
+    sub = conv.subordination(W, W, z)
+    g = transforms.cauchy(W, sub.omega)
     ref = transforms.cauchy(MeasureSpec.from_law("semicircle", (0, 2)), z)
     assert sub.converged.all()
     assert np.max(np.abs(g - ref)) < 1e-9
@@ -232,7 +233,8 @@ def test_subordination_semicircle_sum():
 def test_subordination_point_mass_shift():
     delta = atomic_from([F(3, 2)])
     z = np.array([0.2 + 0.05j, 4 + 1j])
-    g, sub = conv.free_add_cauchy(delta, W, z)
+    sub = conv.subordination(delta, W, z)
+    g = transforms.cauchy(delta, sub.omega)
     ref = transforms.cauchy(W, z - 1.5)
     assert np.max(np.abs(g - ref)) < 1e-9
     assert sub.converged.all()
@@ -291,6 +293,21 @@ def test_support_edge_rejects_bad_bracket():
         conv.support_edge(W, W, inner=4.0, outer=5.0)
 
 
+@pytest.mark.parametrize("inner, outer", [(2.0, math.inf), (math.nan, 3.2), (-math.inf, 3.2)])
+def test_support_edge_refuses_nonfinite_ends_before_any_solve(monkeypatch, inner, outer):
+    # an infinite outer end never narrowed: the bisection ran without end
+    monkeypatch.setattr(conv, "density_at_points", None)
+    with pytest.raises(ValueError, match="bracket ends must be finite"):
+        conv.support_edge(W, W, inner, outer)
+
+
+@pytest.mark.parametrize("ends", [(math.nan, 0.0), (1.0, math.nan)])
+def test_support_edge_nan_density_straddles_nothing(monkeypatch, ends):
+    monkeypatch.setattr(conv, "density_at_points", lambda mu, nu, xs: np.array(ends))
+    with pytest.raises(ValueError, match="does not straddle"):
+        conv.support_edge(W, W, 2.0, 3.2)
+
+
 @pytest.mark.parametrize(
     "mu, nu, lo, hi",
     [
@@ -341,7 +358,8 @@ def test_semicircle_sum_density_pinned():
 @pytest.mark.parametrize("h", transforms._HEIGHTS)
 def test_subordinated_semicircle_sum_matches_closed_form(h):
     z = np.linspace(-3.2, 3.2, 321) + 1j * h
-    g, sub = conv.free_add_cauchy(W, W, z)
+    sub = conv.subordination(W, W, z)
+    g = transforms.cauchy(W, sub.omega)
     ref = transforms.cauchy(MeasureSpec.from_law("semicircle", (0, 2)), z)
     assert sub.converged.all()
     assert np.max(np.abs(g - ref)) < 1e-13
@@ -423,30 +441,13 @@ def test_unconverged_point_is_solved_cold_one_height_down(monkeypatch):
     # cold (the same omega as an unseeded solve) and the others are seeded
     monkeypatch.setattr(conv, "_SUB_MAX_ITER", 7)
     xs = np.linspace(-3.2, 3.2, 321)
-    solves = []
-    g = conv._continued_cauchy(W, W, solves)
-    g(xs + 1j * transforms._HEIGHTS[0])
-    g(xs + 1j * transforms._HEIGHTS[1])
-    upper, lower = solves
+    upper, lower, _ = conv._boundary_cauchy(W, W, xs)[1]
     cold = conv.subordination(W, W, lower.z)
     short = ~upper.converged
     assert 0 < short.sum() < short.size
     assert lower.omega[short].tobytes() == cold.omega[short].tobytes()
     assert lower.converged[~short].all()
     assert not np.array_equal(lower.omega[~short], cold.omega[~short])
-
-
-def test_only_a_lower_call_at_the_same_points_is_seeded():
-    # the first call, a higher one, other real parts and the same height all
-    # solve cold, bit for bit; a lower call at the same real parts does not
-    xs = np.linspace(-3.2, 3.2, 41)
-    solves = []
-    g = conv._continued_cauchy(W, W, solves)
-    for z in (xs + 0.01j, xs + 0.02j, xs[::-1] + 0.01j, xs + 0.005j, xs + 0.005j):
-        g(z)
-        assert solves[-1].omega.tobytes() == conv.subordination(W, W, z).omega.tobytes()
-    g(xs + 0.001j)
-    assert solves[-1].omega.tobytes() != conv.subordination(W, W, xs + 0.001j).omega.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -585,6 +585,12 @@ class TestPositivityScan:
         with pytest.raises(ValueError, match="positive"):
             idclass.positivity_scan(RModel.free_poisson(1), [0.5, -1])
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_nonfinite_times(self, monkeypatch, t):
+        monkeypatch.setattr(idclass, "_scan_group", None)  # fails before any solve
+        with pytest.raises(ValueError, match="times must be finite and positive"):
+            idclass.positivity_scan(RModel.free_poisson(1), [0.5, t])
+
     @pytest.mark.parametrize("points", [-5, 0, 1])
     def test_rejects_fewer_than_two_grid_points(self, monkeypatch, points):
         monkeypatch.setattr(idclass, "_scan_group", None)  # fails before any solve
@@ -628,6 +634,11 @@ class TestThm110:
         res = idclass.thm110_check(MeasureSpec.atomic([(F(1, 2), 1)]))
         assert res.condition == "integral_convergent"
         assert res.regular is None
+        # the atoms' G is removed by the kernel that computed it: exact zeros
+        mu = MeasureSpec.atomic([(1e-6, F(1, 3)), (F(1, 7), F(1, 3)), (2, F(1, 3))])
+        res = idclass.thm110_check(mu)
+        assert res.condition == "integral_convergent"
+        assert res.shells and set(res.shells) == {0.0}
 
     def test_rejects_negative_support(self):
         with pytest.raises(ValueError, match=r"\[0, oo\)"):
@@ -656,6 +667,33 @@ class TestThm110:
         mu = MeasureSpec.grid(xs, dens)
         res = idclass.thm110_check(mu)
         assert res.condition == "integral_divergent"
+
+    @pytest.mark.parametrize("n", [5, 17])
+    def test_coarse_grid_is_inconclusive(self, n):
+        # density 1/2 at 0, so int dmu/x diverges; shells no narrower than
+        # four spacings leave no ratio to judge, which is no evidence
+        res = idclass.thm110_check(MeasureSpec.grid(np.linspace(0, 2, n), [0.5] * n))
+        assert res.condition == "inconclusive"
+        assert res.regular is None and res.ratios == ()
+
+    @pytest.mark.parametrize(
+        "mu, condition",
+        [
+            (MeasureSpec.atomic([(F(1, 2), F(1, 2)), (F(1, 5), F(1, 2))]), "integral_convergent"),
+            (MeasureSpec.grid(np.linspace(0, 2, 401), [0.5] * 401), "integral_divergent"),
+            (M, "integral_divergent"),
+            (WPLUS, "integral_convergent"),
+        ],
+        ids=["atomic", "grid", "law", "law_off_zero"],
+    )
+    def test_thm110_never_integrates(self, monkeypatch, mu, condition):
+        import scipy.integrate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("thm110_check called quad")
+
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
+        assert idclass.thm110_check(mu).condition == condition
 
 
 # ---------------------------------------------------------------------------
