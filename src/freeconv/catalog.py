@@ -179,7 +179,12 @@ def _qc_cauchy(params, z):
     rn, wn = r[~far], w[~far]
     up, down = rn + 2j, rn - 2j
     rho = np.where(np.abs(up) >= np.abs(down), (up / wn) ** 2, (wn / down) ** 2)
-    odd[~far] = 4 + 1j * rn * np.log(rho)
+    log = np.log(rho)
+    # on the axis over (-2, 0) rho is real and negative, and the limit from
+    # above, where G is real, takes arg rho = -pi, whatever the sign of zero
+    cut = (wn.imag == 0) & (wn.real > -2) & (wn.real < 0)
+    log[cut] = log[cut].real - 1j * np.pi
+    odd[~far] = 4 + 1j * rn * log
     return (2 / (w + r) + odd / (2 * math.pi)) / sigma
 
 

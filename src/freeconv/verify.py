@@ -3,7 +3,8 @@
 Every check computes a deviation and compares it against a fixed
 tolerance; randomized checks draw from a per-check generator seeded by
 (seed, check name), so a report depends only on the seed, never on
-execution order.
+execution order. numpy is imported by the three density checks only, so
+the identities suite never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from . import DEFAULT_SEED, SUITES, catalog, conv, idclass, ncpart, transforms
 from .catalog import MeasureSpec
@@ -247,36 +246,44 @@ def _cumulant_inversion_routes(rng, jobs):
     return dev
 
 
+def _round_trip_dev(m):
+    """Deviation of the moments m from their two cumulant round trips."""
+    back_free = ncpart.moments_from_free_cumulants(
+        ncpart.free_cumulants_from_moments(m)
+    )
+    back_bool = ncpart.moments_from_boolean_cumulants(
+        ncpart.boolean_cumulants_from_moments(m)
+    )
+    return max(_seq_dev(back_free, m), _seq_dev(back_bool, m))
+
+
 def _round_trips(rng, jobs):
     dev = 0.0
     for _ in range(40):
         vals = [_fraction(rng, -2, 2) for _ in range(rng.randint(1, 10))]
-        m = SeqN("moment", vals)
-        back_free = ncpart.moments_from_free_cumulants(
-            ncpart.free_cumulants_from_moments(m)
-        )
-        back_bool = ncpart.moments_from_boolean_cumulants(
-            ncpart.boolean_cumulants_from_moments(m)
-        )
-        dev = max(dev, _seq_dev(back_free, m), _seq_dev(back_bool, m))
+        dev = max(dev, _round_trip_dev(SeqN("moment", vals)))
     return dev
+
+
+def _random_triplet(rng):
+    """A triplet with no semicircular part and 0-3 exact jumps in (0, 3]."""
+    atoms = {}
+    for _ in range(rng.randint(0, 3)):
+        loc = _fraction(rng, 1, 36) / 12
+        atoms[loc] = atoms.get(loc, 0) + _fraction(rng, 1, 24) / 12
+    levy = idclass.LevyMeasure(atoms=tuple(atoms.items()))
+    return idclass.FreeTriplet(_fraction(rng, -3, 3), 0, levy)
+
+
+def _triplet_round_trip_dev(triplet):
+    """0 if the triplet round-trips exactly through its regular form, else 1."""
+    form = idclass.to_regular_form(triplet)
+    back = idclass.from_regular_form(form)
+    return 0.0 if back == triplet and idclass.to_regular_form(back) == form else 1.0
 
 
 def _triplet_round_trip(rng, jobs):
-    dev = 0.0
-    for _ in range(20):
-        atoms = {}
-        for _ in range(rng.randint(0, 3)):
-            loc = _fraction(rng, 1, 36) / 12
-            atoms[loc] = atoms.get(loc, 0) + _fraction(rng, 1, 24) / 12
-        levy = idclass.LevyMeasure(atoms=tuple(atoms.items()))
-        triplet = idclass.FreeTriplet(_fraction(rng, -3, 3), 0, levy)
-        form = idclass.to_regular_form(triplet)
-        if idclass.from_regular_form(form) != triplet:
-            dev = max(dev, 1.0)
-        if idclass.to_regular_form(idclass.from_regular_form(form)) != form:
-            dev = max(dev, 1.0)
-    return dev
+    return max(_triplet_round_trip_dev(_random_triplet(rng)) for _ in range(20))
 
 
 def _main3_dev(kappa):
@@ -292,20 +299,25 @@ def _main3_dev(kappa):
     return _seq_dev(lhs, rhs)
 
 
+def _main3_cfp_dev(lam, nu):
+    """The halved factor of cfp(lam, nu) against cfp(lam, nu^2); _main3_dev."""
+    kappa = idclass.cfp(lam, nu, 16)
+    sigma = idclass.main3_factor(kappa)
+    expected = idclass.cfp(lam, catalog.push_square(nu), 8)
+    return max(_seq_dev(sigma, expected), _main3_dev(kappa))
+
+
 def _main3_factorization(rng, jobs):
     dev = 0.0
     for _ in range(10):
         lam = _fraction(rng, 1, 36) / 12
-        nu = _symmetric_atomic(rng)
-        kappa = idclass.cfp(lam, nu, 16)
-        sigma = idclass.main3_factor(kappa)
-        expected = idclass.cfp(lam, catalog.push_square(nu), 8)
-        dev = max(dev, _seq_dev(sigma, expected))
-        dev = max(dev, _main3_dev(kappa))
+        dev = max(dev, _main3_cfp_dev(lam, _symmetric_atomic(rng)))
     return dev
 
 
 def _commutator_ww_density(rng, jobs):
+    import numpy as np
+
     # grid covers the support (edges near +-3.3302) so renormalization is
     # meaningful; accuracy is judged on the inner window
     xs = np.linspace(-3.6, 3.6, 361)
@@ -316,6 +328,8 @@ def _commutator_ww_density(rng, jobs):
 
 
 def _semicircle_add_density(rng, jobs):
+    import numpy as np
+
     edge = 2 * math.sqrt(2)
     xs = np.linspace(-3.2, 3.2, 321)
     result = conv.free_add_density(W, W, xs)
@@ -325,6 +339,8 @@ def _semicircle_add_density(rng, jobs):
 
 
 def _stieltjes_inversion_mp(rng, jobs):
+    import numpy as np
+
     xs = np.linspace(-0.4, 4.4, 481)
     inv = transforms.stieltjes_invert(lambda z: transforms.cauchy(M, z), xs)
     want = catalog.catalog_density("marchenko_pastur", (1,), xs)

@@ -4,14 +4,16 @@ Each is a second derivation of something freeconv computes another way:
 adaptive quadrature of a catalog law's density for its moment table and
 Cauchy transform, the Kreweras-complement and NC(n) enumeration sums for
 the moment-cumulant recursion and the product DP (Nica-Speicher, Lectures
-on the Combinatorics of Free Probability, Lect. 9 and 14), and the grid
-Cauchy transform by complex division.
+on the Combinatorics of Free Probability, Lect. 9 and 14), the grid
+Cauchy transform by complex division, and adaptive quadrature of the free
+Meixner Levy measure's integrals.
 """
 
 import math
+import warnings
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from freeconv import catalog, transforms
 from freeconv.ncpart import SeqN, SetPartition, _values, enumerate_nc
@@ -109,6 +111,74 @@ def grid_cauchy_reference(mu, z, derivative=False):
         if derivative:
             out[1, start : start + 512] = -np.divide(terms, gaps, out=terms).sum(axis=-1)
     return out.reshape(2, *z.shape) + transforms._atomic_cauchy(mu.atoms, z, derivative)
+
+
+# ---------------------------------------------------------------------------
+# free Meixner Levy measures by quadrature
+
+
+def levy_meixner_quadrature(a, b, c):
+    """(int min(1,x) dnu, total mass) of the Levy density
+    c sqrt(4b - (x-a)^2) / (pi x^2) by adaptive quadrature, inf where
+    divergent; never calls idclass.levy_meixner's closed forms."""
+    a, b, c = float(a), float(b), float(c)
+    lo, hi = a - 2 * math.sqrt(b), a + 2 * math.sqrt(b)
+
+    def density(x):
+        inside = 4 * b - (x - a) ** 2
+        if inside <= 0 or x == 0:
+            return 0.0
+        return c * math.sqrt(inside) / (math.pi * x * x)
+
+    min1 = _quad_weighted(density, lambda t: min(1, t) if t > 0 else 0, lo, hi)
+    return min1, _quad_weighted(density, lambda t: 1, lo, hi)
+
+
+def _quad_weighted(fn, weight, lo, hi):
+    """Integrate weight*fn over (lo,hi), splitting at -1, 0, 1.
+
+    Divergence at 0 is probed by a local power fit before handing the
+    panel to quad, whose error estimate can be fooled by nonintegrable
+    endpoint singularities; anything divergent comes back as inf.
+    """
+    cuts = sorted({float(lo), float(hi)} | {p for p in (-1.0, 0.0, 1.0)
+                                            if lo < p < hi})
+
+    def g(x):
+        return weight(x) * fn(x)
+
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for a, b in zip(cuts, cuts[1:]):
+            if a == 0.0 and _diverges_at_zero(g, +1, b - a):
+                return math.inf
+            if b == 0.0 and _diverges_at_zero(g, -1, b - a):
+                return math.inf
+            val, err = quad(g, a, b, limit=200)
+            if not math.isfinite(val) or err > max(1e-8, 1e-6 * abs(val)):
+                return math.inf
+            total += val
+    return total
+
+
+def _diverges_at_zero(g, direction, width) -> bool:
+    """Whether g(x) ~ C |x|^{-p} with p >= 1 as x -> 0 from one side."""
+    es = [min(width, 1.0) * 10.0 ** (-k) for k in (3, 5, 7)]
+    vals = []
+    for e in es:
+        v = abs(g(direction * e))
+        if not math.isfinite(v):
+            return True
+        vals.append(v)
+    if vals[-1] <= 1e-300:
+        return False
+    powers = [
+        math.log(v2 / v1) / math.log(e1 / e2)
+        for v1, v2, e1, e2 in zip(vals, vals[1:], es, es[1:])
+        if v1 > 0
+    ]
+    return bool(powers) and min(powers) >= 1 - 1e-6
 
 
 # ---------------------------------------------------------------------------

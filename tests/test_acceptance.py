@@ -10,8 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from freeconv import catalog, conv, idclass, ncpart
-from freeconv.catalog import MeasureSpec
+from freeconv import catalog, conv, idclass
 from freeconv.ncpart import SeqN
 from freeconv.verify import (
     M,
@@ -26,13 +25,18 @@ from freeconv.verify import (
     _dilation_mult_power_dev,
     _even_cumulants,
     _fraction,
+    _main3_cfp_dev,
     _odd_perturbation,
     _positive_atomic,
     _quarter_circle_kurtosis,
+    _random_triplet,
+    _round_trip_dev,
     _s_product_rule,
     _seq_dev,
     _square_product_sides,
     _symmetric_atomic,
+    _triplet_round_trip_dev,
+    _w2_equals_m,
     _wplus_regular_form,
 )
 
@@ -64,12 +68,9 @@ def test_02_free_difference_density_and_edge():
 
 
 def test_03_semicircle_square_moments():
+    # exact moments of w^2 against those of m, the Catalan numbers
     t0 = time.perf_counter()
-    got = catalog.moments_of(catalog.push_square(W), 10)
-    dev = 0.0
-    for n in range(1, 11):
-        if got.at(n) != ncpart.catalan(n):
-            dev = 1.0
+    dev = _w2_equals_m(None, 1)
     _report(3, "square_of_semicircle", dev, 0.0, time.perf_counter() - t0, 1)
 
 
@@ -79,20 +80,7 @@ def test_04_symmetric_cfp_factorization():
     dev = 0.0
     for _ in range(50):
         lam = Fraction(rng.randint(1, 36), 12)
-        rho = _symmetric_atomic(rng)
-        kappa = idclass.cfp(lam, rho, 16)
-        sigma = idclass.main3_factor(kappa)
-        expected = idclass.cfp(lam, catalog.push_square(rho), 8)
-        if sigma.values != expected.values:
-            dev = max(dev, _seq_dev(sigma, expected))
-        mu2 = catalog.moments_of(
-            catalog.push_square(MeasureSpec.from_free_cumulants(kappa), 16), 8
-        )
-        routed = catalog.moments_of(
-            conv.free_mult(M, MeasureSpec.from_free_cumulants(sigma), 8), 8
-        )
-        if mu2.values != routed.values:
-            dev = max(dev, _seq_dev(mu2, routed))
+        dev = max(dev, _main3_cfp_dev(lam, _symmetric_atomic(rng)))
     _report(4, "symmetric_cfp_factorization", dev, 0.0,
             time.perf_counter() - t0, 10)
 
@@ -183,27 +171,10 @@ def test_10_conversion_round_trips():
                 sum(w / tot * loc**k for loc, w in zip(locs, ws))
                 for k in range(1, 11)
             ]
-        m = SeqN("moment", vals)
-        back_free = ncpart.moments_from_free_cumulants(
-            ncpart.free_cumulants_from_moments(m)
-        )
-        back_bool = ncpart.moments_from_boolean_cumulants(
-            ncpart.boolean_cumulants_from_moments(m)
-        )
-        dev = max(dev, _seq_dev(back_free, m), _seq_dev(back_bool, m))
+        dev = max(dev, _round_trip_dev(SeqN("moment", vals)))
 
     for _ in range(25):
-        atoms = {}
-        for _ in range(rng.randint(0, 3)):
-            loc = _fraction(rng, 1, 36) / 12
-            atoms[loc] = atoms.get(loc, 0) + _fraction(rng, 1, 24) / 12
-        levy = idclass.LevyMeasure(atoms=tuple(atoms.items()))
-        triplet = idclass.FreeTriplet(_fraction(rng, -3, 3), 0, levy)
-        form = idclass.to_regular_form(triplet)
-        if idclass.from_regular_form(form) != triplet:
-            dev = max(dev, 1.0)
-        if idclass.to_regular_form(idclass.from_regular_form(form)) != form:
-            dev = max(dev, 1.0)
+        dev = max(dev, _triplet_round_trip_dev(_random_triplet(rng)))
 
     _report(10, "conversion_round_trips", dev, 1e-12,
             time.perf_counter() - t0, 5)

@@ -1129,6 +1129,50 @@ def test_sequence_subcommands_leave_numpy_unloaded(case):
     assert json.loads(result.stdout) == [0, False, modules]
 
 
+def _loaded_after(code):
+    """Run code in a fresh interpreter; return its stdout lines, whether it
+    left numpy loaded, and the scipy modules it left loaded."""
+    code += (
+        "\nimport sys\n"
+        "print(json.dumps(['numpy' in sys.modules,"
+        " sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", "import json\n" + code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    *out, loaded = result.stdout.splitlines()
+    return out, json.loads(loaded)
+
+
+_VERIFY = (
+    "import contextlib, io\n"
+    "from freeconv import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main({argv!r})\n"
+    "print(code)\n"
+)
+
+
+def test_verify_identities_leaves_numpy_unloaded():
+    # only the density checks use numpy
+    out, (numpy, scipy) = _loaded_after(_VERIFY.format(argv=["verify", "--suite", "identities"]))
+    assert out == ["0"] and not numpy and scipy == []
+
+
+def test_verify_loads_no_scipy():
+    # every suite: the free Meixner integrals are closed forms, and no check
+    # takes the Cauchy transform of chi^2(1), scipy's one user
+    out, (numpy, scipy) = _loaded_after(_VERIFY.format(argv=["verify", "--seed", "1418"]))
+    assert out == ["0"] and numpy and scipy == []
+
+
+def test_levy_meixner_loads_no_scipy():
+    out, (numpy, scipy) = _loaded_after(
+        "from freeconv import idclass\nprint(idclass.levy_meixner(2, 1, 1).regular)"
+    )
+    assert out == ["True"] and not numpy and scipy == []
+
+
 _PUBLIC = {
     "catalog": ["LAWS", "MeasureSpec", "boolean_cumulants_of", "catalog_density",
                 "catalog_moments", "free_cumulants_of", "moments_of", "push_square",

@@ -20,6 +20,7 @@ from freeconv.idclass import (
 )
 from freeconv.ncpart import SeqN
 from freeconv.verify import _main3_dev
+from oracles import levy_meixner_quadrature
 from spec_ids import describe
 
 W = MeasureSpec.from_law("semicircle", (0, 1))
@@ -52,9 +53,19 @@ class TestLevyMeasure:
         with pytest.raises(ValueError, match="vanish at 0"):
             LevyMeasure(xs=(0, 1), densities=(1, 1))
 
-    def test_density_fn_needs_support(self):
-        with pytest.raises(ValueError, match="support"):
-            LevyMeasure(density_fn=lambda x: 1.0)
+    @pytest.mark.parametrize("atoms, xs, densities", [
+        (((1.0, math.nan),), (), ()),
+        (((math.nan, 1.0),), (), ()),
+        (((1.0, math.inf),), (), ()),
+        (((-math.inf, 1.0),), (), ()),
+        ((), (1.0, math.nan), (1.0, 1.0)),
+        ((), (1.0, math.inf), (1.0, 1.0)),
+        ((), (1.0, 2.0), (1.0, math.nan)),
+        ((), (1.0, 2.0), (math.inf, 1.0)),
+    ])
+    def test_rejects_nonfinite_entries(self, atoms, xs, densities):
+        with pytest.raises(ValueError, match="finite"):
+            LevyMeasure(atoms=atoms, xs=xs, densities=densities)
 
     def test_atoms_sorted_and_exact_integral(self):
         nu = LevyMeasure(atoms=((2, F(3, 4)), (F(1, 3), F(1, 2))))
@@ -69,9 +80,8 @@ class TestLevyMeasure:
     def test_charges_nonpositive(self):
         assert LevyMeasure(atoms=((-1, 1),)).charges_nonpositive()
         assert not LevyMeasure(atoms=((1, 1),)).charges_nonpositive()
-        assert LevyMeasure(
-            density_fn=lambda x: 1.0, support=(-1, 1)
-        ).charges_nonpositive()
+        assert LevyMeasure(xs=(-1, 1), densities=(1, 0)).charges_nonpositive()
+        assert not LevyMeasure(xs=(-1, 1), densities=(0, 1)).charges_nonpositive()
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +107,8 @@ class TestRegularForm:
             RegularForm(0, LevyMeasure(atoms=((-1, 1),)))
 
     def test_rejects_divergent_small_jumps(self):
-        # nu = dt/t^2 on (0,1): int min(1,t) dnu = int dt/t diverges
-        nu = LevyMeasure(density_fn=lambda t: t**-2, support=(0, 1))
+        # finite atoms whose int min(1,t) dnu = 1e308 + 1e308 overflows
+        nu = LevyMeasure(atoms=((1, 1e308), (2, 1e308)))
         with pytest.raises(ValueError, match="diverges"):
             RegularForm(0, nu)
 
@@ -700,6 +710,47 @@ class TestThm110:
 # free Meixner Levy measures
 
 
+# the four parameter sets pinned below (lo = 1, lo = 0, lo < 0 < hi, hi < 0),
+# then lo = 1e-4, hi = 0, and supports inside (0, 1), across 1, above 1 and
+# below 0 at other b and c
+_MEIXNER_CASES = [
+    (3, 1, 1), (2, 1, 1), (0, 1, 1), (-3, 1, 1),
+    (2.0001, 1, 1), (-2, 1, 1), (0.5, 0.01, 1), (1.2, 0.1, 1), (1.5, 0.1, 2),
+    (2.5, 1, 1), (4, 3.9, 1), (5, 2, 0.7), (7, 1, 2), (-1.5, 0.25, 3),
+]
+# lo = 1e-8 and 1e-12, where the quadrature fails but mpmath does not, and
+# lo = -5.6e-18: in binary 0.3^2 < 4 * 0.0225, which the rounded
+# 2 sqrt(0.0225) = 0.3 alone would miss
+_MEIXNER_MP_ONLY = [(2 + 1e-8, 1, 1), (2 + 1e-12, 1, 1), (0.3, 0.0225, 1)]
+_MEIXNER_QUAD_REL = 1e-10
+# worst seen 1.9e-15 (at (1.5, 0.1, 2)) on these sets, 2.9e-15 on 300 random ones
+# with lo from 8e-7 to 7 above 0
+_MEIXNER_MP_REL = 1e-14
+
+
+def _mp_meixner(a, b, c):
+    """(int min(1,x) dnu, total mass) in 40-digit mpmath, under
+    x = a + r cos(theta), where sqrt(R) dx/x = (a - r cos - lo hi/x) dtheta
+    and sqrt(R) dx/x^2 = r^2 sin^2/x^2 dtheta are smooth up to lo = 0."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        a, b, c = (mp.mpf(float(v)) for v in (a, b, c))
+        r = 2 * mp.sqrt(b)
+        lo, hi = a - r, a + r
+        x = lambda t: a + r * mp.cos(t)
+        mean = lambda t: a - r * mp.cos(t) - (lo * hi / x(t) if lo * hi else 0)
+        mass = lambda t: (r * mp.sin(t) / x(t)) ** 2
+        total = mp.inf if lo <= 0 <= hi else c / mp.pi * mp.quad(mass, [0, mp.pi])
+        if hi <= 0:
+            return 0.0, float(total)
+        if lo < 0:
+            return math.inf, float(total)
+        t1 = mp.acos(min(max((1 - a) / r, -1), 1))   # the angle of x = 1
+        min1 = mp.quad(mass, [0, t1]) + mp.quad(mean, [t1, mp.pi])
+        return float(c / mp.pi * min1), float(total)
+
+
 class TestLevyMeixner:
     def test_positive_support_is_regular(self):
         res = idclass.levy_meixner(3, 1, 1)
@@ -731,6 +782,43 @@ class TestLevyMeixner:
             idclass.levy_meixner(1, 0, 1)
         with pytest.raises(ValueError):
             idclass.levy_meixner(1, 1, -1)
+        for bad in ((math.nan, 1, 1), (1, math.inf, 1), (1, 1, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                idclass.levy_meixner(*bad)
+
+    @pytest.mark.parametrize("params, support, regular", [
+        ((-2, 1, 1), (-4, 0), False),                  # hi = 0: min1 0, mass inf
+        ((2 + 2.0**-40, 1, 1), (2.0**-40, 4 + 2.0**-40), True),
+        ((1.9, 1, 1), (-0.1, 3.9), False),
+        ((0.3, 0.0225, 1), (-5.551115123125783e-18, 0.6), False),
+    ])
+    def test_support_edges(self, params, support, regular):
+        res = idclass.levy_meixner(*params)
+        assert res.support == pytest.approx(support, abs=1e-15)
+        assert res.regular is regular
+        assert math.isinf(res.total_mass) is (support[0] <= 0 <= support[1])
+
+    @pytest.mark.parametrize("params", _MEIXNER_CASES)
+    def test_closed_form_matches_quadrature(self, params):
+        # tests/oracles.py integrates the density with scipy's quad; its own
+        # error reaches 2e-11 relative at lo = 1e-4 and grows as lo -> 0
+        res = idclass.levy_meixner(*params)
+        min1, total = levy_meixner_quadrature(*params)
+        for got, want in ((res.min1_integral, min1), (res.total_mass, total)):
+            if math.isinf(want) or want == 0:
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=_MEIXNER_QUAD_REL)
+
+    @pytest.mark.parametrize("params", _MEIXNER_CASES + _MEIXNER_MP_ONLY)
+    def test_closed_form_matches_mpmath(self, params):
+        res = idclass.levy_meixner(*params)
+        min1, total = _mp_meixner(*params)
+        for got, want in ((res.min1_integral, min1), (res.total_mass, total)):
+            if math.isinf(want) or want == 0:
+                assert got == want
+            else:
+                assert abs(got - want) <= _MEIXNER_MP_REL * abs(want)
 
 
 # ---------------------------------------------------------------------------

@@ -745,6 +745,23 @@ def test_closed_form_cauchy_matches_mpmath(law, unit, sigma, reference, xs):
     assert worst < _CLOSED_FORM_REL
 
 
+@pytest.mark.parametrize("sigma", [1, 2])
+def test_quarter_circle_on_the_axis_matches_mpmath(sigma):
+    # on the axis the closed form takes the limit from above: over (-2 sigma, 0),
+    # in the cut of its semicircle part but outside the support, G is real,
+    # and so it is outside [-2 sigma, 2 sigma]
+    import mpmath as mp
+
+    law = MeasureSpec.from_law("quarter_circle", (sigma,))
+    inside = [f * sigma for f in (-1.999, -1.5, -1.0, -0.5, -0.01)]
+    inside += [-(2.0**-k) for k in range(idclass._SHELL_K_MIN, idclass._SHELL_K_MAX + 2)]
+    outside = [f * sigma for f in (-20.0, -3.0, -2.5, 2.5, 3.0, 20.0)]
+    with mp.workdps(20):
+        for x in inside + outside:
+            want = _mp_quarter_circle(complex(x, 0.0), sigma)
+            assert abs(cauchy(law, complex(x, 0.0)) - want) < _CLOSED_FORM_REL * abs(want)
+
+
 def test_law_without_density_is_its_atoms():
     law = MeasureSpec.from_law("symmetric_bernoulli")
     atoms = MeasureSpec.atomic([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])
