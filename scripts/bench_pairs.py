@@ -18,8 +18,11 @@ even-indexed pairs run the parent first.
 
 The result, BENCH_<label>.json, holds every run's metrics and failure
 list and, per end-to-end metric, each side's median and quartiles, the
-change's wins and ties, and the relative change of the medians. A run of
-another workload with the same --out is added to the file's workloads.
+change's wins and ties, and the relative change of the medians. Each run
+also records the median time of each task label, scaled as task_p50_ms
+is; "labels" summarizes these the same way, so a file shows which tasks
+moved, and the ten labels that moved most are printed. A run of another
+workload with the same --out is added to the file's workloads.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ RULE = ("a gain counts when the change wins at least 9 of 10 pairs and the media
 
 # one run in a fresh process, from the root of a checkout; prints one JSON line
 CHILD = r"""
-import json, os, sys
+import json, os, statistics, sys
 sys.path.insert(0, os.path.abspath("perfbench"))
 import run
 run._import_library()
@@ -53,7 +56,11 @@ fp = run.fingerprint(workloads, workload, seed)
 setup = run.setup_times(workload, seed, fp, reps)
 records, _ = run.run_loop(workloads, workload, seed, passes=passes)
 metrics, extra = run.end_to_end(records, setup, workload)
+by_label = {}
+for r, t in zip(records, run.scaled(records)):
+    by_label.setdefault(r.label, []).append(t)
 print(json.dumps({
+    "label_p50_ms": {label: 1e3 * statistics.median(ts) for label, ts in by_label.items()},
     "metrics": {name: value for name, (value, _) in metrics.items()},
     "correct": extra["failed_unexpected"] == 0, "attempted": len(records),
     "failed": extra["failed_unexpected"], "failed_known": extra["failed_known"],
@@ -102,14 +109,14 @@ def spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs, better: dict) -> dict:
+def summarize(pairs, better: dict, key: str = "metrics") -> dict:
     """Per metric: both sides' spread, the change's wins and ties over the
     pairs, and the relative change of the medians. better maps each metric
-    to "lower" or "higher"."""
+    of the runs' key entry to "lower" or "higher"."""
     out = {}
     for name, direction in better.items():
-        parent = [p["parent"]["metrics"][name] for p in pairs]
-        change = [p["change"]["metrics"][name] for p in pairs]
+        parent = [p["parent"][key][name] for p in pairs]
+        change = [p["change"][key][name] for p in pairs]
         sign = 1 if direction == "higher" else -1
         base, new = spread(parent), spread(change)
         out[name] = {
@@ -121,6 +128,14 @@ def summarize(pairs, better: dict) -> dict:
                                 else 0.0),
         }
     return out
+
+
+def label_summary(pairs) -> dict:
+    """summarize over each task label's median time in a run (scaled like
+    task_p50_ms, in ms), for the labels that every run has."""
+    runs = [p[side] for p in pairs for side in ("parent", "change")]
+    labels = set.intersection(*(set(r["label_p50_ms"]) for r in runs))
+    return summarize(pairs, dict.fromkeys(sorted(labels), "lower"), key="label_p50_ms")
 
 
 def _seeds(text: str) -> list:
@@ -175,7 +190,7 @@ def main(argv=None) -> int:
             print(f"seed {seed}: wall_s parent {pair['parent']['metrics']['wall_s']:.4f} "
                   f"change {pair['change']['metrics']['wall_s']:.4f}", flush=True)
 
-    summary = summarize(pairs, better)
+    summary, labels = summarize(pairs, better), label_summary(pairs)
     result = json.loads(out.read_text()) if out.exists() else {}
     if result.get("label") != args.label:
         result = {"label": args.label, "claim": "no gain is claimed", "workloads": {}}
@@ -198,7 +213,7 @@ def main(argv=None) -> int:
         "rule": RULE,
     }
     result["workloads"][args.workload] = {
-        "pairs": pairs, "summary": summary,
+        "pairs": pairs, "summary": summary, "labels": labels,
         "identical_failures": all(p["parent"]["failures"] == p["change"]["failures"]
                                   for p in pairs),
     }
@@ -208,6 +223,11 @@ def main(argv=None) -> int:
         base = row["parent"]
         print(f"{name:<14} {base['median']:.4g} [{base['q1']:.4g}, {base['q3']:.4g}] -> "
               f"{row['change']['median']:.4g}; wins {row['change_wins']}/{row['pairs']}")
+    moved = sorted(labels.items(), key=lambda item: -abs(item[1]["relative_change"]))
+    for name, row in moved[:10]:
+        print(f"{name:<40} {row['parent']['median']:.4g} ms -> "
+              f"{row['change']['median']:.4g} ms ({row['relative_change']:+.1%}); "
+              f"wins {row['change_wins']}/{row['pairs']}")
     print(f"wrote {out}")
     return 0
 

@@ -5,11 +5,12 @@ Triplets are stored in the truncated form (compensation of jumps in
 measures on the positive half line. Conversions between the two are
 explicit and exact for atomic Levy measures.
 
-Positivity scans solve z = 1/w + t R(w) by damped Newton with downward
-continuation in the imaginary part, for R in free Levy-Khintchine form
-(RModel: drift, semicircular variance, finitely many jumps). A catalog
-law gives its own R-transform data (levy_khintchine), another spec only
-an exact semicircular or single-jump cumulant pattern; the atom of
+Positivity scans solve z = 1/w + t R(w) for w = G(z) by damped Newton on
+F = 1/w in the half plane Im F >= Im z, with downward continuation in the
+imaginary part, for R in free Levy-Khintchine form (RModel: drift,
+semicircular variance, finitely many jumps). A catalog law gives its own
+R-transform data (levy_khintchine), another spec only an exact
+semicircular or single-jump cumulant pattern; the atom of
 mu^{boxplus t} comes from the model by rule. Scans and the kurtosis
 statistic are evidence or necessary conditions; regularity proper is
 decided at the representation level (triplet support and drift), never
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from . import catalog
 from .catalog import MeasureSpec
-from .ncpart import SeqN, _is_exact
+from .ncpart import SeqN
 from .transforms import _bisect_edge, _richardson
 
 # main3_factor's largest odd cumulant taken for zero, the relative tolerance
@@ -51,7 +52,8 @@ class LevyMeasure:
     """A nonnegative measure with no mass at 0, finite int min(1,t^2).
 
     Carried as finitely many atoms plus an optional grid density, which
-    integrals read by the trapezoid rule; every entry must be finite.
+    integrals read by the trapezoid rule; every entry must be finite. The
+    grid is stored in floats, so its entries must also lie in float range.
     """
 
     atoms: tuple = ()
@@ -61,7 +63,7 @@ class LevyMeasure:
     def __post_init__(self):
         atoms = tuple(sorted((loc, m) for loc, m in self.atoms))
         for loc, m in atoms:
-            if not (_finite(loc) and _finite(m)):
+            if not catalog._finite(loc, m):
                 raise ValueError(f"atoms must be finite, got ({loc}, {m})")
             if loc == 0:
                 raise ValueError("Levy measure cannot charge 0")
@@ -71,16 +73,21 @@ class LevyMeasure:
         if len(self.xs) != len(self.densities):
             raise ValueError("grid abscissas and densities differ in length")
         if self.xs:
-            xs = tuple(float(x) for x in self.xs)
-            if not all(map(math.isfinite, xs)) or not all(map(_finite, self.densities)):
+            try:
+                xs, densities = tuple(map(float, self.xs)), tuple(map(float, self.densities))
+            except OverflowError:  # an exact entry beyond the float range
+                xs = densities = (math.inf,)
+            if not catalog._finite(*xs, *densities):
                 raise ValueError("grid abscissas and densities must be finite")
             if any(b <= a for a, b in zip(xs, xs[1:])):
                 raise ValueError("grid abscissas must be strictly increasing")
-            if any(d < 0 for d in self.densities):
+            if any(d < 0 for d in densities):
                 raise ValueError("grid densities must be nonnegative")
-            for x, d in zip(xs, self.densities):
+            for x, d in zip(xs, densities):
                 if abs(x) < 1e-12 and d > 0:
                     raise ValueError("grid density must vanish at 0")
+            object.__setattr__(self, "xs", xs)
+            object.__setattr__(self, "densities", densities)
 
     @property
     def is_zero(self) -> bool:
@@ -92,11 +99,8 @@ class LevyMeasure:
         if self.xs:
             import numpy as np
 
-            xs = np.asarray(self.xs, dtype=float)
-            ys = np.asarray(
-                [f(x) * d for x, d in zip(self.xs, self.densities)], dtype=float
-            )
-            total += float(np.trapezoid(ys, xs))
+            ys = [f(x) * d for x, d in zip(self.xs, self.densities)]
+            total += float(np.trapezoid(ys, self.xs))
         return total
 
     def truncated_mean(self):
@@ -118,10 +122,6 @@ class LevyMeasure:
 
     def moment(self, n: int):
         return self.integral(lambda t: t**n)
-
-
-def _finite(x) -> bool:
-    return _is_exact(x) or math.isfinite(x)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ class RegularForm:
         if self.levy.charges_nonpositive():
             raise ValueError("regular form needs the Levy measure on (0, oo)")
         m1 = self.levy.min1_t_integral()
-        if not (_is_exact(m1) or math.isfinite(m1)):
+        if not catalog._finite(m1):
             raise ValueError("int min(1,t) dnu diverges; no regular form exists")
 
     @property
@@ -185,7 +185,7 @@ def to_regular_form(t: FreeTriplet) -> RegularForm:
     if t.levy.charges_nonpositive():
         raise ValueError("Levy measure charges (-oo, 0]: no regular form")
     correction = t.levy.truncated_mean()
-    if not (_is_exact(correction) or math.isfinite(correction)):
+    if not catalog._finite(correction):
         raise ValueError("int min(1,t) dnu diverges; no regular form exists")
     return RegularForm(t.eta - correction, t.levy)
 
@@ -413,89 +413,67 @@ _SOLVE_MAX_ITER = 100
 
 
 def solve_g(model: RModel, t, z, w0=None):
-    """Solve z = 1/w + t R(w) for w = G(z) by damped Newton.
+    """Solve z = 1/w + t R(w) for w = G(z) by damped Newton on F = 1/w.
 
     t is a scalar or an array shaped like z (one time per point); each
     point's solution does not depend on the others solved with it.
     Returns (w, converged mask); a residual near Im z solves another z,
-    so the mask also bounds it by 1e-3 Im z. The seed defaults to 1/z;
-    pass the solution at a nearby z to continue along a path.
+    so the mask also bounds it by 1e-3 Im z. Without a seed w0 the solve
+    starts cold, from F = z; pass the solution at a nearby z to continue
+    along a path.
     """
     return _newton_g(model, t, z, w0, _SOLVE_TOL)
 
 
 def _newton_g(model: RModel, t, z, w0, tol):
-    """solve_g, with Newton stopping at residual tol instead of _SOLVE_TOL."""
+    """solve_g, with Newton stopping at residual tol instead of _SOLVE_TOL.
+
+    The unknown is F = 1/w, the fixed point of F = z - t R(1/F), with
+    residual g = z - t R(1/F) - F = -(1/w + t R(w) - z). In free
+    Levy-Khintchine form R(1/F) lies in the closed lower half plane when
+    F lies in the upper one (Bercovici-Voiculescu 1993), so the solution
+    has Im F >= Im z. A Newton step g/(1 - t R'(w) w^2) is halved until it
+    lowers |g| and keeps Im F >= Im z, and is not taken otherwise. As
+    |F| >= Im F >= Im z > 0, that keeps Im w <= 0 and |w| <= 1/Im z, and
+    keeps w off R's real poles. A cold solve (w0 None) warms up by damped
+    Picard steps from F = z, which stay in the half plane and pull F into
+    Newton's basin.
+    """
     import numpy as np
 
-    def residual(w, zs, ts):
-        with np.errstate(all="ignore"):
-            f = 1 / w + ts * model.r(w) - zs
-        # iterates that hit a pole count as maximally bad so the
-        # backtracking line search rejects them
-        return np.where(np.isfinite(f), f, complex(np.inf))
+    def residual(f, zs, ts):
+        return zs - ts * model.r(1 / f) - f
 
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     t = np.broadcast_to(np.asarray(t, dtype=float), z.shape)
-    if w0 is None:
-        # damped Picard warmup: w -> 1/(z - t R(w)) preserves the lower
-        # half plane for these models and pulls the seed into Newton's
-        # basin, preventing far-field runaway
-        w = 1 / z
-        for _ in range(10):
-            with np.errstate(all="ignore"):
-                nxt = 1 / (z - t * model.r(w))
-            w = np.where(np.isfinite(nxt), 0.5 * w + 0.5 * nxt, 1 / z)
-            w = np.where(w.imag <= 0, w, np.conj(w))
-    else:
-        w = np.asarray(w0, dtype=complex).copy()
-    if w.shape != z.shape:
-        raise ValueError("seed shape does not match z")
-    resid = residual(w, z, t)
-    for _ in range(_SOLVE_MAX_ITER):
-        with np.errstate(all="ignore"):
-            active = ~(np.abs(resid) <= tol)
-        if not active.any():
-            break
-        wa, za, ta = w[active], z[active], t[active]
-        fa = resid[active]
-        with np.errstate(all="ignore"):
-            deriv = -1 / wa**2 + ta * model.dr(wa)
-            deriv = np.where(
-                np.isfinite(deriv) & (np.abs(deriv) > 1e-300), deriv, 1e-300
-            )
-            step = -fa / deriv
-            step = np.where(np.isfinite(step), step, 0.1)
-        # backtrack while the residual grows
-        new_w = wa + step
-        new_f = residual(new_w, za, ta)
-        for _ in range(30):
-            with np.errstate(all="ignore"):
-                worse = ~(np.abs(new_f) <= np.abs(fa))
-            if not worse.any():
-                break
-            step = np.where(worse, step / 2, step)
-            new_w = wa + step
-            new_f = residual(new_w, za, ta)
-        # a Cauchy transform of the upper half plane lies in the closed
-        # lower one; reflect iterates that stray to the wrong sheet
-        wrong = new_w.imag > 0
-        if wrong.any():
-            new_w = np.where(wrong, np.conj(new_w), new_w)
-            new_f = residual(new_w, za, ta)
-        # |G(z)| <= 1/Im z, so iterates past a few times that bound are
-        # runaway; project them back onto the admissible disk
-        with np.errstate(all="ignore"):
-            bound = 4 / za.imag
-            big = ~(np.abs(new_w) <= bound)
-        if big.any():
-            new_w = np.where(big, new_w * (bound / np.abs(new_w)), new_w)
-            new_f = residual(new_w, za, ta)
-        w[active] = new_w
-        resid[active] = new_f
     with np.errstate(all="ignore"):
+        if w0 is None:
+            f = z
+            for _ in range(10):
+                f = 0.5 * f + 0.5 * (z - t * model.r(1 / f))
+        else:
+            f = 1 / np.asarray(w0, dtype=complex)
+        if f.shape != z.shape:
+            raise ValueError("seed shape does not match z")
+        resid = residual(f, z, t)
+        for _ in range(_SOLVE_MAX_ITER):
+            active = ~(np.abs(resid) <= tol)
+            if not active.any():
+                break
+            fa, za, ta, ga = f[active], z[active], t[active], resid[active]
+            wa = 1 / fa
+            step = ga / (1 - ta * model.dr(wa) * wa * wa)
+            for _ in range(31):
+                new_f = fa + step
+                new_g = residual(new_f, za, ta)
+                ok = (np.abs(new_g) <= np.abs(ga)) & (new_f.imag >= za.imag)
+                if ok.all():
+                    break
+                step = np.where(ok, step, step / 2)
+            f[active] = np.where(ok, new_f, fa)
+            resid[active] = np.where(ok, new_g, ga)
         size = np.abs(resid)
-        return w, (size <= math.sqrt(_SOLVE_TOL)) & (size <= 1e-3 * z.imag)
+        return 1 / f, (size <= math.sqrt(_SOLVE_TOL)) & (size <= 1e-3 * z.imag)
 
 
 _EPS = 4e-9  # boundary densities extrapolate over heights _EPS, _EPS/2, _EPS/4
@@ -514,10 +492,11 @@ def _extrapolated_density(model: RModel, t, xs, seed=None):
     the imaginary ladder) and seeds the next height; points a seed leaves
     unconverged are solved from the ladder. A ladder rung above _EPS only
     seeds the next one, so its Newton stops once the residual
-    f = 1/w + tR(w) - z is at most _RUNG_RESIDUAL times its height d: w
-    then solves the equation exactly at z + f, whose height is still at
-    least 0.9 d, so w stays on the sheet of G that the ladder follows down
-    from i. The heights _EPS, _EPS/2 and _EPS/4 are solved to _SOLVE_TOL.
+    g = z - t R(1/F) - F is at most _RUNG_RESIDUAL times its height d: F
+    then solves the equation exactly at z - g, whose height is still at
+    least 0.9 d, so w = 1/F stays on the sheet of G that the ladder follows
+    down from i. The heights _EPS, _EPS/2 and _EPS/4 are solved to
+    _SOLVE_TOL.
     Returns the density, where it converged, and w at height _EPS.
     """
     import numpy as np

@@ -376,8 +376,13 @@ def _cfp_regular_form(rng, jobs):
 
 
 def _wplus_scan_edges(rng, jobs):
-    model = idclass.RModel.semicircle(2, 1)
-    scan = idclass.positivity_scan(model, [0.5, 2])
+    return _wplus_scan_dev([0.5, 2])
+
+
+def _wplus_scan_dev(ts):
+    """Largest distance of the scanned left edges of (w+)^{boxplus t}, t in
+    ts, from 2t - 2 sqrt(t)."""
+    scan = idclass.positivity_scan(idclass.RModel.semicircle(2, 1), ts)
     dev = 0.0
     for point in scan.points:
         if point.left_edge is None:  # no edge found: as far off as can be

@@ -10,7 +10,7 @@ import random
 import time
 from fractions import Fraction
 
-from freeconv import catalog, conv, idclass
+from freeconv import catalog, conv
 from freeconv.ncpart import SeqN
 from freeconv.verify import (
     M,
@@ -38,6 +38,7 @@ from freeconv.verify import (
     _triplet_round_trip_dev,
     _w2_equals_m,
     _wplus_regular_form,
+    _wplus_scan_dev,
 )
 
 
@@ -132,12 +133,7 @@ def test_07_commutator_identities():
 def test_08_regular_form_and_scan_edges():
     t0 = time.perf_counter()
     dev = max(_wplus_regular_form(None, 1), _cfp_regular_form(None, 1))
-    scan = idclass.positivity_scan(
-        idclass.RModel.semicircle(2, 1), [0.25, 0.5, 1, 2]
-    )
-    edge_dev = max(
-        abs(p.left_edge - (2 * p.t - 2 * math.sqrt(p.t))) for p in scan.points
-    )
+    edge_dev = _wplus_scan_dev([0.25, 0.5, 1, 2])
     _report(8, "regular_form_and_scan", max(dev, edge_dev), 1e-3,
             time.perf_counter() - t0, 20)
 

@@ -43,6 +43,24 @@ def test_summary_of_synthetic_pairs():
     assert frac["parent"] == {"median": 1, "q1": 1, "q3": 1}
 
 
+def test_label_summary_keeps_the_labels_every_run_has():
+    def run(**ms):
+        return {"label_p50_ms": ms}
+
+    pairs = [
+        {"parent": run(scan=10.0, edge=2.0, rare=1.0), "change": run(scan=8.0, edge=2.0)},
+        {"parent": run(scan=12.0, edge=3.0), "change": run(scan=9.0, edge=2.5)},
+        {"parent": run(scan=11.0, edge=2.0), "change": run(scan=10.0, edge=2.0, rare=5.0)},
+    ]
+    labels = bench_pairs.label_summary(pairs)
+    assert list(labels) == ["edge", "scan"]
+    scan = labels["scan"]
+    assert scan["parent"]["median"] == 11.0 and scan["change"]["median"] == 9.0
+    assert (scan["change_wins"], scan["ties"], scan["better"]) == (3, 0, "lower")
+    assert scan["relative_change"] == pytest.approx(9 / 11 - 1)
+    assert (labels["edge"]["change_wins"], labels["edge"]["ties"]) == (1, 2)
+
+
 def test_one_pair_spread_and_seed_ranges():
     assert bench_pairs.spread([0.25]) == {"median": 0.25, "q1": 0.25, "q3": 0.25}
     assert bench_pairs._seeds("3-5,8") == [3, 4, 5, 8]
@@ -66,5 +84,6 @@ def test_smoke_pair_on_exact_seq(tmp_path):
     for side in ("parent", "change"):
         assert pair[side]["passes"] == 1 and pair[side]["correct"]
         assert set(pair[side]["metrics"]) == names
+    assert run["labels"] and set(run["labels"]) == set(pair["change"]["label_p50_ms"])
     assert pair["parent"]["inputs_sha256"] == pair["change"]["inputs_sha256"]
     assert run["identical_failures"]

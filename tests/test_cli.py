@@ -620,6 +620,16 @@ class TestCheck:
         obj = json.loads(out)
         assert obj["representable"] and not obj["free_regular"]
 
+    @pytest.mark.parametrize("grid", [
+        {"xs": [1, 10**400], "densities": [1, 1]},
+        {"xs": [1, 2], "densities": [10**400, 1]},
+    ])
+    def test_regular_refuses_grid_entries_past_the_float_range(self, capsys, grid):
+        spec = json.dumps({"eta": 0, "a": 0, "levy": {"grid": grid}})
+        code, out, err = run_cli(capsys, "check", "--regular", spec)
+        assert code == 2 and out == ""
+        assert "finite" in err
+
 
 class TestScan:
     def test_wplus_edges(self, capsys):

@@ -62,6 +62,8 @@ class TestLevyMeasure:
         ((), (1.0, math.inf), (1.0, 1.0)),
         ((), (1.0, 2.0), (1.0, math.nan)),
         ((), (1.0, 2.0), (math.inf, 1.0)),
+        ((), (1.0, F(10**400)), (1.0, 1.0)),
+        ((), (1.0, 2.0), (F(10**400), 1.0)),
     ])
     def test_rejects_nonfinite_entries(self, atoms, xs, densities):
         with pytest.raises(ValueError, match="finite"):
@@ -430,18 +432,61 @@ class TestSolveG:
         w, _ = idclass.solve_g(model, 3.0, z)
         assert abs(w[0] - _semicircle_g(z, 3)[0]) < 1e-10
 
-    def test_residual_near_the_height_is_not_converged(self):
-        # at an atom a residual of 2e-8 solves another z than 0.27 + 1e-8i;
-        # the imaginary ladder finds the atom's mass 1 - 0.9 instead
-        model = RModel.cfp_atomic(1, [(0.5, 0.2), (2, 0.5), (-1.5, 0.3)], drift=0.3)
-        z = np.array([0.27 + 1e-8j])
-        _, conv_mask = idclass.solve_g(model, 0.9, z)
-        assert not conv_mask.any()
+    # t = 0.9 leaves this model an atom at 0.27 of mass 1 - 0.9
+    ATOM_MODEL = RModel.cfp_atomic(1, [(0.5, 0.2), (2, 0.5), (-1.5, 0.3)], drift=0.3)
+    ATOM_Z = np.array([0.27 + 1e-8j])
+
+    def _ladder(self):
         w = None
         for d in idclass._IMAG_LADDER[: idclass._IMAG_LADDER.index(1e-8) + 1]:
-            w, conv_mask = idclass.solve_g(model, 0.9, z.real + 1j * d, w0=w)
+            w, conv_mask = idclass.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z.real + 1j * d, w0=w)
+        return w, conv_mask
+
+    def test_ladder_finds_the_atom_mass(self):
+        w, conv_mask = self._ladder()
         assert conv_mask.all()
         assert -1e-8 * w[0].imag == pytest.approx(0.1, abs=1e-6)
+
+    def test_cold_solve_finds_the_atom_mass(self):
+        w, conv_mask = idclass.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z)
+        assert conv_mask.all()
+        assert -1e-8 * w[0].imag == pytest.approx(0.1, abs=1e-6)
+
+    def test_residual_near_the_height_is_not_converged(self, monkeypatch):
+        # the ladder's w solves z exactly, so at z + shift its residual is
+        # the shift: 2e-8 = 2 Im z passes the sqrt(_SOLVE_TOL) bound but
+        # solves another z, and only the 1e-3 Im z bound refuses it
+        w, _ = self._ladder()
+        monkeypatch.setattr(idclass, "_SOLVE_MAX_ITER", 0)
+        assert 2e-8 < math.sqrt(idclass._SOLVE_TOL)
+        _, far = idclass.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z + 2e-8, w0=w)
+        _, near = idclass.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z + 5e-12, w0=w)
+        assert not far.any() and near.all()
+
+    @pytest.mark.parametrize("model", [
+        RModel.semicircle(2, 1),
+        RModel.free_poisson(1),
+        RModel.cfp_atomic(2.0, [(1, 0.5), (-0.5, 0.5)], 0.3),
+        RModel.cfp_atomic(1.3, [(0, 0.4), (-1, 0.3), (-2.5, 0.1), (2, 0.2)], -0.4),
+        ATOM_MODEL,
+    ], ids=["semicircle", "free_poisson", "cfp_drift", "jumps_at_zero_and_below", "atom"])
+    def test_cold_solve_converges_only_on_the_ladder_root(self, model):
+        # second route: continuation down the imaginary ladder to each
+        # point's own height; a cold solve may fail, never converge elsewhere
+        rng = np.random.default_rng(22)
+        ts = np.repeat([0.3, 0.9, 1.5, 3.0], 400)
+        spread = 4 * np.sqrt(ts * model.kappa2) + 0.5
+        xs = ts * model.kappa1 + spread * rng.uniform(-1, 1, ts.size)
+        ys = 10.0 ** rng.uniform(-9, 0, ts.size)
+        cold, cold_mask = idclass.solve_g(model, ts, xs + 1j * ys)
+        w = None
+        for d in idclass._IMAG_LADDER:
+            w, _ = idclass.solve_g(model, ts, xs + 1j * np.maximum(d, ys), w0=w)
+        w, ladder_mask = idclass.solve_g(model, ts, xs + 1j * ys, w0=w)
+        assert ladder_mask.all()
+        off = np.abs(cold - w) > 1e-8 * np.abs(w)
+        assert not (cold_mask & off).any()
+        assert cold_mask.mean() > 0.5
 
     def test_seeded_continuation(self):
         model = RModel.free_poisson(1)
@@ -533,7 +578,7 @@ class TestPositivityScan:
         assert scan.points == idclass.positivity_scan(model, ts).points
 
     def test_seeding_rungs_bound_r_evaluations(self, monkeypatch):
-        # with every rung polished, this 4-t scan evaluated R at 163897
+        # with every rung polished, this 4-t scan evaluates R at 158678
         # points; rungs that stop at a tenth of their height take fewer
         # Newton steps
         points = []
