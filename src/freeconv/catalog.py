@@ -7,9 +7,10 @@ truncated moment sequence, or a truncated free cumulant sequence.
 
 Catalog moments come as whole tables: one NC recursion per table for the
 laws given by free cumulants (semicircle, Marchenko-Pastur, commutator_ww)
-and closed forms for the rest. Every law's Cauchy transform is a closed
-form too. The tests check both against adaptive quadrature of the
-densities, a route this module does not carry.
+and closed forms for the rest. Every law's Cauchy transform G is a closed
+form too, and the same hook returns G' from that form's intermediates. The
+tests check them against adaptive quadrature of the densities, a route
+this module does not carry.
 Rational parameters give exact rational moments for the laws whose moments
 are rational (semicircle, Marchenko-Pastur, Bernoulli, symmetric beta,
 power beta, chi-squared, the semicircle commutator).
@@ -74,7 +75,8 @@ def _sc_cauchy(params, z):
     mean, var = float(params[0]), float(params[1])
     half = 2 * math.sqrt(var)
     root = np.sqrt(z - mean - half) * np.sqrt(z - mean + half)
-    return 2 / (z - mean + root)  # (z - mean - root)/(2 var), without its cancellation
+    g = 2 / (z - mean + root)  # (z - mean - root)/(2 var), without its cancellation
+    return g, -g / root
 
 
 def _mp_density(params, x):
@@ -111,8 +113,10 @@ def _mp_cauchy(params, z):
     b = (1 + math.sqrt(rate)) ** 2
     root = np.sqrt(z - a) * np.sqrt(z - b)
     # the atom at 0 plus the density of mass min(rate, 1): (z + 1 - rate - root)/(2z)
-    # without that quotient's cancellation far out and, at rate > 1, at 0
-    return max(1 - rate, 0) / z + 2 * min(rate, 1) / (z - abs(1 - rate) + root)
+    # without that quotient's cancellation far out and, at rate > 1, at 0; with
+    # root' = (z - 1 - rate)/root the density part's derivative is -ac (1 - ac)/root
+    atom, ac = max(1 - rate, 0) / z, 2 * min(rate, 1) / (z - abs(1 - rate) + root)
+    return atom + ac, -atom / z - ac * (1 - ac) / root
 
 
 def _bern_moment(params, n):
@@ -128,12 +132,9 @@ def _sbeta_density(params, x):
 
 
 def _sbeta_cauchy(params, z):
-    import numpy as np
-
-    # the law is Sym(MP(1)), so G(z) = (G_1(z) - G_1(-z))/2, where
-    # G_1(w) = 2/(w + sqrt(w) sqrt(w - 4)) does not cancel at large |w|
-    g1 = lambda w: 2 / (w + np.sqrt(w) * np.sqrt(w - 4))
-    return (g1(z) - g1(-z)) / 2
+    # the law is Sym(MP(1)), so G(z) = (G_1(z) - G_1(-z))/2 with G_1 that of MP(1)
+    (g1, d1), (g2, d2) = _mp_cauchy((1,), z), _mp_cauchy((1,), -z)
+    return (g1 - g2) / 2, (d1 + d2) / 2
 
 
 def _sbeta_moment(params, n):
@@ -161,11 +162,13 @@ def _qc_cauchy(params, z):
     # w = z/sigma, G_sigma(z) = (G_W(w) + G_odd(w))/sigma, where the
     # transform of sign(x) rho_W(x) is G_odd = (4 - 2r arctan(2/r))/(2 pi) and
     # r = sqrt(w - 2) sqrt(w + 2) is _sc_cauchy's root; G_W = 2/(w + r) is
-    # (w - r)/2 without its cancellation at large |w|
+    # (w - r)/2 without its cancellation at large |w|, and G_W' = -G_W/r.
+    # odd' = 4/w - 2 (w/r) arctan(2/r) is (w odd - 16/w)/(w^2 - 4) far out and
+    # 4/w + i w log(rho)/r nearer, clear of that quotient's 0/0 at w = +-2
     sigma = float(params[0])
     w = z / sigma
     r = np.sqrt(w - 2) * np.sqrt(w + 2)
-    odd = np.empty_like(w)
+    odd, dodd = np.empty_like(w), np.empty_like(w)
     far = np.abs(r) > _FAR
     # far out, 4 - 2r arctan(2/r) = 4u (1/3 - u/5 + u^2/7 - ...), u = (2/r)^2
     u = (2 / r[far]) ** 2
@@ -173,6 +176,7 @@ def _qc_cauchy(params, z):
     for k in reversed(range(_QC_SERIES_TERMS)):
         tail = (-1) ** k / (2 * k + 3) + u * tail
     odd[far] = 4 * u * tail
+    dodd[far] = (w[far] * odd[far] - 16 / w[far]) / (w[far] ** 2 - 4)
     # nearer, arctan(2/r) = log(rho)/2i with rho = (r + 2i)/(r - 2i); since
     # (r + 2i)(r - 2i) = w^2, squaring the larger factor over w keeps rho
     # free of the cancellation that np.arctan meets near w = 0
@@ -185,7 +189,9 @@ def _qc_cauchy(params, z):
     cut = (wn.imag == 0) & (wn.real > -2) & (wn.real < 0)
     log[cut] = log[cut].real - 1j * np.pi
     odd[~far] = 4 + 1j * rn * log
-    return (2 / (w + r) + odd / (2 * math.pi)) / sigma
+    dodd[~far] = 4 / wn + 1j * wn * log / rn
+    g_w = 2 / (w + r)
+    return (g_w + odd / (2 * math.pi)) / sigma, (dodd / (2 * math.pi) - g_w / r) / sigma**2
 
 
 def _qc_moment(params, n):
@@ -215,7 +221,8 @@ def _beta_cauchy(params, z):
     # G(z) = (1 - (1 - 1/z)^a)/a = -expm1(a L)/a with L = log(1 - 1/z), taken
     # as log(z - 1) - log(z) near the support and, far out where that
     # difference cancels, as the series -(u + u^2/2 + u^3/3 + ...), u = 1/z,
-    # whose 18 terms at |u| < 1/_FAR leave out less than 1e-17 of the sum
+    # whose 18 terms at |u| < 1/_FAR leave out less than 1e-17 of the sum;
+    # G' = -(1 - 1/z)^a/(z (z - 1))
     a = float(params[0])
     log = np.log(z - 1) - np.log(z)
     far = np.abs(z) > _FAR
@@ -224,7 +231,7 @@ def _beta_cauchy(params, z):
     for k in range(18, 0, -1):
         tail = 1 / k + u * tail
     log[far] = -u * tail
-    return -np.expm1(a * log) / a
+    return -np.expm1(a * log) / a, -np.exp(a * log) / (z * (z - 1))
 
 
 def _beta_moment(params, n):
@@ -248,9 +255,11 @@ def _chi_cauchy(params, z):
 
     # chi^2(1) is N^2, so G(z) = G_N(a)/a with a^2 = z and Im a >= 0 (the
     # root i sqrt(-z)); the Gaussian's G_N(a) = -i sqrt(pi/2) w(a/sqrt(2)),
-    # with w the Faddeeva function
+    # with w the Faddeeva function. From G_N'(a) = 1 - a G_N(a),
+    # G'(z) = (1 - (z + 1) G)/(2z)
     a = 1j * np.sqrt(-z)
-    return -1j * math.sqrt(math.pi / 2) * wofz(a / math.sqrt(2)) / a
+    g = -1j * math.sqrt(math.pi / 2) * wofz(a / math.sqrt(2)) / a
+    return g, (1 - (z + 1) * g) / (2 * z)
 
 
 def _chi_moment(params, n):
@@ -286,8 +295,12 @@ def _comm_cauchy(params, z):
     # an eigenvalue of its companion matrix and polished by one Newton step.
     # For z in C+ it is the one root in C-; off the support's strip and far
     # out, where all three imaginary parts can sink to rounding, it is the
-    # root of least modulus instead. At +-_COMM_EDGE two roots meet: the
-    # relative error is 1.8e-11 at _COMM_EDGE + 1e-12i, 6e-16 from 1e-2 away
+    # root of least modulus instead. G' = (G - G^3)/P_G, P_G = (3zG + 2)G - z,
+    # by implicit differentiation at the polished root. At +-_COMM_EDGE two
+    # roots meet and P_G -> 0: G errs by 1.8e-11 relative at _COMM_EDGE + 1e-12i
+    # and 6e-16 from 1e-2 away; G' by about 1e-16/|z -+ _COMM_EDGE| (1e-13,
+    # 2e-10 and 3.5e-5 at the edge, heights 1e-3, 1e-6 and 1e-12), 2e-14 from
+    # 1e-2 away
     comp = np.zeros(z.shape + (3, 3), dtype=complex)
     comp[..., 0, :] = np.stack([-1 / z, np.ones_like(z), -1 / z], axis=-1)
     comp[..., 1, 0] = comp[..., 2, 1] = 1
@@ -295,7 +308,8 @@ def _comm_cauchy(params, z):
     far = (np.abs(z) > _FAR) | (np.abs(z.real) > _COMM_EDGE)
     pick = np.where(far, np.argmin(np.abs(roots), -1), np.argmin(roots.imag, -1))
     g = np.take_along_axis(roots, pick[..., None], -1)[..., 0]
-    return g - (((z * g + 1) * g - z) * g + 1) / ((3 * z * g + 2) * g - z)
+    g = g - (((z * g + 1) * g - z) * g + 1) / ((3 * z * g + 2) * g - z)
+    return g, (g - g**3) / ((3 * z * g + 2) * g - z)
 
 
 def _comm_moments(params, order):
@@ -334,7 +348,7 @@ class _Law:
     density: callable | None
     moments: callable        # (params, order) -> [m_1, ..., m_order]
     support: callable | None
-    cauchy: callable         # (params, z) -> G(z), atoms included, for Im z >= 0
+    cauchy: callable         # (params, z) -> (G(z), G'(z)), atoms included, for Im z >= 0
     param_names: tuple = ()
     check: callable = _no_check  # params -> what is wrong with them, or None
     default: tuple = ()          # the parameters of a spec that gives none
@@ -360,7 +374,9 @@ LAWS = {
              param_names=("rate",), check=lambda p: _positive("rate", p[0]),
              default=(1,), atoms=_mp_atoms, r_transform=lambda p: (0, 0, ((1, p[0]),))),
         _Law("symmetric_bernoulli", None, _each_order(_bern_moment), None,
-             lambda p, z: 0.5 / (z + 1) + 0.5 / (z - 1),
+             # G' divides by each gap twice, never by its square, which overflows
+             lambda p, z: (0.5 / (z + 1) + 0.5 / (z - 1),
+                           -0.5 / (z + 1) / (z + 1) - 0.5 / (z - 1) / (z - 1)),
              atoms=lambda p: ((-1, Fraction(1, 2)), (1, Fraction(1, 2))),
              square=lambda p, s2: MeasureSpec.atomic([(s2, 1)])),
         # the square of symmetric_beta, w^4 for a semicircle w, has no catalog name

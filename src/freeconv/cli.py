@@ -637,10 +637,11 @@ def _cmd_transform(args) -> int:
         raise SpecError(f"--at must be re,im, got {args.at!r}") from exc
     if not cmath.isfinite(z):
         raise SpecError(f"--at must be finite, got {args.at!r}")
-    which = {"G": "cauchy", "F": "f", "K": "boolean_k", "S": "s"}[args.which]
-    if which != "s" and z.imag == 0:
+    if args.which != "S" and z.imag == 0:
         raise SpecError(f"transform {args.which} needs a point off the real axis")
-    value = complex(transforms.transform_map(mu, which)(z))
+    fn = {"G": transforms.cauchy, "F": transforms.f_transform,
+          "K": transforms.boolean_k, "S": transforms.s_numeric}[args.which]
+    value = complex(fn(mu, z))
     _check_finite([value.real, value.imag], f"transform {args.which}")
     print(f"{value.real:.12g},{value.imag:.12g}")
     return 0

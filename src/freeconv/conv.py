@@ -207,7 +207,7 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
         raise ValueError("subordination points must lie in the upper half plane")
 
     def h(spec, w, slope):
-        g, dg = transforms._cauchy_pair(spec, w) if slope else (transforms.cauchy(spec, w), 0)
+        g, dg = transforms._cauchy_pair(spec, w, slope)
         return 1 / g - w, -dg / g**2 - 1
 
     omega, warmup = zarr.copy(), np.full(zarr.shape, _SUB_WARMUP)

@@ -321,6 +321,8 @@ class RModel:
     jumps: tuple = ()
 
     def __post_init__(self):
+        if not catalog._finite(self.drift, self.variance, *(v for j in self.jumps for v in j)):
+            raise ValueError("drift, variance and jumps must be finite")
         if self.variance < 0:
             raise ValueError("variance must be >= 0")
         if any(l < 0 for _, l in self.jumps):

@@ -88,30 +88,6 @@ class SetPartition:
     def __len__(self) -> int:
         return len(self.blocks)
 
-    def is_noncrossing(self) -> bool:
-        """True iff no a < b < c < d has a,c in one block and b,d in another.
-
-        Scans left to right with a stack: a partition is non-crossing exactly
-        when every revisited block is the innermost open one.
-        """
-        owner = {}
-        for i, b in enumerate(self.blocks):
-            for e in b:
-                owner[e] = i
-        last = {i: b[-1] for i, b in enumerate(self.blocks)}
-        seen = set()
-        stack = []
-        for e in range(1, self.n + 1):
-            i = owner[e]
-            if i not in seen:
-                seen.add(i)
-                stack.append(i)
-            elif stack[-1] != i:
-                return False
-            if last[i] == e:
-                stack.pop()
-        return True
-
 
 def enumerate_nc(n: int):
     """Yield all non-crossing partitions of {1..n} (Catalan(n) of them)."""

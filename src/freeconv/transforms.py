@@ -438,58 +438,41 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
     return out.reshape(2, *z.shape) + _atomic_cauchy(mu.atoms, z, derivative)
 
 
-def _law_cauchy_base(law: str, params, w):
-    """Cauchy transform of an unshifted catalog law, atoms included, in either
-    half plane: the law's closed form, reflected by G(conj w) = conj G(w)."""
-    import numpy as np
-
-    out = np.empty_like(w)
-    upper = w.imag >= 0
-    for mask, conj in ((upper, False), (~upper, True)):
-        if np.any(mask):
-            pts = np.conj(w[mask]) if conj else w[mask]
-            vals = LAWS[law].cauchy(params, pts)
-            out[mask] = np.conj(vals) if conj else vals
-    return out
-
-
-def cauchy(mu: MeasureSpec, z):
-    """Cauchy transform G(z) = integral of 1/(z-x); scalar or array z.
-
-    Defined off the real axis (both half planes). Moment-type
-    representations carry no global transform and are rejected.
+def _cauchy_pair(mu: MeasureSpec, z, derivative):
+    """(G, G') of mu on the array z, in both half planes. Without derivative
+    the atoms' and a grid's G' are 0; a law's closed form gives it anyway,
+    so every caller states which it needs.
+    Moment-type representations carry no global transform and are refused.
     """
     import numpy as np
 
-    zarr = np.asarray(z, dtype=complex)
-    scalar = zarr.ndim == 0
-    zarr = np.atleast_1d(zarr)
     if mu.kind == "atomic":
-        out = _atomic_cauchy(mu.atoms, zarr)[0]
-    elif mu.kind == "grid":
-        out = _grid_cauchy(mu, zarr)[0]
-    elif mu.kind == "law":
+        return _atomic_cauchy(mu.atoms, z, derivative)
+    if mu.kind == "grid":
+        return _grid_cauchy(mu, z, derivative)
+    if mu.kind == "law":
+        # the closed form of the law X, for Im w >= 0, at w = (z - c)/s, reflected
+        # by G(conj w) = conj G(w); s X + c has G_X(w)/s and G_X'(w)/s^2
         s, c = float(mu.scale), float(mu.offset)
-        out = _law_cauchy_base(mu.law, mu.params, (zarr - c) / s) / s
-    else:
-        raise ValueError(
-            f"no global Cauchy transform for a {mu.kind!r} representation; "
-            "convert to atomic, grid, or law form"
-        )
-    return complex(out[0]) if scalar else out
+        w = (z - c) / s
+        lower = w.imag < 0
+        vals = LAWS[mu.law].cauchy(mu.params, np.where(lower, np.conj(w), w))
+        g, dg = (np.where(lower, np.conj(v), v) for v in vals)
+        return g / s, dg / (s * s)
+    raise ValueError(
+        f"no global Cauchy transform for a {mu.kind!r} representation; "
+        "convert to atomic, grid, or law form"
+    )
 
 
-def _cauchy_pair(mu: MeasureSpec, z):
-    """G and G' on the 1-d array z; a law's G' is a central difference."""
+def cauchy(mu: MeasureSpec, z):
+    """Cauchy transform G(z) = integral of 1/(z-x); scalar or array z,
+    off the real axis (both half planes)."""
     import numpy as np
 
-    if mu.kind == "law":
-        step = 1e-5 * z.imag
-        g = cauchy(mu, np.concatenate([z, z + step, z - step])).reshape(3, -1)
-        return g[0], (g[1] - g[2]) / (2 * step)
-    if mu.kind == "grid":
-        return _grid_cauchy(mu, z, derivative=True)
-    return _atomic_cauchy(mu.atoms, z, derivative=True)
+    zarr = np.asarray(z, dtype=complex)
+    out = _cauchy_pair(mu, np.atleast_1d(zarr), False)[0]
+    return complex(out[0]) if zarr.ndim == 0 else out
 
 
 def f_transform(mu: MeasureSpec, z):
@@ -503,16 +486,6 @@ def boolean_k(mu: MeasureSpec, z):
     return z - f_transform(mu, z)
 
 
-def transform_map(mu: MeasureSpec, which: str):
-    """The named transform of mu, as a function of z."""
-    fns = {"cauchy": cauchy, "f": f_transform, "boolean_k": boolean_k,
-           "s": s_numeric}
-    if which not in fns:
-        raise ValueError(f"unknown transform {which!r}; choose from {sorted(fns)}")
-    fn = fns[which]
-    return lambda z: fn(mu, z)
-
-
 _S_SEED_ORDER = 16
 
 
@@ -520,9 +493,13 @@ def s_numeric(mu: MeasureSpec, z):
     """S-transform at a point: S(z) = (1+z)/z * u where Psi(u) = z.
 
     The inversion is seeded from the series to order _S_SEED_ORDER and
-    polished by Newton on Psi(u) = G(1/u)/u - 1, so it is only as good as
-    the point is reachable from the series domain; nonconvergence raises.
+    polished by Newton on Psi(u) = G(1/u)/u - 1, with
+    Psi'(u) = -(G(1/u) + G'(1/u)/u)/u^2 from the same _cauchy_pair call.
+    It is only as good as the point is reachable from the series domain;
+    nonconvergence raises.
     """
+    import numpy as np
+
     m1 = catalog.moments_of(mu, 1).at(1)
     if m1 == 0:
         raise ValueError("S-transform needs a nonzero first moment")
@@ -531,26 +508,26 @@ def s_numeric(mu: MeasureSpec, z):
     if z == 0:
         return complex(series.coeff(0))
 
-    def psi(u):
-        return cauchy(mu, 1 / u) / u - 1
+    def residual(u):
+        """Psi(u) - z and Psi'(u)."""
+        g, dg = (complex(v[0]) for v in _cauchy_pair(mu, np.array([1 / u]), True))
+        return g / u - 1 - z, -(g + dg / u) / u**2
 
     u = z / (1 + z) * complex(series.evaluate(z))
-    fu = psi(u) - z
+    fu, dfu = residual(u)
     for _ in range(80):
         if abs(fu) <= 1e-12 * max(1.0, abs(z)):
             break
-        h = 1e-7 * max(1.0, abs(u))
-        df = (psi(u + h) - psi(u - h)) / (2 * h)
-        if df == 0 or not cmath.isfinite(df):
+        if dfu == 0 or not cmath.isfinite(dfu):
             raise ValueError(f"S-transform inversion stalled at z = {z}")
-        step = -fu / df
+        step = -fu / dfu
         for _ in range(25):
             new_u = u + step
-            new_f = psi(new_u) - z
+            new_f, new_df = residual(new_u)
             if cmath.isfinite(new_f) and abs(new_f) <= abs(fu):
                 break
             step /= 2
-        u, fu = new_u, new_f
+        u, fu, dfu = new_u, new_f, new_df
     if not abs(fu) <= 1e-9 * max(1.0, abs(z)):
         raise ValueError(
             f"S-transform inversion did not converge at z = {z} "

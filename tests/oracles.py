@@ -4,9 +4,10 @@ Each is a second derivation of something freeconv computes another way:
 adaptive quadrature of a catalog law's density for its moment table and
 Cauchy transform, the Kreweras-complement and NC(n) enumeration sums for
 the moment-cumulant recursion and the product DP (Nica-Speicher, Lectures
-on the Combinatorics of Free Probability, Lect. 9 and 14), the grid
-Cauchy transform by complex division, and adaptive quadrature of the free
-Meixner Levy measure's integrals.
+on the Combinatorics of Free Probability, Lect. 9 and 14) with the stack
+test of non-crossing they need, the grid Cauchy transform by complex
+division, and adaptive quadrature of the free Meixner Levy measure's
+integrals.
 """
 
 import math
@@ -185,6 +186,31 @@ def _diverges_at_zero(g, direction, width) -> bool:
 # sums over NC(n)
 
 
+def is_noncrossing(p: SetPartition) -> bool:
+    """True iff no a < b < c < d has a,c in one block and b,d in another.
+
+    Scans left to right with a stack: a partition is non-crossing exactly
+    when every revisited block is the innermost open one.
+    """
+    owner = {}
+    for i, b in enumerate(p.blocks):
+        for e in b:
+            owner[e] = i
+    last = {i: b[-1] for i, b in enumerate(p.blocks)}
+    seen = set()
+    stack = []
+    for e in range(1, p.n + 1):
+        i = owner[e]
+        if i not in seen:
+            seen.add(i)
+            stack.append(i)
+        elif stack[-1] != i:
+            return False
+        if last[i] == e:
+            stack.pop()
+    return True
+
+
 def kreweras(p: SetPartition) -> SetPartition:
     """Kreweras complement on the interleaving 1,1',2,2',...,n,n'.
 
@@ -192,7 +218,7 @@ def kreweras(p: SetPartition) -> SetPartition:
     the window {i+1,...,j} is contained in it; the relation is transitive,
     so its classes are the complement's blocks.  |p| + |K(p)| = n + 1.
     """
-    if not p.is_noncrossing():
+    if not is_noncrossing(p):
         raise ValueError("Kreweras complement requires a non-crossing partition")
     n = p.n
     parent = list(range(n + 1))

@@ -297,7 +297,7 @@ def test_marchenko_pastur_atom():
 def test_semicircle_cauchy_value():
     from freeconv.catalog import _sc_cauchy
 
-    g = _sc_cauchy((0, 1), 2j)
+    g = _sc_cauchy((0, 1), 2j)[0]
     assert g == pytest.approx(1j * (1 - math.sqrt(2)), abs=1e-12)
 
 
@@ -317,7 +317,7 @@ def test_cauchy_closed_forms_against_integral(law, params):
         )
         for loc, w in catalog_atoms(law, params):
             want += float(w) / (z - loc)
-        got = fn(params, z)
+        got = fn(params, z)[0]
         assert got == pytest.approx(want, rel=2e-7)
         assert got.imag < 0
 
@@ -325,7 +325,7 @@ def test_cauchy_closed_forms_against_integral(law, params):
 def test_cauchy_decays_like_reciprocal():
     for law, params in (("semicircle", (0, 1)), ("marchenko_pastur", (1.3,))):
         z = 80.0 + 3.0j
-        g = LAWS[law].cauchy(params, z)
+        g = LAWS[law].cauchy(params, z)[0]
         m1 = float(catalog_moments(law, params, 1).at(1))
         assert g == pytest.approx(1 / z + m1 / z**2, abs=2e-4)
 

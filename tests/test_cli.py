@@ -237,9 +237,7 @@ class TestNonFiniteOutput:
         assert "--at must be finite" in err
 
     def test_non_finite_transform_value_is_refused(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            transforms, "transform_map", lambda mu, w: lambda z: complex(math.nan, 1.0)
-        )
+        monkeypatch.setattr(transforms, "cauchy", lambda mu, z: complex(math.nan, 1.0))
         code, stdout, err = run_cli(capsys, "transform", SEMI, "--which", "F", "--at", "0.5,1")
         assert code == 1
         assert stdout == ""

@@ -307,6 +307,16 @@ class TestRModel:
         model = RModel.from_cumulants(catalog.free_cumulants_of(W, 8))
         assert model == RModel(0.0, 1.0, ())
 
+    @pytest.mark.parametrize("args", [
+        (math.nan,), (math.inf,), (0, math.nan), (0, math.inf),
+        (0, 0, ((math.nan, 1),)), (0, 0, ((1, math.nan),)), (0, 0, ((1, math.inf),)),
+    ], ids=["drift-nan", "drift-inf", "variance-nan", "variance-inf",
+            "jump-at-nan", "jump-mass-nan", "jump-mass-inf"])
+    def test_refuses_non_finite_parameters(self, args):
+        # a NaN passed the sign checks and scanned to a NaN edge and atom
+        with pytest.raises(ValueError, match="finite"):
+            RModel(*args)
+
     def test_from_cumulants_recognizes_single_jump_cfp(self):
         k = idclass.cfp(F(3, 2), MeasureSpec.atomic([(F(2, 3), 1)]), 8)
         model = RModel.from_cumulants(k)

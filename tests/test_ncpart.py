@@ -26,6 +26,7 @@ from freeconv.ncpart import (
 )
 from oracles import (
     free_mult_moments_reference,
+    is_noncrossing,
     kreweras,
     moments_from_free_cumulants_reference,
     partition_weight,
@@ -82,7 +83,7 @@ def test_catalan_values():
 def test_is_noncrossing_matches_bruteforce():
     for n in range(1, 7):
         for p in all_set_partitions(n):
-            assert p.is_noncrossing() == crossing_free_bruteforce(p)
+            assert is_noncrossing(p) == crossing_free_bruteforce(p)
 
 
 def test_enumerate_nc_counts():
@@ -92,7 +93,7 @@ def test_enumerate_nc_counts():
 
 def test_enumerate_nc_matches_filtered_bruteforce():
     for n in range(1, 8):
-        expected = {p for p in all_set_partitions(n) if p.is_noncrossing()}
+        expected = {p for p in all_set_partitions(n) if is_noncrossing(p)}
         produced = set(enumerate_nc(n))
         assert produced == expected
 
@@ -130,7 +131,7 @@ def test_kreweras_size_identity_and_rotation():
     for n in range(1, 8):
         for p in enumerate_nc(n):
             k = kreweras(p)
-            assert k.is_noncrossing()
+            assert is_noncrossing(k)
             assert len(p) + len(k) == n + 1
             rotated = SetPartition(
                 n,

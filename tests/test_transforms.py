@@ -22,7 +22,6 @@ from freeconv.transforms import (
     moments_from_s_series,
     s_series,
     stieltjes_invert,
-    transform_map,
 )
 from oracles import grid_cauchy_reference, law_cauchy_quad, law_moments_quadrature
 from test_catalog import QUAD_CASES
@@ -619,46 +618,50 @@ def _mp_cuts(x, y, lo, hi):
     return [lo] + sorted(c for c in cuts if lo < c < hi) + [hi]
 
 
-def _mp_semicircle(w, mean, var):
+# each reference takes the power k of the kernel 1/(z - t)^k: k = 1 gives
+# G(z), and k = 2 gives -G'(z)
+
+
+def _mp_semicircle(w, mean, var, k=1):
     import mpmath as mp
 
     z, half = mp.mpc(w), 2 * mp.sqrt(var)
     cuts = _mp_cuts(w.real, w.imag, mean - half, mean + half)
     return complex(mp.quad(
-        lambda t: mp.sqrt(4 * var - (t - mean) ** 2) / (2 * mp.pi * var * (z - t)), cuts))
+        lambda t: mp.sqrt(4 * var - (t - mean) ** 2) / (2 * mp.pi * var * (z - t) ** k), cuts))
 
 
-def _mp_marchenko_pastur(w, rate):
+def _mp_marchenko_pastur(w, rate, k=1):
     import mpmath as mp
 
     # the atom max(1 - rate, 0) at 0 and the density on [a, b]
     z, rate = mp.mpc(w), mp.mpf(rate)
     a, b = (1 - mp.sqrt(rate)) ** 2, (1 + mp.sqrt(rate)) ** 2
     cuts = _mp_cuts(w.real, w.imag, a, b)
-    dens = mp.quad(lambda t: mp.sqrt((t - a) * (b - t)) / (2 * mp.pi * t * (z - t)), cuts)
-    return complex(max(1 - rate, 0) / z + dens)
+    dens = mp.quad(lambda t: mp.sqrt((t - a) * (b - t)) / (2 * mp.pi * t * (z - t) ** k), cuts)
+    return complex(max(1 - rate, 0) / z**k + dens)
 
 
-def _mp_quarter_circle(w, sigma):
+def _mp_quarter_circle(w, sigma, k=1):
     import mpmath as mp
 
     z = mp.mpc(w)
     cuts = _mp_cuts(w.real, w.imag, 0, 2 * sigma)
     return complex(mp.quad(
-        lambda t: mp.sqrt(4 * sigma**2 - t * t) / (mp.pi * sigma**2 * (z - t)), cuts))
+        lambda t: mp.sqrt(4 * sigma**2 - t * t) / (mp.pi * sigma**2 * (z - t) ** k), cuts))
 
 
-def _mp_chi_squared_1(w):
+def _mp_chi_squared_1(w, k=1):
     import mpmath as mp
 
     # x = u^2 on (0, 12^2); the tail beyond weighs e^-72
     z = mp.mpc(w)
     cuts = [0] + [mp.sqrt(c) for c in _mp_cuts(w.real, w.imag, 0, 144)[1:]]
     return complex(mp.quad(
-        lambda u: 2 * mp.exp(-u * u / 2) / (mp.sqrt(2 * mp.pi) * (z - u * u)), cuts))
+        lambda u: 2 * mp.exp(-u * u / 2) / (mp.sqrt(2 * mp.pi) * (z - u * u) ** k), cuts))
 
 
-def _mp_symmetric_beta(w):
+def _mp_symmetric_beta(w, k=1):
     import mpmath as mp
 
     # t = +-u^2 on each half of (-4, 4): the Jacobian 2u cancels |t|^{-1/2},
@@ -666,11 +669,12 @@ def _mp_symmetric_beta(w):
     z, total = mp.mpc(w), 0
     for sign in (1, -1):
         cuts = [0] + [mp.sqrt(c) for c in _mp_cuts(sign * w.real, w.imag, 0, 4)[1:]]
-        total += mp.quad(lambda u: mp.sqrt(4 - u * u) / (2 * mp.pi * (z - sign * u * u)), cuts)
+        total += mp.quad(
+            lambda u: mp.sqrt(4 - u * u) / (2 * mp.pi * (z - sign * u * u) ** k), cuts)
     return complex(total)
 
 
-def _mp_beta_1a(w, a):
+def _mp_beta_1a(w, a, k=1):
     import mpmath as mp
 
     # x = u^p with p = 1/(1 - a), whose Jacobian cancels x^{-a}
@@ -678,62 +682,90 @@ def _mp_beta_1a(w, a):
     z, p = mp.mpc(w), 1 / (1 - a)
     cuts = [0] + [mp.mpf(c) ** (1 / p) for c in _mp_cuts(w.real, w.imag, 0, 1)[1:]]
     c = p * mp.sin(mp.pi * a) / (mp.pi * a)
-    return complex(mp.quad(lambda u: c * (1 - u**p) ** a / (z - u**p), cuts))
+    return complex(mp.quad(lambda u: c * (1 - u**p) ** a / (z - u**p) ** k, cuts))
 
 
-def _mp_commutator_ww(w):
+def _mp_commutator_ww(w, k=1):
     import mpmath as mp
 
     # R(w) = 2w/(1 - w^2): for z in C+, G is the one root of
-    # z G^3 + G^2 - z G + 1 in C-
-    z = mp.mpc(w)
-    roots = mp.polyroots([z, 1, -z, 1], maxsteps=200, extraprec=200)
-    (g,) = [r for r in roots if r.imag < 0]
-    return complex(g)
+    # z G^3 + G^2 - z G + 1 in C-; at k = 2, -G' is mpmath's numerical
+    # derivative of that root, not the implicit form the closed form uses
+    def root(z):
+        roots = mp.polyroots([z, 1, -z, 1], maxsteps=200, extraprec=200)
+        (g,) = [r for r in roots if r.imag < 0]
+        return g
+
+    return complex(root(mp.mpc(w)) if k == 1 else -mp.diff(root, mp.mpc(w)))
 
 
-@pytest.mark.parametrize(
-    "law,unit,sigma,reference,xs",
-    [
-        # the jump at 0, the square-root edge at 2 and the series past |r| = 8
-        ("quarter_circle", (1,), 2, _mp_quarter_circle, (-0.75, 0.0, 0.5, 2.0, 3.25, 20.0)),
-        ("chi_squared_1", (), 1, _mp_chi_squared_1, (-2.0, 0.0, 0.25, 1.5, 20.0)),
-        # far out, where (z - root)/2 would cancel
-        ("semicircle", (0, 1), 1, _mp_semicircle, (-2.0, 0.0, 1.5, 2.0, 40.0, 1e3, 1e5)),
-        # the atom at 0 below rate 1; at rate 2, the point 0 just left of the
-        # support, where the quotient (z + 1 - rate - root)/(2z) would cancel
-        ("marchenko_pastur", (0.5,), 1, _mp_marchenko_pastur,
-         (-2.0, 0.0, 0.125, 0.5, 3.0, 6.0, 20.0, 1000.0)),
-        ("marchenko_pastur", (2,), 1, _mp_marchenko_pastur,
-         (-2.0, 0.0, 0.125, 0.5, 3.0, 6.0, 20.0, 1000.0)),
-        # the inverse square root at 0 and the edges at -+4
-        ("symmetric_beta", (), 1, _mp_symmetric_beta,
-         (-5.0, -4.0, -2.0, 0.0, 0.5, 4.0, 20.0, 1000.0)),
-        # both edges, and the series for log(1 - 1/z) past |z| = 8
-        ("beta_1a", (0.3,), 1, _mp_beta_1a, (-1.0, 0.0, 0.5, 1.0, 1.5, 7.5, 9.0, 1000.0)),
-        # the root of least modulus outside the strip and past |z| = 8; the
-        # edges -+3.3302, where two roots meet and the error grows like
-        # 1e-16/sqrt|z -+ edge| (1.8e-11 at edge + 1e-12i), are left out
-        ("commutator_ww", (), 1, _mp_commutator_ww,
-         (-20.0, -3.0, 0.0, 1.5, 3.25, 3.5, 7.5, 9.0, 1000.0)),
-    ],
-)
+_MPMATH_CASES = [
+    # the jump at 0, the square-root edge at 2 and the series past |r| = 8
+    ("quarter_circle", (1,), 2, _mp_quarter_circle, (-0.75, 0.0, 0.5, 2.0, 3.25, 20.0)),
+    ("chi_squared_1", (), 1, _mp_chi_squared_1, (-2.0, 0.0, 0.25, 1.5, 20.0)),
+    # far out, where (z - root)/2 would cancel
+    ("semicircle", (0, 1), 1, _mp_semicircle, (-2.0, 0.0, 1.5, 2.0, 40.0, 1e3, 1e5)),
+    # the atom at 0 below rate 1; at rate 2, the point 0 just left of the
+    # support, where the quotient (z + 1 - rate - root)/(2z) would cancel
+    ("marchenko_pastur", (0.5,), 1, _mp_marchenko_pastur,
+     (-2.0, 0.0, 0.125, 0.5, 3.0, 6.0, 20.0, 1000.0)),
+    ("marchenko_pastur", (2,), 1, _mp_marchenko_pastur,
+     (-2.0, 0.0, 0.125, 0.5, 3.0, 6.0, 20.0, 1000.0)),
+    # the inverse square root at 0 and the edges at -+4
+    ("symmetric_beta", (), 1, _mp_symmetric_beta,
+     (-5.0, -4.0, -2.0, 0.0, 0.5, 4.0, 20.0, 1000.0)),
+    # both edges, and the series for log(1 - 1/z) past |z| = 8
+    ("beta_1a", (0.3,), 1, _mp_beta_1a, (-1.0, 0.0, 0.5, 1.0, 1.5, 7.5, 9.0, 1000.0)),
+    # the root of least modulus outside the strip and past |z| = 8; the
+    # edges -+3.3302, where two roots meet and the error grows like
+    # 1e-16/sqrt|z -+ edge| (1.8e-11 at edge + 1e-12i), are left out
+    ("commutator_ww", (), 1, _mp_commutator_ww,
+     (-20.0, -3.0, 0.0, 1.5, 3.25, 3.5, 7.5, 9.0, 1000.0)),
+]
+
+
+# relative error of the closed-form G' against mpmath, at heights 1 ... 1e-6.
+# chi^2(1)'s 1 - (z + 1) G cancels like 1/|z| (1.8e-14 at 20 + i); every
+# other law stays within 2.1e-15. Closer to the axis the k = 2 quadrature at
+# 20 digits is the worse side (1.6e-4 at 1e-12i, while the commutator, whose
+# reference is a root, stays within 2e-15). The commutator's edges are left
+# out as for G: there G' errs by about 1e-16/|z -+ edge| relative (2e-10 at
+# the float nearest the edge + 1e-6i)
+_CLOSED_FORM_DERIVATIVE_REL = 5e-14
+_DERIVATIVE_HEIGHTS = _HEIGHTS_TO_AXIS[:4]
+
+
+@pytest.mark.parametrize("law,unit,sigma,reference,xs", _MPMATH_CASES)
 def test_closed_form_cauchy_matches_mpmath(law, unit, sigma, reference, xs):
     import mpmath as mp
 
     # G of -2 X + 1, with X the law at scale sigma (the quarter circle's
     # parameter times sigma, which is 1 for the others), is G_unit(w)/(-2 sigma)
-    # at z = -2 sigma w + 1; the dyadic points keep that map exact, so the
-    # error is the transform's own, not the input's rounding
+    # at z = -2 sigma w + 1, and its G' is G_unit'(w)/(4 sigma^2); the dyadic
+    # points keep that map exact, so the error is the transform's own, not the
+    # input's rounding. The reference at kernel power 2 is -G'
     plain = MeasureSpec.from_law(law, unit)
     moved = MeasureSpec.from_law(law, tuple(sigma * u for u in unit), scale=-2, offset=1)
-    worst = 0.0
+
+    def unit_pairs(side):
+        """(G, G') of the unit law at side, read off both specs."""
+        g, dg = (v[0] for v in transforms._cauchy_pair(plain, np.array([side]), True))
+        mg, mdg = (
+            v[0] for v in transforms._cauchy_pair(moved, np.array([-2 * sigma * side + 1]), True)
+        )
+        return (g, -2 * sigma * mg), (dg, 4 * sigma**2 * mdg)
+
+    worst = [0.0, 0.0]
     with mp.workdps(20):
-        for w in (complex(x, y) for x in xs for y in _HEIGHTS_TO_AXIS):
-            want = reference(w, *unit)
-            for side, ref in ((w, want), (w.conjugate(), want.conjugate())):
-                got = (cauchy(plain, side), -2 * sigma * cauchy(moved, -2 * sigma * side + 1))
-                worst = max(worst, *(abs(g - ref) / abs(ref) for g in got))
+        for x, y in ((x, y) for x in xs for y in _HEIGHTS_TO_AXIS):
+            w = complex(x, y)
+            wants = [reference(w, *unit)]
+            if y in _DERIVATIVE_HEIGHTS:
+                wants.append(-reference(w, *unit, k=2))
+            for side, flip in ((w, False), (w.conjugate(), True)):
+                for i, (got, want) in enumerate(zip(unit_pairs(side), wants)):
+                    ref = want.conjugate() if flip else want
+                    worst[i] = max(worst[i], *(abs(g - ref) / abs(ref) for g in got))
         # a law on [0, oo): the real parts at -2^-k that thm110_check reads,
         # on the axis itself, where only Re G is documented
         if catalog.support_low(plain) >= 0:
@@ -741,8 +773,9 @@ def test_closed_form_cauchy_matches_mpmath(law, unit, sigma, reference, xs):
                 w = complex(-(2.0**-k), 0)
                 want = reference(w, *unit).real
                 got = (cauchy(plain, w), -2 * sigma * cauchy(moved, -2 * sigma * w + 1))
-                worst = max(worst, *(abs(g.real - want) / abs(want) for g in got))
-    assert worst < _CLOSED_FORM_REL
+                worst[0] = max(worst[0], *(abs(g.real - want) / abs(want) for g in got))
+    assert worst[0] < _CLOSED_FORM_REL
+    assert worst[1] < _CLOSED_FORM_DERIVATIVE_REL
 
 
 @pytest.mark.parametrize("sigma", [1, 2])
@@ -763,10 +796,12 @@ def test_quarter_circle_on_the_axis_matches_mpmath(sigma):
 
 
 def test_law_without_density_is_its_atoms():
+    # G and G' alike, to the bit
     law = MeasureSpec.from_law("symmetric_bernoulli")
     atoms = MeasureSpec.atomic([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])
     zs = np.array([0.3 + 0.7j, -2.0 - 0.1j, 1.0 + 1e-3j])
-    assert np.array_equal(cauchy(law, zs), cauchy(atoms, zs))
+    got, want = (transforms._cauchy_pair(mu, zs, True) for mu in (law, atoms))
+    assert np.array_equal(got, want)
 
 
 def test_grid_cauchy_matches_law():
@@ -836,7 +871,7 @@ def test_grid_cauchy_memory_is_bounded():
     z = np.linspace(-3, 3, 256) + 0.5j
     tracemalloc.start()
     try:
-        g, dg = transforms._cauchy_pair(mu, z)
+        g, dg = transforms._cauchy_pair(mu, z, True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -856,12 +891,30 @@ def test_f_and_boolean_k_point_mass():
     assert boolean_k(mu, z) == pytest.approx(1.5, rel=1e-12)
 
 
-def test_transform_map():
-    mu = MeasureSpec.from_law("semicircle", (0, 1))
-    g = transform_map(mu, "cauchy")
-    assert g(2j) == pytest.approx(cauchy(mu, 2j))
-    with pytest.raises(ValueError, match="unknown transform"):
-        transform_map(mu, "mellin")
+@pytest.mark.parametrize("rate", [0.5, 2, 3.5])
+def test_s_numeric_matches_marchenko_pastur(rate):
+    # S of MP(rate) is 1/(z + rate)
+    mu = MeasureSpec.from_law("marchenko_pastur", (rate,))
+    for z in (0.1 + 0.2j, -0.3 + 0.5j, -0.5 - 0.2j, 0.7):
+        want = 1 / (z + rate)
+        assert abs(transforms.s_numeric(mu, z) - want) <= 1e-11 * abs(want)
+
+
+def test_s_numeric_newton_reads_one_point_per_step(monkeypatch):
+    # at 1 + i the series seed for MP(2) is off, so Newton takes several
+    # steps; each reads G and G' at the one point 1/u, with no shifted point
+    calls = []
+    pair = transforms._cauchy_pair
+
+    def spy(mu, z, derivative=False):
+        calls.append((z.size, derivative))
+        return pair(mu, z, derivative)
+
+    monkeypatch.setattr(transforms, "_cauchy_pair", spy)
+    z = 1 + 1j
+    got = transforms.s_numeric(MeasureSpec.from_law("marchenko_pastur", (2,)), z)
+    assert abs(got - 1 / (z + 2)) <= 1e-13 * abs(1 / (z + 2))
+    assert len(calls) >= 4 and set(calls) == {(1, True)}
 
 
 def test_herglotz_property_random_points():
