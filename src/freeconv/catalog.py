@@ -609,8 +609,7 @@ def density_of(mu: MeasureSpec, x):
 def catalog_moments(law: str, params, order: int) -> SeqN:
     """Moments of a catalog law to the requested order, as one table."""
     spec, params = _law_entry(law, params)
-    if order > MOMENT_CAP_CLOSED:
-        raise ValueError(f"catalog_moments capped at order {MOMENT_CAP_CLOSED}")
+    ncpart._check_cap(order, MOMENT_CAP_CLOSED, "catalog_moments")
     return SeqN("moment", spec.moments(params, order))
 
 
@@ -620,6 +619,7 @@ def moments_of(mu: MeasureSpec, order: int) -> SeqN:
     Computed moments are capped at MOMENT_CAP_CLOSED; a moment spec is only
     truncated, so its own order bounds it.
     """
+    ncpart._check_order(order, "moments_of")
     if mu.kind != "moments" and order > MOMENT_CAP_CLOSED:
         raise ValueError(f"moments_of capped at order {MOMENT_CAP_CLOSED}, got {order}")
     if mu.kind == "atomic":

@@ -2,23 +2,30 @@
 
 All conversions here are purely algebraic, and orders are 1-indexed: a
 sequence of order N holds the entries for n = 1..N.  Moments and free
-cumulants are linked by one cubic recursion, _nc_kernel.  ``int``/``Fraction``
-inputs run it, and the product DP, exactly in Python ints graded by D^n (D
-the lcm of the denominators); float inputs run it in double precision.  The
-tests check both against sums over NC(n) enumerated with enumerate_nc.
+cumulants are linked by one cubic recursion, _nc_kernel, and moments and
+boolean cumulants by the quadratic _boolean_kernel.  ``int``/``Fraction``
+inputs run both, and the product DP, exactly in Python ints graded by D^n,
+with D a small base for which every x_n D^n is an int (see _grade);
+float inputs run them in double precision.  The tests check both against
+sums over NC(n) enumerated with enumerate_nc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, prod
+from operator import mul
 
 ENUMERATION_CAP = 14      # Catalan(14) = 2\,674\,440 partitions, see enumerate_nc
 CONVERSION_CAP = 20       # moment <-> cumulant conversions
 PRODUCT_CAP = 16          # free multiplicative convolution at moment level
 
 SEQ_KINDS = ("moment", "free_cumulant", "boolean_cumulant")
+
+# primes at which _grade gives the base its least exponent
+_BASE_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_BASE_PRIMORIAL = prod(_BASE_PRIMES)
 
 
 def catalan(n: int) -> int:
@@ -53,6 +60,7 @@ class SeqN:
         return self.values[n - 1]
 
     def truncated(self, n: int) -> "SeqN":
+        _check_order(n, "truncated")
         if n > len(self.values):
             raise ValueError(f"cannot extend order {len(self.values)} to {n}")
         return SeqN(self.kind, self.values[:n])
@@ -164,47 +172,83 @@ def _nc_kernel(seq, inverse: bool) -> list:
     return kappa if inverse else m[1:]
 
 
+def _boolean_kernel(seq, inverse: bool) -> list:
+    """Interval-partition refinement m_n = sum_{k<=n} r_k m_{n-k}, m_0 = 1,
+    solved for m_n (inverse False) or for r_n, in O(N^2)."""
+    if inverse:
+        m, r = [1, *seq], []
+        for n in range(1, len(m)):
+            r.append(m[n] - sum(map(mul, r, m[n - 1:0:-1])))
+        return r
+    m = [1]
+    for n in range(1, len(seq) + 1):
+        m.append(sum(map(mul, seq[:n], reversed(m))))
+    return m[1:]
+
+
 def _grade(xs) -> tuple:
-    """Exact x_n scaled to the int x_n D^n, D the lcm of the denominators."""
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d**n // x.denominator) for n, x in enumerate(xs, 1)], d
+    """Exact x_n scaled to the int x_n D^n, and the base D.
+
+    Grading needs den(x_n) | D^n for every n, and D grows order by order to
+    cover the part c of den_n that D^n misses. At each prime p of
+    _BASE_PRIMES it grows by p^ceil(v_p(c)/n), which gives p the least
+    exponent that grading allows, the largest ceil(v_p(den_n)/n); the rest
+    of c it takes whole. Neither gives a prime a larger exponent than some
+    denominator has, so D divides their lcm: the moments of atoms at k/q
+    with weights w/T, whose lcm is q^N T, get a D that divides qT when q's
+    primes are in _BASE_PRIMES.
+    """
+    d = 1
+    for n, x in enumerate(xs, 1):
+        c = x.denominator // gcd(x.denominator, d**n)
+        small = gcd(c, _BASE_PRIMORIAL)
+        for p in _BASE_PRIMES:
+            if small == 1:
+                break
+            if small % p == 0:
+                small //= p
+                e = 0
+                while c % p == 0:
+                    c //= p
+                    e += 1
+                d *= p ** -(-e // n)
+        d *= c
+    graded, dn = [], 1
+    for x in xs:
+        dn *= d
+        graded.append(x.numerator * (dn // x.denominator))
+    return graded, d
 
 
-def _nc_convert(seq: tuple, inverse: bool) -> list:
-    """_nc_kernel on the values, or on graded ints for exact input: output n
-    is then v / D^n, a Fraction from the first Fraction input on and an int
-    before it, the types that Fraction arithmetic gives."""
+def _nc_convert(seq: tuple, kernel, inverse: bool) -> list:
+    """kernel(seq, inverse) on the values, or on graded ints for exact input:
+    output n is then v / D^n, a Fraction from the first Fraction input on and
+    an int before it, the types that Fraction arithmetic gives."""
     if not _is_exact(*seq):
-        return _nc_kernel(seq, inverse)
+        return kernel(seq, inverse)
     graded, d = _grade(seq)
     first = next((n for n, x in enumerate(seq, 1) if isinstance(x, Fraction)),
                  len(seq) + 1)
-    return [Fraction(v, d**n) if n >= first else v // d**n
-            for n, v in enumerate(_nc_kernel(graded, inverse), 1)]
+    out, dn = [], 1
+    for n, v in enumerate(kernel(graded, inverse), 1):
+        dn *= d
+        out.append(Fraction(v, dn) if n >= first else v // dn)
+    return out
 
 
 def _moments_from_free(kappa: tuple) -> list:
     """m_n = sum_{k=1}^{n} kappa_k [z^{n-k}] M(z)^k with M = 1 + sum m_j z^j."""
-    return _nc_convert(kappa, inverse=False)
+    return _nc_convert(kappa, _nc_kernel, inverse=False)
 
 
-def _moments_from_boolean(r: tuple) -> list:
-    """Interval-partition refinement: m_n = sum_k r_k m_{n-k}, m_0 = 1."""
-    m = [1]
-    for n in range(1, len(r) + 1):
-        m.append(sum(r[k - 1] * m[n - k] for k in range(1, n + 1)))
-    return m[1:]
-
-
-def _boolean_from_moments(m: tuple) -> list:
-    mm = [1] + list(m)
-    r = []
-    for n in range(1, len(m) + 1):
-        r.append(mm[n] - sum(r[k - 1] * mm[n - k] for k in range(1, n)))
-    return r
+def _check_order(n: int, op: str) -> None:
+    """Refuse a negative order; order 0 is the empty sequence."""
+    if n < 0:
+        raise ValueError(f"{op} needs an order >= 0, got {n}")
 
 
 def _check_cap(n: int, cap: int, op: str) -> None:
+    _check_order(n, op)
     if n > cap:
         raise ValueError(f"{op} capped at order {cap}, got {n}")
 
@@ -220,19 +264,19 @@ def free_cumulants_from_moments(m) -> SeqN:
     """Exact inverse of moments_from_free_cumulants."""
     vals = _values(m, "moment", "free_cumulants_from_moments")
     _check_cap(len(vals), CONVERSION_CAP, "free_cumulants_from_moments")
-    return SeqN("free_cumulant", _nc_convert(vals, inverse=True))
+    return SeqN("free_cumulant", _nc_convert(vals, _nc_kernel, inverse=True))
 
 
 def moments_from_boolean_cumulants(r) -> SeqN:
     vals = _values(r, "boolean_cumulant", "moments_from_boolean_cumulants")
     _check_cap(len(vals), CONVERSION_CAP, "moments_from_boolean_cumulants")
-    return SeqN("moment", _moments_from_boolean(vals))
+    return SeqN("moment", _nc_convert(vals, _boolean_kernel, inverse=False))
 
 
 def boolean_cumulants_from_moments(m) -> SeqN:
     vals = _values(m, "moment", "boolean_cumulants_from_moments")
     _check_cap(len(vals), CONVERSION_CAP, "boolean_cumulants_from_moments")
-    return SeqN("boolean_cumulant", _boolean_from_moments(vals))
+    return SeqN("boolean_cumulant", _nc_convert(vals, _boolean_kernel, inverse=True))
 
 
 def square_cumulants(alpha) -> SeqN:
@@ -324,7 +368,8 @@ def free_mult_moments(mu_moments, nu_moments, order: int | None = None) -> SeqN:
     frac = any(isinstance(x, Fraction) for x in mv + nv)
     lead = any(isinstance(x, Fraction) for x in mv[:1] + nv[:1])
     if not _is_exact(*mv, *nv) or (frac and not lead):
-        ka, kb = _nc_convert(mv, inverse=True), _nc_convert(nv, inverse=True)
+        ka = _nc_convert(mv, _nc_kernel, inverse=True)
+        kb = _nc_convert(nv, _nc_kernel, inverse=True)
         return SeqN("moment", _alternating_product_moments(ka, kb, order)[0])
     (ga, da), (gb, db) = _grade(mv), _grade(nv)
     ka, kb = _nc_kernel(ga, inverse=True), _nc_kernel(gb, inverse=True)

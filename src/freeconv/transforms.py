@@ -4,9 +4,11 @@ Two layers live here. The formal layer (FormalSeries) manipulates truncated
 power series with exact truncation bookkeeping, and carries the series route
 from moments to free cumulants (functional inversion of u -> u * (1 + sum
 m_n u^n)) that cross-checks the lattice recursion in ncpart. Reversion is
-Lagrange inversion in O(n^3) coefficient operations, built from the series
-product and quotient only, so the route shares no code with ncpart; on
-exact coefficients these run on int numerators over one denominator. The
+Lagrange inversion in O(n^3) coefficient operations, built from series
+reciprocals and products only, so the route shares no code with ncpart.
+On exact coefficients the product and quotient run on int
+numerators over one denominator, and reversion on the ints (u_i/u_0) D^i
+for a base D that divides the lcm of the denominators (_graded). The
 numeric layer evaluates Cauchy transforms of concrete measures, a law's by
 its closed form, and recovers densities by Stieltjes inversion with
 Richardson extrapolation in the regularization parameter. Only the numeric
@@ -39,9 +41,10 @@ class FormalSeries:
     b.top + v(a)) because the unknown tail of one factor multiplies the
     lowest term of the other. Coefficients may be Fraction, int, float or
     complex; exact inputs stay exact. On exact operands products and
-    quotients sum int numerators over one denominator; a product coefficient
-    is a Fraction exactly when a Fraction enters one of its terms, and every
-    quotient coefficient is one. Float or complex operands take per-term loops.
+    quotients sum int numerators over one denominator, and reversion runs on
+    graded ints; a product coefficient is a Fraction exactly when a Fraction
+    enters one of its terms, and every quotient and reversion coefficient is
+    one. Float or complex operands take per-term loops.
     """
 
     __slots__ = ("lo", "coeffs", "top")
@@ -216,20 +219,29 @@ class FormalSeries:
         With self = z u(z), [z^k] self^{-1} = [w^{k-1}] u(w)^{-k} / k
         (Flajolet-Sedgewick, Analytic Combinatorics, Thm A.2): one series
         division and a running power of 1/u, O(n^3) coefficient operations.
-        On exact coefficients 1/u = V/D with int V, and the k-th power stays
-        V^k over D^k, so the loop builds one Fraction per output coefficient.
+        On exact coefficients u_i / u_0 = g_i / D^i with ints g_i and g_0 = 1
+        (_graded), so 1/g is an int series h and [w^{k-1}] u^{-k} =
+        [w^{k-1}] h^k / (D^{k-1} u_0^k): the power runs on ints, and the
+        loop builds one Fraction per output coefficient.
         """
         if self.is_zero or self.lo != 1:
             raise ValueError("reversion needs a series of valuation exactly 1")
-        v = 1 / self.shifted(-1)
-        if _exact(v.coeffs):
-            # v_0 != 0, so v has all the self.top coefficients that d needs
-            nums, den = _scaled(v.coeffs)
-            power, scale, d = nums, den, [Fraction(nums[0], den)]
-            for k in range(2, self.top + 1):
-                power, scale = _convolve(power, nums, len(nums)), scale * den
-                d.append(Fraction(power[k - 1], scale * k))
+        u = self.shifted(-1)
+        if _exact(u.coeffs):
+            # u_0 != 0, so u has all the self.top coefficients that d needs
+            g, u0, base = _graded(u.coeffs)
+            h = [1]  # 1 / sum g_i w^i, an int series since g_0 = 1
+            for i in range(1, len(g)):
+                h.append(-sum(map(operator.mul, g[1 : i + 1], reversed(h))))
+            # power = h^k, and num / den = 1 / (D^{k-1} u_0^k)
+            power, num, den, d = h, u0.denominator, u0.numerator, []
+            for k in range(1, self.top + 1):
+                if k > 1:
+                    power = _convolve(power, h, len(h))
+                    num, den = num * u0.denominator, den * u0.numerator * base
+                d.append(Fraction(power[k - 1] * num, den * k))
             return FormalSeries(1, d, self.top)
+        v = 1 / u
         power = FormalSeries.poly([1], v.top)
         d = []
         for k in range(1, self.top + 1):
@@ -267,6 +279,28 @@ def _scaled(coeffs):
     """Int numerators of exact coeffs over the lcm of their denominators; the lcm."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _graded(coeffs):
+    """Ints g_i = (c_i / c_0) D^i of exact coeffs with c_0 != 0, so g_0 = 1;
+    c_0 as a Fraction; and D. D grows order by order, by e_i / gcd(e_i, D^i)
+    with e_i the denominator of c_i / c_0, so it divides their lcm."""
+    c0 = Fraction(coeffs[0])
+    # c_i / c_0 = (p_i q_0) / (q_i p_0) in lowest terms, the sign of p_0 on top
+    sign, p0, q0 = (1 if c0 > 0 else -1), abs(c0.numerator), c0.denominator
+    ratios = []
+    for c in coeffs[1:]:
+        num, den = sign * c.numerator * q0, c.denominator * p0
+        common = math.gcd(num, den)
+        ratios.append((num // common, den // common))
+    d = 1
+    for i, (_, den) in enumerate(ratios, 1):
+        d *= den // math.gcd(den, d**i)
+    g, di = [1], 1
+    for num, den in ratios:
+        di *= d
+        g.append(num * (di // den))
+    return g, c0, d
 
 
 def _convolve(a, b, n):

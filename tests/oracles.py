@@ -5,13 +5,15 @@ adaptive quadrature of a catalog law's density for its moment table and
 Cauchy transform, the Kreweras-complement and NC(n) enumeration sums for
 the moment-cumulant recursion and the product DP (Nica-Speicher, Lectures
 on the Combinatorics of Free Probability, Lect. 9 and 14) with the stack
-test of non-crossing they need, the grid Cauchy transform by complex
+test of non-crossing they need, the boolean pair and the Lagrange reversion
+on plain Fraction arithmetic, the grid Cauchy transform by complex
 division, and adaptive quadrature of the free Meixner Levy measure's
 integrals.
 """
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -283,3 +285,39 @@ def free_mult_moments_reference(mu_moments, nu_moments, order: int) -> SeqN:
             )
         out.append(total)
     return SeqN("moment", out)
+
+
+# ---------------------------------------------------------------------------
+# the exact kernels on plain Fraction arithmetic
+
+
+def moments_from_boolean_reference(r) -> list:
+    """m_n = sum_k r_k m_{n-k}, m_0 = 1, one Python operation per term."""
+    m = [1]
+    for n in range(1, len(r) + 1):
+        m.append(sum(r[k - 1] * m[n - k] for k in range(1, n + 1)))
+    return m[1:]
+
+
+def boolean_from_moments_reference(m) -> list:
+    """The inverse of moments_from_boolean_reference, term by term."""
+    mm = [1] + list(m)
+    r = []
+    for n in range(1, len(m) + 1):
+        r.append(mm[n] - sum(r[k - 1] * mm[n - k] for k in range(1, n)))
+    return r
+
+
+def reverted_reference(f):
+    """Lagrange inversion of an exact series of valuation 1, with 1/u = V/L
+    over the lcm L of its denominators: the k-th power is V^k over L^k."""
+    v = 1 / f.shifted(-1)
+    den = math.lcm(*(c.denominator for c in v.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in v.coeffs]
+    power, scale, d = nums, den, [Fraction(nums[0], den)]
+    for k in range(2, f.top + 1):
+        power = [sum(power[i] * nums[j - i] for i in range(j + 1))
+                 for j in range(len(nums))]
+        scale *= den
+        d.append(Fraction(power[k - 1], scale * k))
+    return transforms.FormalSeries(1, d, f.top)

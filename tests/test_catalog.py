@@ -268,6 +268,23 @@ def test_moments_of_capped_at_entry(mu):
     assert moments_of(mu, 64).order == 64
 
 
+def test_negative_orders_refused():
+    moment_spec = MeasureSpec.from_moments([1, 2, 5])
+    cumulant_spec = MeasureSpec.from_free_cumulants([1, 2, 5])
+    calls = [
+        lambda n: moments_of(moment_spec, n),
+        lambda n: moments_of(MeasureSpec.atomic([(2, 1)]), n),
+        lambda n: catalog_moments("semicircle", (0, 1), n),
+        lambda n: free_cumulants_of(cumulant_spec, n),
+        lambda n: free_cumulants_of(moment_spec, n),
+    ]
+    for call in calls:
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match=f"order >= 0, got {n}"):
+                call(n)
+        assert call(0).values == ()
+
+
 def test_moments_of_moment_spec_bounded_by_its_data():
     # a stored moment sequence is only truncated; its order bounds it
     mu = MeasureSpec.from_moments(list(range(1, 71)))

@@ -6,12 +6,14 @@ against them on small orders.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from freeconv import ncpart
 from freeconv.ncpart import (
     SeqN,
     SetPartition,
@@ -25,9 +27,11 @@ from freeconv.ncpart import (
     square_cumulants,
 )
 from oracles import (
+    boolean_from_moments_reference,
     free_mult_moments_reference,
     is_noncrossing,
     kreweras,
+    moments_from_boolean_reference,
     moments_from_free_cumulants_reference,
     partition_weight,
 )
@@ -199,6 +203,16 @@ def test_conversion_cap():
         moments_from_free_cumulants(SeqN("free_cumulant", [0] * 21))
 
 
+def test_negative_orders_refused():
+    m = SeqN("moment", [1, 2, 5])
+    with pytest.raises(ValueError, match="order >= 0, got -1"):
+        m.truncated(-1)
+    with pytest.raises(ValueError, match="order >= 0, got -1"):
+        free_mult_moments(m, m, -1)
+    assert m.truncated(0).values == ()
+    assert free_mult_moments(m, m, 0).values == ()
+
+
 rational_seqs = st.lists(
     st.fractions(
         min_value=-3, max_value=3, max_denominator=8
@@ -353,6 +367,55 @@ def test_graded_product_equals_kreweras_oracle(a, b):
     assert got.values == ref.values
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(mixed_exact, st.sampled_from([0, Fraction(0)])), max_size=14))
+def test_boolean_pair_equals_fraction_loop(vals):
+    pairs = [
+        (moments_from_boolean_cumulants(SeqN("boolean_cumulant", vals)).values,
+         moments_from_boolean_reference(vals)),
+        (boolean_cumulants_from_moments(SeqN("moment", vals)).values,
+         boolean_from_moments_reference(vals)),
+    ]
+    for got, want in pairs:
+        assert list(got) == want
+        assert _types(got) == _types(want)
+
+
+# denominators with primes inside and outside ncpart._BASE_PRIMES
+_mixed_denominators = st.builds(
+    lambda num, a, b, c: Fraction(num, 2**a * 3**b * 53**c),
+    st.integers(-9, 9), st.integers(0, 5), st.integers(0, 3), st.integers(0, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(mixed_exact, _mixed_denominators), max_size=12))
+def test_grading_base_divides_lcm(xs):
+    graded, d = ncpart._grade(xs)
+    assert math.lcm(*(Fraction(x).denominator for x in xs)) % d == 0
+    assert graded == [x * d**n for n, x in enumerate(xs, 1)]
+    assert all(type(v) is int for v in graded)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-36, 36), st.integers(1, 40)), min_size=1, max_size=4),
+    st.integers(1, 20),
+)
+def test_grading_base_of_atomic_moments(atoms, order):
+    # atoms at k/12 with weights w/T: den(m_n) | 12^n T, so 12T is a base,
+    # while the lcm of the denominators is up to 12^order T
+    total = sum(w for _, w in atoms)
+    m = [sum(Fraction(w, total) * Fraction(k, 12) ** n for k, w in atoms)
+         for n in range(1, order + 1)]
+    assert (12 * total) % ncpart._grade(m)[1] == 0
+
+
+def test_grading_base_of_symmetric_moments():
+    # m_1 = 0 and m_2 = 1/144: the base is 12, not den(m_2)
+    m = [sum(Fraction(1, 2) * Fraction(k, 12) ** n for k in (-1, 1)) for n in range(1, 9)]
+    assert ncpart._grade(m)[1] == 12
+
+
 def _types(values):
     return [type(v).__name__ for v in values]
 
@@ -382,6 +445,16 @@ def test_exact_output_types():
         ref = free_mult_moments_reference(SeqN("moment", a), SeqN("moment", b), len(a))
         assert got == ref.values
         assert _types(got) == types
+    to_mb = lambda r: moments_from_boolean_cumulants(SeqN("boolean_cumulant", r)).values
+    to_r = lambda m: boolean_cumulants_from_moments(SeqN("moment", m)).values
+    assert to_mb((1, 0, 2)) == (1, 1, 3)
+    assert _types(to_mb((1, 0, 2))) == ["int"] * 3
+    assert to_mb((1, F(1, 2), 0)) == (1, F(3, 2), 2)
+    assert _types(to_mb((1, F(1, 2), 0))) == ["int", "Fraction", "Fraction"]
+    assert _types(to_mb((F(0), 1, 0))) == ["Fraction"] * 3
+    assert to_r((1, F(3, 2), 2)) == (1, F(1, 2), 0)
+    assert _types(to_r((1, F(3, 2), 2))) == ["int", "Fraction", "Fraction"]
+    assert _types(to_r((0, 1, 0, 2))) == ["int"] * 4
 
 
 def _hex(values):

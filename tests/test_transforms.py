@@ -23,7 +23,12 @@ from freeconv.transforms import (
     s_series,
     stieltjes_invert,
 )
-from oracles import grid_cauchy_reference, law_cauchy_quad, law_moments_quadrature
+from oracles import (
+    grid_cauchy_reference,
+    law_cauchy_quad,
+    law_moments_quadrature,
+    reverted_reference,
+)
 from test_catalog import QUAD_CASES
 
 # ---------------------------------------------------------------------------
@@ -179,7 +184,8 @@ def test_reversion_is_involutive(coeffs):
     assert all(back.coeff(k) == f.coeff(k) for k in range(1, back.top + 1))
 
 
-exact_st = st.one_of(st.integers(-4, 4), coeff_st)
+exact_st = st.one_of(st.integers(-4, 4), coeff_st,
+                     st.fractions(-3, 3, max_denominator=60), st.just(Fraction(0)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,13 +194,15 @@ exact_st = st.one_of(st.integers(-4, 4), coeff_st)
     st.lists(exact_st, max_size=9),
 )
 def test_reversion_round_trip_exact(lead, rest):
-    # Horner composition is the oracle for the Lagrange inversion
+    # Horner composition and the flat-lcm Lagrange loop are the oracles for
+    # the graded one
     f = FormalSeries(1, [lead, *rest])
     inv = f.reverted()
     assert inv.lo == 1 and inv.top == f.top
     assert all(type(c) is Fraction for c in inv.coeffs)
     identity = [0, 1] + [0] * (f.top - 1)
     assert _compose(_coeff_list(f), _coeff_list(inv), f.top) == identity
+    assert inv.coeffs == reverted_reference(f).coeffs
 
 
 @settings(max_examples=50, deadline=None)
