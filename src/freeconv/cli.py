@@ -551,7 +551,7 @@ def _cmd_check(args) -> int:
         )
         return 0 if form.is_free_regular else 1
     mu = parse_measure_spec(args.kurtosis)
-    res = idclass.kurtosis_check(mu, order=max(args.order, 4))
+    res = idclass.kurtosis_check(mu)
     _print_json(
         {
             "statistic": None if res.value is None else _num_to_json(res.value),
@@ -740,7 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="triplet JSON file; exit 0 iff free regular")
     group.add_argument("--kurtosis", metavar="SPEC",
                        help="measure spec; exit 0 unless the statistic is negative")
-    p.add_argument("--order", type=_order, default=4)
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("scan", help="left support edges of convolution powers",

@@ -89,10 +89,6 @@ class LevyMeasure:
             object.__setattr__(self, "xs", xs)
             object.__setattr__(self, "densities", densities)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.atoms and not self.xs
-
     def integral(self, f):
         """Integrate f against the measure; exact over exact atoms."""
         total = sum(m * f(loc) for loc, m in self.atoms)
@@ -110,9 +106,6 @@ class LevyMeasure:
     def min1_t_integral(self):
         """int_(0,oo) min(1,t) dnu(t); finiteness gates the regular form."""
         return self.integral(lambda t: min(1, t) if t > 0 else 0)
-
-    def total_mass(self):
-        return self.integral(lambda t: 1)
 
     def charges_nonpositive(self) -> bool:
         """Whether any mass sits on (-oo, 0]."""
@@ -258,17 +251,16 @@ class KurtosisResult:
         return self.verdict != "fail"
 
 
-def kurtosis_check(m, order: int = 4) -> KurtosisResult:
+def kurtosis_check(m) -> KurtosisResult:
     """Necessary condition for free infinite divisibility: m4~/m2~^2 - 2 >= 0.
 
     m~ are central moments; the statistic equals kappa_4/kappa_2^2. A
     negative value rules the measure out; a nonnegative one is
-    inconclusive (pass). Point masses are vacuously divisible.
+    inconclusive (pass). Point masses are vacuously divisible. Only m_1..m_4
+    are read.
     """
-    if order < 4:
-        raise ValueError(f"kurtosis needs moments to order 4, got {order}")
     if isinstance(m, MeasureSpec):
-        m = catalog.moments_of(m, order)
+        m = catalog.moments_of(m, 4)
     if not isinstance(m, SeqN) or m.kind != "moment":
         raise ValueError("kurtosis_check takes a moment sequence or MeasureSpec")
     if m.order < 4:

@@ -8,6 +8,11 @@ inputs run both, and the product DP, exactly in Python ints graded by D^n,
 with D a small base for which every x_n D^n is an int (see _grade);
 float inputs run them in double precision.  The tests check both against
 sums over NC(n) enumerated with enumerate_nc.
+
+Every exact kernel types its outputs by one rule, which _ungraded applies
+here and transforms' series product follows: for sums and products, output
+n is a Fraction iff some input of order <= n is a Fraction, and an int
+otherwise; quotients and reversions always return Fractions.
 """
 
 from __future__ import annotations
@@ -220,20 +225,23 @@ def _grade(xs) -> tuple:
     return graded, d
 
 
+def _ungraded(values, d: int, *inputs) -> list:
+    """Graded outputs v_n back to v_n / d^n, typed by the module's rule: a
+    Fraction iff some input of order <= n is one, an int otherwise."""
+    out, dn, frac = [], 1, False
+    for n, v in enumerate(values):
+        dn *= d
+        frac = frac or any(isinstance(xs[n], Fraction) for xs in inputs)
+        out.append(Fraction(v, dn) if frac else v // dn)
+    return out
+
+
 def _nc_convert(seq: tuple, kernel, inverse: bool) -> list:
-    """kernel(seq, inverse) on the values, or on graded ints for exact input:
-    output n is then v / D^n, a Fraction from the first Fraction input on and
-    an int before it, the types that Fraction arithmetic gives."""
+    """kernel(seq, inverse) on the values, or on graded ints for exact input."""
     if not _is_exact(*seq):
         return kernel(seq, inverse)
     graded, d = _grade(seq)
-    first = next((n for n, x in enumerate(seq, 1) if isinstance(x, Fraction)),
-                 len(seq) + 1)
-    out, dn = [], 1
-    for n, v in enumerate(kernel(graded, inverse), 1):
-        dn *= d
-        out.append(Fraction(v, dn) if n >= first else v // dn)
-    return out
+    return _ungraded(kernel(graded, inverse), d, seq)
 
 
 def _moments_from_free(kappa: tuple) -> list:
@@ -291,7 +299,7 @@ def square_cumulants(alpha) -> SeqN:
     return SeqN("free_cumulant", _moments_from_free(vals))
 
 
-def _alternating_product_moments(ka, kb, order: int) -> tuple:
+def _alternating_product_moments(ka, kb, order: int) -> list:
     """Moments of a free product ab via an interval DP on the word (ab)^N.
 
     Sums monochromatic non-crossing partitions of the alternating word,
@@ -300,7 +308,7 @@ def _alternating_product_moments(ka, kb, order: int) -> tuple:
     are (starting color, length).  Equivalent to the Kreweras-complement sum
     sum_{pi in NC(n)} kappa_pi(a) m_{K(pi)}(b), which the tests enumerate.
     Cumulants graded by D_a, D_b give moments graded by D_a D_b.  Returns
-    m_1..m_order and whether any term was summed into each.
+    m_1..m_order.
     """
     L = 2 * order
     kappa = {0: ka, 1: kb}
@@ -308,7 +316,6 @@ def _alternating_product_moments(ka, kb, order: int) -> tuple:
     # with color c.  blk[c][l][k]: first block has k elements, the last one
     # at position l (so l is odd), with enclosed gaps already summed.
     mom = {0: [1] + [0] * L, 1: [1] + [0] * L}
-    hit = {}
     blk = {c: [[0] * (order + 1) for _ in range(L + 1)] for c in (0, 1)}
     for c in (0, 1):
         if L >= 1:
@@ -325,7 +332,7 @@ def _alternating_product_moments(ka, kb, order: int) -> tuple:
                     for k in range(2, (ell + 1) // 2 + 1):
                         if prev[k - 1] != 0:
                             row[k] += prev[k - 1] * gap
-            total, summed = 0, False
+            total = 0
             for j in range(1, ell + 1, 2):
                 tail = mom[1 - c][ell - j]
                 if tail == 0:
@@ -334,10 +341,8 @@ def _alternating_product_moments(ka, kb, order: int) -> tuple:
                 for k in range(1, (j + 1) // 2 + 1):
                     if row[k] != 0 and k <= len(kappa[c]):
                         total += row[k] * kappa[c][k - 1] * tail
-                        summed = True
-            mom[c][ell], hit[c, ell] = total, summed
-    evens = range(2, L + 1, 2)
-    return [mom[0][e] for e in evens], [hit[0, e] for e in evens]
+            mom[c][ell] = total
+    return mom[0][2 : L + 1 : 2]
 
 
 def free_mult_moments(mu_moments, nu_moments, order: int | None = None) -> SeqN:
@@ -345,9 +350,11 @@ def free_mult_moments(mu_moments, nu_moments, order: int | None = None) -> SeqN:
 
     Computes m_n(mu x nu) = sum_{pi in NC(n)} kappa_pi(mu) m_{K(pi)}(nu)
     through an equivalent interval DP (see _alternating_product_moments).
-    One factor should be supported on [0, inf) or the other symmetric for
-    the result to be a probability distribution; the moment formula itself
-    is algebraic and does not check this.
+    Exact inputs run it on graded ints, and the outputs take the module's
+    type rule over both factors.  One factor should be supported on
+    [0, inf) or the other symmetric for the result to be a probability
+    distribution; the moment formula itself is algebraic and does not
+    check this.
     """
     mv = _values(mu_moments, "moment", "free_mult_moments")
     nv = _values(nu_moments, "moment", "free_mult_moments")
@@ -362,20 +369,11 @@ def free_mult_moments(mu_moments, nu_moments, order: int | None = None) -> SeqN:
     if all(v == 0 for v in mv) and all(v == 0 for v in nv):
         raise ValueError("free_mult_moments of two zero (point-mass-at-0) inputs")
     mv, nv = mv[:order], nv[:order]
-    # A Fraction m_1 reaches every term of the DP's top sum, so an output is
-    # a Fraction iff a term was summed; with Fractions only later, which
-    # outputs stay ints depends on skipped terms, so those inputs run unscaled.
-    frac = any(isinstance(x, Fraction) for x in mv + nv)
-    lead = any(isinstance(x, Fraction) for x in mv[:1] + nv[:1])
-    if not _is_exact(*mv, *nv) or (frac and not lead):
+    if not _is_exact(*mv, *nv):
         ka = _nc_convert(mv, _nc_kernel, inverse=True)
         kb = _nc_convert(nv, _nc_kernel, inverse=True)
-        return SeqN("moment", _alternating_product_moments(ka, kb, order)[0])
+        return SeqN("moment", _alternating_product_moments(ka, kb, order))
     (ga, da), (gb, db) = _grade(mv), _grade(nv)
     ka, kb = _nc_kernel(ga, inverse=True), _nc_kernel(gb, inverse=True)
-    vals, hits = _alternating_product_moments(ka, kb, order)
-    scale = da * db
-    return SeqN("moment", [
-        Fraction(v, scale**n) if frac and hit else v // scale**n
-        for n, (v, hit) in enumerate(zip(vals, hits), start=1)
-    ])
+    vals = _alternating_product_moments(ka, kb, order)
+    return SeqN("moment", _ungraded(vals, da * db, mv, nv))

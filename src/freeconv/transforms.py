@@ -6,13 +6,15 @@ from moments to free cumulants (functional inversion of u -> u * (1 + sum
 m_n u^n)) that cross-checks the lattice recursion in ncpart. Reversion is
 Lagrange inversion in O(n^3) coefficient operations, built from series
 reciprocals and products only, so the route shares no code with ncpart.
-On exact coefficients the product and quotient run on int
-numerators over one denominator, and reversion on the ints (u_i/u_0) D^i
-for a base D that divides the lcm of the denominators (_graded). The
-numeric layer evaluates Cauchy transforms of concrete measures, a law's by
-its closed form, and recovers densities by Stieltjes inversion with
-Richardson extrapolation in the regularization parameter. Only the numeric
-layer imports numpy, inside its functions, so the formal layer never loads it.
+Products of every coefficient type run one convolution (_convolve), on
+int numerators over one denominator when exact; exact quotients run on
+such numerators too, and reversion on the ints (u_i/u_0) D^i for a base D
+that divides the lcm of the denominators (_graded). Exact outputs follow
+the type rule stated in ncpart's docstring. The numeric layer evaluates
+Cauchy transforms of concrete measures, a law's by its closed form, and
+recovers densities by Stieltjes inversion with Richardson extrapolation in
+the regularization parameter. Only the numeric layer imports numpy, inside
+its functions, so the formal layer never loads it.
 """
 
 from __future__ import annotations
@@ -40,11 +42,13 @@ class FormalSeries:
     trustworthy: e.g. a product is exact only up to min(a.top + v(b),
     b.top + v(a)) because the unknown tail of one factor multiplies the
     lowest term of the other. Coefficients may be Fraction, int, float or
-    complex; exact inputs stay exact. On exact operands products and
-    quotients sum int numerators over one denominator, and reversion runs on
-    graded ints; a product coefficient is a Fraction exactly when a Fraction
-    enters one of its terms, and every quotient and reversion coefficient is
-    one. Float or complex operands take per-term loops.
+    complex; exact inputs stay exact. A product sums a_i b_{k-i} in one
+    convolution for every type, on int numerators over one denominator for
+    exact operands; exact quotients do the same and reversion runs on graded
+    ints. Exact outputs follow ncpart's type rule: a product coefficient is
+    a Fraction exactly when a Fraction enters one of its terms, and every
+    quotient and reversion coefficient is one. Float or complex quotients
+    and reversions take per-term loops.
     """
 
     __slots__ = ("lo", "coeffs", "top")
@@ -165,20 +169,9 @@ class FormalSeries:
         if self.is_zero or other.is_zero:
             return FormalSeries.zero(top)
         lo = self.lo + other.lo
-        if _exact(self.coeffs) and _exact(other.coeffs):
-            vals = _exact_product(self.coeffs, other.coeffs, top - lo + 1)
-            return FormalSeries(lo, vals, top)
-        vals = [0] * (top - lo + 1)
-        for i, a in enumerate(self.coeffs):
-            ka = self.lo + i
-            if ka + other.lo > top:
-                break
-            for j, b in enumerate(other.coeffs):
-                k = ka + other.lo + j
-                if k > top:
-                    break
-                vals[k - lo] = vals[k - lo] + a * b
-        return FormalSeries(lo, vals, top)
+        exact = _exact(self.coeffs) and _exact(other.coeffs)
+        product = _exact_product if exact else _convolve
+        return FormalSeries(lo, product(self.coeffs, other.coeffs, top - lo + 1), top)
 
     __rmul__ = __mul__
 
@@ -304,7 +297,8 @@ def _graded(coeffs):
 
 
 def _convolve(a, b, n):
-    """The first n coefficients of the product of int sequences a and b."""
+    """The first n coefficients of the product of sequences a and b, each of
+    length >= n; output k sums a_i b_{k-i} from int 0 in ascending i."""
     rev = b[n - 1 :: -1]  # b_{n-1}, ..., b_0
     return [sum(map(operator.mul, a[: k + 1], rev[n - 1 - k :])) for k in range(n)]
 
@@ -530,7 +524,10 @@ def s_numeric(mu: MeasureSpec, z):
     polished by Newton on Psi(u) = G(1/u)/u - 1, with
     Psi'(u) = -(G(1/u) + G'(1/u)/u)/u^2 from the same _cauchy_pair call.
     It is only as good as the point is reachable from the series domain;
-    nonconvergence raises.
+    nonconvergence raises, and so does a z outside the range of Psi on the
+    principal sheet, where no root exists: for Marchenko-Pastur the quadratic
+    fixes w = 1/u = (1+z)(z+rate)/z, and at rate 0.5, z = 1+i the principal
+    G gives wG(w) = 1.25-0.25i, not 1+z.
     """
     import numpy as np
 
@@ -553,7 +550,8 @@ def s_numeric(mu: MeasureSpec, z):
         if abs(fu) <= 1e-12 * max(1.0, abs(z)):
             break
         if dfu == 0 or not cmath.isfinite(dfu):
-            raise ValueError(f"S-transform inversion stalled at z = {z}")
+            raise ValueError(f"S-transform inversion stalled at z = {z}; "
+                             "z may lie outside the range of Psi")
         step = -fu / dfu
         for _ in range(25):
             new_u = u + step
@@ -565,7 +563,7 @@ def s_numeric(mu: MeasureSpec, z):
     if not abs(fu) <= 1e-9 * max(1.0, abs(z)):
         raise ValueError(
             f"S-transform inversion did not converge at z = {z} "
-            f"(residual {abs(fu):.2e})"
+            f"(residual {abs(fu):.2e}); z may lie outside the range of Psi"
         )
     return (1 + z) / z * u
 
@@ -643,14 +641,6 @@ class InversionResult:
     renorm: float
     min_density: float  # lowest extrapolated density (0 if none), before the clip
     warnings: tuple
-
-    @property
-    def total_mass(self) -> float:
-        import numpy as np
-
-        return float(np.trapezoid(self.density, self.xs)) + sum(
-            w for _, w in self.atoms
-        )
 
 
 # Stieltjes inversion: the most negative density accepted without a warning,

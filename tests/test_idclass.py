@@ -72,12 +72,11 @@ class TestLevyMeasure:
     def test_atoms_sorted_and_exact_integral(self):
         nu = LevyMeasure(atoms=((2, F(3, 4)), (F(1, 3), F(1, 2))))
         assert nu.atoms == ((F(1, 3), F(1, 2)), (2, F(3, 4)))
-        assert nu.total_mass() == F(5, 4)
+        assert nu.integral(lambda t: 1) == F(5, 4)
         assert nu.truncated_mean() == F(1, 6)
         assert nu.min1_t_integral() == F(1, 6) + F(3, 4)
         assert nu.moment(2) == F(1, 18) + 3
-        assert not nu.is_zero
-        assert LevyMeasure().is_zero
+        assert LevyMeasure().integral(lambda t: 1) == 0
 
     def test_charges_nonpositive(self):
         assert LevyMeasure(atoms=((-1, 1),)).charges_nonpositive()
@@ -266,6 +265,13 @@ class TestKurtosis:
     def test_accepts_moment_sequence(self):
         m = catalog.moments_of(M, 6)
         assert idclass.kurtosis_check(m).value == 1
+
+    def test_reads_four_moments_only(self):
+        # a moment spec holding exactly m_1..m_4 gives its extension's statistic
+        m = catalog.moments_of(MeasureSpec.atomic([(F(-1, 2), F(1, 3)), (2, F(2, 3))]), 8)
+        short = idclass.kurtosis_check(MeasureSpec.from_moments(m.values[:4]))
+        assert short == idclass.kurtosis_check(MeasureSpec.from_moments(m.values))
+        assert short.value == F(-1, 2)  # (1 - 3pq)/pq - 2 at pq = 2/9
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="order 4"):

@@ -354,17 +354,50 @@ def test_graded_kernel_equals_enumeration(kappa):
     assert type(got) is type(ref)
 
 
-@settings(max_examples=30, deadline=None)
+def _product_entries(dens):
+    # Fractions, ints (an int m_1 before later Fractions among them) and both zeros
+    return st.one_of(_exact_denominators(dens), st.integers(min_value=-4, max_value=4),
+                     st.sampled_from([0, Fraction(0)]))
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    st.lists(_exact_denominators([1, 2, 4, 8]), min_size=1, max_size=7),
-    st.lists(_exact_denominators([1, 3, 5, 9]), min_size=1, max_size=7),
+    st.lists(_product_entries([1, 2, 4, 8]), min_size=1, max_size=7),
+    st.lists(_product_entries([1, 3, 5, 9]), min_size=1, max_size=7),
 )
 def test_graded_product_equals_kreweras_oracle(a, b):
     assume(any(v != 0 for v in a) or any(v != 0 for v in b))
     n = min(len(a), len(b))
-    got = free_mult_moments(SeqN("moment", a), SeqN("moment", b), n)
+    got = free_mult_moments(SeqN("moment", a), SeqN("moment", b), n).values
     ref = free_mult_moments_reference(SeqN("moment", a), SeqN("moment", b), n)
-    assert got.values == ref.values
+    assert got == ref.values
+    # a Fraction from the first Fraction of either factor on, an int before it
+    first = next((k for k in range(n) if Fraction in (type(a[k]), type(b[k]))), n)
+    assert _types(got) == ["int"] * first + ["Fraction"] * (n - first)
+
+
+def test_product_with_int_first_moment_runs_on_graded_ints(monkeypatch):
+    # uniform atoms at k/4 (k = 1..15) and k/3 (k = 1..11) both have m_1 = 2;
+    # an int m_1 before Fraction moments takes the same graded path as Fraction(2)
+    def moments(q, count):
+        return [sum(Fraction(k, q) ** n for k in range(1, count + 1)) / count
+                for n in range(1, 17)]
+
+    a, b = moments(4, 15), moments(3, 11)
+    assert a[0] == b[0] == 2
+    seen = []
+    dp = ncpart._alternating_product_moments
+
+    def spy(ka, kb, order):
+        seen.extend(ka + kb)
+        return dp(ka, kb, order)
+
+    monkeypatch.setattr(ncpart, "_alternating_product_moments", spy)
+    want = free_mult_moments(SeqN("moment", a), SeqN("moment", b)).values
+    got = free_mult_moments(SeqN("moment", [2, *a[1:]]), SeqN("moment", [2, *b[1:]])).values
+    assert got == want
+    assert _types(got) == ["int"] + ["Fraction"] * 15
+    assert {type(k) for k in seen} == {int}
 
 
 @settings(max_examples=60, deadline=None)
@@ -421,8 +454,8 @@ def _types(values):
 
 
 def test_exact_output_types():
-    # int in, int out; entries turn Fraction from the first Fraction input
-    # on; a product entry to which the DP summed no term stays int 0
+    # int in, int out; for conversions and products alike, entries turn
+    # Fraction from the first Fraction input (of either factor) on
     to_m = lambda k: moments_from_free_cumulants(SeqN("free_cumulant", k)).values
     to_k = lambda m: free_cumulants_from_moments(SeqN("moment", m)).values
     assert to_m((1, 0, 2)) == (1, 1, 3)
@@ -437,7 +470,7 @@ def test_exact_output_types():
         ((1, 2, 5), (F(1, 2),) * 3, ["Fraction"] * 3),
         ((1, F(3, 2), 4), (2, 5, 14), ["int", "Fraction", "Fraction"]),
         ((F(0), F(1), F(0), F(2)), (1, 2, 5, 14), ["Fraction"] * 4),
-        ((1, 2, 5, 14), (F(0), F(1), F(0), F(2)), ["int", "Fraction", "int", "Fraction"]),
+        ((1, 2, 5, 14), (F(0), F(1), F(0), F(2)), ["Fraction"] * 4),
         ((1, 2, 5, 14), (0, 1, 0, 2), ["int"] * 4),
     ]
     for a, b, types in cases:

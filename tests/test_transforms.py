@@ -925,6 +925,17 @@ def test_s_numeric_newton_reads_one_point_per_step(monkeypatch):
     assert len(calls) >= 4 and set(calls) == {(1, True)}
 
 
+@pytest.mark.parametrize("rate,z", [(0.5, 1 + 1j), (0.5, 2 - 1j), (2, 2 - 1j), (2, 5 + 3j)])
+def test_s_numeric_refuses_outside_the_range_of_psi(rate, z):
+    # Psi(u) = z means wG(w) = 1 + z at w = 1/u; for MP(rate) the quadratic
+    # fixes w = (1 + z)(z + rate)/z, where the principal G misses 1 + z
+    mu = MeasureSpec.from_law("marchenko_pastur", (rate,))
+    w = (1 + z) * (z + rate) / z
+    assert abs(w * complex(cauchy(mu, np.array([w]))[0]) - (1 + z)) > 0.5
+    with pytest.raises(ValueError, match="outside the range of Psi"):
+        transforms.s_numeric(mu, z)
+
+
 def test_herglotz_property_random_points():
     rng = np.random.default_rng(3)
     zs = rng.uniform(-3, 3, 25) + 1j * rng.uniform(0.05, 2, 25)
@@ -954,7 +965,8 @@ def test_invert_semicircle():
     assert np.max(err[np.abs(xs) <= 1.5]) < 1e-6
     assert res.atoms == ()
     assert abs(res.renorm - 1) < 1e-3
-    assert res.total_mass == pytest.approx(1.0, abs=1e-6)
+    mass = np.trapezoid(res.density, res.xs) + sum(w for _, w in res.atoms)
+    assert mass == pytest.approx(1.0, abs=1e-6)
 
 
 def test_invert_detects_atom():
