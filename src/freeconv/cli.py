@@ -25,7 +25,7 @@ from .ncpart import SeqN
 
 GRID_ENV = "FREECONV_GRID_DEFAULT"
 
-SIZE_CAP = 100_000  # grid n, --grid-points, --t count, spec lists; checked before allocating
+SIZE_CAP = 100_000  # grid n, --t count, spec lists; checked before allocating
 
 # --order above the largest kernel cap is a usage error before any spec is read
 ORDER_CAP = max(catalog.MOMENT_CAP_CLOSED, ncpart.CONVERSION_CAP, ncpart.PRODUCT_CAP)
@@ -567,11 +567,7 @@ def _cmd_scan(args) -> int:
     mu = parse_measure_spec(args.spec)
     ts = _parse_times(args.t)
     result = idclass.positivity_scan(
-        idclass.RModel.of_spec(mu, args.order),
-        ts,
-        threshold=args.threshold,
-        edge_tol=args.edge_tol,
-        grid_points=args.grid_points,
+        idclass.RModel.of_spec(mu, args.order), ts, edge_tol=args.edge_tol
     )
     if args.out == "json":
         _print_json(
@@ -750,9 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", required=True, help="lo:hi:step or comma list")
     p.add_argument("--order", type=_order, default=8,
                    help="free cumulants matched; affects only specs that are not catalog laws")
-    p.add_argument("--threshold", type=_positive_float, default=1e-6)
     p.add_argument("--edge-tol", type=_positive_float, default=1e-3)
-    p.add_argument("--grid-points", type=_int_arg(2, SIZE_CAP), default=601)
     p.add_argument("--jobs", type=int, default=1, help="ignored; runs serially")
     out_arg(p, choices=("table", "json"))
     p.set_defaults(handler=_cmd_scan)

@@ -5,12 +5,15 @@ Triplets are stored in the truncated form (compensation of jumps in
 measures on the positive half line. Conversions between the two are
 explicit and exact for atomic Levy measures.
 
-Positivity scans solve z = 1/w + t R(w) for w = G(z) by damped Newton on
-F = 1/w in the half plane Im F >= Im z, with downward continuation in the
-imaginary part, for R in free Levy-Khintchine form (RModel: drift,
-semicircular variance, finitely many jumps). A catalog law gives its own
-R-transform data (levy_khintchine), another spec only an exact
-semicircular or single-jump cumulant pattern; the atom of
+Positivity scans find the left support edge of mu^{boxplus t} for R in
+free Levy-Khintchine form (RModel: drift, semicircular variance, finitely
+many jumps) as the critical value of z(w) = 1/w + t R(w) on the negative
+axis, one bisection per t. The second route, the grid scan, solves
+z = 1/w + t R(w) for w = G(z) by damped Newton on F = 1/w in the half
+plane Im F >= Im z, with downward continuation in the imaginary part, and
+bisects a density threshold; a verify check compares the two. A catalog
+law gives its own R-transform data (levy_khintchine), another spec only
+an exact semicircular or single-jump cumulant pattern; the atom of
 mu^{boxplus t} comes from the model by rule. Scans and the kurtosis
 statistic are evidence or necessary conditions; regularity proper is
 decided at the representation level (triplet support and drift), never
@@ -527,7 +530,6 @@ class ScanPoint:
 @dataclass(frozen=True)
 class ScanResult:
     points: tuple
-    threshold: float
     edge_tol: float
 
     @property
@@ -539,8 +541,110 @@ class ScanResult:
         )
 
 
+def _with_atom(model: RModel, t, edge, converged) -> ScanPoint:
+    """The scan point of time t: the edge, or the atom (RModel.atom) if
+    further left."""
+    atom = model.atom(t)
+    atoms = () if atom is None else (atom[0],)
+    if atoms:
+        edge = atoms[0] if edge is None else min(edge, atoms[0])
+    return ScanPoint(t, edge, atoms, converged)
+
+
+# the critical point is bisected in v = u/(s + u) in (0, 1), u = -w, to
+# this width: z is stationary there, so the edge's error is quadratic in it
+_CRITICAL_XTOL = 2.0**-36
+
+
+def _critical_bracket(model: RModel, t):
+    """(s, v_hi) of the bisection for t q(u) = 1, or None if it has no root.
+
+    q(u) = w^2 R'(w) at w = -u is variance*u^2 + sum of l (a u/(1 + a u))^2
+    over the jumps, and each term increases on (0, u_pole), u_pole =
+    1/max|a| over the negative jumps (oo if none). So t q = 1 has at most
+    one root there, and it has one unless the variance is 0, no jump is
+    negative and t q stays below its limit t L+ <= 1, L+ the positive
+    jumps' mass. With s = 1/sqrt(t kappa_2), the root's scale near 0, the
+    map u = s v/(1 - v) takes it into (0, v_hi), v_hi = u_pole/(s + u_pole).
+    """
+    jumps = [(a, l) for a, l in model.jumps if a != 0 and l > 0]
+    negative = [-a for a, _ in jumps if a < 0]
+    if model.variance == 0 and not negative and t * sum(l for _, l in jumps) <= 1:
+        return None
+    s = 1 / math.sqrt(t * (model.variance + sum(l * a * a for a, l in jumps)))
+    u_pole = 1 / max(negative) if negative else math.inf
+    return s, (1.0 if u_pole == math.inf else u_pole / (s + u_pole))
+
+
+def _critical_scan(model: RModel, ts):
+    """Scan points of the times ts by the critical value of z(w) = 1/w + tR(w).
+
+    Left of the support of mu^{boxplus t}, w = G(x) is negative and
+    x = z(w); G falls from 0- as x rises, so the left edge is z(w*), w* the
+    zero of z'(w) = (t w^2 R'(w) - 1)/w^2 nearest 0- (Biane 1997; Huang
+    2015). Its u* = -w* solves t q(u) = 1 (_critical_bracket), bisected for
+    every t at once by transforms._bisect_edge. Without a root, z rises to
+    its limit t*drift as w -> -oo, and that is the left end.
+    """
+    import numpy as np
+
+    brackets = [_critical_bracket(model, t) for t in ts]
+    rooted = [j for j, b in enumerate(brackets) if b is not None]
+    scale = np.array([brackets[j][0] for j in rooted])
+    times = np.array([ts[j] for j in rooted])
+
+    def above(v, owner):
+        w = -scale[owner] * v / (1 - v)
+        return times[owner] * w * w * model.dr(w) >= 1
+
+    vs = np.array(_bisect_edge(above, [(brackets[j][1], 0.0) for j in rooted],
+                               _CRITICAL_XTOL))
+    with np.errstate(all="ignore"):
+        w = -scale * vs / (1 - vs)
+        edges = dict(zip(rooted, (1 / w + times * model.r(w)).tolist()))
+    points = []
+    for j, t in enumerate(ts):
+        edge = edges.get(j, t * model.drift)
+        points.append(_with_atom(model, t, edge, math.isfinite(edge)))
+    return points
+
+
+def positivity_scan(
+    model: RModel,
+    ts,
+    edge_tol: float = 1e-3,
+    jobs: int | None = None,
+) -> ScanResult:
+    """The left support edge of mu^{boxplus t} for each t: the critical
+    value of z(w) = 1/w + tR(w) (_critical_scan), or the atom (RModel.atom)
+    if further left.
+
+    converged means the critical point was bracketed and bisected, or the
+    limit t*drift applied, and the edge is finite. Every t is bisected in
+    one batch, each independently, so a scan equals the scans of its t
+    values one by one. The grid scan (_grid_scan) is the second route;
+    verify's scan_edge_routes compares the two. jobs is ignored; it stays
+    because perfbench's scans pass it. ts must not be empty: no scanned
+    point is no evidence. The times must be finite and positive, and so
+    must edge_tol, how far below 0 an edge may sit as regular evidence.
+    """
+    if not (math.isfinite(edge_tol) and edge_tol > 0):
+        raise ValueError(f"scan edge_tol must be finite and positive, got {edge_tol}")
+    ts = _scan_times(ts)
+    return ScanResult(tuple(_critical_scan(model, ts)), edge_tol)
+
+
+def _scan_times(ts):
+    ts = [float(t) for t in ts]
+    if not ts:
+        raise ValueError("scan needs at least one time")
+    if not all(math.isfinite(t) and t > 0 for t in ts):
+        raise ValueError(f"scan times must be finite and positive, got {ts}")
+    return ts
+
+
 def _scan_group(model: RModel, ts, threshold, grid_points):
-    """Scan points of the times ts, their grids solved as one batch."""
+    """Grid scan points of the times ts, their grids solved as one batch."""
     import numpy as np
 
     k1, k2 = model.kappa1, model.kappa2
@@ -570,56 +674,33 @@ def _scan_group(model: RModel, ts, threshold, grid_points):
         return _extrapolated_density(model, t_mid, mids, seed)[0] > threshold
 
     edges.update(zip([j for j, _, _ in ends], _bisect_edge(inside, brackets, 2e-5)))
-    points = []
-    for j, (t, conv) in enumerate(zip(ts, conv_t)):
-        edge, atom = edges.get(j), model.atom(t)
-        atoms = () if atom is None else (atom[0],)
-        if atoms:
-            edge = atoms[0] if edge is None else min(edge, atoms[0])
-        points.append(ScanPoint(t, edge, atoms, bool(np.all(conv))))
-    return points
+    return [_with_atom(model, t, edges.get(j), bool(np.all(conv)))
+            for j, (t, conv) in enumerate(zip(ts, conv_t))]
 
 
-def positivity_scan(
-    model: RModel,
-    ts,
-    threshold: float = 1e-6,
-    edge_tol: float = 1e-3,
-    grid_points: int = 601,
-    jobs: int | None = None,
-) -> ScanResult:
-    """Estimate the left support edge of mu^{boxplus t} for each t.
+def _grid_scan(model: RModel, ts, threshold: float = 1e-6, grid_points: int = 601):
+    """The scan's second route: the smallest point where the extrapolated
+    density (_extrapolated_density) exceeds the threshold, or the atom if
+    further left; converged means every grid point's solve converged.
 
-    The edge is the smallest point where the extrapolated density exceeds
-    the threshold, or the atom location (RModel.atom) if further left. It is
-    bisected from the grid with the midpoints evaluated in batches
-    (transforms._bisect_edge), which gives the one-point bisection edge.
-    Each batch is seeded by interpolating w at height _EPS between the
-    grid bracket's ends, not from the imaginary ladder.
-    The t values are solved together, t x grid points in one batch, in
-    groups of at most _SCAN_POINTS points (at least one t each); every
-    point is solved independently, so a scan equals the scans of its t
-    values one by one. jobs is ignored; it stays because perfbench's scans
-    pass it.
-    ts must not be empty: no scanned point is no evidence. The times,
-    threshold and edge_tol must be finite and positive, and grid_points at
-    least 2.
+    Each t's grid crossing is bisected to 2e-5 in batches
+    (transforms._bisect_edge), each batch seeded by interpolating w at
+    height _EPS between the bracket's grid ends. The t values are solved
+    together, in groups of at most _SCAN_POINTS points (at least one t
+    each), every point independently, so a scan equals the scans of its t
+    values one by one. The times and threshold must be finite and
+    positive, and grid_points at least 2.
     """
-    for name, value in (("threshold", threshold), ("edge_tol", edge_tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"scan {name} must be finite and positive, got {value}")
-    ts = [float(t) for t in ts]
-    if not ts:
-        raise ValueError("scan needs at least one time")
-    if not all(math.isfinite(t) and t > 0 for t in ts):
-        raise ValueError(f"scan times must be finite and positive, got {ts}")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ValueError(f"scan threshold must be finite and positive, got {threshold}")
+    ts = _scan_times(ts)
     if grid_points < 2:
         raise ValueError(f"scan needs at least 2 grid points, got {grid_points}")
     size = max(1, _SCAN_POINTS // grid_points)
     points = []
     for k in range(0, len(ts), size):
         points += _scan_group(model, ts[k : k + size], threshold, grid_points)
-    return ScanResult(tuple(points), threshold, edge_tol)
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------

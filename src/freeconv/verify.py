@@ -392,6 +392,22 @@ def _wplus_scan_dev(ts):
     return dev
 
 
+def _scan_edge_routes(rng, jobs):
+    """Largest distance between the critical-value edges of positivity_scan
+    and the grid scan's threshold edges, on a semicircle, a free Poisson
+    and a single-jump compound Poisson model, one t each."""
+    dev = 0.0
+    for model, t in ((idclass.RModel.semicircle(2, 1), 0.5),
+                     (idclass.RModel.free_poisson(1), 2.0),
+                     (idclass.RModel.cfp_atomic(2.0, [(0.5, 1)]), 1.5)):
+        (critical,) = idclass.positivity_scan(model, [t]).points
+        (grid,) = idclass._grid_scan(model, [t])
+        if critical.left_edge is None or grid.left_edge is None:
+            return math.inf
+        dev = max(dev, abs(critical.left_edge - grid.left_edge))
+    return dev
+
+
 def _origin_divergence_m(rng, jobs):
     res = idclass.thm110_check(M)
     return 0.0 if (res.condition == "integral_divergent" and res.regular) else 1.0
@@ -469,6 +485,8 @@ CHECKS = (
           _cfp_regular_form),
     Check("wplus_scan_edges", "regularity",
           "left edge of (w+)^{+t} = 2t - 2 sqrt(t)", 1e-3, _wplus_scan_edges),
+    Check("scan_edge_routes", "regularity",
+          "critical-value scan edge = grid scan edge", 1e-4, _scan_edge_routes),
     Check("origin_divergence_m", "regularity",
           "int dm/x diverges at 0", 0.0, _origin_divergence_m),
     Check("meixner_support_rule", "regularity",

@@ -276,7 +276,7 @@ class TestNonFiniteOutput:
         assert "scan times must be positive" in err
 
     def scan_returning(self, monkeypatch, *points):
-        result = idclass.ScanResult(points, 1e-6, 1e-3)
+        result = idclass.ScanResult(points, 1e-3)
         monkeypatch.setattr(idclass, "positivity_scan", lambda *a, **k: result)
 
     @pytest.mark.parametrize(
@@ -649,9 +649,7 @@ class TestScan:
             assert abs(edge - (2 * t - 2 * math.sqrt(t))) < 1e-3
 
     def test_range_syntax(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "scan", WPLUS, "--t", "0.5:1:0.25", "--grid-points", "301"
-        )
+        code, out, _ = run_cli(capsys, "scan", WPLUS, "--t", "0.5:1:0.25")
         assert code == 0
         ts = [float(l.split(",")[0]) for l in out.splitlines()[1:-1]]
         assert ts == [0.5, 0.75, 1.0]
@@ -700,18 +698,16 @@ class TestScan:
         assert atoms == ""
 
     @pytest.mark.parametrize(
-        "spec, times, flags, atoms",
+        "spec, times, atoms",
         [
-            # an atom of mass 0.1 at 0, and two narrow densities without one
-            ({"type": "law", "name": "marchenko_pastur", "params": [1]}, "0.9", (), "0"),
-            ({"type": "law", "name": "semicircle", "params": [0, "1/100000"]}, "1", (), ""),
-            ({"type": "law", "name": "semicircle", "params": [0, 1]}, "1",
-             ("--grid-points", "51"), ""),
+            # an atom of mass 0.1 at 0, and a narrow density without one
+            ({"type": "law", "name": "marchenko_pastur", "params": [1]}, "0.9", "0"),
+            ({"type": "law", "name": "semicircle", "params": [0, "1/100000"]}, "1", ""),
         ],
-        ids=["mp1_t09", "narrow_semicircle", "coarse_grid"],
+        ids=["mp1_t09", "narrow_semicircle"],
     )
-    def test_atoms_by_rule(self, capsys, spec, times, flags, atoms):
-        ((_, left, printed, _),) = self.scan_rows(capsys, spec, times, *flags)
+    def test_atoms_by_rule(self, capsys, spec, times, atoms):
+        ((_, left, printed, _),) = self.scan_rows(capsys, spec, times)
         assert printed == atoms
         if atoms:
             assert left == 0.0
@@ -785,7 +781,7 @@ class TestSizeLimits:
         assert code == 0
         assert len(out.splitlines()) == cli.ORDER_CAP == 64
 
-    @pytest.mark.parametrize("flag", ["--threshold", "--edge-tol"])
+    @pytest.mark.parametrize("flag", ["--edge-tol"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1", "x"])
     def test_scan_threshold_and_edge_tol_must_be_finite_positive(
         self, capsys, no_scan, flag, value
@@ -800,14 +796,16 @@ class TestSizeLimits:
         assert code == 0
         assert out.splitlines()[1:] == ["1,0"]
 
-    @pytest.mark.parametrize("points", ["1", "0", str(cli.SIZE_CAP + 1)])
-    def test_grid_points_out_of_range(self, capsys, no_scan, points):
-        code, out, err = run_cli(
-            capsys, "scan", WPLUS, "--t", "0.5", "--grid-points", points
-        )
+    @pytest.mark.parametrize("args", [
+        *(f"--threshold={v}" for v in ("inf", "-inf", "nan", "0", "-1", "x", "1e-6")),
+        *(f"--grid-points={n}" for n in ("1", "0", str(cli.SIZE_CAP + 1), "51", "601")),
+    ])
+    def test_removed_scan_flags_are_unrecognized(self, capsys, no_scan, args):
+        # the scan's edges are critical values: no grid, no density threshold
+        code, out, err = run_cli(capsys, "scan", WPLUS, "--t", "0.5", args)
         assert code == 2
         assert out == ""
-        assert f"--grid-points: must be between 2 and {cli.SIZE_CAP}" in err
+        assert f"unrecognized arguments: {args}" in err
 
     def test_grid_n_above_cap(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):
@@ -912,7 +910,7 @@ class TestVerify:
         )
         assert code == 0
         assert "quarter_circle_kurtosis" in out
-        assert out.rstrip().endswith("7/7 checks passed")
+        assert out.rstrip().endswith("8/8 checks passed")
 
     def test_seed_flag_in_header(self, capsys):
         code, out, _ = run_cli(
@@ -920,6 +918,20 @@ class TestVerify:
         )
         assert code == 0
         assert "seed=7" in out.splitlines()[0]
+
+    def test_readme_claims_map_names_every_check(self):
+        # the map's table and the sentence after it name checks that exist,
+        # and every registered check is placed in it
+        import re
+
+        from freeconv import verify
+
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### What the checks cover")[1].split("\n## ")[0]
+        rows = [line.split("|")[2] for line in section.splitlines() if line.startswith("| ")]
+        rest = section.split("The other checks")[1]
+        named = {n for text in rows + [rest] for n in re.findall(r"`([a-z0-9_]+)`", text)}
+        assert named == {c.name for c in verify.CHECKS}
 
     def test_unknown_suite_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "nonsense")
@@ -932,7 +944,7 @@ class TestVerify:
         point = idclass.ScanPoint(0.5, None, (), True)
         monkeypatch.setattr(
             idclass, "positivity_scan",
-            lambda *a, **k: idclass.ScanResult((point,), 1e-6, 1e-3),
+            lambda *a, **k: idclass.ScanResult((point,), 1e-3),
         )
         assert verify._wplus_scan_edges(None, 1) == math.inf
         code, out, _ = run_cli(capsys, "verify", "--suite", "regularity")
@@ -957,7 +969,7 @@ class TestVerify:
         line = next(l for l in out.splitlines() if l.startswith("quarter_circle_kurtosis"))
         assert "dev=non-finite" in line and line.endswith("FAIL")
         assert _finite_devs(out)
-        assert out.rstrip().endswith("6/7 checks passed")
+        assert out.rstrip().endswith("7/8 checks passed")
 
 
 class TestNc:

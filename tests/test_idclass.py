@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeconv import catalog, conv, idclass, ncpart
+from freeconv import catalog, conv, idclass, ncpart, verify
 from freeconv.catalog import MeasureSpec
 from freeconv.idclass import (
     FreeTriplet,
@@ -546,8 +546,9 @@ class TestPositivityScan:
         assert serial.points == threaded.points
 
     def test_left_edges_pinned(self):
-        # bit patterns of the scanned edges: all bisected, except free
-        # Poisson at t = 0.5, whose edge is its atom at 0
+        # bit patterns of the scanned edges: all critical values, except
+        # free Poisson at t = 0.5, whose edge is its atom at 0; each is
+        # within 3e-17 of its closed form, 2t - 2 sqrt(t) or (1 - sqrt 2)^2
         scans = {
             "semicircle": idclass.positivity_scan(RModel.semicircle(2, 1), [0.5, 2]),
             "free_poisson": idclass.positivity_scan(RModel.free_poisson(1), [0.5, 2]),
@@ -557,21 +558,22 @@ class TestPositivityScan:
             for name, scan in scans.items()
         }
         assert edges == {
-            "semicircle": ["-0x1.a828e9546139cp-2", "0x1.2bebffe3a790ep+0"],
-            "free_poisson": ["0x0.0p+0", "0x1.5f6417879b834p-3"],
+            "semicircle": ["-0x1.a827999fcef32p-2", "0x1.2bec333018867p+0"],
+            "free_poisson": ["0x0.0p+0", "0x1.5f619980c4338p-3"],
         }
         assert scans["free_poisson"].points[0].atoms == (0.0,)
 
     def test_bisection_reuses_the_grid_solves(self, monkeypatch):
-        # each bisection round is seeded from the grid's solves at the
-        # bracket ends instead of climbing the imaginary ladder again
+        # each bisection round of the grid scan is seeded from the grid's
+        # solves at the bracket ends instead of climbing the imaginary
+        # ladder again
         calls = []
         solve = idclass.solve_g
         monkeypatch.setattr(
             idclass, "solve_g", lambda *a, **k: calls.append(1) or solve(*a, **k)
         )
-        scan = idclass.positivity_scan(RModel.free_poisson(1), [0.5, 1.0, 1.5, 2.0])
-        assert all(p.converged for p in scan.points)
+        points = idclass._grid_scan(RModel.free_poisson(1), [0.5, 1.0, 1.5, 2.0])
+        assert all(p.converged for p in points)
         assert len(calls) <= 25
 
     @pytest.mark.parametrize(
@@ -589,19 +591,19 @@ class TestPositivityScan:
         # second route: every ladder rung solved to _SOLVE_TOL; the t < 1
         # free Poisson points have atoms
         ts = [0.3, 0.6, 1.0, 2.5]
-        scan = idclass.positivity_scan(model, ts)
+        points = idclass._grid_scan(model, ts)
         monkeypatch.setattr(idclass, "_RUNG_RESIDUAL", 0)
-        assert scan.points == idclass.positivity_scan(model, ts).points
+        assert points == idclass._grid_scan(model, ts)
 
     def test_seeding_rungs_bound_r_evaluations(self, monkeypatch):
-        # with every rung polished, this 4-t scan evaluates R at 158678
+        # with every rung polished, this 4-t grid scan evaluates R at 158678
         # points; rungs that stop at a tenth of their height take fewer
         # Newton steps
         points = []
         r = RModel.r
         monkeypatch.setattr(RModel, "r", lambda self, w: points.append(np.size(w)) or r(self, w))
-        scan = idclass.positivity_scan(RModel.semicircle(2, 1), [0.5, 1, 2, 4])
-        assert all(p.converged for p in scan.points)
+        scan = idclass._grid_scan(RModel.semicircle(2, 1), [0.5, 1, 2, 4])
+        assert all(p.converged for p in scan)
         assert sum(points) <= 125_000
 
     def test_unconverged_seed_falls_back_to_the_ladder(self):
@@ -644,36 +646,140 @@ class TestPositivityScan:
     )
     @pytest.mark.parametrize("group_points", [None, 2 * 601])
     def test_scan_points_are_t_batch_independent(self, monkeypatch, model, group_points):
-        # the t values of a scan are solved as one batch, in groups of at
-        # most _SCAN_POINTS grid points; neither may change a scanned point
+        # the t values of a grid scan are solved as one batch, in groups of
+        # at most _SCAN_POINTS grid points; neither may change a scanned point
         if group_points is not None:
             monkeypatch.setattr(idclass, "_SCAN_POINTS", group_points)
         ts = [0.3, 0.5, 1.0, 1.7, 3.0]
-        alone = tuple(p for t in ts for p in idclass.positivity_scan(model, [t]).points)
-        assert idclass.positivity_scan(model, ts).points == alone
+        alone = tuple(p for t in ts for p in idclass._grid_scan(model, [t]))
+        assert idclass._grid_scan(model, ts) == alone
 
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError, match="positive"):
             idclass.positivity_scan(RModel.free_poisson(1), [0.5, -1])
 
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        # both routes fail on any work past their input checks
+        monkeypatch.setattr(idclass, "_critical_scan", None)
+        monkeypatch.setattr(idclass, "_scan_group", None)
+
     @pytest.mark.parametrize("t", [math.inf, math.nan])
-    def test_rejects_nonfinite_times(self, monkeypatch, t):
-        monkeypatch.setattr(idclass, "_scan_group", None)  # fails before any solve
-        with pytest.raises(ValueError, match="times must be finite and positive"):
-            idclass.positivity_scan(RModel.free_poisson(1), [0.5, t])
+    def test_rejects_nonfinite_times(self, no_solve, t):
+        for scan in (idclass.positivity_scan, idclass._grid_scan):
+            with pytest.raises(ValueError, match="times must be finite and positive"):
+                scan(RModel.free_poisson(1), [0.5, t])
 
     @pytest.mark.parametrize("points", [-5, 0, 1])
-    def test_rejects_fewer_than_two_grid_points(self, monkeypatch, points):
-        monkeypatch.setattr(idclass, "_scan_group", None)  # fails before any solve
+    def test_rejects_fewer_than_two_grid_points(self, no_solve, points):
         with pytest.raises(ValueError, match="at least 2 grid points"):
-            idclass.positivity_scan(RModel.free_poisson(1), [0.5], grid_points=points)
+            idclass._grid_scan(RModel.free_poisson(1), [0.5], grid_points=points)
 
     @pytest.mark.parametrize("name", ["threshold", "edge_tol"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    def test_rejects_bad_threshold_and_edge_tol(self, monkeypatch, name, value):
-        monkeypatch.setattr(idclass, "_scan_group", None)  # fails before any solve
+    def test_rejects_bad_threshold_and_edge_tol(self, no_solve, name, value):
+        # the threshold configures the grid route, edge_tol the scan's verdict
+        scan = idclass._grid_scan if name == "threshold" else idclass.positivity_scan
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-            idclass.positivity_scan(RModel.semicircle(2, 1), [0.5], **{name: value})
+            scan(RModel.semicircle(2, 1), [0.5], **{name: value})
+
+
+_ROUTE_TOL = next(c.tolerance for c in verify.CHECKS if c.name == "scan_edge_routes")
+
+_JUMPS = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.3, 2.0), st.floats(0.2, 1.5)).map(
+    lambda x: (x[0] * x[1], x[2]))
+_MODELS = st.builds(
+    RModel,
+    drift=st.floats(-1.0, 1.0),
+    variance=st.one_of(st.just(0.0), st.floats(0.05, 2.0)),
+    jumps=st.lists(_JUMPS, max_size=3).map(tuple),
+)
+_TIMES = st.floats(0.2, 4.0)
+
+
+def _closed_form_edge(family, params, t):
+    """Left edge of mu^{boxplus t} for the three families with one."""
+    if family == "semicircle":
+        mean, var = params
+        return t * mean - 2 * math.sqrt(t * var)
+    rate, jump, drift = params  # rate 1 and jump 1 for free Poisson
+    root = math.sqrt(rate * t)
+    if jump > 0:  # below rate * t = 1 the atom at t * drift is the left end
+        return t * drift + (jump * (1 - root) ** 2 if root >= 1 else 0.0)
+    return t * drift + jump * (1 + root) ** 2
+
+
+class TestCriticalScan:
+    @settings(max_examples=60, deadline=None)
+    @given(model=_MODELS, t=_TIMES)
+    def test_root_is_unique_and_matches_the_grid_route(self, model, t):
+        # t w^2 R'(w) increases on the bisection bracket, so its one root is
+        # bracketed without a sign search; the grid scan agrees to the
+        # tolerance of verify's scan_edge_routes
+        bracket = idclass._critical_bracket(model, t)
+        if bracket is not None:
+            scale, v_hi = bracket
+            v = np.linspace(0, v_hi, 2001)[1:-1]
+            w = -scale * v / (1 - v)
+            assert np.all(np.diff(t * w * w * model.dr(w)) > 0)
+        (critical,) = idclass.positivity_scan(model, [t]).points
+        (grid,) = idclass._grid_scan(model, [t])
+        assert critical.converged
+        assert critical.atoms == grid.atoms
+        # the grid spans t kappa_1 -+ (4 sqrt(t kappa_2) + 0.5); a support
+        # that reaches past its left end (a light, far negative jump) gives
+        # that end as the grid route's edge, which bounds the edge only
+        window = t * model.kappa1 - (4 * math.sqrt(max(t * model.kappa2, 1e-6)) + 0.5)
+        if grid.left_edge == window and critical.left_edge < window:
+            return
+        assert abs(critical.left_edge - grid.left_edge) <= _ROUTE_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(["semicircle", "free_poisson", "single_jump"]),
+        first=st.floats(-2.0, 2.0),
+        second=st.floats(0.2, 3.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        t=_TIMES,
+    )
+    def test_edges_match_the_closed_forms(self, family, first, second, sign, t):
+        if family == "semicircle":
+            params, model = (first, second), RModel.semicircle(first, second)
+        elif family == "free_poisson":
+            params, model = (second, 1.0, 0.0), RModel.free_poisson(second)
+        else:
+            jump = sign * (0.2 + abs(first))
+            params, model = (second, jump, first), RModel.cfp_atomic(second, [(jump, 1)], first)
+        exact = _closed_form_edge(family, params, t)
+        (point,) = idclass.positivity_scan(model, [t]).points
+        assert point.converged
+        assert abs(point.left_edge - exact) <= 1e-12 * max(1, abs(exact))
+
+    def test_free_poisson_at_rate_one_has_edge_zero_and_no_atom(self):
+        # t L = 1 exactly: no critical point and no atom, the left end is the
+        # limit t * drift of z(w) as w -> -oo
+        (point,) = idclass.positivity_scan(RModel.free_poisson(1), [1.0]).points
+        assert (point.left_edge, point.atoms, point.converged) == (0.0, (), True)
+
+    def test_bounds_r_prime_evaluations(self, monkeypatch):
+        # this 4-t scan evaluates R' at 1512 points: six rounds of 63
+        # midpoints per t
+        points = []
+        dr = RModel.dr
+        monkeypatch.setattr(RModel, "dr", lambda self, w: points.append(np.size(w)) or dr(self, w))
+        scan = idclass.positivity_scan(RModel.semicircle(2, 1), [0.5, 1, 2, 4])
+        assert all(p.converged for p in scan.points)
+        assert sum(points) <= 2000
+
+    @pytest.mark.parametrize("model", [
+        RModel.semicircle(2, 1),
+        RModel.free_poisson(1),
+        RModel.cfp_atomic(2.0, [(1, 0.5), (-0.5, 0.5)], 0.3),
+    ])
+    def test_scan_points_are_t_batch_independent(self, model):
+        ts = [0.3, 0.5, 1.0, 1.7, 3.0]
+        alone = tuple(p for t in ts for p in idclass.positivity_scan(model, [t]).points)
+        assert idclass.positivity_scan(model, ts).points == alone
 
 
 # ---------------------------------------------------------------------------

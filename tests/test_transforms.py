@@ -710,7 +710,9 @@ def _mp_commutator_ww(w, k=1):
 _MPMATH_CASES = [
     # the jump at 0, the square-root edge at 2 and the series past |r| = 8
     ("quarter_circle", (1,), 2, _mp_quarter_circle, (-0.75, 0.0, 0.5, 2.0, 3.25, 20.0)),
-    ("chi_squared_1", (), 1, _mp_chi_squared_1, (-2.0, 0.0, 0.25, 1.5, 20.0)),
+    # chi^2(1) near 0, and far out, where (G, G') come from w's continued fraction
+    ("chi_squared_1", (), 1, _mp_chi_squared_1,
+     (-2.0, 0.0, 0.25, 1.5, 20.0, 100.0, 1e3, 1e4)),
     # far out, where (z - root)/2 would cancel
     ("semicircle", (0, 1), 1, _mp_semicircle, (-2.0, 0.0, 1.5, 2.0, 40.0, 1e3, 1e5)),
     # the atom at 0 below rate 1; at rate 2, the point 0 just left of the
@@ -732,13 +734,14 @@ _MPMATH_CASES = [
 ]
 
 
-# relative error of the closed-form G' against mpmath, at heights 1 ... 1e-6.
-# chi^2(1)'s 1 - (z + 1) G cancels like 1/|z| (1.8e-14 at 20 + i); every
-# other law stays within 2.1e-15. Closer to the axis the k = 2 quadrature at
-# 20 digits is the worse side (1.6e-4 at 1e-12i, while the commutator, whose
-# reference is a root, stays within 2e-15). The commutator's edges are left
-# out as for G: there G' errs by about 1e-16/|z -+ edge| relative (2e-10 at
-# the float nearest the edge + 1e-6i)
+# relative error of the closed-form G' against mpmath, at heights 1 ... 1e-6:
+# every law stays within 1.9e-14, the most at chi^2(1)'s 20 + i, inside the
+# parabola round the positive axis where its difference form still serves.
+# Closer to the axis the k = 2 quadrature at 20 digits is the worse side
+# (1.6e-4 at 1e-12i, while the commutator, whose reference is a root, stays
+# within 2e-15). The commutator's edges are left out as for G: there G'
+# errs by about 1e-16/|z -+ edge| relative (2e-10 at the float nearest the
+# edge + 1e-6i)
 _CLOSED_FORM_DERIVATIVE_REL = 5e-14
 _DERIVATIVE_HEIGHTS = _HEIGHTS_TO_AXIS[:4]
 
