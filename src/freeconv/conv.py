@@ -5,7 +5,7 @@ exact for exact inputs. The density route for additive convolution solves
 the subordination fixed point on a complex grid by Newton's method, with a
 damped Picard step wherever Newton misbehaves, and feeds the subordinated
 transform to Stieltjes inversion. It solves the inversion's three heights
-in turn, each seeded by the solve one height up.
+in turn, each seeded by the solve one height up along its tangent omega'.
 
 The multiplicative product keeps two independent routes, the alternating
 word recursion (ncpart) and the S-transform series route, and can be asked
@@ -181,6 +181,7 @@ class SubordinationResult:
     max_residual: float
     converged: np.ndarray
     z: np.ndarray
+    domega: np.ndarray  # omega' at the last Newton iterate; NaN after a warm-up round
 
 
 def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> SubordinationResult:
@@ -190,13 +191,17 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
     omega subordinates the sum: G_{mu plus nu}(z) = G_mu(omega(z)). A point
     starts at omega = z with _SUB_WARMUP damped Picard steps. A seed, the
     result of a solve at other points of z's shape, starts each point that
-    converged there at seed.omega + (z - seed.z) with no warm-up, which
-    keeps Im omega >= Im z. Then each point takes Newton steps on
+    converged there with no warm-up, at the tangent step
+    seed.omega + seed.domega (z - seed.z) where that is finite with
+    Im omega >= Im z, else at seed.omega + (z - seed.z), which keeps
+    Im omega >= Im z. Then each point takes Newton steps on
     Phi(omega) - omega = 0 (Phi the right side, Phi' = h_nu'(u) h_mu'(omega),
     h' = -G'/G^2 - 1), or a damped Picard step where the Newton step is not
     finite, leaves {Im omega >= Im z}, or follows a step that did not lower
     the residual |Phi(omega) - omega|. A point settles once its residual is
-    below _SUB_TOL, with that last step taken.
+    below _SUB_TOL, with that last step taken. domega is omega' =
+    (1 + h_nu'(u))/(1 - h_nu'(u) h_mu'(omega)) at the last round's iterate,
+    from the same h' terms, or NaN if that round was a warm-up step.
     """
     import numpy as np
 
@@ -212,10 +217,15 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
 
     omega, warmup = zarr.copy(), np.full(zarr.shape, _SUB_WARMUP)
     if seed is not None:
-        omega = np.where(seed.converged, seed.omega + (zarr - seed.z), omega)
+        with np.errstate(all="ignore"):
+            start = seed.omega + seed.domega * (zarr - seed.z)
+        good = np.isfinite(start) & (start.imag >= zarr.imag)
+        start = np.where(good, start, seed.omega + (zarr - seed.z))
+        omega = np.where(seed.converged, start, omega)
         warmup[seed.converged] = 0
     idx = np.arange(zarr.size)
     residual, converged = np.full(zarr.shape, np.inf), np.zeros(zarr.shape, bool)
+    domega = np.full(zarr.shape, np.nan + 0j)
     for its in range(1, _SUB_MAX_ITER + 1):
         w, zs, newton = omega[idx], zarr[idx], its > warmup[idx]
         h_w, dh_w = h(mu, w, newton.any())
@@ -223,6 +233,7 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
         step = zs + h_u - w
         with np.errstate(all="ignore"):
             trial = w - step / (dh_u * dh_w - 1)
+            domega[idx] = np.where(newton, (1 + dh_u) / (1 - dh_u * dh_w), np.nan)
         ok = newton & np.isfinite(trial) & (trial.imag >= zs.imag)
         ok &= np.abs(step) < residual[idx]
         residual[idx] = np.abs(step)
@@ -231,7 +242,7 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
         idx = idx[~converged[idx]]
         if not idx.size:
             break
-    return SubordinationResult(omega, its, float(residual.max()), converged, zarr)
+    return SubordinationResult(omega, its, float(residual.max()), converged, zarr, domega)
 
 
 def _boundary_cauchy(mu: MeasureSpec, nu: MeasureSpec, xs):

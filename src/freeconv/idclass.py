@@ -658,7 +658,8 @@ def _scan_group(model: RModel, ts, threshold, grid_points):
     for j, (xs, dens, w_eps) in enumerate(zip(grids, dens_t, w_t)):
         above = np.flatnonzero(dens > threshold)
         if above.size and above[0] == 0:
-            edges[j] = float(xs[0])
+            # the window's left end only bounds the edge
+            edges[j], conv_t[j] = float(xs[0]), False
         elif above.size:
             i = above[0]
             brackets.append((float(xs[i]), float(xs[i - 1])))
@@ -681,7 +682,9 @@ def _scan_group(model: RModel, ts, threshold, grid_points):
 def _grid_scan(model: RModel, ts, threshold: float = 1e-6, grid_points: int = 601):
     """The scan's second route: the smallest point where the extrapolated
     density (_extrapolated_density) exceeds the threshold, or the atom if
-    further left; converged means every grid point's solve converged.
+    further left; converged means every grid point's solve converged and
+    the density does not already exceed the threshold at the grid's left
+    end, which then stands as the edge but only bounds it.
 
     Each t's grid crossing is bisected to 2e-5 in batches
     (transforms._bisect_edge), each batch seeded by interpolating w at

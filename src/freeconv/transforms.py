@@ -415,8 +415,9 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
     scaled by a power of two that brings it near 1, which is exact and keeps
     a^2 + y^2 and u^2 from overflowing or underflowing; G takes the scale
     back once and G' twice. Points go in blocks of at most
-    _GRID_BLOCK elements (one row at least), and every row is summed on its
-    own, so a point's value does not depend on the others.
+    _GRID_BLOCK elements (one row at least). Each sum is one BLAS dot per
+    row (np.vecdot) against wd, or wd u for G', so a point's value does not
+    depend on its block, as it would through a matrix-vector product.
     """
     import numpy as np
 
@@ -453,14 +454,13 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
         u = np.multiply(a, a, out=u_buf[: s.size])
         u += (yp * yp)[:, None]
         np.reciprocal(u, out=u)
-        wu = np.multiply(u, wd, out=wu_buf[: s.size])
-        awu = np.multiply(a, wu, out=a)
-        sum_wu = wu.sum(axis=-1)
-        out.real[0, part] = awu.sum(axis=-1) * s
+        au = np.multiply(a, u, out=a)
+        sum_wu = np.vecdot(u, wd)
+        out.real[0, part] = np.vecdot(au, wd) * s
         out.imag[0, part] = -(yp * sum_wu) * s
         if derivative:
-            sum_wu2 = np.multiply(wu, u, out=wu).sum(axis=-1)
-            sum_awu2 = np.multiply(awu, u, out=awu).sum(axis=-1)
+            wu = np.multiply(u, wd, out=wu_buf[: s.size])
+            sum_wu2, sum_awu2 = np.vecdot(wu, u), np.vecdot(wu, au)
             out.real[1, part] = (2 * yp * yp * sum_wu2 - sum_wu) * s * s
             out.imag[1, part] = 2 * yp * sum_awu2 * s * s
     return out.reshape(2, *z.shape) + _atomic_cauchy(mu.atoms, z, derivative)

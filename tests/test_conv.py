@@ -341,11 +341,11 @@ def test_semicircle_sum_density_pinned():
     xs = np.linspace(-3.2, 3.2, 321)
     density = conv.free_add_density(W, W, xs).density
     pinned = {
-        20: "0x1.04b4fe49cbdc1p-5",
-        80: "0x1.7c169ad3f1310p-3",
+        20: "0x1.04b4fe49cbdd2p-5",
+        80: "0x1.7c169ad3f1313p-3",
         160: "0x1.ccecbd888b80ap-3",
-        210: "0x1.af27d8033ef0cp-3",
-        285: "0x1.af27d7cbafca2p-4",
+        210: "0x1.af27d8033ef09p-3",
+        285: "0x1.af27d7cbafcadp-4",
         310: "0x0.0p+0",
     }
     assert {i: float(density[i]).hex() for i in pinned} == pinned
@@ -454,6 +454,63 @@ def test_seeding_bounds_grid_evaluations(monkeypatch):
     res = conv.free_add_density(W, _grid_semicircle(), np.linspace(-3.2, 3.2, 301))
     assert res.converged_fraction == 1
     assert sum(points) <= 4200
+
+
+def test_seeding_bounds_grid_evaluations_with_the_tangent_step(monkeypatch):
+    # the same input as above: seeding the lower heights at
+    # omega + omega' (z - z_prev) instead of omega + (z - z_prev) cut the
+    # grid's transform from 3999 points to 3427
+    points = []
+    grid_cauchy = transforms._grid_cauchy
+
+    def counted(mu, z, derivative=False):
+        points.append(np.size(z))
+        return grid_cauchy(mu, z, derivative)
+
+    monkeypatch.setattr(transforms, "_grid_cauchy", counted)
+    res = conv.free_add_density(W, _grid_semicircle(), np.linspace(-3.2, 3.2, 301))
+    assert res.converged_fraction == 1
+    assert sum(points) <= 3600
+
+
+@pytest.mark.parametrize("h", transforms._HEIGHTS)
+def test_domega_is_the_derivative_of_the_semicircle_sum(monkeypatch, h):
+    # for W plus W, omega = z - G_{W(0,2)}(z), so omega' = 1 - G'_{W(0,2)}.
+    # domega is omega' at the last Newton iterate, one step before omega:
+    # at _SUB_TOL = 1e-10 it lies up to 3e-8 off near the edges +-2 sqrt 2,
+    # at 1e-14 the iterate is omega to rounding
+    z = np.linspace(-3.2, 3.2, 321) + 1j * h
+    w2 = MeasureSpec.from_law("semicircle", (0, 2))
+    g, dg = transforms._cauchy_pair(w2, z, True)
+    assert np.max(np.abs(conv.subordination(W, W, z).domega - (1 - dg))) <= 1e-7
+    monkeypatch.setattr(conv, "_SUB_TOL", 1e-14)
+    sub = conv.subordination(W, W, z)
+    assert sub.converged.all()
+    assert np.max(np.abs(sub.omega - (z - g))) <= 1e-12
+    assert np.max(np.abs(sub.domega - (1 - dg))) <= 1e-12
+
+
+def test_domega_is_nan_after_a_warm_up_round(monkeypatch):
+    # a point whose last round was a Picard warm-up step has no omega'
+    monkeypatch.setattr(conv, "_SUB_MAX_ITER", conv._SUB_WARMUP)
+    sub = conv.subordination(W, W, np.linspace(-3.2, 3.2, 9) + 0.01j)
+    assert np.isnan(sub.domega).all()
+
+
+def test_nan_tangent_seed_is_the_shift_seed():
+    # a seed without omega' starts at omega + (z - z_prev), which is the
+    # tangent step with omega' = 1, bit for bit
+    import dataclasses
+
+    xs = np.linspace(-3.2, 3.2, 321)
+    upper = conv.subordination(W, W, xs + 1j * transforms._HEIGHTS[0])
+    assert upper.converged.all() and np.isfinite(upper.domega).all()
+    lower = xs + 1j * transforms._HEIGHTS[1]
+    nan_seed = dataclasses.replace(upper, domega=np.full(xs.shape, np.nan + 0j))
+    one_seed = dataclasses.replace(upper, domega=np.ones(xs.shape, complex))
+    shifted = conv.subordination(W, W, lower, nan_seed).omega
+    assert shifted.tobytes() == conv.subordination(W, W, lower, one_seed).omega.tobytes()
+    assert shifted.tobytes() != conv.subordination(W, W, lower, upper).omega.tobytes()
 
 
 def test_unconverged_point_is_solved_cold_one_height_down(monkeypatch):

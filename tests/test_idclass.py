@@ -606,6 +606,20 @@ class TestPositivityScan:
         assert all(p.converged for p in scan)
         assert sum(points) <= 125_000
 
+    def test_window_end_edge_is_not_converged(self):
+        # a light, far negative jump puts the support past the grid's left
+        # end t kappa_1 - (4 sqrt(t kappa_2) + 0.5); the density exceeds the
+        # threshold there, so that end only bounds the critical edge
+        model, t = RModel(-0.9462, 0, ((-1.3683, 0.2123),)), 0.3446
+        exact = t * model.drift - 1.3683 * (1 + math.sqrt(0.2123 * t)) ** 2
+        window = t * model.kappa1 - (4 * math.sqrt(t * model.kappa2) + 0.5)
+        (grid,) = idclass._grid_scan(model, [t])
+        (critical,) = idclass.positivity_scan(model, [t]).points
+        assert (grid.left_edge, grid.converged) == (window, False)
+        assert critical.converged
+        assert abs(critical.left_edge - exact) <= 1e-12 * abs(exact)
+        assert critical.left_edge < window
+
     def test_unconverged_seed_falls_back_to_the_ladder(self):
         model, xs = RModel.free_poisson(1), np.linspace(0.05, 0.3, 9)
         dens, conv_mask, _ = idclass._extrapolated_density(model, 2.0, xs)
@@ -726,13 +740,10 @@ class TestCriticalScan:
         (grid,) = idclass._grid_scan(model, [t])
         assert critical.converged
         assert critical.atoms == grid.atoms
-        # the grid spans t kappa_1 -+ (4 sqrt(t kappa_2) + 0.5); a support
-        # that reaches past its left end (a light, far negative jump) gives
-        # that end as the grid route's edge, which bounds the edge only
-        window = t * model.kappa1 - (4 * math.sqrt(max(t * model.kappa2, 1e-6)) + 0.5)
-        if grid.left_edge == window and critical.left_edge < window:
-            return
-        assert abs(critical.left_edge - grid.left_edge) <= _ROUTE_TOL
+        # an unconverged grid edge (such as its window's left end) only
+        # bounds the edge
+        if grid.converged:
+            assert abs(critical.left_edge - grid.left_edge) <= _ROUTE_TOL
 
     @settings(max_examples=60, deadline=None)
     @given(

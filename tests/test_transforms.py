@@ -859,16 +859,21 @@ def test_grid_cauchy_matches_complex_division_oracle(lo, hi, n):
     assert np.all(got[0] != 0)
 
 
-def test_grid_cauchy_is_block_independent():
-    # a point's (G, G') does not depend on the block it is summed in
-    mu = _grid_with_atoms(-2, 2, 601)
+def test_grid_cauchy_is_block_independent(monkeypatch):
+    # a point's (G, G') does not depend on the block it is summed in: each
+    # sum is one dot product per row, also on 20,000 knots, where the BLAS
+    # dot may take its long-vector path (blocks of 40 rows there)
     z = np.linspace(-3, 3, 100) + 1j * np.linspace(0.02, 2, 100)
-    assert 100 > transforms._GRID_BLOCK // 601
-    batch = transforms._grid_cauchy(mu, z, derivative=True)
-    alone = np.concatenate(
-        [transforms._grid_cauchy(mu, z[i : i + 1], derivative=True) for i in range(100)], axis=1
-    )
-    assert batch.tobytes() == alone.tobytes()
+    for knots, block in [(601, transforms._GRID_BLOCK), (20_000, 40 * 20_000)]:
+        monkeypatch.setattr(transforms, "_GRID_BLOCK", block)
+        mu = _grid_with_atoms(-2, 2, knots)
+        assert 1 < transforms._GRID_BLOCK // knots < 100
+        batch = transforms._grid_cauchy(mu, z, derivative=True)
+        alone = np.concatenate(
+            [transforms._grid_cauchy(mu, z[i : i + 1], derivative=True) for i in range(100)],
+            axis=1,
+        )
+        assert batch.tobytes() == alone.tobytes()
 
 
 def test_grid_cauchy_memory_is_bounded():
