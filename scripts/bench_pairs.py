@@ -18,11 +18,14 @@ even-indexed pairs run the parent first.
 
 The result, BENCH_<label>.json, holds every run's metrics and failure
 list and, per end-to-end metric, each side's median and quartiles, the
-change's wins and ties, and the relative change of the medians. Each run
+change's wins and ties, the relative change of the medians, and the
+verdict of RULE: "gain", "regression" (the same test the other way, and a
+worsening beyond the metric's bound in BENCHMARK.json), or "none". Each run
 also records the median time of each task label, scaled as task_p50_ms
-is; "labels" summarizes these the same way, so a file shows which tasks
-moved, and the ten labels that moved most are printed. A run of another
-workload with the same --out is added to the file's workloads.
+is; "labels" summarizes these the same way, under task_p50_ms's bound,
+so a file shows which tasks moved, and the ten labels that moved most are
+printed. A run of another workload with the same --out is added to the
+file's workloads.
 """
 
 from __future__ import annotations
@@ -109,17 +112,37 @@ def spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs, better: dict, key: str = "metrics") -> dict:
+def verdict(row: dict, bound: float) -> str:
+    """RULE applied to a summarize row: "gain" when the change wins at least
+    9 of 10 pairs and its median is better than the parent's by more than
+    the parent's interquartile range; "regression" when the parent wins as
+    often and the change's median is worse by more than that range and by
+    more than bound relative to the parent's median; "none" otherwise."""
+    sign = 1 if row["better"] == "higher" else -1
+    base, pairs = row["parent"], row["pairs"]
+    iqr = base["q3"] - base["q1"]
+    gained = sign * (row["change"]["median"] - base["median"])
+    losses = pairs - row["change_wins"] - row["ties"]
+    if 10 * row["change_wins"] >= 9 * pairs and gained > iqr:
+        return "gain"
+    if 10 * losses >= 9 * pairs and -gained > max(iqr, bound * abs(base["median"])):
+        return "regression"
+    return "none"
+
+
+def summarize(pairs, better: dict, key: str = "metrics", bounds=None) -> dict:
     """Per metric: both sides' spread, the change's wins and ties over the
-    pairs, and the relative change of the medians. better maps each metric
-    of the runs' key entry to "lower" or "higher"."""
+    pairs, the relative change of the medians and the verdict. better maps
+    each metric of the runs' key entry to "lower" or "higher", and bounds
+    maps a metric to the relative worsening a regression exceeds (0 if
+    absent)."""
     out = {}
     for name, direction in better.items():
         parent = [p["parent"][key][name] for p in pairs]
         change = [p["change"][key][name] for p in pairs]
         sign = 1 if direction == "higher" else -1
         base, new = spread(parent), spread(change)
-        out[name] = {
+        row = out[name] = {
             "better": direction, "parent": base, "change": new,
             "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
             "ties": sum(c == p for p, c in zip(parent, change)),
@@ -127,15 +150,18 @@ def summarize(pairs, better: dict, key: str = "metrics") -> dict:
             "relative_change": (new["median"] / base["median"] - 1 if base["median"]
                                 else 0.0),
         }
+        row["verdict"] = verdict(row, (bounds or {}).get(name, 0.0))
     return out
 
 
-def label_summary(pairs) -> dict:
+def label_summary(pairs, bound: float = 0.0) -> dict:
     """summarize over each task label's median time in a run (scaled like
-    task_p50_ms, in ms), for the labels that every run has."""
+    task_p50_ms, in ms), for the labels that every run has; bound is the
+    regression bound of every label, task_p50_ms's in main."""
     runs = [p[side] for p in pairs for side in ("parent", "change")]
-    labels = set.intersection(*(set(r["label_p50_ms"]) for r in runs))
-    return summarize(pairs, dict.fromkeys(sorted(labels), "lower"), key="label_p50_ms")
+    labels = sorted(set.intersection(*(set(r["label_p50_ms"]) for r in runs)))
+    return summarize(pairs, dict.fromkeys(labels, "lower"), key="label_p50_ms",
+                     bounds=dict.fromkeys(labels, bound))
 
 
 def _seeds(text: str) -> list:
@@ -172,7 +198,9 @@ def main(argv=None) -> int:
     out = args.out or ROOT / f"BENCH_{args.label}.json"
 
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = json.load(fh)["end_to_end"]
+    better = {m["name"]: m["better"] for m in metrics}
+    bounds = {m["name"]: m["bound"] for m in metrics}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
         trees = {side: Path(work, side) for side in ("parent", "change")}
         for tree in trees.values():
@@ -190,7 +218,8 @@ def main(argv=None) -> int:
             print(f"seed {seed}: wall_s parent {pair['parent']['metrics']['wall_s']:.4f} "
                   f"change {pair['change']['metrics']['wall_s']:.4f}", flush=True)
 
-    summary, labels = summarize(pairs, better), label_summary(pairs)
+    summary = summarize(pairs, better, bounds=bounds)
+    labels = label_summary(pairs, bounds["task_p50_ms"])
     result = json.loads(out.read_text()) if out.exists() else {}
     if result.get("label") != args.label:
         result = {"label": args.label, "claim": "no gain is claimed", "workloads": {}}
@@ -222,12 +251,13 @@ def main(argv=None) -> int:
     for name, row in summary.items():
         base = row["parent"]
         print(f"{name:<14} {base['median']:.4g} [{base['q1']:.4g}, {base['q3']:.4g}] -> "
-              f"{row['change']['median']:.4g}; wins {row['change_wins']}/{row['pairs']}")
+              f"{row['change']['median']:.4g}; wins {row['change_wins']}/{row['pairs']}; "
+              f"{row['verdict']}")
     moved = sorted(labels.items(), key=lambda item: -abs(item[1]["relative_change"]))
     for name, row in moved[:10]:
         print(f"{name:<40} {row['parent']['median']:.4g} ms -> "
               f"{row['change']['median']:.4g} ms ({row['relative_change']:+.1%}); "
-              f"wins {row['change_wins']}/{row['pairs']}")
+              f"wins {row['change_wins']}/{row['pairs']}; {row['verdict']}")
     print(f"wrote {out}")
     return 0
 

@@ -320,11 +320,12 @@ def support_edge(mu: MeasureSpec, nu: MeasureSpec, inner: float, outer: float) -
 
     inner must be a point where the density exceeds _EDGE_THRESHOLD and
     outer one where it falls below; the returned edge is where the
-    extrapolated density crosses that level, accurate to _EDGE_XTOL in
-    position. Both ends must be finite, and a NaN density at either end
-    straddles nothing. Both bracket ends are checked in one solve, and the
-    bisection evaluates its midpoints in batches (transforms._bisect_edge)
-    with the same edge as one-point bisection.
+    extrapolated density crosses that level, accurate in position to
+    max(_EDGE_XTOL, the float spacing there). Both ends must be finite,
+    and a NaN density at either end straddles nothing. Both bracket ends
+    are checked in one solve, and the bisection evaluates its midpoints in
+    batches (transforms._bisect_edge) with the same edge as one-point
+    bisection.
     """
     from . import transforms
 

@@ -468,8 +468,7 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
 
 def _cauchy_pair(mu: MeasureSpec, z, derivative):
     """(G, G') of mu on the array z, in both half planes. Without derivative
-    the atoms' and a grid's G' are 0; a law's closed form gives it anyway,
-    so every caller states which it needs.
+    G' is 0 for every kind, so every caller states which it needs.
     Moment-type representations carry no global transform and are refused.
     """
     import numpy as np
@@ -484,9 +483,9 @@ def _cauchy_pair(mu: MeasureSpec, z, derivative):
         s, c = float(mu.scale), float(mu.offset)
         w = (z - c) / s
         lower = w.imag < 0
-        vals = LAWS[mu.law].cauchy(mu.params, np.where(lower, np.conj(w), w))
-        g, dg = (np.where(lower, np.conj(v), v) for v in vals)
-        return g / s, dg / (s * s)
+        g, dg = LAWS[mu.law].cauchy(mu.params, np.where(lower, np.conj(w), w))
+        dg = np.where(lower, np.conj(dg), dg) / (s * s) if derivative else np.zeros_like(w)
+        return np.where(lower, np.conj(g), g) / s, dg
     raise ValueError(
         f"no global Cauchy transform for a {mu.kind!r} representation; "
         "convert to atomic, grid, or law form"
@@ -594,42 +593,46 @@ def _boundary_densities(values):
 
 
 _EDGE_DEPTH = 6  # bisection steps resolved per call of the predicate
+_EDGE_SPAN = 2**_EDGE_DEPTH  # a round's dyadic partition has points 0.._EDGE_SPAN
+# heap node k as positions (ins, mid, out); its upper half is 2k + 1, lower 2k + 2
+_EDGE_INS, _EDGE_MID, _EDGE_OUT = (list(col) for col in zip(*(
+    (mid - s // 2, mid, mid + s // 2) for s in (_EDGE_SPAN >> d for d in range(_EDGE_DEPTH))
+    for mid in range(_EDGE_SPAN - s // 2, 0, -s))))
 
 
 def _bisect_edge(above, brackets, xtol):
     """Bisect each bracket (inside, outside), above holding at inside and not
-    at outside, to width xtol; returns the edges in bracket order.
+    at outside, to width xtol or until its midpoint rounds to an end;
+    returns the edges in bracket order.
 
     above maps an array of points, and the indices of their brackets, to a
     boolean array. Each round evaluates, in one call, every midpoint that
     the next _EDGE_DEPTH steps of one-point bisection could visit in every
-    bracket wider than xtol, then follows the path those steps take. Each
-    edge is therefore that of one-point bisection, bit for bit, as long as
-    above judges each point independently of the others in its batch.
+    open bracket, a dyadic partition built a level at a time for all of
+    them, each point (ins + out) / 2 of the two it halves, then follows the
+    path those steps take. Each edge is therefore that of one-point
+    bisection, bit for bit, as long as above judges each point
+    independently of the others in its batch.
     """
     import numpy as np
 
     brackets = list(brackets)
-    while trees := {b: [(ins, out)] for b, (ins, out) in enumerate(brackets)
-                    if abs(out - ins) > xtol}:
-        # each tree holds a bracket's sub-brackets in heap order: k splits
-        # at its midpoint into 2k + 1 (midpoint above) and 2k + 2 (not above)
-        mids = {}
-        for b, tree in trees.items():
-            for k in range(2**_EDGE_DEPTH - 1):
-                if tree[k] is None or abs(tree[k][1] - tree[k][0]) <= xtol:
-                    tree += [None, None]
-                    continue
-                ins, out = tree[k]
-                mids[b, k] = mid = (ins + out) / 2
-                tree += [(mid, out), (ins, mid)]
-        owner = np.array([b for b, _ in mids])
-        flags = dict(zip(mids, above(np.array(list(mids.values())), owner)))
-        for b, tree in trees.items():
-            k = 0
-            while (b, k) in flags:
-                k = 2 * k + (1 if flags[b, k] else 2)
-            brackets[b] = tree[k]
+    while opened := [b for b, (ins, out) in enumerate(brackets)
+                     if abs(out - ins) > xtol and ins != (ins + out) / 2 != out]:
+        p = np.empty((len(opened), _EDGE_SPAN + 1))
+        p[:, ::_EDGE_SPAN] = [brackets[b] for b in opened]
+        for s in (_EDGE_SPAN >> d for d in range(_EDGE_DEPTH)):
+            p[:, s // 2 : _EDGE_SPAN : s] = (p[:, 0:_EDGE_SPAN:s] + p[:, s::s]) / 2
+        # no node is wider than its parent: those wider than xtol are reachable
+        live = np.abs(p.take(_EDGE_OUT, axis=1) - p.take(_EDGE_INS, axis=1)) > xtol
+        flags = np.zeros(live.shape, dtype=bool)
+        flags[live] = above(p.take(_EDGE_MID, axis=1)[live], np.array(opened)[live.nonzero()[0]])
+        for b, row, live_b, flags_b in zip(opened, p.tolist(), live.tolist(), flags.tolist()):
+            k, ins, out = 0, 0, _EDGE_SPAN
+            while k < len(live_b) and live_b[k]:
+                ins, out, k = ((_EDGE_MID[k], out, 2 * k + 1) if flags_b[k]
+                               else (ins, _EDGE_MID[k], 2 * k + 2))
+            brackets[b] = (row[ins], row[out])
     return [(ins + out) / 2 for ins, out in brackets]
 
 

@@ -7,8 +7,8 @@ the moment-cumulant recursion and the product DP (Nica-Speicher, Lectures
 on the Combinatorics of Free Probability, Lect. 9 and 14) with the stack
 test of non-crossing they need, the boolean pair and the Lagrange reversion
 on plain Fraction arithmetic, the grid Cauchy transform by complex
-division, and adaptive quadrature of the free Meixner Levy measure's
-integrals.
+division, the batched edge bisection on per-bracket heaps, and adaptive
+quadrature of the free Meixner Levy measure's integrals.
 """
 
 import math
@@ -114,6 +114,39 @@ def grid_cauchy_reference(mu, z, derivative=False):
         if derivative:
             out[1, start : start + 512] = -np.divide(terms, gaps, out=terms).sum(axis=-1)
     return out.reshape(2, *z.shape) + transforms._atomic_cauchy(mu.atoms, z, derivative)
+
+
+# ---------------------------------------------------------------------------
+# batched edge bisection on per-bracket heaps
+
+
+def bisect_edge_reference(above, brackets, xtol):
+    """transforms._bisect_edge as it was built before the dyadic partition:
+    each round fills, per bracket, a 63-node heap of sub-brackets in Python.
+    It has no float-spacing stop, so it can halve forever a bracket whose
+    midpoint rounds to an end while wider than xtol."""
+    brackets = list(brackets)
+    while trees := {b: [(ins, out)] for b, (ins, out) in enumerate(brackets)
+                    if abs(out - ins) > xtol}:
+        # each tree holds a bracket's sub-brackets in heap order: k splits
+        # at its midpoint into 2k + 1 (midpoint above) and 2k + 2 (not above)
+        mids = {}
+        for b, tree in trees.items():
+            for k in range(2**transforms._EDGE_DEPTH - 1):
+                if tree[k] is None or abs(tree[k][1] - tree[k][0]) <= xtol:
+                    tree += [None, None]
+                    continue
+                ins, out = tree[k]
+                mids[b, k] = mid = (ins + out) / 2
+                tree += [(mid, out), (ins, mid)]
+        owner = np.array([b for b, _ in mids])
+        flags = dict(zip(mids, above(np.array(list(mids.values())), owner)))
+        for b, tree in trees.items():
+            k = 0
+            while (b, k) in flags:
+                k = 2 * k + (1 if flags[b, k] else 2)
+            brackets[b] = tree[k]
+    return [(ins + out) / 2 for ins, out in brackets]
 
 
 # ---------------------------------------------------------------------------

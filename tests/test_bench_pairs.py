@@ -61,6 +61,40 @@ def test_label_summary_keeps_the_labels_every_run_has():
     assert (labels["edge"]["change_wins"], labels["edge"]["ties"]) == (1, 2)
 
 
+def _rows(parent, change, better="lower", bound=0.25):
+    pairs = [_pair({"m": p}, {"m": c}) for p, c in zip(parent, change)]
+    return bench_pairs.summarize(pairs, {"m": better}, bounds={"m": bound})["m"]
+
+
+def test_verdict_applies_the_rule_to_synthetic_pairs():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    # median 10, interquartile range 0.175: a gain needs 9/10 wins and a
+    # median more than 0.175 better
+    assert _rows(parent, [p - 1 for p in parent])["verdict"] == "gain"
+    assert _rows(parent, [p - 0.15 for p in parent])["verdict"] == "none"
+    nine = [p - 1 for p in parent[:9]] + [parent[9] + 1]
+    assert _rows(parent, nine)["verdict"] == "gain"
+    eight = [p - 1 for p in parent[:8]] + [p + 1 for p in parent[8:]]
+    assert _rows(parent, eight)["verdict"] == "none"
+    # a regression also has to pass the bound: +30% does, +10% does not
+    assert _rows(parent, [1.3 * p for p in parent])["verdict"] == "regression"
+    assert _rows(parent, [1.1 * p for p in parent])["verdict"] == "none"
+    assert _rows(parent, [1.1 * p for p in parent], bound=0.05)["verdict"] == "regression"
+    # higher is better: a fall is the regression, a rise the gain
+    assert _rows(parent, [0.7 * p for p in parent], "higher")["verdict"] == "regression"
+    assert _rows(parent, [p + 1 for p in parent], "higher")["verdict"] == "gain"
+    # ties are neither wins nor losses
+    assert _rows(parent, parent)["verdict"] == "none"
+
+
+def test_label_rows_take_the_bound_given():
+    pairs = [{"parent": {"label_p50_ms": {"scan": p}}, "change": {"label_p50_ms": {"scan": c}}}
+             for p, c in zip([1.0, 1.1, 0.9, 1.0], [1.2, 1.3, 1.1, 1.2])]
+    assert bench_pairs.label_summary(pairs)["scan"]["verdict"] == "regression"
+    assert bench_pairs.label_summary(pairs, 0.25)["scan"]["verdict"] == "none"
+    assert bench_pairs.label_summary(pairs, 0.15)["scan"]["verdict"] == "regression"
+
+
 def test_one_pair_spread_and_seed_ranges():
     assert bench_pairs.spread([0.25]) == {"median": 0.25, "q1": 0.25, "q3": 0.25}
     assert bench_pairs._seeds("3-5,8") == [3, 4, 5, 8]
@@ -85,5 +119,7 @@ def test_smoke_pair_on_exact_seq(tmp_path):
         assert pair[side]["passes"] == 1 and pair[side]["correct"]
         assert set(pair[side]["metrics"]) == names
     assert run["labels"] and set(run["labels"]) == set(pair["change"]["label_p50_ms"])
+    assert {row["verdict"] for row in [*run["summary"].values(), *run["labels"].values()]} <= {
+        "gain", "regression", "none"}
     assert pair["parent"]["inputs_sha256"] == pair["change"]["inputs_sha256"]
     assert run["identical_failures"]

@@ -337,6 +337,27 @@ def test_support_edges_pinned():
     assert edge.hex() == "0x1.aab1999999998p+1"
 
 
+def test_support_edge_stops_at_the_float_spacing(monkeypatch):
+    # at 1e13 the floats are 2^-9 apart, wider than _EDGE_XTOL: the
+    # bisection stops once a midpoint rounds to an end, and the edge is
+    # W(0, 2)'s, moved by 1e13, to that spacing
+    solves = []
+    density = conv.density_at_points
+
+    def counted(*args):
+        solves.append(len(args[-1]))
+        assert len(solves) <= 20, "bisection did not stop"
+        return density(*args)
+
+    near = 2 * math.sqrt(2)
+    far = MeasureSpec.from_law("semicircle", (1e13, 1))
+    monkeypatch.setattr(conv, "density_at_points", counted)
+    edge = conv.support_edge(far, W, 1e13 + near - 1, 1e13 + near + 2)
+    monkeypatch.undo()
+    want = 1e13 + conv.support_edge(W, W, near - 1, near + 2)
+    assert abs(edge - want) <= 2 * math.ulp(1e13)
+
+
 def test_semicircle_sum_density_pinned():
     xs = np.linspace(-3.2, 3.2, 321)
     density = conv.free_add_density(W, W, xs).density

@@ -24,6 +24,7 @@ from freeconv.transforms import (
     stieltjes_invert,
 )
 from oracles import (
+    bisect_edge_reference,
     grid_cauchy_reference,
     law_cauchy_quad,
     law_moments_quadrature,
@@ -815,6 +816,18 @@ def test_law_without_density_is_its_atoms():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("law,params", _DENSITY_LAWS + [("symmetric_bernoulli", ())])
+def test_law_cauchy_pair_without_derivative_has_the_same_g(law, params):
+    # G to the bit with and without G', in both half planes, plain and under
+    # a reflecting scale; without derivative G' is 0, as for atoms and grids
+    z = np.array(_PIN_POINTS + [v.conjugate() for v in _PIN_POINTS])
+    for mu in (MeasureSpec.from_law(law, params),
+               MeasureSpec.from_law(law, params, scale=-2, offset=1)):
+        (g, dg), (g0, dg0) = (transforms._cauchy_pair(mu, z, d) for d in (True, False))
+        assert g.tobytes() == g0.tobytes()
+        assert np.all(dg != 0) and dg0.tobytes() == np.zeros_like(g).tobytes()
+
+
 def test_grid_cauchy_matches_law():
     xs = np.linspace(-2, 2, 3001)
     mu = MeasureSpec.grid(xs, catalog_density("semicircle", (0, 1), xs), norm_tol=1e-3)
@@ -1068,10 +1081,10 @@ def test_invert_warns_on_bad_transform():
 
 
 def _bisect_one_point(above, inside, outside, xtol):
-    """One-point bisection, the reference the batched _bisect_edge must equal."""
+    """One-point bisection, the reference the batched _bisect_edge must equal:
+    it halves until the width is at most xtol or the midpoint rounds to an end."""
     steps = 0
-    while abs(outside - inside) > xtol:
-        mid = (inside + outside) / 2
+    while abs(outside - inside) > xtol and inside != (mid := (inside + outside) / 2) != outside:
         inside, outside = (mid, outside) if above(mid) else (inside, mid)
         steps += 1
     return (inside + outside) / 2, steps
@@ -1104,6 +1117,7 @@ def test_bisect_edge_equals_one_point_bisection(inside, width, side, halvings, p
     def batched(xs, owner):
         calls.append(len(xs))
         assert not owner.any()
+        assert len(calls) <= 100, "bisection did not stop"
         return np.array([pred(float(x)) for x in xs])
 
     want, steps = _bisect_one_point(pred, inside, outside, xtol)
@@ -1134,6 +1148,7 @@ def test_bisect_edge_brackets_equal_one_call_each(brackets, xtol, pred):
 
         def batched(xs, owner):
             owners.append(set(owner.tolist()))
+            assert len(owners) <= 100, "bisection did not stop"
             return np.array([pred(float(x)) for x in xs])
 
         return transforms._bisect_edge(batched, brackets, xtol), owners
@@ -1144,3 +1159,67 @@ def test_bisect_edge_brackets_equal_one_call_each(brackets, xtol, pred):
     assert got[-1] == (narrow[0] + narrow[1]) / 2
     assert len(owners) == max(len(rounds) for _, rounds in alone)
     assert all(len(brackets) - 1 not in round_owners for round_owners in owners)
+
+
+def test_bisect_edge_stops_at_the_float_spacing():
+    # at 1e13 the floats are 2^-9 apart, so no bracket there narrows to
+    # xtol = 1e-4: each stops once its midpoint rounds to an end, at the edge
+    # one-point bisection with that stop reaches, next to the crossing
+    c = 1e13 + 2.832
+    rounds = []
+
+    def above(xs, owner):
+        rounds.append(len(xs))
+        assert len(rounds) <= 20, "bisection did not stop"
+        return np.where(owner == 0, xs < c, xs > c)
+
+    got = transforms._bisect_edge(above, [(1e13 + 1, 1e13 + 4), (1e13 + 4, 1e13 + 1)], 1e-4)
+    want = [_bisect_one_point(lambda x: x < c, 1e13 + 1, 1e13 + 4, 1e-4)[0],
+            _bisect_one_point(lambda x: x > c, 1e13 + 4, 1e13 + 1, 1e-4)[0]]
+    assert got == want
+    assert all(abs(edge - c) <= math.ulp(c) for edge in got)
+
+
+@st.composite
+def _bracket_sets(draw):
+    """1-6 brackets of both orientations at one scale 10^e, |e| <= 300, a
+    quarter of them already narrower than xtol, with a crossing fraction
+    each; xtol is 2^-36 to 0.3 of the scale and at least four float
+    spacings of the largest end, where both routes end."""
+    scale = 10.0 ** draw(st.integers(-300, 300))
+    xtol = scale * 2.0 ** -draw(st.floats(math.log2(1 / 0.3), 36))
+    brackets, crossings = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        narrow = draw(st.integers(0, 3)) == 0
+        width = xtol * draw(st.floats(0, 1)) if narrow else scale * draw(st.floats(2**-40, 8))
+        inside = scale * draw(st.floats(-8, 8))
+        brackets.append((inside, inside + draw(st.sampled_from([-1, 1])) * width))
+        crossings.append(draw(st.floats(0, 1)))
+    xtol = max(xtol, 4 * math.ulp(max(abs(end) for b in brackets for end in b)))
+    return brackets, xtol, crossings
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_bracket_sets(), hashed=st.booleans())
+def test_bisect_edge_equals_the_heap_reference(case, hashed):
+    # the same predicate calls, to the byte, and the same edges, to the bit,
+    # as the per-bracket heaps; the predicate is either a crossing inside
+    # each bracket or a hash of each point's bits, which takes every path
+    brackets, xtol, crossings = case
+    cut = np.array([i + f * (o - i) for (i, o), f in zip(brackets, crossings)])
+    rising = np.array([o > i for i, o in brackets])
+
+    def run(bisect):
+        calls = []
+
+        def above(xs, owner):
+            calls.append((xs.dtype, owner.dtype, xs.tobytes(), owner.tobytes()))
+            assert len(calls) <= 100, "bisection did not stop"
+            if hashed:
+                bits = xs.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+                return (bits >> np.uint64(40)) & np.uint64(1) == 1
+            return np.where(rising[owner], xs < cut[owner], xs > cut[owner])
+
+        return [float(edge).hex() for edge in bisect(above, brackets, xtol)], calls
+
+    assert run(transforms._bisect_edge) == run(bisect_edge_reference)
