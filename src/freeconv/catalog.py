@@ -25,6 +25,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import ncpart
 from .ncpart import SeqN, _is_exact
@@ -74,8 +75,9 @@ def _sc_cauchy(params, z):
     # take sqrt((z-a)(z-b)) as the product of principal square roots
     mean, var = float(params[0]), float(params[1])
     half = 2 * math.sqrt(var)
-    root = np.sqrt(z - mean - half) * np.sqrt(z - mean + half)
-    g = 2 / (z - mean + root)  # (z - mean - root)/(2 var), without its cancellation
+    zc = z - mean
+    root = np.sqrt(zc - half) * np.sqrt(zc + half)
+    g = 2 / (zc + root)  # (zc - root)/(2 var), without its cancellation
     return g, -g / root
 
 
@@ -515,6 +517,20 @@ class MeasureSpec:
         return MeasureSpec(kind="free_cumulants", seq=seq)
 
     # -- queries -------------------------------------------------------
+
+    @cached_property
+    def _knots(self):
+        """A grid spec's knots, trapezoid weights times densities, and largest
+        spacing, as numpy values, built on first use. It is no field, so
+        ==, hash, replace and serialization never see it."""
+        import numpy as np
+
+        xs = np.asarray(self.xs)
+        gaps = np.diff(xs)
+        weights = np.zeros_like(xs)
+        weights[:-1] += gaps / 2
+        weights[1:] += gaps / 2
+        return xs, weights * np.asarray(self.densities), float(np.max(gaps))
 
     @property
     def mass_at_zero(self):

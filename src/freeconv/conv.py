@@ -202,46 +202,68 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
     below _SUB_TOL, with that last step taken. domega is omega' =
     (1 + h_nu'(u))/(1 - h_nu'(u) h_mu'(omega)) at the last round's iterate,
     from the same h' terms, or NaN if that round was a warm-up step.
+
+    A round reads (G, G') of mu at omega and of nu at u = z + h_mu(omega),
+    one transforms._cauchy_pair call each, over the points not yet settled,
+    and forms |step| once for the acceptance test, the residual and the
+    settling test. A round in which every such point is still in its
+    warm-up asks for G alone and takes the damped step without the Newton
+    trial, omega' or the acceptance test; the result is the same bit for
+    bit. Non-finite points are refused, as are points off the upper half
+    plane, before any solve; an empty z gives empty arrays, iterations 0
+    and max_residual 0.0.
     """
     import numpy as np
 
     from . import transforms
 
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
+    bad = int(np.count_nonzero(~np.isfinite(zarr)))
+    if bad:
+        raise ValueError(f"subordination points must be finite; {bad} of {zarr.size} are not")
     if np.any(zarr.imag <= 0):
         raise ValueError("subordination points must lie in the upper half plane")
 
     def h(spec, w, slope):
         g, dg = transforms._cauchy_pair(spec, w, slope)
-        return 1 / g - w, -dg / g**2 - 1
+        return 1 / g - w, -dg / g**2 - 1 if slope else None
 
     omega, warmup = zarr.copy(), np.full(zarr.shape, _SUB_WARMUP)
-    if seed is not None:
-        with np.errstate(all="ignore"):
-            start = seed.omega + seed.domega * (zarr - seed.z)
-        good = np.isfinite(start) & (start.imag >= zarr.imag)
-        start = np.where(good, start, seed.omega + (zarr - seed.z))
-        omega = np.where(seed.converged, start, omega)
-        warmup[seed.converged] = 0
-    idx = np.arange(zarr.size)
     residual, converged = np.full(zarr.shape, np.inf), np.zeros(zarr.shape, bool)
     domega = np.full(zarr.shape, np.nan + 0j)
-    for its in range(1, _SUB_MAX_ITER + 1):
-        w, zs, newton = omega[idx], zarr[idx], its > warmup[idx]
-        h_w, dh_w = h(mu, w, newton.any())
-        h_u, dh_u = h(nu, zs + h_w, newton.any())
-        step = zs + h_u - w
-        with np.errstate(all="ignore"):
-            trial = w - step / (dh_u * dh_w - 1)
-            domega[idx] = np.where(newton, (1 + dh_u) / (1 - dh_u * dh_w), np.nan)
-        ok = newton & np.isfinite(trial) & (trial.imag >= zs.imag)
-        ok &= np.abs(step) < residual[idx]
-        residual[idx] = np.abs(step)
-        omega[idx] = np.where(ok, trial, w + _SUB_DAMPING * step)
-        converged[idx] = residual[idx] < _SUB_TOL
-        idx = idx[~converged[idx]]
-        if not idx.size:
-            break
+    if not zarr.size:
+        return SubordinationResult(omega, 0, 0.0, converged, zarr, domega)
+    with np.errstate(all="ignore"):
+        if seed is not None:
+            start = seed.omega + seed.domega * (zarr - seed.z)
+            good = np.isfinite(start) & (start.imag >= zarr.imag)
+            start = np.where(good, start, seed.omega + (zarr - seed.z))
+            omega = np.where(seed.converged, start, omega)
+            warmup[seed.converged] = 0
+        idx = np.arange(zarr.size)
+        for its in range(1, _SUB_MAX_ITER + 1):
+            w, zs, newton = omega[idx], zarr[idx], its > warmup[idx]
+            slope = newton.any()
+            h_w, dh_w = h(mu, w, slope)
+            h_u, dh_u = h(nu, zs + h_w, slope)
+            step = zs + h_u - w
+            size = np.abs(step)
+            if slope:
+                trial = w - step / (dh_u * dh_w - 1)
+                domega[idx] = np.where(newton, (1 + dh_u) / (1 - dh_u * dh_w), np.nan)
+                ok = newton & np.isfinite(trial) & (trial.imag >= zs.imag)
+                ok &= size < residual[idx]
+                omega[idx] = np.where(ok, trial, w + _SUB_DAMPING * step)
+            else:
+                # every point is in its warm-up, so none has had a Newton
+                # round yet and its domega is still the NaN it started as
+                omega[idx] = w + _SUB_DAMPING * step
+            residual[idx] = size
+            settled = size < _SUB_TOL
+            converged[idx] = settled
+            idx = idx[~settled]
+            if not idx.size:
+                break
     return SubordinationResult(omega, its, float(residual.max()), converged, zarr, domega)
 
 
@@ -295,7 +317,7 @@ def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
     inv = transforms._invert(values, xs)
     iters = max(s.iterations for s in diagnostics)
     resid = max(s.max_residual for s in diagnostics)
-    conv = min(float(np.mean(s.converged)) for s in diagnostics)
+    conv = min(float(np.mean(s.converged)) for s in diagnostics) if xs.size else 1.0
     if conv < 1:
         bad = np.logical_or.reduce([~s.converged for s in diagnostics])
         inv = replace(inv, warnings=inv.warnings + (
@@ -322,11 +344,17 @@ def support_edge(mu: MeasureSpec, nu: MeasureSpec, inner: float, outer: float) -
     outer one where it falls below; the returned edge is where the
     extrapolated density crosses that level, accurate in position to
     max(_EDGE_XTOL, the float spacing there). Both ends must be finite,
-    and a NaN density at either end straddles nothing. Both bracket ends
-    are checked in one solve, and the bisection evaluates its midpoints in
-    batches (transforms._bisect_edge) with the same edge as one-point
-    bisection.
+    and a NaN density at either end straddles nothing. The bisection
+    evaluates its midpoints in batches (transforms._bisect_edge) with the
+    same edge as one-point bisection, and its first batch carries the two
+    bracket ends ahead of its 63 midpoints; density_at_points treats each
+    point alone, so the ends' densities are those of a solve of their own.
+    From a bracket as wide as (2, 3.2) that is three density solves. A
+    bracket no wider than _EDGE_XTOL starts no round, and its ends are
+    checked in a solve of their own.
     """
+    import numpy as np
+
     from . import transforms
 
     if not (math.isfinite(inner) and math.isfinite(outer)):
@@ -335,15 +363,28 @@ def support_edge(mu: MeasureSpec, nu: MeasureSpec, inner: float, outer: float) -
     def f(xs):
         return density_at_points(mu, nu, xs) - _EDGE_THRESHOLD
 
-    fi, fo = f([inner, outer])
-    if not (fi > 0 and fo < 0):
-        raise ValueError(
-            f"bracket does not straddle the edge: d(inner)-t={fi:.2e}, "
-            f"d(outer)-t={fo:.2e}"
-        )
-    return transforms._bisect_edge(
-        lambda xs, _: f(xs) > 0, [(inner, outer)], _EDGE_XTOL
-    )[0]
+    def check(fi, fo):
+        if not (fi > 0 and fo < 0):
+            raise ValueError(
+                f"bracket does not straddle the edge: d(inner)-t={fi:.2e}, "
+                f"d(outer)-t={fo:.2e}"
+            )
+
+    ends = [inner, outer]
+
+    def above(xs, _):
+        # the first call also solves the bracket ends, ahead of its points
+        nonlocal ends
+        if ends is None:
+            return f(xs) > 0
+        v, ends = f(np.concatenate([ends, xs])), None
+        check(*v[:2])
+        return v[2:] > 0
+
+    edge = transforms._bisect_edge(above, [(inner, outer)], _EDGE_XTOL)[0]
+    if ends is not None:  # a bracket no wider than xtol never calls above
+        check(*f(ends))
+    return edge
 
 
 # ---------------------------------------------------------------------------

@@ -751,7 +751,7 @@ def thm110_check(mu: MeasureSpec) -> Thm110Result:
         # shells narrower than the grid spacing carry no information; the
         # largest spacing is also the step of the grid kernel's refusal near
         # its real axis, so every y probed stays clear of it
-        spacing = float(np.max(np.diff(mu.xs)))
+        spacing = mu._knots[2]
         while k_max >= _SHELL_K_MIN and 2.0 ** -(k_max + 1) < 4 * spacing:
             k_max -= 1
     if k_max <= _SHELL_K_MIN:  # one shell at most: no ratio to judge

@@ -417,12 +417,14 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
     back once and G' twice. Points go in blocks of at most
     _GRID_BLOCK elements (one row at least). Each sum is one BLAS dot per
     row (np.vecdot) against wd, or wd u for G', so a point's value does not
-    depend on its block, as it would through a matrix-vector product.
+    depend on its block, as it would through a matrix-vector product. The
+    blocks form the sums alone; G and G' are assembled from them once, for
+    all points. The knots, wd and the largest spacing are built once per
+    spec (MeasureSpec._knots).
     """
     import numpy as np
 
-    xs = np.asarray(mu.xs)
-    step = float(np.max(np.diff(xs)))
+    xs, wd, step = mu._knots
     near = (np.abs(z.imag) < step / 10) & (
         (z.real > xs[0] - step) & (z.real < xs[-1] + step)
     )
@@ -431,38 +433,39 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
             f"evaluation point within {step / 10:.3g} of the grid's real axis; "
             "refine the grid or move away from the support"
         )
-    dens = np.asarray(mu.densities)
-    weights = np.zeros_like(xs)
-    weights[:-1] += np.diff(xs) / 2
-    weights[1:] += np.diff(xs) / 2
-    wd = weights * dens
     flat = z.ravel()
     re, y = flat.real, flat.imag
     widest = np.maximum(np.maximum(np.abs(re - xs[0]), np.abs(re - xs[-1])), np.abs(y))
     exp = np.frexp(widest)[1]
     scale = np.where(np.abs(exp) > 200, np.ldexp(1.0, -exp), 1.0)
     y = y * scale
-    out = np.zeros((2, flat.size), dtype=complex)
+    scaled, y2 = np.any(scale != 1), y * y
+    # per point: sum wd u, sum wd a u and, for G', sum wd u^2, sum wd a u^2
+    sums = np.empty((4 if derivative else 2, flat.size))
     rows = max(1, _GRID_BLOCK // xs.size)
     a_buf, u_buf, wu_buf = (np.empty((min(rows, flat.size), xs.size)) for _ in range(3))
     for start in range(0, flat.size, rows):
         part = slice(start, start + rows)
-        s, yp = scale[part], y[part]
-        a = np.subtract(re[part, None], xs, out=a_buf[: s.size])
-        if np.any(s != 1):
-            a *= s[:, None]
-        u = np.multiply(a, a, out=u_buf[: s.size])
-        u += (yp * yp)[:, None]
+        n = re[part].size
+        a = np.subtract(re[part, None], xs, out=a_buf[:n])
+        if scaled:
+            a *= scale[part, None]  # exact, also where the scale is 1
+        u = np.square(a, out=u_buf[:n])
+        u += y2[part, None]
         np.reciprocal(u, out=u)
         au = np.multiply(a, u, out=a)
-        sum_wu = np.vecdot(u, wd)
-        out.real[0, part] = np.vecdot(au, wd) * s
-        out.imag[0, part] = -(yp * sum_wu) * s
+        np.vecdot(u, wd, out=sums[0, part])
+        np.vecdot(au, wd, out=sums[1, part])
         if derivative:
-            wu = np.multiply(u, wd, out=wu_buf[: s.size])
-            sum_wu2, sum_awu2 = np.vecdot(wu, u), np.vecdot(wu, au)
-            out.real[1, part] = (2 * yp * yp * sum_wu2 - sum_wu) * s * s
-            out.imag[1, part] = 2 * yp * sum_awu2 * s * s
+            wu = np.multiply(u, wd, out=wu_buf[:n])
+            np.vecdot(wu, u, out=sums[2, part])
+            np.vecdot(wu, au, out=sums[3, part])
+    out = np.zeros((2, flat.size), dtype=complex)
+    out.real[0] = sums[1] * scale
+    out.imag[0] = -(y * sums[0]) * scale
+    if derivative:
+        out.real[1] = (2 * y * y * sums[2] - sums[0]) * scale * scale
+        out.imag[1] = 2 * y * sums[3] * scale * scale
     return out.reshape(2, *z.shape) + _atomic_cauchy(mu.atoms, z, derivative)
 
 
@@ -470,6 +473,12 @@ def _cauchy_pair(mu: MeasureSpec, z, derivative):
     """(G, G') of mu on the array z, in both half planes. Without derivative
     G' is 0 for every kind, so every caller states which it needs.
     Moment-type representations carry no global transform and are refused.
+
+    A law spec with scale 1 and offset 0 hands z to its closed form as it
+    is, with no affine arithmetic. A point whose imaginary part has its
+    sign bit set, -0.0 included, is read on the upper side and conjugated
+    back; only when some point is such are copies made and conjugated in
+    place there. z itself is never written.
     """
     import numpy as np
 
@@ -481,11 +490,20 @@ def _cauchy_pair(mu: MeasureSpec, z, derivative):
         # the closed form of the law X, for Im w >= 0, at w = (z - c)/s, reflected
         # by G(conj w) = conj G(w); s X + c has G_X(w)/s and G_X'(w)/s^2
         s, c = float(mu.scale), float(mu.offset)
-        w = (z - c) / s
-        lower = w.imag < 0
-        g, dg = LAWS[mu.law].cauchy(mu.params, np.where(lower, np.conj(w), w))
-        dg = np.where(lower, np.conj(dg), dg) / (s * s) if derivative else np.zeros_like(w)
-        return np.where(lower, np.conj(g), g) / s, dg
+        moved = s != 1 or c != 0
+        w = (z - c) / s if moved else z
+        lower = np.signbit(w.imag)
+        flip = lower.any()
+        if flip:
+            w = np.conjugate(w, out=w.copy() if w is z else w, where=lower)
+        g, dg = LAWS[mu.law].cauchy(mu.params, w)
+        if flip:
+            np.conjugate(g, out=g, where=lower)
+        if not derivative:
+            return (g / s if moved else g), np.zeros_like(w)
+        if flip:
+            np.conjugate(dg, out=dg, where=lower)
+        return (g / s, dg / (s * s)) if moved else (g, dg)
     raise ValueError(
         f"no global Cauchy transform for a {mu.kind!r} representation; "
         "convert to atomic, grid, or law form"

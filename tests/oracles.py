@@ -7,8 +7,9 @@ the moment-cumulant recursion and the product DP (Nica-Speicher, Lectures
 on the Combinatorics of Free Probability, Lect. 9 and 14) with the stack
 test of non-crossing they need, the boolean pair and the Lagrange reversion
 on plain Fraction arithmetic, the grid Cauchy transform by complex
-division, the batched edge bisection on per-bracket heaps, and adaptive
-quadrature of the free Meixner Levy measure's integrals.
+division, the batched edge bisection on per-bracket heaps, the
+subordination solve with the full Newton algebra in every round, and
+adaptive quadrature of the free Meixner Levy measure's integrals.
 """
 
 import math
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
-from freeconv import catalog, transforms
+from freeconv import catalog, conv, transforms
 from freeconv.ncpart import SeqN, SetPartition, _values, enumerate_nc
 
 MOMENT_CAP_QUAD = 32
@@ -147,6 +148,54 @@ def bisect_edge_reference(above, brackets, xtol):
                 k = 2 * k + (1 if flags[b, k] else 2)
             brackets[b] = tree[k]
     return [(ins + out) / 2 for ins, out in brackets]
+
+
+# ---------------------------------------------------------------------------
+# the subordination solve with the full Newton algebra in every round
+
+
+def subordination_reference(mu, nu, z, seed=None):
+    """conv.subordination as it was before its rounds were trimmed: each
+    round enters np.errstate, forms the Newton trial, omega' and the
+    acceptance test whether or not any point has left its warm-up, and
+    takes |step| twice. It reads conv's _SUB_* constants when called, and
+    it has no refusal of non-finite points nor an empty-input return."""
+    zarr = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any(zarr.imag <= 0):
+        raise ValueError("subordination points must lie in the upper half plane")
+
+    def h(spec, w, slope):
+        g, dg = transforms._cauchy_pair(spec, w, slope)
+        return 1 / g - w, -dg / g**2 - 1
+
+    omega, warmup = zarr.copy(), np.full(zarr.shape, conv._SUB_WARMUP)
+    if seed is not None:
+        with np.errstate(all="ignore"):
+            start = seed.omega + seed.domega * (zarr - seed.z)
+        good = np.isfinite(start) & (start.imag >= zarr.imag)
+        start = np.where(good, start, seed.omega + (zarr - seed.z))
+        omega = np.where(seed.converged, start, omega)
+        warmup[seed.converged] = 0
+    idx = np.arange(zarr.size)
+    residual, converged = np.full(zarr.shape, np.inf), np.zeros(zarr.shape, bool)
+    domega = np.full(zarr.shape, np.nan + 0j)
+    for its in range(1, conv._SUB_MAX_ITER + 1):
+        w, zs, newton = omega[idx], zarr[idx], its > warmup[idx]
+        h_w, dh_w = h(mu, w, newton.any())
+        h_u, dh_u = h(nu, zs + h_w, newton.any())
+        step = zs + h_u - w
+        with np.errstate(all="ignore"):
+            trial = w - step / (dh_u * dh_w - 1)
+            domega[idx] = np.where(newton, (1 + dh_u) / (1 - dh_u * dh_w), np.nan)
+        ok = newton & np.isfinite(trial) & (trial.imag >= zs.imag)
+        ok &= np.abs(step) < residual[idx]
+        residual[idx] = np.abs(step)
+        omega[idx] = np.where(ok, trial, w + conv._SUB_DAMPING * step)
+        converged[idx] = residual[idx] < conv._SUB_TOL
+        idx = idx[~converged[idx]]
+        if not idx.size:
+            break
+    return conv.SubordinationResult(omega, its, float(residual.max()), converged, zarr, domega)
 
 
 # ---------------------------------------------------------------------------

@@ -310,22 +310,64 @@ def test_support_edge_nan_density_straddles_nothing(monkeypatch, ends):
         conv.support_edge(W, W, 2.0, 3.2)
 
 
-@pytest.mark.parametrize(
-    "mu, nu, lo, hi",
-    [
-        (W, W, 2.0, 3.2),
-        (W, W, -3.2, -2.0),
-        (M, catalog.reflect(M), 3.0, 3.8),
-        (atomic_from([F(-1), F(1, 2), F(3)]), W, -3.5, -2.0),
-        (W, _grid_semicircle(), 2.0, 3.2),
-    ],
-)
+# one pair of each kind of input (laws, a reflected law, atoms, a grid),
+# with a window on one of its support edges
+_EDGE_WINDOWS = [
+    (W, W, 2.0, 3.2),
+    (W, W, -3.2, -2.0),
+    (M, catalog.reflect(M), 3.0, 3.8),
+    (atomic_from([F(-1), F(1, 2), F(3)]), W, -3.5, -2.0),
+    (W, _grid_semicircle(), 2.0, 3.2),
+]
+
+
+@pytest.mark.parametrize("mu, nu, lo, hi", _EDGE_WINDOWS)
 def test_density_at_points_is_batch_independent(mu, nu, lo, hi):
     # the batched edge bisection is exact only if a point's density does
     # not depend on the other points solved with it
     xs = np.linspace(lo, hi, 9)
     alone = np.concatenate([conv.density_at_points(mu, nu, [x]) for x in xs])
     assert conv.density_at_points(mu, nu, xs).tobytes() == alone.tobytes()
+
+
+def test_support_edge_solves_the_bracket_ends_in_its_first_batch(monkeypatch):
+    # the ends ride ahead of the first round's 63 midpoints: three density
+    # solves where a separate check of the ends made four
+    calls = []
+    density = conv.density_at_points
+
+    def counted(mu, nu, xs):
+        calls.append(np.asarray(xs, dtype=float))
+        return density(mu, nu, xs)
+
+    monkeypatch.setattr(conv, "density_at_points", counted)
+    edge = conv.support_edge(W, W, 2.0, 3.2)
+    assert edge.hex() == "0x1.6a8d333333333p+1"
+    assert len(calls) == 3
+    assert calls[0][:2].tolist() == [2.0, 3.2] and calls[0].size == 2 + 63
+
+
+def test_support_edge_checks_a_narrow_bracket_on_its_own(monkeypatch):
+    # a bracket no wider than _EDGE_XTOL starts no bisection round, so its
+    # ends are solved in a call of their own, and a bad one still raises
+    calls = []
+
+    def counted(density):
+        def solve(mu, nu, xs):
+            calls.append(list(xs))
+            return density(mu, nu, xs)
+        return solve
+
+    narrow = conv._EDGE_XTOL / 2
+    monkeypatch.setattr(conv, "density_at_points", counted(conv.density_at_points))
+    with pytest.raises(ValueError, match="does not straddle"):
+        conv.support_edge(W, W, 4.0, 4.0 + narrow)
+    assert calls == [[4.0, 4.0 + narrow]]
+    # a density that crosses the level at 3
+    line = lambda mu, nu, xs: conv._EDGE_THRESHOLD + 3.0 - np.asarray(xs)  # noqa: E731
+    monkeypatch.setattr(conv, "density_at_points", counted(line))
+    assert conv.support_edge(W, W, 3.0 - narrow, 3.0 + narrow) == 3.0
+    assert calls[1:] == [[3.0 - narrow, 3.0 + narrow]]
 
 
 def test_support_edges_pinned():
@@ -546,6 +588,75 @@ def test_unconverged_point_is_solved_cold_one_height_down(monkeypatch):
     assert lower.omega[short].tobytes() == cold.omega[short].tobytes()
     assert lower.converged[~short].all()
     assert not np.array_equal(lower.omega[~short], cold.omega[~short])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_points_are_refused_before_any_solve(monkeypatch, bad):
+    # a NaN point ran all _SUB_MAX_ITER rounds and came back as a NaN
+    # density with a "worst residual nan" warning
+    monkeypatch.setattr(transforms, "_cauchy_pair", None)
+    xs = [0.0, 0.5, bad]
+    with pytest.raises(ValueError, match="must be finite; 1 of 3 are not"):
+        conv.subordination(W, W, np.array(xs) + 0.01j)
+    with pytest.raises(ValueError, match="must be finite"):
+        conv.subordination(W, W, [0.5 + 1j * bad])
+    with pytest.raises(ValueError, match="must be finite"):
+        conv.free_add_density(W, W, xs)
+    with pytest.raises(ValueError, match="must be finite"):
+        conv.density_at_points(W, W, xs)
+
+
+def test_empty_points_give_an_empty_result():
+    # numpy refused the empty maximum: "zero-size array to reduction
+    # operation maximum which has no identity"
+    sub = conv.subordination(W, W, np.array([], dtype=complex))
+    assert (sub.omega.size, sub.domega.size, sub.converged.size) == (0, 0, 0)
+    assert (sub.iterations, sub.max_residual) == (0, 0.0)
+    res = conv.free_add_density(W, W, [])
+    assert res.density.size == 0 and res.atoms == () and res.warnings == ()
+    assert (res.iterations, res.max_residual, res.converged_fraction) == (0, 0.0, 1.0)
+    assert conv.density_at_points(W, W, []).size == 0
+
+
+def _same_solve(got, want):
+    for name in ("omega", "domega", "converged", "z"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert (got.iterations, got.max_residual) == (want.iterations, want.max_residual)
+
+
+@pytest.mark.parametrize(
+    "max_iters",
+    [(conv._SUB_MAX_ITER,) * 3, (conv._SUB_WARMUP,) * 3, (7, conv._SUB_WARMUP, conv._SUB_WARMUP)],
+    ids=["full", "warm_up", "mixed"],
+)
+@pytest.mark.parametrize("mu, nu, lo, hi", _EDGE_WINDOWS)
+def test_subordination_equals_the_full_round_reference(monkeypatch, mu, nu, lo, hi, max_iters):
+    # a round with no point past its warm-up skips the Newton algebra, and
+    # |step| is formed once; every output stays that of the full round, cold
+    # and seeded down the heights, at each height's _SUB_MAX_ITER. At
+    # _SUB_WARMUP every cold round is a warm-up round. In the mixed case a
+    # few points stop short at 7 iterations at the first height, so the
+    # second height's rounds mix warm-up points with Newton points to the
+    # last, where the warm-up points keep a NaN omega'
+    from oracles import subordination_reference
+
+    xs = np.linspace(lo - 1.5, hi, 41)
+    seeds, ref_seeds = [None], [None]
+    for h, max_iter in zip(transforms._HEIGHTS, max_iters):
+        monkeypatch.setattr(conv, "_SUB_MAX_ITER", max_iter)
+        z = xs + 1j * h
+        _same_solve(conv.subordination(mu, nu, z), subordination_reference(mu, nu, z))
+        seeds.append(conv.subordination(mu, nu, z, seeds[-1]))
+        ref_seeds.append(subordination_reference(mu, nu, z, ref_seeds[-1]))
+        _same_solve(seeds[-1], ref_seeds[-1])
+    settled = seeds[1].converged.sum()
+    if max_iters[0] == conv._SUB_WARMUP:
+        assert settled == 0
+    elif max_iters[0] == 7:
+        assert 0 < settled < xs.size
+        assert 0 < np.isnan(seeds[2].domega).sum() < xs.size
+    else:
+        assert settled == xs.size
 
 
 # ---------------------------------------------------------------------------

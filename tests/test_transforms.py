@@ -828,6 +828,55 @@ def test_law_cauchy_pair_without_derivative_has_the_same_g(law, params):
         assert np.all(dg != 0) and dg0.tobytes() == np.zeros_like(g).tobytes()
 
 
+_PUSHFORWARDS = [(1, 0), (-2, 1), (Fraction(1), 0)]
+
+
+@pytest.mark.parametrize("scale, offset", _PUSHFORWARDS, ids=["identity", "reflected", "fraction_one"])
+@pytest.mark.parametrize("law,params", _DENSITY_LAWS + [("symmetric_bernoulli", ())])
+def test_law_cauchy_pair_mixed_half_planes_equal_per_point_calls(law, params, scale, offset):
+    # a point is reflected or not by its own half plane, whatever the other
+    # points of its array: one array mixing both equals per-point calls
+    mu = MeasureSpec.from_law(law, params, scale=scale, offset=offset)
+    z = np.array(_PIN_POINTS + [v.conjugate() for v in _PIN_POINTS] + [-0.5 + 3j, 0.25 - 4j])
+    for derivative in (True, False):
+        batch = transforms._cauchy_pair(mu, z.copy(), derivative)
+        alone = [transforms._cauchy_pair(mu, z[i : i + 1], derivative) for i in range(z.size)]
+        for k in range(2):
+            assert batch[k].tobytes() == np.concatenate([v[k] for v in alone]).tobytes()
+
+
+@pytest.mark.parametrize("law,params", _DENSITY_LAWS + [("symmetric_bernoulli", ())])
+def test_law_cauchy_pair_fraction_identity_is_the_float_identity(law, params):
+    # scale Fraction(1) with offset 0 is the identity pushforward, taken
+    # without the affine arithmetic, to the bit; the caller's array is
+    # left as it was
+    z = np.array(_PIN_POINTS + [v.conjugate() for v in _PIN_POINTS])
+    before = z.tobytes()
+    plain = MeasureSpec.from_law(law, params)
+    for mu in (MeasureSpec.from_law(law, params, scale=Fraction(1), offset=0),
+               MeasureSpec.from_law(law, params, scale=1.0, offset=0.0)):
+        for derivative in (True, False):
+            got, want = (transforms._cauchy_pair(m, z, derivative) for m in (mu, plain))
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+    assert z.tobytes() == before
+
+
+def test_law_cauchy_reads_a_signed_zero_on_its_side():
+    # a zero imaginary part counts by its sign: -0.0 is the lower side. A
+    # reflected law at a real point right of its support pushes back to
+    # w = -3 - 0j, where the semicircle's product of roots takes the wrong
+    # branch, and G of reflect(W) at 3 came out 2.618 instead of 0.382
+    w = MeasureSpec.from_law("semicircle", (0, 1))
+    want = (-3 + math.sqrt(5)) / 2  # G of W at -3
+    assert cauchy(w, -3.0) == pytest.approx(want, rel=1e-15)
+    assert cauchy(w, complex(-3, -0.0)) == cauchy(w, -3.0)
+    assert cauchy(catalog.reflect(w), 3.0) == -cauchy(w, -3.0)
+    # inside the support the two sides are conjugate
+    assert cauchy(w, complex(1, -0.0)) == cauchy(w, complex(1, 0.0)).conjugate()
+    assert cauchy(w, complex(1, 0.0)).imag < 0
+
+
 def test_grid_cauchy_matches_law():
     xs = np.linspace(-2, 2, 3001)
     mu = MeasureSpec.grid(xs, catalog_density("semicircle", (0, 1), xs), norm_tol=1e-3)
@@ -906,6 +955,39 @@ def test_grid_cauchy_memory_is_bounded():
         tracemalloc.stop()
     assert np.all(np.isfinite(g)) and np.all(np.isfinite(dg))
     assert peak <= 4 * 2**20
+
+
+def test_grid_knots_are_built_once_and_change_nothing_of_the_spec():
+    # the knots, w d and largest spacing are a memo on the spec, not a field
+    import pickle
+
+    from freeconv import cli
+
+    xs = np.linspace(-2, 2, 601)
+    mu = MeasureSpec.grid(xs, catalog_density("semicircle", (0, 1), xs), norm_tol=1e-3)
+    twin = MeasureSpec.grid(xs, catalog_density("semicircle", (0, 1), xs), norm_tol=1e-3)
+    before = (hash(mu), cli.serialize_measure_spec(mu), pickle.dumps(dataclasses.astuple(mu)))
+    z = np.linspace(-3, 3, 50) + 0.3j
+    first = transforms._grid_cauchy(mu, z, derivative=True)
+    assert "_knots" in vars(mu) and "_knots" not in vars(twin)
+    assert mu == twin and hash(mu) == hash(twin) == before[0]
+    assert cli.serialize_measure_spec(mu) == before[1]
+    assert pickle.dumps(dataclasses.astuple(mu)) == before[2]
+    moved = dataclasses.replace(mu, norm_tol=1e-2)
+    assert "_knots" not in vars(moved) and moved == dataclasses.replace(twin, norm_tol=1e-2)
+    knots = mu._knots
+    assert transforms._grid_cauchy(mu, z, derivative=True).tobytes() == first.tobytes()
+    assert mu._knots is knots
+    assert first.tobytes() == transforms._grid_cauchy(twin, z, derivative=True).tobytes()
+
+
+def test_catalog_import_loads_no_numpy():
+    import subprocess
+    import sys
+
+    code = "import sys, freeconv.catalog; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_moment_representation_has_no_cauchy():
