@@ -117,7 +117,10 @@ def _mp_cauchy(params, z):
     # the atom at 0 plus the density of mass min(rate, 1): (z + 1 - rate - root)/(2z)
     # without that quotient's cancellation far out and, at rate > 1, at 0; with
     # root' = (z - 1 - rate)/root the density part's derivative is -ac (1 - ac)/root
-    atom, ac = max(1 - rate, 0) / z, 2 * min(rate, 1) / (z - abs(1 - rate) + root)
+    ac = 2 * min(rate, 1) / (z - abs(1 - rate) + root)
+    if rate >= 1:  # no atom
+        return ac, -ac * (1 - ac) / root
+    atom = (1 - rate) / z
     return atom + ac, -atom / z - ac * (1 - ac) / root
 
 

@@ -2,10 +2,11 @@
 
 Sequence-level operations work on truncated cumulant/moment data and stay
 exact for exact inputs. The density route for additive convolution solves
-the subordination fixed point on a complex grid by Newton's method, with a
-damped Picard step wherever Newton misbehaves, and feeds the subordinated
-transform to Stieltjes inversion. It solves the inversion's three heights
-in turn, each seeded by the solve one height up along its tangent omega'.
+the subordination fixed point on a complex grid by Newton's method from
+the first round, with a damped Picard step wherever Newton misbehaves,
+and feeds the subordinated transform to Stieltjes inversion. It solves
+the inversion's three heights in turn, each seeded by the solve one
+height up along its tangent omega'.
 
 The multiplicative product keeps two independent routes, the alternating
 word recursion (ncpart) and the S-transform series route, and can be asked
@@ -26,10 +27,9 @@ from .ncpart import SeqN
 
 MULT_AGREEMENT_TOL = 1e-9
 
-# subordination solve: damping of a Picard step, the Picard warm-up steps
-# before Newton, the residual that counts as settled, and the iteration cap
+# subordination solve: damping of a Picard step, the residual that counts
+# as settled, and the iteration cap
 _SUB_DAMPING = 0.5
-_SUB_WARMUP = 3
 _SUB_TOL = 1e-10
 _SUB_MAX_ITER = 500
 
@@ -181,37 +181,35 @@ class SubordinationResult:
     max_residual: float
     converged: np.ndarray
     z: np.ndarray
-    domega: np.ndarray  # omega' at the last Newton iterate; NaN after a warm-up round
+    domega: np.ndarray  # omega' at the last iterate
 
 
 def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> SubordinationResult:
     """Solve omega(z) = z + h_nu(z + h_mu(omega)) on the upper half plane.
 
     h denotes F - id with F the reciprocal Cauchy transform; the resulting
-    omega subordinates the sum: G_{mu plus nu}(z) = G_mu(omega(z)). A point
-    starts at omega = z with _SUB_WARMUP damped Picard steps. A seed, the
-    result of a solve at other points of z's shape, starts each point that
-    converged there with no warm-up, at the tangent step
+    omega subordinates the sum: G_{mu plus nu}(z) = G_mu(omega(z)). omega is
+    the Denjoy-Wolff point of the right side Phi, an analytic self-map of
+    the upper half plane, so it is the only fixed point there and the start
+    only decides how fast it is reached. A point starts at omega = z. A
+    seed, the result of a solve at other points of z's shape, starts each
+    point that converged there at the tangent step
     seed.omega + seed.domega (z - seed.z) where that is finite with
     Im omega >= Im z, else at seed.omega + (z - seed.z), which keeps
-    Im omega >= Im z. Then each point takes Newton steps on
-    Phi(omega) - omega = 0 (Phi the right side, Phi' = h_nu'(u) h_mu'(omega),
-    h' = -G'/G^2 - 1), or a damped Picard step where the Newton step is not
-    finite, leaves {Im omega >= Im z}, or follows a step that did not lower
-    the residual |Phi(omega) - omega|. A point settles once its residual is
-    below _SUB_TOL, with that last step taken. domega is omega' =
-    (1 + h_nu'(u))/(1 - h_nu'(u) h_mu'(omega)) at the last round's iterate,
-    from the same h' terms, or NaN if that round was a warm-up step.
+    Im omega >= Im z. Every round is a Newton step on Phi(omega) - omega = 0
+    (Phi' = h_nu'(u) h_mu'(omega), h' = -G'/G^2 - 1), or a damped Picard
+    step where the Newton step is not finite, leaves {Im omega >= Im z}, or
+    follows a step that did not lower the residual |Phi(omega) - omega|. A
+    point settles once its residual is below _SUB_TOL, with that last step
+    taken. domega is omega' = (1 + h_nu'(u))/(1 - h_nu'(u) h_mu'(omega)) at
+    the last round's iterate, from the same h' terms.
 
     A round reads (G, G') of mu at omega and of nu at u = z + h_mu(omega),
     one transforms._cauchy_pair call each, over the points not yet settled,
     and forms |step| once for the acceptance test, the residual and the
-    settling test. A round in which every such point is still in its
-    warm-up asks for G alone and takes the damped step without the Newton
-    trial, omega' or the acceptance test; the result is the same bit for
-    bit. Non-finite points are refused, as are points off the upper half
-    plane, before any solve; an empty z gives empty arrays, iterations 0
-    and max_residual 0.0.
+    settling test. Non-finite points are refused, as are points off the
+    upper half plane, before any solve; an empty z gives empty arrays,
+    iterations 0 and max_residual 0.0.
     """
     import numpy as np
 
@@ -224,11 +222,11 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
     if np.any(zarr.imag <= 0):
         raise ValueError("subordination points must lie in the upper half plane")
 
-    def h(spec, w, slope):
-        g, dg = transforms._cauchy_pair(spec, w, slope)
-        return 1 / g - w, -dg / g**2 - 1 if slope else None
+    def h(spec, w):
+        g, dg = transforms._cauchy_pair(spec, w, True)
+        return 1 / g - w, -dg / g**2 - 1
 
-    omega, warmup = zarr.copy(), np.full(zarr.shape, _SUB_WARMUP)
+    omega = zarr.copy()
     residual, converged = np.full(zarr.shape, np.inf), np.zeros(zarr.shape, bool)
     domega = np.full(zarr.shape, np.nan + 0j)
     if not zarr.size:
@@ -239,25 +237,17 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
             good = np.isfinite(start) & (start.imag >= zarr.imag)
             start = np.where(good, start, seed.omega + (zarr - seed.z))
             omega = np.where(seed.converged, start, omega)
-            warmup[seed.converged] = 0
         idx = np.arange(zarr.size)
         for its in range(1, _SUB_MAX_ITER + 1):
-            w, zs, newton = omega[idx], zarr[idx], its > warmup[idx]
-            slope = newton.any()
-            h_w, dh_w = h(mu, w, slope)
-            h_u, dh_u = h(nu, zs + h_w, slope)
+            w, zs = omega[idx], zarr[idx]
+            h_w, dh_w = h(mu, w)
+            h_u, dh_u = h(nu, zs + h_w)
             step = zs + h_u - w
             size = np.abs(step)
-            if slope:
-                trial = w - step / (dh_u * dh_w - 1)
-                domega[idx] = np.where(newton, (1 + dh_u) / (1 - dh_u * dh_w), np.nan)
-                ok = newton & np.isfinite(trial) & (trial.imag >= zs.imag)
-                ok &= size < residual[idx]
-                omega[idx] = np.where(ok, trial, w + _SUB_DAMPING * step)
-            else:
-                # every point is in its warm-up, so none has had a Newton
-                # round yet and its domega is still the NaN it started as
-                omega[idx] = w + _SUB_DAMPING * step
+            trial = w - step / (dh_u * dh_w - 1)
+            domega[idx] = (1 + dh_u) / (1 - dh_u * dh_w)
+            ok = np.isfinite(trial) & (trial.imag >= zs.imag) & (size < residual[idx])
+            omega[idx] = np.where(ok, trial, w + _SUB_DAMPING * step)
             residual[idx] = size
             settled = size < _SUB_TOL
             converged[idx] = settled

@@ -478,6 +478,9 @@ _IMAG_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
                 1e-5, 1e-6, 1e-7, 1e-8, _EPS)
 _RUNG_RESIDUAL = 0.1  # a ladder rung above _EPS stops at residual this times its height
 _SCAN_POINTS = 8192  # most grid points one scan solve holds (at least one t)
+# the grid scan's density level at the edge and its grid points per t
+_GRID_THRESHOLD = 1e-6
+_GRID_POINTS = 601
 
 
 def _extrapolated_density(model: RModel, t, xs, seed=None):
@@ -643,20 +646,20 @@ def _scan_times(ts):
     return ts
 
 
-def _scan_group(model: RModel, ts, threshold, grid_points):
+def _scan_group(model: RModel, ts):
     """Grid scan points of the times ts, their grids solved as one batch."""
     import numpy as np
 
     k1, k2 = model.kappa1, model.kappa2
     spreads = [4 * math.sqrt(max(t * k2, 1e-6)) + 0.5 for t in ts]
-    grids = [np.linspace(t * k1 - s, t * k1 + s, grid_points)
+    grids = [np.linspace(t * k1 - s, t * k1 + s, _GRID_POINTS)
              for t, s in zip(ts, spreads)]
-    solved = _extrapolated_density(model, np.repeat(ts, grid_points),
+    solved = _extrapolated_density(model, np.repeat(ts, _GRID_POINTS),
                                    np.concatenate(grids))
     dens_t, conv_t, w_t = (np.split(a, len(ts)) for a in solved)
     edges, brackets, ends = {}, [], []
     for j, (xs, dens, w_eps) in enumerate(zip(grids, dens_t, w_t)):
-        above = np.flatnonzero(dens > threshold)
+        above = np.flatnonzero(dens > _GRID_THRESHOLD)
         if above.size and above[0] == 0:
             # the window's left end only bounds the edge
             edges[j], conv_t[j] = float(xs[0]), False
@@ -672,37 +675,33 @@ def _scan_group(model: RModel, ts, threshold, grid_points):
         for b in np.unique(owner):
             seed[owner == b] = np.interp(mids[owner == b], *ends[b][1:])
         t_mid = np.array([ts[ends[b][0]] for b in owner])
-        return _extrapolated_density(model, t_mid, mids, seed)[0] > threshold
+        return _extrapolated_density(model, t_mid, mids, seed)[0] > _GRID_THRESHOLD
 
     edges.update(zip([j for j, _, _ in ends], _bisect_edge(inside, brackets, 2e-5)))
     return [_with_atom(model, t, edges.get(j), bool(np.all(conv)))
             for j, (t, conv) in enumerate(zip(ts, conv_t))]
 
 
-def _grid_scan(model: RModel, ts, threshold: float = 1e-6, grid_points: int = 601):
-    """The scan's second route: the smallest point where the extrapolated
-    density (_extrapolated_density) exceeds the threshold, or the atom if
-    further left; converged means every grid point's solve converged and
-    the density does not already exceed the threshold at the grid's left
-    end, which then stands as the edge but only bounds it.
+def _grid_scan(model: RModel, ts):
+    """The scan's second route: the smallest of _GRID_POINTS grid points
+    per t where the extrapolated density (_extrapolated_density) exceeds
+    _GRID_THRESHOLD, or the atom if further left; converged means every
+    grid point's solve converged and the density does not already exceed
+    the threshold at the grid's left end, which then stands as the edge
+    but only bounds it.
 
     Each t's grid crossing is bisected to 2e-5 in batches
     (transforms._bisect_edge), each batch seeded by interpolating w at
     height _EPS between the bracket's grid ends. The t values are solved
     together, in groups of at most _SCAN_POINTS points (at least one t
     each), every point independently, so a scan equals the scans of its t
-    values one by one. The times and threshold must be finite and
-    positive, and grid_points at least 2.
+    values one by one. The times must be finite and positive.
     """
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ValueError(f"scan threshold must be finite and positive, got {threshold}")
     ts = _scan_times(ts)
-    if grid_points < 2:
-        raise ValueError(f"scan needs at least 2 grid points, got {grid_points}")
-    size = max(1, _SCAN_POINTS // grid_points)
+    size = max(1, _SCAN_POINTS // _GRID_POINTS)
     points = []
     for k in range(0, len(ts), size):
-        points += _scan_group(model, ts[k : k + size], threshold, grid_points)
+        points += _scan_group(model, ts[k : k + size])
     return tuple(points)
 
 

@@ -512,10 +512,14 @@ def _cauchy_pair(mu: MeasureSpec, z, derivative):
 
 def cauchy(mu: MeasureSpec, z):
     """Cauchy transform G(z) = integral of 1/(z-x); scalar or array z,
-    off the real axis (both half planes)."""
+    off the real axis (both half planes). Non-finite points are refused
+    before any evaluation."""
     import numpy as np
 
     zarr = np.asarray(z, dtype=complex)
+    if not np.isfinite(zarr).all():
+        bad = int(np.count_nonzero(~np.isfinite(zarr)))
+        raise ValueError(f"cauchy points must be finite; {bad} of {zarr.size} are not")
     out = _cauchy_pair(mu, np.atleast_1d(zarr), False)[0]
     return complex(out[0]) if zarr.ndim == 0 else out
 

@@ -8,8 +8,9 @@ on the Combinatorics of Free Probability, Lect. 9 and 14) with the stack
 test of non-crossing they need, the boolean pair and the Lagrange reversion
 on plain Fraction arithmetic, the grid Cauchy transform by complex
 division, the batched edge bisection on per-bracket heaps, the
-subordination solve with the full Newton algebra in every round, and
-adaptive quadrature of the free Meixner Levy measure's integrals.
+subordination solve that starts each cold point with damped Picard
+warm-up steps, and adaptive quadrature of the free Meixner Levy
+measure's integrals.
 """
 
 import math
@@ -151,15 +152,20 @@ def bisect_edge_reference(above, brackets, xtol):
 
 
 # ---------------------------------------------------------------------------
-# the subordination solve with the full Newton algebra in every round
+# the subordination solve with a Picard warm-up
+
+# damped Picard steps that start each cold point of subordination_reference
+_WARMUP = 3
 
 
 def subordination_reference(mu, nu, z, seed=None):
-    """conv.subordination as it was before its rounds were trimmed: each
-    round enters np.errstate, forms the Newton trial, omega' and the
-    acceptance test whether or not any point has left its warm-up, and
-    takes |step| twice. It reads conv's _SUB_* constants when called, and
-    it has no refusal of non-finite points nor an empty-input return."""
+    """conv.subordination as it was when each cold point took _WARMUP
+    damped Picard steps before its first Newton round; a seeded point took
+    none. A warm-up round leaves omega' NaN. Each round enters np.errstate,
+    forms the Newton trial, omega' and the acceptance test whether or not
+    any point has left its warm-up, and takes |step| twice. It reads conv's
+    other _SUB_* constants when called, and it has no refusal of non-finite
+    points nor an empty-input return."""
     zarr = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(zarr.imag <= 0):
         raise ValueError("subordination points must lie in the upper half plane")
@@ -168,7 +174,7 @@ def subordination_reference(mu, nu, z, seed=None):
         g, dg = transforms._cauchy_pair(spec, w, slope)
         return 1 / g - w, -dg / g**2 - 1
 
-    omega, warmup = zarr.copy(), np.full(zarr.shape, conv._SUB_WARMUP)
+    omega, warmup = zarr.copy(), np.full(zarr.shape, _WARMUP)
     if seed is not None:
         with np.errstate(all="ignore"):
             start = seed.omega + seed.domega * (zarr - seed.z)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeconv import ncpart
+from freeconv import catalog, ncpart
 from freeconv.catalog import (
     LAWS,
     MeasureSpec,
@@ -305,6 +305,28 @@ def test_marchenko_pastur_atom():
         (-1, Fraction(1, 2)),
         (1, Fraction(1, 2)),
     )
+
+
+def _mp_cauchy_two_terms(rate, z):
+    # the closed form with its atom term formed at every rate
+    root = np.sqrt(z - (1 - math.sqrt(rate)) ** 2) * np.sqrt(z - (1 + math.sqrt(rate)) ** 2)
+    atom, ac = max(1 - rate, 0) / z, 2 * min(rate, 1) / (z - abs(1 - rate) + root)
+    return atom + ac, -atom / z - ac * (1 - ac) / root
+
+
+@pytest.mark.parametrize("rate", [0.25, 0.5, 1, 1.5, 3])
+def test_marchenko_pastur_cauchy_forms_the_atom_term_below_rate_one(rate):
+    # at rate >= 1 the atom term was 0/z, two complex divisions that add
+    # zeros: dropping it may flip only the sign of an exact zero
+    x, y = np.meshgrid(np.linspace(-2, 6, 17), [1e-6, 0.01, 1.0])
+    z = np.concatenate([(x + 1j * y).ravel(), (x - 1j * y).ravel()])
+    got = catalog._mp_cauchy((rate,), z)
+    want = _mp_cauchy_two_terms(rate, z)
+    for g, w in zip(got, want):
+        if rate < 1:
+            assert g.tobytes() == w.tobytes()
+        else:
+            assert np.array_equal(g, w)
 
 
 # ---------------------------------------------------------------------------

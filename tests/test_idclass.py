@@ -684,18 +684,11 @@ class TestPositivityScan:
             with pytest.raises(ValueError, match="times must be finite and positive"):
                 scan(RModel.free_poisson(1), [0.5, t])
 
-    @pytest.mark.parametrize("points", [-5, 0, 1])
-    def test_rejects_fewer_than_two_grid_points(self, no_solve, points):
-        with pytest.raises(ValueError, match="at least 2 grid points"):
-            idclass._grid_scan(RModel.free_poisson(1), [0.5], grid_points=points)
-
-    @pytest.mark.parametrize("name", ["threshold", "edge_tol"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    def test_rejects_bad_threshold_and_edge_tol(self, no_solve, name, value):
-        # the threshold configures the grid route, edge_tol the scan's verdict
-        scan = idclass._grid_scan if name == "threshold" else idclass.positivity_scan
-        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
-            scan(RModel.semicircle(2, 1), [0.5], **{name: value})
+    def test_rejects_bad_edge_tol(self, no_solve, value):
+        # edge_tol configures the scan's verdict
+        with pytest.raises(ValueError, match="edge_tol must be finite and positive"):
+            idclass.positivity_scan(RModel.semicircle(2, 1), [0.5], edge_tol=value)
 
 
 _ROUTE_TOL = next(c.tolerance for c in verify.CHECKS if c.name == "scan_edge_routes")

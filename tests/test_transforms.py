@@ -492,6 +492,23 @@ def test_atomic_cauchy_exact():
     assert arr[0] == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize(
+    "z",
+    [math.inf, complex(math.inf, 1), complex(math.nan, 1), np.array([1j, 0.5 + 1j, math.nan])],
+    ids=["inf", "inf_real", "nan_real", "array_one_nan"],
+)
+def test_cauchy_refuses_nonfinite_points_before_any_evaluation(monkeypatch, z):
+    # each of these gave nan+nanj without a word
+    monkeypatch.setattr(transforms, "_cauchy_pair", None)
+    count = np.size(z)
+    w = MeasureSpec.from_law("semicircle", (0, 1))
+    with pytest.raises(ValueError, match=f"cauchy points must be finite; 1 of {count} are not"):
+        cauchy(w, z)
+    for route in (f_transform, boolean_k):
+        with pytest.raises(ValueError, match="cauchy points must be finite"):
+            route(w, z)
+
+
 def test_law_cauchy_affine_and_reflection():
     base = MeasureSpec.from_law("semicircle", (0, 1))
     moved = MeasureSpec.from_law("semicircle", (0, 1), scale=2, offset=1)
