@@ -447,7 +447,6 @@ class MeasureSpec:
     scale: object = 1
     offset: object = 0
     seq: SeqN | None = None
-    norm_tol: float = 1e-6
 
     # -- constructors -------------------------------------------------
 
@@ -470,8 +469,10 @@ class MeasureSpec:
 
     @staticmethod
     def grid(xs, densities, atoms=(), norm_tol: float = 1e-6) -> "MeasureSpec":
-        xs = tuple(float(x) for x in xs)
-        densities = tuple(float(d) for d in densities)
+        try:
+            xs, densities = tuple(map(float, xs)), tuple(map(float, densities))
+        except OverflowError:  # an exact entry beyond the float range
+            xs = densities = (math.inf,) * 2  # refused as not finite below
         if len(xs) != len(densities) or len(xs) < 2:
             raise ValueError("grid needs matching xs/densities of length >= 2")
         if not all(map(math.isfinite, xs + densities)):  # floats by now
@@ -490,9 +491,7 @@ class MeasureSpec:
             raise ValueError(
                 f"grid mass {total} deviates from 1 beyond tolerance {norm_tol}"
             )
-        return MeasureSpec(
-            kind="grid", xs=xs, densities=densities, atoms=atoms, norm_tol=norm_tol
-        )
+        return MeasureSpec(kind="grid", xs=xs, densities=densities, atoms=atoms)
 
     @staticmethod
     def from_law(name: str, params=(), scale=1, offset=0) -> "MeasureSpec":
@@ -828,7 +827,8 @@ def dilate(mu: MeasureSpec, a) -> MeasureSpec:
         pts = sorted((af * x, d / abs(af)) for x, d in zip(mu.xs, mu.densities))
         xs, dens = zip(*pts)
         atoms = [(af * loc, w) for loc, w in mu.atoms]
-        return MeasureSpec.grid(xs, dens, atoms, norm_tol=mu.norm_tol)
+        # dilation keeps the trapezoid mass, which grid() checked on mu
+        return MeasureSpec.grid(xs, dens, atoms, norm_tol=math.inf)
     if mu.kind == "law":
         return MeasureSpec.from_law(mu.law, mu.params, a * mu.scale, a * mu.offset)
     if mu.kind == "moments":

@@ -68,7 +68,10 @@ def _num_from_json(v, where: str):
         return v
     if isinstance(v, str):
         if _FRACTION_RE.match(v):
-            return Fraction(v)
+            try:
+                return Fraction(v)
+            except ZeroDivisionError:
+                raise SpecError(f"{where}: fraction {v!r} has a zero denominator") from None
         raise SpecError(f"{where}: strings must be exact fractions 'p/q', got {v!r}")
     raise SpecError(f"{where}: expected a number, got {type(v).__name__}")
 
@@ -270,14 +273,17 @@ def _emit_seq(seq: SeqN, out: str):
     _check_finite(seq.values, seq.kind)
     if out == "json":
         _print_json({"kind": seq.kind, "values": [_num_to_json(v) for v in seq.values]})
-    elif out == "csv":
-        print("n,value")
-        for n, v in enumerate(seq.values, 1):
-            print(f"{n},{_fmt(v)}")
-    else:
-        width = len(str(seq.order))
-        for n, v in enumerate(seq.values, 1):
-            print(f"{n:>{width}}  {_fmt(v)}")
+        return
+    try:  # every line is formed before the first is printed
+        if out == "csv":
+            lines = ["n,value", *(f"{n},{_fmt(v)}" for n, v in enumerate(seq.values, 1))]
+        else:
+            width = len(str(seq.order))
+            lines = [f"{n:>{width}}  {_fmt(v)}" for n, v in enumerate(seq.values, 1)]
+    except OverflowError:  # an exact value beyond the float range
+        raise ValueError(f"{seq.kind} value beyond the float range; nothing printed "
+                         "(--out json prints it exactly)") from None
+    print("\n".join(lines))
 
 
 def _emit_density(xs, density, atoms, out: str):
@@ -386,10 +392,11 @@ def _positive_float(text: str) -> float:
 
 def _parse_number(text: str, where: str):
     """A typed int, 'p/q' fraction or float, under the rules of a JSON number
-    (_num_from_json): a non-finite value is a usage error."""
+    (_num_from_json): a non-finite value or a zero denominator is a usage
+    error."""
     text = text.strip()
     if _FRACTION_RE.match(text):
-        return Fraction(text)
+        return _num_from_json(text, where)
     for parse in (int, float):
         try:
             value = parse(text)

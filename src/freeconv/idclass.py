@@ -412,8 +412,8 @@ _SOLVE_MAX_ITER = 100
 def solve_g(model: RModel, t, z, w0=None):
     """Solve z = 1/w + t R(w) for w = G(z) by damped Newton on F = 1/w.
 
-    t is a scalar or an array shaped like z (one time per point); each
-    point's solution does not depend on the others solved with it.
+    t is one scalar time for every point; each point's solution does not
+    depend on the others solved with it.
     Returns (w, converged mask); a residual near Im z solves another z,
     so the mask also bounds it by 1e-3 Im z. Without a seed w0 the solve
     starts cold, from F = z; pass the solution at a nearby z to continue
@@ -438,11 +438,10 @@ def _newton_g(model: RModel, t, z, w0, tol):
     """
     import numpy as np
 
-    def residual(f, zs, ts):
-        return zs - ts * model.r(1 / f) - f
+    def residual(f, zs):
+        return zs - t * model.r(1 / f) - f
 
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    t = np.broadcast_to(np.asarray(t, dtype=float), z.shape)
     with np.errstate(all="ignore"):
         if w0 is None:
             f = z
@@ -452,17 +451,17 @@ def _newton_g(model: RModel, t, z, w0, tol):
             f = 1 / np.asarray(w0, dtype=complex)
         if f.shape != z.shape:
             raise ValueError("seed shape does not match z")
-        resid = residual(f, z, t)
+        resid = residual(f, z)
         for _ in range(_SOLVE_MAX_ITER):
             active = ~(np.abs(resid) <= tol)
             if not active.any():
                 break
-            fa, za, ta, ga = f[active], z[active], t[active], resid[active]
+            fa, za, ga = f[active], z[active], resid[active]
             wa = 1 / fa
-            step = ga / (1 - ta * model.dr(wa) * wa * wa)
+            step = ga / (1 - t * model.dr(wa) * wa * wa)
             for _ in range(31):
                 new_f = fa + step
-                new_g = residual(new_f, za, ta)
+                new_g = residual(new_f, za)
                 ok = (np.abs(new_g) <= np.abs(ga)) & (new_f.imag >= za.imag)
                 if ok.all():
                     break
@@ -477,7 +476,6 @@ _EPS = 4e-9  # boundary densities extrapolate over heights _EPS, _EPS/2, _EPS/4
 _IMAG_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
                 1e-5, 1e-6, 1e-7, 1e-8, _EPS)
 _RUNG_RESIDUAL = 0.1  # a ladder rung above _EPS stops at residual this times its height
-_SCAN_POINTS = 8192  # most grid points one scan solve holds (at least one t)
 # the grid scan's density level at the edge and its grid points per t
 _GRID_THRESHOLD = 1e-6
 _GRID_POINTS = 601
@@ -487,8 +485,8 @@ def _extrapolated_density(model: RModel, t, xs, seed=None):
     """Boundary density by Richardson extrapolation over the three heights.
 
     Cancels the terms linear in the height, so Lorentzian shoulders of
-    nearby atoms drop out instead of polluting edge detection. t is a
-    scalar or one time per point. The solve at _EPS starts from seed (else
+    nearby atoms drop out instead of polluting edge detection. t is one
+    scalar time for every point. The solve at _EPS starts from seed (else
     the imaginary ladder) and seeds the next height; points a seed leaves
     unconverged are solved from the ladder. A ladder rung above _EPS only
     seeds the next one, so its Newton stops once the residual
@@ -499,9 +497,6 @@ def _extrapolated_density(model: RModel, t, xs, seed=None):
     _SOLVE_TOL.
     Returns the density, where it converged, and w at height _EPS.
     """
-    import numpy as np
-
-    t = np.broadcast_to(np.asarray(t, dtype=float), np.shape(xs))
     if seed is not None:
         w, conv = solve_g(model, t, xs + 1j * _EPS, w0=seed)
     else:
@@ -517,8 +512,7 @@ def _extrapolated_density(model: RModel, t, xs, seed=None):
     dens = _richardson([-w.imag / math.pi for w in ws])
     if seed is not None and not conv.all():
         redo = ~conv
-        dens[redo], conv[redo], ws[0][redo] = _extrapolated_density(
-            model, t[redo], xs[redo])
+        dens[redo], conv[redo], ws[0][redo] = _extrapolated_density(model, t, xs[redo])
     return dens, conv, ws[0]
 
 
@@ -537,7 +531,7 @@ class ScanResult:
 
     @property
     def regular_evidence(self) -> bool:
-        """All scanned left edges clear of the negative axis."""
+        """All scanned left edges no lower than -edge_tol."""
         return all(
             p.left_edge is not None and p.left_edge >= -self.edge_tol
             for p in self.points
@@ -646,42 +640,6 @@ def _scan_times(ts):
     return ts
 
 
-def _scan_group(model: RModel, ts):
-    """Grid scan points of the times ts, their grids solved as one batch."""
-    import numpy as np
-
-    k1, k2 = model.kappa1, model.kappa2
-    spreads = [4 * math.sqrt(max(t * k2, 1e-6)) + 0.5 for t in ts]
-    grids = [np.linspace(t * k1 - s, t * k1 + s, _GRID_POINTS)
-             for t, s in zip(ts, spreads)]
-    solved = _extrapolated_density(model, np.repeat(ts, _GRID_POINTS),
-                                   np.concatenate(grids))
-    dens_t, conv_t, w_t = (np.split(a, len(ts)) for a in solved)
-    edges, brackets, ends = {}, [], []
-    for j, (xs, dens, w_eps) in enumerate(zip(grids, dens_t, w_t)):
-        above = np.flatnonzero(dens > _GRID_THRESHOLD)
-        if above.size and above[0] == 0:
-            # the window's left end only bounds the edge
-            edges[j], conv_t[j] = float(xs[0]), False
-        elif above.size:
-            i = above[0]
-            brackets.append((float(xs[i]), float(xs[i - 1])))
-            ends.append((j, xs[i - 1 : i + 1], w_eps[i - 1 : i + 1]))
-
-    def inside(mids, owner):
-        # each bracket's midpoints are seeded by interpolating w at height
-        # _EPS between its grid ends, not from the imaginary ladder
-        seed = np.empty(mids.shape, dtype=complex)
-        for b in np.unique(owner):
-            seed[owner == b] = np.interp(mids[owner == b], *ends[b][1:])
-        t_mid = np.array([ts[ends[b][0]] for b in owner])
-        return _extrapolated_density(model, t_mid, mids, seed)[0] > _GRID_THRESHOLD
-
-    edges.update(zip([j for j, _, _ in ends], _bisect_edge(inside, brackets, 2e-5)))
-    return [_with_atom(model, t, edges.get(j), bool(np.all(conv)))
-            for j, (t, conv) in enumerate(zip(ts, conv_t))]
-
-
 def _grid_scan(model: RModel, ts):
     """The scan's second route: the smallest of _GRID_POINTS grid points
     per t where the extrapolated density (_extrapolated_density) exceeds
@@ -690,18 +648,34 @@ def _grid_scan(model: RModel, ts):
     the threshold at the grid's left end, which then stands as the edge
     but only bounds it.
 
-    Each t's grid crossing is bisected to 2e-5 in batches
-    (transforms._bisect_edge), each batch seeded by interpolating w at
-    height _EPS between the bracket's grid ends. The t values are solved
-    together, in groups of at most _SCAN_POINTS points (at least one t
-    each), every point independently, so a scan equals the scans of its t
-    values one by one. The times must be finite and positive.
+    Each t is solved on its own grid, and its grid crossing is bisected to
+    2e-5 in batches (transforms._bisect_edge), each batch seeded by
+    interpolating w at height _EPS between the bracket's grid ends. The
+    times must be finite and positive.
     """
-    ts = _scan_times(ts)
-    size = max(1, _SCAN_POINTS // _GRID_POINTS)
+    import numpy as np
+
+    k1, k2 = model.kappa1, model.kappa2
     points = []
-    for k in range(0, len(ts), size):
-        points += _scan_group(model, ts[k : k + size])
+    for t in _scan_times(ts):
+        spread = 4 * math.sqrt(max(t * k2, 1e-6)) + 0.5
+        xs = np.linspace(t * k1 - spread, t * k1 + spread, _GRID_POINTS)
+        dens, conv, w_eps = _extrapolated_density(model, t, xs)
+        above = np.flatnonzero(dens > _GRID_THRESHOLD)
+        edge, converged = None, bool(conv.all())
+        if above.size and above[0] == 0:
+            # the window's left end only bounds the edge
+            edge, converged = float(xs[0]), False
+        elif above.size:
+            i = above[0]
+            ends = xs[i - 1 : i + 1], w_eps[i - 1 : i + 1]
+
+            def inside(mids, _):
+                seed = np.interp(mids, *ends)
+                return _extrapolated_density(model, t, mids, seed)[0] > _GRID_THRESHOLD
+
+            (edge,) = _bisect_edge(inside, [(float(xs[i]), float(xs[i - 1]))], 2e-5)
+        points.append(_with_atom(model, t, edge, converged))
     return tuple(points)
 
 

@@ -409,9 +409,12 @@ def test_grid_validation():
     lambda: dilate(MeasureSpec.from_law("semicircle", (0, 1)), math.nan),
     lambda: dilate(MeasureSpec.from_law("semicircle", (0, 1)), math.inf),
     lambda: dilate(MeasureSpec.from_moments([1, 2]), math.inf),
+    lambda: MeasureSpec.grid([0, Fraction(10**400)], [1.0, 1.0]),
+    lambda: MeasureSpec.grid([0, 1], [Fraction(10**400), 1.0]),
 ], ids=["atom-weight-nan", "atom-weight-inf", "grid-density-nan", "grid-x-nan",
         "grid-atom-loc-nan", "grid-atom-weight-nan", "law-scale-nan", "law-offset-inf",
-        "dilate-law-nan", "dilate-law-inf", "dilate-moments-inf"])
+        "dilate-law-nan", "dilate-law-inf", "dilate-moments-inf",
+        "grid-x-past-float-range", "grid-density-past-float-range"])
 def test_constructors_refuse_non_finite_input(build):
     with pytest.raises(ValueError, match="finite"):
         build()
@@ -701,6 +704,15 @@ def test_dilate_grid_preserves_mass():
     d = dilate(mu, -3.0)
     assert d.xs == (-6.0, -3.0, 0.0)
     assert moments_of(d, 1).at(1) == pytest.approx(-3.0)
+
+
+@pytest.mark.parametrize("a", [3.0, -0.5, Fraction(2)])
+def test_dilate_keeps_a_grid_admitted_at_a_loose_mass_tolerance(a):
+    # grid() checks the mass at construction only: a dilation keeps the
+    # trapezoid mass, so it accepts every grid that grid() accepted
+    mu = MeasureSpec.grid([0.0, 1.0, 2.0], [0, 1.002, 0], norm_tol=1e-2)
+    d = dilate(mu, a)
+    assert catalog._trapezoid(d.xs, d.densities) == pytest.approx(1.002, rel=1e-15)
 
 
 def test_dilate_zero_rejected():

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import freeconv
-from freeconv import cli, idclass, ncpart, transforms
+from freeconv import catalog, cli, idclass, ncpart, transforms
 
 SEMI = json.dumps({"type": "law", "name": "semicircle", "params": [0, 1]})
 WPLUS = json.dumps({"type": "law", "name": "semicircle", "params": [2, 1]})
@@ -68,6 +68,14 @@ class TestSpecIO:
         obj = {"type": "grid", "xs": xs, "densities": dens, "atoms": []}
         mu = cli.parse_measure_spec_obj(obj)
         assert cli.serialize_measure_spec(mu) == obj
+
+    def test_squared_grid_round_trip(self):
+        # push_square admits its grid at mass tolerance 1e-2 (this one is off
+        # by 5.6e-16); the tolerance is no field, so the copy read back at
+        # the default 1e-6 is the same spec
+        mu = catalog.push_square(catalog.MeasureSpec.grid([-1, 0, 1], [0, 1, 0]))
+        back = cli.parse_measure_spec_obj(cli.serialize_measure_spec(mu))
+        assert back == mu and hash(back) == hash(mu)
 
     def test_sequence_round_trips(self):
         for kind in ("moments", "free_cumulants"):
@@ -215,6 +223,46 @@ class TestNonFiniteOutput:
         assert stdout == ""
         assert err.startswith(f"error: {where}")
         assert caught == []
+
+    @pytest.mark.parametrize(
+        "argv,where,text",
+        [
+            (["power", SEMI, "--t", "1/0"], "--t", "1/0"),
+            (["power", SEMI, "--t", "3/0", "--conv", "boolean"], "--t", "3/0"),
+            (["law", "semicircle", "--params", "0,1/0"], "params", "1/0"),
+            (["moments", json.dumps({"type": "atomic", "atoms": [[0, "1/0"], [1, 1]]})],
+             "atoms[0][1]", "1/0"),
+            (["moments", json.dumps({"type": "law", "name": "semicircle", "params": [0, "1/0"]})],
+             "params[1]", "1/0"),
+            (["check", "--regular", json.dumps({"eta": "1/0", "a": 0})], "eta", "1/0"),
+        ],
+        ids=["power", "boolean_power", "law_params", "atom_weight", "spec_params", "triplet"],
+    )
+    def test_zero_denominator_is_a_usage_error(self, capsys, argv, where, text):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {where}: fraction {text!r} has a zero denominator\n"
+
+    @pytest.mark.parametrize("field", ["xs", "densities"])
+    def test_grid_entry_past_the_float_range_is_a_usage_error(self, capsys, field):
+        grid = {"type": "grid", "xs": [0, 1], "densities": [1, 1]}
+        grid[field] = [0.5, f"{10**400}/1"]
+        code, stdout, err = run_cli(capsys, "moments", json.dumps(grid), "--order", "2")
+        assert (code, stdout) == (2, "")
+        assert err == "error: grid abscissas and densities must be finite\n"
+
+    @pytest.mark.parametrize("command", ["moments", "cumulants"])
+    @pytest.mark.parametrize("out", ["table", "csv"])
+    def test_exact_value_past_the_float_range_prints_nothing(self, capsys, command, out):
+        # the second value, 10^400, is the first a float cannot hold
+        spec = json.dumps({"type": "law", "name": "semicircle", "params": [0, 1],
+                           "scale": f"{10**200}/1"})
+        code, stdout, err = run_cli(capsys, command, spec, "--order", "4", "--out", out)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error:") and "--out json" in err
+        code, stdout, _ = run_cli(capsys, command, spec, "--order", "4", "--out", "json")
+        assert code == 0
+        assert json.loads(stdout)["values"][:2] == [0, 10**400]
 
     def test_non_finite_default_grid_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.GRID_ENV, "0:inf:5")

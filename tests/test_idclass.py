@@ -490,19 +490,22 @@ class TestSolveG:
         # second route: continuation down the imaginary ladder to each
         # point's own height; a cold solve may fail, never converge elsewhere
         rng = np.random.default_rng(22)
-        ts = np.repeat([0.3, 0.9, 1.5, 3.0], 400)
+        ts = np.array([[0.3], [0.9], [1.5], [3.0]])  # 400 points per time
         spread = 4 * np.sqrt(ts * model.kappa2) + 0.5
-        xs = ts * model.kappa1 + spread * rng.uniform(-1, 1, ts.size)
-        ys = 10.0 ** rng.uniform(-9, 0, ts.size)
-        cold, cold_mask = idclass.solve_g(model, ts, xs + 1j * ys)
-        w = None
-        for d in idclass._IMAG_LADDER:
-            w, _ = idclass.solve_g(model, ts, xs + 1j * np.maximum(d, ys), w0=w)
-        w, ladder_mask = idclass.solve_g(model, ts, xs + 1j * ys, w0=w)
-        assert ladder_mask.all()
-        off = np.abs(cold - w) > 1e-8 * np.abs(w)
-        assert not (cold_mask & off).any()
-        assert cold_mask.mean() > 0.5
+        xs = ts * model.kappa1 + spread * rng.uniform(-1, 1, (4, 400))
+        ys = 10.0 ** rng.uniform(-9, 0, (4, 400))
+        cold_masks = []
+        for t, x, y in zip(ts[:, 0], xs, ys):
+            cold, cold_mask = idclass.solve_g(model, t, x + 1j * y)
+            w = None
+            for d in idclass._IMAG_LADDER:
+                w, _ = idclass.solve_g(model, t, x + 1j * np.maximum(d, y), w0=w)
+            w, ladder_mask = idclass.solve_g(model, t, x + 1j * y, w0=w)
+            assert ladder_mask.all()
+            off = np.abs(cold - w) > 1e-8 * np.abs(w)
+            assert not (cold_mask & off).any()
+            cold_masks.append(cold_mask)
+        assert np.mean(cold_masks) > 0.5
 
     def test_seeded_continuation(self):
         model = RModel.free_poisson(1)
@@ -566,15 +569,28 @@ class TestPositivityScan:
     def test_bisection_reuses_the_grid_solves(self, monkeypatch):
         # each bisection round of the grid scan is seeded from the grid's
         # solves at the bracket ends instead of climbing the imaginary
-        # ladder again
-        calls = []
-        solve = idclass.solve_g
+        # ladder again: per t, 3 solves for the grid, then 3 per round
+        calls, tols = [], []
+        solve, newton = idclass.solve_g, idclass._newton_g
         monkeypatch.setattr(
             idclass, "solve_g", lambda *a, **k: calls.append(1) or solve(*a, **k)
         )
-        points = idclass._grid_scan(RModel.free_poisson(1), [0.5, 1.0, 1.5, 2.0])
-        assert all(p.converged for p in points)
-        assert len(calls) <= 25
+        monkeypatch.setattr(
+            idclass, "_newton_g", lambda *a: tols.append(a[-1]) or newton(*a)
+        )
+        model, ts = RModel.free_poisson(1), [0.5, 1.0, 1.5, 2.0]
+        for t in ts:
+            calls.clear()
+            tols.clear()
+            (point,) = idclass._grid_scan(model, [t])
+            assert point.converged
+            assert len(calls) <= 9
+            # the grid's one climb down the ladder, whose rungs stop early
+            rungs = sum(tol != idclass._SOLVE_TOL for tol in tols)
+            assert rungs == len(idclass._IMAG_LADDER) - 1
+        calls.clear()
+        assert all(p.converged for p in idclass._grid_scan(model, ts))
+        assert len(calls) <= 36
 
     @pytest.mark.parametrize(
         "model",
@@ -596,7 +612,7 @@ class TestPositivityScan:
         assert points == idclass._grid_scan(model, ts)
 
     def test_seeding_rungs_bound_r_evaluations(self, monkeypatch):
-        # with every rung polished, this 4-t grid scan evaluates R at 158678
+        # with every rung polished, this 4-t grid scan evaluates R at 158418
         # points; rungs that stop at a tenth of their height take fewer
         # Newton steps
         points = []
@@ -658,12 +674,8 @@ class TestPositivityScan:
             RModel.cfp_atomic(2.0, [(1, 0.5), (-0.5, 0.5)], 0.3),
         ],
     )
-    @pytest.mark.parametrize("group_points", [None, 2 * 601])
-    def test_scan_points_are_t_batch_independent(self, monkeypatch, model, group_points):
-        # the t values of a grid scan are solved as one batch, in groups of
-        # at most _SCAN_POINTS grid points; neither may change a scanned point
-        if group_points is not None:
-            monkeypatch.setattr(idclass, "_SCAN_POINTS", group_points)
+    def test_scan_points_are_t_batch_independent(self, model):
+        # a grid scan of several t values gives the scans of each alone, in order
         ts = [0.3, 0.5, 1.0, 1.7, 3.0]
         alone = tuple(p for t in ts for p in idclass._grid_scan(model, [t]))
         assert idclass._grid_scan(model, ts) == alone
@@ -676,7 +688,7 @@ class TestPositivityScan:
     def no_solve(self, monkeypatch):
         # both routes fail on any work past their input checks
         monkeypatch.setattr(idclass, "_critical_scan", None)
-        monkeypatch.setattr(idclass, "_scan_group", None)
+        monkeypatch.setattr(idclass, "_extrapolated_density", None)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_rejects_nonfinite_times(self, no_solve, t):
