@@ -577,20 +577,9 @@ def _cmd_scan(args) -> int:
         idclass.RModel.of_spec(mu, args.order), ts, edge_tol=args.edge_tol
     )
     if args.out == "json":
-        _print_json(
-            {
-                "points": [
-                    {
-                        "t": p.t,
-                        "left_edge": p.left_edge,
-                        "atoms": list(p.atoms),
-                        "converged": p.converged,
-                    }
-                    for p in result.points
-                ],
-                "regular_evidence": result.regular_evidence,
-            }
-        )
+        points = [{"t": p.t, "left_edge": p.left_edge, "atoms": list(p.atoms),
+                   "converged": p.converged} for p in result.points]
+        _print_json({"points": points, "regular_evidence": result.regular_evidence})
         return 0
     _check_finite(
         [v for p in result.points for v in (p.left_edge, *p.atoms) if v is not None],

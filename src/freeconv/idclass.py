@@ -21,10 +21,9 @@ from finitely many moments. The test at the origin (thm110_check) reads
 int dmu/x off the real part of the Cauchy transform on the negative axis,
 in one transforms.cauchy call, with no integrator. Levy measures are
 atoms plus grid densities; the free Meixner Levy measure's total mass and
-int min(1,x) dnu (levy_meixner) are closed forms, so nothing here loads
-scipy. numpy is imported by the numeric functions only, so the
-sequence-level checks (main3_factor, kurtosis_check, regular forms of
-atomic triplets) never load it.
+int min(1,x) dnu (levy_meixner) are closed forms. numpy is imported by the
+numeric functions only, so the sequence-level checks (main3_factor,
+kurtosis_check, regular forms of atomic triplets) never load it.
 """
 
 from __future__ import annotations
@@ -76,10 +75,8 @@ class LevyMeasure:
         if len(self.xs) != len(self.densities):
             raise ValueError("grid abscissas and densities differ in length")
         if self.xs:
-            try:
-                xs, densities = tuple(map(float, self.xs)), tuple(map(float, self.densities))
-            except OverflowError:  # an exact entry beyond the float range
-                xs = densities = (math.inf,)
+            xs = tuple(map(catalog._float_or_inf, self.xs))
+            densities = tuple(map(catalog._float_or_inf, self.densities))
             if not catalog._finite(*xs, *densities):
                 raise ValueError("grid abscissas and densities must be finite")
             if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -316,15 +313,21 @@ class RModel:
     jumps: tuple = ()
 
     def __post_init__(self):
-        if not catalog._finite(self.drift, self.variance, *(v for j in self.jumps for v in j)):
-            raise ValueError("drift, variance and jumps must be finite")
+        def as_float(name, x):
+            if not math.isfinite(x := catalog._float_or_inf(x)):
+                raise ValueError(f"{name} must be finite and in the float range")
+            return x
+
+        drift, variance = as_float("drift", self.drift), as_float("variance", self.variance)
+        jumps = tuple((as_float("jump location", a), as_float("jump mass", l))
+                      for a, l in self.jumps)
         if self.variance < 0:
             raise ValueError("variance must be >= 0")
         if any(l < 0 for _, l in self.jumps):
             raise ValueError("jump masses must be nonnegative")
-        object.__setattr__(self, "drift", float(self.drift))
-        object.__setattr__(self, "variance", float(self.variance))
-        object.__setattr__(self, "jumps", tuple((float(a), float(l)) for a, l in self.jumps))
+        object.__setattr__(self, "drift", drift)
+        object.__setattr__(self, "variance", variance)
+        object.__setattr__(self, "jumps", jumps)
 
     @staticmethod
     def semicircle(mean, var) -> "RModel":

@@ -11,6 +11,7 @@ import importlib
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -263,6 +264,14 @@ class TestNonFiniteOutput:
         code, stdout, _ = run_cli(capsys, command, spec, "--order", "4", "--out", "json")
         assert code == 0
         assert json.loads(stdout)["values"][:2] == [0, 10**400]
+
+    def test_scan_of_a_variance_past_the_float_range_names_it(self, capsys):
+        # the semicircle's R-transform at scale 10^200 has the variance 10^400
+        spec = json.dumps({"type": "law", "name": "semicircle", "params": [0, 1],
+                           "scale": f"{10**200}/1"})
+        code, stdout, err = run_cli(capsys, "scan", spec, "--t", "1")
+        assert (code, stdout) == (1, "")
+        assert err == "error: variance must be finite and in the float range\n"
 
     def test_non_finite_default_grid_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.GRID_ENV, "0:inf:5")
@@ -1235,8 +1244,8 @@ def test_verify_identities_leaves_numpy_unloaded():
 
 
 def test_verify_loads_no_scipy():
-    # every suite: the free Meixner integrals are closed forms, and no check
-    # takes the Cauchy transform of chi^2(1), scipy's one user
+    # every suite: the free Meixner integrals and every Cauchy transform are
+    # closed forms in numpy, so nothing a check runs imports scipy
     out, (numpy, scipy) = _loaded_after(_VERIFY.format(argv=["verify", "--seed", "1418"]))
     assert out == ["0"] and numpy and scipy == []
 
@@ -1246,6 +1255,36 @@ def test_levy_meixner_loads_no_scipy():
         "from freeconv import idclass\nprint(idclass.levy_meixner(2, 1, 1).regular)"
     )
     assert out == ["True"] and not numpy and scipy == []
+
+
+# scipy is a test dependency only: tests/oracles.py integrates with scipy.integrate
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((_REPO / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", d).group() for d in project["dependencies"]] == ["numpy"]
+    assert any(re.match(r"scipy\b", d) for d in project["optional-dependencies"]["test"])
+
+
+def test_package_modules_import_no_scipy():
+    imported = []
+    for path in sorted((_REPO / "src" / "freeconv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.append((path.name, node.module))
+    assert ("catalog.py", "numpy") in imported
+    assert [(name, m) for name, m in imported if m.split(".")[0] == "scipy"] == []
+
+
+def test_chi_squared_1_cauchy_loads_no_scipy():
+    out, (numpy, scipy) = _loaded_after(
+        "from freeconv import catalog, transforms\n"
+        "print(transforms.cauchy(catalog.MeasureSpec.from_law('chi_squared_1'), 50 + 1e-3j))"
+    )
+    assert len(out) == 1 and numpy and scipy == []
 
 
 _PUBLIC = {

@@ -323,6 +323,15 @@ class TestRModel:
         with pytest.raises(ValueError, match="finite"):
             RModel(*args)
 
+    @pytest.mark.parametrize("args,name", [
+        ((F(10**400),), "drift"), ((0, F(10**400)), "variance"),
+        ((0, 0, ((F(-(10**400)), 1),)), "jump location"),
+        ((0, 0, ((1, F(10**400)),)), "jump mass"),
+    ], ids=["drift", "variance", "jump-at", "jump-mass"])
+    def test_names_a_value_past_the_float_range(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and in the float range$"):
+            RModel(*args)
+
     def test_from_cumulants_recognizes_single_jump_cfp(self):
         k = idclass.cfp(F(3, 2), MeasureSpec.atomic([(F(2, 3), 1)]), 8)
         model = RModel.from_cumulants(k)

@@ -728,9 +728,10 @@ def _mp_commutator_ww(w, k=1):
 _MPMATH_CASES = [
     # the jump at 0, the square-root edge at 2 and the series past |r| = 8
     ("quarter_circle", (1,), 2, _mp_quarter_circle, (-0.75, 0.0, 0.5, 2.0, 3.25, 20.0)),
-    # chi^2(1) near 0, and far out, where (G, G') come from w's continued fraction
+    # chi^2(1) near 0, in the band Re z in [25, 100] by the positive axis, where
+    # G' = (G_N'(a) - G)/(2z) must not cancel, and far out along the axis
     ("chi_squared_1", (), 1, _mp_chi_squared_1,
-     (-2.0, 0.0, 0.25, 1.5, 20.0, 100.0, 1e3, 1e4)),
+     (-2.0, 0.0, 0.25, 1.5, 20.0, 40.0, 70.0, 100.0, 1e3, 1e4)),
     # far out, where (z - root)/2 would cancel
     ("semicircle", (0, 1), 1, _mp_semicircle, (-2.0, 0.0, 1.5, 2.0, 40.0, 1e3, 1e5)),
     # the atom at 0 below rate 1; at rate 2, the point 0 just left of the
@@ -753,8 +754,8 @@ _MPMATH_CASES = [
 
 
 # relative error of the closed-form G' against mpmath, at heights 1 ... 1e-6:
-# every law stays within 1.9e-14, the most at chi^2(1)'s 20 + i, inside the
-# parabola round the positive axis where its difference form still serves.
+# every law stays within 2.1e-15, the most at MP(2)'s 0.125 + 1e-6i; chi^2(1)
+# reaches 1.7e-15, at 70 + 1e-3i in its band by the positive axis.
 # Closer to the axis the k = 2 quadrature at 20 digits is the worse side
 # (1.6e-4 at 1e-12i, while the commutator, whose reference is a root, stays
 # within 2e-15). The commutator's edges are left out as for G: there G'
@@ -805,6 +806,42 @@ def test_closed_form_cauchy_matches_mpmath(law, unit, sigma, reference, xs):
                 worst[0] = max(worst[0], *(abs(g.real - want) / abs(want) for g in got))
     assert worst[0] < _CLOSED_FORM_REL
     assert worst[1] < _CLOSED_FORM_DERIVATIVE_REL
+
+
+def _mp_chi_squared_1_pair(z):
+    """chi^2(1)'s (G, G') at z from mpmath's erfc at 30 digits: G = G_N(a)/a
+    with a = i sqrt(-z), the Gaussian's G_N(a) = -i sqrt(pi/2) w(a/sqrt(2)),
+    w(c) = exp(-c^2) erfc(-ic), and G' = (1 - a G_N(a) - G)/(2z), whose
+    cancellation far out the 30 digits absorb."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        z = mp.mpc(z)
+        a = 1j * mp.sqrt(-z)
+        c = a / mp.sqrt(2)
+        g_n = -1j * mp.sqrt(mp.pi / 2) * mp.exp(-c * c) * mp.erfc(-1j * c)
+        g = g_n / a
+        return complex(g), complex((1 - a * g_n - g) / (2 * z))
+
+
+def test_chi_squared_1_matches_mpmath_erfc_in_its_band_and_far_out():
+    # a seeded sweep, quicker than the quadrature of _MPMATH_CASES, which stays
+    # the independent oracle: 100 points of the band Re z in [25, 100],
+    # Im z in [1e-8, 3] by the positive axis, where a difference form of G'
+    # cancels by a factor of about |z|; 100 points with |z| log-uniform in
+    # [1e-3, 3e4] over the upper half plane; and 70 + 0.01i and 99 + 0.04i.
+    # Each is read in both half planes
+    rng = np.random.default_rng(2718)
+    band = rng.uniform(25, 100, 100) + 1j * 10 ** rng.uniform(-8, math.log10(3), 100)
+    far = 10 ** rng.uniform(-3, math.log10(3e4), 100) * np.exp(1j * rng.uniform(0, math.pi, 100))
+    zs = np.concatenate([band, far, [70 + 0.01j, 99 + 0.04j]])
+    law = MeasureSpec.from_law("chi_squared_1")
+    wants = np.array([_mp_chi_squared_1_pair(z) for z in zs]).T
+    for side, want in ((zs, wants), (zs.conjugate(), wants.conjugate())):
+        got = transforms._cauchy_pair(law, side, True)
+        err = np.abs(got - want) / np.abs(want)
+        assert err[0].max() < _CLOSED_FORM_REL
+        assert err[1].max() < _CLOSED_FORM_DERIVATIVE_REL
 
 
 @pytest.mark.parametrize("sigma", [1, 2])
