@@ -351,7 +351,10 @@ class RModel:
         cumulant patterns; refuse any other."""
         if kappa.kind != "free_cumulant":
             raise ValueError(f"expected free cumulants, got {kappa.kind!r}")
-        vals = [float(v) for v in kappa.values]
+        vals = [catalog._float_or_inf(v) for v in kappa.values]
+        for n, v in enumerate(vals, 1):
+            if not math.isfinite(v):
+                raise ValueError(f"free cumulant {n} must be finite and in the float range")
         if len(vals) >= 2 and all(v == 0 for v in vals[2:]) and vals[1] >= 0:
             return RModel.semicircle(vals[0], vals[1])
         if len(vals) >= 4 and vals[1] != 0 and vals[2] != 0:

@@ -12,7 +12,8 @@ sums over NC(n) enumerated with enumerate_nc.
 Every exact kernel types its outputs by one rule, which _ungraded applies
 here and transforms' series product follows: for sums and products, output
 n is a Fraction iff some input of order <= n is a Fraction, and an int
-otherwise; quotients and reversions always return Fractions.
+otherwise; quotients and reversions always return Fractions. One float or
+complex coefficient turns a series product, quotient or reversion inexact.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ reciprocals and products only, so the route shares no code with ncpart.
 Products of every coefficient type run one convolution (_convolve), on
 int numerators over one denominator when exact; exact quotients run on
 such numerators too, and reversion on the ints (u_i/u_0) D^i for a base D
-that divides the lcm of the denominators (_graded). Exact outputs follow
-the type rule stated in ncpart's docstring. The numeric layer evaluates
+that divides the lcm of the denominators (_graded). Outputs follow the
+type rule stated in ncpart's docstring. The numeric layer evaluates
 Cauchy transforms of concrete measures, a law's by its closed form, and
 recovers densities by Stieltjes inversion with Richardson extrapolation in
 the regularization parameter. Only the numeric layer imports numpy, inside
@@ -47,8 +47,9 @@ class FormalSeries:
     exact operands; exact quotients do the same and reversion runs on graded
     ints. Exact outputs follow ncpart's type rule: a product coefficient is
     a Fraction exactly when a Fraction enters one of its terms, and every
-    quotient and reversion coefficient is one. Float or complex quotients
-    and reversions take per-term loops.
+    quotient and reversion coefficient is one. Any other coefficient, a
+    scalar operand's too, makes a product, quotient or reversion convert all
+    of them once to float, or complex (_operands), so no Fraction comes out.
     """
 
     __slots__ = ("lo", "coeffs", "top")
@@ -163,23 +164,24 @@ class FormalSeries:
 
     def __mul__(self, other):
         if not isinstance(other, FormalSeries):
-            return FormalSeries(self.lo, [c * other for c in self.coeffs], self.top)
+            _, (a, (m,)) = _operands(self.coeffs, (other,))
+            return FormalSeries(self.lo, [c * m for c in a], self.top)
         # for a truncation-zero factor lo is top+1, so the same bound applies
         top = min(self.top + other.lo, other.top + self.lo)
         if self.is_zero or other.is_zero:
             return FormalSeries.zero(top)
         lo = self.lo + other.lo
-        exact = _exact(self.coeffs) and _exact(other.coeffs)
+        exact, (a, b) = _operands(self.coeffs, other.coeffs)
         product = _exact_product if exact else _convolve
-        return FormalSeries(lo, product(self.coeffs, other.coeffs, top - lo + 1), top)
+        return FormalSeries(lo, product(a, b, top - lo + 1), top)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, FormalSeries):
-            return FormalSeries(
-                self.lo, [_divide(c, other) for c in self.coeffs], self.top
-            )
+            exact, (a, (d,)) = _operands(self.coeffs, (other,))
+            d = Fraction(d) if exact else d
+            return FormalSeries(self.lo, [c / d for c in a], self.top)
         if other.is_zero:
             raise ZeroDivisionError("division by a series with no known nonzero term")
         vb = other.lo
@@ -187,19 +189,11 @@ class FormalSeries:
         top = min(self.top - vb, other.top + va - 2 * vb)
         if self.is_zero:
             return FormalSeries.zero(top)
-        lo = va - vb
-        n = top - lo + 1
-        b = [other.coeff(vb + i) for i in range(top - lo + 1)]
-        a = [self.coeff(va + i) if va + i <= self.top else 0 for i in range(n)]
-        if _exact(a) and _exact(b):
-            return FormalSeries(lo, _exact_quotient(a, b), top)
-        q = [0] * n
-        for i in range(n):
-            acc = a[i]
-            for j in range(i):
-                acc = acc - q[j] * b[i - j]
-            q[i] = _divide(acc, b[0])
-        return FormalSeries(lo, q, top)
+        n = top - va + vb + 1
+        exact, (a, b) = _operands(self.coeffs, other.coeffs)
+        a = [*a[:n], *[0] * (n - len(a))]  # int 0 acts as 0.0 would, to the bit
+        q = (_exact_quotient if exact else _quotient)(a, b[:n])
+        return FormalSeries(va - vb, q, top)
 
     def __rtruediv__(self, other):
         return FormalSeries.poly([other], self.top + 2 * self.lo) / self
@@ -215,14 +209,15 @@ class FormalSeries:
         On exact coefficients u_i / u_0 = g_i / D^i with ints g_i and g_0 = 1
         (_graded), so 1/g is an int series h and [w^{k-1}] u^{-k} =
         [w^{k-1}] h^k / (D^{k-1} u_0^k): the power runs on ints, and the
-        loop builds one Fraction per output coefficient.
+        loop builds one Fraction per output coefficient. Float or complex u
+        run it on 1/u from the power 1, keeping term-wise NaNs if 1/u overflows.
         """
         if self.is_zero or self.lo != 1:
             raise ValueError("reversion needs a series of valuation exactly 1")
-        u = self.shifted(-1)
-        if _exact(u.coeffs):
-            # u_0 != 0, so u has all the self.top coefficients that d needs
-            g, u0, base = _graded(u.coeffs)
+        # u = self / z; u_0 != 0, so u has all self.top coefficients d needs
+        exact, (u,) = _operands(self.coeffs)
+        if exact:
+            g, u0, base = _graded(u)
             h = [1]  # 1 / sum g_i w^i, an int series since g_0 = 1
             for i in range(1, len(g)):
                 h.append(-sum(map(operator.mul, g[1 : i + 1], reversed(h))))
@@ -234,12 +229,11 @@ class FormalSeries:
                     num, den = num * u0.denominator, den * u0.numerator * base
                 d.append(Fraction(power[k - 1] * num, den * k))
             return FormalSeries(1, d, self.top)
-        v = 1 / u
-        power = FormalSeries.poly([1], v.top)
-        d = []
+        one = [1] + [0] * (self.top - 1)  # ints act as 1.0 and 0.0 would, to the bit
+        v, power, d = _quotient(one, u), one, []
         for k in range(1, self.top + 1):
-            power = power * v
-            d.append(_divide(power.coeff(k - 1), k))
+            power = _convolve(power, v, len(v))
+            d.append(power[k - 1] / k)
         return FormalSeries(1, d, self.top)
 
     def evaluate(self, z):
@@ -254,18 +248,19 @@ class FormalSeries:
         return acc * z**self.lo if self.lo != 0 else acc
 
 
-def _divide(a, b):
-    if isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-        return Fraction(a) / Fraction(b)
-    return a / b
-
-
 _EXACT = frozenset((int, Fraction))
 
 
-def _exact(coeffs) -> bool:
-    """Whether every coefficient is an int or a Fraction (not a subclass)."""
-    return _EXACT.issuperset(map(type, coeffs))
+def _operands(*seqs):
+    """(True, seqs) when every coefficient is an int or a Fraction (not a
+    subclass); else (False, seqs with each coefficient converted once, by
+    float(), or by complex() when any is complex). Python computes Fraction
+    * float as float(Fraction) * float, so a term with an inexact factor
+    keeps its bits; only exact-by-exact terms turn inexact."""
+    if all(_EXACT.issuperset(map(type, s)) for s in seqs):
+        return True, seqs
+    cast = complex if any(isinstance(c, complex) for s in seqs for c in s) else float
+    return False, [list(map(cast, s)) for s in seqs]
 
 
 def _scaled(coeffs):
@@ -301,6 +296,17 @@ def _convolve(a, b, n):
     length >= n; output k sums a_i b_{k-i} from int 0 in ascending i."""
     rev = b[n - 1 :: -1]  # b_{n-1}, ..., b_0
     return [sum(map(operator.mul, a[: k + 1], rev[n - 1 - k :])) for k in range(n)]
+
+
+def _quotient(a, b):
+    """q_i = (a_i - sum_{j<i} q_j b_{i-j}) / b_0 for float or complex a and b,
+    one operation per term, the j ascending."""
+    q = []
+    for i, acc in enumerate(a):
+        for j in range(i):
+            acc = acc - q[j] * b[i - j]
+        q.append(acc / b[0])
+    return q
 
 
 def _exact_product(a, b, n):

@@ -273,6 +273,13 @@ class TestNonFiniteOutput:
         assert (code, stdout) == (1, "")
         assert err == "error: variance must be finite and in the float range\n"
 
+    def test_scan_of_a_cumulant_past_the_float_range_names_it(self, capsys):
+        # an atom at 10^200 gives free cumulants past 10^400 from order 2 on
+        spec = json.dumps({"type": "atomic", "atoms": [[f"{10**200}/1", "1/2"], [0, "1/2"]]})
+        code, stdout, err = run_cli(capsys, "scan", spec, "--t", "1")
+        assert (code, stdout) == (1, "")
+        assert err == "error: free cumulant 2 must be finite and in the float range\n"
+
     def test_non_finite_default_grid_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.GRID_ENV, "0:inf:5")
         with warnings.catch_warnings(record=True) as caught:

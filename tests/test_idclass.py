@@ -332,6 +332,15 @@ class TestRModel:
         with pytest.raises(ValueError, match=f"^{name} must be finite and in the float range$"):
             RModel(*args)
 
+    @pytest.mark.parametrize("values,order", [
+        ((0, F(10**400), 0), 2), ((F(-(10**400)), 1), 1), ((0, 1, math.nan, 0), 3),
+        ((1.0, 2.0, 4.0, math.inf), 4),
+    ], ids=["past-range", "past-range-negative", "nan", "inf"])
+    def test_from_cumulants_names_a_non_finite_cumulant(self, values, order):
+        # refused before any pattern match, by the cumulant's order
+        with pytest.raises(ValueError, match=f"^free cumulant {order} must be finite"):
+            RModel.from_cumulants(SeqN("free_cumulant", values))
+
     def test_from_cumulants_recognizes_single_jump_cfp(self):
         k = idclass.cfp(F(3, 2), MeasureSpec.atomic([(F(2, 3), 1)]), 8)
         model = RModel.from_cumulants(k)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from freeconv import catalog, conv, idclass, ncpart, transforms
@@ -31,6 +31,7 @@ from oracles import (
     reverted_reference,
 )
 from test_catalog import QUAD_CASES
+from test_ncpart import _hex
 
 # ---------------------------------------------------------------------------
 # FormalSeries algebra
@@ -240,14 +241,25 @@ def _naive_divide(a, b):
     return a / b
 
 
+def _inexact_as(operands, *seqs):
+    """The type rule's one-time conversion: seqs as they are when every
+    coefficient in operands is an int or a Fraction, else each entry by
+    float(), or by complex() when some coefficient in operands is complex."""
+    if all(type(c) in (int, Fraction) for c in operands):
+        return seqs
+    cast = complex if any(isinstance(c, complex) for c in operands) else float
+    return [[cast(c) for c in seq] for seq in seqs]
+
+
 def _naive_mul(x, y):
     """x * y by one Python operation per term, in the order i, then j."""
     top = min(x.top + y.lo, y.top + x.lo)
     if x.is_zero or y.is_zero:
         return FormalSeries.zero(top)
     vals = [0] * (top - x.lo - y.lo + 1)
-    for i, a in enumerate(x.coeffs):
-        for j, b in enumerate(y.coeffs):
+    xs, ys = _inexact_as(x.coeffs + y.coeffs, x.coeffs, y.coeffs)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
             if i + j < len(vals):
                 vals[i + j] = vals[i + j] + a * b
     return FormalSeries(x.lo + y.lo, vals, top)
@@ -263,6 +275,7 @@ def _naive_div(x, y):
     n = top - (va - vb) + 1
     b = [y.coeff(vb + i) for i in range(n)]
     a = [x.coeff(va + i) if va + i <= x.top else 0 for i in range(n)]
+    a, b = _inexact_as(x.coeffs + y.coeffs, a, b)
     q = []
     for i in range(n):
         acc = a[i]
@@ -323,7 +336,8 @@ def _series(draw, coeffs):
 def test_product_and_quotient_match_per_term_loop(case):
     x, y, c = case
     _assert_same(x * y, _naive_mul(x, y))
-    _assert_same(c * x, FormalSeries(x.lo, [a * c for a in x.coeffs], x.top))
+    xs, (c_,) = _inexact_as((*x.coeffs, c), x.coeffs, (c,))
+    _assert_same(c * x, FormalSeries(x.lo, [a * c_ for a in xs], x.top))
     if y.is_zero:
         with pytest.raises(ZeroDivisionError):
             x / y
@@ -332,7 +346,7 @@ def test_product_and_quotient_match_per_term_loop(case):
     _assert_same(c / y, _naive_div(FormalSeries.poly([c], y.top + 2 * y.lo), y))
     if c != 0:
         _assert_same(x / c, FormalSeries(
-            x.lo, [_naive_divide(a, c) for a in x.coeffs], x.top))
+            x.lo, [_naive_divide(a, c_) for a in xs], x.top))
 
 
 @settings(max_examples=150, deadline=None)
@@ -345,6 +359,68 @@ def test_reversion_matches_per_term_loop(case):
     lead, rest = case
     f = FormalSeries(1, [lead, *rest])
     _assert_same(f.reverted(), _naive_reverted(f))
+
+
+def _inexact_type(*operands):
+    """float or complex when some coefficient in operands is, else None."""
+    coeffs = [c for seq in operands for c in seq]
+    if any(isinstance(c, complex) for c in coeffs):
+        return complex
+    return None if all(type(c) in (int, Fraction) for c in coeffs) else float
+
+
+@settings(max_examples=200, deadline=None)
+# the int leading coefficient once made the float quotient's q_0 Fraction(1)
+@example((FormalSeries.zero(0), FormalSeries.zero(0), 0, [1, 0.5, 0.25]))
+@given(st.sampled_from(["float", "complex"]).flatmap(
+    lambda kind: st.tuples(_series(_KINDS[kind]), _series(_KINDS[kind]), _KINDS[kind],
+                           st.lists(_KINDS[kind], min_size=1, max_size=9))
+))
+def test_inexact_coefficients_make_every_output_inexact(case):
+    x, y, c, f = case
+    f = FormalSeries(1, f) if f[0] != 0 else FormalSeries(1, [1.5, *f])
+    outputs = [(x * y, (x.coeffs, y.coeffs)), (c * x, ((c,), x.coeffs)),
+               (f.reverted(), (f.coeffs,))]
+    if not y.is_zero:
+        outputs += [(x / y, (x.coeffs, y.coeffs)), (c / y, ((c,), y.coeffs))]
+    if c != 0:
+        outputs.append((x / c, (x.coeffs, (c,))))
+    for out, operands in outputs:
+        want = _inexact_type(*operands)
+        if want is not None:
+            assert {type(v) for v in out.coeffs} <= {want}
+
+
+def test_float_series_route_pinned():
+    # bit patterns of the float series route, recorded while its float
+    # quotient and reversion still met a Fraction(1) in every term
+    atoms = ((0.3, 0.2), (1.7, 0.5), (-0.9, 0.3))
+    m = SeqN("moment", [sum(w * x**n for x, w in atoms) for n in range(1, 21)])
+    kappa = free_cumulant_series_via_inversion(m, 20)
+    assert _hex(kappa.coeff(n) for n in range(1, 21)) == [
+        "0x1.47ae147ae147ap-1", "0x1.4be0ded288ce8p+0", "-0x1.041cc532a4982p-1",
+        "-0x1.0a40a35e3e79dp+0", "0x1.5cdd7e2f61c1ap+0", "0x1.2206818e39b7ep+0",
+        "-0x1.c5e209e9980fdp+1", "-0x1.c3ba0499c5a90p-3", "0x1.0a4245f67ebb2p+3",
+        "-0x1.4866b285cc1d6p+2", "-0x1.03169320718c0p+4", "0x1.79dccaafa9bf4p+4",
+        "0x1.4a79e79c14550p+4", "-0x1.14f1ecf8301f7p+6", "0x1.25d8450c831fcp+3",
+        "0x1.0e89290f6b0acp+7", "-0x1.24ae36269c4d6p+7", "-0x1.0d83b01d5c4bdp+6",
+        "0x1.7fbdb5cbae550p+8", "-0x1.894421c1aefbbp+9"]
+    s = s_series(m, 16)
+    assert (s.lo, s.top) == (0, 15)
+    assert _hex(s.coeffs) == [
+        "0x1.9000000000001p+0", "-0x1.3c81000000003p+2", "0x1.12a9629000005p+5",
+        "-0x1.1def546895405p+8", "0x1.4abfdb1a799edp+11", "-0x1.98d862ff8030ap+14",
+        "0x1.086935050fd1ep+18", "-0x1.617069ab5fb7bp+21", "0x1.e4601159043bbp+24",
+        "-0x1.527731627f3f6p+28", "0x1.e086dbe5d3c01p+31", "-0x1.598e07210a607p+35",
+        "0x1.f66808ec41d5ep+38", "-0x1.709b236d2a96fp+42", "0x1.1096bf94df56cp+46",
+        "-0x1.95f3059a47d17p+49"]
+    assert _hex(moments_from_s_series(s, 16).values) == [
+        "0x1.47ae147ae147ap-1", "0x1.b4bc6a7ef9db2p+0", "0x1.1f212d77318fcp+1",
+        "0x1.17f7ced916870p+2", "0x1.bb0c4588a048ap+2", "0x1.874ebf1554084p+3",
+        "0x1.45f9cee37cf6ap+4", "0x1.1810431a85e31p+5", "0x1.d96bf662e44bcp+5",
+        "0x1.939e00bfe47edp+6", "0x1.5687da79381fcp+7", "0x1.2365564145207p+8",
+        "0x1.ef2713bf223dep+8", "0x1.a4fa9853db5b9p+9", "0x1.65c999d094344p+10",
+        "0x1.3023c7f8f524ap+11"]
 
 
 # ---------------------------------------------------------------------------
