@@ -17,14 +17,15 @@ count compares both sides on the same inputs. Pairs alternate, and
 even-indexed pairs run the parent first.
 
 The result, BENCH_<label>.json, holds every run's metrics and failure
-list and, per end-to-end metric, each side's median and quartiles, the
-change's wins and ties, the relative change of the medians, and the
-verdict of RULE: "gain", "regression" (the same test the other way, and a
-worsening beyond the metric's bound in BENCHMARK.json), or "none". Each run
-also records the median time of each task label, scaled as task_p50_ms
-is; "labels" summarizes these the same way, under task_p50_ms's bound,
-so a file shows which tasks moved, and the ten labels that moved most are
-printed. A run of another workload with the same --out is added to the
+list, each side's `wc -l src/freeconv/*.py` and, per end-to-end metric,
+each side's median and quartiles, the change's wins and ties, the
+relative change of the medians, and the verdict of RULE: "gain",
+"regression" (the same test the other way, and a worsening beyond the
+metric's bound in BENCHMARK.json), or "none". Each run also records the
+median time of each task label, scaled as task_p50_ms is; "labels"
+summarizes these the same way, under task_p50_ms's bound, so a file
+shows which tasks moved, and the ten labels that moved most are printed.
+A run of another workload with the same --out is added to the
 file's workloads.
 """
 
@@ -92,6 +93,11 @@ def checkout(rev: str, dest: Path) -> str:
                    check=True)
     _git("checkout", "--quiet", "--detach", sha, cwd=dest)
     return sha
+
+
+def src_lines(tree: Path) -> int:
+    """wc -l src/freeconv/*.py, counted in the checkout at tree."""
+    return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/freeconv/*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, passes: int, setup_reps: int) -> dict:
@@ -207,6 +213,7 @@ def main(argv=None) -> int:
             tree.mkdir()
         revs = {side: checkout(rev, trees[side])
                 for side, rev in (("parent", args.parent), ("change", args.change))}
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
         pairs = []
         for i, seed in enumerate(_seeds(args.seeds)):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -231,6 +238,7 @@ def main(argv=None) -> int:
         "command": "scripts/bench_pairs.py: one fresh process per run imported the "
                    "checkout's perfbench/run.py and ran fingerprint, setup_times, "
                    "run_loop(workloads, workload, seed, passes=N) and end_to_end",
+        "src_lines": {**lines, "counted": "wc -l src/freeconv/*.py in each side's checkout"},
         "passes": {**result.get("provenance", {}).get("passes", {}),
                    args.workload: args.passes},
         "setup_reps": args.setup_reps,

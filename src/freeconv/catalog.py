@@ -667,7 +667,7 @@ def moments_of(mu: MeasureSpec, order: int) -> SeqN:
     """
     ncpart._check_order(order, "moments_of")
     if mu.kind != "moments" and order > MOMENT_CAP_CLOSED:
-        raise ValueError(f"moments_of capped at order {MOMENT_CAP_CLOSED}, got {order}")
+        raise ncpart.CapError(f"moments_of capped at order {MOMENT_CAP_CLOSED}, got {order}")
     if mu.kind == "atomic":
         vals = []
         for n in range(1, order + 1):

@@ -775,7 +775,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except SpecError as exc:
+    except (SpecError, ncpart.CapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

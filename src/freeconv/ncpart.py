@@ -256,10 +256,14 @@ def _check_order(n: int, op: str) -> None:
         raise ValueError(f"{op} needs an order >= 0, got {n}")
 
 
+class CapError(ValueError):
+    """An order past a kernel's cap; the CLI maps it to exit code 2."""
+
+
 def _check_cap(n: int, cap: int, op: str) -> None:
     _check_order(n, op)
     if n > cap:
-        raise ValueError(f"{op} capped at order {cap}, got {n}")
+        raise CapError(f"{op} capped at order {cap}, got {n}")
 
 
 def moments_from_free_cumulants(kappa) -> SeqN:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,9 +46,9 @@ class FormalSeries:
     exact operands; exact quotients do the same and reversion runs on graded
     ints. Exact outputs follow ncpart's type rule: a product coefficient is
     a Fraction exactly when a Fraction enters one of its terms, and every
-    quotient and reversion coefficient is one. Any other coefficient, a
-    scalar operand's too, makes a product, quotient or reversion convert all
-    of them once to float, or complex (_operands), so no Fraction comes out.
+    quotient and reversion coefficient is one. Any other coefficient makes a
+    product, quotient or reversion convert all of them once to float, or
+    complex (_operands), so no Fraction comes out. * and / take only series.
     """
 
     __slots__ = ("lo", "coeffs", "top")
@@ -61,7 +60,7 @@ class FormalSeries:
                 raise ValueError("empty series needs an explicit truncation order")
             top = lo + len(coeffs) - 1
         if lo + len(coeffs) - 1 > top:
-            coeffs = coeffs[: top - lo + 1]
+            coeffs = coeffs[: max(top - lo + 1, 0)]
         while len(coeffs) < top - lo + 1:
             coeffs.append(0)
         while coeffs and coeffs[0] == 0:
@@ -135,37 +134,9 @@ class FormalSeries:
 
     # -- ring operations -------------------------------------------------
 
-    def __add__(self, other):
-        if isinstance(other, FormalSeries):
-            top = min(self.top, other.top)
-            lo = min(self.lo, other.lo, top + 1)
-            vals = [0] * (top - lo + 1)
-            for s in (self, other):
-                for k in range(s.lo, min(s.top, top) + 1):
-                    vals[k - lo] = vals[k - lo] + s.coeff(k)
-            return FormalSeries(lo, vals, top)
-        if self.top < 0:
-            raise ValueError("scalar addition needs the z^0 coefficient in range")
-        lo = min(self.lo, 0)
-        vals = [self.coeff(k) for k in range(lo, self.top + 1)]
-        vals[0 - lo] = vals[0 - lo] + other
-        return FormalSeries(lo, vals, self.top)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FormalSeries(self.lo, [-c for c in self.coeffs], self.top)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, FormalSeries):
-            _, (a, (m,)) = _operands(self.coeffs, (other,))
-            return FormalSeries(self.lo, [c * m for c in a], self.top)
+            return NotImplemented
         # for a truncation-zero factor lo is top+1, so the same bound applies
         top = min(self.top + other.lo, other.top + self.lo)
         if self.is_zero or other.is_zero:
@@ -175,13 +146,9 @@ class FormalSeries:
         product = _exact_product if exact else _convolve
         return FormalSeries(lo, product(a, b, top - lo + 1), top)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         if not isinstance(other, FormalSeries):
-            exact, (a, (d,)) = _operands(self.coeffs, (other,))
-            d = Fraction(d) if exact else d
-            return FormalSeries(self.lo, [c / d for c in a], self.top)
+            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by a series with no known nonzero term")
         vb = other.lo
@@ -194,9 +161,6 @@ class FormalSeries:
         a = [*a[:n], *[0] * (n - len(a))]  # int 0 acts as 0.0 would, to the bit
         q = (_exact_quotient if exact else _quotient)(a, b[:n])
         return FormalSeries(va - vb, q, top)
-
-    def __rtruediv__(self, other):
-        return FormalSeries.poly([other], self.top + 2 * self.lo) / self
 
     # -- reversion -------------------------------------------------------
 
@@ -238,13 +202,11 @@ class FormalSeries:
 
     def evaluate(self, z):
         """Numeric evaluation of the known part (Horner)."""
+        if self.is_zero:
+            return 0 * z
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * z + c
-        if self.is_zero:
-            # z is no ndarray unless numpy is loaded; do not load it to check
-            np = sys.modules.get("numpy")
-            return 0 * z if np and isinstance(z, np.ndarray) else 0
         return acc * z**self.lo if self.lo != 0 else acc
 
 
@@ -359,12 +321,10 @@ def free_cumulant_series_via_inversion(mu, order: int) -> FormalSeries:
     so it is an independent check of the recursion in ncpart.
     """
     m = _moments_arg(mu, order)
-    m_tilde = FormalSeries.poly([1, *m.values], order)
-    psi_hat = m_tilde.shifted(1)
+    psi_hat = FormalSeries.poly([1, *m.values], order).shifted(1)
     inv = psi_hat.reverted()
-    quotient = FormalSeries.identity(order + 1) / inv
-    c = quotient - 1
-    return c.truncated(order)
+    q0, *rest = (FormalSeries.identity(order + 1) / inv).coeffs  # q0 is 1
+    return FormalSeries(0, [q0 - 1, *rest], order)
 
 
 def s_series(mu, order: int) -> FormalSeries:

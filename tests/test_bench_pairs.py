@@ -114,6 +114,8 @@ def test_smoke_pair_on_exact_seq(tmp_path):
     names = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
     run = result["workloads"]["exact_seq"]
     assert result["label"] == "smoke" and set(run["summary"]) == names
+    lines = result["provenance"]["src_lines"]
+    assert all(type(lines[side]) is int and lines[side] > 0 for side in ("parent", "change"))
     ((pair),) = run["pairs"]
     for side in ("parent", "change"):
         assert pair[side]["passes"] == 1 and pair[side]["correct"]

@@ -28,6 +28,8 @@ WPLUS = json.dumps({"type": "law", "name": "semicircle", "params": [2, 1]})
 MP1 = json.dumps({"type": "law", "name": "marchenko_pastur", "params": [1]})
 MP2 = json.dumps({"type": "law", "name": "marchenko_pastur", "params": [2]})
 QC = json.dumps({"type": "law", "name": "quarter_circle", "params": [1]})
+CHI1 = json.dumps({"type": "law", "name": "chi_squared_1"})
+BERN = json.dumps({"type": "atomic", "atoms": [[-1, "1/2"], [1, "1/2"]]})
 
 
 def run_cli(capsys, *args):
@@ -838,6 +840,23 @@ class TestSizeLimits:
         assert code == 2
         assert out == ""
         assert f"--order: must be at most {cli.ORDER_CAP}, got {order}" in err
+
+    @pytest.mark.parametrize("args,cap", [
+        (["cumulants", SEMI, "--order", "30"], "free_cumulants_from_moments capped at order 20"),
+        (["convolve", "--op", "mult", "--a", MP1, "--b", MP1, "--order", "20"],
+         "free_mult_moments capped at order 16"),
+        (["square", CHI1, "--order", "40"], "moments_of capped at order 64"),
+        (["power", BERN, "--t", "2", "--order", "30"], "capped at order 20"),
+        (["commutator", "--a", BERN, "--b", BERN, "--order", "30"],
+         "capped at order 20"),
+        (["factor-main3", BERN, "--order", "30"], "capped at order 20"),
+        (["scan", BERN, "--t", "0.5", "--order", "30"], "capped at order 20"),
+    ], ids=["cumulants", "convolve-mult", "square", "power", "commutator",
+            "factor-main3", "scan"])
+    def test_order_above_a_kernel_cap_is_usage_error(self, capsys, args, cap):
+        code, out, err = run_cli(capsys, *args)
+        assert (code, out) == (2, "")
+        assert cap in err
 
     def test_order_at_cap_accepted(self, capsys):
         atom = json.dumps({"type": "atomic", "atoms": [[2, 1]]})
