@@ -6,8 +6,7 @@ convolution power with exponent t has left edge 2t - 2 sqrt(t), which is
 negative for every t < 1: positivity of the support is not preserved
 along the convolution semigroup. The scan recovers the edges as critical
 values of the R-transform's inverse, z(w) = 1/w + tR(w), and reports the
-largest deviation from the closed form; the grid scan, the second route
-(a density threshold on a 601-point grid per exponent), reports its own.
+largest deviation from the closed form.
 """
 
 import argparse
@@ -34,9 +33,6 @@ def run(cfg: Config) -> int:
         worst = max(worst, err)
         print(f"{point.t:<5g}  {point.left_edge:>10.6f}  {exact:>11.6f}  {err:.2e}")
     print(f"worst edge error: {worst:.2e}")
-    grid = idclass._grid_scan(model, list(cfg.ts))
-    grid_worst = max(abs(p.left_edge - (2 * p.t - 2 * math.sqrt(p.t))) for p in grid)
-    print(f"grid scan worst edge error: {grid_worst:.2e}")
     print(f"regular evidence: {'yes' if scan.regular_evidence else 'no'}")
     return 0
 

@@ -472,6 +472,10 @@ def _cmd_convolve(args) -> int:
         out = conv.free_add(mu, nu, args.order)
     elif args.op == "boolean":
         out = conv.boolean_add(mu, nu, args.order)
+    elif (args.method == "series" and args.order <= ncpart.CONVERSION_CAP
+          and 0 in (catalog.moments_of(m, 1).at(1) for m in (mu, nu))):
+        # above its cap the series route refuses the order first
+        raise ValueError("S-transform route needs nonzero first moments; use --method dp")
     else:
         out = conv.free_mult(mu, nu, args.order, method=args.method)
     _print_spec(out)
@@ -487,6 +491,9 @@ def _cmd_power(args) -> int:
         out = conv.boolean_power(mu, t, args.order)
     elif args.fid:
         out = conv.free_power_fid(mu, t, args.order)
+    elif t < 1:
+        raise SpecError(f"--t: the free power needs t >= 1, got {args.t}; "
+                        "pass --fid for 0 < t < 1 (infinitely divisible input)")
     else:
         out = conv.free_power(mu, t, args.order)
     _print_spec(out)
@@ -515,6 +522,8 @@ def _cmd_density(args) -> int:
 def _cmd_commutator(args) -> int:
     from . import conv
 
+    if args.order % 2:
+        raise SpecError(f"--order: the commutator needs an even order, got {args.order}")
     mu = parse_measure_spec(args.a)
     nu = parse_measure_spec(args.b)
     out = conv.commutator(mu, nu, args.order)

@@ -8,12 +8,10 @@ explicit and exact for atomic Levy measures.
 Positivity scans find the left support edge of mu^{boxplus t} for R in
 free Levy-Khintchine form (RModel: drift, semicircular variance, finitely
 many jumps) as the critical value of z(w) = 1/w + t R(w) on the negative
-axis, one bisection per t. The second route, the grid scan, solves
-z = 1/w + t R(w) for w = G(z) by damped Newton on F = 1/w in the half
-plane Im F >= Im z, with downward continuation in the imaginary part, and
-bisects a density threshold; a verify check compares the two. A catalog
-law gives its own R-transform data (levy_khintchine), another spec only
-an exact semicircular or single-jump cumulant pattern; the atom of
+axis, one bisection per t; verify checks the edges against closed forms,
+and the tests against a density scan (tests/oracles.py). A catalog law
+gives its own R-transform data (levy_khintchine), another spec only an
+exact semicircular or single-jump cumulant pattern; the atom of
 mu^{boxplus t} comes from the model by rule. Scans and the kurtosis
 statistic are evidence or necessary conditions; regularity proper is
 decided at the representation level (triplet support and drift), never
@@ -35,7 +33,7 @@ from fractions import Fraction
 from . import catalog
 from .catalog import MeasureSpec
 from .ncpart import SeqN
-from .transforms import _bisect_edge, _richardson
+from .transforms import _bisect_edge
 
 # main3_factor's largest odd cumulant taken for zero, the relative tolerance
 # of a geometric cumulant pattern in RModel.from_cumulants, and the dyadic
@@ -400,127 +398,6 @@ class RModel:
             return t * self.drift, mass
         return None
 
-    @property
-    def kappa1(self) -> float:
-        return float(self.r(0.0))
-
-    @property
-    def kappa2(self) -> float:
-        return float(self.dr(0.0))
-
-
-# Newton for G stops at residual _SOLVE_TOL or after _SOLVE_MAX_ITER steps;
-# a point counts as converged at residual sqrt(_SOLVE_TOL) and 1e-3 Im z
-_SOLVE_TOL = 1e-14
-_SOLVE_MAX_ITER = 100
-
-
-def solve_g(model: RModel, t, z, w0=None):
-    """Solve z = 1/w + t R(w) for w = G(z) by damped Newton on F = 1/w.
-
-    t is one scalar time for every point; each point's solution does not
-    depend on the others solved with it.
-    Returns (w, converged mask); a residual near Im z solves another z,
-    so the mask also bounds it by 1e-3 Im z. Without a seed w0 the solve
-    starts cold, from F = z; pass the solution at a nearby z to continue
-    along a path.
-    """
-    return _newton_g(model, t, z, w0, _SOLVE_TOL)
-
-
-def _newton_g(model: RModel, t, z, w0, tol):
-    """solve_g, with Newton stopping at residual tol instead of _SOLVE_TOL.
-
-    The unknown is F = 1/w, the fixed point of F = z - t R(1/F), with
-    residual g = z - t R(1/F) - F = -(1/w + t R(w) - z). In free
-    Levy-Khintchine form R(1/F) lies in the closed lower half plane when
-    F lies in the upper one (Bercovici-Voiculescu 1993), so the solution
-    has Im F >= Im z. A Newton step g/(1 - t R'(w) w^2) is halved until it
-    lowers |g| and keeps Im F >= Im z, and is not taken otherwise. As
-    |F| >= Im F >= Im z > 0, that keeps Im w <= 0 and |w| <= 1/Im z, and
-    keeps w off R's real poles. A cold solve (w0 None) warms up by damped
-    Picard steps from F = z, which stay in the half plane and pull F into
-    Newton's basin.
-    """
-    import numpy as np
-
-    def residual(f, zs):
-        return zs - t * model.r(1 / f) - f
-
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    with np.errstate(all="ignore"):
-        if w0 is None:
-            f = z
-            for _ in range(10):
-                f = 0.5 * f + 0.5 * (z - t * model.r(1 / f))
-        else:
-            f = 1 / np.asarray(w0, dtype=complex)
-        if f.shape != z.shape:
-            raise ValueError("seed shape does not match z")
-        resid = residual(f, z)
-        for _ in range(_SOLVE_MAX_ITER):
-            active = ~(np.abs(resid) <= tol)
-            if not active.any():
-                break
-            fa, za, ga = f[active], z[active], resid[active]
-            wa = 1 / fa
-            step = ga / (1 - t * model.dr(wa) * wa * wa)
-            for _ in range(31):
-                new_f = fa + step
-                new_g = residual(new_f, za)
-                ok = (np.abs(new_g) <= np.abs(ga)) & (new_f.imag >= za.imag)
-                if ok.all():
-                    break
-                step = np.where(ok, step, step / 2)
-            f[active] = np.where(ok, new_f, fa)
-            resid[active] = np.where(ok, new_g, ga)
-        size = np.abs(resid)
-        return 1 / f, (size <= math.sqrt(_SOLVE_TOL)) & (size <= 1e-3 * z.imag)
-
-
-_EPS = 4e-9  # boundary densities extrapolate over heights _EPS, _EPS/2, _EPS/4
-_IMAG_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
-                1e-5, 1e-6, 1e-7, 1e-8, _EPS)
-_RUNG_RESIDUAL = 0.1  # a ladder rung above _EPS stops at residual this times its height
-# the grid scan's density level at the edge and its grid points per t
-_GRID_THRESHOLD = 1e-6
-_GRID_POINTS = 601
-
-
-def _extrapolated_density(model: RModel, t, xs, seed=None):
-    """Boundary density by Richardson extrapolation over the three heights.
-
-    Cancels the terms linear in the height, so Lorentzian shoulders of
-    nearby atoms drop out instead of polluting edge detection. t is one
-    scalar time for every point. The solve at _EPS starts from seed (else
-    the imaginary ladder) and seeds the next height; points a seed leaves
-    unconverged are solved from the ladder. A ladder rung above _EPS only
-    seeds the next one, so its Newton stops once the residual
-    g = z - t R(1/F) - F is at most _RUNG_RESIDUAL times its height d: F
-    then solves the equation exactly at z - g, whose height is still at
-    least 0.9 d, so w = 1/F stays on the sheet of G that the ladder follows
-    down from i. The heights _EPS, _EPS/2 and _EPS/4 are solved to
-    _SOLVE_TOL.
-    Returns the density, where it converged, and w at height _EPS.
-    """
-    if seed is not None:
-        w, conv = solve_g(model, t, xs + 1j * _EPS, w0=seed)
-    else:
-        w = None
-        for d in _IMAG_LADDER[:-1]:
-            tol = max(_SOLVE_TOL, _RUNG_RESIDUAL * d)
-            w = _newton_g(model, t, xs + 1j * d, w, tol)[0]
-        w, conv = solve_g(model, t, xs + 1j * _EPS, w0=w)
-    ws = [w]
-    for k in (2, 4):
-        w, c = solve_g(model, t, xs + 1j * _EPS / k, w0=w)
-        ws, conv = ws + [w], conv & c
-    dens = _richardson([-w.imag / math.pi for w in ws])
-    if seed is not None and not conv.all():
-        redo = ~conv
-        dens[redo], conv[redo], ws[0][redo] = _extrapolated_density(model, t, xs[redo])
-    return dens, conv, ws[0]
-
 
 @dataclass(frozen=True)
 class ScanPoint:
@@ -625,9 +502,9 @@ def positivity_scan(
     converged means the critical point was bracketed and bisected, or the
     limit t*drift applied, and the edge is finite. Every t is bisected in
     one batch, each independently, so a scan equals the scans of its t
-    values one by one. The grid scan (_grid_scan) is the second route;
-    verify's scan_edge_routes compares the two. jobs is ignored; it stays
-    because perfbench's scans pass it. ts must not be empty: no scanned
+    values one by one. verify's scan_edge_routes checks the edges against
+    their closed forms on three models. jobs is ignored; it stays because
+    perfbench's scans pass it. ts must not be empty: no scanned
     point is no evidence. The times must be finite and positive, and so
     must edge_tol, how far below 0 an edge may sit as regular evidence.
     """
@@ -644,45 +521,6 @@ def _scan_times(ts):
     if not all(math.isfinite(t) and t > 0 for t in ts):
         raise ValueError(f"scan times must be finite and positive, got {ts}")
     return ts
-
-
-def _grid_scan(model: RModel, ts):
-    """The scan's second route: the smallest of _GRID_POINTS grid points
-    per t where the extrapolated density (_extrapolated_density) exceeds
-    _GRID_THRESHOLD, or the atom if further left; converged means every
-    grid point's solve converged and the density does not already exceed
-    the threshold at the grid's left end, which then stands as the edge
-    but only bounds it.
-
-    Each t is solved on its own grid, and its grid crossing is bisected to
-    2e-5 in batches (transforms._bisect_edge), each batch seeded by
-    interpolating w at height _EPS between the bracket's grid ends. The
-    times must be finite and positive.
-    """
-    import numpy as np
-
-    k1, k2 = model.kappa1, model.kappa2
-    points = []
-    for t in _scan_times(ts):
-        spread = 4 * math.sqrt(max(t * k2, 1e-6)) + 0.5
-        xs = np.linspace(t * k1 - spread, t * k1 + spread, _GRID_POINTS)
-        dens, conv, w_eps = _extrapolated_density(model, t, xs)
-        above = np.flatnonzero(dens > _GRID_THRESHOLD)
-        edge, converged = None, bool(conv.all())
-        if above.size and above[0] == 0:
-            # the window's left end only bounds the edge
-            edge, converged = float(xs[0]), False
-        elif above.size:
-            i = above[0]
-            ends = xs[i - 1 : i + 1], w_eps[i - 1 : i + 1]
-
-            def inside(mids, _):
-                seed = np.interp(mids, *ends)
-                return _extrapolated_density(model, t, mids, seed)[0] > _GRID_THRESHOLD
-
-            (edge,) = _bisect_edge(inside, [(float(xs[i]), float(xs[i - 1]))], 2e-5)
-        points.append(_with_atom(model, t, edge, converged))
-    return tuple(points)
 
 
 # ---------------------------------------------------------------------------

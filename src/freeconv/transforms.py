@@ -514,7 +514,10 @@ def s_numeric(mu: MeasureSpec, z):
     nonconvergence raises, and so does a z outside the range of Psi on the
     principal sheet, where no root exists: for Marchenko-Pastur the quadratic
     fixes w = 1/u = (1+z)(z+rate)/z, and at rate 0.5, z = 1+i the principal
-    G gives wG(w) = 1.25-0.25i, not 1+z.
+    G gives wG(w) = 1.25-0.25i, not 1+z. The seed divides by 1 + z, so
+    z = -1 is refused; Psi' divides by u^2, so a seed with u^2 = 0 gives
+    the series value where 1 + |z| rounds to 1 and is refused elsewhere
+    (at a zero of the truncated series, as MP(1)'s at z = 1).
     """
     import numpy as np
 
@@ -525,6 +528,8 @@ def s_numeric(mu: MeasureSpec, z):
     z = complex(z)
     if z == 0:
         return complex(series.coeff(0))
+    if z == -1:
+        raise ValueError(f"S-transform inversion divides by 1 + z; z = {z} is refused")
 
     def residual(u):
         """Psi(u) - z and Psi'(u)."""
@@ -532,6 +537,11 @@ def s_numeric(mu: MeasureSpec, z):
         return g / u - 1 - z, -(g + dg / u) / u**2
 
     u = z / (1 + z) * complex(series.evaluate(z))
+    if u * u == 0 and 1 + abs(z) == 1:
+        return complex(series.evaluate(z))
+    if u * u == 0:
+        raise ValueError(f"S-transform inversion has no Newton step at z = {z}: "
+                         "its seed u = z S(z)/(1 + z) has u^2 = 0")
     fu, dfu = residual(u)
     for _ in range(80):
         if abs(fu) <= 1e-12 * max(1.0, abs(z)):

@@ -382,30 +382,32 @@ def _wplus_scan_edges(rng, jobs):
 def _wplus_scan_dev(ts):
     """Largest distance of the scanned left edges of (w+)^{boxplus t}, t in
     ts, from 2t - 2 sqrt(t)."""
-    scan = idclass.positivity_scan(idclass.RModel.semicircle(2, 1), ts)
+    return _scan_dev(idclass.RModel.semicircle(2, 1), ts, lambda t: 2 * t - 2 * math.sqrt(t))
+
+
+def _scan_dev(model, ts, exact):
+    """Largest distance of positivity_scan's left edges of model's
+    mu^{boxplus t}, t in ts, from exact(t); inf for a missing or NaN edge,
+    which max() would skip."""
     dev = 0.0
-    for point in scan.points:
-        if point.left_edge is None:  # no edge found: as far off as can be
+    for point in idclass.positivity_scan(model, ts).points:
+        if point.left_edge is None or math.isnan(point.left_edge):
             return math.inf
-        exact = 2 * point.t - 2 * math.sqrt(point.t)
-        dev = max(dev, abs(point.left_edge - exact))
+        dev = max(dev, abs(point.left_edge - exact(point.t)))
     return dev
 
 
 def _scan_edge_routes(rng, jobs):
-    """Largest distance between the critical-value edges of positivity_scan
-    and the grid scan's threshold edges, on a semicircle, a free Poisson
-    and a single-jump compound Poisson model, one t each."""
-    dev = 0.0
-    for model, t in ((idclass.RModel.semicircle(2, 1), 0.5),
-                     (idclass.RModel.free_poisson(1), 2.0),
-                     (idclass.RModel.cfp_atomic(2.0, [(0.5, 1)]), 1.5)):
-        (critical,) = idclass.positivity_scan(model, [t]).points
-        (grid,) = idclass._grid_scan(model, [t])
-        if critical.left_edge is None or grid.left_edge is None:
-            return math.inf
-        dev = max(dev, abs(critical.left_edge - grid.left_edge))
-    return dev
+    """Largest distance of the critical-value edges of positivity_scan from
+    their closed forms, one t each: t mean - 2 sqrt(t var) for a
+    semicircle, (1 - sqrt(rate t))^2 for a free Poisson law and
+    a (1 - sqrt(lam t))^2 for a compound Poisson law with one jump a."""
+    return max(
+        _scan_dev(idclass.RModel.semicircle(2, 1), [0.5], lambda t: t * 2 - 2 * math.sqrt(t * 1)),
+        _scan_dev(idclass.RModel.free_poisson(1), [2.0], lambda t: (1 - math.sqrt(1 * t)) ** 2),
+        _scan_dev(idclass.RModel.cfp_atomic(2.0, [(0.5, 1)]), [1.5],
+                  lambda t: 0.5 * (1 - math.sqrt(2.0 * t)) ** 2),
+    )
 
 
 def _origin_divergence_m(rng, jobs):
@@ -486,7 +488,7 @@ CHECKS = (
     Check("wplus_scan_edges", "regularity",
           "left edge of (w+)^{+t} = 2t - 2 sqrt(t)", 1e-3, _wplus_scan_edges),
     Check("scan_edge_routes", "regularity",
-          "critical-value scan edge = grid scan edge", 1e-4, _scan_edge_routes),
+          "critical-value scan edge = closed-form edge", 1e-4, _scan_edge_routes),
     Check("origin_divergence_m", "regularity",
           "int dm/x diverges at 0", 0.0, _origin_divergence_m),
     Check("meixner_support_rule", "regularity",

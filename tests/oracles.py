@@ -9,8 +9,10 @@ test of non-crossing they need, the boolean pair and the Lagrange reversion
 on plain Fraction arithmetic, the grid Cauchy transform by complex
 division, the batched edge bisection on per-bracket heaps, the
 subordination solve that starts each cold point with damped Picard
-warm-up steps, and adaptive quadrature of the free Meixner Levy
-measure's integrals.
+warm-up steps, adaptive quadrature of the free Meixner Levy measure's
+integrals, and the density scan of mu^{boxplus t}, which solves
+z = 1/w + t R(w) for w = G(z) by damped Newton down an imaginary ladder
+and bisects a density threshold.
 """
 
 import math
@@ -21,7 +23,9 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from freeconv import catalog, conv, transforms
+from freeconv.idclass import RModel, _scan_times, _with_atom
 from freeconv.ncpart import SeqN, SetPartition, _values, enumerate_nc
+from freeconv.transforms import _bisect_edge, _richardson
 
 MOMENT_CAP_QUAD = 32
 
@@ -409,3 +413,156 @@ def reverted_reference(f):
         scale *= den
         d.append(Fraction(power[k - 1], scale * k))
     return transforms.FormalSeries(1, d, f.top)
+
+
+# ---------------------------------------------------------------------------
+# the density scan of mu^{boxplus t}: G on the real axis by damped Newton
+
+
+# Newton for G stops at residual _SOLVE_TOL or after _SOLVE_MAX_ITER steps;
+# a point counts as converged at residual sqrt(_SOLVE_TOL) and 1e-3 Im z
+_SOLVE_TOL = 1e-14
+_SOLVE_MAX_ITER = 100
+
+
+def solve_g(model: RModel, t, z, w0=None):
+    """Solve z = 1/w + t R(w) for w = G(z) by damped Newton on F = 1/w.
+
+    t is one scalar time for every point; each point's solution does not
+    depend on the others solved with it.
+    Returns (w, converged mask); a residual near Im z solves another z,
+    so the mask also bounds it by 1e-3 Im z. Without a seed w0 the solve
+    starts cold, from F = z; pass the solution at a nearby z to continue
+    along a path.
+    """
+    return _newton_g(model, t, z, w0, _SOLVE_TOL)
+
+
+def _newton_g(model: RModel, t, z, w0, tol):
+    """solve_g, with Newton stopping at residual tol instead of _SOLVE_TOL.
+
+    The unknown is F = 1/w, the fixed point of F = z - t R(1/F), with
+    residual g = z - t R(1/F) - F = -(1/w + t R(w) - z). In free
+    Levy-Khintchine form R(1/F) lies in the closed lower half plane when
+    F lies in the upper one (Bercovici-Voiculescu 1993), so the solution
+    has Im F >= Im z. A Newton step g/(1 - t R'(w) w^2) is halved until it
+    lowers |g| and keeps Im F >= Im z, and is not taken otherwise. As
+    |F| >= Im F >= Im z > 0, that keeps Im w <= 0 and |w| <= 1/Im z, and
+    keeps w off R's real poles. A cold solve (w0 None) warms up by damped
+    Picard steps from F = z, which stay in the half plane and pull F into
+    Newton's basin.
+    """
+    def residual(f, zs):
+        return zs - t * model.r(1 / f) - f
+
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    with np.errstate(all="ignore"):
+        if w0 is None:
+            f = z
+            for _ in range(10):
+                f = 0.5 * f + 0.5 * (z - t * model.r(1 / f))
+        else:
+            f = 1 / np.asarray(w0, dtype=complex)
+        if f.shape != z.shape:
+            raise ValueError("seed shape does not match z")
+        resid = residual(f, z)
+        for _ in range(_SOLVE_MAX_ITER):
+            active = ~(np.abs(resid) <= tol)
+            if not active.any():
+                break
+            fa, za, ga = f[active], z[active], resid[active]
+            wa = 1 / fa
+            step = ga / (1 - t * model.dr(wa) * wa * wa)
+            for _ in range(31):
+                new_f = fa + step
+                new_g = residual(new_f, za)
+                ok = (np.abs(new_g) <= np.abs(ga)) & (new_f.imag >= za.imag)
+                if ok.all():
+                    break
+                step = np.where(ok, step, step / 2)
+            f[active] = np.where(ok, new_f, fa)
+            resid[active] = np.where(ok, new_g, ga)
+        size = np.abs(resid)
+        return 1 / f, (size <= math.sqrt(_SOLVE_TOL)) & (size <= 1e-3 * z.imag)
+
+
+_EPS = 4e-9  # boundary densities extrapolate over heights _EPS, _EPS/2, _EPS/4
+_IMAG_LADDER = (1.0, 0.3, 0.1, 0.03, 0.01, 3e-3, 1e-3, 3e-4, 1e-4,
+                1e-5, 1e-6, 1e-7, 1e-8, _EPS)
+_RUNG_RESIDUAL = 0.1  # a ladder rung above _EPS stops at residual this times its height
+# the grid scan's density level at the edge and its grid points per t
+_GRID_THRESHOLD = 1e-6
+_GRID_POINTS = 601
+
+
+def _extrapolated_density(model: RModel, t, xs, seed=None):
+    """Boundary density by Richardson extrapolation over the three heights.
+
+    Cancels the terms linear in the height, so Lorentzian shoulders of
+    nearby atoms drop out instead of polluting edge detection. t is one
+    scalar time for every point. The solve at _EPS starts from seed (else
+    the imaginary ladder) and seeds the next height; points a seed leaves
+    unconverged are solved from the ladder. A ladder rung above _EPS only
+    seeds the next one, so its Newton stops once the residual
+    g = z - t R(1/F) - F is at most _RUNG_RESIDUAL times its height d: F
+    then solves the equation exactly at z - g, whose height is still at
+    least 0.9 d, so w = 1/F stays on the sheet of G that the ladder follows
+    down from i. The heights _EPS, _EPS/2 and _EPS/4 are solved to
+    _SOLVE_TOL.
+    Returns the density, where it converged, and w at height _EPS.
+    """
+    if seed is not None:
+        w, conv = solve_g(model, t, xs + 1j * _EPS, w0=seed)
+    else:
+        w = None
+        for d in _IMAG_LADDER[:-1]:
+            tol = max(_SOLVE_TOL, _RUNG_RESIDUAL * d)
+            w = _newton_g(model, t, xs + 1j * d, w, tol)[0]
+        w, conv = solve_g(model, t, xs + 1j * _EPS, w0=w)
+    ws = [w]
+    for k in (2, 4):
+        w, c = solve_g(model, t, xs + 1j * _EPS / k, w0=w)
+        ws, conv = ws + [w], conv & c
+    dens = _richardson([-w.imag / math.pi for w in ws])
+    if seed is not None and not conv.all():
+        redo = ~conv
+        dens[redo], conv[redo], ws[0][redo] = _extrapolated_density(model, t, xs[redo])
+    return dens, conv, ws[0]
+
+
+def grid_scan(model: RModel, ts):
+    """idclass.positivity_scan by a density threshold, as scan ran before
+    the critical value replaced it: the smallest of _GRID_POINTS grid
+    points per t where the extrapolated density (_extrapolated_density)
+    exceeds _GRID_THRESHOLD, or the atom if further left; converged means
+    every grid point's solve converged and the density does not already
+    exceed the threshold at the grid's left end, which then stands as the
+    edge but only bounds it.
+
+    Each t is solved on its own grid, and its grid crossing is bisected to
+    2e-5 in batches (transforms._bisect_edge), each batch seeded by
+    interpolating w at height _EPS between the bracket's grid ends. The
+    times must be finite and positive.
+    """
+    k1, k2 = float(model.r(0.0)), float(model.dr(0.0))
+    points = []
+    for t in _scan_times(ts):
+        spread = 4 * math.sqrt(max(t * k2, 1e-6)) + 0.5
+        xs = np.linspace(t * k1 - spread, t * k1 + spread, _GRID_POINTS)
+        dens, conv, w_eps = _extrapolated_density(model, t, xs)
+        above = np.flatnonzero(dens > _GRID_THRESHOLD)
+        edge, converged = None, bool(conv.all())
+        if above.size and above[0] == 0:
+            # the window's left end only bounds the edge
+            edge, converged = float(xs[0]), False
+        elif above.size:
+            i = above[0]
+            ends = xs[i - 1 : i + 1], w_eps[i - 1 : i + 1]
+
+            def inside(mids, _):
+                seed = np.interp(mids, *ends)
+                return _extrapolated_density(model, t, mids, seed)[0] > _GRID_THRESHOLD
+
+            (edge,) = _bisect_edge(inside, [(float(xs[i]), float(xs[i - 1]))], 2e-5)
+        points.append(_with_atom(model, t, edge, converged))
+    return tuple(points)

@@ -173,9 +173,24 @@ class TestExitCodes:
         assert "weights sum" in err
 
     def test_computation_error_is_1(self, capsys):
-        code, _, err = run_cli(capsys, "power", SEMI, "--t", "1/2", "--order", "4")
-        assert code == 1
-        assert "fid" in err or "t >= 1" in err
+        # the series route of a product with a zero first moment; the
+        # message names the flag that picks the other route
+        code, out, err = run_cli(capsys, "convolve", "--op", "mult", "--method", "series",
+                                 "--a", SEMI, "--b", MP1, "--order", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: S-transform route needs nonzero first moments; use --method dp\n"
+
+    def test_free_power_below_one_needs_fid(self, capsys):
+        code, out, err = run_cli(capsys, "power", SEMI, "--t", "1/2", "--order", "4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --t: the free power needs t >= 1, got 1/2")
+        assert "pass --fid" in err
+
+    def test_odd_commutator_order_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "parse_measure_spec", None)  # fails if a spec is read
+        code, out, err = run_cli(capsys, "commutator", "--a", SEMI, "--b", SEMI, "--order", "7")
+        assert (code, out) == (2, "")
+        assert err == "error: --order: the commutator needs an even order, got 7\n"
 
     def test_density_of_sequence_spec_is_1(self, capsys):
         seq = json.dumps({"type": "moments", "values": [0, 1]})
@@ -967,6 +982,20 @@ _IDENTITIES_1418 = [
 ]
 
 
+# the 8 check lines of `verify --suite regularity --seed 1418`; every
+# deviation is taken from a closed form or an exact verdict
+_REGULARITY_1418 = [
+    "quarter_circle_kurtosis   kurtosis statistic of the quarter circle        dev=8.902e-09  tol=1.0e-06  pass",
+    "wplus_regular_form        to_regular_form refuses a > 0                   dev=0.000e+00  tol=0.0e+00  pass",
+    "cfp_regular_form          compound Poisson jumps give drift 0 on (0, oo)  dev=0.000e+00  tol=0.0e+00  pass",
+    "wplus_scan_edges          left edge of (w+)^{+t} = 2t - 2 sqrt(t)         dev=2.220e-16  tol=1.0e-03  pass",
+    "scan_edge_routes          critical-value scan edge = closed-form edge     dev=1.110e-16  tol=1.0e-04  pass",
+    "origin_divergence_m       int dm/x diverges at 0                          dev=0.000e+00  tol=0.0e+00  pass",
+    "meixner_support_rule      meixner levy fits (0, oo) iff a >= 2 sqrt(b)    dev=0.000e+00  tol=0.0e+00  pass",
+    "voiculescu_pair_boundary  phi(-0) = 0 for m, -inf for w                   dev=0.000e+00  tol=0.0e+00  pass",
+]
+
+
 def _finite_devs(out):
     """Every dev= field of a verify report is a finite number or the token."""
     devs = [f[4:] for line in out.splitlines()[1:-1] for f in line.split() if f.startswith("dev=")]
@@ -986,6 +1015,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--seed", "1418")
         assert code == 0
         assert out.splitlines()[1:-1] == _IDENTITIES_1418
+
+    def test_regularity_report_pinned(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "regularity", "--seed", "1418")
+        assert code == 0
+        assert out.splitlines()[1:-1] == _REGULARITY_1418
 
     def test_regularity_with_jobs(self, capsys):
         code, out, _ = run_cli(
@@ -1020,20 +1054,24 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--suite", "nonsense")
         assert code == 2
 
-    def test_scan_without_an_edge_fails_the_check(self, capsys, monkeypatch):
-        # a scan point with no left edge is an infinite deviation, not a crash
+    @pytest.mark.parametrize("edge", [None, math.nan])
+    def test_scan_without_an_edge_fails_the_check(self, capsys, monkeypatch, edge):
+        # a scan point with no left edge, or a NaN one, is an infinite
+        # deviation, not a crash or a pass
         from freeconv import verify
 
-        point = idclass.ScanPoint(0.5, None, (), True)
+        point = idclass.ScanPoint(0.5, edge, (), True)
         monkeypatch.setattr(
             idclass, "positivity_scan",
             lambda *a, **k: idclass.ScanResult((point,), 1e-3),
         )
         assert verify._wplus_scan_edges(None, 1) == math.inf
+        assert verify._scan_edge_routes(None, 1) == math.inf
         code, out, _ = run_cli(capsys, "verify", "--suite", "regularity")
         assert code == 1
-        line = next(l for l in out.splitlines() if l.startswith("wplus_scan_edges"))
-        assert "dev=non-finite" in line and line.endswith("FAIL")
+        for name in ("wplus_scan_edges", "scan_edge_routes"):
+            line = next(l for l in out.splitlines() if l.startswith(name))
+            assert "dev=non-finite" in line and line.endswith("FAIL")
         assert _finite_devs(out)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -1115,6 +1153,25 @@ class TestTransform:
         assert code == 0
         re, im = (float(v) for v in out.strip().split(","))
         assert abs(re - 1 / 2.3) < 1e-9 and abs(im) < 1e-12
+
+    @pytest.mark.parametrize("at, z", [("-1,0", "(-1+0j)"), ("1,0", "(1+0j)"), ("0,1", "1j")])
+    def test_s_transform_refusals_name_the_point(self, capsys, at, z):
+        # the seed divides by 1 + z; at 1 and i MP(1)'s 16-term series
+        # 1 - z + z^2 - ... vanishes, so the seed leaves Newton no step
+        code, out, err = run_cli(capsys, "transform", MP1, "--which", "S", f"--at={at}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: S-transform inversion ")
+        assert f"z = {z}" in err
+
+    @pytest.mark.parametrize("at, want", [
+        ("1e-300,0", "1,0"), ("-1e-300,0", "1,0"), ("0,1e-300", "1,-1e-300"),
+    ])
+    def test_s_transform_near_zero_is_the_series_value(self, capsys, at, want):
+        # u^2 underflows, so Newton on Psi takes no step: MP(1)'s
+        # S(z) = 1/(1 + z) is read off its series
+        code, out, _ = run_cli(capsys, "transform", MP1, "--which", "S", f"--at={at}")
+        assert code == 0
+        assert out == want + "\n"
 
     def test_real_axis_rejected_for_g(self, capsys):
         code, _, err = run_cli(capsys, "transform", SEMI, "--which", "G", "--at", "1,0")
@@ -1396,6 +1453,36 @@ def test_every_public_member_has_a_caller():
                         members[f"{path.stem}.{cls.name}.{node.name}"] = node.name
                         own[node.name] += _loaded(node).count(node.name)
     assert sorted(key for key, name in members.items() if uses[name] == own[name]) == []
+
+
+def test_every_oracle_has_a_caller():
+    # every top-level name of tests/oracles.py is reached from a test module:
+    # named there, or loaded by the definition of a name that is reached;
+    # a private one is also used inside oracles.py, not only by tests
+    tests = _REPO / "tests"
+    uses = {}  # each name oracles.py defines -> the names its statement loads
+    for node in ast.parse((tests / "oracles.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            uses[node.name] = set(_loaded(node)) - {node.name}
+        elif isinstance(node, ast.Assign):
+            uses.update((target.id, set(_loaded(node))) for target in node.targets)
+    named = set()
+    for path in sorted(tests.glob("test_*.py")):
+        tree = ast.parse(path.read_text())
+        named.update(_loaded(tree))
+        named.update(alias.name for sub in ast.walk(tree)
+                     if isinstance(sub, ast.ImportFrom) and sub.module == "oracles"
+                     for alias in sub.names)
+    reached, todo = set(), sorted(named & uses.keys())
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += sorted(uses[name] & uses.keys())
+    inside = set().union(*uses.values())
+    assert len(uses) > 20
+    assert sorted(uses.keys() - reached) == []
+    assert sorted(name for name in uses if name.startswith("_") and name not in inside) == []
 
 
 def _loaded(node):

@@ -20,6 +20,7 @@ from freeconv.idclass import (
 )
 from freeconv.ncpart import SeqN
 from freeconv.verify import _main3_dev
+import oracles
 from oracles import levy_meixner_quadrature
 from spec_ids import describe
 
@@ -402,8 +403,8 @@ class TestRModel:
 
     def test_low_order_cumulants(self):
         model = RModel.free_poisson(2)
-        assert model.kappa1 == pytest.approx(2)
-        assert model.kappa2 == pytest.approx(2)
+        assert model.r(0.0) == pytest.approx(2)
+        assert model.dr(0.0) == pytest.approx(2)
 
     @pytest.mark.parametrize(
         "name, params",
@@ -431,8 +432,8 @@ class TestRModel:
         loc, mass = model.atom(t)
         assert loc == t * model.drift
         w = None
-        for d in idclass._IMAG_LADDER[: idclass._IMAG_LADDER.index(1e-4) + 1]:
-            w, conv_mask = idclass.solve_g(model, t, loc + 1j * d, w0=w)
+        for d in oracles._IMAG_LADDER[: oracles._IMAG_LADDER.index(1e-4) + 1]:
+            w, conv_mask = oracles.solve_g(model, t, loc + 1j * d, w0=w)
         assert conv_mask.all()
         assert abs(-1e-4 * w[0].imag - mass) <= 1e-4
 
@@ -455,7 +456,7 @@ class TestSolveG:
     def test_semicircle_matches_closed_form(self):
         model = RModel.semicircle(0, 1)
         zs = np.array([0.3 + 0.5j, -1.2 + 0.05j, 2.5 + 1e-6j, 4 + 2j])
-        w, conv_mask = idclass.solve_g(model, 1.0, zs)
+        w, conv_mask = oracles.solve_g(model, 1.0, zs)
         assert conv_mask.all()
         assert np.max(np.abs(w - _semicircle_g(zs, 1))) < 1e-9
 
@@ -463,7 +464,7 @@ class TestSolveG:
         # mu^{boxplus t} for semicircle(0,1) is semicircle(0,t)
         model = RModel.semicircle(0, 1)
         z = np.array([0.1 + 0.2j])
-        w, _ = idclass.solve_g(model, 3.0, z)
+        w, _ = oracles.solve_g(model, 3.0, z)
         assert abs(w[0] - _semicircle_g(z, 3)[0]) < 1e-10
 
     # t = 0.9 leaves this model an atom at 0.27 of mass 1 - 0.9
@@ -472,8 +473,8 @@ class TestSolveG:
 
     def _ladder(self):
         w = None
-        for d in idclass._IMAG_LADDER[: idclass._IMAG_LADDER.index(1e-8) + 1]:
-            w, conv_mask = idclass.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z.real + 1j * d, w0=w)
+        for d in oracles._IMAG_LADDER[: oracles._IMAG_LADDER.index(1e-8) + 1]:
+            w, conv_mask = oracles.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z.real + 1j * d, w0=w)
         return w, conv_mask
 
     def test_ladder_finds_the_atom_mass(self):
@@ -482,7 +483,7 @@ class TestSolveG:
         assert -1e-8 * w[0].imag == pytest.approx(0.1, abs=1e-6)
 
     def test_cold_solve_finds_the_atom_mass(self):
-        w, conv_mask = idclass.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z)
+        w, conv_mask = oracles.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z)
         assert conv_mask.all()
         assert -1e-8 * w[0].imag == pytest.approx(0.1, abs=1e-6)
 
@@ -491,10 +492,10 @@ class TestSolveG:
         # the shift: 2e-8 = 2 Im z passes the sqrt(_SOLVE_TOL) bound but
         # solves another z, and only the 1e-3 Im z bound refuses it
         w, _ = self._ladder()
-        monkeypatch.setattr(idclass, "_SOLVE_MAX_ITER", 0)
-        assert 2e-8 < math.sqrt(idclass._SOLVE_TOL)
-        _, far = idclass.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z + 2e-8, w0=w)
-        _, near = idclass.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z + 5e-12, w0=w)
+        monkeypatch.setattr(oracles, "_SOLVE_MAX_ITER", 0)
+        assert 2e-8 < math.sqrt(oracles._SOLVE_TOL)
+        _, far = oracles.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z + 2e-8, w0=w)
+        _, near = oracles.solve_g(self.ATOM_MODEL, 0.9, self.ATOM_Z + 5e-12, w0=w)
         assert not far.any() and near.all()
 
     @pytest.mark.parametrize("model", [
@@ -509,16 +510,16 @@ class TestSolveG:
         # point's own height; a cold solve may fail, never converge elsewhere
         rng = np.random.default_rng(22)
         ts = np.array([[0.3], [0.9], [1.5], [3.0]])  # 400 points per time
-        spread = 4 * np.sqrt(ts * model.kappa2) + 0.5
-        xs = ts * model.kappa1 + spread * rng.uniform(-1, 1, (4, 400))
+        spread = 4 * np.sqrt(ts * model.dr(0.0)) + 0.5
+        xs = ts * model.r(0.0) + spread * rng.uniform(-1, 1, (4, 400))
         ys = 10.0 ** rng.uniform(-9, 0, (4, 400))
         cold_masks = []
         for t, x, y in zip(ts[:, 0], xs, ys):
-            cold, cold_mask = idclass.solve_g(model, t, x + 1j * y)
+            cold, cold_mask = oracles.solve_g(model, t, x + 1j * y)
             w = None
-            for d in idclass._IMAG_LADDER:
-                w, _ = idclass.solve_g(model, t, x + 1j * np.maximum(d, y), w0=w)
-            w, ladder_mask = idclass.solve_g(model, t, x + 1j * y, w0=w)
+            for d in oracles._IMAG_LADDER:
+                w, _ = oracles.solve_g(model, t, x + 1j * np.maximum(d, y), w0=w)
+            w, ladder_mask = oracles.solve_g(model, t, x + 1j * y, w0=w)
             assert ladder_mask.all()
             off = np.abs(cold - w) > 1e-8 * np.abs(w)
             assert not (cold_mask & off).any()
@@ -528,8 +529,8 @@ class TestSolveG:
     def test_seeded_continuation(self):
         model = RModel.free_poisson(1)
         zs = np.linspace(-0.5, 4.5, 21) + 1j
-        w1, c1 = idclass.solve_g(model, 1.0, zs)
-        w2, c2 = idclass.solve_g(model, 1.0, zs - 0.5j, w0=w1)
+        w1, c1 = oracles.solve_g(model, 1.0, zs)
+        w2, c2 = oracles.solve_g(model, 1.0, zs - 0.5j, w0=w1)
         assert c1.all() and c2.all()
         assert np.all(w2.imag <= 0)
 
@@ -589,25 +590,25 @@ class TestPositivityScan:
         # solves at the bracket ends instead of climbing the imaginary
         # ladder again: per t, 3 solves for the grid, then 3 per round
         calls, tols = [], []
-        solve, newton = idclass.solve_g, idclass._newton_g
+        solve, newton = oracles.solve_g, oracles._newton_g
         monkeypatch.setattr(
-            idclass, "solve_g", lambda *a, **k: calls.append(1) or solve(*a, **k)
+            oracles, "solve_g", lambda *a, **k: calls.append(1) or solve(*a, **k)
         )
         monkeypatch.setattr(
-            idclass, "_newton_g", lambda *a: tols.append(a[-1]) or newton(*a)
+            oracles, "_newton_g", lambda *a: tols.append(a[-1]) or newton(*a)
         )
         model, ts = RModel.free_poisson(1), [0.5, 1.0, 1.5, 2.0]
         for t in ts:
             calls.clear()
             tols.clear()
-            (point,) = idclass._grid_scan(model, [t])
+            (point,) = oracles.grid_scan(model, [t])
             assert point.converged
             assert len(calls) <= 9
             # the grid's one climb down the ladder, whose rungs stop early
-            rungs = sum(tol != idclass._SOLVE_TOL for tol in tols)
-            assert rungs == len(idclass._IMAG_LADDER) - 1
+            rungs = sum(tol != oracles._SOLVE_TOL for tol in tols)
+            assert rungs == len(oracles._IMAG_LADDER) - 1
         calls.clear()
-        assert all(p.converged for p in idclass._grid_scan(model, ts))
+        assert all(p.converged for p in oracles.grid_scan(model, ts))
         assert len(calls) <= 36
 
     @pytest.mark.parametrize(
@@ -625,9 +626,9 @@ class TestPositivityScan:
         # second route: every ladder rung solved to _SOLVE_TOL; the t < 1
         # free Poisson points have atoms
         ts = [0.3, 0.6, 1.0, 2.5]
-        points = idclass._grid_scan(model, ts)
-        monkeypatch.setattr(idclass, "_RUNG_RESIDUAL", 0)
-        assert points == idclass._grid_scan(model, ts)
+        points = oracles.grid_scan(model, ts)
+        monkeypatch.setattr(oracles, "_RUNG_RESIDUAL", 0)
+        assert points == oracles.grid_scan(model, ts)
 
     def test_seeding_rungs_bound_r_evaluations(self, monkeypatch):
         # with every rung polished, this 4-t grid scan evaluates R at 158418
@@ -636,7 +637,7 @@ class TestPositivityScan:
         points = []
         r = RModel.r
         monkeypatch.setattr(RModel, "r", lambda self, w: points.append(np.size(w)) or r(self, w))
-        scan = idclass._grid_scan(RModel.semicircle(2, 1), [0.5, 1, 2, 4])
+        scan = oracles.grid_scan(RModel.semicircle(2, 1), [0.5, 1, 2, 4])
         assert all(p.converged for p in scan)
         assert sum(points) <= 125_000
 
@@ -646,8 +647,8 @@ class TestPositivityScan:
         # threshold there, so that end only bounds the critical edge
         model, t = RModel(-0.9462, 0, ((-1.3683, 0.2123),)), 0.3446
         exact = t * model.drift - 1.3683 * (1 + math.sqrt(0.2123 * t)) ** 2
-        window = t * model.kappa1 - (4 * math.sqrt(t * model.kappa2) + 0.5)
-        (grid,) = idclass._grid_scan(model, [t])
+        window = t * model.r(0.0) - (4 * math.sqrt(t * model.dr(0.0)) + 0.5)
+        (grid,) = oracles.grid_scan(model, [t])
         (critical,) = idclass.positivity_scan(model, [t]).points
         assert (grid.left_edge, grid.converged) == (window, False)
         assert critical.converged
@@ -656,9 +657,9 @@ class TestPositivityScan:
 
     def test_unconverged_seed_falls_back_to_the_ladder(self):
         model, xs = RModel.free_poisson(1), np.linspace(0.05, 0.3, 9)
-        dens, conv_mask, _ = idclass._extrapolated_density(model, 2.0, xs)
+        dens, conv_mask, _ = oracles._extrapolated_density(model, 2.0, xs)
         bad_seed = np.full(xs.shape, complex("nan"))
-        seeded, seeded_mask, _ = idclass._extrapolated_density(model, 2.0, xs, bad_seed)
+        seeded, seeded_mask, _ = oracles._extrapolated_density(model, 2.0, xs, bad_seed)
         assert seeded.tobytes() == dens.tobytes()
         assert seeded_mask.tolist() == conv_mask.tolist()
 
@@ -679,8 +680,8 @@ class TestPositivityScan:
         # the batched edge bisection is exact only if a point's density
         # does not depend on the other points solved with it
         xs = np.linspace(lo, hi, 9)
-        dens, conv_mask, _ = idclass._extrapolated_density(model, t, xs)
-        alone = [idclass._extrapolated_density(model, t, xs[i:i + 1]) for i in range(9)]
+        dens, conv_mask, _ = oracles._extrapolated_density(model, t, xs)
+        alone = [oracles._extrapolated_density(model, t, xs[i:i + 1]) for i in range(9)]
         assert dens.tobytes() == np.concatenate([d for d, _, _ in alone]).tobytes()
         assert conv_mask.tolist() == [bool(c[0]) for _, c, _ in alone]
 
@@ -695,8 +696,8 @@ class TestPositivityScan:
     def test_scan_points_are_t_batch_independent(self, model):
         # a grid scan of several t values gives the scans of each alone, in order
         ts = [0.3, 0.5, 1.0, 1.7, 3.0]
-        alone = tuple(p for t in ts for p in idclass._grid_scan(model, [t]))
-        assert idclass._grid_scan(model, ts) == alone
+        alone = tuple(p for t in ts for p in oracles.grid_scan(model, [t]))
+        assert oracles.grid_scan(model, ts) == alone
 
     def test_rejects_nonpositive_times(self):
         with pytest.raises(ValueError, match="positive"):
@@ -706,11 +707,11 @@ class TestPositivityScan:
     def no_solve(self, monkeypatch):
         # both routes fail on any work past their input checks
         monkeypatch.setattr(idclass, "_critical_scan", None)
-        monkeypatch.setattr(idclass, "_extrapolated_density", None)
+        monkeypatch.setattr(oracles, "_extrapolated_density", None)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan])
     def test_rejects_nonfinite_times(self, no_solve, t):
-        for scan in (idclass.positivity_scan, idclass._grid_scan):
+        for scan in (idclass.positivity_scan, oracles.grid_scan):
             with pytest.raises(ValueError, match="times must be finite and positive"):
                 scan(RModel.free_poisson(1), [0.5, t])
 
@@ -760,7 +761,7 @@ class TestCriticalScan:
             w = -scale * v / (1 - v)
             assert np.all(np.diff(t * w * w * model.dr(w)) > 0)
         (critical,) = idclass.positivity_scan(model, [t]).points
-        (grid,) = idclass._grid_scan(model, [t])
+        (grid,) = oracles.grid_scan(model, [t])
         assert critical.converged
         assert critical.atoms == grid.atoms
         # an unconverged grid edge (such as its window's left end) only
