@@ -472,15 +472,9 @@ class MeasureSpec:
 
     @staticmethod
     def grid(xs, densities, atoms=(), norm_tol: float = 1e-6) -> "MeasureSpec":
-        xs, densities = tuple(map(_float_or_inf, xs)), tuple(map(_float_or_inf, densities))
         if len(xs) != len(densities) or len(xs) < 2:
             raise ValueError("grid needs matching xs/densities of length >= 2")
-        if not all(map(math.isfinite, xs + densities)):  # floats by now
-            raise ValueError("grid abscissas and densities must be finite")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("grid abscissas must be strictly increasing")
-        if any(d < 0 for d in densities):
-            raise ValueError("grid densities must be nonnegative")
+        xs, densities = _grid_values(xs, densities)
         atoms = tuple(sorted((loc, w) for loc, w in atoms))
         if not _finite(*(v for atom in atoms for v in atom)):
             raise ValueError("grid atom locations and weights must be finite")
@@ -556,6 +550,19 @@ def _float_or_inf(x) -> float:
         return float(x)
     except OverflowError:
         return math.inf
+
+
+def _grid_values(xs, densities):
+    """Grid abscissas and densities as float tuples, checked finite, strictly
+    increasing and nonnegative; each caller checks their lengths."""
+    xs, densities = tuple(map(_float_or_inf, xs)), tuple(map(_float_or_inf, densities))
+    if not all(map(math.isfinite, xs + densities)):  # floats by now
+        raise ValueError("grid abscissas and densities must be finite")
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError("grid abscissas must be strictly increasing")
+    if any(d < 0 for d in densities):
+        raise ValueError("grid densities must be nonnegative")
+    return xs, densities
 
 
 def _trapezoid(xs, ys) -> float:

@@ -453,6 +453,9 @@ def _cmd_cumulants(args) -> int:
 def _cmd_convolve(args) -> int:
     from . import conv
 
+    for flag, value in (("--grid", args.grid), ("--out", args.out)):
+        if value is not None and not args.density:
+            raise SpecError(f"{flag} takes effect only with --density")
     mu = parse_measure_spec(args.a)
     nu = parse_measure_spec(args.b)
     if args.density:
@@ -695,8 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="route for --op mult")
     p.add_argument("--density", action="store_true",
                    help="emit the density of the additive convolution")
-    p.add_argument("--grid", help=f"lo:hi:n (default from {GRID_ENV})")
-    p.add_argument("--out", choices=("json", "csv"), default=None)
+    p.add_argument("--grid", help=f"lo:hi:n for --density (default from {GRID_ENV})")
+    p.add_argument("--out", choices=("json", "csv"), help="--density format (default csv)")
     p.set_defaults(handler=_cmd_convolve)
 
     p = sub.add_parser("power", help="convolution power of a spec")

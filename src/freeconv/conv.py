@@ -4,9 +4,8 @@ Sequence-level operations work on truncated cumulant/moment data and stay
 exact for exact inputs. The density route for additive convolution solves
 the subordination fixed point on a complex grid by Newton's method from
 the first round, with a damped Picard step wherever Newton misbehaves,
-and feeds the subordinated transform to Stieltjes inversion. It solves
-the inversion's three heights in turn, each seeded by the solve one
-height up along its tangent omega'.
+and hands transforms G_mu(omega) to read on the real axis, each call of
+it seeded by the solve before it along its tangent omega'.
 
 The multiplicative product keeps two independent routes, the alternating
 word recursion (ncpart) and the S-transform series route, and can be asked
@@ -257,74 +256,47 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
     return SubordinationResult(omega, its, float(residual.max()), converged, zarr, domega)
 
 
-def _boundary_cauchy(mu: MeasureSpec, nu: MeasureSpec, xs):
-    """G of mu plus nu at xs + i h for each height h of transforms._HEIGHTS,
-    in order, and the subordination solves behind it. Each height after the
-    first starts from the solve one height up."""
+def _seeded_cauchy(mu: MeasureSpec, nu: MeasureSpec, solves: list):
+    """G of mu plus nu as a callable for transforms' boundary read. Each
+    call solves subordination at its z, seeded by the last solve in solves,
+    and appends its own solve there."""
     from . import transforms
 
-    solves = []
-    for h in transforms._HEIGHTS:
-        solves.append(subordination(mu, nu, xs + 1j * h, solves[-1] if solves else None))
-    return [transforms.cauchy(mu, s.omega) for s in solves], solves
+    def g(z):
+        solves.append(subordination(mu, nu, z, solves[-1] if solves else None))
+        return transforms.cauchy(mu, solves[-1].omega)
+
+    return g
 
 
-@dataclass(frozen=True)
-class AddDensityResult:
-    inversion: transforms.InversionResult
-    iterations: int
-    max_residual: float
-    converged_fraction: float
-
-    @property
-    def xs(self):
-        return self.inversion.xs
-
-    @property
-    def density(self):
-        return self.inversion.density
-
-    @property
-    def atoms(self):
-        return self.inversion.atoms
-
-    @property
-    def warnings(self):
-        return self.inversion.warnings
-
-
-def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> AddDensityResult:
-    """Density of the additive free convolution on the grid xs. At the
-    heights eps/2 and eps/4 each point starts from its omega one height up,
-    or cold if it did not converge there. A warning counts the grid points
-    where a subordination solve did not settle."""
+def free_add_density(mu: MeasureSpec, nu: MeasureSpec, xs) -> transforms.InversionResult:
+    """Density of the additive free convolution on the grid xs, by Stieltjes
+    inversion of G_mu(omega). Each height after the first starts each point
+    from its omega one height up, or cold if it did not settle there. The
+    result carries the solves' largest iteration count and residual and
+    smallest converged fraction; a warning counts the unsettled points."""
     import numpy as np
 
     from . import transforms
 
-    xs = np.asarray(xs, dtype=float)
-    values, diagnostics = _boundary_cauchy(mu, nu, xs)
-    inv = transforms._invert(values, xs)
-    iters = max(s.iterations for s in diagnostics)
-    resid = max(s.max_residual for s in diagnostics)
-    conv = min(float(np.mean(s.converged)) for s in diagnostics) if xs.size else 1.0
+    solves = []
+    inv = transforms._invert(_seeded_cauchy(mu, nu, solves), xs)
+    resid = max(s.max_residual for s in solves)
+    conv = min(float(np.mean(s.converged)) for s in solves) if inv.xs.size else 1.0
+    warnings = inv.warnings
     if conv < 1:
-        bad = np.logical_or.reduce([~s.converged for s in diagnostics])
-        inv = replace(inv, warnings=inv.warnings + (
-            f"subordination left {int(bad.sum())} of {bad.size} points "
-            f"unconverged (worst residual {resid:.2e})",))
-    return AddDensityResult(inv, iters, resid, conv)
+        bad = np.logical_or.reduce([~s.converged for s in solves])
+        warnings += (f"subordination left {int(bad.sum())} of {bad.size} points "
+                     f"unconverged (worst residual {resid:.2e})",)
+    return replace(inv, warnings=warnings, iterations=max(s.iterations for s in solves),
+                   max_residual=resid, converged_fraction=conv)
 
 
 def density_at_points(mu: MeasureSpec, nu: MeasureSpec, xs):
     """Pointwise extrapolated density of mu plus nu, no renormalization."""
-    import numpy as np
-
     from . import transforms
 
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    values = _boundary_cauchy(mu, nu, xs)[0]
-    return transforms._richardson(transforms._boundary_densities(values))
+    return transforms._boundary_density(_seeded_cauchy(mu, nu, []), xs)
 
 
 def support_edge(mu: MeasureSpec, nu: MeasureSpec, inner: float, outer: float) -> float:

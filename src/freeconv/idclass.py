@@ -72,20 +72,11 @@ class LevyMeasure:
         object.__setattr__(self, "atoms", atoms)
         if len(self.xs) != len(self.densities):
             raise ValueError("grid abscissas and densities differ in length")
-        if self.xs:
-            xs = tuple(map(catalog._float_or_inf, self.xs))
-            densities = tuple(map(catalog._float_or_inf, self.densities))
-            if not catalog._finite(*xs, *densities):
-                raise ValueError("grid abscissas and densities must be finite")
-            if any(b <= a for a, b in zip(xs, xs[1:])):
-                raise ValueError("grid abscissas must be strictly increasing")
-            if any(d < 0 for d in densities):
-                raise ValueError("grid densities must be nonnegative")
-            for x, d in zip(xs, densities):
-                if abs(x) < 1e-12 and d > 0:
-                    raise ValueError("grid density must vanish at 0")
-            object.__setattr__(self, "xs", xs)
-            object.__setattr__(self, "densities", densities)
+        xs, densities = catalog._grid_values(self.xs, self.densities)
+        if any(abs(x) < 1e-12 and d > 0 for x, d in zip(xs, densities)):
+            raise ValueError("grid density must vanish at 0")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "densities", densities)
 
     def integral(self, f):
         """Integrate f against the measure; exact over exact atoms."""

@@ -13,8 +13,9 @@ that divides the lcm of the denominators (_graded). Outputs follow the
 type rule stated in ncpart's docstring. The numeric layer evaluates
 Cauchy transforms of concrete measures, a law's by its closed form, and
 recovers densities by Stieltjes inversion with Richardson extrapolation in
-the regularization parameter. Only the numeric layer imports numpy, inside
-its functions, so the formal layer never loads it.
+the regularization parameter; only it knows the heights and their order,
+also for free sums (conv hands it their transform). Only the numeric layer
+imports numpy, inside its functions, so the formal layer never loads it.
 """
 
 from __future__ import annotations
@@ -517,14 +518,14 @@ def s_numeric(mu: MeasureSpec, z):
     G gives wG(w) = 1.25-0.25i, not 1+z. The seed divides by 1 + z, so
     z = -1 is refused; Psi' divides by u^2, so a seed with u^2 = 0 gives
     the series value where 1 + |z| rounds to 1 and is refused elsewhere
-    (at a zero of the truncated series, as MP(1)'s at z = 1).
+    (at a zero of the truncated series, as MP(1)'s at z = 1). A root is
+    returned only where its residual bounds S's relative error by 1e-9, so
+    points near z = -1, where u grows as 1/(1 + z)^2, are refused, as is any
+    point where a step overflows or divides by zero.
     """
     import numpy as np
 
-    m1 = catalog.moments_of(mu, 1).at(1)
-    if m1 == 0:
-        raise ValueError("S-transform needs a nonzero first moment")
-    series = s_series(mu, _S_SEED_ORDER)
+    series = s_series(mu, _S_SEED_ORDER)  # refuses a zero first moment
     z = complex(z)
     if z == 0:
         return complex(series.coeff(0))
@@ -536,32 +537,43 @@ def s_numeric(mu: MeasureSpec, z):
         g, dg = (complex(v[0]) for v in _cauchy_pair(mu, np.array([1 / u]), True))
         return g / u - 1 - z, -(g + dg / u) / u**2
 
-    u = z / (1 + z) * complex(series.evaluate(z))
-    if u * u == 0 and 1 + abs(z) == 1:
-        return complex(series.evaluate(z))
-    if u * u == 0:
-        raise ValueError(f"S-transform inversion has no Newton step at z = {z}: "
-                         "its seed u = z S(z)/(1 + z) has u^2 = 0")
-    fu, dfu = residual(u)
-    for _ in range(80):
-        if abs(fu) <= 1e-12 * max(1.0, abs(z)):
-            break
-        if dfu == 0 or not cmath.isfinite(dfu):
-            raise ValueError(f"S-transform inversion stalled at z = {z}; "
-                             "z may lie outside the range of Psi")
-        step = -fu / dfu
-        for _ in range(25):
-            new_u = u + step
-            new_f, new_df = residual(new_u)
-            if cmath.isfinite(new_f) and abs(new_f) <= abs(fu):
-                break
-            step /= 2
-        u, fu, dfu = new_u, new_f, new_df
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            u = seed = z / (1 + z) * complex(series.evaluate(z))
+            if u * u == 0 and 1 + abs(z) == 1:
+                return complex(series.evaluate(z))
+            fu, dfu = residual(u)  # divides by u^2: elsewhere u^2 = 0 is refused
+            for _ in range(80):
+                if abs(fu) <= 1e-12 * max(1.0, abs(z)):
+                    break
+                if dfu == 0 or not cmath.isfinite(dfu):
+                    raise ValueError(f"S-transform inversion stalled at z = {z}; "
+                                     "z may lie outside the range of Psi")
+                step = -fu / dfu
+                for _ in range(25):
+                    new_u = u + step
+                    new_f, new_df = residual(new_u)
+                    if cmath.isfinite(new_f) and abs(new_f) <= abs(fu):
+                        break
+                    step /= 2
+                u, fu, dfu = new_u, new_f, new_df
+            # S errs as u, by about |Psi(u) - z| / |u Psi'(u)| plus ulp(1) (1 + |1 + z|)
+            # of rounding in Psi; near 0 a seed Newton kept errs as the series' last term
+            bound = (abs(fu) + math.ulp(1.0) * (1 + abs(1 + z))) / abs(u * dfu)
+            if u == seed and abs(z) < 1:
+                top = series.top
+                bound = min(bound, abs(series.coeff(top) * z**top / series.evaluate(z)))
+    except ArithmeticError as exc:
+        raise ValueError(f"S-transform inversion overflows or divides by zero at z = {z} "
+                         f"({exc})") from None
     if not abs(fu) <= 1e-9 * max(1.0, abs(z)):
         raise ValueError(
             f"S-transform inversion did not converge at z = {z} "
             f"(residual {abs(fu):.2e}); z may lie outside the range of Psi"
         )
+    if not bound <= 1e-9:
+        raise ValueError(f"S-transform inversion is ill-conditioned at z = {z}: its residual "
+                         f"{abs(fu):.2e} bounds S's relative error by {bound:.2e} only")
     return (1 + z) / z * u
 
 
@@ -588,6 +600,15 @@ def _boundary_values(g, xs):
 def _boundary_densities(values):
     """-Im g / pi of each array of _boundary_values."""
     return [-v.imag / math.pi for v in values]
+
+
+def _boundary_density(g, xs):
+    """The extrapolated density -Im g / pi on xs, point by point: no atom
+    search, clip or renormalization."""
+    import numpy as np
+
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    return _richardson(_boundary_densities(_boundary_values(g, xs)))
 
 
 _EDGE_DEPTH = 6  # bisection steps resolved per call of the predicate
@@ -642,6 +663,10 @@ class InversionResult:
     renorm: float
     min_density: float  # lowest extrapolated density (0 if none), before the clip
     warnings: tuple
+    # the solves behind g (conv.free_add_density); a closed-form g has none
+    iterations: int = 0
+    max_residual: float = 0.0
+    converged_fraction: float = 1.0
 
 
 # Stieltjes inversion: the most negative density accepted without a warning,
@@ -661,17 +686,15 @@ def stieltjes_invert(g, xs) -> InversionResult:
     4 per halving pair, an atom keeps it constant. g is called once per
     height, in that order; the atoms' poles are peeled off those values.
     """
+    return _invert(g, xs)
+
+
+def _invert(g, xs) -> InversionResult:
+    """stieltjes_invert for library callers, whose calls perfbench's tracer leaves out."""
     import numpy as np
 
     xs = np.asarray(xs, dtype=float)
-    return _invert(_boundary_values(g, xs), xs)
-
-
-def _invert(values, xs) -> InversionResult:
-    """stieltjes_invert from the values of g at xs + i h, one array per
-    height h of _HEIGHTS, in order, on the float array xs."""
-    import numpy as np
-
+    values = _boundary_values(g, xs)
     warnings = []
     d = _boundary_densities(values)
     density = _richardson(d)

@@ -83,7 +83,9 @@ def _seq_dev(a: SeqN, b: SeqN) -> float:
 
 
 def _w2_equals_m(rng, jobs):
-    got = catalog.moments_of(catalog.push_square(W), 10)
+    # from W's own moments: push_square(W) maps W to the catalog's m itself
+    w = MeasureSpec.from_moments(catalog.moments_of(W, 20))
+    got = catalog.moments_of(catalog.push_square(w), 10)
     want = catalog.moments_of(M, 10)
     return _seq_dev(got, want)
 

@@ -30,6 +30,7 @@ MP2 = json.dumps({"type": "law", "name": "marchenko_pastur", "params": [2]})
 QC = json.dumps({"type": "law", "name": "quarter_circle", "params": [1]})
 CHI1 = json.dumps({"type": "law", "name": "chi_squared_1"})
 BERN = json.dumps({"type": "atomic", "atoms": [[-1, "1/2"], [1, "1/2"]]})
+ATOMS13 = json.dumps({"type": "atomic", "atoms": [[1, "1/2"], [3, "1/2"]]})
 
 
 def run_cli(capsys, *args):
@@ -504,6 +505,16 @@ class TestConvolve:
         )
         assert code == 2
         assert "add" in err
+
+    @pytest.mark.parametrize("flag", ["--out=csv", "--grid=-1:1:5"])
+    def test_density_flags_need_density(self, capsys, monkeypatch, flag):
+        # without --density both flags were ignored: the spec printed, exit 0
+        monkeypatch.setattr(cli, "parse_measure_spec", None)  # fails if a spec is read
+        code, out, err = run_cli(
+            capsys, "convolve", "--op", "add", "--a", SEMI, "--b", SEMI, "--order", "4", flag,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag.split('=')[0]} takes effect only with --density\n"
 
     def test_density_needs_grid(self, capsys, monkeypatch):
         monkeypatch.delenv(cli.GRID_ENV, raising=False)
@@ -1074,6 +1085,22 @@ class TestVerify:
             assert "dev=non-finite" in line and line.endswith("FAIL")
         assert _finite_devs(out)
 
+    def test_w2_check_fails_on_a_corrupted_m_table(self, capsys, monkeypatch):
+        # push_square(W) is the catalog's m spec itself, so comparing its
+        # table with m's read dev 0 whatever that table held
+        import dataclasses
+
+        from freeconv import verify
+
+        law = catalog.LAWS["marchenko_pastur"]
+        tripled = dataclasses.replace(
+            law, moments=lambda p, order: [3 * m for m in law.moments(p, order)])
+        monkeypatch.setitem(catalog.LAWS, "marchenko_pastur", tripled)
+        assert verify._w2_equals_m(None, 1) > 1
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identities")
+        assert code == 1
+        assert next(l for l in out.splitlines() if l.startswith("w2_equals_m")).endswith("FAIL")
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_deviation_prints_a_token(self, capsys, monkeypatch, value):
         import dataclasses
@@ -1172,6 +1199,29 @@ class TestTransform:
         code, out, _ = run_cli(capsys, "transform", MP1, "--which", "S", f"--at={at}")
         assert code == 0
         assert out == want + "\n"
+
+    @pytest.mark.parametrize("k", range(7, 14))
+    def test_s_transform_near_minus_one_is_refused_or_exact(self, capsys, k):
+        # MP(1)'s S(z) = 1/(1 + z) = -10^k i at z = -1 + 10^-k i; Newton's
+        # residual 1e-12 left 72.6 - 10000116.4i at k = 7, with exit 0
+        z = complex(-1, 10.0**-k)
+        code, out, err = run_cli(capsys, "transform", MP1, "--which", "S", f"--at=-1,1e-{k}")
+        if code == 0:
+            got = complex(*(float(v) for v in out.split(",")))
+            assert abs(got - 1 / (1 + z)) <= 1e-11 * abs(1 / (1 + z))
+        else:
+            assert (code, out) == (1, "")
+            assert f"z = {z}" in err
+
+    @pytest.mark.parametrize("spec, at", [
+        (MP1, "-1,1e-300"), (WPLUS, "-1,1e-300"), (ATOMS13, "-1,1e-300"), (ATOMS13, "2,0"),
+    ], ids=["mp1", "wplus", "atoms", "atoms_at_2"])
+    def test_s_transform_overflow_is_refused_by_name(self, capsys, spec, at):
+        # the seed u is near 1e300 here, and u**2 raised Python's bare
+        # "complex exponentiation"; u * u printed values, MP(1)'s 16,-1.36e-298
+        code, out, err = run_cli(capsys, "transform", spec, "--which", "S", f"--at={at}")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: S-transform inversion overflows or divides by zero at z = ")
 
     def test_real_axis_rejected_for_g(self, capsys):
         code, _, err = run_cli(capsys, "transform", SEMI, "--which", "G", "--at", "1,0")

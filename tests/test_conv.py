@@ -262,9 +262,22 @@ def test_free_add_density_semicircles():
     assert res.atoms == ()
     assert np.max(err) < 1e-2
     assert np.max(err[np.abs(xs) < edge - 0.15]) < 1e-5
-    inv = res.inversion
-    mass = np.trapezoid(inv.density, inv.xs) + sum(w for _, w in inv.atoms)
+    mass = np.trapezoid(res.density, res.xs) + sum(w for _, w in res.atoms)
     assert abs(mass - 1) < 1e-3
+
+
+def test_free_add_density_reports_its_solves():
+    # one subordination solve per height, top first, each seeded by the one
+    # before; the result reports the largest iteration count and residual
+    xs = np.linspace(-3.2, 3.2, 321)
+    res = conv.free_add_density(W, W, xs)
+    solves = []
+    transforms._boundary_values(conv._seeded_cauchy(W, W, solves), xs)
+    assert [s.z.imag[0] for s in solves] == list(transforms._HEIGHTS)
+    assert res.iterations == max(s.iterations for s in solves) > 0
+    assert res.max_residual == max(s.max_residual for s in solves) < conv._SUB_TOL
+    assert res.converged_fraction == 1.0
+    assert isinstance(res, transforms.InversionResult)
 
 
 def test_free_add_density_finds_atom():
@@ -593,7 +606,9 @@ def test_unconverged_point_is_solved_cold_one_height_down(monkeypatch):
     # cold (the same omega as an unseeded solve) and the others are seeded
     monkeypatch.setattr(conv, "_SUB_MAX_ITER", 7)
     xs = np.linspace(-3.2, 3.2, 321)
-    upper, lower, _ = conv._boundary_cauchy(W, W, xs)[1]
+    solves = []
+    transforms._boundary_values(conv._seeded_cauchy(W, W, solves), xs)
+    upper, lower, _ = solves
     cold = conv.subordination(W, W, lower.z)
     short = ~upper.converged
     assert 0 < short.sum() < short.size
@@ -707,7 +722,7 @@ _SPECS = st.one_of(_ATOMIC_SPECS, _LAW_SPECS, _GRID_SPECS)
 @given(_SPECS, _SPECS, st.floats(2.5e-3, 1))
 def test_subordination_agrees_with_the_warm_up_reference_on_random_specs(mu, nu, h):
     # cold at height h, then seeded one height down at h/2, as
-    # _boundary_cauchy seeds its heights
+    # conv._seeded_cauchy seeds its heights
     from oracles import subordination_reference
 
     xs = np.linspace(-8, 8, 33)

@@ -1156,6 +1156,35 @@ def test_s_numeric_newton_reads_one_point_per_step(monkeypatch):
     assert len(calls) >= 4 and set(calls) == {(1, True)}
 
 
+def test_s_numeric_values_meet_their_error_bound():
+    # S of MP(rate) is 1/(z + rate), S of semicircle(2, 1) is
+    # 1/(1 + sqrt(1 + z)). Near z = -1, Newton's residual 1e-12 left values
+    # off by up to 1.7e5 relative; a value now comes with a residual that
+    # bounds its error by 1e-9 to first order, so 1e-8 holds, and every
+    # other point is refused by name
+    import cmath
+    import random
+
+    rng = random.Random("s-bound")
+    laws = [(MeasureSpec.from_law("marchenko_pastur", (rate,)), lambda z, r=rate: 1 / (z + r))
+            for rate in (1, 0.5)]
+    laws.append((MeasureSpec.from_law("semicircle", (2, 1)), lambda z: 1 / (1 + cmath.sqrt(1 + z))))
+    printed = 0
+    for mu, exact in laws:
+        for _ in range(60):
+            near = rng.random() < 0.5
+            r = 10 ** (rng.uniform(-14, -1) if near else rng.uniform(-4, 1))
+            z = (-1 if near else 0) + cmath.rect(r, rng.uniform(-math.pi, math.pi))
+            try:
+                got = transforms.s_numeric(mu, z)
+            except ValueError as exc:
+                assert f"z = {z}" in str(exc)
+                continue
+            printed += 1
+            assert abs(got - exact(z)) <= 1e-8 * abs(exact(z)), z
+    assert printed >= 80
+
+
 @pytest.mark.parametrize("rate,z", [(0.5, 1 + 1j), (0.5, 2 - 1j), (2, 2 - 1j), (2, 5 + 3j)])
 def test_s_numeric_refuses_outside_the_range_of_psi(rate, z):
     # Psi(u) = z means wG(w) = 1 + z at w = 1/u; for MP(rate) the quadratic
@@ -1253,6 +1282,26 @@ def test_invert_peels_atoms_off_the_first_values():
     res = stieltjes_invert(g, np.linspace(-0.5, 3.5, 801))
     assert len(res.atoms) == 1
     assert heights == list(transforms._HEIGHTS)
+
+
+def test_closed_form_inversion_reports_no_solves():
+    # iterations, max_residual and converged_fraction describe the solves
+    # behind g; a closed-form g has none
+    mu = MeasureSpec.from_law("semicircle", (0, 1))
+    res = stieltjes_invert(lambda z: cauchy(mu, z), np.linspace(-2.2, 2.2, 41))
+    assert (res.iterations, res.max_residual, res.converged_fraction) == (0, 0.0, 1.0)
+
+
+def test_only_transforms_reads_the_boundary():
+    # the heights, their extrapolation and the density read live in one
+    # module; conv hands it a seeded transform
+    import pathlib
+    import re
+
+    src = pathlib.Path(transforms.__file__).parent
+    names = re.compile(r"\b(_HEIGHTS|_richardson|_boundary_densities)\b")
+    readers = {p.name for p in src.glob("*.py") if names.search(p.read_text())}
+    assert readers == {"transforms.py"}
 
 
 def test_invert_reports_undershoot_before_clip():
