@@ -7,13 +7,19 @@ truncated moment sequence, or a truncated free cumulant sequence.
 
 Catalog moments come as whole tables: one NC recursion per table for the
 laws given by free cumulants (semicircle, Marchenko-Pastur, commutator_ww)
-and closed forms for the rest. Every law's Cauchy transform G is a closed
-form too, and the same hook returns G' from that form's intermediates. The
+and closed forms for the rest, and a bounded memo serves a table asked for
+again. The free cumulants of those three laws are the coefficients of
+their R-transform record (Nica and Speicher, Lect. 16), so
+free_cumulants_of reads them there with no moment round trip; the
+inversion of the moments stays the route of every other law, and the
+tests compare the two. Every law's Cauchy transform G is a closed form
+too, and the same hook returns G' from that form's intermediates. The
 tests check them against adaptive quadrature of the densities, a route
 this module does not carry.
 Rational parameters give exact rational moments for the laws whose moments
 are rational (semicircle, Marchenko-Pastur, Bernoulli, symmetric beta,
-power beta, chi-squared, the semicircle commutator).
+power beta, chi-squared, the semicircle commutator), and exact atoms give
+exact moments, summed on ints over one denominator per order.
 
 numpy is imported only inside the functions that evaluate densities and
 Cauchy transforms, so moment tables never load it.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -274,17 +281,25 @@ def _weideman():
     t = big_l * np.tan(np.arange(1 - m, m) * math.pi / (2 * m))
     f = np.concatenate(([0.0], np.exp(-t * t) * (big_l**2 + t * t)))
     p = np.fft.fft(np.fft.fftshift(f)).real[n:0:-1] / (2 * m)
-    return big_l, p, np.polyder(p)
+    # p over p', whose one coefficient fewer is made up by a leading 0, as
+    # complex numbers, so that the Horner loop casts none of them
+    return big_l, np.stack([p, np.concatenate(([0.0], np.polyder(p)))]).astype(complex)
 
 
 def _chi_cauchy(params, z):
     import numpy as np
 
-    big_l, coefficients, derivative = _weideman()
+    big_l, coefficients = _weideman()
     c = 1j * np.sqrt(-z) / math.sqrt(2)
     d = big_l - 1j * c
     u = (big_l + 1j * c) / d
-    p, dp, s = np.polyval(coefficients, u), np.polyval(derivative, u), 1 / math.sqrt(math.pi)
+    # p(u) and p'(u) by one Horner loop, with the steps of np.polyval and so
+    # its bits: that loop's leading 0 only multiplies 0 by u
+    acc = np.zeros((2, *u.shape), dtype=complex)
+    for column in coefficients.T.reshape(-1, 2, *(1,) * u.ndim):
+        acc *= u
+        acc += column
+    (p, dp), s = acc, 1 / math.sqrt(math.pi)
     g = -0.5j * math.sqrt(math.pi) * (2 * p / d + s) / (d * c)
     dw = 1j * ((4 * big_l * dp / d + 4 * p) / d + s) / (d * d)
     return g, (-0.5j * math.sqrt(math.pi) * dw - g) / (2 * z)
@@ -660,10 +675,29 @@ def density_of(mu: MeasureSpec, x):
 
 
 def catalog_moments(law: str, params, order: int) -> SeqN:
-    """Moments of a catalog law to the requested order, as one table."""
+    """Moments of a catalog law to the requested order, as one table.
+
+    Tables are kept in a memo of at most _TABLE_MEMO_SIZE entries, the
+    least recently used dropped first. Its key holds the law's record, the
+    order and each parameter's type and repr, so 1, 1.0 and Fraction(1),
+    and 0.0 and -0.0, never share a table, nor does a record put in the
+    place of another in LAWS; parameters and order are checked first.
+    """
     spec, params = _law_entry(law, params)
     ncpart._check_cap(order, MOMENT_CAP_CLOSED, "catalog_moments")
-    return SeqN("moment", spec.moments(params, order))
+    key = (spec, *((type(v), repr(v)) for v in (order, *params)))
+    table = _table_memo.pop(key, None)
+    if table is None:
+        table = SeqN("moment", spec.moments(params, order))
+        if len(_table_memo) >= _TABLE_MEMO_SIZE:
+            del _table_memo[next(iter(_table_memo))]
+    _table_memo[key] = table
+    return table
+
+
+# catalog_moments' memo: key -> table, in order of last use
+_TABLE_MEMO_SIZE = 64
+_table_memo: dict = {}
 
 
 def moments_of(mu: MeasureSpec, order: int) -> SeqN:
@@ -672,22 +706,15 @@ def moments_of(mu: MeasureSpec, order: int) -> SeqN:
     Computed moments are capped at MOMENT_CAP_CLOSED; a moment spec is only
     truncated, so its own order bounds it.
     """
-    ncpart._check_order(order, "moments_of")
-    if mu.kind != "moments" and order > MOMENT_CAP_CLOSED:
-        raise ncpart.CapError(f"moments_of capped at order {MOMENT_CAP_CLOSED}, got {order}")
+    _check_moment_order(mu, order)
     if mu.kind == "atomic":
-        vals = []
-        for n in range(1, order + 1):
-            vals.append(sum(w * loc**n for loc, w in mu.atoms))
-        return SeqN("moment", vals)
+        return SeqN("moment", _atomic_moments(mu.atoms, order))
     if mu.kind == "law":
         base = catalog_moments(mu.law, mu.params, order).values
         return SeqN("moment", _affine_moments(base, mu.scale, mu.offset, order))
     if mu.kind == "grid":
         vals = _piecewise_linear_moments(mu.xs, mu.densities, order)
-        return SeqN("moment", [
-            m + sum(w * loc**n for loc, w in mu.atoms) for n, m in enumerate(vals, 1)
-        ])
+        return SeqN("moment", list(map(operator.add, vals, _atomic_moments(mu.atoms, order))))
     if mu.kind == "moments":
         if order > mu.seq.order:
             raise ValueError(
@@ -697,6 +724,37 @@ def moments_of(mu: MeasureSpec, order: int) -> SeqN:
     if mu.kind == "free_cumulants":
         return ncpart.moments_from_free_cumulants(free_cumulants_of(mu, order))
     raise ValueError(f"unknown representation {mu.kind!r}")
+
+
+def _check_moment_order(mu: MeasureSpec, order: int) -> None:
+    ncpart._check_order(order, "moments_of")
+    if mu.kind != "moments" and order > MOMENT_CAP_CLOSED:
+        raise ncpart.CapError(f"moments_of capped at order {MOMENT_CAP_CLOSED}, got {order}")
+
+
+def _atomic_moments(atoms, order):
+    """Moments 1..order of the atoms (location, weight) of an atomic or grid
+    spec, sum of w x^n, and int 0 where there are none.
+
+    Exact atoms run on ints: with the locations k/L and the weights q/T over
+    one denominator each, m_n = sum of q k^n over T L^n, from running int
+    products and one Fraction per order. m_n is a Fraction iff some atom
+    holds one, as the Fraction power sums are. Other atoms take those sums
+    as they are."""
+    values = [v for atom in atoms for v in atom]
+    if not _is_exact(*values):
+        return [sum(w * loc**n for loc, w in atoms) for n in range(1, order + 1)]
+    big_l = math.lcm(*(loc.denominator for loc, _ in atoms))
+    big_t = math.lcm(*(w.denominator for _, w in atoms))
+    ks = [loc.numerator * (big_l // loc.denominator) for loc, _ in atoms]
+    terms = [w.numerator * (big_t // w.denominator) for _, w in atoms]
+    frac = any(isinstance(v, Fraction) for v in values)
+    out, den = [], big_t
+    for _ in range(order):
+        terms = list(map(operator.mul, terms, ks))
+        den *= big_l
+        out.append(Fraction(sum(terms), den) if frac else sum(terms))
+    return out
 
 
 def _piecewise_linear_moments(xs, ds, order):
@@ -746,7 +804,41 @@ def free_cumulants_of(mu: MeasureSpec, order: int) -> SeqN:
                 f"cumulant representation holds order {mu.seq.order}, need {order}"
             )
         return mu.seq.truncated(order)
+    if mu.kind == "law" and LAWS[mu.law].r_transform is not None:
+        # the checks, and their messages, of the moment route below
+        _check_moment_order(mu, order)
+        law, params = _law_entry(mu.law, mu.params)
+        ncpart._check_cap(order, ncpart.CONVERSION_CAP, "free_cumulants_from_moments")
+        return SeqN("free_cumulant", _r_record_cumulants(mu, law.r_transform(params), order))
     return ncpart.free_cumulants_from_moments(moments_of(mu, order))
+
+
+def _r_record_cumulants(mu: MeasureSpec, record, order: int) -> list:
+    """Free cumulants 1..order of a law spec from its R-transform record.
+
+    The pushforward x -> s*x + c moves the record to the drift s*drift + c,
+    the variance s^2 variance and the jumps (s*a, l), as
+    idclass.levy_khintchine does; R(w) = drift + variance*w + sum of
+    l*a/(1 - a*w) is sum of kappa_n w^(n-1), so kappa_1 = drift + sum l*a,
+    kappa_2 = variance + sum l*a^2 and kappa_n = sum l*a^n beyond. All
+    Fractions when the record, s and c are exact, as the moment route gives
+    them, else all floats."""
+    drift, variance, jumps = record
+    numbers = (drift, variance, *(v for jump in jumps for v in jump), mu.scale, mu.offset)
+    cast = Fraction if _is_exact(*numbers) else float
+    s, c = cast(mu.scale), cast(mu.offset)
+    sizes = [s * cast(a) for a, _ in jumps]
+    terms = [cast(l) for _, l in jumps]
+    starts = {1: s * cast(drift) + c, 2: s * s * cast(variance)}
+    out = []
+    for n in range(1, order + 1):
+        terms = list(map(operator.mul, terms, sizes))
+        out.append(sum(terms, starts.get(n, cast(0))))
+        if cast is float and not math.isfinite(out[-1]):
+            raise ValueError(
+                f"free cumulants of the law spec's pushforward overflow a float at order {n} "
+                f"(scale {mu.scale}, offset {mu.offset})")
+    return out
 
 
 def boolean_cumulants_of(mu: MeasureSpec, order: int) -> SeqN:

@@ -5,7 +5,9 @@ densities, so the two routes validate each other; exact rational cases are
 pinned to independently known integer sequences.
 """
 
+import dataclasses
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -624,6 +626,277 @@ def test_free_cumulants_of_laws():
     sc = MeasureSpec.from_law("semicircle", (Fraction(1, 2), Fraction(2)), scale=Fraction(3))
     kappa = free_cumulants_of(sc, 5)
     assert kappa.values == (Fraction(3, 2), Fraction(18), 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# free cumulants of the laws with an R-transform record: read from the record,
+# with the inversion of their moments as the second route
+
+
+R_LAWS = sorted(name for name, law in LAWS.items() if law.r_transform is not None)
+R_PARAMS = {"semicircle": [(0, 1), (Fraction(-7, 3), Fraction(5, 4)), (2, Fraction(1, 9))],
+            "marchenko_pastur": [(1,), (Fraction(3, 7),), (Fraction(5, 2),)],
+            "commutator_ww": [()]}
+AFFINE = [(1, 0), (Fraction(-2, 3), Fraction(5, 4)), (3, -1), (Fraction(1, 2), 0)]
+
+
+def _inverted(mu, order):
+    return ncpart.free_cumulants_from_moments(moments_of(mu, order)).values
+
+
+def test_every_r_record_law_has_params_here():
+    assert set(R_PARAMS) == set(R_LAWS) == {"semicircle", "marchenko_pastur", "commutator_ww"}
+
+
+@pytest.mark.parametrize("law,params", [(law, p) for law in R_LAWS for p in R_PARAMS[law]])
+@pytest.mark.parametrize("scale,offset", AFFINE)
+def test_r_record_cumulants_equal_the_moment_inversion(law, params, scale, offset):
+    mu = MeasureSpec.from_law(law, params, scale=scale, offset=offset)
+    for order in range(21):
+        got = free_cumulants_of(mu, order).values
+        want = _inverted(mu, order)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+    assert {type(v) for v in got} == {Fraction}
+
+
+@pytest.mark.parametrize("law", R_LAWS)
+@pytest.mark.parametrize("order,match", [
+    (21, "free_cumulants_from_moments capped at order 20, got 21"),
+    (64, "free_cumulants_from_moments capped at order 20, got 64"),
+    (65, "moments_of capped at order 64, got 65"),
+    (-1, "moments_of needs an order >= 0, got -1"),
+])
+def test_r_record_cumulants_refuse_orders_as_the_inversion_does(law, order, match):
+    mu = MeasureSpec.from_law(law, R_PARAMS[law][-1])
+    errors = []
+    for route in (free_cumulants_of, _inverted):
+        with pytest.raises(ValueError, match=re.escape(match)) as info:
+            route(mu, order)
+        errors.append(info.type)
+    assert errors[0] is errors[1]
+    assert (errors[0] is ncpart.CapError) == (order > 20)
+
+
+# Float parameters: every cumulant is a float, the zeros 0.0, within 1e-14
+# relative of the exact record read on the Fraction values of the same floats
+# (kappa_1 relative to max(|kappa_1|, |offset|), since s*kappa_1 + c may
+# cancel); 3.7e-15 was the most seen over 300 random specs. The moment
+# inversion of the same floats agrees within 1e-5 max(1, |m_n|) on the specs
+# below (1.5e-6 the most seen over those 300 specs): that distance is the
+# round trip's own rounding, which the exact comparison leaves to it.
+R_FLOAT_TOL = 1e-14
+ROUND_TRIP_TOL = 1e-5
+
+
+def _float_r_specs():
+    rng = random.Random(37)
+    for _ in range(40):
+        scale, offset = rng.choice([(1, 0), (rng.uniform(-2, 2), rng.uniform(-2, 2))])
+        yield MeasureSpec.from_law("semicircle", (rng.uniform(-3, 3), rng.uniform(0.1, 4)),
+                                   scale=scale, offset=offset)
+        yield MeasureSpec.from_law("marchenko_pastur", (rng.uniform(0.1, 4),),
+                                   scale=scale, offset=offset)
+    yield MeasureSpec.from_law("commutator_ww", (), scale=0.5, offset=-0.25)
+    yield MeasureSpec.from_law("semicircle", (0.3, 1.7))
+
+
+def test_r_record_float_cumulants_meet_their_bound():
+    for mu in _float_r_specs():
+        got = free_cumulants_of(mu, 20).values
+        assert {type(v) for v in got} == {float}
+        exact = MeasureSpec.from_law(mu.law, tuple(map(Fraction, mu.params)),
+                                     scale=Fraction(mu.scale), offset=Fraction(mu.offset))
+        want = free_cumulants_of(exact, 20).values
+        for n, (g, w) in enumerate(zip(got, want), 1):
+            scale = max(abs(w), abs(Fraction(mu.offset))) if n == 1 else abs(w)
+            assert abs(Fraction(g) - w) <= Fraction(R_FLOAT_TOL) * scale, (mu, n)
+        moments = moments_of(exact, 20).values
+        for g, r, m in zip(got, _inverted(mu, 20), moments):
+            assert abs(g - r) <= ROUND_TRIP_TOL * max(1, abs(float(m))), mu
+
+
+def test_r_record_float_zeros_are_float_zeros():
+    kappa = free_cumulants_of(MeasureSpec.from_law("semicircle", (0.3, 1.7)), 8).values
+    assert kappa[:2] == (0.3, 1.7)
+    assert [(type(v), v) for v in kappa[2:]] == [(float, 0.0)] * 6
+    # the inversion of the float moments left rounding there
+    assert any(v != 0 for v in _inverted(MeasureSpec.from_law("semicircle", (0.3, 1.7)), 8)[2:])
+
+
+def test_r_record_float_overflow_is_a_value_error():
+    # a zero cumulant stays 0.0 where s^n overflows; a nonzero one is refused
+    wide = MeasureSpec.from_law("semicircle", (0, 1), scale=1e100)
+    assert free_cumulants_of(wide, 4).values == (0.0, 1e200, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"overflow a float at order 4 \(scale 1e\+100"):
+        free_cumulants_of(MeasureSpec.from_law("marchenko_pastur", (1,), scale=1e100), 4)
+
+
+def test_r_record_cumulants_check_the_params():
+    # a spec built around from_law still has its parameters checked
+    bad = MeasureSpec(kind="law", law="semicircle", params=(0, -1))
+    with pytest.raises(ValueError, match="variance must be positive"):
+        free_cumulants_of(bad, 4)
+
+
+# ---------------------------------------------------------------------------
+# exact atomic moments on ints against the Fraction power sums
+
+
+def _power_sums(atoms, order):
+    return [sum(w * loc**n for loc, w in atoms) for n in range(1, order + 1)]
+
+
+_exact_loc = st.one_of(st.integers(-40, 40),
+                       st.fractions(min_value=-5, max_value=5, max_denominator=60))
+
+
+@st.composite
+def _exact_atom_lists(draw):
+    """Atom lists with exact locations, negative and repeated ones among
+    them (1 and Fraction(1) merge), and exact weights summing to 1: Fractions,
+    or one int weight 1."""
+    locs = draw(st.lists(_exact_loc, min_size=1, max_size=6))
+    locs += draw(st.lists(st.sampled_from(locs), max_size=2))
+    locs += [Fraction(v) for v in draw(st.lists(st.sampled_from(locs), max_size=1))]
+    if len(locs) == 1 and draw(st.booleans()):
+        return [(locs[0], 1)]
+    parts = draw(st.lists(st.integers(1, 9), min_size=len(locs), max_size=len(locs)))
+    return [(loc, Fraction(p, sum(parts))) for loc, p in zip(locs, parts)]
+
+
+@given(_exact_atom_lists(), st.integers(0, 24))
+@settings(max_examples=150, deadline=None)
+def test_exact_atomic_moments_equal_the_fraction_power_sums(atoms, order):
+    mu = MeasureSpec.atomic(atoms)
+    got = moments_of(mu, order).values
+    want = _power_sums(mu.atoms, order)
+    assert list(got) == want
+    assert list(map(type, got)) == list(map(type, want))
+    # ncpart's type rule: a Fraction iff some atom holds one
+    frac = any(isinstance(v, Fraction) for atom in mu.atoms for v in atom)
+    assert all(type(v) is (Fraction if frac else int) for v in got)
+
+
+@pytest.mark.parametrize("atoms,want", [
+    ([(2, 1)], [2, 4, 8]),
+    ([(-3, 1)], [-3, 9, -27]),
+    ([(Fraction(2), 1)], [Fraction(2), Fraction(4), Fraction(8)]),
+    ([(0, 1)], [0, 0, 0]),
+    ([(1, Fraction(1, 2)), (Fraction(1), Fraction(1, 2))], [Fraction(1)] * 3),
+    ([(Fraction(-1, 2), Fraction(1, 3)), (Fraction(3, 4), Fraction(2, 3))],
+     [Fraction(1, 3), Fraction(11, 24), Fraction(23, 96)]),
+], ids=["int", "negative-int", "fraction-loc", "zero", "merged", "fractions"])
+def test_exact_atomic_moments_pinned(atoms, want):
+    got = moments_of(MeasureSpec.atomic(atoms), 3).values
+    assert list(got) == want
+    assert list(map(type, got)) == list(map(type, want))
+
+
+_float_or_exact = st.one_of(st.floats(-30, 30, allow_nan=False), _exact_loc)
+
+
+@given(st.lists(_float_or_exact, min_size=1, max_size=5), st.integers(1, 16))
+@settings(max_examples=100, deadline=None)
+def test_float_atomic_moments_keep_their_bits(locs, order):
+    # float atoms, or exact locations under a float weight, take the power
+    # sums as they are, bit for bit
+    weights = [1.0 / len(locs)] * len(locs)
+    atoms = list(zip(locs, weights))
+    if abs(sum(weights) - 1) > catalog.ATOM_NORM_TOL:
+        return
+    mu = MeasureSpec.atomic(atoms)
+    got = moments_of(mu, order).values
+    want = _power_sums(mu.atoms, order)
+    assert [v.hex() for v in got] == [float(v).hex() for v in want]
+    assert list(map(type, got)) == list(map(type, want))
+
+
+# ---------------------------------------------------------------------------
+# the memo of catalog_moments
+
+
+@pytest.fixture
+def counted_semicircle(monkeypatch):
+    """An empty memo, and a semicircle whose moment hook counts its calls."""
+    monkeypatch.setattr(catalog, "_table_memo", {})
+    calls = []
+    law = LAWS["semicircle"]
+
+    def moments(params, order):
+        calls.append((params, order))
+        return law.moments(params, order)
+
+    monkeypatch.setitem(LAWS, "semicircle", dataclasses.replace(law, moments=moments))
+    return calls
+
+
+def test_memo_hit_does_not_call_the_hook(counted_semicircle):
+    first = catalog_moments("semicircle", (Fraction(1, 3), 2), 12)
+    assert len(counted_semicircle) == 1
+    again = catalog_moments("semicircle", (Fraction(1, 3), 2), 12)
+    assert again is first and len(counted_semicircle) == 1
+    # moments_of of a law spec reads the same table
+    moments_of(MeasureSpec.from_law("semicircle", (Fraction(1, 3), 2)), 12)
+    assert len(counted_semicircle) == 1
+    catalog_moments("semicircle", (Fraction(1, 3), 2), 11)
+    assert len(counted_semicircle) == 2
+
+
+@pytest.mark.parametrize("values", [(1, 1.0, Fraction(1)), (0.0, -0.0)])
+def test_memo_keeps_equal_params_of_other_types_or_signs_apart(counted_semicircle, values):
+    tables = [catalog_moments("semicircle", (v, 1), 6) for v in values]
+    assert len(counted_semicircle) == len(values) == len(catalog._table_memo)
+    assert [p[0] for p, _ in counted_semicircle] == list(values)
+    assert len({id(t) for t in tables}) == len(values)
+    for t, v in zip(tables, values):
+        assert type(t.values[1]) is (float if isinstance(v, float) else Fraction)
+    assert [catalog_moments("semicircle", (v, 1), 6) for v in values] == tables
+    assert len(counted_semicircle) == len(values)
+
+
+def test_memo_is_keyed_on_the_law_record(monkeypatch):
+    table = catalog_moments("marchenko_pastur", (Fraction(1, 3),), 6)
+    law = LAWS["marchenko_pastur"]
+    doubled = dataclasses.replace(law, moments=lambda p, o: [2 * m for m in law.moments(p, o)])
+    monkeypatch.setitem(LAWS, "marchenko_pastur", doubled)
+    assert catalog_moments("marchenko_pastur", (Fraction(1, 3),), 6).values == tuple(
+        2 * m for m in table.values)
+
+
+class _Untouchable(dict):
+    def _refuse(self, *args):
+        raise AssertionError("memo looked up")
+
+    pop = get = __getitem__ = __setitem__ = __contains__ = _refuse
+
+
+@pytest.mark.parametrize("law,params,order,error", [
+    ("semicircle", (0, -1), 4, "variance must be positive"),
+    ("semicircle", (0, 1, 2), 4, "takes"),
+    ("no_such_law", (), 4, "unknown law"),
+    ("semicircle", (0, 1), 65, "capped at order 64"),
+    ("semicircle", (0, 1), -1, "order >= 0"),
+])
+def test_memo_is_not_reached_by_bad_requests(monkeypatch, law, params, order, error):
+    monkeypatch.setattr(catalog, "_table_memo", _Untouchable())
+    with pytest.raises(ValueError, match=error):
+        catalog_moments(law, params, order)
+
+
+def test_memo_is_bounded_and_drops_the_least_recently_used(monkeypatch):
+    monkeypatch.setattr(catalog, "_table_memo", {})
+    size = catalog._TABLE_MEMO_SIZE
+    kept = catalog_moments("marchenko_pastur", (Fraction(1, 2),), 4)
+    dropped = catalog_moments("marchenko_pastur", (1,), 4)
+    for k in range(2, size + 10):
+        catalog_moments("marchenko_pastur", (k,), 4)
+        catalog_moments("marchenko_pastur", (Fraction(1, 2),), 4)   # used again
+        assert len(catalog._table_memo) <= size
+    assert len(catalog._table_memo) == size
+    assert catalog_moments("marchenko_pastur", (Fraction(1, 2),), 4) is kept
+    again = catalog_moments("marchenko_pastur", (1,), 4)
+    assert again == dropped and again is not dropped
 
 
 def test_boolean_cumulants_of_bernoulli():

@@ -468,6 +468,39 @@ class TestMomentsAndCumulants:
         assert code == 0
         assert json.loads(out)["values"] == [0, 1, 0, 1]
 
+    def test_float_semicircle_free_cumulants_vanish_beyond_two(self, capsys):
+        # read from the R-transform record; the inversion of the float
+        # moments printed -8.9e-16 ... 4.5e-14 at orders 5-8
+        spec = json.dumps({"type": "law", "name": "semicircle", "params": [0.3, 1.7]})
+        code, out, _ = run_cli(capsys, "cumulants", spec, "--order", "8", "--kind", "free")
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()]
+        assert [r[1] for r in rows] == ["0.3", "1.7"] + ["0"] * 6
+        code, out, _ = run_cli(capsys, "cumulants", spec, "--order", "8", "--out", "json")
+        assert json.loads(out)["values"] == [0.3, 1.7] + [0.0] * 6
+
+    def test_float_semicircle_commutator_matches_the_exact_route(self, capsys):
+        def commutator(a, b):
+            specs = [json.dumps({"type": "law", "name": "semicircle", "params": p})
+                     for p in (a, b)]
+            code, out, _ = run_cli(capsys, "commutator", "--a", specs[0], "--b", specs[1],
+                                   "--order", "16", "--out", "json")
+            assert code == 0
+            return json.loads(out)["values"]
+
+        got = commutator([0.3, 1.7], [-1.2, 0.6])
+        want = commutator(["3/10", "17/10"], ["-6/5", "3/5"])
+        assert not any(isinstance(v, float) for v in want)  # exact values
+        want = [Fraction(v) for v in want]
+        for g, w in zip(got, want):
+            assert abs(Fraction(g) - w) <= Fraction(1e-9) * abs(w)
+
+    def test_law_cumulants_past_the_conversion_cap_exit_2(self, capsys):
+        spec = json.dumps({"type": "law", "name": "semicircle", "params": [0.3, 1.7]})
+        code, _, err = run_cli(capsys, "cumulants", spec, "--order", "21")
+        assert code == 2
+        assert "free_cumulants_from_moments capped at order 20, got 21" in err
+
 
 class TestConvolve:
     def test_free_add_semicircles(self, capsys):

@@ -412,10 +412,11 @@ class TestRModel:
          ("commutator_ww", ())],
     )
     def test_law_r_transform_matches_its_cumulants(self, name, params):
-        # second route: the exact free cumulants of the pushed-forward law
+        # second route: the exact free cumulants of the pushed-forward law,
+        # inverted from its moments (free_cumulants_of reads the record too)
         spec = MeasureSpec.from_law(name, params, scale=F(-3, 2), offset=F(1, 3))
         drift, variance, jumps = idclass.levy_khintchine(spec)
-        kappa = catalog.free_cumulants_of(spec, 12).values
+        kappa = ncpart.free_cumulants_from_moments(catalog.moments_of(spec, 12)).values
         assert kappa[0] == drift + sum(l * a for a, l in jumps)
         assert kappa[1] == variance + sum(l * a**2 for a, l in jumps)
         assert list(kappa[2:]) == [sum(l * a**n for a, l in jumps) for n in range(3, 13)]

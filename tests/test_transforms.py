@@ -917,6 +917,38 @@ def test_chi_squared_1_matches_mpmath_erfc_in_its_band_and_far_out():
         assert err[1].max() < _CLOSED_FORM_DERIVATIVE_REL
 
 
+def _chi_cauchy_by_polyval(z):
+    """chi^2(1)'s (G, G') as catalog._chi_cauchy forms them, with p(u) and
+    p'(u) from two np.polyval calls on the real Weideman coefficients."""
+    big_l, stacked = catalog._weideman()
+    p_coef = stacked[0].real
+    c = 1j * np.sqrt(-z) / math.sqrt(2)
+    d = big_l - 1j * c
+    u = (big_l + 1j * c) / d
+    p, dp, s = np.polyval(p_coef, u), np.polyval(np.polyder(p_coef), u), 1 / math.sqrt(math.pi)
+    g = -0.5j * math.sqrt(math.pi) * (2 * p / d + s) / (d * c)
+    dw = 1j * ((4 * big_l * dp / d + 4 * p) / d + s) / (d * d)
+    return g, (-0.5j * math.sqrt(math.pi) * dw - g) / (2 * z)
+
+
+def test_chi_squared_1_horner_loop_keeps_the_polyval_bits():
+    # one Horner loop over p and p' stacked (p' with a leading 0) takes the
+    # steps of np.polyval, so (G, G') keep their bits: 8000 seeded points of
+    # the upper half plane and its axis, 500 far ones, the edge of the band,
+    # 0, and a 2-d batch
+    rng = np.random.default_rng(37)
+    zs = np.concatenate([
+        rng.uniform(-5, 60, 8000) + 1j * rng.uniform(0, 3, 8000),
+        rng.uniform(-3e4, 3e4, 500) + 1j * 10 ** rng.uniform(-12, 3, 500),
+        [1e-300j, 0j, 3e4 + 0j, -3e4 + 1e-9j, 70 + 1e-12j]])
+    assert catalog._weideman()[1][0].imag.tolist() == [0.0] * catalog._WEIDEMAN_N
+    with np.errstate(all="ignore"):
+        for z in (zs, zs[:12].reshape(3, 4)):
+            for got, want in zip(catalog._chi_cauchy((), z), _chi_cauchy_by_polyval(z)):
+                assert got.shape == z.shape
+                assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("sigma", [1, 2])
 def test_quarter_circle_on_the_axis_matches_mpmath(sigma):
     # on the axis the closed form takes the limit from above: over (-2 sigma, 0),
