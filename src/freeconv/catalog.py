@@ -5,29 +5,29 @@ piecewise-linear density grid (plus optional atoms), a named law from the
 catalog (with an affine pushforward x -> scale*x + offset attached), a
 truncated moment sequence, or a truncated free cumulant sequence.
 
-Catalog moments come as whole tables: one NC recursion per table for the
-laws given by free cumulants (semicircle, Marchenko-Pastur, commutator_ww)
-and closed forms for the rest, and a bounded memo serves a table asked for
-again. The free cumulants of those three laws are the coefficients of
-their R-transform record (Nica and Speicher, Lect. 16), so
-free_cumulants_of reads them there with no moment round trip; the
-inversion of the moments stays the route of every other law, and the
-tests compare the two. Every law's Cauchy transform G is a closed form
-too, and the same hook returns G' from that form's intermediates. The
-tests check them against adaptive quadrature of the densities, a route
-this module does not carry.
+Catalog moments come as whole tables, and a bounded memo serves a table
+asked for again. Semicircle, Marchenko-Pastur and commutator_ww are stated
+once, by the R-transform record (drift, variance, jumps) of their free
+Levy-Khintchine form, whose coefficients are their free cumulants (Nica
+and Speicher, Lect. 16): their table is the NC recursion of those, and
+free_cumulants_of reads them through levy_khintchine, the one pushforward
+of a record, which idclass's scans also read. The other laws have
+closed-form moments, and their cumulants are the inversion of those.
+Every law's Cauchy transform G is a closed form too, and the same hook
+returns G' from that form's intermediates. The tests check them against
+adaptive quadrature of the densities, a route this module does not
+carry, and the records against the closed-form G.
 Rational parameters give exact rational moments for the laws whose moments
 are rational (semicircle, Marchenko-Pastur, Bernoulli, symmetric beta,
 power beta, chi-squared, the semicircle commutator), and exact atoms give
 exact moments, summed on ints over one denominator per order.
 
 numpy is imported only inside the functions that evaluate densities and
-Cauchy transforms, so moment tables never load it.
+Cauchy transforms or square a grid, so moment tables never load it.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -69,12 +69,6 @@ def _sc_support(params):
     return (mean - half, mean + half)
 
 
-def _sc_moments(params, order):
-    mean, var = (_exact_or_float(p) for p in params)
-    kappa = [mean, var] + [0] * max(0, order - 2)
-    return ncpart._moments_from_free(tuple(kappa[:order]))
-
-
 def _sc_cauchy(params, z):
     import numpy as np
 
@@ -107,11 +101,6 @@ def _mp_atoms(params):
 def _mp_support(params):
     rate = float(params[0])
     return ((1 - math.sqrt(rate)) ** 2, (1 + math.sqrt(rate)) ** 2)
-
-
-def _mp_moments(params, order):
-    rate = _exact_or_float(params[0])
-    return ncpart._moments_from_free((rate,) * order)
 
 
 def _mp_cauchy(params, z):
@@ -355,11 +344,6 @@ def _comm_cauchy(params, z):
     return g, (g - g**3) / ((3 * z * g + 2) * g - z)
 
 
-def _comm_moments(params, order):
-    kappa = tuple(Fraction(0) if k % 2 else Fraction(2) for k in range(1, order + 1))
-    return ncpart._moments_from_free(kappa)
-
-
 def _no_atoms(params):
     return ()
 
@@ -389,7 +373,7 @@ class _Law:
 
     name: str
     density: callable | None
-    moments: callable        # (params, order) -> [m_1, ..., m_order]
+    moments: callable | None  # (params, order) -> [m_1, ..., m_order]; None with a record
     support: callable | None
     cauchy: callable         # (params, z) -> (G(z), G'(z)), atoms included, for Im z >= 0
     param_names: tuple = ()
@@ -400,20 +384,21 @@ class _Law:
     square: callable = lambda params, s2: None
     # params -> (drift, variance, jumps) of the free Levy-Khintchine form
     # R(w) = drift + variance*w + sum of l*a/(1 - a*w) over the jumps (a, l)
-    # of a law with a closed-form R-transform, or None
+    # of a law with a closed-form R-transform, or None: then the one source
+    # of its cumulants and moment table
     r_transform: callable | None = None
 
 
 LAWS = {
     law.name: law
     for law in (
-        _Law("semicircle", _sc_density, _sc_moments, _sc_support, _sc_cauchy,
+        _Law("semicircle", _sc_density, None, _sc_support, _sc_cauchy,
              param_names=("mean", "variance"),
              check=lambda p: _positive("variance", p[1]),
              square=lambda p, s2: MeasureSpec.from_law("marchenko_pastur", (), scale=s2 * p[1])
              if p[0] == 0 else None,
              r_transform=lambda p: (p[0], p[1], ())),
-        _Law("marchenko_pastur", _mp_density, _mp_moments, _mp_support, _mp_cauchy,
+        _Law("marchenko_pastur", _mp_density, None, _mp_support, _mp_cauchy,
              param_names=("rate",), check=lambda p: _positive("rate", p[0]),
              default=(1,), atoms=_mp_atoms, r_transform=lambda p: (0, 0, ((1, p[0]),))),
         _Law("symmetric_bernoulli", None, _each_order(_bern_moment), None,
@@ -434,7 +419,7 @@ LAWS = {
              _beta_cauchy, param_names=("a",), check=_beta_check),
         _Law("chi_squared_1", _chi_density, _each_order(_chi_moment),
              lambda p: (0.0, math.inf), _chi_cauchy),
-        _Law("commutator_ww", _comm_density, _comm_moments,
+        _Law("commutator_ww", _comm_density, None,
              lambda p: (-_COMM_EDGE, _COMM_EDGE), _comm_cauchy,
              r_transform=lambda p: (0, 0, ((-1, 1), (1, 1)))),
     )
@@ -675,7 +660,8 @@ def density_of(mu: MeasureSpec, x):
 
 
 def catalog_moments(law: str, params, order: int) -> SeqN:
-    """Moments of a catalog law to the requested order, as one table.
+    """Moments of a catalog law to the requested order, as one table: its
+    moments hook, or the NC recursion of its R-transform record's cumulants.
 
     Tables are kept in a memo of at most _TABLE_MEMO_SIZE entries, the
     least recently used dropped first. Its key holds the law's record, the
@@ -688,7 +674,11 @@ def catalog_moments(law: str, params, order: int) -> SeqN:
     key = (spec, *((type(v), repr(v)) for v in (order, *params)))
     table = _table_memo.pop(key, None)
     if table is None:
-        table = SeqN("moment", spec.moments(params, order))
+        if spec.moments is None:
+            kappa = _record_cumulants(spec.r_transform(params), order)
+            table = SeqN("moment", ncpart._moments_from_free(tuple(kappa)))
+        else:
+            table = SeqN("moment", spec.moments(params, order))
         if len(_table_memo) >= _TABLE_MEMO_SIZE:
             del _table_memo[next(iter(_table_memo))]
     _table_memo[key] = table
@@ -734,13 +724,16 @@ def _check_moment_order(mu: MeasureSpec, order: int) -> None:
 
 def _atomic_moments(atoms, order):
     """Moments 1..order of the atoms (location, weight) of an atomic or grid
-    spec, sum of w x^n, and int 0 where there are none.
+    spec, or of an R-transform record's jumps (a, l), sum of w x^n, and
+    int 0 where there are none.
 
     Exact atoms run on ints: with the locations k/L and the weights q/T over
     one denominator each, m_n = sum of q k^n over T L^n, from running int
     products and one Fraction per order. m_n is a Fraction iff some atom
     holds one, as the Fraction power sums are. Other atoms take those sums
     as they are."""
+    if not atoms:
+        return [0] * order
     values = [v for atom in atoms for v in atom]
     if not _is_exact(*values):
         return [sum(w * loc**n for loc, w in atoms) for n in range(1, order + 1)]
@@ -807,37 +800,55 @@ def free_cumulants_of(mu: MeasureSpec, order: int) -> SeqN:
     if mu.kind == "law" and LAWS[mu.law].r_transform is not None:
         # the checks, and their messages, of the moment route below
         _check_moment_order(mu, order)
-        law, params = _law_entry(mu.law, mu.params)
+        record = levy_khintchine(mu)
         ncpart._check_cap(order, ncpart.CONVERSION_CAP, "free_cumulants_from_moments")
-        return SeqN("free_cumulant", _r_record_cumulants(mu, law.r_transform(params), order))
+        kappa = _record_cumulants(record, order)
+        bad = [n for n, v in enumerate(kappa, 1) if isinstance(v, float) and not math.isfinite(v)]
+        if bad:
+            raise ValueError(
+                f"free cumulants of the law spec's pushforward overflow a float at order "
+                f"{bad[0]} (scale {mu.scale}, offset {mu.offset})")
+        return SeqN("free_cumulant", kappa)
     return ncpart.free_cumulants_from_moments(moments_of(mu, order))
 
 
-def _r_record_cumulants(mu: MeasureSpec, record, order: int) -> list:
-    """Free cumulants 1..order of a law spec from its R-transform record.
+def levy_khintchine(mu: MeasureSpec):
+    """(drift, variance, jumps) of a catalog law spec's R-transform.
 
-    The pushforward x -> s*x + c moves the record to the drift s*drift + c,
-    the variance s^2 variance and the jumps (s*a, l), as
-    idclass.levy_khintchine does; R(w) = drift + variance*w + sum of
-    l*a/(1 - a*w) is sum of kappa_n w^(n-1), so kappa_1 = drift + sum l*a,
-    kappa_2 = variance + sum l*a^2 and kappa_n = sum l*a^n beyond. All
-    Fractions when the record, s and c are exact, as the moment route gives
-    them, else all floats."""
+    R(w) = drift + variance*w + sum of l*a/(1 - a*w) over the jumps (a, l)
+    (Bercovici-Voiculescu 1993), from the law's r_transform record and
+    pushed forward exactly: scale*X + offset has drift scale*drift +
+    offset, variance scale^2*variance and jumps (scale*a, l). Laws without
+    a closed-form R-transform, and other representations, are refused.
+    """
+    if mu.kind != "law":
+        raise ValueError("closed-form R-transforms exist only for catalog laws")
+    law, params = _law_entry(mu.law, mu.params)
+    if law.r_transform is None:
+        raise ValueError(f"no closed-form R-transform for law {mu.law!r}")
+    drift, variance, jumps = law.r_transform(params)
+    s, c = mu.scale, mu.offset
+    return s * drift + c, s * s * variance, tuple((s * a, l) for a, l in jumps)
+
+
+def _record_cumulants(record, order: int) -> list:
+    """Free cumulants 1..order of an R-transform record (drift, variance, jumps).
+
+    R(w) = drift + variance*w + sum of l*a/(1 - a*w) is sum of kappa_n
+    w^(n-1), so kappa_1 = drift + sum l*a, kappa_2 = variance + sum l*a^2
+    and kappa_n = sum l*a^n beyond. An exact record gives all Fractions,
+    its sums over the jumps taken on ints by _atomic_moments; any float
+    gives all floats, from running products added to drift or variance."""
     drift, variance, jumps = record
-    numbers = (drift, variance, *(v for jump in jumps for v in jump), mu.scale, mu.offset)
-    cast = Fraction if _is_exact(*numbers) else float
-    s, c = cast(mu.scale), cast(mu.offset)
-    sizes = [s * cast(a) for a, _ in jumps]
-    terms = [cast(l) for _, l in jumps]
-    starts = {1: s * cast(drift) + c, 2: s * s * cast(variance)}
-    out = []
-    for n in range(1, order + 1):
+    starts = (drift, variance)
+    if _is_exact(*starts, *(v for jump in jumps for v in jump)):
+        sums = _atomic_moments(jumps, order)
+        sums[:2] = map(operator.add, sums, starts)
+        return [v if isinstance(v, Fraction) else Fraction(v) for v in sums]
+    sizes, terms, out = [float(a) for a, _ in jumps], [float(l) for _, l in jumps], []
+    for n in range(order):
         terms = list(map(operator.mul, terms, sizes))
-        out.append(sum(terms, starts.get(n, cast(0))))
-        if cast is float and not math.isfinite(out[-1]):
-            raise ValueError(
-                f"free cumulants of the law spec's pushforward overflow a float at order {n} "
-                f"(scale {mu.scale}, offset {mu.offset})")
+        out.append(sum(terms, float(starts[n]) if n < 2 else 0.0))
     return out
 
 
@@ -847,19 +858,6 @@ def boolean_cumulants_of(mu: MeasureSpec, order: int) -> SeqN:
 
 # ---------------------------------------------------------------------------
 # pushforwards
-
-
-def _interp(mu: MeasureSpec, x: float) -> float:
-    xs, ds = mu.xs, mu.densities
-    if x <= xs[0] or x >= xs[-1]:
-        if x == xs[0]:
-            return ds[0]
-        if x == xs[-1]:
-            return ds[-1]
-        return 0.0
-    i = bisect.bisect_right(xs, x) - 1
-    t = (x - xs[i]) / (xs[i + 1] - xs[i])
-    return ds[i] * (1 - t) + ds[i + 1] * t
 
 
 def push_square(mu: MeasureSpec, order: int | None = None) -> MeasureSpec:
@@ -890,6 +888,8 @@ def push_square(mu: MeasureSpec, order: int | None = None) -> MeasureSpec:
 
 
 def _grid_square(mu: MeasureSpec) -> MeasureSpec:
+    import numpy as np
+
     # sqrt-spaced ordinates resolve the 1/(2 sqrt(y)) factor near 0
     atoms = {}
     for loc, w in mu.atoms:
@@ -897,9 +897,9 @@ def _grid_square(mu: MeasureSpec) -> MeasureSpec:
         atoms[key] = atoms.get(key, 0) + w
     top = max(abs(mu.xs[0]), abs(mu.xs[-1]))
     n = max(4 * len(mu.xs), 512)
-    us = [top * (i + 1) / n for i in range(n)]
-    ys = [u * u for u in us]
-    dens = [(_interp(mu, u) + _interp(mu, -u)) / (2 * u) for u in us]
+    u = top * np.arange(1, n + 1) / n
+    ys = (u * u).tolist()
+    dens = ((density_of(mu, u) + density_of(mu, -u)) / (2 * u)).tolist()
     ac_mass = 1 - sum(atoms.values())
     mass = _trapezoid(ys, dens)
     if ac_mass > 0:

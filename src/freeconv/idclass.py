@@ -10,8 +10,8 @@ free Levy-Khintchine form (RModel: drift, semicircular variance, finitely
 many jumps) as the critical value of z(w) = 1/w + t R(w) on the negative
 axis, one bisection per t; verify checks the edges against closed forms,
 and the tests against a density scan (tests/oracles.py). A catalog law
-gives its own R-transform data (levy_khintchine), another spec only an
-exact semicircular or single-jump cumulant pattern; the atom of
+gives its own R-transform data (catalog.levy_khintchine), another spec
+only an exact semicircular or single-jump cumulant pattern; the atom of
 mu^{boxplus t} comes from the model by rule. Scans and the kurtosis
 statistic are evidence or necessary conditions; regularity proper is
 decided at the representation level (triplet support and drift), never
@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import catalog
+from . import catalog, transforms
 from .catalog import MeasureSpec
 from .ncpart import SeqN
-from .transforms import _bisect_edge
 
 # main3_factor's largest odd cumulant taken for zero, the relative tolerance
 # of a geometric cumulant pattern in RModel.from_cumulants, and the dyadic
@@ -269,25 +268,6 @@ def kurtosis_check(m) -> KurtosisResult:
 # analytic R-transform models and positivity scans
 
 
-def levy_khintchine(mu: MeasureSpec):
-    """(drift, variance, jumps) of a catalog law spec's R-transform.
-
-    R(w) = drift + variance*w + sum of l*a/(1 - a*w) over the jumps (a, l)
-    (Bercovici-Voiculescu 1993), from the law's r_transform record and
-    pushed forward exactly: scale*X + offset has drift scale*drift +
-    offset, variance scale^2*variance and jumps (scale*a, l). Laws without
-    a closed-form R-transform, and other representations, are refused.
-    """
-    if mu.kind != "law":
-        raise ValueError("closed-form R-transforms exist only for catalog laws")
-    data = catalog.LAWS[mu.law].r_transform
-    if data is None:
-        raise ValueError(f"no closed-form R-transform for law {mu.law!r}")
-    drift, variance, jumps = data(mu.params)
-    s, c = mu.scale, mu.offset
-    return s * drift + c, s * s * variance, tuple((s * a, l) for a, l in jumps)
-
-
 @dataclass(frozen=True)
 class RModel:
     """R(w) = drift + variance*w + sum of l*a/(1 - a*w) over jumps (a, l).
@@ -361,7 +341,7 @@ class RModel:
         """A catalog law's own R-transform, else from_cumulants of the
         spec's first order free cumulants."""
         if mu.kind == "law":
-            return RModel(*levy_khintchine(mu))
+            return RModel(*catalog.levy_khintchine(mu))
         return RModel.from_cumulants(catalog.free_cumulants_of(mu, order))
 
     def r(self, w):
@@ -468,7 +448,7 @@ def _critical_scan(model: RModel, ts):
         w = -scale[owner] * v / (1 - v)
         return times[owner] * w * w * model.dr(w) >= 1
 
-    vs = np.array(_bisect_edge(above, [(brackets[j][1], 0.0) for j in rooted],
+    vs = np.array(transforms._bisect_edge(above, [(brackets[j][1], 0.0) for j in rooted],
                                _CRITICAL_XTOL))
     with np.errstate(all="ignore"):
         w = -scale * vs / (1 - vs)
@@ -543,8 +523,6 @@ def thm110_check(mu: MeasureSpec) -> Thm110Result:
     implies nothing, so those verdicts carry regular = None.
     """
     import numpy as np
-
-    from . import transforms
 
     mass0 = mu.mass_at_zero
     if mass0 is None:
@@ -677,7 +655,7 @@ def voiculescu_pair(mu: MeasureSpec) -> VoiculescuPair:
     variance is an atom of tau at 0. Other laws and other representations
     are refused.
     """
-    drift, variance, jumps = levy_khintchine(mu)
+    drift, variance, jumps = catalog.levy_khintchine(mu)
     pair = voiculescu_pair_cfp(1, jumps, shift=drift)
     if variance == 0:
         return pair

@@ -7,6 +7,7 @@ pinned to independently known integer sequences.
 
 import dataclasses
 import math
+import pathlib
 import random
 import re
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freeconv import catalog, ncpart
+from freeconv import catalog, ncpart, transforms
 from freeconv.catalog import (
     LAWS,
     MeasureSpec,
@@ -629,8 +630,10 @@ def test_free_cumulants_of_laws():
 
 
 # ---------------------------------------------------------------------------
-# free cumulants of the laws with an R-transform record: read from the record,
-# with the inversion of their moments as the second route
+# free cumulants of the laws with an R-transform record: read from the record.
+# Such a law's moment table is the NC recursion of the same cumulants, so
+# comparing them with the inversion of its moments round-trips the NC
+# kernels; the record itself is checked against the closed-form Cauchy hooks
 
 
 R_LAWS = sorted(name for name, law in LAWS.items() if law.r_transform is not None)
@@ -642,6 +645,23 @@ AFFINE = [(1, 0), (Fraction(-2, 3), Fraction(5, 4)), (3, -1), (Fraction(1, 2), 0
 
 def _inverted(mu, order):
     return ncpart.free_cumulants_from_moments(moments_of(mu, order)).values
+
+
+def test_only_catalog_reads_the_r_records():
+    # a record is the one statement of its law's cumulants, and
+    # levy_khintchine the one pushforward of a record
+    src = pathlib.Path(catalog.__file__).parent
+
+    def holders(pattern):
+        return {p.name for p in src.glob("*.py") if re.search(pattern, p.read_text())}
+
+    assert holders(r"\br_transform\b") == {"catalog.py"}
+    assert holders(r"\bdef levy_khintchine\b") == {"catalog.py"}
+
+
+def test_every_law_has_one_table_source():
+    for law in LAWS.values():
+        assert (law.moments is None) != (law.r_transform is None), law.name
 
 
 def test_every_r_record_law_has_params_here():
@@ -658,6 +678,23 @@ def test_r_record_cumulants_equal_the_moment_inversion(law, params, scale, offse
         assert got == want
         assert list(map(type, got)) == list(map(type, want))
     assert {type(v) for v in got} == {Fraction}
+
+
+# R is the inverse of G near 0: G(1/w + R(w)) = w for small w in the lower
+# half plane, where 1/w + R(w) lies in the upper one
+R_INVERSE_TOL = 1e-13
+
+
+@pytest.mark.parametrize("law,params", [(law, p) for law in R_LAWS for p in R_PARAMS[law]])
+@pytest.mark.parametrize("scale,offset", [(1, 0), (Fraction(-3, 2), Fraction(1, 3))])
+def test_r_records_invert_the_closed_form_cauchy(law, params, scale, offset):
+    mu = MeasureSpec.from_law(law, params, scale=scale, offset=offset)
+    drift, variance, jumps = catalog.levy_khintchine(mu)
+    w = np.array([-0.05j, 0.03 - 0.04j, -0.02 - 0.01j, 0.1 - 0.2j])
+    r = float(drift) + float(variance) * w + sum(
+        float(l * a) / (1 - float(a) * w) for a, l in jumps)
+    got = transforms.cauchy(mu, 1 / w + r)
+    assert np.all(np.abs(got - w) <= R_INVERSE_TOL * np.abs(w)), np.abs(got / w - 1)
 
 
 @pytest.mark.parametrize("law", R_LAWS)
@@ -818,16 +855,18 @@ def test_float_atomic_moments_keep_their_bits(locs, order):
 
 @pytest.fixture
 def counted_semicircle(monkeypatch):
-    """An empty memo, and a semicircle whose moment hook counts its calls."""
+    """An empty memo, and a count of the cumulant reads of R-transform
+    records, each (record, order); a semicircle table is built from one
+    read of its record (mean, variance, no jumps)."""
     monkeypatch.setattr(catalog, "_table_memo", {})
     calls = []
-    law = LAWS["semicircle"]
+    read = catalog._record_cumulants
 
-    def moments(params, order):
-        calls.append((params, order))
-        return law.moments(params, order)
+    def counted(record, order):
+        calls.append((record, order))
+        return read(record, order)
 
-    monkeypatch.setitem(LAWS, "semicircle", dataclasses.replace(law, moments=moments))
+    monkeypatch.setattr(catalog, "_record_cumulants", counted)
     return calls
 
 
@@ -858,10 +897,11 @@ def test_memo_keeps_equal_params_of_other_types_or_signs_apart(counted_semicircl
 def test_memo_is_keyed_on_the_law_record(monkeypatch):
     table = catalog_moments("marchenko_pastur", (Fraction(1, 3),), 6)
     law = LAWS["marchenko_pastur"]
-    doubled = dataclasses.replace(law, moments=lambda p, o: [2 * m for m in law.moments(p, o)])
+    # the jump moved from 1 to 2: the record of 2X, whose moments are 2^n m_n
+    doubled = dataclasses.replace(law, r_transform=lambda p: (0, 0, ((2, p[0]),)))
     monkeypatch.setitem(LAWS, "marchenko_pastur", doubled)
     assert catalog_moments("marchenko_pastur", (Fraction(1, 3),), 6).values == tuple(
-        2 * m for m in table.values)
+        2**n * m for n, m in enumerate(table.values, 1))
 
 
 class _Untouchable(dict):

@@ -479,6 +479,19 @@ class TestMomentsAndCumulants:
         code, out, _ = run_cli(capsys, "cumulants", spec, "--order", "8", "--out", "json")
         assert json.loads(out)["values"] == [0.3, 1.7] + [0.0] * 6
 
+    def test_semicircle_with_an_int_mean_has_float_moments(self, capsys):
+        # the table is the NC recursion of the record's float cumulants, as
+        # free_cumulants_of reads them; the int mean once made m_1 an exact 0
+        spec = json.dumps({"type": "law", "name": "semicircle", "params": [0, 1.5]})
+        for command, want in (("moments", [0.0, 1.5, 0.0, 4.5]), ("cumulants", [0.0, 1.5, 0.0, 0.0])):
+            code, out, _ = run_cli(capsys, command, spec, "--order", "4", "--out", "json")
+            assert code == 0
+            values = json.loads(out)["values"]
+            assert values == want and [type(v) for v in values] == [float] * 4
+        table = catalog.catalog_moments("semicircle", (0, 1.5), 6).values
+        assert [type(v) for v in table] == [float] * 6
+        assert [v.hex() for v in table] == [v.hex() for v in (0.0, 1.5, 0.0, 4.5, 0.0, 16.875)]
+
     def test_float_semicircle_commutator_matches_the_exact_route(self, capsys):
         def commutator(a, b):
             specs = [json.dumps({"type": "law", "name": "semicircle", "params": p})
@@ -1125,9 +1138,10 @@ class TestVerify:
 
         from freeconv import verify
 
+        # the m table is the NC recursion of m's R-transform record: a jump
+        # of mass 3 rate in place of rate
         law = catalog.LAWS["marchenko_pastur"]
-        tripled = dataclasses.replace(
-            law, moments=lambda p, order: [3 * m for m in law.moments(p, order)])
+        tripled = dataclasses.replace(law, r_transform=lambda p: (0, 0, ((1, 3 * p[0]),)))
         monkeypatch.setitem(catalog.LAWS, "marchenko_pastur", tripled)
         assert verify._w2_equals_m(None, 1) > 1
         code, out, _ = run_cli(capsys, "verify", "--suite", "identities")

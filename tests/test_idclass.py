@@ -367,7 +367,7 @@ class TestRModel:
     )
     def test_of_spec_reads_a_law_without_its_cumulants(self, monkeypatch, spec):
         monkeypatch.setattr(catalog, "free_cumulants_of", None)
-        drift, variance, jumps = idclass.levy_khintchine(spec)
+        drift, variance, jumps = catalog.levy_khintchine(spec)
         assert RModel.of_spec(spec, 8) == RModel(drift, variance, jumps)
 
     def test_of_spec_matches_the_cumulants_of_other_specs(self):
@@ -412,10 +412,12 @@ class TestRModel:
          ("commutator_ww", ())],
     )
     def test_law_r_transform_matches_its_cumulants(self, name, params):
-        # second route: the exact free cumulants of the pushed-forward law,
-        # inverted from its moments (free_cumulants_of reads the record too)
+        # the exact free cumulants of the pushed-forward law, inverted from
+        # its moments; the law's table is the NC recursion of the same record,
+        # so this round-trips the NC kernels, and test_catalog's
+        # test_r_records_invert_the_closed_form_cauchy checks the record itself
         spec = MeasureSpec.from_law(name, params, scale=F(-3, 2), offset=F(1, 3))
-        drift, variance, jumps = idclass.levy_khintchine(spec)
+        drift, variance, jumps = catalog.levy_khintchine(spec)
         kappa = ncpart.free_cumulants_from_moments(catalog.moments_of(spec, 12)).values
         assert kappa[0] == drift + sum(l * a for a, l in jumps)
         assert kappa[1] == variance + sum(l * a**2 for a, l in jumps)
