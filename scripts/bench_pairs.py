@@ -27,6 +27,14 @@ summarizes these the same way, under task_p50_ms's bound, so a file
 shows which tasks moved, and the ten labels that moved most are printed.
 A run of another workload with the same --out is added to the
 file's workloads.
+
+With --trace K the script also makes K alternating traced pairs on the
+first seed, over the same --passes: each run is a fresh process that installs
+perfbench/tracer.py's Tracer around run_loop, as run.py --trace 1 does, and
+then times perfbench/layers.py's roadmap rows. The file's "traced_run" block
+holds every run's per-layer metrics and, per metric, both sides' medians
+and the number of pairs in which the change's value is lower; a later
+--trace run replaces the block.
 """
 
 from __future__ import annotations
@@ -73,6 +81,30 @@ print(json.dumps({
 """
 
 
+# one traced run in a fresh process: per-layer metrics of the same fixed
+# passes, then the roadmap rows; prints one JSON line
+TRACED_CHILD = r"""
+import json, os, sys
+sys.path.insert(0, os.path.abspath("perfbench"))
+import run
+run._import_library()
+import layers, tracer, workloads
+workload, seed, passes = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+tr = tracer.Tracer()
+tr.install()
+try:
+    records, _ = run.run_loop(workloads, workload, seed, passes=passes, tr=tr)
+finally:
+    tr.uninstall()
+metrics = tracer.layer_metrics(tr.spans)
+roadmap, roadmap_failed = layers.roadmap(run._env())
+print(json.dumps({
+    "passes": passes, "tasks": len(records),
+    "failed": sum(not r.ok and not r.known for r in records) + roadmap_failed,
+    "metrics": {**metrics, **roadmap}}))
+"""
+
+
 def _git(*args, cwd=ROOT) -> str:
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
@@ -100,11 +132,14 @@ def src_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in tree.glob("src/freeconv/*.py"))
 
 
-def run_once(tree: Path, workload: str, seed: int, passes: int, setup_reps: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, passes: int, setup_reps: int | None) -> dict:
+    """One run in a fresh process; a traced run when setup_reps is None."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, workload, str(seed), str(passes), str(setup_reps)],
-        cwd=tree, env=env, capture_output=True, text=True)
+    child = [CHILD, workload, str(seed), str(passes), str(setup_reps)]
+    if setup_reps is None:
+        child = [TRACED_CHILD, workload, str(seed), str(passes)]
+    proc = subprocess.run([sys.executable, "-c", *child],
+                          cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"bench_pairs: run in {tree} failed ({proc.returncode}):\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -170,6 +205,34 @@ def label_summary(pairs, bound: float = 0.0) -> dict:
                      bounds=dict.fromkeys(labels, bound))
 
 
+def traced_summary(pairs) -> dict:
+    """Per metric that every traced run has: each side's median and the
+    pairs in which the change's value is lower."""
+    runs = [p[side] for p in pairs for side in ("parent", "change")]
+    names = sorted(set.intersection(*(set(r["metrics"]) for r in runs)))
+    return {name: {
+        "parent_median": statistics.median(p["parent"]["metrics"][name] for p in pairs),
+        "change_median": statistics.median(p["change"]["metrics"][name] for p in pairs),
+        "change_lower_in": sum(p["change"]["metrics"][name] < p["parent"]["metrics"][name]
+                               for p in pairs),
+        "pairs": len(pairs),
+    } for name in names}
+
+
+def alternate(trees, seeds, run, done) -> list:
+    """One pair per seed, each side by run(tree, seed), and done(pair) after
+    each; even-indexed pairs run the parent first."""
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            pair[side] = run(trees[side], seed)
+        pairs.append(pair)
+        done(pair)
+    return pairs
+
+
 def _seeds(text: str) -> list:
     seeds = []
     for part in text.split(","):
@@ -200,6 +263,8 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--claim", help="the gain claimed; kept from --out if not given")
     parser.add_argument("--out", type=Path, help="default: BENCH_<label>.json in the repository")
+    parser.add_argument("--trace", type=int, default=0, metavar="K",
+                        help="alternating traced pairs on the first seed (default 0)")
     args = parser.parse_args(argv)
     out = args.out or ROOT / f"BENCH_{args.label}.json"
 
@@ -214,16 +279,20 @@ def main(argv=None) -> int:
         revs = {side: checkout(rev, trees[side])
                 for side, rev in (("parent", args.parent), ("change", args.change))}
         lines = {side: src_lines(tree) for side, tree in trees.items()}
-        pairs = []
-        for i, seed in enumerate(_seeds(args.seeds)):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_once(trees[side], args.workload, seed, args.passes,
-                                      args.setup_reps)
-            pairs.append(pair)
-            print(f"seed {seed}: wall_s parent {pair['parent']['metrics']['wall_s']:.4f} "
+        seeds = _seeds(args.seeds)
+
+        def untraced(tree, seed):
+            return run_once(tree, args.workload, seed, args.passes, args.setup_reps)
+
+        def shown(pair):
+            print(f"seed {pair['seed']}: wall_s parent {pair['parent']['metrics']['wall_s']:.4f} "
                   f"change {pair['change']['metrics']['wall_s']:.4f}", flush=True)
+
+        pairs = alternate(trees, seeds, untraced, shown)
+        traced_pairs = alternate(
+            trees, seeds[:1] * args.trace,
+            lambda tree, seed: run_once(tree, args.workload, seed, args.passes, None),
+            lambda pair: print(f"traced pair on seed {pair['seed']} done", flush=True))
 
     summary = summarize(pairs, better, bounds=bounds)
     labels = label_summary(pairs, bounds["task_p50_ms"])
@@ -254,6 +323,21 @@ def main(argv=None) -> int:
         "identical_failures": all(p["parent"]["failures"] == p["change"]["failures"]
                                   for p in pairs),
     }
+    if traced_pairs:
+        result["traced_run"] = {
+            "workload": args.workload, "seed": seeds[0], "passes": args.passes,
+            "note": "per-layer metrics from perfbench/tracer.py (tracer.Tracer installed "
+                    "around run.run_loop(workloads, workload, seed, passes=N), the traced "
+                    "loop of perfbench/run.py), then perfbench/layers.py's roadmap rows, "
+                    "one fresh process per run in each side's checkout; pairs alternate, "
+                    "even-indexed pairs ran the parent first",
+            "fixed_passes": {
+                "summary": traced_summary(traced_pairs),
+                "runs": {side: [{key: value for key, value in p[side].items() if key != "metrics"}
+                                | p[side]["metrics"] for p in traced_pairs]
+                         for side in ("parent", "change")},
+            },
+        }
     out.write_text(json.dumps(result, indent=1) + "\n")
 
     for name, row in summary.items():

@@ -146,13 +146,24 @@ def free_mult(
     method 'dp' runs the alternating word recursion (capped at
     ncpart.PRODUCT_CAP), 'series' multiplies S-transforms alone (needs both
     first moments nonzero; capped at ncpart.CONVERSION_CAP), 'both' runs
-    whichever are available and insists they agree to 1e-9.
+    whichever are available and insists they agree: exactly (==) when both
+    routes' moments are exact, else to 1e-9.
     """
     if method not in ("dp", "series", "both"):
         raise ValueError(f"unknown method {method!r}; use dp, series, or both")
     if method == "both":
         report = free_mult_report(mu, nu, order)
-        if report.compared and report.max_dev > MULT_AGREEMENT_TOL:
+        if not report.compared:
+            return MeasureSpec.from_moments(report.dp)
+        dp, series = report.dp.values, report.series.values
+        if ncpart._is_exact(*dp, *series):
+            diff = next((n for n, (x, y) in enumerate(zip(dp, series), 1) if x != y), None)
+            if diff is not None:
+                raise ArithmeticError(
+                    f"exact product routes disagree at order {diff}: the DP's moment "
+                    "and the series' are unequal"
+                )
+        elif report.max_dev > MULT_AGREEMENT_TOL:
             raise ArithmeticError(
                 f"product routes disagree by {report.max_dev:.3e} "
                 f"(tolerance {MULT_AGREEMENT_TOL:.0e})"

@@ -314,40 +314,58 @@ def _alternating_product_moments(ka, kb, order: int) -> list:
     sum_{pi in NC(n)} kappa_pi(a) m_{K(pi)}(b), which the tests enumerate.
     Cumulants graded by D_a, D_b give moments graded by D_a D_b.  Returns
     m_1..m_order.
+
+    blk[c][l][k] is the weight of a first block of k elements whose last one
+    sits at the odd position l, the gaps it encloses summed; it is stored by
+    column k, down odd l, so each entry is one dot product of column k - 1
+    with the gap moments, and mom[c][l] one flat sum of the products
+    blk kappa_k, each times its tail, in (l', k) order.  Terms with a zero
+    factor are skipped and sums start from int 0, as in the per-term loop
+    (tests/oracles.py), which fixes float rounding, signed zeros and types.
     """
     L = 2 * order
-    kappa = {0: ka, 1: kb}
+    kappa = (ka, kb)
     # mom[c][l]: weighted sum over partitions of a length-l window starting
-    # with color c.  blk[c][l][k]: first block has k elements, the last one
-    # at position l (so l is odd), with enclosed gaps already summed.
-    mom = {0: [1] + [0] * L, 1: [1] + [0] * L}
-    blk = {c: [[0] * (order + 1) for _ in range(L + 1)] for c in (0, 1)}
-    for c in (0, 1):
-        if L >= 1:
-            blk[c][1][1] = 1
+    # with color c
+    mom = ([1] + [0] * L, [1] + [0] * L)
+    # cols[c][k - 1]: blk[c][l][k] for odd l from 2k - 1 on (column 1 holds
+    # l = 1 alone); prods[c]: blk[c][l][k] kappa_k where blk is nonzero, in
+    # (l, k) order, and at[c] the (l - 1) // 2 of each
+    cols, prods, at = ([[1]], [[1]]), ([], []), ([], [])
     for ell in range(1, L + 1):
         for c in (0, 1):
-            if ell >= 3 and ell % 2 == 1:
-                row = blk[c][ell]
-                for q in range(1, ell - 1, 2):
-                    gap = mom[1 - c][ell - 1 - q]
-                    if gap == 0:
-                        continue
-                    prev = blk[c][q]
-                    for k in range(2, (ell + 1) // 2 + 1):
-                        if prev[k - 1] != 0:
-                            row[k] += prev[k - 1] * gap
-            total = 0
-            for j in range(1, ell + 1, 2):
-                tail = mom[1 - c][ell - j]
-                if tail == 0:
-                    continue
-                row = blk[c][j]
-                for k in range(1, (j + 1) // 2 + 1):
-                    if row[k] != 0 and k <= len(kappa[c]):
-                        total += row[k] * kappa[c][k - 1] * tail
-            mom[c][ell] = total
+            other, kap, col = mom[1 - c], kappa[c], cols[c]
+            if ell % 2:
+                if ell == 1:
+                    row, first = [1], 1
+                else:
+                    # gaps[i]: the window between block elements at 2i + 1 and ell
+                    gaps = other[ell - 2 : 0 : -2]
+                    skip = 0 in gaps
+                    row, first = [_dot(x, gaps[i:], skip or 0 in x)
+                                  for i, x in enumerate(col)], 2
+                    for x, v in zip(col[1:], row):
+                        x.append(v)
+                    col.append([row[-1]])
+                for k, v in enumerate(row, first):
+                    if v != 0 and k <= len(kap):
+                        prods[c].append(v * kap[k - 1])
+                        at[c].append(ell // 2)
+            tails = other[ell - 1 :: -2]
+            ys = map(tails.__getitem__, at[c])
+            if 0 in tails:
+                mom[c][ell] = sum([p * y for p, y in zip(prods[c], ys) if y != 0])
+            else:
+                mom[c][ell] = sum(map(mul, prods[c], ys))
     return mom[0][2 : L + 1 : 2]
+
+
+def _dot(xs, ys, skip: bool):
+    """sum x_i y_i from int 0 in ascending i; if skip, without the terms
+    that have a zero factor."""
+    if skip:
+        return sum([x * y for x, y in zip(xs, ys) if x != 0 != y])
+    return sum(map(mul, xs, ys))
 
 
 def free_mult_moments(mu_moments, nu_moments, order: int | None = None) -> SeqN:

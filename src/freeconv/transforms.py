@@ -4,12 +4,15 @@ Two layers live here. The formal layer (FormalSeries) manipulates truncated
 power series with exact truncation bookkeeping, and carries the series route
 from moments to free cumulants (functional inversion of u -> u * (1 + sum
 m_n u^n)) that cross-checks the lattice recursion in ncpart. Reversion is
-Lagrange inversion in O(n^3) coefficient operations, built from series
-reciprocals and products only, so the route shares no code with ncpart.
-Products of every coefficient type run one convolution (_convolve), on
-int numerators over one denominator when exact; exact quotients run on
-such numerators too, and reversion on the ints (u_i/u_0) D^i for a base D
-that divides the lcm of the denominators (_graded). Outputs follow the
+Lagrange inversion in O(n^3) coefficient operations, built from a series
+reciprocal and coefficients of its powers only, so the route shares no code
+with ncpart. Products of every coefficient type run one convolution
+(_convolve), on int numerators over one denominator when exact; exact
+quotients run on such numerators too, and reversion on the ints
+(u_i/u_0) D^i for a base D that divides the lcm of the denominators
+(_graded), reading the one coefficient of each power it needs by Miller's
+recurrence, about n^3/6 int products against the n^3/2 of a running
+power, with one exact int division per coefficient. Outputs follow the
 type rule stated in ncpart's docstring. The numeric layer evaluates
 Cauchy transforms of concrete measures, a law's by its closed form, and
 recovers densities by Stieltjes inversion with Richardson extrapolation in
@@ -170,12 +173,17 @@ class FormalSeries:
 
         With self = z u(z), [z^k] self^{-1} = [w^{k-1}] u(w)^{-k} / k
         (Flajolet-Sedgewick, Analytic Combinatorics, Thm A.2): one series
-        division and a running power of 1/u, O(n^3) coefficient operations.
-        On exact coefficients u_i / u_0 = g_i / D^i with ints g_i and g_0 = 1
-        (_graded), so 1/g is an int series h and [w^{k-1}] u^{-k} =
-        [w^{k-1}] h^k / (D^{k-1} u_0^k): the power runs on ints, and the
-        loop builds one Fraction per output coefficient. Float or complex u
-        run it on 1/u from the power 1, keeping term-wise NaNs if 1/u overflows.
+        division and a coefficient of each power of 1/u, O(n^3) coefficient
+        operations. On exact coefficients u_i / u_0 = g_i / D^i with ints g_i
+        and g_0 = 1 (_graded), so 1/g is an int series h and [w^{k-1}] u^{-k}
+        = [w^{k-1}] h^k / (D^{k-1} u_0^k). Only that coefficient of h^k is
+        needed, so it comes from Miller's power recurrence (Knuth, TAOCP
+        vol. 2, 4.7): P_0 = 1 and m P_m = sum_{i=1}^{m} ((k+1) i - m) h_i
+        P_{m-i} for m < k, about k^2/2 int products, where a running power
+        spends n^2/2 per k. The P_m are the int coefficients of h^k, so the
+        division by m is exact int division, and the loop builds one Fraction
+        per output coefficient. Float or complex u run a running power of 1/u
+        from the power 1, keeping term-wise NaNs if 1/u overflows.
         """
         if self.is_zero or self.lo != 1:
             raise ValueError("reversion needs a series of valuation exactly 1")
@@ -186,13 +194,19 @@ class FormalSeries:
             h = [1]  # 1 / sum g_i w^i, an int series since g_0 = 1
             for i in range(1, len(g)):
                 h.append(-sum(map(operator.mul, g[1 : i + 1], reversed(h))))
-            # power = h^k, and num / den = 1 / (D^{k-1} u_0^k)
-            power, num, den, d = h, u0.denominator, u0.numerator, []
+            # num / den = 1 / (D^{k-1} u_0^k)
+            num, den, d = u0.denominator, u0.numerator, []
             for k in range(1, self.top + 1):
                 if k > 1:
-                    power = _convolve(power, h, len(h))
                     num, den = num * u0.denominator, den * u0.numerator * base
-                d.append(Fraction(power[k - 1] * num, den * k))
+                # p = [w^0..w^{k-1}] h^k by Miller's recurrence: the weights
+                # (k + 1) i - m, i = 1..m, run in steps of k + 1
+                p = [1]
+                for m in range(1, k):
+                    terms = map(operator.mul, h[1 : m + 1], reversed(p))
+                    weights = range(k + 1 - m, k * m + 1, k + 1)
+                    p.append(sum(map(operator.mul, weights, terms)) // m)
+                d.append(Fraction(p[k - 1] * num, den * k))
             return FormalSeries(1, d, self.top)
         one = [1] + [0] * (self.top - 1)  # ints act as 1.0 and 0.0 would, to the bit
         v, power, d = _quotient(one, u), one, []
@@ -517,8 +531,9 @@ def s_numeric(mu: MeasureSpec, z):
     fixes w = 1/u = (1+z)(z+rate)/z, and at rate 0.5, z = 1+i the principal
     G gives wG(w) = 1.25-0.25i, not 1+z. The seed divides by 1 + z, so
     z = -1 is refused; Psi' divides by u^2, so a seed with u^2 = 0 gives
-    the series value where 1 + |z| rounds to 1 and is refused elsewhere
-    (at a zero of the truncated series, as MP(1)'s at z = 1). A root is
+    the series value where 1 + |z| rounds to 1 and is refused elsewhere.
+    At a zero of the truncated series (MP(1)'s 1 - z + ... - z^15 vanishes
+    at z = 1 and +-i) the seed is the partial sum one order lower. A root is
     returned only where its residual bounds S's relative error by 1e-9, so
     points near z = -1, where u grows as 1/(1 + z)^2, are refused, as is any
     point where a step overflows or divides by zero.
@@ -539,6 +554,8 @@ def s_numeric(mu: MeasureSpec, z):
 
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if series.evaluate(z) == 0:  # a zero seed leaves Newton no step
+                series = series.truncated(series.top - 1)
             u = seed = z / (1 + z) * complex(series.evaluate(z))
             if u * u == 0 and 1 + abs(z) == 1:
                 return complex(series.evaluate(z))

@@ -5,8 +5,9 @@ adaptive quadrature of a catalog law's density for its moment table and
 Cauchy transform, the Kreweras-complement and NC(n) enumeration sums for
 the moment-cumulant recursion and the product DP (Nica-Speicher, Lectures
 on the Combinatorics of Free Probability, Lect. 9 and 14) with the stack
-test of non-crossing they need, the boolean pair and the Lagrange reversion
-on plain Fraction arithmetic, the grid Cauchy transform by complex
+test of non-crossing they need, the product DP as the per-term loop that
+fixes its float bits, the boolean pair and the Lagrange reversion on plain
+Fraction arithmetic, the grid Cauchy transform by complex
 division, the batched edge bisection on per-bracket heaps, the
 subordination solve that starts each cold point with damped Picard
 warm-up steps, adaptive quadrature of the free Meixner Levy measure's
@@ -377,6 +378,43 @@ def free_mult_moments_reference(mu_moments, nu_moments, order: int) -> SeqN:
             )
         out.append(total)
     return SeqN("moment", out)
+
+
+def alternating_product_moments_reference(ka, kb, order: int) -> list:
+    """The product DP of ncpart._alternating_product_moments as a per-term
+    loop over rows blk[c][l][k]: each term is added to its sum on its own,
+    from int 0, and terms with a zero factor are skipped, so float outputs
+    fix the bits, signed zeros and types the kernel must keep."""
+    L = 2 * order
+    kappa = {0: ka, 1: kb}
+    mom = {0: [1] + [0] * L, 1: [1] + [0] * L}
+    blk = {c: [[0] * (order + 1) for _ in range(L + 1)] for c in (0, 1)}
+    for c in (0, 1):
+        if L >= 1:
+            blk[c][1][1] = 1
+    for ell in range(1, L + 1):
+        for c in (0, 1):
+            if ell >= 3 and ell % 2 == 1:
+                row = blk[c][ell]
+                for q in range(1, ell - 1, 2):
+                    gap = mom[1 - c][ell - 1 - q]
+                    if gap == 0:
+                        continue
+                    prev = blk[c][q]
+                    for k in range(2, (ell + 1) // 2 + 1):
+                        if prev[k - 1] != 0:
+                            row[k] += prev[k - 1] * gap
+            total = 0
+            for j in range(1, ell + 1, 2):
+                tail = mom[1 - c][ell - j]
+                if tail == 0:
+                    continue
+                row = blk[c][j]
+                for k in range(1, (j + 1) // 2 + 1):
+                    if row[k] != 0 and k <= len(kappa[c]):
+                        total += row[k] * kappa[c][k - 1] * tail
+            mom[c][ell] = total
+    return mom[0][2 : L + 1 : 2]
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,30 @@ def test_label_rows_take_the_bound_given():
     assert bench_pairs.label_summary(pairs, 0.15)["scan"]["verdict"] == "regression"
 
 
+def test_traced_summary_of_synthetic_pairs():
+    def run(**metrics):
+        return {"passes": 3, "tasks": 9, "failed": 0, "metrics": metrics}
+
+    pairs = [
+        {"parent": run(**{"ncpart.self_s": 1.5, "rare": 1.0}), "change": run(**{"ncpart.self_s": 1.2})},
+        {"parent": run(**{"ncpart.self_s": 1.4}), "change": run(**{"ncpart.self_s": 1.4})},
+        {"parent": run(**{"ncpart.self_s": 1.3}), "change": run(**{"ncpart.self_s": 1.1})},
+    ]
+    summary = bench_pairs.traced_summary(pairs)
+    assert summary == {"ncpart.self_s": {"parent_median": 1.4, "change_median": 1.2,
+                                         "change_lower_in": 2, "pairs": 3}}
+
+
+def test_alternate_runs_even_pairs_parent_first():
+    calls = []
+    pairs = bench_pairs.alternate({"parent": "P", "change": "C"}, [7, 7, 7],
+                                  lambda tree, seed: calls.append(tree) or len(calls),
+                                  lambda pair: calls.append("done"))
+    assert calls == ["P", "C", "done", "C", "P", "done", "P", "C", "done"]
+    assert [p["first"] for p in pairs] == ["parent", "change", "parent"]
+    assert pairs[1] == {"seed": 7, "first": "change", "change": 4, "parent": 5}
+
+
 def test_one_pair_spread_and_seed_ranges():
     assert bench_pairs.spread([0.25]) == {"median": 0.25, "q1": 0.25, "q3": 0.25}
     assert bench_pairs._seeds("3-5,8") == [3, 4, 5, 8]
@@ -107,8 +131,8 @@ def test_smoke_pair_on_exact_seq(tmp_path):
     proc = subprocess.run(
         [sys.executable, str(SCRIPT), "--parent", "HEAD", "--workload", "exact_seq",
          "--seeds", "1", "--passes", "1", "--setup-reps", "1", "--label", "smoke",
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=300)
+         "--out", str(out), "--trace", "1"],
+        capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out.read_text())
     names = {m["name"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
@@ -125,3 +149,14 @@ def test_smoke_pair_on_exact_seq(tmp_path):
         "gain", "regression", "none"}
     assert pair["parent"]["inputs_sha256"] == pair["change"]["inputs_sha256"]
     assert run["identical_failures"]
+    traced = result["traced_run"]
+    assert (traced["workload"], traced["seed"], traced["passes"]) == ("exact_seq", 1, 1)
+    rows = traced["fixed_passes"]["summary"]
+    for name in ("ncpart.self_s", "ncpart.product_ms_p50", "transforms.series.self_s",
+                 "roadmap.free_mult_moments_16_exact_ms"):
+        assert set(rows[name]) == {"parent_median", "change_median", "change_lower_in", "pairs"}
+        assert rows[name]["pairs"] == 1 and rows[name]["change_lower_in"] in (0, 1)
+    for side in ("parent", "change"):
+        ((run_),) = traced["fixed_passes"]["runs"][side]
+        assert run_["passes"] == 1 and run_["failed"] == 0 and run_["tasks"] > 0
+        assert set(rows) <= set(run_)

@@ -1228,14 +1228,23 @@ class TestTransform:
         re, im = (float(v) for v in out.strip().split(","))
         assert abs(re - 1 / 2.3) < 1e-9 and abs(im) < 1e-12
 
-    @pytest.mark.parametrize("at, z", [("-1,0", "(-1+0j)"), ("1,0", "(1+0j)"), ("0,1", "1j")])
+    @pytest.mark.parametrize("at, z", [("-1,0", "(-1+0j)")])
     def test_s_transform_refusals_name_the_point(self, capsys, at, z):
-        # the seed divides by 1 + z; at 1 and i MP(1)'s 16-term series
-        # 1 - z + z^2 - ... vanishes, so the seed leaves Newton no step
+        # the seed divides by 1 + z
         code, out, err = run_cli(capsys, "transform", MP1, "--which", "S", f"--at={at}")
         assert (code, out) == (1, "")
         assert err.startswith("error: S-transform inversion ")
         assert f"z = {z}" in err
+
+    @pytest.mark.parametrize("at", ["1,0", "0,1", "0,-1"])
+    def test_s_transform_at_zeros_of_the_seed_series(self, capsys, at):
+        # MP(1)'s 16-term series 1 - z + z^2 - ... - z^15 vanishes at 1 and
+        # +-i; the seed comes from the sum one order lower, S = 1/(1 + z)
+        code, out, _ = run_cli(capsys, "transform", MP1, "--which", "S", f"--at={at}")
+        assert code == 0
+        z = complex(*(float(v) for v in at.split(",")))
+        got = complex(*(float(v) for v in out.split(",")))
+        assert abs(got - 1 / (1 + z)) <= 1e-12 * abs(1 / (1 + z))
 
     @pytest.mark.parametrize("at, want", [
         ("1e-300,0", "1,0"), ("-1e-300,0", "1,0"), ("0,1e-300", "1,-1e-300"),

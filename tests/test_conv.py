@@ -155,6 +155,40 @@ def test_free_mult_series_needs_nonzero_mean():
     assert not report.compared
 
 
+@pytest.mark.parametrize("off", [F(1, 10**12), F(1, 10**400)])
+def test_free_mult_both_decides_exact_moments_by_equality(monkeypatch, off):
+    # an absolute 1e-9 passed either shift: the first is below it, and the
+    # second rounds to 0 under float()
+    true_product = conv._series_product
+
+    def shifted(ma, mb, order):
+        out = list(true_product(ma, mb, order).values)
+        out[3] += off
+        return SeqN("moment", out)
+
+    monkeypatch.setattr(conv, "_series_product", shifted)
+    a = atomic_from([F(1, 2), F(2), F(3)])
+    b = atomic_from([F(1), F(5, 2)])
+    with pytest.raises(ArithmeticError, match="disagree at order 4"):
+        conv.free_mult(a, b, 8, method="both")
+    assert conv.free_mult_report(a, b, 8).max_dev <= conv.MULT_AGREEMENT_TOL
+
+
+def test_free_mult_both_keeps_the_tolerance_on_floats(monkeypatch):
+    true_product = conv._series_product
+
+    def shifted(ma, mb, order):
+        out = list(true_product(ma, mb, order).values)
+        out[3] += 1e-12
+        return SeqN("moment", out)
+
+    monkeypatch.setattr(conv, "_series_product", shifted)
+    a = MeasureSpec.atomic([(0.5, 0.25), (2.0, 0.75)])
+    b = MeasureSpec.atomic([(1.0, 0.5), (2.5, 0.5)])
+    want = ncpart.free_mult_moments(catalog.moments_of(a, 6), catalog.moments_of(b, 6))
+    assert catalog.moments_of(conv.free_mult(a, b, 6, method="both"), 6) == want
+
+
 def test_free_mult_series_route_runs_alone(monkeypatch):
     # order 17 is past the DP's PRODUCT_CAP, inside the series route's cap
     def refuse(*args, **kwargs):

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from freeconv import ncpart
@@ -27,6 +27,7 @@ from freeconv.ncpart import (
     square_cumulants,
 )
 from oracles import (
+    alternating_product_moments_reference,
     boolean_from_moments_reference,
     free_mult_moments_reference,
     is_noncrossing,
@@ -374,6 +375,37 @@ def test_graded_product_equals_kreweras_oracle(a, b):
     # a Fraction from the first Fraction of either factor on, an int before it
     first = next((k for k in range(n) if Fraction in (type(a[k]), type(b[k]))), n)
     assert _types(got) == ["int"] * first + ["Fraction"] * (n - first)
+
+
+_DP_ENTRIES = {
+    "exact": st.one_of(st.integers(min_value=-6, max_value=6),
+                       st.fractions(min_value=-3, max_value=3, max_denominator=12),
+                       st.sampled_from([0, Fraction(0)])),
+    # huge entries overflow to inf, which a skipped zero factor must not meet
+    "float": st.one_of(st.floats(min_value=-4, max_value=4), st.sampled_from([0.0, -0.0]),
+                       st.floats(min_value=-1e300, max_value=1e300)),
+}
+
+
+def _typed_bits(values):
+    return [(type(v).__name__, v.hex() if isinstance(v, float) else v) for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+# a row entry that sums Fraction(0) x 1 with int terms turned m_5 into a Fraction
+@example((5, [0, -1, Fraction(0)], [1, -1, 0, 0, Fraction(0)]))
+@given(st.sampled_from(sorted(_DP_ENTRIES)).flatmap(lambda kind: st.tuples(
+    st.integers(min_value=0, max_value=16),
+    st.lists(_DP_ENTRIES[kind], max_size=17),
+    st.lists(_DP_ENTRIES[kind], max_size=17),
+)))
+def test_product_dp_matches_the_per_term_loop(case):
+    # cumulant lists shorter or longer than the order, of unequal lengths;
+    # exact entries keep value and type, float entries their bits
+    order, ka, kb = case
+    got = ncpart._alternating_product_moments(ka, kb, order)
+    want = alternating_product_moments_reference(ka, kb, order)
+    assert _typed_bits(got) == _typed_bits(want)
 
 
 def test_product_with_int_first_moment_runs_on_graded_ints(monkeypatch):

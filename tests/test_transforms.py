@@ -199,6 +199,22 @@ def test_reversion_round_trip_exact(lead, rest):
     assert inv.coeffs == reverted_reference(f).coeffs
 
 
+@pytest.mark.parametrize("order", [16, 20])
+def test_reversion_of_the_product_chi_matches_the_flat_lcm_loop(order):
+    # the chi that moments_from_s_series reverts for a product of two atomic
+    # laws: denominators of 375 and 472 bits at orders 16 and 20
+    a = catalog.moments_of(MeasureSpec.atomic(
+        [(Fraction(1, 3), Fraction(2, 7)), (Fraction(5, 2), Fraction(5, 7))]), order)
+    b = catalog.moments_of(MeasureSpec.atomic(
+        [(Fraction(3, 5), Fraction(1, 3)), (Fraction(7, 4), Fraction(2, 3))]), order)
+    s = transforms.s_series(a, order) * transforms.s_series(b, order)
+    chi = (s.shifted(1) / FormalSeries.poly([1, 1], order + 1)).truncated(order)
+    assert max(c.denominator.bit_length() for c in chi.coeffs) > 350
+    inv, want = chi.reverted(), reverted_reference(chi)
+    assert (inv.lo, inv.top, inv.coeffs) == (want.lo, want.top, want.coeffs)
+    assert all(type(c) is Fraction for c in inv.coeffs)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(coeff_st, min_size=1, max_size=6),
