@@ -164,7 +164,7 @@ def _qc_cauchy(params, z):
     # transform of sign(x) rho_W(x) is G_odd = (4 - 2r arctan(2/r))/(2 pi) and
     # r = sqrt(w - 2) sqrt(w + 2) is _sc_cauchy's root; G_W = 2/(w + r) is
     # (w - r)/2 without its cancellation at large |w|, and G_W' = -G_W/r.
-    # odd' = 4/w - 2 (w/r) arctan(2/r) is (w odd - 16/w)/(w^2 - 4) far out and
+    # odd' = 4/w - 2 (w/r) arctan(2/r) is (odd - 16/w/w)/(w - 4/w) far out and
     # 4/w + i w log(rho)/r nearer, clear of that quotient's 0/0 at w = +-2
     sigma = float(params[0])
     w = z / sigma
@@ -177,7 +177,7 @@ def _qc_cauchy(params, z):
     for k in reversed(range(_QC_SERIES_TERMS)):
         tail = (-1) ** k / (2 * k + 3) + u * tail
     odd[far] = 4 * u * tail
-    dodd[far] = (w[far] * odd[far] - 16 / w[far]) / (w[far] ** 2 - 4)
+    dodd[far] = (odd[far] - 16 / w[far] / w[far]) / (w[far] - 4 / w[far])  # no w^2 to overflow
     # nearer, arctan(2/r) = log(rho)/2i with rho = (r + 2i)/(r - 2i); since
     # (r + 2i)(r - 2i) = w^2, squaring the larger factor over w keeps rho
     # free of the cancellation that np.arctan meets near w = 0
@@ -223,7 +223,7 @@ def _beta_cauchy(params, z):
     # as log(z - 1) - log(z) near the support and, far out where that
     # difference cancels, as the series -(u + u^2/2 + u^3/3 + ...), u = 1/z,
     # whose 18 terms at |u| < 1/_FAR leave out less than 1e-17 of the sum;
-    # G' = -(1 - 1/z)^a/(z (z - 1))
+    # G' = -(1 - 1/z)^a/z/(z - 1), with no z (z - 1) to overflow past |z| ~ 1e154
     a = float(params[0])
     log = np.log(z - 1) - np.log(z)
     far = np.abs(z) > _FAR
@@ -232,7 +232,7 @@ def _beta_cauchy(params, z):
     for k in range(18, 0, -1):
         tail = 1 / k + u * tail
     log[far] = -u * tail
-    return -np.expm1(a * log) / a, -np.exp(a * log) / (z * (z - 1))
+    return -np.expm1(a * log) / a, -np.exp(a * log) / z / (z - 1)
 
 
 def _beta_moment(params, n):

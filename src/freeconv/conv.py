@@ -233,7 +233,7 @@ def subordination(mu: MeasureSpec, nu: MeasureSpec, z, seed=None) -> Subordinati
         raise ValueError("subordination points must lie in the upper half plane")
 
     def h(spec, w):
-        g, dg = transforms._cauchy_pair(spec, w, True)
+        g, dg = transforms._cauchy_pair(spec, w)
         return 1 / g - w, -dg / g**2 - 1
 
     omega = zarr.copy()

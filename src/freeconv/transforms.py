@@ -370,26 +370,27 @@ def moments_from_s_series(s: FormalSeries, order: int) -> SeqN:
 # numeric maps on the upper half plane
 
 
-def _atomic_cauchy(atoms, z, derivative=False):
-    """(G, G') of the atoms at z, with G' = 0 without derivative."""
+def _atomic_cauchy(atoms, z):
+    """(G, G') of the atoms at z."""
     import numpy as np
 
     # G' = -sum q/d with q = w/d, which never squares d: d^2 overflows
-    # past |z - a| ~ 1e154
+    # past |z - a| ~ 1e154; within ~1e-154 of an atom G' is inf or nan, unwarned
     gaps = [z - float(loc) for loc, _ in atoms]
     qs = [float(w) / d for (_, w), d in zip(atoms, gaps)]
-    dg = sum((-q / d for q, d in zip(qs, gaps)), np.zeros_like(z)) if derivative else 0 * z
-    return sum(qs, np.zeros_like(z)), dg
+    g, dg = sum(qs, np.zeros_like(z)), np.zeros_like(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q, d in zip(qs, gaps):
+            dg -= np.divide(q, d, out=d)
+    return g, dg
 
 
 _GRID_BLOCK = 1 << 14  # most points x knots one block of _grid_cauchy holds
 
 
-def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
-    """(G, G') at z, with G' = 0 without derivative.
-
-    The trapezoid sum of w_k d_k/(z - x_k), in real arithmetic. With
-    a = Re z - x_k, y = Im z and u = 1/(a^2 + y^2), 1/(z - x_k) = (a - iy)u,
+def _grid_cauchy(mu: MeasureSpec, z):
+    """(G, G') at z: the trapezoid sum of w_k d_k/(z - x_k) in real arithmetic.
+    With a = Re z - x_k, y = Im z and u = 1/(a^2 + y^2), 1/(z - x_k) = (a - iy)u,
     so G = sum wd a u - iy sum wd u and
     G' = -sum wd (a - iy)^2 u^2 = 2y^2 sum wd u^2 - sum wd u + 2iy sum wd a u^2.
     A point whose largest |a| or |y| lies outside 2^-200 .. 2^200 has a and y
@@ -421,8 +422,8 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
     scale = np.where(np.abs(exp) > 200, np.ldexp(1.0, -exp), 1.0)
     y = y * scale
     scaled, y2 = np.any(scale != 1), y * y
-    # per point: sum wd u, sum wd a u and, for G', sum wd u^2, sum wd a u^2
-    sums = np.empty((4 if derivative else 2, flat.size))
+    # per point: sum wd u, sum wd a u, sum wd u^2 and sum wd a u^2
+    sums = np.empty((4, flat.size))
     rows = max(1, _GRID_BLOCK // xs.size)
     a_buf, u_buf, wu_buf = (np.empty((min(rows, flat.size), xs.size)) for _ in range(3))
     for start in range(0, flat.size, rows):
@@ -437,22 +438,20 @@ def _grid_cauchy(mu: MeasureSpec, z, derivative=False):
         au = np.multiply(a, u, out=a)
         np.vecdot(u, wd, out=sums[0, part])
         np.vecdot(au, wd, out=sums[1, part])
-        if derivative:
-            wu = np.multiply(u, wd, out=wu_buf[:n])
-            np.vecdot(wu, u, out=sums[2, part])
-            np.vecdot(wu, au, out=sums[3, part])
+        wu = np.multiply(u, wd, out=wu_buf[:n])
+        np.vecdot(wu, u, out=sums[2, part])
+        np.vecdot(wu, au, out=sums[3, part])
     out = np.zeros((2, flat.size), dtype=complex)
     out.real[0] = sums[1] * scale
     out.imag[0] = -(y * sums[0]) * scale
-    if derivative:
-        out.real[1] = (2 * y * y * sums[2] - sums[0]) * scale * scale
-        out.imag[1] = 2 * y * sums[3] * scale * scale
-    return out.reshape(2, *z.shape) + _atomic_cauchy(mu.atoms, z, derivative)
+    out.real[1] = (2 * y * y * sums[2] - sums[0]) * scale * scale
+    out.imag[1] = 2 * y * sums[3] * scale * scale
+    return out.reshape(2, *z.shape) + _atomic_cauchy(mu.atoms, z)
 
 
-def _cauchy_pair(mu: MeasureSpec, z, derivative):
-    """(G, G') of mu on the array z, in both half planes. Without derivative
-    G' is 0 for every kind, so every caller states which it needs.
+def _cauchy_pair(mu: MeasureSpec, z):
+    """(G, G') of mu on the array z, in both half planes: every kind forms
+    both in one evaluation, and a read for G alone takes the first.
     Moment-type representations carry no global transform and are refused.
 
     A law spec with scale 1 and offset 0 hands z to its closed form as it
@@ -464,9 +463,9 @@ def _cauchy_pair(mu: MeasureSpec, z, derivative):
     import numpy as np
 
     if mu.kind == "atomic":
-        return _atomic_cauchy(mu.atoms, z, derivative)
+        return _atomic_cauchy(mu.atoms, z)
     if mu.kind == "grid":
-        return _grid_cauchy(mu, z, derivative)
+        return _grid_cauchy(mu, z)
     if mu.kind == "law":
         # the closed form of the law X, for Im w >= 0, at w = (z - c)/s, reflected
         # by G(conj w) = conj G(w); s X + c has G_X(w)/s and G_X'(w)/s^2
@@ -480,9 +479,6 @@ def _cauchy_pair(mu: MeasureSpec, z, derivative):
         g, dg = LAWS[mu.law].cauchy(mu.params, w)
         if flip:
             np.conjugate(g, out=g, where=lower)
-        if not derivative:
-            return (g / s if moved else g), np.zeros_like(w)
-        if flip:
             np.conjugate(dg, out=dg, where=lower)
         return (g / s, dg / (s * s)) if moved else (g, dg)
     raise ValueError(
@@ -492,16 +488,17 @@ def _cauchy_pair(mu: MeasureSpec, z, derivative):
 
 
 def cauchy(mu: MeasureSpec, z):
-    """Cauchy transform G(z) = integral of 1/(z-x); scalar or array z,
-    off the real axis (both half planes). Non-finite points are refused
-    before any evaluation."""
+    """Cauchy transform G(z) = integral of 1/(z-x), _cauchy_pair's G to the bit,
+    at scalar or array z in both half planes. Im z = +0.0 or -0.0 reads a law
+    from above or below, atoms as their real sum, and a grid is refused near
+    its support. Non-finite points are refused before any evaluation."""
     import numpy as np
 
     zarr = np.asarray(z, dtype=complex)
     if not np.isfinite(zarr).all():
         bad = int(np.count_nonzero(~np.isfinite(zarr)))
         raise ValueError(f"cauchy points must be finite; {bad} of {zarr.size} are not")
-    out = _cauchy_pair(mu, np.atleast_1d(zarr), False)[0]
+    out = _cauchy_pair(mu, np.atleast_1d(zarr))[0]
     return complex(out[0]) if zarr.ndim == 0 else out
 
 
@@ -549,7 +546,9 @@ def s_numeric(mu: MeasureSpec, z):
 
     def residual(u):
         """Psi(u) - z and Psi'(u)."""
-        g, dg = (complex(v[0]) for v in _cauchy_pair(mu, np.array([1 / u]), True))
+        g, dg = (complex(v[0]) for v in _cauchy_pair(mu, np.array([1 / u])))
+        if not cmath.isfinite(dg):  # an atom's G' overflows without a warning
+            raise FloatingPointError(f"G' overflows at 1/u = {1 / u}")
         return g / u - 1 - z, -(g + dg / u) / u**2
 
     try:

@@ -101,11 +101,11 @@ def law_cauchy_quad(law: str, params, pts):
     return vals
 
 
-def grid_cauchy_reference(mu, z, derivative=False):
-    """(G, G') of a grid spec by complex division, with G' = 0 without
-    derivative: the trapezoid sum of w_k d_k/(z - x_k) and of its square,
-    512 points at a time, as transforms._grid_cauchy computed it before it
-    ran in real arithmetic. It has no near-axis guard."""
+def grid_cauchy_reference(mu, z):
+    """(G, G') of a grid spec by complex division, both always formed: the
+    trapezoid sum of w_k d_k/(z - x_k) and of its square, 512 points at a
+    time, as transforms._grid_cauchy computed it before it ran in real
+    arithmetic. It has no near-axis guard."""
     xs = np.asarray(mu.xs)
     dens = np.asarray(mu.densities)
     weights = np.zeros_like(xs)
@@ -118,9 +118,8 @@ def grid_cauchy_reference(mu, z, derivative=False):
         gaps = flat[start : start + 512, None] - xs
         terms = wd / gaps
         out[0, start : start + 512] = terms.sum(axis=-1)
-        if derivative:
-            out[1, start : start + 512] = -np.divide(terms, gaps, out=terms).sum(axis=-1)
-    return out.reshape(2, *z.shape) + transforms._atomic_cauchy(mu.atoms, z, derivative)
+        out[1, start : start + 512] = -np.divide(terms, gaps, out=terms).sum(axis=-1)
+    return out.reshape(2, *z.shape) + transforms._atomic_cauchy(mu.atoms, z)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,8 @@ _WARMUP = 3
 def subordination_reference(mu, nu, z, seed=None):
     """conv.subordination as it was when each cold point took _WARMUP
     damped Picard steps before its first Newton round; a seeded point took
-    none. A warm-up round leaves omega' NaN. Each round enters np.errstate,
+    none. Every round reads (G, G') in one call; a warm-up round leaves
+    omega' NaN all the same. Each round enters np.errstate,
     forms the Newton trial, omega' and the acceptance test whether or not
     any point has left its warm-up, and takes |step| twice. It reads conv's
     other _SUB_* constants when called, and it has no refusal of non-finite
@@ -175,8 +175,8 @@ def subordination_reference(mu, nu, z, seed=None):
     if np.any(zarr.imag <= 0):
         raise ValueError("subordination points must lie in the upper half plane")
 
-    def h(spec, w, slope):
-        g, dg = transforms._cauchy_pair(spec, w, slope)
+    def h(spec, w):
+        g, dg = transforms._cauchy_pair(spec, w)
         return 1 / g - w, -dg / g**2 - 1
 
     omega, warmup = zarr.copy(), np.full(zarr.shape, _WARMUP)
@@ -192,8 +192,8 @@ def subordination_reference(mu, nu, z, seed=None):
     domega = np.full(zarr.shape, np.nan + 0j)
     for its in range(1, conv._SUB_MAX_ITER + 1):
         w, zs, newton = omega[idx], zarr[idx], its > warmup[idx]
-        h_w, dh_w = h(mu, w, newton.any())
-        h_u, dh_u = h(nu, zs + h_w, newton.any())
+        h_w, dh_w = h(mu, w)
+        h_u, dh_u = h(nu, zs + h_w)
         step = zs + h_u - w
         with np.errstate(all="ignore"):
             trial = w - step / (dh_u * dh_w - 1)

@@ -868,9 +868,9 @@ def test_closed_form_cauchy_matches_mpmath(law, unit, sigma, reference, xs):
 
     def unit_pairs(side):
         """(G, G') of the unit law at side, read off both specs."""
-        g, dg = (v[0] for v in transforms._cauchy_pair(plain, np.array([side]), True))
+        g, dg = (v[0] for v in transforms._cauchy_pair(plain, np.array([side])))
         mg, mdg = (
-            v[0] for v in transforms._cauchy_pair(moved, np.array([-2 * sigma * side + 1]), True)
+            v[0] for v in transforms._cauchy_pair(moved, np.array([-2 * sigma * side + 1]))
         )
         return (g, -2 * sigma * mg), (dg, 4 * sigma**2 * mdg)
 
@@ -927,7 +927,7 @@ def test_chi_squared_1_matches_mpmath_erfc_in_its_band_and_far_out():
     law = MeasureSpec.from_law("chi_squared_1")
     wants = np.array([_mp_chi_squared_1_pair(z) for z in zs]).T
     for side, want in ((zs, wants), (zs.conjugate(), wants.conjugate())):
-        got = transforms._cauchy_pair(law, side, True)
+        got = transforms._cauchy_pair(law, side)
         err = np.abs(got - want) / np.abs(want)
         assert err[0].max() < _CLOSED_FORM_REL
         assert err[1].max() < _CLOSED_FORM_DERIVATIVE_REL
@@ -987,37 +987,25 @@ def test_law_without_density_is_its_atoms():
     law = MeasureSpec.from_law("symmetric_bernoulli")
     atoms = MeasureSpec.atomic([(-1, Fraction(1, 2)), (1, Fraction(1, 2))])
     zs = np.array([0.3 + 0.7j, -2.0 - 0.1j, 1.0 + 1e-3j])
-    got, want = (transforms._cauchy_pair(mu, zs, True) for mu in (law, atoms))
+    got, want = (transforms._cauchy_pair(mu, zs) for mu in (law, atoms))
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("law,params", _DENSITY_LAWS + [("symmetric_bernoulli", ())])
-def test_law_cauchy_pair_without_derivative_has_the_same_g(law, params):
-    # G to the bit with and without G', in both half planes, plain and under
-    # a reflecting scale; without derivative G' is 0, as for atoms and grids
-    z = np.array(_PIN_POINTS + [v.conjugate() for v in _PIN_POINTS])
-    for mu in (MeasureSpec.from_law(law, params),
-               MeasureSpec.from_law(law, params, scale=-2, offset=1)):
-        (g, dg), (g0, dg0) = (transforms._cauchy_pair(mu, z, d) for d in (True, False))
-        assert g.tobytes() == g0.tobytes()
-        assert np.all(dg != 0) and dg0.tobytes() == np.zeros_like(g).tobytes()
-
-
 _PUSHFORWARDS = [(1, 0), (-2, 1), (Fraction(1), 0)]
+_PUSHFORWARD_IDS = ["identity", "reflected", "fraction_one"]
 
 
-@pytest.mark.parametrize("scale, offset", _PUSHFORWARDS, ids=["identity", "reflected", "fraction_one"])
+@pytest.mark.parametrize("scale, offset", _PUSHFORWARDS, ids=_PUSHFORWARD_IDS)
 @pytest.mark.parametrize("law,params", _DENSITY_LAWS + [("symmetric_bernoulli", ())])
 def test_law_cauchy_pair_mixed_half_planes_equal_per_point_calls(law, params, scale, offset):
     # a point is reflected or not by its own half plane, whatever the other
     # points of its array: one array mixing both equals per-point calls
     mu = MeasureSpec.from_law(law, params, scale=scale, offset=offset)
     z = np.array(_PIN_POINTS + [v.conjugate() for v in _PIN_POINTS] + [-0.5 + 3j, 0.25 - 4j])
-    for derivative in (True, False):
-        batch = transforms._cauchy_pair(mu, z.copy(), derivative)
-        alone = [transforms._cauchy_pair(mu, z[i : i + 1], derivative) for i in range(z.size)]
-        for k in range(2):
-            assert batch[k].tobytes() == np.concatenate([v[k] for v in alone]).tobytes()
+    batch = transforms._cauchy_pair(mu, z.copy())
+    alone = [transforms._cauchy_pair(mu, z[i : i + 1]) for i in range(z.size)]
+    for k in range(2):
+        assert batch[k].tobytes() == np.concatenate([v[k] for v in alone]).tobytes()
 
 
 @pytest.mark.parametrize("law,params", _DENSITY_LAWS + [("symmetric_bernoulli", ())])
@@ -1030,10 +1018,9 @@ def test_law_cauchy_pair_fraction_identity_is_the_float_identity(law, params):
     plain = MeasureSpec.from_law(law, params)
     for mu in (MeasureSpec.from_law(law, params, scale=Fraction(1), offset=0),
                MeasureSpec.from_law(law, params, scale=1.0, offset=0.0)):
-        for derivative in (True, False):
-            got, want = (transforms._cauchy_pair(m, z, derivative) for m in (mu, plain))
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+        got, want = (transforms._cauchy_pair(m, z) for m in (mu, plain))
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
     assert z.tobytes() == before
 
 
@@ -1089,8 +1076,8 @@ def test_grid_cauchy_matches_complex_division_oracle(lo, hi, n):
     z = np.array([r * np.exp(1j * a) for r in sizes for a in angles])
     near = (np.abs(z.imag) < 0.01) & (z.real > lo - 0.3) & (z.real < hi + 0.6)
     z = np.concatenate([z[~near], (lo + hi) / 2 + 0.3 + np.array([0.01j, -0.02j, 0.05j])])
-    got = transforms._grid_cauchy(mu, z, derivative=True)
-    want = grid_cauchy_reference(mu, z, derivative=True)
+    got = transforms._grid_cauchy(mu, z)
+    want = grid_cauchy_reference(mu, z)
     for g, w in zip(got, want):
         assert np.all(np.abs(g - w) <= 1e-13 * np.abs(w))
     assert np.all(got[0] != 0)
@@ -1105,9 +1092,9 @@ def test_grid_cauchy_is_block_independent(monkeypatch):
         monkeypatch.setattr(transforms, "_GRID_BLOCK", block)
         mu = _grid_with_atoms(-2, 2, knots)
         assert 1 < transforms._GRID_BLOCK // knots < 100
-        batch = transforms._grid_cauchy(mu, z, derivative=True)
+        batch = transforms._grid_cauchy(mu, z)
         alone = np.concatenate(
-            [transforms._grid_cauchy(mu, z[i : i + 1], derivative=True) for i in range(100)],
+            [transforms._grid_cauchy(mu, z[i : i + 1]) for i in range(100)],
             axis=1,
         )
         assert batch.tobytes() == alone.tobytes()
@@ -1124,7 +1111,7 @@ def test_grid_cauchy_memory_is_bounded():
     z = np.linspace(-3, 3, 256) + 0.5j
     tracemalloc.start()
     try:
-        g, dg = transforms._cauchy_pair(mu, z, True)
+        g, dg = transforms._cauchy_pair(mu, z)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -1143,7 +1130,7 @@ def test_grid_knots_are_built_once_and_change_nothing_of_the_spec():
     twin = MeasureSpec.grid(xs, catalog_density("semicircle", (0, 1), xs), norm_tol=1e-3)
     before = (hash(mu), cli.serialize_measure_spec(mu), pickle.dumps(dataclasses.astuple(mu)))
     z = np.linspace(-3, 3, 50) + 0.3j
-    first = transforms._grid_cauchy(mu, z, derivative=True)
+    first = transforms._grid_cauchy(mu, z)
     assert "_knots" in vars(mu) and "_knots" not in vars(twin)
     assert mu == twin and hash(mu) == hash(twin) == before[0]
     assert cli.serialize_measure_spec(mu) == before[1]
@@ -1152,9 +1139,77 @@ def test_grid_knots_are_built_once_and_change_nothing_of_the_spec():
     moved = dataclasses.replace(mu, densities=halved)
     assert "_knots" not in vars(moved) and moved == dataclasses.replace(twin, densities=halved)
     knots = mu._knots
-    assert transforms._grid_cauchy(mu, z, derivative=True).tobytes() == first.tobytes()
+    assert transforms._grid_cauchy(mu, z).tobytes() == first.tobytes()
     assert mu._knots is knots
-    assert first.tobytes() == transforms._grid_cauchy(twin, z, derivative=True).tobytes()
+    assert first.tobytes() == transforms._grid_cauchy(twin, z).tobytes()
+
+
+# atomic specs with exact and with float atoms, a grid with atoms, and
+# every catalog law under each of _PUSHFORWARDS
+_PAIR_SPECS = {
+    "exact_atoms": MeasureSpec.atomic(
+        [(-1, Fraction(1, 4)), (Fraction(1, 2), Fraction(1, 4)), (2, Fraction(1, 2))]),
+    "float_atoms": MeasureSpec.atomic([(-1.25, 0.3), (0.75, 0.7)]),
+    "grid_with_atoms": _grid_with_atoms(-2, 2, 601),
+} | {f"{law}-{name}": MeasureSpec.from_law(law, params, scale=scale, offset=offset)
+     for law, params in _DENSITY_LAWS + [("symmetric_bernoulli", ())]
+     for name, (scale, offset) in zip(_PUSHFORWARD_IDS, _PUSHFORWARDS)}
+
+
+@pytest.mark.parametrize("mu", _PAIR_SPECS.values(), ids=_PAIR_SPECS.keys())
+def test_cauchy_is_the_g_of_the_pair(mu):
+    # one evaluation for every kind: G alone is the first of the pair to the
+    # bit, per array and per point, in both half planes and on either side
+    # of the axis away from the supports, and G' is formed off the axis
+    off = np.array(_PIN_POINTS + [v.conjugate() for v in _PIN_POINTS])
+    axis = [complex(x, y) for x in (-5.5, 6.5) for y in (0.0, -0.0)]
+    z = np.concatenate([off, axis])
+    g, dg = transforms._cauchy_pair(mu, z)
+    assert cauchy(mu, z).tobytes() == g.tobytes()
+    assert np.array([cauchy(mu, v) for v in z]).tobytes() == g.tobytes()
+    assert np.all(np.isfinite(dg)) and np.all(dg[: off.size] != 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", _PAIR_SPECS.values(), ids=_PAIR_SPECS.keys())
+def test_far_field_pair_is_finite_and_quiet(mu):
+    # the quarter circle's w^2 and the power beta's z (z - 1) overflowed with
+    # a warning from |z| ~ 1e160 on; each now divides by one factor at a time
+    assert {m.law for m in _PAIR_SPECS.values() if m.kind == "law"} == set(catalog.LAWS)
+    z = np.array([r * ray for r in (1e160, 1e200, 1e300) for ray in (1, 1j, -1)])
+    g, dg = transforms._cauchy_pair(mu, z)
+    assert np.all(np.isfinite(g)) and np.all(np.isfinite(dg))
+
+
+@pytest.mark.filterwarnings("error")
+def test_g_alone_next_to_an_atom_is_quiet():
+    # within about 1e-154 of an atom G' = w/(z - a)^2 overflows while G is
+    # finite: G' comes out inf, or nan where two such terms cancel, unwarned
+    one = MeasureSpec.atomic([(1, 1)])
+    assert cauchy(one, 1 + 1e-160j) == -1e160j
+    g, dg = transforms._cauchy_pair(one, np.array([1 + 1e-160j]))
+    assert np.isfinite(g[0]) and np.isinf(dg[0])
+    pair = MeasureSpec.atomic([(-1e-160, 0.5), (1e-160, 0.5)])
+    g, dg = transforms._cauchy_pair(pair, np.array([1e-160j]))
+    assert np.isfinite(g[0]) and np.isnan(dg[0])
+
+
+def test_s_numeric_refuses_a_g_prime_that_overflows(monkeypatch):
+    # the atoms' G' overflows without a warning, so s_numeric's own
+    # np.errstate no longer sees it; Psi' is checked for a finite G' instead
+    near = transforms._cauchy_pair(MeasureSpec.atomic([(1, 1)]), np.array([1 + 1e-160j]))
+    monkeypatch.setattr(transforms, "_cauchy_pair", lambda mu, z: near)
+    with pytest.raises(ValueError, match="G' overflows"):
+        transforms.s_numeric(MeasureSpec.from_law("marchenko_pastur", (2,)), 1 + 1j)
+
+
+def test_no_cauchy_kernel_takes_a_derivative_flag():
+    import inspect
+
+    kernels = {transforms._atomic_cauchy: ["atoms", "z"], transforms._grid_cauchy: ["mu", "z"],
+               transforms._cauchy_pair: ["mu", "z"]}
+    for kernel, params in kernels.items():
+        assert list(inspect.signature(kernel).parameters) == params
 
 
 def test_catalog_import_loads_no_numpy():
@@ -1193,15 +1248,15 @@ def test_s_numeric_newton_reads_one_point_per_step(monkeypatch):
     calls = []
     pair = transforms._cauchy_pair
 
-    def spy(mu, z, derivative=False):
-        calls.append((z.size, derivative))
-        return pair(mu, z, derivative)
+    def spy(mu, z):
+        calls.append(z.size)
+        return pair(mu, z)
 
     monkeypatch.setattr(transforms, "_cauchy_pair", spy)
     z = 1 + 1j
     got = transforms.s_numeric(MeasureSpec.from_law("marchenko_pastur", (2,)), z)
     assert abs(got - 1 / (z + 2)) <= 1e-13 * abs(1 / (z + 2))
-    assert len(calls) >= 4 and set(calls) == {(1, True)}
+    assert len(calls) >= 4 and set(calls) == {1}
 
 
 def test_s_numeric_values_meet_their_error_bound():
