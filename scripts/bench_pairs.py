@@ -25,6 +25,9 @@ metric's bound in BENCHMARK.json), or "none". Each run also records the
 median time of each task label, scaled as task_p50_ms is; "labels"
 summarizes these the same way, under task_p50_ms's bound, so a file
 shows which tasks moved, and the ten labels that moved most are printed.
+"one_sided_failures" counts, per side, the failed runs of each task label
+that never fails on the other side, beside "identical_failures", so a file
+shows which known misses a change removed or added; both are printed.
 A run of another workload with the same --out is added to the
 file's workloads.
 
@@ -40,6 +43,7 @@ and the number of pairs in which the change's value is lower; a later
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import platform
@@ -219,6 +223,16 @@ def traced_summary(pairs) -> dict:
     } for name in names}
 
 
+def one_sided_failures(pairs) -> dict:
+    """Per side, {label: failures over its runs} for each failed task label
+    that no run of the other side fails."""
+    counts = {side: collections.Counter(label for p in pairs for label, _ in p[side]["failures"])
+              for side in ("parent", "change")}
+    return {side: {label: n for label, n in sorted(counts[side].items())
+                   if label not in counts[other]}
+            for side, other in (("parent", "change"), ("change", "parent"))}
+
+
 def alternate(trees, seeds, run, done) -> list:
     """One pair per seed, each side by run(tree, seed), and done(pair) after
     each; even-indexed pairs run the parent first."""
@@ -318,10 +332,12 @@ def main(argv=None) -> int:
         "numpy": _version("numpy"), "scipy": _version("scipy"),
         "rule": RULE,
     }
+    one_sided = one_sided_failures(pairs)
     result["workloads"][args.workload] = {
         "pairs": pairs, "summary": summary, "labels": labels,
         "identical_failures": all(p["parent"]["failures"] == p["change"]["failures"]
                                   for p in pairs),
+        "one_sided_failures": one_sided,
     }
     if traced_pairs:
         result["traced_run"] = {
@@ -350,6 +366,9 @@ def main(argv=None) -> int:
         print(f"{name:<40} {row['parent']['median']:.4g} ms -> "
               f"{row['change']['median']:.4g} ms ({row['relative_change']:+.1%}); "
               f"wins {row['change_wins']}/{row['pairs']}; {row['verdict']}")
+    for side, failed in one_sided.items():
+        listed = ", ".join(f"{label} x{n}" for label, n in failed.items()) or "none"
+        print(f"failures only in {side}: {listed}")
     print(f"wrote {out}")
     return 0
 

@@ -9,9 +9,12 @@ it seeded by the solve before it along its tangent omega'.
 
 The multiplicative product keeps two independent routes, the alternating
 word recursion (ncpart) and the S-transform series route, and can be asked
-to run both and compare. numpy is imported by the density functions only,
-so the sequence-level operations never load it; transforms is imported
-by the same functions and by the series route of the product.
+to run both and compare. As S = chi (1+z)/z with chi = Psi^{-1}, the
+series route reverts chi_mu chi_nu (1+z)/z = chi_mu S_nu: three reversions
+and two products. Float moments agree within MULT_AGREEMENT_TOL max(1,
+|m_n|), as they grow with n. numpy is imported by the density functions
+only, so the sequence-level operations never load it; transforms is
+imported by the same functions and by the series route of the product.
 """
 
 from __future__ import annotations
@@ -119,12 +122,14 @@ class MultReport:
 
 
 def _series_product(ma: SeqN, mb: SeqN, order: int) -> SeqN:
-    """Product moments by the S-transform route: S_{mu x nu} = S_mu S_nu."""
+    """Product moments by S_{mu x nu} = S_mu S_nu: Psi_{mu x nu} reverts
+    chi_mu S_nu, for floats closer than (chi_mu chi_nu) (1+z)/z, whose
+    factor (1+z) cancels between terms grown larger."""
     from . import transforms
 
-    sa = transforms.s_series(ma, order)
-    sb = transforms.s_series(mb, order)
-    return transforms.moments_from_s_series(sa * sb, order)
+    chi = transforms.FormalSeries.from_seq(ma, order).reverted()
+    psi = (chi * transforms.s_series(mb, order)).reverted()
+    return SeqN("moment", [psi.coeff(n) for n in range(1, order + 1)])
 
 
 def free_mult_report(mu: MeasureSpec, nu: MeasureSpec, order: int) -> MultReport:
@@ -144,10 +149,11 @@ def free_mult(
     """Multiplicative free convolution at moment level.
 
     method 'dp' runs the alternating word recursion (capped at
-    ncpart.PRODUCT_CAP), 'series' multiplies S-transforms alone (needs both
-    first moments nonzero; capped at ncpart.CONVERSION_CAP), 'both' runs
-    whichever are available and insists they agree: exactly (==) when both
-    routes' moments are exact, else to 1e-9.
+    ncpart.PRODUCT_CAP), 'series' multiplies S-transforms alone, reverting
+    chi_mu chi_nu (1+z)/z (needs both first moments nonzero; capped at
+    ncpart.CONVERSION_CAP), 'both' runs whichever are available and insists
+    they agree: exactly (==) when both routes' moments are exact, else each
+    |dp_n - series_n| within MULT_AGREEMENT_TOL max(1, |dp_n|).
     """
     if method not in ("dp", "series", "both"):
         raise ValueError(f"unknown method {method!r}; use dp, series, or both")
@@ -156,18 +162,14 @@ def free_mult(
         if not report.compared:
             return MeasureSpec.from_moments(report.dp)
         dp, series = report.dp.values, report.series.values
-        if ncpart._is_exact(*dp, *series):
-            diff = next((n for n, (x, y) in enumerate(zip(dp, series), 1) if x != y), None)
-            if diff is not None:
-                raise ArithmeticError(
-                    f"exact product routes disagree at order {diff}: the DP's moment "
-                    "and the series' are unequal"
-                )
-        elif report.max_dev > MULT_AGREEMENT_TOL:
+        exact = ncpart._is_exact(*dp, *series)
+        diff = next((n for n, (x, y) in enumerate(zip(dp, series), 1) if (
+            x != y if exact else not abs(x - y) <= MULT_AGREEMENT_TOL * max(1, abs(x)))), None)
+        if diff is not None:
             raise ArithmeticError(
-                f"product routes disagree by {report.max_dev:.3e} "
-                f"(tolerance {MULT_AGREEMENT_TOL:.0e})"
-            )
+                f"product routes disagree at order {diff}: the DP's moment and the series' are "
+                + ("unequal" if exact else f"further apart than {MULT_AGREEMENT_TOL:.0e} "
+                   "max(1, |moment|)"))
         return MeasureSpec.from_moments(report.dp)
     if method == "series":
         ncpart._check_cap(order, ncpart.CONVERSION_CAP, "free_mult(method='series')")

@@ -6,19 +6,21 @@ from moments to free cumulants (functional inversion of u -> u * (1 + sum
 m_n u^n)) that cross-checks the lattice recursion in ncpart. Reversion is
 Lagrange inversion in O(n^3) coefficient operations, built from a series
 reciprocal and coefficients of its powers only, so the route shares no code
-with ncpart. Products of every coefficient type run one convolution
-(_convolve), on int numerators over one denominator when exact; exact
-quotients run on such numerators too, and reversion on the ints
-(u_i/u_0) D^i for a base D that divides the lcm of the denominators
-(_graded), reading the one coefficient of each power it needs by Miller's
-recurrence, about n^3/6 int products against the n^3/2 of a running
-power, with one exact int division per coefficient. Outputs follow the
-type rule stated in ncpart's docstring. The numeric layer evaluates
-Cauchy transforms of concrete measures, a law's by its closed form, and
-recovers densities by Stieltjes inversion with Richardson extrapolation in
-the regularization parameter; only it knows the heights and their order,
-also for free sums (conv hands it their transform). Only the numeric layer
-imports numpy, inside its functions, so the formal layer never loads it.
+with ncpart. A series has product, reciprocal (of a series with a nonzero
+constant term) and reversion, and no quotient. Products of every
+coefficient type run one convolution (_convolve), on int numerators over
+one denominator when exact; exact reciprocals run on such numerators too,
+and reversion on the ints (u_i/u_0) D^i for a base D that divides the lcm
+of the denominators (_graded), reading the one coefficient of each power
+it needs by Miller's recurrence, about n^3/6 int products against the
+n^3/2 of a running power, with one exact int division per coefficient.
+Outputs follow the type rule stated in ncpart's docstring. The numeric
+layer evaluates Cauchy transforms of concrete measures, a law's by its
+closed form, and recovers densities by Stieltjes inversion with Richardson
+extrapolation in the regularization parameter; only it knows the heights
+and their order, also for free sums (conv hands it their transform). Only
+the numeric layer imports numpy, inside its functions, so the formal layer
+never loads it.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,12 +50,13 @@ class FormalSeries:
     lowest term of the other. Coefficients may be Fraction, int, float or
     complex; exact inputs stay exact. A product sums a_i b_{k-i} in one
     convolution for every type, on int numerators over one denominator for
-    exact operands; exact quotients do the same and reversion runs on graded
-    ints. Exact outputs follow ncpart's type rule: a product coefficient is
-    a Fraction exactly when a Fraction enters one of its terms, and every
-    quotient and reversion coefficient is one. Any other coefficient makes a
-    product, quotient or reversion convert all of them once to float, or
-    complex (_operands), so no Fraction comes out. * and / take only series.
+    exact operands; an exact reciprocal does the same and reversion runs on
+    graded ints. Exact outputs follow ncpart's type rule: a product
+    coefficient is a Fraction exactly when a Fraction enters one of its
+    terms, and every reciprocal and reversion coefficient is one. Any other
+    coefficient makes a product, reciprocal or reversion convert all of them
+    once to float, or complex (_operands), so no Fraction comes out. * takes
+    only series, and there is no /: a quotient a/b is a * b.reciprocal().
     """
 
     __slots__ = ("lo", "coeffs", "top")
@@ -81,10 +85,6 @@ class FormalSeries:
     @staticmethod
     def zero(top: int) -> "FormalSeries":
         return FormalSeries(top + 1, (), top)
-
-    @staticmethod
-    def identity(top: int) -> "FormalSeries":
-        return FormalSeries(1, (1,), top)
 
     @staticmethod
     def poly(coeffs, top: int) -> "FormalSeries":
@@ -150,21 +150,12 @@ class FormalSeries:
         product = _exact_product if exact else _convolve
         return FormalSeries(lo, product(a, b, top - lo + 1), top)
 
-    def __truediv__(self, other):
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by a series with no known nonzero term")
-        vb = other.lo
-        va = self.lo if not self.is_zero else self.top + 1
-        top = min(self.top - vb, other.top + va - 2 * vb)
-        if self.is_zero:
-            return FormalSeries.zero(top)
-        n = top - va + vb + 1
-        exact, (a, b) = _operands(self.coeffs, other.coeffs)
-        a = [*a[:n], *[0] * (n - len(a))]  # int 0 acts as 0.0 would, to the bit
-        q = (_exact_quotient if exact else _quotient)(a, b[:n])
-        return FormalSeries(va - vb, q, top)
+    def reciprocal(self) -> "FormalSeries":
+        """1/self, known through the same order; needs a nonzero constant term."""
+        if self.is_zero or self.lo != 0:
+            raise ValueError("reciprocal needs a series with a nonzero constant term")
+        exact, (b,) = _operands(self.coeffs)
+        return FormalSeries(0, (_exact_reciprocal if exact else _reciprocal)(b), self.top)
 
     # -- reversion -------------------------------------------------------
 
@@ -173,7 +164,7 @@ class FormalSeries:
 
         With self = z u(z), [z^k] self^{-1} = [w^{k-1}] u(w)^{-k} / k
         (Flajolet-Sedgewick, Analytic Combinatorics, Thm A.2): one series
-        division and a coefficient of each power of 1/u, O(n^3) coefficient
+        reciprocal and a coefficient of each power of 1/u, O(n^3) coefficient
         operations. On exact coefficients u_i / u_0 = g_i / D^i with ints g_i
         and g_0 = 1 (_graded), so 1/g is an int series h and [w^{k-1}] u^{-k}
         = [w^{k-1}] h^k / (D^{k-1} u_0^k). Only that coefficient of h^k is
@@ -208,8 +199,8 @@ class FormalSeries:
                     p.append(sum(map(operator.mul, weights, terms)) // m)
                 d.append(Fraction(p[k - 1] * num, den * k))
             return FormalSeries(1, d, self.top)
-        one = [1] + [0] * (self.top - 1)  # ints act as 1.0 and 0.0 would, to the bit
-        v, power, d = _quotient(one, u), one, []
+        v, d = _reciprocal(u), []
+        power = [1] + [0] * (self.top - 1)  # ints act as 1.0 and 0.0 would, to the bit
         for k in range(1, self.top + 1):
             power = _convolve(power, v, len(v))
             d.append(power[k - 1] / k)
@@ -275,11 +266,12 @@ def _convolve(a, b, n):
     return [sum(map(operator.mul, a[: k + 1], rev[n - 1 - k :])) for k in range(n)]
 
 
-def _quotient(a, b):
-    """q_i = (a_i - sum_{j<i} q_j b_{i-j}) / b_0 for float or complex a and b,
-    one operation per term, the j ascending."""
-    q = []
-    for i, acc in enumerate(a):
+def _reciprocal(b):
+    """q_0 = 1 / b_0 and q_i = (0 - sum_{j<i} q_j b_{i-j}) / b_0 for float or
+    complex b, one operation per term from int 0, the j ascending."""
+    q = [1 / b[0]]
+    for i in range(1, len(b)):
+        acc = 0
         for j in range(i):
             acc = acc - q[j] * b[i - j]
         q.append(acc / b[0])
@@ -295,14 +287,14 @@ def _exact_product(a, b, n):
     return [c // den for c in sums[:cut]] + [Fraction(c, den) for c in sums[cut:]]
 
 
-def _exact_quotient(a, b):
-    """Fractions q_i = (a_i - sum_{j<i} q_j b_{i-j}) / b_0 for exact a and b,
-    summed on the numerators of q_0..q_{i-1} over their common denominator e."""
-    (na, da), (nb, db) = _scaled(a), _scaled(b)
+def _exact_reciprocal(b):
+    """Fractions q_0 = 1 / b_0 and q_i = -sum_{j<i} q_j b_{i-j} / b_0 for exact
+    b, summed on the numerators of q_0..q_{i-1} over their common denominator e."""
+    nb, db = _scaled(b)
     q, nums, e = [], [], 1
-    for i, ai in enumerate(na):
+    for i in range(len(nb)):
         acc = sum(map(operator.mul, nums, nb[i:0:-1]))
-        qi = Fraction(ai * e * db - da * acc, da * e * nb[0])
+        qi = Fraction(db if i == 0 else -acc, e * nb[0])
         grow = qi.denominator // math.gcd(e, qi.denominator)
         if grow != 1:
             e *= grow
@@ -338,7 +330,7 @@ def free_cumulant_series_via_inversion(mu, order: int) -> FormalSeries:
     m = _moments_arg(mu, order)
     psi_hat = FormalSeries.poly([1, *m.values], order).shifted(1)
     inv = psi_hat.reverted()
-    q0, *rest = (FormalSeries.identity(order + 1) / inv).coeffs  # q0 is 1
+    q0, *rest = inv.shifted(-1).reciprocal().coeffs  # q0 is 1
     return FormalSeries(0, [q0 - 1, *rest], order)
 
 
@@ -353,17 +345,6 @@ def s_series(mu, order: int) -> FormalSeries:
         raise ValueError("S-transform series needs a nonzero first moment")
     chi = FormalSeries.from_seq(m).reverted()
     return chi.shifted(-1) * FormalSeries.poly([1, 1], order)
-
-
-def moments_from_s_series(s: FormalSeries, order: int) -> SeqN:
-    """Invert s_series: recover m_1..m_order from S known through z^{order-1}."""
-    if s.top < order - 1:
-        raise ValueError(f"need S through z^{order - 1}, have z^{s.top}")
-    if s.lo != 0 or s.coeff(0) == 0:
-        raise ValueError("S series must have a nonzero constant term")
-    chi = s.shifted(1) / FormalSeries.poly([1, 1], order + 1)
-    psi = chi.truncated(order).reverted()
-    return SeqN("moment", [psi.coeff(n) for n in range(1, order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +472,20 @@ def cauchy(mu: MeasureSpec, z):
     """Cauchy transform G(z) = integral of 1/(z-x), _cauchy_pair's G to the bit,
     at scalar or array z in both half planes. Im z = +0.0 or -0.0 reads a law
     from above or below, atoms as their real sum, and a grid is refused near
-    its support. Non-finite points are refused before any evaluation."""
+    its support. Non-finite points are refused before any evaluation. G'
+    may divide by zero where G is finite (a law's support edge on the axis),
+    so the pair's floating-point warnings are muted, and one RuntimeWarning
+    counts the points where G itself is not finite."""
     import numpy as np
 
     zarr = np.asarray(z, dtype=complex)
     if not np.isfinite(zarr).all():
         bad = int(np.count_nonzero(~np.isfinite(zarr)))
         raise ValueError(f"cauchy points must be finite; {bad} of {zarr.size} are not")
-    out = _cauchy_pair(mu, np.atleast_1d(zarr))[0]
+    with np.errstate(all="ignore"):
+        out = _cauchy_pair(mu, np.atleast_1d(zarr))[0]
+    if bad := int(np.count_nonzero(~np.isfinite(out))):
+        warnings.warn(f"G is not finite at {bad} of {out.size} points", RuntimeWarning, 2)
     return complex(out[0]) if zarr.ndim == 0 else out
 
 

@@ -1,10 +1,11 @@
 """Built-in identity checks with a deterministic pass/fail report.
 
 Every check computes a deviation and compares it against a fixed
-tolerance; randomized checks draw from a per-check generator seeded by
-(seed, check name), so a report depends only on the seed, never on
-execution order. numpy is imported by the three density checks only, so
-the identities suite never loads it.
+tolerance; exact sides deviate by 0 when equal and by inf otherwise.
+Randomized checks draw from a per-check generator seeded by (seed, check
+name), so a report depends only on the seed, never on execution order.
+numpy is imported by the three density checks only, so the identities
+suite never loads it.
 """
 
 from __future__ import annotations
@@ -78,8 +79,15 @@ def _even_cumulants(rng, order=16):
 # deviations
 
 
+def _dev(x, y) -> float:
+    """|x - y| as a float; for exact x and y, 0 if x == y and inf otherwise."""
+    if ncpart._is_exact(x, y):
+        return 0.0 if x == y else math.inf
+    return abs(float(x - y))
+
+
 def _seq_dev(a: SeqN, b: SeqN) -> float:
-    return max(abs(float(x - y)) for x, y in zip(a.values, b.values))
+    return max(map(_dev, a.values, b.values))
 
 
 def _w2_equals_m(rng, jobs):
@@ -234,7 +242,7 @@ def _s_product_rule(rng, jobs, reps=10):
         )
         lhs = transforms.s_series(prod, 8)
         rhs = (transforms.s_series(mu, 8) * transforms.s_series(nu, 8)).truncated(7)
-        dev = max(dev, max(abs(float(lhs.coeff(n) - rhs.coeff(n))) for n in range(8)))
+        dev = max(dev, max(_dev(lhs.coeff(n), rhs.coeff(n)) for n in range(8)))
     return dev
 
 

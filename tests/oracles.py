@@ -441,7 +441,7 @@ def boolean_from_moments_reference(m) -> list:
 def reverted_reference(f):
     """Lagrange inversion of an exact series of valuation 1, with 1/u = V/L
     over the lcm L of its denominators: the k-th power is V^k over L^k."""
-    v = transforms.FormalSeries.poly([1], f.top - 1) / f.shifted(-1)
+    v = f.shifted(-1).reciprocal()
     den = math.lcm(*(c.denominator for c in v.coeffs))
     nums = [c.numerator * (den // c.denominator) for c in v.coeffs]
     power, scale, d = nums, den, [Fraction(nums[0], den)]

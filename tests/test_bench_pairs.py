@@ -109,6 +109,22 @@ def test_traced_summary_of_synthetic_pairs():
                                          "change_lower_in": 2, "pairs": 3}}
 
 
+def test_one_sided_failures_of_synthetic_pairs():
+    # a label that fails on both sides, however often, is in neither list
+    def run(*failures):
+        return {"failures": [list(f) for f in failures]}
+
+    pairs = [
+        {"parent": run(("mult.8", 0), ("mult.8", 3), ("edge", 1)), "change": run(("edge", 0))},
+        {"parent": run(("mult.12", 2)), "change": run(("scan", 4), ("scan", 5))},
+        {"parent": run(("mult.8", 1)), "change": run()},
+    ]
+    assert bench_pairs.one_sided_failures(pairs) == {
+        "parent": {"mult.12": 1, "mult.8": 3}, "change": {"scan": 2}}
+    assert bench_pairs.one_sided_failures(pairs[2:]) == {"parent": {"mult.8": 1}, "change": {}}
+    assert bench_pairs.one_sided_failures([]) == {"parent": {}, "change": {}}
+
+
 def test_alternate_runs_even_pairs_parent_first():
     calls = []
     pairs = bench_pairs.alternate({"parent": "P", "change": "C"}, [7, 7, 7],
@@ -149,6 +165,7 @@ def test_smoke_pair_on_exact_seq(tmp_path):
         "gain", "regression", "none"}
     assert pair["parent"]["inputs_sha256"] == pair["change"]["inputs_sha256"]
     assert run["identical_failures"]
+    assert run["one_sided_failures"] == {"parent": {}, "change": {}}
     traced = result["traced_run"]
     assert (traced["workload"], traced["seed"], traced["passes"]) == ("exact_seq", 1, 1)
     rows = traced["fixed_passes"]["summary"]

@@ -1148,6 +1148,39 @@ class TestVerify:
         assert code == 1
         assert next(l for l in out.splitlines() if l.startswith("w2_equals_m")).endswith("FAIL")
 
+    @pytest.mark.parametrize("check", ["cumulant_inversion_routes", "s_product_rule"])
+    def test_exact_identity_fails_on_any_discrepancy(self, capsys, monkeypatch, check):
+        # exact sides are decided by ==: a Fraction discrepancy of 10^-400
+        # rounded to dev 0 under float() and passed
+        import random
+
+        from freeconv import verify
+
+        off = Fraction(1, 10**400)
+        if check == "cumulant_inversion_routes":
+            true_route = transforms.free_cumulant_series_via_inversion
+
+            def route(m, order):
+                s = true_route(m, order)
+                # a float coefficient absorbs the offset, an exact one keeps it
+                return transforms.FormalSeries(s.lo, [*s.coeffs[:-1], s.coeffs[-1] + off], s.top)
+
+            monkeypatch.setattr(transforms, "free_cumulant_series_via_inversion", route)
+        else:
+            true_route = ncpart.free_mult_moments
+
+            def route(ma, mb, order=None):
+                m = true_route(ma, mb, order)
+                return ncpart.SeqN("moment", [*m.values[:-1], m.values[-1] + off])
+
+            monkeypatch.setattr(ncpart, "free_mult_moments", route)
+        fn = next(c.fn for c in verify.CHECKS if c.name == check)
+        assert fn(random.Random(0), 1) == math.inf
+        code, out, _ = run_cli(capsys, "verify", "--suite", "identities")
+        assert code == 1
+        line = next(l for l in out.splitlines() if l.startswith(check))
+        assert "dev=non-finite" in line and line.endswith("FAIL")
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_deviation_prints_a_token(self, capsys, monkeypatch, value):
         import dataclasses

@@ -189,16 +189,66 @@ def test_free_mult_both_keeps_the_tolerance_on_floats(monkeypatch):
     assert catalog.moments_of(conv.free_mult(a, b, 6, method="both"), 6) == want
 
 
+def test_free_mult_both_scales_the_float_tolerance_with_the_moments(monkeypatch):
+    # MP(1.5) x semicircle(1, 0.5) has m_12 near 1e9, where both routes err by
+    # far more than an absolute 1e-9, though each holds 1e-12 of the exact
+    # product; the float rule is |dp_n - series_n| <= tol max(1, |dp_n|)
+    def spec(rate, mean, var):
+        return (MeasureSpec.from_law("marchenko_pastur", (rate,)),
+                MeasureSpec.from_law("semicircle", (mean, var)))
+
+    a, b = spec(1.5, 1.0, 0.5)
+    exact = conv.free_mult(*spec(F(1.5), F(1), F(0.5)), 12, method="dp").seq.values
+    report = conv.free_mult_report(a, b, 12)
+    assert report.max_dev > conv.MULT_AGREEMENT_TOL  # the absolute gap
+    got = conv.free_mult(a, b, 12, method="both").seq
+    assert got == report.dp
+    for values in (report.dp.values, report.series.values):
+        assert all(abs(x - float(y)) <= 1e-12 * abs(float(y)) for x, y in zip(values, exact))
+
+    true_product = conv._series_product
+
+    def shifted(ma, mb, order):
+        out = list(true_product(ma, mb, order).values)
+        out[3] += 1e-8 * max(1, abs(out[3]))
+        return SeqN("moment", out)
+
+    monkeypatch.setattr(conv, "_series_product", shifted)
+    with pytest.raises(ArithmeticError, match="disagree at order 4"):
+        conv.free_mult(a, b, 12, method="both")
+
+
+def test_exact_free_mult_both_reverts_three_times_and_takes_no_reciprocal(monkeypatch):
+    # the series route reverts Psi_mu, Psi_nu and chi_mu chi_nu (1+z)/z
+    from freeconv.transforms import FormalSeries
+
+    calls = []
+    for name in ("reverted", "reciprocal"):
+        method = getattr(FormalSeries, name)
+
+        def spy(self, name=name, method=method):
+            calls.append(name)
+            return method(self)
+
+        monkeypatch.setattr(FormalSeries, name, spy)
+    a = atomic_from([F(1, 2), F(2), F(3)])
+    b = atomic_from([F(1), F(5, 2)])
+    conv.free_mult(a, b, 8, method="both")
+    assert calls == ["reverted"] * 3
+
+
 def test_free_mult_series_route_runs_alone(monkeypatch):
     # order 17 is past the DP's PRODUCT_CAP, inside the series route's cap
     def refuse(*args, **kwargs):
         raise AssertionError("the series route ran the DP")
 
-    monkeypatch.setattr(ncpart, "free_mult_moments", refuse)
     mu = MeasureSpec.atomic([(F(1, 2), F(1, 3)), (3, F(2, 3))])
+    dp = ncpart.free_mult_moments(catalog.moments_of(mu, 16), catalog.moments_of(mu, 16))
+    monkeypatch.setattr(ncpart, "free_mult_moments", refuse)
     prod = conv.free_mult(mu, mu, 17, method="series")
+    assert prod.seq.values[:16] == dp.values
     s = transforms.s_series(catalog.moments_of(mu, 17), 17)
-    assert prod.seq == transforms.moments_from_s_series(s * s, 17)
+    assert transforms.s_series(prod.seq, 17) == (s * s).truncated(16)
     assert all(type(v) is F for v in prod.seq.values)
 
 

@@ -19,7 +19,6 @@ from freeconv.transforms import (
     cauchy,
     f_transform,
     free_cumulant_series_via_inversion,
-    moments_from_s_series,
     s_series,
     stieltjes_invert,
 )
@@ -75,34 +74,28 @@ def test_mul_truncation_bookkeeping():
 
 
 def test_only_series_operands():
+    # there is no quotient: a / b is a * b.reciprocal()
     x, y = FormalSeries(1, [Fraction(1), Fraction(2)]), FormalSeries.poly([1, 1], 3)
-    for op in (lambda: x * 2, lambda: 2 * x, lambda: x / 2, lambda: 1 / x,
+    for op in (lambda: x * 2, lambda: 2 * x, lambda: x / 2, lambda: 1 / x, lambda: x / y,
                lambda: x + y, lambda: x - 1, lambda: -x):
         with pytest.raises(TypeError):
             op()
 
 
-def test_division_geometric_series():
-    one = FormalSeries.poly([1], 6)
+def test_reciprocal_geometric_series():
     denom = FormalSeries.poly([1, -1], 6)
-    geo = one / denom
-    assert geo.coeffs == (1,) * 7
+    geo = denom.reciprocal()
+    assert geo.coeffs == (1,) * 7 and geo.top == 6
     back = geo * denom
     assert all(back.coeff(k) == (1 if k == 0 else 0) for k in range(back.top + 1))
 
 
-def test_division_with_valuations():
-    num = FormalSeries(1, [1, 1, 1, 1])  # z + z^2 + z^3 + z^4
-    den = FormalSeries(1, [1, -1], top=4)  # z - z^2
-    q = num / den
-    assert q.lo == 0
-    # (1+z+z^2+z^3)/(1-z) = 1 + 2z + 3z^2 + ...
-    assert q.coeff(0) == 1 and q.coeff(1) == 2 and q.coeff(2) == 3
-
-
-def test_divide_by_zero_series():
-    with pytest.raises(ZeroDivisionError):
-        FormalSeries.poly([1], 3) / FormalSeries.zero(3)
+@pytest.mark.parametrize("series", [
+    FormalSeries.zero(3), FormalSeries.zero(-1), FormalSeries(1, [1, 1]),
+    FormalSeries(-1, [1, 1], top=3), FormalSeries(0, [0, 2], top=3)])
+def test_reciprocal_needs_a_nonzero_constant_term(series):
+    with pytest.raises(ValueError, match="nonzero constant term"):
+        series.reciprocal()
 
 
 def _compose(f, g, top):
@@ -201,14 +194,14 @@ def test_reversion_round_trip_exact(lead, rest):
 
 @pytest.mark.parametrize("order", [16, 20])
 def test_reversion_of_the_product_chi_matches_the_flat_lcm_loop(order):
-    # the chi that moments_from_s_series reverts for a product of two atomic
-    # laws: denominators of 375 and 472 bits at orders 16 and 20
+    # the chi = chi_a chi_b (1+z)/z = chi_a S_b that the series route of the
+    # product reverts for two atomic laws: denominators of over 350 bits
     a = catalog.moments_of(MeasureSpec.atomic(
         [(Fraction(1, 3), Fraction(2, 7)), (Fraction(5, 2), Fraction(5, 7))]), order)
     b = catalog.moments_of(MeasureSpec.atomic(
         [(Fraction(3, 5), Fraction(1, 3)), (Fraction(7, 4), Fraction(2, 3))]), order)
-    s = transforms.s_series(a, order) * transforms.s_series(b, order)
-    chi = (s.shifted(1) / FormalSeries.poly([1, 1], order + 1)).truncated(order)
+    chi = FormalSeries.from_seq(a).reverted() * transforms.s_series(b, order)
+    assert (chi.lo, chi.top) == (1, order)
     assert max(c.denominator.bit_length() for c in chi.coeffs) > 350
     inv, want = chi.reverted(), reverted_reference(chi)
     assert (inv.lo, inv.top, inv.coeffs) == (want.lo, want.top, want.coeffs)
@@ -230,17 +223,17 @@ def test_multiplication_commutes(a, b):
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(coeff_st, min_size=2, max_size=6))
-def test_multiply_then_divide_roundtrip(b):
+def test_multiply_then_reciprocal_roundtrip(b):
     if b[0] == 0:
         b[0] = Fraction(1)
     fb = FormalSeries(0, b)
     fa = FormalSeries(0, [1, 2, 3, 4, 5, 6][: len(b)])
-    q = (fa * fb) / fb
+    q = (fa * fb) * fb.reciprocal()
     assert all(q.coeff(k) == fa.coeff(k) for k in range(q.top + 1))
 
 
 # ---------------------------------------------------------------------------
-# the scaled-integer product, quotient and reversion against a per-term loop
+# the scaled-integer product, reciprocal and reversion against a per-term loop
 
 
 def _naive_divide(a, b):
@@ -273,29 +266,21 @@ def _naive_mul(x, y):
     return FormalSeries(x.lo + y.lo, vals, top)
 
 
-def _naive_div(x, y):
-    """x / y by long division, one Python operation per term."""
-    vb = y.lo
-    va = x.lo if not x.is_zero else x.top + 1
-    top = min(x.top - vb, y.top + va - 2 * vb)
-    if x.is_zero:
-        return FormalSeries.zero(top)
-    n = top - (va - vb) + 1
-    b = [y.coeff(vb + i) for i in range(n)]
-    a = [x.coeff(va + i) if va + i <= x.top else 0 for i in range(n)]
-    a, b = _inexact_as(x.coeffs + y.coeffs, a, b)
+def _naive_reciprocal(y):
+    """1 / y by long division, one Python operation per term from 1, then 0."""
+    (b,) = _inexact_as(y.coeffs, y.coeffs)
     q = []
-    for i in range(n):
-        acc = a[i]
+    for i in range(len(b)):
+        acc = 1 if i == 0 else 0
         for j in range(i):
             acc = acc - q[j] * b[i - j]
         q.append(_naive_divide(acc, b[0]))
-    return FormalSeries(va - vb, q, top)
+    return FormalSeries(0, q, y.top)
 
 
 def _naive_reverted(f):
-    """Lagrange inversion with the per-term product and quotient."""
-    v = _naive_div(FormalSeries.poly([1], f.top - 1), f.shifted(-1))
+    """Lagrange inversion with the per-term product and reciprocal."""
+    v = _naive_reciprocal(f.shifted(-1))
     power, d = FormalSeries.poly([1], v.top), []
     for k in range(1, f.top + 1):
         power = _naive_mul(power, v)
@@ -341,14 +326,22 @@ def _series(draw, coeffs):
 @given(st.sampled_from(sorted(_KINDS)).flatmap(
     lambda kind: st.tuples(_series(_KINDS[kind]), _series(_KINDS[kind]))
 ))
-def test_product_and_quotient_match_per_term_loop(case):
+def test_product_matches_per_term_loop(case):
     x, y = case
     _assert_same(x * y, _naive_mul(x, y))
-    if y.is_zero:
-        with pytest.raises(ZeroDivisionError):
-            x / y
-        return
-    _assert_same(x / y, _naive_div(x, y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_KINDS)).flatmap(
+    lambda kind: st.tuples(
+        _KINDS[kind].filter(lambda c: c != 0), st.lists(_KINDS[kind], max_size=9),
+        st.integers(0, 3),
+    )
+))
+def test_reciprocal_matches_per_term_loop(case):
+    lead, rest, pad = case
+    y = FormalSeries(0, [lead, *rest], top=len(rest) + pad)
+    _assert_same(y.reciprocal(), _naive_reciprocal(y))
 
 
 @settings(max_examples=150, deadline=None)
@@ -382,8 +375,8 @@ def test_inexact_coefficients_make_every_output_inexact(case):
     x, y, f = case
     f = FormalSeries(1, f) if f[0] != 0 else FormalSeries(1, [1.5, *f])
     outputs = [(x * y, (x.coeffs, y.coeffs)), (f.reverted(), (f.coeffs,))]
-    if not y.is_zero:
-        outputs.append((x / y, (x.coeffs, y.coeffs)))
+    if not y.is_zero and y.lo == 0:
+        outputs.append((y.reciprocal(), (y.coeffs,)))
     for out, operands in outputs:
         want = _inexact_type(*operands)
         if want is not None:
@@ -392,7 +385,7 @@ def test_inexact_coefficients_make_every_output_inexact(case):
 
 def test_float_series_route_pinned():
     # bit patterns of the float series route, recorded while its float
-    # quotient and reversion still met a Fraction(1) in every term
+    # reciprocal and reversion still met a Fraction(1) in every term
     atoms = ((0.3, 0.2), (1.7, 0.5), (-0.9, 0.3))
     m = SeqN("moment", [sum(w * x**n for x, w in atoms) for n in range(1, 21)])
     kappa = free_cumulant_series_via_inversion(m, 20)
@@ -413,13 +406,6 @@ def test_float_series_route_pinned():
         "-0x1.527731627f3f6p+28", "0x1.e086dbe5d3c01p+31", "-0x1.598e07210a607p+35",
         "0x1.f66808ec41d5ep+38", "-0x1.709b236d2a96fp+42", "0x1.1096bf94df56cp+46",
         "-0x1.95f3059a47d17p+49"]
-    assert _hex(moments_from_s_series(s, 16).values) == [
-        "0x1.47ae147ae147ap-1", "0x1.b4bc6a7ef9db2p+0", "0x1.1f212d77318fcp+1",
-        "0x1.17f7ced916870p+2", "0x1.bb0c4588a048ap+2", "0x1.874ebf1554084p+3",
-        "0x1.45f9cee37cf6ap+4", "0x1.1810431a85e31p+5", "0x1.d96bf662e44bcp+5",
-        "0x1.939e00bfe47edp+6", "0x1.5687da79381fcp+7", "0x1.2365564145207p+8",
-        "0x1.ef2713bf223dep+8", "0x1.a4fa9853db5b9p+9", "0x1.65c999d094344p+10",
-        "0x1.3023c7f8f524ap+11"]
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +447,8 @@ def test_inversion_route_random_exact(ms):
 
 
 def _eta_series(m):
-    """eta = psi / (1 + psi), by the series quotient alone."""
-    return FormalSeries.from_seq(m) / FormalSeries.poly([1, *m.values], m.order)
+    """eta = psi / (1 + psi), by the series product and reciprocal alone."""
+    return FormalSeries.from_seq(m) * FormalSeries.poly([1, *m.values], m.order).reciprocal()
 
 
 def test_eta_series_matches_interval_recursion():
@@ -504,18 +490,20 @@ def test_s_series_rejects_centered():
         s_series(catalog_moments("semicircle", (0, 1), 6), 6)
 
 
-def test_s_series_roundtrip_random():
+def test_series_product_with_the_unit_mass_round_trips_random():
+    # delta_1 has S = 1, so the series route's chi of mu x delta_1 is
+    # chi_mu itself, and reverting it gives back the moments exactly
     import random
 
     rng = random.Random(11)
+    unit = SeqN("moment", [1] * 8)
     for _ in range(25):
         ms = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(8)]
         if ms[0] == 0:
             ms[0] = Fraction(1, 2)
         m = SeqN("moment", ms)
-        s = s_series(m, 8)
-        back = moments_from_s_series(s, 8)
-        assert back.values == m.values
+        assert conv._series_product(m, unit, 8).values == m.values
+        assert conv._series_product(unit, m, 8).values == m.values
 
 
 @pytest.mark.parametrize(
@@ -540,8 +528,9 @@ def test_float_s_route_product_matches_exact(a, b):
 
 def test_series_routes_never_call_ncpart(monkeypatch):
     m = SeqN("moment", [Fraction(1, 2), Fraction(3, 4), Fraction(-1, 3), 2, Fraction(5, 7)])
+    other = SeqN("moment", [3, Fraction(-2, 5), 1, Fraction(7, 3), -4])
     kappa = ncpart.free_cumulants_from_moments(m)
-    product = ncpart.free_mult_moments(m, m)
+    products = [ncpart.free_mult_moments(m, m), ncpart.free_mult_moments(m, other)]
 
     def boom(*args, **kwargs):
         raise AssertionError("the series route reached the ncpart kernel")
@@ -555,17 +544,8 @@ def test_series_routes_never_call_ncpart(monkeypatch):
 
     via_inv = free_cumulant_series_via_inversion(m, m.order)
     assert via_inv.coeffs == kappa.values
-    s = s_series(m, m.order)
-    assert moments_from_s_series(s, m.order).values == m.values
-    assert moments_from_s_series(s * s, m.order).values == product.values
-
-
-def test_moments_from_s_series_validates():
-    s = s_series(catalog_moments("marchenko_pastur", (1,), 6), 6)
-    with pytest.raises(ValueError, match="need S through"):
-        moments_from_s_series(s, 8)
-    with pytest.raises(ValueError, match="constant term"):
-        moments_from_s_series(FormalSeries(1, [1, 1]), 2)
+    assert conv._series_product(m, m, m.order) == products[0]
+    assert conv._series_product(m, other, m.order) == products[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1192,6 +1172,37 @@ def test_g_alone_next_to_an_atom_is_quiet():
     pair = MeasureSpec.atomic([(-1e-160, 0.5), (1e-160, 0.5)])
     g, dg = transforms._cauchy_pair(pair, np.array([1e-160j]))
     assert np.isfinite(g[0]) and np.isnan(dg[0])
+
+
+_EDGES = [
+    ("semicircle", (0, 1), [2.0, -2.0], [1, -1]),
+    ("marchenko_pastur", (2,), [(1 - math.sqrt(2)) ** 2, (1 + math.sqrt(2)) ** 2],
+     [-1 - math.sqrt(2), math.sqrt(2) - 1]),
+    ("quarter_circle", (1,), [2.0], [1 + 2 / math.pi]),
+    ("symmetric_beta", (), [4.0, -4.0], [math.sqrt(2) / 4, -math.sqrt(2) / 4]),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("law, params, xs, want", _EDGES, ids=[e[0] for e in _EDGES])
+def test_g_alone_at_a_support_edge_is_quiet(law, params, xs, want):
+    # on the axis at an edge the hooks' G' divides by a zero root while G is
+    # finite; a G-only read warned from G' though nothing it returns is wrong
+    mu = MeasureSpec.from_law(law, params)
+    g = cauchy(mu, np.array(xs, dtype=complex))
+    with np.errstate(all="ignore"):
+        pair = transforms._cauchy_pair(mu, np.array(xs, dtype=complex))
+    assert g.tobytes() == pair[0].tobytes()
+    assert g == pytest.approx(want, rel=1e-12)
+    assert [cauchy(mu, x) for x in xs] == list(g)
+
+
+def test_g_alone_warns_where_g_is_not_finite():
+    with pytest.warns(RuntimeWarning, match="G is not finite at 1 of 2 points"):
+        g = cauchy(MeasureSpec.atomic([(1, 1)]), np.array([1.0, 2.0]))
+    assert not np.isfinite(g[0]) and g[1] == 1
+    with pytest.warns(RuntimeWarning, match="G is not finite at 1 of 1 points"):
+        cauchy(MeasureSpec.from_law("symmetric_beta"), 0.0)
 
 
 def test_s_numeric_refuses_a_g_prime_that_overflows(monkeypatch):
