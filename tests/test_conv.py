@@ -190,7 +190,7 @@ def test_free_mult_both_keeps_the_tolerance_on_floats(monkeypatch):
 
 
 def test_free_mult_both_scales_the_float_tolerance_with_the_moments(monkeypatch):
-    # MP(1.5) x semicircle(1, 0.5) has m_12 near 1e9, where both routes err by
+    # MP(1.5) x semicircle(1, 0.5) has m_12 near 9e7, where both routes err by
     # far more than an absolute 1e-9, though each holds 1e-12 of the exact
     # product; the float rule is |dp_n - series_n| <= tol max(1, |dp_n|)
     def spec(rate, mean, var):
